@@ -12,7 +12,8 @@ Specs are JSON files validated against the shipped schema
 language of docs/grammar.md.  Outputs (report.json plus seed.csv,
 loci.csv or mesh.obj depending on the command) are deterministic.
 
-Exit codes: 0 all checks pass, 1 a check failed, 2 spec error,
+Exit codes: 0 all checks pass, 1 a check failed, 2 spec or input error
+(including a surface undefined on its domain, or --z0 outside it),
 3 characteristic start point, 4 unknown gallery name.
 """
 
@@ -24,19 +25,19 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from importlib import resources
 from typing import Optional
 
 import numpy as np
 
 from . import gallery as gal
-from .errors import (CharacteristicStart, HminError, ParseError, SpecError,
-                     UnknownName)
+from .errors import (CharacteristicStart, HminError, OutOfRange, ParseError,
+                     SpecError, UnknownName)
 from .fields import Grid2, PlanarDomain, Profile
+from .heis import HPoint
 from .meshes import lint_obj, mesh_graph, mesh_ruled, write_obj
-from .report import Report, check_flag, check_leq, digest_of
-from .ruled import (RuledPatch, build_surface, characteristic_locus,
+from .report import Report, check_flag, check_leq, digest_of, worst_abs
+from .ruled import (RuledPatch, build_surface, characteristic_locus, chart_samples,
                     classify_entire_graph, curvature_on_patch)
 from .seed import SeedCurve, curvature, extract_seed
 from .surface import (GraphPatch, ImplicitSurface, characteristic_scan,
@@ -53,21 +54,6 @@ DEFAULTS = {
     "tol_h_fd": 1e-4,
     "w_margin": 1e-3,
 }
-
-
-def _threads() -> int:
-    try:
-        return max(1, int(os.environ.get("HMIN_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
-def _pmap(fn, items):
-    n = _threads()
-    if n == 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=n) as pool:
-        return list(pool.map(fn, items))
 
 
 # ---------------------------------------------------------------------------
@@ -136,17 +122,11 @@ def ruled_from_spec(spec: dict, num: dict) -> RuledPatch:
     seed_spec = ru["seed"]
     try:
         if seed_spec["kind"] == "expression":
-            from . import expr as ex
-            gx, gy = ex.parse(seed_spec["x"]), ex.parse(seed_spec["y"])
-            fx, fy = ex.compile_fn(gx, ("s",)), ex.compile_fn(gy, ("s",))
-            d1x = ex.compile_fn(ex.differentiate(gx, "s"), ("s",))
-            d1y = ex.compile_fn(ex.differentiate(gy, "s"), ("s",))
-            d2x = ex.compile_fn(ex.differentiate(ex.differentiate(gx, "s"), "s"), ("s",))
-            d2y = ex.compile_fn(ex.differentiate(ex.differentiate(gy, "s"), "s"), ("s",))
+            px, py = Profile.from_expr(seed_spec["x"]), Profile.from_expr(seed_spec["y"])
             curve = SeedCurve.from_callables(
-                lambda s: (fx(s), fy(s)),
-                lambda s: (d1x(s), d1y(s)),
-                lambda s: (d2x(s), d2y(s)),
+                lambda s: (px.f(s), py.f(s)),
+                lambda s: (px.d1(s), py.d1(s)),
+                lambda s: (px.d2(s), py.d2(s)),
                 s_range)
         else:
             curve = _seed_from_csv(seed_spec["path"], s_range)
@@ -244,32 +224,21 @@ def cmd_verify(args) -> int:
         dom = _domain_of(imp.get("window"))
         t_guess = imp.get("t0", 0.0)
         tol = float(tol_overrides.get("h", num["tol_h_analytic"]))
-        worst, skipped = 0.0, 0
+        values, skipped = [], 0
         for x, y in Grid2(dom, nx, ny).nodes:
             try:
-                t = surf.solve_height(x, y, t_guess)
-                from .heis import HPoint
-                g = HPoint(x, y, t)
+                g = HPoint(x, y, surf.solve_height(x, y, t_guess))
                 if surf.horizontal_data(g).w <= num["w_margin"]:
                     skipped += 1
                     continue
-                worst = max(worst, abs(surf.h_mean_curvature(g)))
+                values.append(surf.h_mean_curvature(g))
             except HminError:
                 skipped += 1
-        report.add(check_leq("max_abs_h_curvature", worst, tol,
+        report.add(check_leq("max_abs_h_curvature", worst_abs(values), tol,
                              note=f"{skipped} nodes skipped"))
     else:
         patch = ruled_from_spec(spec, num)
-        worst = 0.0
-        r_lo, r_hi = patch.r_interval()
-        for s in np.linspace(*patch.s_range, 9)[1:-1]:
-            for r in np.linspace(r_lo, r_hi, 9):
-                s, r = float(s), float(r)
-                if abs(-1.0 + r * curvature(patch.seed, s)) <= 0.15:
-                    continue
-                if abs(patch.w(s, r)) < 1e-3:
-                    continue
-                worst = max(worst, abs(curvature_on_patch(patch, s, r)))
+        worst = worst_abs(curvature_on_patch(patch, s, r) for s, r in chart_samples(patch, 9))
         report.add(check_leq("built_patch_minimal", worst, 1e-6))
     report.wall_time_s = time.time() - t0
     return _emit(report, args.out)
@@ -292,6 +261,8 @@ def cmd_seed(args) -> int:
         raise SpecError("seed extraction needs a graph or gallery spec")
 
     z0 = tuple(args.z0)
+    if not patch.domain.contains(*z0):
+        raise OutOfRange(f"--z0 {z0} is outside the patch domain")
     curve = extract_seed(patch, z0, args.span, step=num["rk4_step"],
                          eps_char=num["eps_char"])
     rows = []
@@ -310,20 +281,15 @@ def cmd_seed(args) -> int:
     _write_csv(csv_path, rows, extra_columns=("dx", "dy"))
     report.outputs.append(csv_path)
 
-    unit_dev = max(abs(math.hypot(*curve.tangent(float(s))) - 1.0) for s in curve.s)
+    unit_dev = worst_abs(math.hypot(*curve.tangent(float(s))) - 1.0 for s in curve.s)
     report.add(check_leq("arclength_unit_tangent", unit_dev, 1e-8))
     if entry is not None and entry.known_seed is not None:
-        known = entry.known_seed(z0)
-        lo = max(curve.s_min, known.s_min)
-        hi = min(curve.s_max, known.s_max)
-        dev = max(
-            math.dist(curve.point(float(s)), known.point(float(s))) / max(1.0, abs(float(s)))
-            for s in np.linspace(lo, hi, 101))
+        dev = gal.known_seed_deviation(curve, entry.known_seed(z0))
         report.add(check_leq("closed_form_seed", dev, 1e-6))
     if entry is not None and entry.radius_law is not None:
-        dev = max(abs(curve.point(float(s))[0] ** 2 + curve.point(float(s))[1] ** 2
-                      - entry.radius_law(z0, float(s)))
-                  for s in np.linspace(curve.s_min, curve.s_max, 101))
+        dev = worst_abs(curve.point(float(s))[0] ** 2 + curve.point(float(s))[1] ** 2
+                        - entry.radius_law(z0, float(s))
+                        for s in np.linspace(curve.s_min, curve.s_max, 101))
         report.add(check_leq("radius_law", dev, 1e-6))
     report.wall_time_s = time.time() - t0
     return _emit(report, args.out)
@@ -354,16 +320,7 @@ def cmd_build(args) -> int:
 
     if patch is not None:
         mesh = mesh_ruled(patch, ns, nr)
-        worst = 0.0
-        r_lo, r_hi = patch.r_interval()
-        for s in np.linspace(*patch.s_range, 7)[1:-1]:
-            for r in np.linspace(r_lo, r_hi, 7):
-                s, r = float(s), float(r)
-                if abs(-1.0 + r * curvature(patch.seed, s)) <= 0.15:
-                    continue
-                if abs(patch.w(s, r)) < 1e-3:
-                    continue
-                worst = max(worst, abs(curvature_on_patch(patch, s, r)))
+        worst = worst_abs(curvature_on_patch(patch, s, r) for s, r in chart_samples(patch, 7))
         report.add(check_leq("post_build_minimal", worst, 1e-6))
         report.add(check_flag("clamped_samples", True, note=f"{mesh.clamped} moved"))
     else:
@@ -499,13 +456,8 @@ def cmd_gallery(args) -> int:
     report = Report("gallery", digest_of({"names": names, "params": params}),
                     defaults=dict(DEFAULTS))
     t0 = time.time()
-
-    def run(name: str):
-        keys = _params_for(name, params)
-        return name, gal.gallery_verify(name, **keys)
-
-    for name, checks in _pmap(run, names):
-        for c in checks:
+    for name in names:
+        for c in gal.gallery_verify(name, **_params_for(name, params)):
             c.name = f"{name}.{c.name}"
             report.add(c)
     report.wall_time_s = time.time() - t0
@@ -592,7 +544,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except UnknownName as err:
         print(f"error: {err}", file=sys.stderr)
         return 4
-    except (SpecError, ParseError) as err:
+    except HminError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

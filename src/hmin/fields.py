@@ -138,10 +138,15 @@ class ScalarField2:
         hxx = ex.compile_fn(ex.differentiate(dx, "x"), ("x", "y"))
         hxy = ex.compile_fn(ex.differentiate(dx, "y"), ("x", "y"))
         hyy = ex.compile_fn(ex.differentiate(dy, "y"), ("x", "y"))
+
+        def hess(x: float, y: float):
+            fxy = hxy(x, y)
+            return ((hxx(x, y), fxy), (fxy, hyy(x, y)))
+
         return ScalarField2(
             f=f,
             grad=lambda x, y: (gx(x, y), gy(x, y)),
-            hess=lambda x, y: ((hxx(x, y), hxy(x, y)), (hxy(x, y), hyy(x, y))),
+            hess=hess,
             fd_step=fd_step,
             domain=domain,
             source=src,

@@ -24,16 +24,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
 from .errors import UnknownName
 from .fields import Grid2, PlanarDomain, Profile, cumulative_integral
 from .heis import HPoint
-from .report import Check, check_flag, check_leq
+from .report import Check, check_flag, check_leq, worst_abs
 from .ruled import (GeneralizedSeedCurve, GSCJoin, GSCPiece, RuledPatch,
-                    characteristic_locus, chart_height_gradient,
+                    characteristic_locus, chart_height_gradient, chart_samples,
                     curvature_on_patch, locus_branch_slope, roundtrip,
                     validate_gsc, w_direct)
 from .seed import SeedCurve, _hermite, curvature, extract_seed
@@ -619,34 +619,33 @@ def max_curvature_deviation(patch: GraphPatch, domain: PlanarDomain,
                             nx: int = 101, ny: int = 101,
                             expect: float = 0.0,
                             w_margin: float = W_MARGIN) -> float:
-    """max |H - expect| over non-characteristic grid nodes (W > w_margin)."""
-    worst = 0.0
-    for x, y in Grid2(domain, nx, ny).nodes:
-        hd = horizontal_data(patch, (x, y))
-        if hd.w <= w_margin:
-            continue
-        val = h_mean_curvature(patch, (x, y), cross_check=False)
-        worst = max(worst, abs(val - expect))
-    return worst
+    """max |H - expect| over non-characteristic grid nodes (W > w_margin).
+
+    A node whose W is NaN is not skipped, so its NaN reaches the result.
+    """
+    return worst_abs(h_mean_curvature(patch, (x, y), cross_check=False) - expect
+                     for x, y in Grid2(domain, nx, ny).nodes
+                     if not horizontal_data(patch, (x, y)).w <= w_margin)
+
+
+def known_seed_deviation(extracted: SeedCurve, known: SeedCurve) -> float:
+    """max |gamma_extracted(s) - gamma_known(s)| / max(1, |s|) over the common s range."""
+    lo = max(extracted.s_min, known.s_min)
+    hi = min(extracted.s_max, known.s_max)
+    return worst_abs(math.dist(extracted.point(s), known.point(s)) / max(1.0, abs(s))
+                     for s in map(float, np.linspace(lo, hi, 101)))
 
 
 def _seed_deviation(entry: GalleryEntry) -> tuple[float, SeedCurve]:
     extracted = extract_seed(entry.graph, entry.seed_base, entry.arc_span)
     worst = 0.0
     if entry.known_seed is not None:
-        known = entry.known_seed(entry.seed_base)
-        lo = max(extracted.s_min, known.s_min)
-        hi = min(extracted.s_max, known.s_max)
-        for s in np.linspace(lo, hi, 101):
-            ge = extracted.point(float(s))
-            gk = known.point(float(s))
-            err = math.hypot(ge[0] - gk[0], ge[1] - gk[1]) / max(1.0, abs(float(s)))
-            worst = max(worst, err)
+        worst = known_seed_deviation(extracted, entry.known_seed(entry.seed_base))
     elif entry.radius_law is not None:
-        for s in np.linspace(max(extracted.s_min, -1.0), min(extracted.s_max, 0.0), 101):
-            g = extracted.point(float(s))
-            law = entry.radius_law(entry.seed_base, float(s))
-            worst = max(worst, abs(g[0] * g[0] + g[1] * g[1] - law))
+        lo, hi = max(extracted.s_min, -1.0), min(extracted.s_max, 0.0)
+        points = ((s, extracted.point(s)) for s in map(float, np.linspace(lo, hi, 101)))
+        worst = worst_abs(g[0] * g[0] + g[1] * g[1] - entry.radius_law(entry.seed_base, s)
+                          for s, g in points)
     return worst, extracted
 
 
@@ -664,7 +663,7 @@ def _check_locus(entry: GalleryEntry, report_checks: list[Check]):
         labels == {entry.expected_chart_label},
         note=f"labels seen: {sorted(labels)}"))
     if entry.expected_chart_root is not None:
-        worst = max(abs(r.r - entry.expected_chart_root(r.s)) for r in rep.roots)
+        worst = worst_abs(r.r - entry.expected_chart_root(r.s) for r in rep.roots)
         report_checks.append(check_leq("locus_root_value", worst, 1e-6))
     report_checks.append(check_flag("locus_verified",
                                     all(r.verified for r in rep.roots)))
@@ -700,36 +699,21 @@ def gallery_verify(name: str, tolerances: Optional[dict] = None, **params) -> li
         if entry.known_kappa is not None:
             kk = entry.known_kappa(entry.seed_base)
             span = min(-extracted.s_min, extracted.s_max) * 0.9
-            kdev = max(abs(curvature(extracted, float(s)) - kk)
-                       for s in np.linspace(-span, span, 41))
+            kdev = worst_abs(curvature(extracted, float(s)) - kk
+                             for s in np.linspace(-span, span, 41))
             checks.append(check_leq("seed_kappa", kdev, tol["kappa"]))
 
     if entry.ruled is not None:
         _check_locus(entry, checks)
         patch = entry.ruled()
-        r_lo, r_hi = patch.r_interval()
-        worst_h = 0.0
-        worst_res = 0.0
-        for s in np.linspace(*patch.s_range, 9)[1:-1]:
-            for r in np.linspace(r_lo, r_hi, 9):
-                s, r = float(s), float(r)
-                det = -1.0 + r * curvature(patch.seed, s)
-                if abs(det) <= 0.15:   # also keeps 1 - r*kappa away from 0
-                    continue
-                if abs(patch.w(s, r)) < 1e-3:
-                    continue
-                worst_res = max(worst_res, patch.w_ode_residual(s, r))
-                worst_h = max(worst_h, abs(curvature_on_patch(patch, s, r)))
-        checks.append(check_leq("built_patch_minimal", worst_h, 1e-6))
-        checks.append(check_leq("w_ode_residual", worst_res, 1e-6))
-        worst_w = 0.0
-        for s in np.linspace(*patch.s_range, 7)[1:-1]:
-            for r in np.linspace(r_lo, r_hi, 7):
-                s, r = float(s), float(r)
-                if abs(-1.0 + r * curvature(patch.seed, s)) <= 0.15:
-                    continue
-                worst_w = max(worst_w, abs(abs(patch.w(s, r)) - w_direct(patch, s, r)))
-        checks.append(check_leq("w_formula_vs_direct", worst_w, 1e-6))
+        samples = list(chart_samples(patch, 9))
+        checks.append(check_leq("built_patch_minimal", worst_abs(
+            curvature_on_patch(patch, s, r) for s, r in samples), 1e-6))
+        checks.append(check_leq("w_ode_residual", worst_abs(
+            patch.w_ode_residual(s, r) for s, r in samples), 1e-6))
+        checks.append(check_leq("w_formula_vs_direct", worst_abs(
+            abs(patch.w(s, r)) - w_direct(patch, s, r)
+            for s, r in chart_samples(patch, 7, w_min=None)), 1e-6))
 
     if entry.expected_scan is not None and entry.graph is not None:
         scan = characteristic_scan(entry.graph,
@@ -769,10 +753,8 @@ def gallery_verify(name: str, tolerances: Optional[dict] = None, **params) -> li
     if entry.name == "gencurve-n" and entry.params["n"] % 2 == 0:
         checks.extend(_gencurve_even_checks(entry))
     if entry.graph is not None and entry.implicit is not None:
-        worst = 0.0
-        for x, y in Grid2(entry.verify_domain, 11, 11).nodes:
-            t = entry.graph.h.value(x, y)
-            worst = max(worst, abs(entry.implicit.phi(x, y, t)))
+        worst = worst_abs(entry.implicit.phi(x, y, entry.graph.h.value(x, y))
+                          for x, y in Grid2(entry.verify_domain, 11, 11).nodes)
         checks.append(check_leq("graph_vs_implicit", worst, 1e-10))
     return checks
 
@@ -813,10 +795,8 @@ def _optreg2_corner(entry: GalleryEntry) -> list[Check]:
     checks = []
     rep = characteristic_locus(patch, n_s=41)
     branch = entry.extra["branch"]
-    worst = 0.0
-    for root in rep.roots:
-        if root.r > 0:     # the bounded branch
-            worst = max(worst, abs(root.r - branch(root.s)))
+    # r > 0 picks the bounded branch
+    worst = worst_abs(root.r - branch(root.s) for root in rep.roots if root.r > 0)
     checks.append(check_leq("optreg2_branch_values", worst, 1e-8))
     val0 = branch(0.0)
     checks.append(check_leq("optreg2_branch_at_0", abs(val0 - 1.0), 1e-12))
@@ -831,16 +811,19 @@ def _cylinder_checks(entry: GalleryEntry) -> list[Check]:
     checks = []
     s1, s2 = entry.ruled_pair()
     resid = entry.extra["implicit_residual"]
-    worst = 0.0
-    for patch in (s1, s2):
-        for s in np.linspace(*patch.s_range, 25):
-            for r in np.linspace(-2.0, 2.0, 25):
-                g = patch.embed(float(s), float(r))
-                worst = max(worst, abs(resid(g.x, g.y, g.t)))
+    images = (patch.embed(float(s), float(r)) for patch in (s1, s2)
+              for s in np.linspace(*patch.s_range, 25) for r in np.linspace(-2.0, 2.0, 25))
+    worst = worst_abs(resid(g.x, g.y, g.t) for g in images)
     checks.append(check_leq("cylinder_implicit_residual", worst, 1e-9))
     # piecewise-constant Gauss map (+-1, 0) off the characteristic locus
-    worst_nu = 0.0
-    for patch in (s1, s2):
+    checks.append(check_leq("cylinder_gauss_piecewise",
+                            worst_abs(_cylinder_gauss_errors(s1, s2)), 1e-9))
+    return checks
+
+
+def _cylinder_gauss_errors(*patches: RuledPatch) -> Iterator[float]:
+    """|nu_1| - 1 and nu_2 of the horizontal Gauss map off the characteristic locus."""
+    for patch in patches:
         for s in np.linspace(-0.9, 0.9, 13):
             for r in np.linspace(-1.5, 1.5, 13):
                 s, r = float(s), float(r)
@@ -851,9 +834,8 @@ def _cylinder_checks(entry: GalleryEntry) -> list[Check]:
                 p = -(hx + 0.5 * y)
                 q = -(hy - 0.5 * x)
                 w = math.hypot(p, q)
-                worst_nu = max(worst_nu, abs(abs(p / w) - 1.0), abs(q / w))
-    checks.append(check_leq("cylinder_gauss_piecewise", worst_nu, 1e-9))
-    return checks
+                yield abs(p / w) - 1.0
+                yield q / w
 
 
 def _gencurve_even_checks(entry: GalleryEntry) -> list[Check]:

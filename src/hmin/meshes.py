@@ -76,8 +76,7 @@ def mesh_graph(patch: GraphPatch, nx: int, ny: int,
     dom = domain or patch.domain
     xs = np.linspace(dom.xmin, dom.xmax, nx)
     ys = np.linspace(dom.ymin, dom.ymax, ny)
-    verts = [(float(x), float(y), patch.h.value(float(x), float(y)))
-             for x in xs for y in ys]
+    verts = [patch.point(float(x), float(y)).as_tuple() for x in xs for y in ys]
     return Mesh(verts, _grid_faces(nx, ny), comments=[f"graph patch mesh {nx}x{ny}"])
 
 
@@ -128,6 +127,3 @@ def lint_obj(path: str, degenerate_tol: float = 1e-12) -> list[str]:
             problems.append(f"face {i}: degenerate (area {area:.3e})")
     return problems
 
-
-def sample_vertices(mesh: Mesh) -> np.ndarray:
-    return np.array(mesh.vertices)

@@ -5,7 +5,9 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Iterable, Optional
+
+import numpy as np
 
 
 @dataclass
@@ -22,6 +24,16 @@ class Check:
         if self.note:
             d["note"] = self.note
         return d
+
+
+def worst_abs(values: Iterable[float]) -> float:
+    """The largest |v| over the samples, 0.0 when there are none.
+
+    A NaN sample anywhere makes the result NaN, so a ``check_leq`` on it
+    fails instead of the sample being silently dropped by ``max``.
+    """
+    arr = np.abs(np.fromiter(values, dtype=float))
+    return float(arr.max()) if arr.size else 0.0
 
 
 def check_leq(name: str, measured: float, threshold: float, note: str = "") -> Check:

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -40,6 +40,7 @@ from .errors import (DegenerateDenominator, FieldUndefined, HminError,
                      OutOfRange, SingularRule)
 from .fields import PlanarDomain, Profile, ScalarField2
 from .heis import HPoint, dilate, group_mul
+from .report import worst_abs
 from .seed import (SeedCurve, curvature, extract_seed, rule_jacobian,
                    rule_jacobian_det, rule_point, singular_locus, SingularLocus,
                    EPS_KAPPA)
@@ -47,6 +48,8 @@ from .surface import EPS_CHAR, GraphPatch, h_mean_curvature, horizontal_data
 
 EPS_DELTA = 1e-9
 DET_GUARD = 0.1
+FOLD_GUARD = 0.15   # chart samples keep |-1 + r kappa| above this
+W_GUARD = 1e-3      # and, by default, |W| at or above this
 
 
 def _inner(curve: SeedCurve, s: float) -> float:
@@ -84,7 +87,10 @@ class RuledPatch:
 
     def embed(self, s: float, r: float) -> HPoint:
         x, y = rule_point(self.seed, s, r)
-        return HPoint(x, y, self.height(s, r))
+        t = self.height(s, r)
+        if not math.isfinite(t):
+            raise FieldUndefined(f"height not finite at (s={s}, r={r})")
+        return HPoint(x, y, t)
 
     def w0(self, s: float) -> float:
         """Angle function along the seed: -h0' + (gamma1 gamma2' - gamma2 gamma1')/2."""
@@ -126,11 +132,9 @@ class RuledPatch:
 def validate_arclength(curve: SeedCurve, s_range: tuple[float, float],
                        tol: float = 1e-6, n: int = 64) -> float:
     """Max deviation of |gamma'| from 1 over the range; raises when beyond tol."""
-    worst = 0.0
-    for s in np.linspace(s_range[0], s_range[1], n):
-        d = curve.tangent(float(s))
-        worst = max(worst, abs(math.hypot(*d) - 1.0))
-    if worst > tol:
+    worst = worst_abs(math.hypot(*curve.tangent(float(s))) - 1.0
+                      for s in np.linspace(s_range[0], s_range[1], n))
+    if not worst <= tol:
         raise HminError(f"seed is not arclength-parameterized: max ||gamma'|-1| = {worst}")
     return worst
 
@@ -234,6 +238,28 @@ def graph_field(patch: RuledPatch, s0: float, r0: float, halfwidth: float = 1.0)
     return GraphPatch(dom, ScalarField2(f=f, grad=grad, domain=dom, fd_step=1e-6))
 
 
+def chart_samples(patch: RuledPatch, n: int,
+                  w_min: Optional[float] = W_GUARD) -> Iterator[tuple[float, float]]:
+    """(s, r) samples of the chart for the built-patch checks.
+
+    Interior s of an n-point grid over ``s_range`` crossed with an n-point
+    grid over ``r_interval()``, skipping samples near the fold
+    (|-1 + r kappa| <= FOLD_GUARD, which also keeps 1 - r kappa away from 0)
+    and, unless ``w_min`` is None, near the characteristic locus
+    (|W| < w_min).
+    """
+    rs = [float(r) for r in np.linspace(*patch.r_interval(), n)]
+    for s in np.linspace(*patch.s_range, n)[1:-1]:
+        s = float(s)
+        kap = curvature(patch.seed, s)
+        for r in rs:
+            if abs(-1.0 + r * kap) <= FOLD_GUARD:
+                continue
+            if w_min is not None and abs(patch.w(s, r)) < w_min:
+                continue
+            yield s, r
+
+
 def curvature_on_patch(patch: RuledPatch, s: float, r: float,
                        eps_char: float = EPS_CHAR) -> float:
     """H-mean curvature of the built patch where it is locally a graph."""
@@ -276,15 +302,6 @@ class LociReport:
     @property
     def empty(self) -> bool:
         return not self.roots
-
-    def with_label(self, label: str) -> list[LocusRoot]:
-        return [r for r in self.roots if r.label == label]
-
-    def branch_values(self) -> dict[str, list[tuple[float, float]]]:
-        out: dict[str, list[tuple[float, float]]] = {}
-        for root in self.roots:
-            out.setdefault(root.label, []).append((root.s, root.r))
-        return out
 
 
 def _roots_at(patch: RuledPatch, s: float, eps_kappa: float,
@@ -541,8 +558,7 @@ def roundtrip(patch: GraphPatch, z0: tuple[float, float],
     h0 = lifted_height(patch, curve)
     span = min(arc_span, -curve.s_min, curve.s_max)
     built = RuledPatch(curve, h0, (-span, span), (-r_span, r_span))
-    worst = 0.0
-    count = 0
+    errs = []
     for s in np.linspace(-span, span, n_s):
         for r in np.linspace(-r_span, r_span, n_r):
             s, r = float(s), float(r)
@@ -551,12 +567,10 @@ def roundtrip(patch: GraphPatch, z0: tuple[float, float],
             x, y = rule_point(curve, s, r)
             if not patch.domain.contains(x, y):
                 continue
-            err = abs(built.height(s, r) - patch.h.value(x, y))
-            worst = max(worst, err)
-            count += 1
-    if count == 0:
+            errs.append(built.height(s, r) - patch.h.value(x, y))
+    if not errs:
         raise FieldUndefined("no graph-valid chart samples landed in the patch domain")
-    return worst
+    return worst_abs(errs)
 
 
 @dataclass

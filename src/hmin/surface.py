@@ -65,7 +65,10 @@ class GraphPatch:
         return self.h.grad is not None
 
     def point(self, x: float, y: float) -> HPoint:
-        return HPoint(x, y, self.h.value(x, y))
+        t = self.h.value(x, y)
+        if not math.isfinite(t):
+            raise FieldUndefined(f"height not finite at ({x}, {y})")
+        return HPoint(x, y, t)
 
 
 @dataclass(frozen=True)

@@ -230,7 +230,42 @@ def test_gallery_all_nine_entries(tmp_path):
     assert rep["pass"] is True
 
 
-def test_gallery_threads_env(tmp_path, monkeypatch):
-    monkeypatch.setenv("HMIN_THREADS", "2")
+def test_gallery_two_names(tmp_path):
     assert main(["gallery", "char-plane", "hyperbolic",
                  "--out", str(tmp_path / "g2")]) == 0
+
+
+# seed (s, 0) with h0 = sqrt(1 - s^2) is undefined for |s| > 1
+NAN_RULED = {"kind": "ruled",
+             "ruled": {"seed": {"kind": "expression", "x": "s", "y": "0"},
+                       "h0": "sqrt(1 - s^2)",
+                       "s_range": [-1.5, 1.5], "r_range": [-1, 1]}}
+
+
+def test_verify_nan_samples_fail(tmp_path):
+    spec = write_spec(tmp_path, "nan.json", NAN_RULED)
+    assert main(["verify", "--spec", spec, "--out", str(tmp_path / "v")]) == 1
+    report = json.loads((tmp_path / "v" / "report.json").read_text())
+    check = [c for c in report["checks"] if c["name"] == "built_patch_minimal"][0]
+    assert math.isnan(check["measured"]) and check["pass"] is False
+
+
+# h is NaN for x < 0, but 0*sqrt(x) differentiates to 0, so the analytic
+# curvature scan alone sees a minimal surface there
+ZERO_SQRT = {"kind": "graph",
+             "graph": {"h": "x*y/2 + 0*sqrt(x)",
+                       "domain": {"xmin": -1, "xmax": 1, "ymin": -1, "ymax": 1}}}
+
+
+@pytest.mark.parametrize("command,payload,extra", [
+    ("build", NAN_RULED, []),
+    ("loci", NAN_RULED, []),
+    ("verify", ZERO_SQRT, []),
+    ("build", ZERO_SQRT, ["--grid", "11", "11"]),
+    ("seed", {"kind": "graph", "graph": {"h": "x*y/2"}}, ["--z0", "5", "5"]),
+])
+def test_undefined_input_exit_2(tmp_path, capsys, command, payload, extra):
+    spec = write_spec(tmp_path, "in.json", payload)
+    assert main([command, "--spec", spec, *extra, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")

@@ -3,13 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from hmin.errors import DegenerateDenominator, OutOfRange, SingularRule
+from hmin.errors import (DegenerateDenominator, FieldUndefined, OutOfRange,
+                         SingularRule)
 from hmin.fields import PlanarDomain, Profile, square
 from hmin.gallery import circle_seed, gallery_get, line_seed, optreg2_seed
 from hmin.heis import HPoint, dilate, group_mul
 from hmin.ruled import (GeneralizedSeedCurve, GSCJoin, GSCPiece, RuledPatch,
                         bernstein_quotient, build_surface,
-                        characteristic_locus, classify_entire_graph,
+                        characteristic_locus, chart_samples, classify_entire_graph,
                         constant_curvature_test, curvature_on_patch,
                         extend_rules, invert_chart, roundtrip, rule,
                         validate_gsc, w_direct)
@@ -600,3 +601,55 @@ def test_w_oracle_on_random_patches():
                 signs.add(w > 0)
                 assert abs(abs(w) - w_direct(patch, s, r)) <= 1e-6
                 assert patch.w_ode_residual(s, r) <= 1e-6
+
+
+# -- chart sampling -------------------------------------------------------------
+
+
+def _old_chart_loop(patch, n):
+    """The hand-written 9x9 loop that chart_samples replaced."""
+    out = []
+    r_lo, r_hi = patch.r_interval()
+    for s in np.linspace(*patch.s_range, n)[1:-1]:
+        for r in np.linspace(r_lo, r_hi, n):
+            s, r = float(s), float(r)
+            if abs(-1.0 + r * curvature(patch.seed, s)) <= 0.15:
+                continue
+            if abs(patch.w(s, r)) < 1e-3:
+                continue
+            out.append((s, r))
+    return out
+
+
+def test_chart_samples_match_the_old_loop_on_the_readme_cylinder():
+    patch = RuledPatch(line_seed((0.0, 0.0), (1.0, 0.0), (-0.9, 0.9)),
+                       Profile.from_expr("sqrt(1 - s^2)"), (-0.9, 0.9), (-1.0, 1.0))
+    samples = list(chart_samples(patch, 9))
+    assert samples == _old_chart_loop(patch, 9)
+    assert len(samples) == 62          # W = 0 at (s, r) = (0, 0)
+
+
+def test_chart_samples_skip_the_fold():
+    # kappa = -1, so the fold -1 + r kappa = 0 sits at r = -1
+    patch = RuledPatch(circle_seed((0.0, 0.0), (1.0, 0.0), (-math.pi, math.pi)),
+                       Profile.constant(0.0), (-math.pi, math.pi), (-2.0, 0.0))
+    samples = list(chart_samples(patch, 9, w_min=None))
+    assert len(samples) == 7 * 8
+    assert all(abs(-1.0 + r * curvature(patch.seed, s)) > 0.15 for s, r in samples)
+    assert all(r != -1.0 for _, r in samples)
+
+
+def test_chart_samples_w_guard():
+    patch = cylinder_patch()           # W = s / sqrt(1 - s^2) + r, zero at (0, 0)
+    guarded = list(chart_samples(patch, 9))
+    unguarded = list(chart_samples(patch, 9, w_min=None))
+    assert (0.0, 0.0) in unguarded and (0.0, 0.0) not in guarded
+    assert len(guarded) == len(unguarded) - 1
+    assert all(abs(patch.w(s, r)) >= 1e-3 for s, r in guarded)
+
+
+def test_embed_undefined_height_raises():
+    patch = RuledPatch(line_seed((0.0, 0.0), (1.0, 0.0), (-1.5, 1.5)),
+                       Profile.from_expr("sqrt(1 - s^2)"), (-1.5, 1.5), (-1.0, 1.0))
+    with pytest.raises(FieldUndefined):
+        patch.embed(1.2, 0.0)
