@@ -1,6 +1,6 @@
 """Command-line front end.
 
-    hmin verify   --spec FILE [--grid NX NY] [--out DIR] [--tol NAME VALUE]
+    hmin verify   --spec FILE [--grid NX NY] [--out DIR]
     hmin seed     --spec FILE --z0 X Y [--span S] [--out DIR]
     hmin build    --spec FILE [--grid NS NR] [--out DIR]
     hmin loci     --spec FILE [--out DIR]
@@ -13,8 +13,9 @@ language of docs/grammar.md.  Outputs (report.json plus seed.csv,
 loci.csv or mesh.obj depending on the command) are deterministic.
 
 Exit codes: 0 all checks pass, 1 a check failed, 2 spec or input error
-(including a surface undefined on its domain, or --z0 outside it),
-3 characteristic start point, 4 unknown gallery name.
+(including a surface undefined on its domain, --z0 outside it, or a
+--grid value below 2), 3 characteristic start point, 4 unknown gallery
+name or bad gallery parameter.
 """
 
 from __future__ import annotations
@@ -33,26 +34,31 @@ import numpy as np
 from . import gallery as gal
 from .errors import (CharacteristicStart, HminError, OutOfRange, ParseError,
                      SpecError, UnknownName)
-from .fields import Grid2, PlanarDomain, Profile
+from .fields import FD_STEP, HESS_STEP, RK4_STEP, Grid2, PlanarDomain, Profile
 from .heis import HPoint
 from .meshes import lint_obj, mesh_graph, mesh_ruled, write_obj
 from .report import Report, check_flag, check_leq, digest_of, worst_abs
 from .ruled import (RuledPatch, build_surface, characteristic_locus, chart_samples,
                     classify_entire_graph, curvature_on_patch)
 from .seed import SeedCurve, curvature, extract_seed
-from .surface import (GraphPatch, ImplicitSurface, characteristic_scan,
+from .surface import (EPS_CHAR, GraphPatch, ImplicitSurface, characteristic_scan,
                       horizontal_data)
 
 CSV_COLUMNS = ["s", "r", "x", "y", "t", "kappa", "W", "branch"]
 
+# gallery command options; each entry takes the ones gallery.gallery_params names
+GALLERY_OPTIONS = {"a": float, "u0": float, "b": float, "c": float, "d": float,
+                   "n": int, "R": float}
+
+# The fixed numerical settings, echoed into every report.
 DEFAULTS = {
-    "fd_step": 1e-5,
-    "hess_step": 5e-5,
-    "rk4_step": 1e-3,
-    "eps_char": 1e-9,
-    "tol_h_analytic": 1e-8,
-    "tol_h_fd": 1e-4,
-    "w_margin": 1e-3,
+    "fd_step": FD_STEP,
+    "hess_step": HESS_STEP,
+    "rk4_step": RK4_STEP,
+    "eps_char": EPS_CHAR,
+    "tol_h_analytic": gal.TOL_H_ANALYTIC,
+    "tol_h_fd": gal.TOL_H_FD,
+    "w_margin": gal.W_MARGIN,
 }
 
 
@@ -81,30 +87,20 @@ def load_spec(path: str) -> dict:
     return spec
 
 
-def numeric_of(spec: dict) -> dict:
-    num = dict(DEFAULTS)
-    num.update(spec.get("numeric", {}))
-    return num
-
-
 def _domain_of(d: Optional[dict], default_half: float = 2.0) -> PlanarDomain:
     if d is None:
         return PlanarDomain(-default_half, default_half, -default_half, default_half)
     return PlanarDomain(d["xmin"], d["xmax"], d["ymin"], d["ymax"])
 
 
-def graph_from_spec(spec: dict, num: dict) -> GraphPatch:
+def graph_from_spec(spec: dict) -> GraphPatch:
     g = spec["graph"]
     dom = _domain_of(g.get("domain"))
     try:
         patch = GraphPatch.from_expr(g["h"], dom)
     except ParseError as err:
         raise SpecError(f"bad height expression: {err}") from None
-    patch.h.fd_step = num["fd_step"]
-    patch.h.hess_step = num["hess_step"]
-    if g.get("fd_only"):
-        patch = patch.fd_only()
-    return patch
+    return patch.fd_only() if g.get("fd_only") else patch
 
 
 def implicit_from_spec(spec: dict) -> ImplicitSurface:
@@ -115,7 +111,7 @@ def implicit_from_spec(spec: dict) -> ImplicitSurface:
         raise SpecError(f"bad level-set expression: {err}") from None
 
 
-def ruled_from_spec(spec: dict, num: dict) -> RuledPatch:
+def ruled_from_spec(spec: dict) -> RuledPatch:
     ru = spec["ruled"]
     s_range = tuple(ru["s_range"])
     r_range = tuple(ru["r_range"]) if "r_range" in ru else (-1.0, 1.0)
@@ -153,9 +149,26 @@ def _seed_from_csv(path: str, s_range: tuple[float, float]) -> SeedCurve:
     return SeedCurve(s, g, dg, ddg, provenance="extracted")
 
 
-def _gallery_entry(spec: dict) -> gal.GalleryEntry:
+def _gallery_entry(spec: dict) -> Optional[gal.GalleryEntry]:
+    """The entry a gallery spec names; None for the other kinds."""
+    if spec["kind"] != "gallery":
+        return None
     gs = spec["gallery"]
     return gal.gallery_get(gs["name"], **gs.get("params", {}))
+
+
+def _graph_of(spec: dict, entry: Optional[gal.GalleryEntry]) -> Optional[GraphPatch]:
+    """A graph spec's patch, or the graph form of the spec's gallery entry."""
+    if spec["kind"] == "graph":
+        return graph_from_spec(spec)
+    return entry.graph if entry is not None else None
+
+
+def _ruled_of(spec: dict, entry: Optional[gal.GalleryEntry]) -> Optional[RuledPatch]:
+    """A ruled spec's patch, or the ruled construction of the spec's gallery entry."""
+    if spec["kind"] == "ruled":
+        return ruled_from_spec(spec)
+    return entry.ruled() if entry is not None and entry.ruled is not None else None
 
 
 # ---------------------------------------------------------------------------
@@ -175,6 +188,13 @@ def _write_csv(path: str, rows: list[dict], extra_columns: tuple[str, ...] = ())
             fh.write(",".join(out) + "\n")
 
 
+def _output_path(report: Report, out_dir: str, name: str) -> str:
+    os.makedirs(out_dir, exist_ok=True)
+    path = os.path.join(out_dir, name)
+    report.outputs.append(path)
+    return path
+
+
 def _emit(report: Report, out_dir: str, quiet: bool = False) -> int:
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, "report.json")
@@ -191,80 +211,55 @@ def _emit(report: Report, out_dir: str, quiet: bool = False) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Commands
+# Commands: each adds its checks and outputs to the report main() made
 # ---------------------------------------------------------------------------
 
 
-def cmd_verify(args) -> int:
-    spec = load_spec(args.spec)
-    num = numeric_of(spec)
-    report = Report("verify", digest_of(spec), defaults=num)
-    t0 = time.time()
+def cmd_verify(args, spec: dict, report: Report) -> None:
     nx, ny = args.grid
-    tol_overrides = dict(args.tol or [])
-
     if spec["kind"] == "gallery":
         gs = spec["gallery"]
-        for c in gal.gallery_verify(gs["name"], tolerances=tol_overrides or None,
-                                    **gs.get("params", {})):
+        for c in gal.gallery_verify(gs["name"], **gs.get("params", {})):
             report.add(c)
     elif spec["kind"] == "graph":
-        patch = graph_from_spec(spec, num)
-        tol = float(tol_overrides.get(
-            "h", num["tol_h_analytic"] if patch.analytic else num["tol_h_fd"]))
-        dev = gal.max_curvature_deviation(patch, patch.domain, nx, ny,
-                                          w_margin=num["w_margin"])
+        patch = graph_from_spec(spec)
+        tol = gal.TOL_H_ANALYTIC if patch.analytic else gal.TOL_H_FD
+        dev = gal.max_curvature_deviation(patch, patch.domain, nx, ny)
         report.add(check_leq("max_abs_h_curvature", dev, tol))
-        scan = characteristic_scan(patch, Grid2(patch.domain, nx, ny), num["eps_char"])
+        scan = characteristic_scan(patch, Grid2(patch.domain, nx, ny), EPS_CHAR)
         report.add(check_flag("characteristic_scan", True,
                               note=f"{len(scan.components)} component(s)"))
     elif spec["kind"] == "implicit":
         surf = implicit_from_spec(spec)
         imp = spec["implicit"]
-        dom = _domain_of(imp.get("window"))
         t_guess = imp.get("t0", 0.0)
-        tol = float(tol_overrides.get("h", num["tol_h_analytic"]))
         values, skipped = [], 0
-        for x, y in Grid2(dom, nx, ny).nodes:
+        for x, y in Grid2(_domain_of(imp.get("window")), nx, ny).nodes:
             try:
                 g = HPoint(x, y, surf.solve_height(x, y, t_guess))
-                if surf.horizontal_data(g).w <= num["w_margin"]:
+                if surf.horizontal_data(g).w <= gal.W_MARGIN:
                     skipped += 1
                     continue
                 values.append(surf.h_mean_curvature(g))
             except HminError:
                 skipped += 1
-        report.add(check_leq("max_abs_h_curvature", worst_abs(values), tol,
+        report.add(check_leq("max_abs_h_curvature", worst_abs(values), gal.TOL_H_ANALYTIC,
                              note=f"{skipped} nodes skipped"))
     else:
-        patch = ruled_from_spec(spec, num)
+        patch = ruled_from_spec(spec)
         worst = worst_abs(curvature_on_patch(patch, s, r) for s, r in chart_samples(patch, 9))
         report.add(check_leq("built_patch_minimal", worst, 1e-6))
-    report.wall_time_s = time.time() - t0
-    return _emit(report, args.out)
 
 
-def cmd_seed(args) -> int:
-    spec = load_spec(args.spec)
-    num = numeric_of(spec)
-    report = Report("seed", digest_of(spec), defaults=num)
-    t0 = time.time()
-    entry = None
-    if spec["kind"] == "gallery":
-        entry = _gallery_entry(spec)
-        if entry.graph is None:
-            raise SpecError(f"gallery entry {entry.name!r} has no graph form to trace on")
-        patch = entry.graph
-    elif spec["kind"] == "graph":
-        patch = graph_from_spec(spec, num)
-    else:
-        raise SpecError("seed extraction needs a graph or gallery spec")
-
+def cmd_seed(args, spec: dict, report: Report) -> None:
+    entry = _gallery_entry(spec)
+    patch = _graph_of(spec, entry)
+    if patch is None:
+        raise SpecError("seed needs a graph spec or a gallery entry with a graph form")
     z0 = tuple(args.z0)
     if not patch.domain.contains(*z0):
         raise OutOfRange(f"--z0 {z0} is outside the patch domain")
-    curve = extract_seed(patch, z0, args.span, step=num["rk4_step"],
-                         eps_char=num["eps_char"])
+    curve = extract_seed(patch, z0, args.span)
     rows = []
     for i, s in enumerate(curve.s):
         x, y = float(curve.g[i, 0]), float(curve.g[i, 1])
@@ -276,10 +271,7 @@ def cmd_seed(args) -> int:
             "branch": "seed",
             "dx": float(curve.dg[i, 0]), "dy": float(curve.dg[i, 1]),
         })
-    os.makedirs(args.out, exist_ok=True)
-    csv_path = os.path.join(args.out, "seed.csv")
-    _write_csv(csv_path, rows, extra_columns=("dx", "dy"))
-    report.outputs.append(csv_path)
+    _write_csv(_output_path(report, args.out, "seed.csv"), rows, extra_columns=("dx", "dy"))
 
     unit_dev = worst_abs(math.hypot(*curve.tangent(float(s))) - 1.0 for s in curve.s)
     report.add(check_leq("arclength_unit_tangent", unit_dev, 1e-8))
@@ -291,71 +283,37 @@ def cmd_seed(args) -> int:
                         - entry.radius_law(z0, float(s))
                         for s in np.linspace(curve.s_min, curve.s_max, 101))
         report.add(check_leq("radius_law", dev, 1e-6))
-    report.wall_time_s = time.time() - t0
-    return _emit(report, args.out)
 
 
-def cmd_build(args) -> int:
-    spec = load_spec(args.spec)
-    num = numeric_of(spec)
-    report = Report("build", digest_of(spec), defaults=num)
-    t0 = time.time()
+def cmd_build(args, spec: dict, report: Report) -> None:
     ns, nr = args.grid
-    patch = None
-    graph = None
-    if spec["kind"] == "ruled":
-        patch = ruled_from_spec(spec, num)
-    elif spec["kind"] == "gallery":
-        entry = _gallery_entry(spec)
-        if entry.ruled is not None:
-            patch = entry.ruled()
-        elif entry.graph is not None:
-            graph = entry.graph
-        else:
-            raise SpecError(f"gallery entry {entry.name!r} has nothing to mesh")
-    elif spec["kind"] == "graph":
-        graph = graph_from_spec(spec, num)
-    else:
-        raise SpecError("build needs a ruled, graph or gallery spec")
-
+    entry = _gallery_entry(spec)
+    patch = _ruled_of(spec, entry)
     if patch is not None:
         mesh = mesh_ruled(patch, ns, nr)
         worst = worst_abs(curvature_on_patch(patch, s, r) for s, r in chart_samples(patch, 7))
         report.add(check_leq("post_build_minimal", worst, 1e-6))
         report.add(check_flag("clamped_samples", True, note=f"{mesh.clamped} moved"))
     else:
+        graph = _graph_of(spec, entry)
+        if graph is None:
+            raise SpecError("build needs a ruled or graph spec, or a gallery entry with either")
         mesh = mesh_graph(graph, ns, nr)
-        dev = gal.max_curvature_deviation(graph, graph.domain, min(ns, 41), min(nr, 41),
-                                          w_margin=num["w_margin"])
-        tol = num["tol_h_analytic"] if graph.analytic else num["tol_h_fd"]
+        dev = gal.max_curvature_deviation(graph, graph.domain, min(ns, 41), min(nr, 41))
+        tol = gal.TOL_H_ANALYTIC if graph.analytic else gal.TOL_H_FD
         report.add(check_leq("post_build_minimal", dev, tol))
 
-    os.makedirs(args.out, exist_ok=True)
-    obj_path = os.path.join(args.out, "mesh.obj")
+    obj_path = _output_path(report, args.out, "mesh.obj")
     write_obj(mesh, obj_path)
-    report.outputs.append(obj_path)
     problems = lint_obj(obj_path)
     report.add(check_flag("obj_lint", not problems,
                           note="; ".join(problems[:3]) if problems else "clean"))
-    report.wall_time_s = time.time() - t0
-    return _emit(report, args.out)
 
 
-def cmd_loci(args) -> int:
-    spec = load_spec(args.spec)
-    num = numeric_of(spec)
-    report = Report("loci", digest_of(spec), defaults=num)
-    t0 = time.time()
-    if spec["kind"] == "ruled":
-        patch = ruled_from_spec(spec, num)
-    elif spec["kind"] == "gallery":
-        entry = _gallery_entry(spec)
-        if entry.ruled is None:
-            raise SpecError(f"gallery entry {entry.name!r} has no ruled construction")
-        patch = entry.ruled()
-    else:
-        raise SpecError("loci needs a ruled or gallery spec")
-
+def cmd_loci(args, spec: dict, report: Report) -> None:
+    patch = _ruled_of(spec, _gallery_entry(spec))
+    if patch is None:
+        raise SpecError("loci needs a ruled spec or a gallery entry with a ruled construction")
     rep = characteristic_locus(patch)
     rows = []
     for root in rep.roots:
@@ -373,10 +331,7 @@ def cmd_loci(args) -> int:
                 "kappa": curvature(patch.seed, float(s)),
                 "W": float("nan"), "branch": "singular",
             })
-    os.makedirs(args.out, exist_ok=True)
-    csv_path = os.path.join(args.out, "loci.csv")
-    _write_csv(csv_path, rows)
-    report.outputs.append(csv_path)
+    _write_csv(_output_path(report, args.out, "loci.csv"), rows)
     report.add(check_flag("roots_verified",
                           all(r.verified for r in rep.roots),
                           note=f"{len(rep.roots)} root(s)"))
@@ -384,8 +339,6 @@ def cmd_loci(args) -> int:
     report.add(check_flag("branch_corners", True,
                           note=("slope jump at s = " + ", ".join(f"{s:.6g}" for s in corners))
                           if corners else "none detected"))
-    report.wall_time_s = time.time() - t0
-    return _emit(report, args.out)
 
 
 def _branch_corners(rep, jump_tol: float = 0.5) -> list[float]:
@@ -409,21 +362,10 @@ def _branch_corners(rep, jump_tol: float = 0.5) -> list[float]:
     return corners
 
 
-def cmd_classify(args) -> int:
-    spec = load_spec(args.spec)
-    num = numeric_of(spec)
-    report = Report("classify", digest_of(spec), defaults=num)
-    t0 = time.time()
-    if spec["kind"] == "graph":
-        patch = graph_from_spec(spec, num)
-    elif spec["kind"] == "gallery":
-        entry = _gallery_entry(spec)
-        if entry.graph is None:
-            raise SpecError(f"gallery entry {entry.name!r} has no graph form")
-        patch = entry.graph
-    else:
-        raise SpecError("classify needs a graph or gallery spec")
-
+def cmd_classify(args, spec: dict, report: Report) -> None:
+    patch = _graph_of(spec, _gallery_entry(spec))
+    if patch is None:
+        raise SpecError("classify needs a graph spec or a gallery entry with a graph form")
     verdict = classify_entire_graph(patch)
     detail: dict = {"kind": verdict.kind}
     if verdict.kind == "class1":
@@ -439,43 +381,22 @@ def cmd_classify(args) -> int:
     report.result = detail
     report.add(check_flag(f"classified_{verdict.kind}", True, note=json.dumps(detail)))
     print(f"classification: {verdict.kind}  {detail}")
-    report.wall_time_s = time.time() - t0
-    return _emit(report, args.out, quiet=True)
 
 
-def cmd_gallery(args) -> int:
-    names = args.names
-    if names == ["all"]:
-        names = gal.gallery_names()
-    params = {}
-    for key in ("a", "u0", "R", "b", "c", "d", "n"):
-        v = getattr(args, key)
-        if v is not None:
-            params[key] = v
+def _gallery_request(args) -> dict:
+    """The gallery command's input: entry names and the parameters given."""
+    names = gal.gallery_names() if args.names == ["all"] else args.names
+    params = {k: getattr(args, k) for k in GALLERY_OPTIONS if getattr(args, k) is not None}
+    return {"names": names, "params": params}
 
-    report = Report("gallery", digest_of({"names": names, "params": params}),
-                    defaults=dict(DEFAULTS))
-    t0 = time.time()
-    for name in names:
-        for c in gal.gallery_verify(name, **_params_for(name, params)):
+
+def cmd_gallery(args, request: dict, report: Report) -> None:
+    for name in request["names"]:
+        accepted = gal.gallery_params(name)
+        params = {k: v for k, v in request["params"].items() if k in accepted}
+        for c in gal.gallery_verify(name, **params):
             c.name = f"{name}.{c.name}"
             report.add(c)
-    report.wall_time_s = time.time() - t0
-    return _emit(report, args.out)
-
-
-def _params_for(name: str, params: dict) -> dict:
-    allowed = {
-        "char-plane": set(), "hyperbolic": set(), "counterexample": set(),
-        "cylinder": set(), "optreg2": set(),
-        "general-plane": {"a", "b", "c", "d"},
-        "catenoid": {"a", "u0"},
-        "iso-profile": {"R"},
-        "gencurve-n": {"n"},
-    }
-    key = "gencurve-n" if name.startswith("gencurve-") else name
-    ok = allowed.get(key, set())
-    return {k: v for k, v in params.items() if k in ok}
 
 
 # ---------------------------------------------------------------------------
@@ -495,8 +416,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="curvature and characteristic scans")
     common(p, grid_default=[101, 101])
-    p.add_argument("--tol", nargs=2, action="append", metavar=("NAME", "VALUE"),
-                   type=str, help="tolerance override, e.g. --tol h 1e-6")
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("seed", help="extract a seed curve to CSV")
@@ -520,24 +439,24 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gallery", help="verify built-in gallery entries")
     p.add_argument("names", nargs="+", help="entry names or 'all'")
     p.add_argument("--out", default=".")
-    p.add_argument("--a", type=float, default=None)
-    p.add_argument("--u0", type=float, default=None)
-    p.add_argument("--b", type=float, default=None)
-    p.add_argument("--c", type=float, default=None)
-    p.add_argument("--d", type=float, default=None)
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--R", type=float, default=None)
+    for key, kind in GALLERY_OPTIONS.items():
+        p.add_argument(f"--{key}", type=kind, default=None)
     p.set_defaults(fn=cmd_gallery)
     return parser
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    if getattr(args, "tol", None):
-        args.tol = [(name, float(val)) for name, val in args.tol]
+    args = _build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        grid = getattr(args, "grid", None)
+        if grid is not None and min(grid) < 2:
+            raise OutOfRange(f"--grid {grid[0]} {grid[1]}: every value must be at least 2")
+        spec = _gallery_request(args) if args.command == "gallery" else load_spec(args.spec)
+        report = Report(args.command, digest_of(spec), defaults=dict(DEFAULTS))
+        t0 = time.time()
+        args.fn(args, spec, report)
+        report.wall_time_s = time.time() - t0
+        return _emit(report, args.out, quiet=args.command == "classify")
     except CharacteristicStart as err:
         print(f"error: characteristic start point: {err}", file=sys.stderr)
         return 3

@@ -22,6 +22,7 @@ Catalog names:
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass, field as dc_field
 from typing import Callable, Iterator, Optional
@@ -190,7 +191,6 @@ class GalleryEntry:
     verify_domain: Optional[PlanarDomain] = None
     expected_curvature: float = 0.0
     tol_h_analytic: float = TOL_H_ANALYTIC
-    tol_h_fd: float = TOL_H_FD
     seed_base: Optional[tuple[float, float]] = None
     arc_span: float = 1.0
     known_seed: Optional[Callable[[tuple[float, float]], SeedCurve]] = None
@@ -307,6 +307,8 @@ def _hyperbolic() -> GalleryEntry:
 
 
 def _catenoid(a: float = 2.0, u0: float = 0.0) -> GalleryEntry:
+    if a <= 0.0:
+        raise UnknownName(f"catenoid requires a > 0, got a = {a!r}")
     rim2 = 4.0 / a
     upper = f"{_num(u0)} + (2/{_num(a)})*sqrt({_num(a)}*(x^2+y^2)/4 - 1)"
     lower = f"{_num(u0)} - (2/{_num(a)})*sqrt({_num(a)}*(x^2+y^2)/4 - 1)"
@@ -551,6 +553,8 @@ def _optreg2() -> GalleryEntry:
 
 
 def _iso_profile(R: float = 1.0) -> GalleryEntry:
+    if R <= 0.0:
+        raise UnknownName(f"iso-profile requires R > 0, got R = {R!r}")
     r2 = R * R
     src = (f"0.25*sqrt(x^2+y^2)*sqrt({_num(r2)} - x^2 - y^2)"
            f" - ({_num(r2)}/4)*atan(sqrt((x^2+y^2)/({_num(r2)} - x^2 - y^2)))"
@@ -592,11 +596,20 @@ def gallery_names() -> list[str]:
     return list(_BUILDERS.keys())
 
 
+def _builder_key(name: str) -> str:
+    return "gencurve-n" if name.startswith("gencurve-") else name
+
+
+def gallery_params(name: str) -> set[str]:
+    """Names of the parameters entry ``name`` accepts (none for an unknown name)."""
+    builder = _BUILDERS.get(_builder_key(name))
+    return set(inspect.signature(builder).parameters) if builder else set()
+
+
 def gallery_get(name: str, **params) -> GalleryEntry:
-    key = name
-    if name.startswith("gencurve-"):
+    key = _builder_key(name)
+    if key == "gencurve-n":
         suffix = name.split("-", 1)[1]
-        key = "gencurve-n"
         if suffix != "n":
             try:
                 params.setdefault("n", int(suffix))
@@ -604,6 +617,9 @@ def gallery_get(name: str, **params) -> GalleryEntry:
                 raise UnknownName(f"bad gencurve suffix in {name!r}") from None
     if key not in _BUILDERS:
         raise UnknownName(f"unknown gallery entry {name!r}; known: {gallery_names()}")
+    for k, v in params.items():
+        if isinstance(v, float) and not math.isfinite(v):
+            raise UnknownName(f"bad parameters for {name!r}: {k} = {v!r} is not finite")
     try:
         return _BUILDERS[key](**params)
     except TypeError as err:
@@ -670,23 +686,19 @@ def _check_locus(entry: GalleryEntry, report_checks: list[Check]):
     return rep
 
 
-def gallery_verify(name: str, tolerances: Optional[dict] = None, **params) -> list[Check]:
+def gallery_verify(name: str, **params) -> list[Check]:
     """Run the standard checks for one entry; returns labeled pass/fail records."""
-    tol = {"h_analytic": None, "h_fd": None, "seed": 1e-6, "kappa": 1e-5,
-           "roundtrip": 1e-5, "gsc": 1e-6}
-    tol.update(tolerances or {})
     entry = gallery_get(name, **params)
     checks: list[Check] = []
 
     if entry.graph is not None:
-        ta = tol["h_analytic"] or entry.tol_h_analytic
-        tf = tol["h_fd"] or entry.tol_h_fd
+        ta = entry.tol_h_analytic
         dev = max_curvature_deviation(entry.graph, entry.verify_domain,
                                       expect=entry.expected_curvature)
         checks.append(check_leq("h_scan_analytic", dev, ta))
         dev_fd = max_curvature_deviation(entry.graph.fd_only(), entry.verify_domain,
                                          expect=entry.expected_curvature)
-        checks.append(check_leq("h_scan_fd", dev_fd, tf))
+        checks.append(check_leq("h_scan_fd", dev_fd, TOL_H_FD))
         if entry.graph_lower is not None:
             dev2 = max_curvature_deviation(entry.graph_lower, entry.verify_domain,
                                            expect=-entry.expected_curvature)
@@ -695,13 +707,13 @@ def gallery_verify(name: str, tolerances: Optional[dict] = None, **params) -> li
     if entry.graph is not None and entry.seed_base is not None:
         worst, extracted = _seed_deviation(entry)
         if entry.known_seed is not None or entry.radius_law is not None:
-            checks.append(check_leq("seed_extraction", worst, tol["seed"]))
+            checks.append(check_leq("seed_extraction", worst, 1e-6))
         if entry.known_kappa is not None:
             kk = entry.known_kappa(entry.seed_base)
             span = min(-extracted.s_min, extracted.s_max) * 0.9
             kdev = worst_abs(curvature(extracted, float(s)) - kk
                              for s in np.linspace(-span, span, 41))
-            checks.append(check_leq("seed_kappa", kdev, tol["kappa"]))
+            checks.append(check_leq("seed_kappa", kdev, 1e-5))
 
     if entry.ruled is not None:
         _check_locus(entry, checks)
@@ -737,10 +749,10 @@ def gallery_verify(name: str, tolerances: Optional[dict] = None, **params) -> li
     if entry.roundtrip_base is not None:
         err = roundtrip(entry.graph, entry.roundtrip_base,
                         arc_span=entry.arc_span, r_span=0.4)
-        checks.append(check_leq("roundtrip", err, tol["roundtrip"]))
+        checks.append(check_leq("roundtrip", err, 1e-5))
 
     if entry.gsc is not None:
-        validation = validate_gsc(entry.gsc(), tol["gsc"])
+        validation = validate_gsc(entry.gsc(), 1e-6)
         checks.append(check_flag("gsc_joins", validation.valid,
                                  note=f"max gap {validation.max_gap:.2e}"))
 

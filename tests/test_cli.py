@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from hmin import fields, gallery, surface
 from hmin.cli import main
 from hmin.meshes import lint_obj
 
@@ -235,6 +236,12 @@ def test_gallery_two_names(tmp_path):
                  "--out", str(tmp_path / "g2")]) == 0
 
 
+# the README's ruled cylinder spec
+CYLINDER = {"kind": "ruled",
+            "ruled": {"seed": {"kind": "expression", "x": "s", "y": "0"},
+                      "h0": "sqrt(1 - s^2)",
+                      "s_range": [-0.9, 0.9], "r_range": [-1, 1]}}
+
 # seed (s, 0) with h0 = sqrt(1 - s^2) is undefined for |s| > 1
 NAN_RULED = {"kind": "ruled",
              "ruled": {"seed": {"kind": "expression", "x": "s", "y": "0"},
@@ -263,9 +270,39 @@ ZERO_SQRT = {"kind": "graph",
     ("verify", ZERO_SQRT, []),
     ("build", ZERO_SQRT, ["--grid", "11", "11"]),
     ("seed", {"kind": "graph", "graph": {"h": "x*y/2"}}, ["--z0", "5", "5"]),
+    ("verify", {"kind": "graph", "graph": {"h": "x*y/2"}}, ["--grid", "0", "0"]),
+    ("build", CYLINDER, ["--grid", "1", "5"]),
+    # the settable numeric section is gone, so the schema rejects it
+    ("verify", {"kind": "graph", "graph": {"h": "x*y/2"}, "numeric": {"tol_h_fd": 1e-300}}, []),
 ])
 def test_undefined_input_exit_2(tmp_path, capsys, command, payload, extra):
     spec = write_spec(tmp_path, "in.json", payload)
     assert main([command, "--spec", spec, *extra, "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
+
+
+@pytest.mark.parametrize("name,param,value", [
+    ("catenoid", "--a", "0"),
+    ("catenoid", "--a", "-1"),
+    ("iso-profile", "--R", "0"),
+    ("iso-profile", "--R", "-1"),
+    ("catenoid", "--u0", "inf"),
+])
+def test_bad_gallery_parameter_exit_4(tmp_path, capsys, name, param, value):
+    assert main(["gallery", name, param, value, "--out", str(tmp_path / "g")]) == 4
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+
+
+def test_report_defaults_are_module_constants(tmp_path):
+    spec = write_spec(tmp_path, "hyp.json", {"kind": "graph", "graph": {"h": "x*y/2"}})
+    assert main(["verify", "--spec", spec, "--grid", "5", "5",
+                 "--out", str(tmp_path / "o")]) == 0
+    report = json.loads((tmp_path / "o" / "report.json").read_text())
+    assert report["defaults"] == {
+        "fd_step": fields.FD_STEP, "hess_step": fields.HESS_STEP,
+        "rk4_step": fields.RK4_STEP, "eps_char": surface.EPS_CHAR,
+        "tol_h_analytic": gallery.TOL_H_ANALYTIC, "tol_h_fd": gallery.TOL_H_FD,
+        "w_margin": gallery.W_MARGIN,
+    }
