@@ -13,9 +13,10 @@ language of docs/grammar.md.  Outputs (report.json plus seed.csv,
 loci.csv or mesh.obj depending on the command) are deterministic.
 
 Exit codes: 0 all checks pass, 1 a check failed, 2 spec or input error
-(including a surface undefined on its domain, --z0 outside it, or a
---grid value below 2), 3 characteristic start point, 4 unknown gallery
-name or bad gallery parameter.
+(including a surface undefined on its domain, --z0 outside it, a --span
+that is not finite and positive, or a --grid value below 2), 3
+characteristic start point, 4 unknown gallery name or bad gallery
+parameter (including one that no named entry takes).
 """
 
 from __future__ import annotations
@@ -256,6 +257,9 @@ def cmd_seed(args, spec: dict, report: Report) -> None:
     patch = _graph_of(spec, entry)
     if patch is None:
         raise SpecError("seed needs a graph spec or a gallery entry with a graph form")
+    if not (math.isfinite(args.span) and args.span > 0.0):
+        raise OutOfRange(f"--span {args.span!r}: the arclength half-span must be "
+                         "finite and positive")
     z0 = tuple(args.z0)
     if not patch.domain.contains(*z0):
         raise OutOfRange(f"--z0 {z0} is outside the patch domain")
@@ -391,6 +395,10 @@ def _gallery_request(args) -> dict:
 
 
 def cmd_gallery(args, request: dict, report: Report) -> None:
+    accepted_by_any = set().union(*map(gal.gallery_params, request["names"]))
+    for k in request["params"]:
+        if k not in accepted_by_any:
+            raise UnknownName(f"--{k}: no entry of {request['names']} takes this parameter")
     for name in request["names"]:
         accepted = gal.gallery_params(name)
         params = {k: v for k, v in request["params"].items() if k in accepted}

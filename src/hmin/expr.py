@@ -17,14 +17,26 @@ The grammar (see docs/grammar.md for the EBNF) is parsed by recursive
 descent with byte-precise error positions.  Evaluation never raises on
 domain errors (log of a negative number, division by zero, ...); such
 values become NaN and propagate.
+
+``evaluate`` walks a tree and is the oracle; ``compile_fn`` generates one
+straight-line function for a list of trees, over floats or over arrays,
+that returns the same floats.  The simplifications used by
+``differentiate`` include ``mul(0, u) -> 0``, which keeps derivative trees
+small but drops u's NaN domain: ``0*sqrt(x)`` is NaN at x = -1, while its
+x-derivative there is 0.  A check that reads derivatives must therefore
+also read the value itself to see where a surface does not exist.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass
-from typing import Callable, Iterable, Union
+from functools import partial
+from typing import Callable, Iterable, Sequence, Union
+
+import numpy as np
 
 from .errors import ParseError
 
@@ -312,40 +324,123 @@ def evaluate(e: Expr, env: dict[str, float]) -> float:
     raise TypeError(f"not an Expr: {e!r}")
 
 
-def compile_fn(e: Expr, var_order: Iterable[str]) -> Callable[..., float]:
-    """Compile an AST to a positional-argument closure (same NaN semantics)."""
-    order = {name: i for i, name in enumerate(var_order)}
+def pointwise(fn: Callable[..., float], *arrays) -> np.ndarray:
+    """``fn`` applied at every element of the broadcast ``arrays``, as a float array.
 
-    def build(node: Expr) -> Callable[..., float]:
+    Each element is the very float ``fn`` returns for it, so an array path
+    built from this agrees bit for bit with the scalar path.
+    """
+    arrays = np.broadcast_arrays(*arrays)
+    out = list(map(fn, *(a.ravel().tolist() for a in arrays)))
+    return np.array(out, dtype=float).reshape(arrays[0].shape)
+
+
+def _array_div(a, b):
+    return np.where(b == 0, _NAN, a / b)
+
+
+# Function tables of the emitter.  The scalar table is the one ``evaluate``
+# uses.  In the array table + - * / sqrt abs sign are numpy operations, which
+# IEEE 754 rounds exactly as the scalar ones; numpy's vectorized
+# transcendental functions differ from the C library's in the last bit, so
+# those apply the scalar function at every element.  Both tables therefore
+# give the same float, NaN included, at every point.
+_SCALAR_TABLE: dict[str, Callable] = {"div": safe_div, "pow": safe_pow, **FUNCTIONS}
+_ARRAY_TABLE: dict[str, Callable] = {
+    "div": _array_div,
+    "sqrt": np.sqrt,
+    "abs": np.abs,
+    "sign": np.sign,
+    **{name: partial(pointwise, fn) for name, fn in _SCALAR_TABLE.items()
+       if name not in ("div", "sqrt", "abs", "sign")},
+}
+
+# node type -> (code template, scalar function folding constant operands)
+_BINARY: dict[type, tuple[str, Callable[[float, float], float]]] = {
+    Add: ("{} + {}", operator.add),
+    Sub: ("{} - {}", operator.sub),
+    Mul: ("{} * {}", operator.mul),
+    Div: ("div({}, {})", safe_div),
+    Pow: ("pow({}, {})", safe_pow),
+}
+
+
+def compile_fn(e: Union[Expr, Sequence[Expr]], var_order: Iterable[str],
+               array: bool = False) -> Callable:
+    """Compile one tree, or a list of trees, into a positional-argument function.
+
+    The trees are hash-consed into one DAG, so a subexpression they share is
+    computed once, and emitted as a single straight-line Python function.  It
+    returns one value for a tree and a tuple for a list.  Subtrees without
+    variables are folded at compile time with the scalar functions.  With
+    ``array`` the arguments are arrays (broadcast together) and so are the
+    results; every element equals the scalar result at that point, NaN
+    included (see docs/grammar.md).
+    """
+    many = isinstance(e, (list, tuple))
+    params = {name: f"a{i}" for i, name in enumerate(var_order)}
+    namespace: dict[str, object] = dict(_ARRAY_TABLE if array else _SCALAR_TABLE)
+    lines: list[str] = []
+    numbered: dict[str, str] = {}              # code of an operation -> its local name
+    seen: dict[int, Union[str, float]] = {}    # id(node) -> local name or constant
+
+    def text(operand: Union[str, float]) -> str:
+        if isinstance(operand, str):
+            return operand
+        if math.isfinite(operand):
+            literal = repr(operand)
+            return f"({literal})" if literal.startswith("-") else literal
+        name = f"c{len(namespace)}"
+        namespace[name] = operand
+        return name
+
+    def visit(node: Expr) -> Union[str, float]:
+        # memoized on node identity: derivative trees share subtrees, so a
+        # walk of the tree would be far longer than one of the DAG
+        hit = seen.get(id(node))
+        if hit is not None:
+            return hit
         if isinstance(node, Num):
-            v = node.value
-            return lambda *a: v
-        if isinstance(node, Var):
-            if node.name in order:
-                i = order[node.name]
-                return lambda *a: a[i]
-            v = CONSTANTS[node.name]
-            return lambda *a: v
-        if isinstance(node, Neg):
-            f = build(node.arg)
-            return lambda *a: -f(*a)
-        if isinstance(node, Call):
-            fn, f = FUNCTIONS[node.fn], build(node.arg)
-            return lambda *a: fn(f(*a))
-        fl, fr = build(node.left), build(node.right)
-        if isinstance(node, Add):
-            return lambda *a: fl(*a) + fr(*a)
-        if isinstance(node, Sub):
-            return lambda *a: fl(*a) - fr(*a)
-        if isinstance(node, Mul):
-            return lambda *a: fl(*a) * fr(*a)
-        if isinstance(node, Div):
-            return lambda *a: safe_div(fl(*a), fr(*a))
-        if isinstance(node, Pow):
-            return lambda *a: safe_pow(fl(*a), fr(*a))
-        raise TypeError(f"not an Expr: {node!r}")
+            out = node.value
+        elif isinstance(node, Var):
+            out = params[node.name] if node.name in params else CONSTANTS[node.name]
+        else:
+            if isinstance(node, Neg):
+                template, fold, args = "-{}", operator.neg, (visit(node.arg),)
+            elif isinstance(node, Call):
+                template, fold, args = node.fn + "({})", FUNCTIONS[node.fn], (visit(node.arg),)
+            elif type(node) in _BINARY:
+                (template, fold), args = _BINARY[type(node)], (visit(node.left), visit(node.right))
+            else:
+                raise TypeError(f"not an Expr: {node!r}")
+            if not any(isinstance(a, str) for a in args):
+                out = fold(*args)
+            else:
+                code = template.format(*map(text, args))
+                out = numbered.get(code)
+                if out is None:
+                    out = numbered[code] = f"v{len(numbered)}"
+                    lines.append(f"{out} = {code}")
+        seen[id(node)] = out
+        return out
 
-    return build(e)
+    results = [visit(t) for t in (e if many else [e])]
+    outs = [text(r) for r in results]
+    args = list(params.values())
+    if array:
+        namespace["np"] = np
+        shape = f"np.broadcast_shapes({''.join(f'{a}.shape, ' for a in args)})"
+        # a result that is a constant or an argument gets an array of its own
+        outs = [o if isinstance(r, str) and r not in args else f"np.full({shape}, {o})"
+                for r, o in zip(results, outs)]
+        body = [f"{a} = np.asarray({a}, dtype=float)" for a in args]
+        body += ['with np.errstate(all="ignore"):', *(f"    {line}" for line in lines or ["pass"])]
+    else:
+        body = lines
+    ret = f"({', '.join(outs)},)" if many else outs[0]
+    src = "\n    ".join([f"def compiled({', '.join(args)}):", *body, f"return {ret}"])
+    exec(compile(src, "<hmin.expr.compile_fn>", "exec"), namespace)
+    return namespace["compiled"]
 
 
 def variables(e: Expr) -> set[str]:

@@ -236,6 +236,14 @@ def test_gallery_two_names(tmp_path):
                  "--out", str(tmp_path / "g2")]) == 0
 
 
+def test_gallery_all_takes_a_parameter_of_one_entry(tmp_path):
+    # only iso-profile takes R; the other eight entries run at their defaults
+    out = tmp_path / "gR"
+    assert main(["gallery", "all", "--R", "2", "--out", str(out)]) == 0
+    rep = json.loads((out / "report.json").read_text())
+    assert len({c["name"].split(".")[0] for c in rep["checks"]}) == 9
+
+
 # the README's ruled cylinder spec
 CYLINDER = {"kind": "ruled",
             "ruled": {"seed": {"kind": "expression", "x": "s", "y": "0"},
@@ -274,6 +282,11 @@ ZERO_SQRT = {"kind": "graph",
     ("build", CYLINDER, ["--grid", "1", "5"]),
     # the settable numeric section is gone, so the schema rejects it
     ("verify", {"kind": "graph", "graph": {"h": "x*y/2"}, "numeric": {"tol_h_fd": 1e-300}}, []),
+    # the seed's arclength half-span must be finite and positive
+    ("seed", {"kind": "graph", "graph": {"h": "x*y/2"}}, ["--z0", "0", "1", "--span", "0"]),
+    ("seed", {"kind": "graph", "graph": {"h": "x*y/2"}}, ["--z0", "0", "1", "--span", "-1"]),
+    ("seed", {"kind": "graph", "graph": {"h": "x*y/2"}}, ["--z0", "0", "1", "--span", "inf"]),
+    ("seed", {"kind": "graph", "graph": {"h": "x*y/2"}}, ["--z0", "0", "1", "--span", "nan"]),
 ])
 def test_undefined_input_exit_2(tmp_path, capsys, command, payload, extra):
     spec = write_spec(tmp_path, "in.json", payload)
@@ -288,6 +301,7 @@ def test_undefined_input_exit_2(tmp_path, capsys, command, payload, extra):
     ("iso-profile", "--R", "0"),
     ("iso-profile", "--R", "-1"),
     ("catenoid", "--u0", "inf"),
+    ("hyperbolic", "--R", "2"),      # no named entry takes R
 ])
 def test_bad_gallery_parameter_exit_4(tmp_path, capsys, name, param, value):
     assert main(["gallery", name, param, value, "--out", str(tmp_path / "g")]) == 4

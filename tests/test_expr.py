@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -72,6 +73,55 @@ def test_domain_errors_become_nan():
     assert math.isnan(ev("1/0"))
     assert math.isnan(ev("atanh(2)"))
     assert math.isnan(ev("(0-2)^(1/2)"))
+
+
+def test_zero_times_u_drops_the_domain_of_u():
+    # mul(0, u) -> 0 keeps derivative trees small; the value keeps u's NaN
+    tree = ex.parse("0*sqrt(x)")
+    assert math.isnan(ex.evaluate(tree, {"x": -1.0}))
+    assert ex.evaluate(ex.differentiate(tree, "x"), {"x": -1.0}) == 0.0
+
+
+INF = math.inf
+
+
+@pytest.mark.parametrize("src,env,expected", [
+    ("x/y", {"x": 1.0, "y": 0.0}, "nan"),
+    ("x/y", {"x": 0.0, "y": -0.0}, "nan"),
+    ("x^y", {"x": 0.0, "y": -1.0}, "nan"),
+    ("x^y", {"x": 10.0, "y": 400.0}, "nan"),      # overflow
+    ("x^y", {"x": 0.0, "y": -INF}, "inf"),        # math.pow(0, -inf) is inf
+    ("x^y", {"x": -8.0, "y": 1.0 / 3.0}, "nan"),
+    ("exp(x)", {"x": 710.0}, "nan"),              # overflow
+    ("exp(x)", {"x": INF}, "inf"),
+    ("log(x)", {"x": 0.0}, "nan"),
+    ("log(x)", {"x": -1.0}, "nan"),
+    ("atanh(x)", {"x": 1.0}, "nan"),
+    ("atanh(x)", {"x": -1.0}, "nan"),
+    ("sqrt(x)", {"x": -0.0}, "-0.0"),
+    ("sign(x)", {"x": -0.0}, "0.0"),
+])
+def test_array_evaluation_nan_edge_cases(src, env, expected):
+    tree = ex.parse(src)
+    names = sorted(env)
+    scalar = ex.compile_fn(tree, names)(*(env[n] for n in names))
+    (array,) = ex.compile_fn([tree], names, array=True)(*(np.array([env[n]]) for n in names))
+    assert repr(ex.evaluate(tree, env)) == repr(scalar) == repr(float(array[0])) == expected
+
+
+def test_compiled_trees_share_subexpressions(monkeypatch):
+    calls = []
+
+    def counted_pow(a, b):
+        calls.append((a, b))
+        return ex.safe_pow(a, b)
+
+    monkeypatch.setitem(ex._SCALAR_TABLE, "pow", counted_pow)
+    tree = ex.parse("sqrt(x^2 + y^2) + sqrt(x^2 + y^2)*x")
+    value = ex.evaluate(tree, {"x": 3.0, "y": 4.0})
+    assert ex.compile_fn([tree, ex.parse(ex.to_str(tree))], ("x", "y"))(3.0, 4.0) == (value, value)
+    # x^2 and y^2 are computed once each, for both trees and both repeats
+    assert sorted(calls) == [(3.0, 2.0), (4.0, 2.0)]
 
 
 def test_simple_derivatives():
@@ -161,3 +211,27 @@ def test_differentiate_closes_over_the_language(tree):
     d = ex.differentiate(tree, "x")
     text = ex.to_str(d)
     assert ex.parse(text) == d
+
+
+# one batch of points per variable: zeros, signs, |v| = 1 and overflow scales
+_BATCH = {
+    "x": [0.5, 0.0, -1.0, 1.0, 710.0, -2.5, 3.0, 1e-3, -0.0],
+    "y": [-1.5, 1.0, 0.0, -1.0, 2.0, 0.5, -710.0, 7.0, 1.0],
+    "t": [2.0, -1.0, 1.0, 0.0, -0.5, 400.0, 0.25, -3.0, 0.0],
+    "s": [0.0, 0.5, -0.5, 2.0, 1.0, -1.0, 9.5, 0.1, -0.0],
+    "r": [3.0, 0.0, 1.0, -2.0, 0.0, 1e-300, -1.0, 0.5, 2.0],
+}
+
+
+@given(_trees)
+@settings(max_examples=1000, deadline=None)
+@pytest.mark.filterwarnings("error")
+def test_compiled_evaluation_matches_evaluate(tree):
+    names = list(_BATCH)
+    points = [dict(zip(names, values)) for values in zip(*_BATCH.values())]
+    want = [repr(ex.evaluate(tree, env)) for env in points]
+    scalar = ex.compile_fn(tree, names)
+    assert [repr(scalar(*env.values())) for env in points] == want
+    (array,) = ex.compile_fn([tree], names, array=True)(*(np.array(_BATCH[n]) for n in names))
+    assert array.shape == (len(points),)
+    assert [repr(v) for v in array.tolist()] == want

@@ -4,9 +4,14 @@ import numpy as np
 import pytest
 
 from hmin.errors import UnknownName
-from hmin.gallery import (gallery_get, gallery_names, gallery_verify,
-                          max_curvature_deviation)
+from hmin.fields import CHUNK, Grid2, PlanarDomain
+from hmin.gallery import (TOL_H_FD, W_MARGIN, _counterexample_triple, gallery_get,
+                          gallery_names, gallery_verify, max_curvature_deviation)
+from hmin.heis import HPoint
+from hmin.report import worst_abs
 from hmin.seed import curvature
+from hmin.surface import (GraphPatch, ImplicitSurface, h_mean_curvature,
+                          horizontal_data, rotate_graph, translate_graph)
 
 
 def test_catalog_names():
@@ -109,3 +114,65 @@ def test_optreg2_branch_jump_numbers():
     assert sp == pytest.approx(-0.5, abs=1e-5)
     assert sm == pytest.approx(+0.5, abs=1e-5)
     assert abs(sp - sm) == pytest.approx(1.0, abs=1e-3)
+
+
+# -- the array curvature scan against the scalar oracle ----------------------
+
+
+def _scalar_scan(patch, domain, n, expect=0.0):
+    """max_curvature_deviation as a loop over scalar h_mean_curvature calls."""
+    return worst_abs(h_mean_curvature(patch, (x, y), cross_check=False) - expect
+                     for x, y in Grid2(domain, n, n).nodes
+                     if not horizontal_data(patch, (x, y)).w <= W_MARGIN)
+
+
+def _scan_cases():
+    for name in gallery_names():
+        entry = gallery_get(name)
+        if entry.graph is None:
+            continue
+        h = entry.expected_curvature
+        yield pytest.param(entry.graph, entry.verify_domain, h, True, id=f"{name}-analytic")
+        yield pytest.param(entry.graph.fd_only(), entry.verify_domain, h, False, id=f"{name}-fd")
+        if entry.graph_lower is not None:
+            yield pytest.param(entry.graph_lower, entry.verify_domain, -h, True,
+                               id=f"{name}-lower")
+    catenoid = gallery_get("catenoid").graph
+    moved = translate_graph(catenoid, HPoint(0.3, -0.2, 0.1))
+    yield pytest.param(moved, moved.domain, 0.0, True, id="catenoid-translated")
+    iso = gallery_get("iso-profile")
+    turned = rotate_graph(iso.graph, 0.4)
+    yield pytest.param(turned, turned.domain, 2.0, True, id="iso-profile-rotated")
+
+
+@pytest.mark.parametrize("patch,domain,expect,analytic", list(_scan_cases()))
+def test_array_scan_equals_scalar_oracle(patch, domain, expect, analytic):
+    got = max_curvature_deviation(patch, domain, 21, 21, expect=expect)
+    want = _scalar_scan(patch, domain, 21, expect)
+    if analytic:
+        assert got == want
+    else:
+        assert abs(got - want) <= 1e-3 * TOL_H_FD
+
+
+def test_array_scan_across_chunks_equals_scalar_oracle():
+    entry = gallery_get("iso-profile")
+    n = 45
+    assert len(Grid2(entry.verify_domain, n, n).nodes) > CHUNK
+    assert max_curvature_deviation(entry.graph, entry.verify_domain, n, n, expect=2.0) == \
+        _scalar_scan(entry.graph, entry.verify_domain, n, 2.0)
+
+
+def test_scan_of_a_surface_undefined_on_part_of_its_domain_is_nan():
+    # 0*sqrt(x) differentiates to 0, so only the height shows the hole at x < 0
+    patch = GraphPatch.from_expr("x*y/2 + 0*sqrt(x)", PlanarDomain(-1, 1, -1, 1))
+    assert math.isnan(max_curvature_deviation(patch, patch.domain, 21, 21))
+
+
+def test_counterexample_locus_check_fails_where_w_is_undefined():
+    entry = gallery_get("counterexample")
+    # W is NaN for x <= 0, where sqrt(x) has no derivative
+    entry.implicit = ImplicitSurface.from_expr("y + x*tan(tanh(t)) + 1e-12*sqrt(x)")
+    check = next(c for c in _counterexample_triple(entry)
+                 if c.name == "empty_characteristic_locus")
+    assert check.passed is False and check.note == "min W = nan"
