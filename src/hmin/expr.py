@@ -19,12 +19,12 @@ domain errors (log of a negative number, division by zero, ...); such
 values become NaN and propagate.
 
 ``evaluate`` walks a tree and is the oracle; ``compile_fn`` generates one
-straight-line function for a list of trees, over floats or over arrays,
-that returns the same floats.  The simplifications used by
-``differentiate`` include ``mul(0, u) -> 0``, which keeps derivative trees
-small but drops u's NaN domain: ``0*sqrt(x)`` is NaN at x = -1, while its
-x-derivative there is 0.  A check that reads derivatives must therefore
-also read the value itself to see where a surface does not exist.
+straight-line function for a list of trees that returns the same floats.
+The simplifications used by ``differentiate`` include ``mul(0, u) -> 0``,
+which keeps derivative trees small but drops u's NaN domain:
+``0*sqrt(x)`` is NaN at x = -1, while its x-derivative there is 0.  A
+check that reads derivatives must therefore also read the value itself
+to see where a surface does not exist.
 """
 
 from __future__ import annotations
@@ -33,10 +33,7 @@ import math
 import operator
 import re
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable, Iterable, Sequence, Union
-
-import numpy as np
 
 from .errors import ParseError
 
@@ -324,36 +321,8 @@ def evaluate(e: Expr, env: dict[str, float]) -> float:
     raise TypeError(f"not an Expr: {e!r}")
 
 
-def pointwise(fn: Callable[..., float], *arrays) -> np.ndarray:
-    """``fn`` applied at every element of the broadcast ``arrays``, as a float array.
-
-    Each element is the very float ``fn`` returns for it, so an array path
-    built from this agrees bit for bit with the scalar path.
-    """
-    arrays = np.broadcast_arrays(*arrays)
-    out = list(map(fn, *(a.ravel().tolist() for a in arrays)))
-    return np.array(out, dtype=float).reshape(arrays[0].shape)
-
-
-def _array_div(a, b):
-    return np.where(b == 0, _NAN, a / b)
-
-
-# Function tables of the emitter.  The scalar table is the one ``evaluate``
-# uses.  In the array table + - * / sqrt abs sign are numpy operations, which
-# IEEE 754 rounds exactly as the scalar ones; numpy's vectorized
-# transcendental functions differ from the C library's in the last bit, so
-# those apply the scalar function at every element.  Both tables therefore
-# give the same float, NaN included, at every point.
-_SCALAR_TABLE: dict[str, Callable] = {"div": safe_div, "pow": safe_pow, **FUNCTIONS}
-_ARRAY_TABLE: dict[str, Callable] = {
-    "div": _array_div,
-    "sqrt": np.sqrt,
-    "abs": np.abs,
-    "sign": np.sign,
-    **{name: partial(pointwise, fn) for name, fn in _SCALAR_TABLE.items()
-       if name not in ("div", "sqrt", "abs", "sign")},
-}
+# The functions the generated code calls: the ones ``evaluate`` uses.
+_TABLE: dict[str, Callable] = {"div": safe_div, "pow": safe_pow, **FUNCTIONS}
 
 # node type -> (code template, scalar function folding constant operands)
 _BINARY: dict[type, tuple[str, Callable[[float, float], float]]] = {
@@ -365,21 +334,19 @@ _BINARY: dict[type, tuple[str, Callable[[float, float], float]]] = {
 }
 
 
-def compile_fn(e: Union[Expr, Sequence[Expr]], var_order: Iterable[str],
-               array: bool = False) -> Callable:
+def compile_fn(e: Union[Expr, Sequence[Expr]], var_order: Iterable[str]) -> Callable:
     """Compile one tree, or a list of trees, into a positional-argument function.
 
     The trees are hash-consed into one DAG, so a subexpression they share is
     computed once, and emitted as a single straight-line Python function.  It
     returns one value for a tree and a tuple for a list.  Subtrees without
-    variables are folded at compile time with the scalar functions.  With
-    ``array`` the arguments are arrays (broadcast together) and so are the
-    results; every element equals the scalar result at that point, NaN
+    variables are folded at compile time.  The operations and their order
+    are those of ``evaluate``, so every result is the float it returns, NaN
     included (see docs/grammar.md).
     """
     many = isinstance(e, (list, tuple))
     params = {name: f"a{i}" for i, name in enumerate(var_order)}
-    namespace: dict[str, object] = dict(_ARRAY_TABLE if array else _SCALAR_TABLE)
+    namespace: dict[str, object] = dict(_TABLE)
     lines: list[str] = []
     numbered: dict[str, str] = {}              # code of an operation -> its local name
     seen: dict[int, Union[str, float]] = {}    # id(node) -> local name or constant
@@ -424,21 +391,9 @@ def compile_fn(e: Union[Expr, Sequence[Expr]], var_order: Iterable[str],
         seen[id(node)] = out
         return out
 
-    results = [visit(t) for t in (e if many else [e])]
-    outs = [text(r) for r in results]
-    args = list(params.values())
-    if array:
-        namespace["np"] = np
-        shape = f"np.broadcast_shapes({''.join(f'{a}.shape, ' for a in args)})"
-        # a result that is a constant or an argument gets an array of its own
-        outs = [o if isinstance(r, str) and r not in args else f"np.full({shape}, {o})"
-                for r, o in zip(results, outs)]
-        body = [f"{a} = np.asarray({a}, dtype=float)" for a in args]
-        body += ['with np.errstate(all="ignore"):', *(f"    {line}" for line in lines or ["pass"])]
-    else:
-        body = lines
+    outs = [text(visit(t)) for t in (e if many else [e])]
     ret = f"({', '.join(outs)},)" if many else outs[0]
-    src = "\n    ".join([f"def compiled({', '.join(args)}):", *body, f"return {ret}"])
+    src = "\n    ".join([f"def compiled({', '.join(params.values())}):", *lines, f"return {ret}"])
     exec(compile(src, "<hmin.expr.compile_fn>", "exec"), namespace)
     return namespace["compiled"]
 

@@ -2,10 +2,9 @@
 
 A ScalarField2 evaluates a function on a planar domain together with its
 first and second derivatives, either from analytic evaluators or by
-central finite differences, at one point or (``jet``) at arrays of
-points that callers pass in ``chunks``.  The module also provides the
-fixed-step RK4 integrator used for seed-curve tracing and an adaptive
-Simpson rule used for integral-defined curves.
+central finite differences.  The module also provides the fixed-step RK4
+integrator used for seed-curve tracing and an adaptive Simpson rule used
+for integral-defined curves.
 
 Numerical defaults (all overridable):
 
@@ -19,8 +18,8 @@ Numerical defaults (all overridable):
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
-from typing import Callable, Iterator, Optional, Sequence
+from dataclasses import dataclass, replace
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -31,12 +30,6 @@ FD_STEP = 1e-5
 HESS_STEP = 5e-5
 RK4_STEP = 1e-3
 SIMPSON_TOL = 1e-10
-# points per array evaluation (see ``chunks``): bounds the memory that the
-# generated code of ScalarField2.jet holds at once
-CHUNK = 1024
-
-# offsets of the finite-difference stencil points, in units of the step
-_STENCIL = ((1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (1, -1), (-1, 1), (-1, -1))
 
 
 @dataclass(frozen=True)
@@ -53,14 +46,6 @@ class PlanarDomain:
         if not (self.xmin <= x <= self.xmax and self.ymin <= y <= self.ymax):
             return False
         return self.membership is None or bool(self.membership(x, y))
-
-    def contains_all(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """``contains`` at every point (x[i], y[i]), as a boolean array."""
-        inside = (self.xmin <= x) & (x <= self.xmax) & (self.ymin <= y) & (y <= self.ymax)
-        if self.membership is not None:
-            inside[inside] = [bool(self.membership(a, b))
-                              for a, b in zip(x[inside].tolist(), y[inside].tolist())]
-        return inside
 
     @property
     def bounds(self) -> tuple[float, float, float, float]:
@@ -90,9 +75,6 @@ class ScalarField2:
     hess_step: float = HESS_STEP
     domain: Optional[PlanarDomain] = None
     source: Optional[str] = None  # expression text when expr-backed
-    # trees of f and, when analytic, of fx, fy, fxx, fxy, fyy (for ``jet``)
-    exprs: tuple[ex.Expr, ...] = ()
-    _array: Optional[Callable] = field(default=None, init=False, repr=False, compare=False)
 
     # -- evaluation ---------------------------------------------------------
 
@@ -102,8 +84,8 @@ class ScalarField2:
     def _check_stencil(self, x: float, y: float, h: float):
         if self.domain is None:
             return
-        for dx, dy in _STENCIL:
-            px, py = x + dx * h, y + dy * h
+        for px, py in ((x + h, y), (x - h, y), (x, y + h), (x, y - h),
+                       (x + h, y + h), (x + h, y - h), (x - h, y + h), (x - h, y - h)):
             if not self.domain.contains(px, py):
                 raise StencilOutOfDomain(f"stencil point ({px}, {py}) outside domain")
 
@@ -142,66 +124,6 @@ class ScalarField2:
                - self.f(x - h, y + h) + self.f(x - h, y - h)) / (4.0 * h * h)
         return ((fxx, fxy), (fxy, fyy))
 
-    # -- arrays -----------------------------------------------------------
-
-    def jet(self, x: np.ndarray, y: np.ndarray, second: bool = True) -> tuple[np.ndarray, ...]:
-        """(f, fx, fy) and, with ``second``, (fxx, fxy, fyy) at the points (x[i], y[i]).
-
-        Every element is the float ``value``, ``gradient`` and ``hessian``
-        give at that point.  An expression-backed field evaluates
-        generated array code (its analytic jet, or its values on the
-        finite-difference stencils); any other field calls its scalar
-        evaluators point by point.  The generated code holds every
-        intermediate array at once, so callers pass ``chunks``.
-        """
-        if not self.exprs:
-            return self._pointwise_jet(x, y, second)
-        if self._array is None:
-            self._array = ex.compile_fn(self.exprs, ("x", "y"), array=True)
-        if len(self.exprs) > 1:
-            out = self._array(x, y)
-            return out if second else out[:3]
-        # the stencils of gradient() and hessian(), on arrays
-
-        def v(px: np.ndarray, py: np.ndarray) -> np.ndarray:
-            return self._array(px, py)[0]
-
-        f = v(x, y)
-        h = self.fd_step
-        self._check_stencils(x, y, h)
-        fx = (v(x + h, y) - v(x - h, y)) / (2.0 * h)
-        fy = (v(x, y + h) - v(x, y - h)) / (2.0 * h)
-        if not second:
-            return f, fx, fy
-        h = self.hess_step
-        self._check_stencils(x, y, h)
-        fxx = (v(x + h, y) - 2.0 * f + v(x - h, y)) / (h * h)
-        fyy = (v(x, y + h) - 2.0 * f + v(x, y - h)) / (h * h)
-        fxy = (v(x + h, y + h) - v(x + h, y - h)
-               - v(x - h, y + h) + v(x - h, y - h)) / (4.0 * h * h)
-        return f, fx, fy, fxx, fxy, fyy
-
-    def _pointwise_jet(self, x: np.ndarray, y: np.ndarray, second: bool) -> tuple[np.ndarray, ...]:
-        rows = []
-        for px, py in zip(x.tolist(), y.tolist()):
-            row = (self.value(px, py), *self.gradient(px, py))
-            if second:
-                (fxx, fxy), (_, fyy) = self.hessian(px, py)
-                row += (fxx, fxy, fyy)
-            rows.append(row)
-        return tuple(np.array(rows, dtype=float).reshape(len(rows), 6 if second else 3).T)
-
-    def _check_stencils(self, x: np.ndarray, y: np.ndarray, h: float):
-        """``_check_stencil`` at every point (x[i], y[i])."""
-        if self.domain is None:
-            return
-        for dx, dy in _STENCIL:
-            px, py = x + dx * h, y + dy * h
-            outside = ~self.domain.contains_all(px, py)
-            if outside.any():
-                i = int(np.argmax(outside))
-                raise StencilOutOfDomain(f"stencil point ({px[i]}, {py[i]}) outside domain")
-
     # -- construction -------------------------------------------------------
 
     @staticmethod
@@ -211,9 +133,8 @@ class ScalarField2:
         tree = ex.parse(src)
         dx = ex.differentiate(tree, "x")
         dy = ex.differentiate(tree, "y")
-        trees = (tree, dx, dy, ex.differentiate(dx, "x"), ex.differentiate(dx, "y"),
-                 ex.differentiate(dy, "y"))
-        second = ex.compile_fn(trees[3:], ("x", "y"))
+        second = ex.compile_fn([ex.differentiate(dx, "x"), ex.differentiate(dx, "y"),
+                                ex.differentiate(dy, "y")], ("x", "y"))
 
         def hess(x: float, y: float):
             fxx, fxy, fyy = second(x, y)
@@ -226,18 +147,11 @@ class ScalarField2:
             fd_step=fd_step,
             domain=domain,
             source=src,
-            exprs=trees,
         )
 
     def fd_only(self) -> "ScalarField2":
         """A copy that drops analytic derivative evaluators (pure FD mode)."""
-        return replace(self, grad=None, hess=None, exprs=self.exprs[:1])
-
-
-def chunks(*arrays: np.ndarray) -> Iterator[tuple[np.ndarray, ...]]:
-    """Consecutive slices of CHUNK points of equally long arrays."""
-    for i in range(0, len(arrays[0]), CHUNK):
-        yield tuple(a[i:i + CHUNK] for a in arrays)
+        return replace(self, grad=None, hess=None)
 
 
 def grad(f: ScalarField2, p: tuple[float, float]) -> tuple[float, float]:
@@ -254,13 +168,10 @@ class Grid2:
 
     @property
     def nodes(self) -> list[tuple[float, float]]:
-        return list(zip(*(a.tolist() for a in self.points())))
-
-    def points(self) -> tuple[np.ndarray, np.ndarray]:
-        """x and y of the nodes inside the domain, in the order of ``nodes``."""
-        x, y = (a.ravel() for a in np.meshgrid(*self.lattice(), indexing="ij"))
-        inside = self.domain.contains_all(x, y)
-        return x[inside], y[inside]
+        xs = np.linspace(self.domain.xmin, self.domain.xmax, self.nx)
+        ys = np.linspace(self.domain.ymin, self.domain.ymax, self.ny)
+        return [(float(x), float(y)) for x in xs for y in ys
+                if self.domain.contains(float(x), float(y))]
 
     def lattice(self) -> tuple[np.ndarray, np.ndarray]:
         return (np.linspace(self.domain.xmin, self.domain.xmax, self.nx),

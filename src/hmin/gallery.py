@@ -30,7 +30,7 @@ from typing import Callable, Iterator, Optional
 import numpy as np
 
 from .errors import UnknownName
-from .fields import Grid2, PlanarDomain, Profile, chunks, cumulative_integral
+from .fields import Grid2, PlanarDomain, Profile, cumulative_integral
 from .heis import HPoint
 from .report import Check, check_flag, check_leq, worst_abs
 from .ruled import (GeneralizedSeedCurve, GSCJoin, GSCPiece, RuledPatch,
@@ -39,7 +39,7 @@ from .ruled import (GeneralizedSeedCurve, GSCJoin, GSCPiece, RuledPatch,
                     validate_gsc, w_direct)
 from .seed import SeedCurve, _hermite, curvature, extract_seed
 from .surface import (GraphPatch, ImplicitSurface, characteristic_scan,
-                      h_mean_curvature_nodes)
+                      h_mean_curvature, horizontal_data)
 
 TOL_H_ANALYTIC = 1e-8
 TOL_H_FD = 1e-4
@@ -640,8 +640,15 @@ def max_curvature_deviation(patch: GraphPatch, domain: PlanarDomain,
     A node whose W is NaN is not skipped, and a node where the height is
     not finite counts as NaN, so either makes the result NaN.
     """
-    return worst_abs(worst_abs(h_mean_curvature_nodes(patch, x, y, w_margin) - expect)
-                     for x, y in chunks(*Grid2(domain, nx, ny).points()))
+
+    def deviation(x: float, y: float) -> float:
+        # the derivatives can be finite where the height is not (see expr)
+        if not math.isfinite(patch.h.value(x, y)):
+            return math.nan
+        return h_mean_curvature(patch, (x, y), cross_check=False) - expect
+
+    return worst_abs(deviation(x, y) for x, y in Grid2(domain, nx, ny).nodes
+                     if not horizontal_data(patch, (x, y)).w <= w_margin)
 
 
 def known_seed_deviation(extracted: SeedCurve, known: SeedCurve) -> float:

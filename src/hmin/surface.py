@@ -31,7 +31,7 @@ import numpy as np
 from . import expr as ex
 from .errors import (CharacteristicPoint, FieldUndefined, HminError,
                      NonPositiveRadius, NotAGraphAfterTransform)
-from .fields import FD_STEP, Grid2, PlanarDomain, Profile, ScalarField2, chunks
+from .fields import FD_STEP, Grid2, PlanarDomain, Profile, ScalarField2
 from .heis import HPoint, group_mul
 
 EPS_CHAR = 1e-9
@@ -175,28 +175,6 @@ def h_mean_curvature(patch: GraphPatch, z: tuple[float, float],
             raise CurvatureMismatch(
                 f"pq-form {value} vs divergence-form {other} at ({x}, {y}), tol {tol}")
     return value
-
-
-def h_mean_curvature_nodes(patch: GraphPatch, x: np.ndarray, y: np.ndarray,
-                           w_margin: float) -> np.ndarray:
-    """``h_mean_curvature`` without the cross-check, at the points (x[i], y[i])
-    where W is not <= w_margin, as an array.
-
-    Each element is the float the scalar function returns at that point,
-    and NaN where the height itself is not finite: its derivatives may be
-    finite there (see ``expr``), but the surface does not exist.
-    """
-    f, hx, hy, hxx, hxy, hyy = patch.h.jet(x, y)
-    p, q = -(hx + 0.5 * y), -(hy - 0.5 * x)
-    # hypot and ** as the scalar path computes them: numpy's differ in the last bit
-    w = ex.pointwise(math.hypot, p, q)
-    keep = ~(w <= w_margin)
-    p, q, w = p[keep], q[keep], w[keep]
-    p_x, p_y = -hxx[keep], -(hxy[keep] + 0.5)
-    q_x, q_y = -(hxy[keep] - 0.5), -hyy[keep]
-    with np.errstate(all="ignore"):
-        h = (q * q * p_x + p * p * q_y - p * q * (q_x + p_y)) / ex.pointwise(pow, w, 3)
-    return np.where(np.isfinite(f[keep]), h, math.nan)
 
 
 def shape_matrix(patch: GraphPatch, z: tuple[float, float],
@@ -411,13 +389,15 @@ def characteristic_scan(patch: GraphPatch, grid: Grid2, eps: float) -> Character
     """Grid nodes with W < eps, clustered, with sub-grid edge refinement."""
     xs, ys = grid.lattice()
     ni, nj = len(xs), len(ys)
-    gx, gy = np.meshgrid(xs, ys, indexing="ij")
-    inside = grid.domain.contains_all(gx, gy)
     w = np.full((ni, nj), np.inf)
-    for (nodes,) in chunks(np.flatnonzero(inside)):
-        x, y = gx.flat[nodes], gy.flat[nodes]
-        _, hx, hy = patch.h.jet(x, y, second=False)
-        w.flat[nodes] = ex.pointwise(math.hypot, -(hx + 0.5 * y), -(hy - 0.5 * x))
+    inside = np.zeros((ni, nj), dtype=bool)
+    for i, x in enumerate(xs):
+        for j, y in enumerate(ys):
+            if not grid.domain.contains(float(x), float(y)):
+                continue
+            inside[i, j] = True
+            p, q = _pq(patch, float(x), float(y))
+            w[i, j] = math.hypot(p, q)
     flagged = inside & (w < eps)
 
     def wfun(x: float, y: float) -> float:

@@ -74,40 +74,6 @@ def test_expr_backed_field_has_exact_derivatives():
     assert fd.gradient(1.5, 2.0) == pytest.approx((6.0, 1.5 ** 2 - 4.0), abs=1e-8)
 
 
-def _jet_cases():
-    dom = PlanarDomain(-2, 2, -2, 2, membership=lambda x, y: x * x + y * y <= 3.9)
-    field = ScalarField2.from_expr("sqrt(4 - x^2 - y^2) + atan(x*y)^3 - 1/x", dom)
-    return {"analytic": field, "fd": field.fd_only(),
-            "callables": ScalarField2(f=field.f, grad=field.grad, domain=dom),
-            "no-domain": ScalarField2.from_expr("exp(x)*log(y)")}
-
-
-@pytest.mark.parametrize("case", ["analytic", "fd", "callables", "no-domain"])
-def test_jet_matches_scalar_evaluators(case):
-    field = _jet_cases()[case]
-    # x = 0, where 1/x is NaN, is a node
-    x, y = Grid2(PlanarDomain(-1.3, 1.3, -1.3, 1.3), 21, 31).points()
-    jet = field.jet(x, y)
-    want = []
-    for px, py in zip(x.tolist(), y.tolist()):
-        (fxx, fxy), (_, fyy) = field.hessian(px, py)
-        want.append((field.value(px, py), *field.gradient(px, py), fxx, fxy, fyy))
-    assert [repr(v) for v in np.column_stack(jet).ravel().tolist()] == \
-        [repr(v) for row in want for v in row]
-    first = field.jet(x, y, second=False)
-    assert [repr(v) for v in np.column_stack(first).ravel().tolist()] == \
-        [repr(v) for row in want for v in row[:3]]
-
-
-def test_jet_stencil_domain_guard():
-    dom = PlanarDomain(-1, 1, -1, 1)
-    f = ScalarField2.from_expr("x + y", dom).fd_only()
-    with pytest.raises(StencilOutOfDomain):
-        f.jet(np.array([0.0, 1.0]), np.array([0.0, 0.0]), second=False)
-    _, fx, fy = f.jet(np.array([0.0, 0.99]), np.array([0.0, 0.0]), second=False)
-    assert fx.tolist() == pytest.approx([1.0, 1.0]) and fy.tolist() == pytest.approx([1.0, 1.0])
-
-
 def test_grid_respects_membership():
     dom = PlanarDomain(-1, 1, -1, 1, membership=lambda x, y: x * x + y * y <= 1)
     nodes = Grid2(dom, 21, 21).nodes

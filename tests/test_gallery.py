@@ -3,15 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from hmin import expr as ex
 from hmin.errors import UnknownName
-from hmin.fields import CHUNK, Grid2, PlanarDomain
-from hmin.gallery import (TOL_H_FD, W_MARGIN, _counterexample_triple, gallery_get,
-                          gallery_names, gallery_verify, max_curvature_deviation)
-from hmin.heis import HPoint
-from hmin.report import worst_abs
+from hmin.fields import Grid2, PlanarDomain
+from hmin.gallery import (_counterexample_triple, gallery_get, gallery_names,
+                          gallery_verify, max_curvature_deviation)
 from hmin.seed import curvature
-from hmin.surface import (GraphPatch, ImplicitSurface, h_mean_curvature,
-                          horizontal_data, rotate_graph, translate_graph)
+from hmin.surface import GraphPatch, ImplicitSurface
 
 
 def test_catalog_names():
@@ -116,51 +114,27 @@ def test_optreg2_branch_jump_numbers():
     assert abs(sp - sm) == pytest.approx(1.0, abs=1e-3)
 
 
-# -- the array curvature scan against the scalar oracle ----------------------
+# -- generated evaluators against the tree-walking oracle ---------------------
 
 
-def _scalar_scan(patch, domain, n, expect=0.0):
-    """max_curvature_deviation as a loop over scalar h_mean_curvature calls."""
-    return worst_abs(h_mean_curvature(patch, (x, y), cross_check=False) - expect
-                     for x, y in Grid2(domain, n, n).nodes
-                     if not horizontal_data(patch, (x, y)).w <= W_MARGIN)
-
-
-def _scan_cases():
+def _graph_cases():
     for name in gallery_names():
         entry = gallery_get(name)
-        if entry.graph is None:
-            continue
-        h = entry.expected_curvature
-        yield pytest.param(entry.graph, entry.verify_domain, h, True, id=f"{name}-analytic")
-        yield pytest.param(entry.graph.fd_only(), entry.verify_domain, h, False, id=f"{name}-fd")
-        if entry.graph_lower is not None:
-            yield pytest.param(entry.graph_lower, entry.verify_domain, -h, True,
-                               id=f"{name}-lower")
-    catenoid = gallery_get("catenoid").graph
-    moved = translate_graph(catenoid, HPoint(0.3, -0.2, 0.1))
-    yield pytest.param(moved, moved.domain, 0.0, True, id="catenoid-translated")
-    iso = gallery_get("iso-profile")
-    turned = rotate_graph(iso.graph, 0.4)
-    yield pytest.param(turned, turned.domain, 2.0, True, id="iso-profile-rotated")
+        for which, patch in (("upper", entry.graph), ("lower", entry.graph_lower)):
+            if patch is not None:
+                yield pytest.param(patch, entry.verify_domain, id=f"{name}-{which}")
 
 
-@pytest.mark.parametrize("patch,domain,expect,analytic", list(_scan_cases()))
-def test_array_scan_equals_scalar_oracle(patch, domain, expect, analytic):
-    got = max_curvature_deviation(patch, domain, 21, 21, expect=expect)
-    want = _scalar_scan(patch, domain, 21, expect)
-    if analytic:
-        assert got == want
-    else:
-        assert abs(got - want) <= 1e-3 * TOL_H_FD
-
-
-def test_array_scan_across_chunks_equals_scalar_oracle():
-    entry = gallery_get("iso-profile")
-    n = 45
-    assert len(Grid2(entry.verify_domain, n, n).nodes) > CHUNK
-    assert max_curvature_deviation(entry.graph, entry.verify_domain, n, n, expect=2.0) == \
-        _scalar_scan(entry.graph, entry.verify_domain, n, 2.0)
+@pytest.mark.parametrize("patch,domain", list(_graph_cases()))
+def test_generated_derivatives_equal_evaluate_on_gallery_graphs(patch, domain):
+    tree = ex.parse(patch.h.source)
+    dx, dy = ex.differentiate(tree, "x"), ex.differentiate(tree, "y")
+    trees = (tree, dx, dy, ex.differentiate(dx, "x"), ex.differentiate(dx, "y"),
+             ex.differentiate(dy, "y"))
+    for x, y in Grid2(domain, 21, 21).nodes:
+        (fxx, fxy), (_, fyy) = patch.h.hessian(x, y)
+        got = (patch.h.value(x, y), *patch.h.gradient(x, y), fxx, fxy, fyy)
+        assert [repr(v) for v in got] == [repr(ex.evaluate(t, {"x": x, "y": y})) for t in trees]
 
 
 def test_scan_of_a_surface_undefined_on_part_of_its_domain_is_nan():
