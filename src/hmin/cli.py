@@ -13,8 +13,9 @@ language of docs/grammar.md.  Outputs (report.json plus seed.csv,
 loci.csv or mesh.obj depending on the command) are deterministic.
 
 Exit codes: 0 all checks pass, 1 a check failed, 2 spec or input error
-(including a surface undefined on its domain, --z0 outside it, a --span
-that is not finite and positive, or a --grid value below 2), 3
+(including a surface undefined on its domain, an expression using a
+variable its field does not take, --z0 outside it, a --span that is not
+finite and positive, or a --grid value below 2), 3
 characteristic start point, 4 unknown gallery name or bad gallery
 parameter (including one that no named entry takes).
 """

@@ -35,7 +35,7 @@ import re
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence, Union
 
-from .errors import ParseError
+from .errors import ParseError, SpecError
 
 Expr = Union["Num", "Var", "Neg", "Add", "Sub", "Mul", "Div", "Pow", "Call"]
 
@@ -370,7 +370,10 @@ def compile_fn(e: Union[Expr, Sequence[Expr]], var_order: Iterable[str]) -> Call
         if isinstance(node, Num):
             out = node.value
         elif isinstance(node, Var):
-            out = params[node.name] if node.name in params else CONSTANTS[node.name]
+            out = params.get(node.name, CONSTANTS.get(node.name))
+            if out is None:
+                raise SpecError(f"unknown variable {node.name!r}: this field takes "
+                                f"{', '.join(params) or 'no variables'}")
         else:
             if isinstance(node, Neg):
                 template, fold, args = "-{}", operator.neg, (visit(node.arg),)

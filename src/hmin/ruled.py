@@ -643,12 +643,16 @@ def classify_entire_graph(patch: GraphPatch, tol: float = 1e-6,
                 return NotEntire(f"height not finite at ({x}, {y})")
             samples.append((x, y, v))
             hd = horizontal_data(patch, (x, y))
+            if not math.isfinite(hd.w):
+                return NotEntire(f"angle function W not finite at ({x}, {y})")
             interior = (dom.xmin + margin_x <= x <= dom.xmax - margin_x
                         and dom.ymin + margin_y <= y <= dom.ymax - margin_y)
             if interior and hd.w > best[0]:
                 best = (hd.w, (x, y))
             if hd.w > 1e-3:
                 hcur = abs(h_mean_curvature(patch, (x, y), cross_check=False))
+                if not math.isfinite(hcur):
+                    return NotEntire(f"mean curvature not finite at ({x}, {y})")
                 if hcur > worst_h[0]:
                     worst_h = (hcur, (x, y))
     if worst_h[0] > tol:

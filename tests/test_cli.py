@@ -214,6 +214,17 @@ def test_classify_examples(specs, tmp_path):
     assert rep["result"]["kind"] == "not-minimal"
 
 
+def test_classify_nan_angle_function_is_not_entire(tmp_path):
+    # the symbolic gradient is 0/0 at the origin, so W is NaN there; a
+    # skipped NaN node used to let the graph through as class2
+    spec = write_spec(tmp_path, "nanw.json", {
+        "kind": "graph", "graph": {"h": "x*y/2 + 1e-300*sqrt(x^2 + y^2)^3"}})
+    assert main(["classify", "--spec", spec, "--out", str(tmp_path / "c")]) == 0
+    verdict = json.loads((tmp_path / "c" / "report.json").read_text())["result"]
+    assert verdict == {"kind": "not-entire",
+                       "reason": "angle function W not finite at (0.0, 0.0)"}
+
+
 def test_gallery_command(tmp_path):
     assert main(["gallery", "nope", "--out", str(tmp_path / "g0")]) == 4
     assert main(["gallery", "catenoid", "--a", "2",
@@ -287,6 +298,9 @@ ZERO_SQRT = {"kind": "graph",
     ("seed", {"kind": "graph", "graph": {"h": "x*y/2"}}, ["--z0", "0", "1", "--span", "-1"]),
     ("seed", {"kind": "graph", "graph": {"h": "x*y/2"}}, ["--z0", "0", "1", "--span", "inf"]),
     ("seed", {"kind": "graph", "graph": {"h": "x*y/2"}}, ["--z0", "0", "1", "--span", "nan"]),
+    # an expression may use only its field's variables
+    ("verify", {"kind": "graph", "graph": {"h": "x*t"}}, []),
+    ("verify", {"kind": "ruled", "ruled": {**CYLINDER["ruled"], "h0": "x + s"}}, []),
 ])
 def test_undefined_input_exit_2(tmp_path, capsys, command, payload, extra):
     spec = write_spec(tmp_path, "in.json", payload)

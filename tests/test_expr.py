@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hmin import expr as ex
-from hmin.errors import ParseError
+from hmin.errors import ParseError, SpecError
 
 # (expression, sampling interval for every variable)
 GALLERY_EXPRESSIONS = [
@@ -120,6 +120,12 @@ def test_compiled_trees_share_subexpressions(monkeypatch):
     assert ex.compile_fn([tree, ex.parse(ex.to_str(tree))], ("x", "y"))(3.0, 4.0) == (value, value)
     # x^2 and y^2 are computed once each, for both trees and both repeats
     assert sorted(calls) == [(3.0, 2.0), (4.0, 2.0)]
+
+
+def test_compile_rejects_a_variable_the_field_does_not_take():
+    with pytest.raises(SpecError, match="unknown variable 't': this field takes x, y"):
+        ex.compile_fn(ex.parse("x*t"), ("x", "y"))
+    assert ex.compile_fn(ex.parse("pi*s"), ("s",))(2.0) == 2.0 * math.pi
 
 
 def test_simple_derivatives():
