@@ -92,6 +92,8 @@ def load_spec(path: str) -> dict:
 def _domain_of(d: Optional[dict], default_half: float = 2.0) -> PlanarDomain:
     if d is None:
         return PlanarDomain(-default_half, default_half, -default_half, default_half)
+    if not (d["xmin"] <= d["xmax"] and d["ymin"] <= d["ymax"]):
+        raise SpecError(f"domain {d} needs xmin <= xmax and ymin <= ymax")
     return PlanarDomain(d["xmin"], d["xmax"], d["ymin"], d["ymax"])
 
 
@@ -102,7 +104,13 @@ def graph_from_spec(spec: dict) -> GraphPatch:
         patch = GraphPatch.from_expr(g["h"], dom)
     except ParseError as err:
         raise SpecError(f"bad height expression: {err}") from None
-    return patch.fd_only() if g.get("fd_only") else patch
+    if not g.get("fd_only"):
+        return patch
+    # the finite-difference stencils of a node must stay in the declared
+    # domain, so the patch (and every grid over it) is inset by two steps
+    field = patch.h.fd_only()
+    m = 2.0 * max(field.fd_step, field.hess_step)
+    return GraphPatch(PlanarDomain(dom.xmin + m, dom.xmax - m, dom.ymin + m, dom.ymax - m), field)
 
 
 def implicit_from_spec(spec: dict) -> ImplicitSurface:
@@ -245,7 +253,8 @@ def cmd_verify(args, spec: dict, report: Report) -> None:
                 values.append(surf.h_mean_curvature(g))
             except HminError:
                 skipped += 1
-        report.add(check_leq("max_abs_h_curvature", worst_abs(values), gal.TOL_H_ANALYTIC,
+        measured = worst_abs(values) if values else math.nan
+        report.add(check_leq("max_abs_h_curvature", measured, gal.TOL_H_ANALYTIC,
                              note=f"{skipped} nodes skipped"))
     else:
         patch = ruled_from_spec(spec)

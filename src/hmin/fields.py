@@ -47,10 +47,6 @@ class PlanarDomain:
             return False
         return self.membership is None or bool(self.membership(x, y))
 
-    @property
-    def bounds(self) -> tuple[float, float, float, float]:
-        return (self.xmin, self.xmax, self.ymin, self.ymax)
-
 
 def square(half: float) -> PlanarDomain:
     return PlanarDomain(-half, half, -half, half)
@@ -65,7 +61,8 @@ class ScalarField2:
     (first order) and ``hess_step`` (second order on values).  When an
     analytic gradient is present but the Hessian is not, the Hessian is
     obtained by differencing the gradient at ``fd_step`` and symmetrizing
-    the mixed partials.
+    the mixed partials.  Fields without an analytic Hessian are *stencil
+    fields*: their derivatives read f around (x, y), inside ``domain``.
     """
 
     f: Callable[[float, float], float]
@@ -75,6 +72,7 @@ class ScalarField2:
     hess_step: float = HESS_STEP
     domain: Optional[PlanarDomain] = None
     source: Optional[str] = None  # expression text when expr-backed
+    jet_eval: Optional[Callable[[float, float], tuple]] = None  # (f, fx, fy, fxx, fxy, fyy)
 
     # -- evaluation ---------------------------------------------------------
 
@@ -82,47 +80,77 @@ class ScalarField2:
         return self.f(x, y)
 
     def _check_stencil(self, x: float, y: float, h: float):
-        if self.domain is None:
+        dom = self.domain
+        if dom is None:
             return
-        for px, py in ((x + h, y), (x - h, y), (x, y + h), (x, y - h),
-                       (x + h, y + h), (x + h, y - h), (x - h, y + h), (x - h, y - h)):
-            if not self.domain.contains(px, py):
+        # the bounds of all 8 points at once: rounding is monotone and NaN
+        # fails both forms, so this accepts exactly what the loop accepts
+        inside = dom.xmin <= x - h and x + h <= dom.xmax and dom.ymin <= y - h and y + h <= dom.ymax
+        if inside and dom.membership is None:
+            return
+        points = ((x + h, y), (x - h, y), (x, y + h), (x, y - h),
+                  (x + h, y + h), (x + h, y - h), (x - h, y + h), (x - h, y - h))
+        if inside and all(dom.membership(px, py) for px, py in points):
+            return
+        for px, py in points:
+            if not dom.contains(px, py):
                 raise StencilOutOfDomain(f"stencil point ({px}, {py}) outside domain")
 
-    def gradient(self, x: float, y: float) -> tuple[float, float]:
-        if self.grad is not None:
-            return tuple(self.grad(x, y))
+    def _fd_gradient(self, x: float, y: float) -> tuple[float, float]:
         h = self.fd_step
         self._check_stencil(x, y, h)
-        fx = (self.f(x + h, y) - self.f(x - h, y)) / (2.0 * h)
-        fy = (self.f(x, y + h) - self.f(x, y - h)) / (2.0 * h)
-        return (fx, fy)
+        return ((self.f(x + h, y) - self.f(x - h, y)) / (2.0 * h),
+                (self.f(x, y + h) - self.f(x, y - h)) / (2.0 * h))
+
+    def _stencil_hessian(self, x: float, y: float, f00: Optional[float] = None):
+        """(fxx, fxy, fyy) of a stencil field; ``f00`` is f(x, y) if known."""
+        if self.grad is not None:
+            h = self.fd_step
+            self._check_stencil(x, y, h)
+            gxp, gxm = self.grad(x + h, y), self.grad(x - h, y)
+            gyp, gym = self.grad(x, y + h), self.grad(x, y - h)
+            fxx = (gxp[0] - gxm[0]) / (2.0 * h)
+            fyy = (gyp[1] - gym[1]) / (2.0 * h)
+            # mixed partials symmetrized by averaging the two estimates
+            fxy = 0.5 * ((gyp[0] - gym[0]) / (2.0 * h) + (gxp[1] - gxm[1]) / (2.0 * h))
+            return (fxx, fxy, fyy)
+        # 9-point symmetric stencil on values
+        h = self.hess_step
+        self._check_stencil(x, y, h)
+        f00 = self.f(x, y) if f00 is None else f00
+        fxx = (self.f(x + h, y) - 2.0 * f00 + self.f(x - h, y)) / (h * h)
+        fyy = (self.f(x, y + h) - 2.0 * f00 + self.f(x, y - h)) / (h * h)
+        fxy = (self.f(x + h, y + h) - self.f(x + h, y - h)
+               - self.f(x - h, y + h) + self.f(x - h, y - h)) / (4.0 * h * h)
+        return (fxx, fxy, fyy)
+
+    def gradient(self, x: float, y: float) -> tuple[float, float]:
+        return self._fd_gradient(x, y) if self.grad is None else tuple(self.grad(x, y))
 
     def hessian(self, x: float, y: float) -> tuple[tuple[float, float], tuple[float, float]]:
         if self.hess is not None:
             m = self.hess(x, y)
             return ((m[0][0], m[0][1]), (m[1][0], m[1][1]))
-        if self.grad is not None:
-            h = self.fd_step
-            self._check_stencil(x, y, h)
-            gxp = self.grad(x + h, y)
-            gxm = self.grad(x - h, y)
-            gyp = self.grad(x, y + h)
-            gym = self.grad(x, y - h)
-            fxx = (gxp[0] - gxm[0]) / (2.0 * h)
-            fyy = (gyp[1] - gym[1]) / (2.0 * h)
-            # mixed partials symmetrized by averaging the two estimates
-            fxy = 0.5 * ((gyp[0] - gym[0]) / (2.0 * h) + (gxp[1] - gxm[1]) / (2.0 * h))
-            return ((fxx, fxy), (fxy, fyy))
-        # 9-point symmetric stencil on values
-        h = self.hess_step
-        self._check_stencil(x, y, h)
-        f00 = self.f(x, y)
-        fxx = (self.f(x + h, y) - 2.0 * f00 + self.f(x - h, y)) / (h * h)
-        fyy = (self.f(x, y + h) - 2.0 * f00 + self.f(x, y - h)) / (h * h)
-        fxy = (self.f(x + h, y + h) - self.f(x + h, y - h)
-               - self.f(x - h, y + h) + self.f(x - h, y - h)) / (4.0 * h * h)
+        fxx, fxy, fyy = self._stencil_hessian(x, y)
         return ((fxx, fxy), (fxy, fyy))
+
+    def jet(self, x: float, y: float, first: Optional[tuple] = None) -> tuple:
+        """The 2-jet ``(f, fx, fy, fxx, fxy, fyy)`` at (x, y), each read once.
+
+        A stencil field builds it in two steps, so that a scan can filter on
+        the gradient before the Hessian stencil is checked: ``jet(x, y)``
+        returns the 1-jet ``(f, fx, fy)`` and ``jet(x, y, first)`` completes
+        it.  Other fields return the 2-jet at once, and pass it back as is.
+        """
+        if first is not None:
+            return first if self.hess is not None else first + self._stencil_hessian(x, y, first[0])
+        if self.jet_eval is not None:
+            return self.jet_eval(x, y)
+        first = (self.f(x, y), *(self._fd_gradient(x, y) if self.grad is None else self.grad(x, y)))
+        if self.hess is None:
+            return first
+        (fxx, fxy), (_, fyy) = self.hess(x, y)
+        return first + (fxx, fxy, fyy)
 
     # -- construction -------------------------------------------------------
 
@@ -133,25 +161,19 @@ class ScalarField2:
         tree = ex.parse(src)
         dx = ex.differentiate(tree, "x")
         dy = ex.differentiate(tree, "y")
-        second = ex.compile_fn([ex.differentiate(dx, "x"), ex.differentiate(dx, "y"),
-                                ex.differentiate(dy, "y")], ("x", "y"))
+        jet = ex.compile_fn([tree, dx, dy, ex.differentiate(dx, "x"), ex.differentiate(dx, "y"),
+                             ex.differentiate(dy, "y")], ("x", "y"))
 
         def hess(x: float, y: float):
-            fxx, fxy, fyy = second(x, y)
+            _, _, _, fxx, fxy, fyy = jet(x, y)
             return ((fxx, fxy), (fxy, fyy))
 
-        return ScalarField2(
-            f=ex.compile_fn(tree, ("x", "y")),
-            grad=ex.compile_fn([dx, dy], ("x", "y")),
-            hess=hess,
-            fd_step=fd_step,
-            domain=domain,
-            source=src,
-        )
+        return ScalarField2(f=ex.compile_fn(tree, ("x", "y")), grad=ex.compile_fn([dx, dy], ("x", "y")),
+                            hess=hess, fd_step=fd_step, domain=domain, source=src, jet_eval=jet)
 
     def fd_only(self) -> "ScalarField2":
         """A copy that drops analytic derivative evaluators (pure FD mode)."""
-        return replace(self, grad=None, hess=None)
+        return replace(self, grad=None, hess=None, jet_eval=None)
 
 
 def grad(f: ScalarField2, p: tuple[float, float]) -> tuple[float, float]:
@@ -168,10 +190,8 @@ class Grid2:
 
     @property
     def nodes(self) -> list[tuple[float, float]]:
-        xs = np.linspace(self.domain.xmin, self.domain.xmax, self.nx)
-        ys = np.linspace(self.domain.ymin, self.domain.ymax, self.ny)
-        return [(float(x), float(y)) for x in xs for y in ys
-                if self.domain.contains(float(x), float(y))]
+        xs, ys = (a.tolist() for a in self.lattice())
+        return [(x, y) for x in xs for y in ys if self.domain.contains(x, y)]
 
     def lattice(self) -> tuple[np.ndarray, np.ndarray]:
         return (np.linspace(self.domain.xmin, self.domain.xmax, self.nx),

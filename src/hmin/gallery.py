@@ -638,17 +638,20 @@ def max_curvature_deviation(patch: GraphPatch, domain: PlanarDomain,
     """max |H - expect| over non-characteristic grid nodes (W > w_margin).
 
     A node whose W is NaN is not skipped, and a node where the height is
-    not finite counts as NaN, so either makes the result NaN.
+    not finite counts as NaN, so either makes the result NaN.  So does a
+    scan that evaluates no node at all.  Each node is read through one jet
+    of the height field.
     """
-
-    def deviation(x: float, y: float) -> float:
+    field = patch.h
+    deviations = []
+    for x, y in Grid2(domain, nx, ny).nodes:
+        jet = field.jet(x, y)
+        if horizontal_data(patch, (x, y), jet=jet).w <= w_margin:
+            continue
         # the derivatives can be finite where the height is not (see expr)
-        if not math.isfinite(patch.h.value(x, y)):
-            return math.nan
-        return h_mean_curvature(patch, (x, y), cross_check=False) - expect
-
-    return worst_abs(deviation(x, y) for x, y in Grid2(domain, nx, ny).nodes
-                     if not horizontal_data(patch, (x, y)).w <= w_margin)
+        deviations.append(h_mean_curvature(patch, (x, y), cross_check=False, jet=jet) - expect
+                          if math.isfinite(jet[0]) else math.nan)
+    return worst_abs(deviations) if deviations else math.nan
 
 
 def known_seed_deviation(extracted: SeedCurve, known: SeedCurve) -> float:

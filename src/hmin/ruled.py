@@ -638,11 +638,12 @@ def classify_entire_graph(patch: GraphPatch, tol: float = 1e-6,
             x, y = float(x), float(y)
             if not dom.contains(x, y):
                 return NotEntire(f"window point ({x}, {y}) outside patch domain")
-            v = patch.h.value(x, y)
+            jet = patch.h.jet(x, y)
+            v = jet[0]
             if not math.isfinite(v):
                 return NotEntire(f"height not finite at ({x}, {y})")
             samples.append((x, y, v))
-            hd = horizontal_data(patch, (x, y))
+            hd = horizontal_data(patch, (x, y), jet=jet)
             if not math.isfinite(hd.w):
                 return NotEntire(f"angle function W not finite at ({x}, {y})")
             interior = (dom.xmin + margin_x <= x <= dom.xmax - margin_x
@@ -650,7 +651,7 @@ def classify_entire_graph(patch: GraphPatch, tol: float = 1e-6,
             if interior and hd.w > best[0]:
                 best = (hd.w, (x, y))
             if hd.w > 1e-3:
-                hcur = abs(h_mean_curvature(patch, (x, y), cross_check=False))
+                hcur = abs(h_mean_curvature(patch, (x, y), cross_check=False, jet=jet))
                 if not math.isfinite(hcur):
                     return NotEntire(f"mean curvature not finite at ({x}, {y})")
                 if hcur > worst_h[0]:

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -71,8 +71,7 @@ class GraphPatch:
         return HPoint(x, y, t)
 
 
-@dataclass(frozen=True)
-class HorizontalData:
+class HorizontalData(NamedTuple):
     p: float
     q: float
     w: float
@@ -97,14 +96,15 @@ class ShapeMatrix:
         return (a * v[0] + b * v[1], c * v[0] + d * v[1])
 
 
-def _pq(patch: GraphPatch, x: float, y: float) -> tuple[float, float]:
-    hx, hy = patch.h.gradient(x, y)
+def _pq(patch: GraphPatch, x: float, y: float, jet: Optional[tuple] = None) -> tuple[float, float]:
+    hx, hy = patch.h.gradient(x, y) if jet is None else (jet[1], jet[2])
     return (-(hx + 0.5 * y), -(hy - 0.5 * x))
 
 
 def horizontal_data(patch: GraphPatch, z: tuple[float, float],
-                    eps_char: float = EPS_CHAR) -> HorizontalData:
-    p, q = _pq(patch, z[0], z[1])
+                    eps_char: float = EPS_CHAR, jet: Optional[tuple] = None) -> HorizontalData:
+    """p, q, W and nu at z; ``jet`` is the field's jet at z, if the caller has it."""
+    p, q = _pq(patch, z[0], z[1], jet)
     w = math.hypot(p, q)
     nu = (p / w, q / w) if w > eps_char else None
     return HorizontalData(p, q, w, nu)
@@ -130,16 +130,23 @@ def unit_horizontal_field(patch: GraphPatch,
     return nu
 
 
-def _pq_derivatives(patch: GraphPatch, x: float, y: float):
-    (hxx, hxy), (_, hyy) = patch.h.hessian(x, y)
-    p_x, p_y = -hxx, -(hxy + 0.5)
-    q_x, q_y = -(hxy - 0.5), -hyy
-    return p_x, p_y, q_x, q_y
+def _curvature_terms(patch: GraphPatch, x: float, y: float, eps_char: float,
+                     jet: Optional[tuple]):
+    """p, q, W and (p_x, p_y, q_x, q_y) at a non-characteristic point.
 
-
-def _curvature_pq_form(patch: GraphPatch, x: float, y: float, p: float, q: float, w: float) -> float:
-    p_x, p_y, q_x, q_y = _pq_derivatives(patch, x, y)
-    return (q * q * p_x + p * p * q_y - p * q * (q_x + p_y)) / w ** 3
+    W is tested before the Hessian is read (a 1-jet is completed only then).
+    Without a jet the height is not read: on a chart-inverted graph it costs
+    a Newton solve.
+    """
+    p, q = _pq(patch, x, y, jet)
+    w = math.hypot(p, q)
+    if w <= eps_char:
+        raise CharacteristicPoint(f"W={w} at ({x}, {y})")
+    if jet is None:
+        (hxx, hxy), (_, hyy) = patch.h.hessian(x, y)
+    else:
+        _, _, _, hxx, hxy, hyy = patch.h.jet(x, y, jet)
+    return p, q, w, -hxx, -(hxy + 0.5), -(hxy - 0.5), -hyy
 
 
 def _curvature_div_form(patch: GraphPatch, x: float, y: float, step: float) -> float:
@@ -150,20 +157,19 @@ def _curvature_div_form(patch: GraphPatch, x: float, y: float, step: float) -> f
 
 
 def h_mean_curvature(patch: GraphPatch, z: tuple[float, float],
-                     eps_char: float = EPS_CHAR, cross_check: bool = True) -> float:
+                     eps_char: float = EPS_CHAR, cross_check: bool = True,
+                     jet: Optional[tuple] = None) -> float:
     """H-mean curvature at a non-characteristic point of the patch.
 
-    Returns the p/q-form value; with ``cross_check`` the divergence form is
-    evaluated independently and a disagreement beyond tolerance raises
+    Returns the p/q-form value, read from ``jet`` (the field's jet at z)
+    when given.  With ``cross_check`` the divergence form is evaluated
+    independently and a disagreement beyond tolerance raises
     CurvatureMismatch.  The tolerance relaxes like (0.05/W)^3 close to the
     characteristic set, where the unit field's derivatives blow up.
     """
     x, y = z
-    p, q = _pq(patch, x, y)
-    w = math.hypot(p, q)
-    if w <= eps_char:
-        raise CharacteristicPoint(f"W={w} at ({x}, {y})")
-    value = _curvature_pq_form(patch, x, y, p, q, w)
+    p, q, w, p_x, p_y, q_x, q_y = _curvature_terms(patch, x, y, eps_char, jet)
+    value = (q * q * p_x + p * p * q_y - p * q * (q_x + p_y)) / w ** 3
     if cross_check:
         if patch.analytic:
             base_tol, step = 1e-8, patch.h.fd_step
@@ -178,14 +184,9 @@ def h_mean_curvature(patch: GraphPatch, z: tuple[float, float],
 
 
 def shape_matrix(patch: GraphPatch, z: tuple[float, float],
-                 eps_char: float = EPS_CHAR) -> ShapeMatrix:
+                 eps_char: float = EPS_CHAR, jet: Optional[tuple] = None) -> ShapeMatrix:
     """The 2x2 horizontal shape operator; trace = H, (p, q) in the kernel."""
-    x, y = z
-    p, q = _pq(patch, x, y)
-    w = math.hypot(p, q)
-    if w <= eps_char:
-        raise CharacteristicPoint(f"W={w} at ({x}, {y})")
-    p_x, p_y, q_x, q_y = _pq_derivatives(patch, x, y)
+    p, q, w, p_x, p_y, q_x, q_y = _curvature_terms(patch, z[0], z[1], eps_char, jet)
     w3 = w ** 3
     a11 = (q * q * p_x - p * q * q_x) / w3
     a12 = (p * p * q_x - p * q * p_x) / w3
@@ -387,6 +388,10 @@ def _edge_min(wfun: Callable[[float, float], float], a: tuple[float, float],
 
 def characteristic_scan(patch: GraphPatch, grid: Grid2, eps: float) -> CharacteristicScan:
     """Grid nodes with W < eps, clustered, with sub-grid edge refinement."""
+    def wfun(x: float, y: float) -> float:
+        p, q = _pq(patch, x, y)
+        return math.hypot(p, q)
+
     xs, ys = grid.lattice()
     ni, nj = len(xs), len(ys)
     w = np.full((ni, nj), np.inf)
@@ -396,13 +401,8 @@ def characteristic_scan(patch: GraphPatch, grid: Grid2, eps: float) -> Character
             if not grid.domain.contains(float(x), float(y)):
                 continue
             inside[i, j] = True
-            p, q = _pq(patch, float(x), float(y))
-            w[i, j] = math.hypot(p, q)
+            w[i, j] = wfun(float(x), float(y))
     flagged = inside & (w < eps)
-
-    def wfun(x: float, y: float) -> float:
-        p, q = _pq(patch, x, y)
-        return math.hypot(p, q)
 
     # cluster flagged nodes into 8-connected components
     comp = -np.ones((ni, nj), dtype=int)

@@ -225,6 +225,22 @@ def test_classify_nan_angle_function_is_not_entire(tmp_path):
                        "reason": "angle function W not finite at (0.0, 0.0)"}
 
 
+FD_ONLY = {"kind": "graph", "graph": {"h": "x*y/2", "fd_only": True}}
+
+
+def test_fd_only_graph_spec_runs(tmp_path):
+    # the grid sits on the inset patch domain, so every stencil stays inside
+    spec = write_spec(tmp_path, "fd.json", FD_ONLY)
+    for command in ("verify", "build", "classify"):
+        assert main([command, "--spec", spec, "--out", str(tmp_path / command)]) == 0
+    report = json.loads((tmp_path / "verify" / "report.json").read_text())
+    check = report["checks"][0]
+    assert check["name"] == "max_abs_h_curvature" and check["threshold"] == gallery.TOL_H_FD
+    assert 0.0 < check["measured"] <= 1e-6
+    verdict = json.loads((tmp_path / "classify" / "report.json").read_text())["result"]
+    assert verdict["kind"] == "class2"
+
+
 def test_gallery_command(tmp_path):
     assert main(["gallery", "nope", "--out", str(tmp_path / "g0")]) == 4
     assert main(["gallery", "catenoid", "--a", "2",
@@ -301,12 +317,35 @@ ZERO_SQRT = {"kind": "graph",
     # an expression may use only its field's variables
     ("verify", {"kind": "graph", "graph": {"h": "x*t"}}, []),
     ("verify", {"kind": "ruled", "ruled": {**CYLINDER["ruled"], "h0": "x + s"}}, []),
+    # a domain must not be inverted
+    ("verify", {"kind": "graph", "graph": {"h": "x*y/2", "domain": {
+        "xmin": 1, "xmax": -1, "ymin": -1, "ymax": 1}}}, []),
+    ("verify", {"kind": "implicit", "implicit": {"phi": "t - x*y/2", "window": {
+        "xmin": -1, "xmax": 1, "ymin": 1, "ymax": -1}}}, []),
 ])
 def test_undefined_input_exit_2(tmp_path, capsys, command, payload, extra):
     spec = write_spec(tmp_path, "in.json", payload)
     assert main([command, "--spec", spec, *extra, "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
+
+
+@pytest.mark.parametrize("payload", [
+    # every node is skipped: no real t solves t^2 + 1 = 0
+    {"kind": "implicit", "implicit": {"phi": "t^2 + 1"}},
+    # every node is characteristic
+    {"kind": "graph", "graph": {"h": "x*y/2", "domain": {
+        "xmin": 0, "xmax": 0, "ymin": 0, "ymax": 0}}},
+    {"kind": "graph", "graph": {"h": "x*y/2", "domain": {
+        "xmin": -1, "xmax": 1, "ymin": 0, "ymax": 0}}},
+], ids=["implicit-no-height", "graph-point", "graph-x-axis"])
+def test_curvature_scan_without_samples_fails(tmp_path, payload):
+    spec = write_spec(tmp_path, "in.json", payload)
+    assert main(["verify", "--spec", spec, "--grid", "11", "11",
+                 "--out", str(tmp_path / "v")]) == 1
+    report = json.loads((tmp_path / "v" / "report.json").read_text())
+    check = report["checks"][0]
+    assert check["name"] == "max_abs_h_curvature" and math.isnan(check["measured"])
 
 
 @pytest.mark.parametrize("name,param,value", [

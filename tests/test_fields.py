@@ -64,6 +64,58 @@ def test_stencil_domain_guard():
     assert f.gradient(0.99, 0.0) == pytest.approx((1.0, 1.0))
 
 
+def _stencil_by_loop(dom, x, y, h):
+    """The point-by-point stencil check, as the oracle of the fast path."""
+    for px, py in ((x + h, y), (x - h, y), (x, y + h), (x, y - h),
+                   (x + h, y + h), (x + h, y - h), (x - h, y + h), (x - h, y - h)):
+        if not dom.contains(px, py):
+            return f"stencil point ({px}, {py}) outside domain"
+    return None
+
+
+@pytest.mark.parametrize("dom", [
+    PlanarDomain(-1.0, 1.0, -1.0, 1.0),
+    PlanarDomain(-1.0, 1.0, -1.0, 1.0, membership=lambda x, y: x + y <= 1.0),
+], ids=["rectangle", "membership"])
+def test_stencil_fast_path_agrees_with_the_loop(dom):
+    h = 0.25
+    edge = -1.0 + h                           # exactly h inside the lower edges
+    nodes = [(edge, 0.0), (0.0, edge), (edge, edge), (1.0 - h, 0.0), (0.0, 1.0 - h),
+             (0.5, 0.5), (0.5, 0.25), (0.375, 0.375),  # on and off the membership line
+             (math.nextafter(edge, -2.0), 0.0), (0.0, math.nextafter(edge, -2.0)),
+             (math.nextafter(1.0 - h, 2.0), 0.0), (math.nan, 0.0), (0.0, math.nan)]
+    field = ScalarField2(f=lambda x, y: x + y, domain=dom)
+    seen = set()
+    for x, y in nodes:
+        want = _stencil_by_loop(dom, x, y, h)
+        if want is None:
+            field._check_stencil(x, y, h)
+        else:
+            with pytest.raises(StencilOutOfDomain) as err:
+                field._check_stencil(x, y, h)
+            assert str(err.value) == want
+        seen.add(want is None)
+    assert seen == {True, False}
+
+
+def test_jet_of_a_stencil_field_comes_in_two_steps():
+    dom = PlanarDomain(-1.0, 1.0, -1.0, 1.0)
+    fd = ScalarField2.from_expr("x^2*y - y^3/3", dom).fd_only()
+    first = fd.jet(0.5, 0.25)
+    assert first == (fd.value(0.5, 0.25), *fd.gradient(0.5, 0.25))
+    (hxx, hxy), (_, hyy) = fd.hessian(0.5, 0.25)
+    assert fd.jet(0.5, 0.25, first) == (*first, hxx, hxy, hyy)
+    # the gradient stencil fits at x = 1 - 2e-5, the Hessian stencil does not
+    first = fd.jet(1.0 - 2e-5, 0.0)
+    with pytest.raises(StencilOutOfDomain):
+        fd.jet(1.0 - 2e-5, 0.0, first)
+    grad_only = ScalarField2(f=fd.f, grad=ScalarField2.from_expr("x^2*y - y^3/3").grad,
+                             domain=dom)
+    first = grad_only.jet(0.5, 0.25)
+    (hxx, hxy), (_, hyy) = grad_only.hessian(0.5, 0.25)
+    assert grad_only.jet(0.5, 0.25, first) == (*first, hxx, hxy, hyy)
+
+
 def test_expr_backed_field_has_exact_derivatives():
     f = ScalarField2.from_expr("x^2*y - y^3/3")
     assert f.gradient(1.5, 2.0) == pytest.approx((6.0, 1.5 ** 2 - 4.0))

@@ -71,11 +71,31 @@ def test_closed_forms_are_mutually_consistent():
         assert worst <= 1e-10, name
 
 
+# every curvature scan of the battery, as measured before the scans read
+# one jet per node; the per-node jet must not move a single bit
+H_SCANS = {
+    "catenoid": {"h_scan_analytic": 1.0379568939429788e-15, "h_scan_fd": 1.253418704776496e-06,
+                 "h_scan_lower": 1.0379568939429788e-15},
+    "char-plane": {"h_scan_analytic": 0.0, "h_scan_fd": 0.0},
+    "counterexample": {"h_scan_analytic": 2.4601139247497076e-15,
+                       "h_scan_fd": 6.570260119370484e-06},
+    "cylinder": {"h_scan_analytic": 0.0, "h_scan_fd": 6.602608598659013e-05, "h_scan_lower": 0.0},
+    "gencurve-n": {"h_scan_analytic": 0.0, "h_scan_fd": 1.4696791982641377e-05},
+    "general-plane": {"h_scan_analytic": 0.0, "h_scan_fd": 6.280369839878302e-06},
+    "hyperbolic": {"h_scan_analytic": 0.0, "h_scan_fd": 8.881684188078267e-08},
+    "iso-profile": {"h_scan_analytic": 5.084821452783217e-14,
+                    "h_scan_fd": 1.7029496157672241e-06},
+    "optreg2": {},
+}
+
+
 def test_every_entry_passes_its_battery():
     for name in gallery_names():
         checks = gallery_verify(name)
         bad = [c.name for c in checks if not c.passed]
         assert not bad, f"{name}: {bad}"
+        scans = {c.name: repr(c.measured) for c in checks if c.name.startswith("h_scan_")}
+        assert scans == {k: repr(v) for k, v in H_SCANS[name].items()}, name
 
 
 def test_char_plane_singular_image_is_the_origin():
@@ -132,9 +152,28 @@ def test_generated_derivatives_equal_evaluate_on_gallery_graphs(patch, domain):
     trees = (tree, dx, dy, ex.differentiate(dx, "x"), ex.differentiate(dx, "y"),
              ex.differentiate(dy, "y"))
     for x, y in Grid2(domain, 21, 21).nodes:
+        want = [repr(ex.evaluate(t, {"x": x, "y": y})) for t in trees]
         (fxx, fxy), (_, fyy) = patch.h.hessian(x, y)
         got = (patch.h.value(x, y), *patch.h.gradient(x, y), fxx, fxy, fyy)
-        assert [repr(v) for v in got] == [repr(ex.evaluate(t, {"x": x, "y": y})) for t in trees]
+        assert [repr(v) for v in got] == want
+        assert [repr(v) for v in patch.h.jet(x, y)] == want
+
+
+def test_scan_decides_the_w_filter_before_the_hessian_stencil():
+    # the scan's nodes with |x| >= 0.9 lie on y = 0, where W = 0; only their
+    # Hessian stencil (step 5e-5) leaves the field's domain, so checking it
+    # before the W filter would raise StencilOutOfDomain
+    patch = GraphPatch.from_expr("x*y/2", PlanarDomain(-1, 1, -1, 1)).fd_only()
+    domain = PlanarDomain(-1 + 3e-5, 1 - 3e-5, -0.5, 0.5,
+                          lambda x, y: y == 0.0 or abs(x) < 0.9)
+    assert repr(max_curvature_deviation(patch, domain, 101, 101)) == "3.9716144205577354e-08"
+
+
+def test_scan_without_an_evaluated_node_is_nan():
+    patch = GraphPatch.from_expr("x*y/2", PlanarDomain(-1, 1, -1, 1))
+    # every node of the x-axis is characteristic
+    assert math.isnan(max_curvature_deviation(patch, PlanarDomain(-1, 1, 0, 0), 5, 5))
+    assert math.isnan(max_curvature_deviation(patch, PlanarDomain(1, -1, -1, 1), 5, 5))
 
 
 def test_scan_of_a_surface_undefined_on_part_of_its_domain_is_nan():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from hmin.errors import CharacteristicPoint, NonPositiveRadius
-from hmin.fields import Grid2, PlanarDomain, Profile, square
+from hmin.fields import Grid2, PlanarDomain, Profile, ScalarField2, square
 from hmin.heis import HPoint
 from hmin.surface import (GraphPatch, ImplicitSurface, catenoid_profile,
                           characteristic_scan, h_mean_curvature,
@@ -94,6 +94,24 @@ def test_shape_matrix_paraboloid_eigenvalues():
     assert lo == pytest.approx(-math.sqrt(2) / 2, abs=1e-8)
     assert hi == pytest.approx(0.0, abs=1e-8)
     assert m.trace == pytest.approx(h_mean_curvature(PARAB, (1.0, 0.0)), abs=1e-8)
+
+
+def test_curvature_reads_the_jet_and_without_one_not_the_height():
+    # a graph whose height is costly (a chart inversion) or undefined still
+    # has its curvature from the derivatives alone
+    def no_height(x, y):
+        raise AssertionError("height read")
+
+    field = ScalarField2(f=no_height, grad=PARAB.h.grad, hess=PARAB.h.hess, domain=square(3.0))
+    patch = GraphPatch(square(3.0), field)
+    z = (1.0, 0.5)
+    want = h_mean_curvature(PARAB, z)
+    assert h_mean_curvature(patch, z) == want
+    assert shape_matrix(patch, z) == shape_matrix(PARAB, z)
+    jet = PARAB.h.jet(*z)
+    assert h_mean_curvature(patch, z, jet=jet) == want
+    assert horizontal_data(patch, z, jet=jet) == horizontal_data(PARAB, z)
+    assert shape_matrix(patch, z, jet=jet) == shape_matrix(PARAB, z)
 
 
 def test_shape_matrix_kernel_property():
