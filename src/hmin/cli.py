@@ -107,7 +107,8 @@ def graph_from_spec(spec: dict) -> GraphPatch:
     if not g.get("fd_only"):
         return patch
     # the finite-difference stencils of a node must stay in the declared
-    # domain, so the patch (and every grid over it) is inset by two steps
+    # domain, so the patch (and every grid over it) is inset by two steps:
+    # one step alone would leave the outermost stencil points to rounding
     field = patch.h.fd_only()
     m = 2.0 * max(field.fd_step, field.hess_step)
     return GraphPatch(PlanarDomain(dom.xmin + m, dom.xmax - m, dom.ymin + m, dom.ymax - m), field)
