@@ -12,7 +12,7 @@ from .errors import (CharacteristicPoint, CharacteristicStart,
                      ParseError, SingularRule, SpecError, StencilOutOfDomain,
                      UnknownName)
 from .heis import (HPoint, FrameVector, ORIGIN, dilate, frame_from_cartesian,
-                   frame_to_cartesian, group_inv, group_mul, left_translate)
+                   frame_to_cartesian, group_inv, group_mul)
 from .fields import (Grid2, PlanarDomain, Profile, ScalarField2,
                      adaptive_simpson, grad, rk4_integrate, square)
 from .surface import (GraphPatch, HorizontalData, ImplicitSurface, ShapeMatrix,

@@ -13,7 +13,8 @@ language of docs/grammar.md.  Outputs (report.json plus seed.csv,
 loci.csv or mesh.obj depending on the command) are deterministic.
 
 Exit codes: 0 all checks pass, 1 a check failed, 2 spec or input error
-(including a surface undefined on its domain, an expression using a
+(including a surface undefined on its domain, a domain, window, s_range
+or r_range that is not finite and ordered, an expression using a
 variable its field does not take, --z0 outside it, a --span that is not
 finite and positive, or a --grid value below 2), 3
 characteristic start point, 4 unknown gallery name or bad gallery
@@ -89,12 +90,20 @@ def load_spec(path: str) -> dict:
     return spec
 
 
-def _domain_of(d: Optional[dict], default_half: float = 2.0) -> PlanarDomain:
+def _interval(name: str, lo: float, hi: float, *, strict: bool) -> tuple[float, float]:
+    """A spec interval: finite bounds and width, lo <= hi (lo < hi when strict)."""
+    if not (math.isfinite(lo) and math.isfinite(hi) and math.isfinite(hi - lo)):
+        raise SpecError(f"{name} [{lo!r}, {hi!r}] needs finite bounds and a finite width")
+    if not (lo < hi if strict else lo <= hi):
+        raise SpecError(f"{name} [{lo!r}, {hi!r}] needs min {'<' if strict else '<='} max")
+    return (lo, hi)
+
+
+def _domain_of(d: Optional[dict]) -> PlanarDomain:
     if d is None:
-        return PlanarDomain(-default_half, default_half, -default_half, default_half)
-    if not (d["xmin"] <= d["xmax"] and d["ymin"] <= d["ymax"]):
-        raise SpecError(f"domain {d} needs xmin <= xmax and ymin <= ymax")
-    return PlanarDomain(d["xmin"], d["xmax"], d["ymin"], d["ymax"])
+        return PlanarDomain(-2.0, 2.0, -2.0, 2.0)
+    return PlanarDomain(*_interval("domain x range", d["xmin"], d["xmax"], strict=False),
+                        *_interval("domain y range", d["ymin"], d["ymax"], strict=False))
 
 
 def graph_from_spec(spec: dict) -> GraphPatch:
@@ -110,7 +119,7 @@ def graph_from_spec(spec: dict) -> GraphPatch:
     # domain, so the patch (and every grid over it) is inset by two steps:
     # one step alone would leave the outermost stencil points to rounding
     field = patch.h.fd_only()
-    m = 2.0 * max(field.fd_step, field.hess_step)
+    m = 2.0 * max(field.fd_step, HESS_STEP)
     return GraphPatch(PlanarDomain(dom.xmin + m, dom.xmax - m, dom.ymin + m, dom.ymax - m), field)
 
 
@@ -124,8 +133,8 @@ def implicit_from_spec(spec: dict) -> ImplicitSurface:
 
 def ruled_from_spec(spec: dict) -> RuledPatch:
     ru = spec["ruled"]
-    s_range = tuple(ru["s_range"])
-    r_range = tuple(ru["r_range"]) if "r_range" in ru else (-1.0, 1.0)
+    s_range = _interval("s_range", *ru["s_range"], strict=True)
+    r_range = _interval("r_range", *ru["r_range"], strict=False) if "r_range" in ru else (-1.0, 1.0)
     seed_spec = ru["seed"]
     try:
         if seed_spec["kind"] == "expression":
@@ -356,11 +365,11 @@ def cmd_loci(args, spec: dict, report: Report) -> None:
                           if corners else "none detected"))
 
 
-def _branch_corners(rep, jump_tol: float = 0.5) -> list[float]:
+def _branch_corners(rep) -> list[float]:
     """s-locations where a characteristic branch has a slope jump.
 
     The bounded branch (largest root per sampled s) is differenced; a
-    second-difference of the slopes beyond ``jump_tol`` marks a corner.
+    second-difference of the slopes beyond 0.5 marks a corner.
     """
     by_s: dict[float, float] = {}
     for root in rep.roots:
@@ -372,7 +381,7 @@ def _branch_corners(rep, jump_tol: float = 0.5) -> list[float]:
         s0, s1, s2 = svals[i - 1], svals[i], svals[i + 1]
         left = (by_s[s1] - by_s[s0]) / (s1 - s0)
         right = (by_s[s2] - by_s[s1]) / (s2 - s1)
-        if abs(right - left) > jump_tol:
+        if abs(right - left) > 0.5:
             corners.append(s1)
     return corners
 

@@ -6,12 +6,14 @@ central finite differences.  The module also provides the fixed-step RK4
 integrator used for seed-curve tracing and an adaptive Simpson rule used
 for integral-defined curves.
 
-Numerical defaults (all overridable):
+Numerical defaults (fixed; only a field's ``fd_step`` can be set):
 
 * ``FD_STEP = 1e-5`` central-difference step for first derivatives,
 * ``HESS_STEP = 5e-5`` step for value-based second differences (the
   larger step keeps the rounding error of the second difference at the
   1e-8 level; gradients still use FD_STEP),
+* ``PROFILE_STEP = 1e-6`` difference step of a profile without analytic
+  derivatives,
 * ``RK4_STEP = 1e-3`` arclength step for curve tracing.
 """
 
@@ -28,6 +30,7 @@ from .errors import FieldUndefined, StencilOutOfDomain
 
 FD_STEP = 1e-5
 HESS_STEP = 5e-5
+PROFILE_STEP = 1e-6
 RK4_STEP = 1e-3
 SIMPSON_TOL = 1e-10
 
@@ -58,7 +61,7 @@ class ScalarField2:
 
     ``grad`` and ``hess`` are optional analytic evaluators; when absent,
     derivatives fall back to central differences with step ``fd_step``
-    (first order) and ``hess_step`` (second order on values).  When an
+    (first order) and ``HESS_STEP`` (second order on values).  When an
     analytic gradient is present but the Hessian is not, the Hessian is
     obtained by differencing the gradient at ``fd_step`` and symmetrizing
     the mixed partials.  Fields without an analytic Hessian are *stencil
@@ -69,7 +72,6 @@ class ScalarField2:
     grad: Optional[Callable[[float, float], tuple[float, float]]] = None
     hess: Optional[Callable[[float, float], tuple[tuple[float, float], tuple[float, float]]]] = None
     fd_step: float = FD_STEP
-    hess_step: float = HESS_STEP
     domain: Optional[PlanarDomain] = None
     source: Optional[str] = None  # expression text when expr-backed
     jet_eval: Optional[Callable[[float, float], tuple]] = None  # (f, fx, fy, fxx, fxy, fyy)
@@ -115,7 +117,7 @@ class ScalarField2:
             fxy = 0.5 * ((gyp[0] - gym[0]) / (2.0 * h) + (gxp[1] - gxm[1]) / (2.0 * h))
             return (fxx, fxy, fyy)
         # 9-point symmetric stencil on values
-        h = self.hess_step
+        h = HESS_STEP
         self._check_stencil(x, y, h)
         f00 = self.f(x, y) if f00 is None else f00
         fxx = (self.f(x + h, y) - 2.0 * f00 + self.f(x - h, y)) / (h * h)
@@ -155,8 +157,7 @@ class ScalarField2:
     # -- construction -------------------------------------------------------
 
     @staticmethod
-    def from_expr(src: str, domain: Optional[PlanarDomain] = None,
-                  fd_step: float = FD_STEP) -> "ScalarField2":
+    def from_expr(src: str, domain: Optional[PlanarDomain] = None) -> "ScalarField2":
         """Build a field from an expression in x, y with symbolic derivatives."""
         tree = ex.parse(src)
         dx = ex.differentiate(tree, "x")
@@ -169,7 +170,7 @@ class ScalarField2:
             return ((fxx, fxy), (fxy, fyy))
 
         return ScalarField2(f=ex.compile_fn(tree, ("x", "y")), grad=ex.compile_fn([dx, dy], ("x", "y")),
-                            hess=hess, fd_step=fd_step, domain=domain, source=src, jet_eval=jet)
+                            hess=hess, domain=domain, source=src, jet_eval=jet)
 
     def fd_only(self) -> "ScalarField2":
         """A copy that drops analytic derivative evaluators (pure FD mode)."""
@@ -210,7 +211,6 @@ class Profile:
     f: Callable[[float], float]
     d1: Optional[Callable[[float], float]] = None
     d2: Optional[Callable[[float], float]] = None
-    fd_step: float = 1e-6
 
     def __call__(self, s: float) -> float:
         return self.f(s)
@@ -218,27 +218,28 @@ class Profile:
     def d(self, s: float) -> float:
         if self.d1 is not None:
             return self.d1(s)
-        h = self.fd_step
+        h = PROFILE_STEP
         return (self.f(s + h) - self.f(s - h)) / (2.0 * h)
 
     def dd(self, s: float) -> float:
         if self.d2 is not None:
             return self.d2(s)
         if self.d1 is not None:
-            h = self.fd_step
+            h = PROFILE_STEP
             return (self.d1(s + h) - self.d1(s - h)) / (2.0 * h)
-        h = math.sqrt(self.fd_step)
+        h = math.sqrt(PROFILE_STEP)
         return (self.f(s + h) - 2.0 * self.f(s) + self.f(s - h)) / (h * h)
 
     @staticmethod
-    def from_expr(src: str, var: str = "s") -> "Profile":
+    def from_expr(src: str) -> "Profile":
+        """A profile from an expression in s with symbolic derivatives."""
         tree = ex.parse(src)
-        d1 = ex.differentiate(tree, var)
-        d2 = ex.differentiate(d1, var)
+        d1 = ex.differentiate(tree, "s")
+        d2 = ex.differentiate(d1, "s")
         return Profile(
-            f=ex.compile_fn(tree, (var,)),
-            d1=ex.compile_fn(d1, (var,)),
-            d2=ex.compile_fn(d2, (var,)),
+            f=ex.compile_fn(tree, ("s",)),
+            d1=ex.compile_fn(d1, ("s",)),
+            d2=ex.compile_fn(d2, ("s",)),
         )
 
     @staticmethod
@@ -255,7 +256,6 @@ class Profile:
 class IntegratedCurve:
     points: np.ndarray           # (n+1, 2), includes the start point
     stop_reason: Optional[str]   # None when all n_steps were taken
-    steps_taken: int = 0
 
     @property
     def end(self) -> tuple[float, float]:
@@ -286,8 +286,7 @@ def rk4_integrate(v: Callable[[float, float], Sequence[float]],
     reason = None
     x, y = pts[0]
     if stop is not None and stop(x, y):
-        return IntegratedCurve(np.array(pts), "stop predicate at start", 0)
-    taken = 0
+        return IntegratedCurve(np.array(pts), "stop predicate at start")
     for _ in range(n_steps):
         try:
             k1x, k1y = _eval_field(v, x, y)
@@ -300,11 +299,10 @@ def rk4_integrate(v: Callable[[float, float], Sequence[float]],
         x += step * (k1x + 2.0 * k2x + 2.0 * k3x + k4x) / 6.0
         y += step * (k1y + 2.0 * k2y + 2.0 * k3y + k4y) / 6.0
         pts.append((x, y))
-        taken += 1
         if stop is not None and stop(x, y):
             reason = "stop predicate"
             break
-    return IntegratedCurve(np.array(pts), reason, taken)
+    return IntegratedCurve(np.array(pts), reason)
 
 
 # ---------------------------------------------------------------------------
@@ -319,7 +317,7 @@ def _simpson(f: Callable[[float], float], a: float, fa: float, b: float, fb: flo
 
 
 def adaptive_simpson(f: Callable[[float], float], a: float, b: float,
-                     tol: float = SIMPSON_TOL, max_depth: int = 50) -> float:
+                     tol: float = SIMPSON_TOL) -> float:
     """Integral of f over [a, b] to absolute tolerance ``tol``."""
     if a == b:
         return 0.0
@@ -329,7 +327,7 @@ def adaptive_simpson(f: Callable[[float], float], a: float, b: float,
     def rec(a, fa, b, fb, m, fm, whole, tol, depth):
         lm, flm, left = _simpson(f, a, fa, m, fm)
         rm, frm, right = _simpson(f, m, fm, b, fb)
-        if depth >= max_depth or abs(left + right - whole) <= 15.0 * tol:
+        if depth >= 50 or abs(left + right - whole) <= 15.0 * tol:
             return left + right + (left + right - whole) / 15.0
         return (rec(a, fa, m, fm, lm, flm, left, tol / 2.0, depth + 1)
                 + rec(m, fm, b, fb, rm, frm, right, tol / 2.0, depth + 1))

@@ -38,12 +38,11 @@ from .ruled import (GeneralizedSeedCurve, GSCJoin, GSCPiece, RuledPatch,
                     curvature_on_patch, locus_branch_slope, roundtrip,
                     validate_gsc, w_direct)
 from .seed import SeedCurve, _hermite, curvature, extract_seed
-from .surface import (GraphPatch, ImplicitSurface, characteristic_scan,
-                      h_mean_curvature, horizontal_data)
+from .surface import (EPS_CHAR, W_MARGIN, GraphPatch, ImplicitSurface,
+                      characteristic_scan, h_mean_curvature, horizontal_data)
 
 TOL_H_ANALYTIC = 1e-8
 TOL_H_FD = 1e-4
-W_MARGIN = 1e-3
 
 
 # ---------------------------------------------------------------------------
@@ -87,7 +86,7 @@ def line_seed(z0: tuple[float, float], direction: tuple[float, float],
 
 
 def catenoid_seed(a: float, z0: tuple[float, float], s_range: tuple[float, float],
-                  sheet: float = 1.0, n: int = 801) -> SeedCurve:
+                  sheet: float = 1.0) -> SeedCurve:
     """Spiral seed of the catenoid sheet t = u0 + sheet*(2/a) sqrt(a|z|^2/4 - 1).
 
     The radius obeys |gamma(s)|^2 = |z0|^2 - sheet*(4/sqrt(a)) s and the polar
@@ -108,6 +107,7 @@ def catenoid_seed(a: float, z0: tuple[float, float], s_range: tuple[float, float
         return math.sqrt(max(r2 - 4.0 / a, 0.0)) / r2
 
     # sample grid containing s = 0 exactly, so theta(0) = th0 needs no offset
+    n = 801
     n_lo = max(2, int(round(n * (-s_range[0]) / (s_range[1] - s_range[0])))) if s_range[0] < 0 else 0
     n_hi = max(2, n - n_lo) if s_range[1] > 0 else 0
     parts = []
@@ -137,7 +137,7 @@ def catenoid_seed(a: float, z0: tuple[float, float], s_range: tuple[float, float
     return SeedCurve(s, g, dg, ddg, provenance="closed-form")
 
 
-def optreg2_seed(n: int = 801) -> SeedCurve:
+def optreg2_seed() -> SeedCurve:
     """Seed with signed curvature -|s|: gamma' = (cos Psi, sin Psi),
     Psi(s) = (1 + sign(s) s^2)/2, positions by quadrature from gamma(-1) = 0."""
 
@@ -152,7 +152,7 @@ def optreg2_seed(n: int = 801) -> SeedCurve:
         p = psi_int(s)
         return (-abs(s) * math.sin(p), abs(s) * math.cos(p))
 
-    s = np.linspace(-1.0, 1.0, n)
+    s = np.linspace(-1.0, 1.0, 801)
     gx = cumulative_integral(lambda v: dgamma(v)[0], s)
     gy = cumulative_integral(lambda v: dgamma(v)[1], s)
     g = np.column_stack([gx, gy])
@@ -267,7 +267,6 @@ def _general_plane(a: float = 1.0, b: float = 2.0, c: float = 2.0,
         # scan lattice centered on the characteristic point so a node hits it
         scan_domain=PlanarDomain(center[0] - 1.1, center[0] + 1.1,
                                  center[1] - 1.1, center[1] + 1.1),
-        extra={"sigma": (center[0], center[1], d / c)},
     )
 
 
@@ -632,10 +631,8 @@ def gallery_get(name: str, **params) -> GalleryEntry:
 
 
 def max_curvature_deviation(patch: GraphPatch, domain: PlanarDomain,
-                            nx: int = 101, ny: int = 101,
-                            expect: float = 0.0,
-                            w_margin: float = W_MARGIN) -> float:
-    """max |H - expect| over non-characteristic grid nodes (W > w_margin).
+                            nx: int = 101, ny: int = 101, expect: float = 0.0) -> float:
+    """max |H - expect| over non-characteristic grid nodes (W > W_MARGIN).
 
     A node whose W is NaN is not skipped, and a node where the height is
     not finite counts as NaN, so either makes the result NaN.  So does a
@@ -646,7 +643,7 @@ def max_curvature_deviation(patch: GraphPatch, domain: PlanarDomain,
     deviations = []
     for x, y in Grid2(domain, nx, ny).nodes:
         jet = field.jet(x, y)
-        if horizontal_data(patch, (x, y), jet=jet).w <= w_margin:
+        if horizontal_data(patch, (x, y), jet=jet).w <= W_MARGIN:
             continue
         # the derivatives can be finite where the height is not (see expr)
         deviations.append(h_mean_curvature(patch, (x, y), cross_check=False, jet=jet) - expect
@@ -740,7 +737,7 @@ def gallery_verify(name: str, **params) -> list[Check]:
     if entry.expected_scan is not None and entry.graph is not None:
         scan = characteristic_scan(entry.graph,
                                    Grid2(entry.scan_domain or entry.verify_domain, 101, 101),
-                                   1e-9)
+                                   EPS_CHAR)
         kind = entry.expected_scan["kind"]
         if kind == "empty":
             checks.append(check_flag("scan_empty", scan.empty))

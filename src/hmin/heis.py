@@ -86,8 +86,3 @@ def frame_from_cartesian(v: tuple[float, float, float], at: HPoint) -> FrameVect
 def frame_to_cartesian(v: FrameVector, at: HPoint) -> tuple[float, float, float]:
     """Inverse of :func:`frame_from_cartesian` at the same base point."""
     return (v.a, v.b, v.c - 0.5 * v.a * at.y + 0.5 * v.b * at.x)
-
-
-def left_translate(g0: HPoint, g: HPoint) -> HPoint:
-    """Left translation L_{g0}(g) = g0 o g."""
-    return group_mul(g0, g)

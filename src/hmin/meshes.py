@@ -16,10 +16,11 @@ from typing import Optional
 import numpy as np
 
 from .errors import FieldUndefined
-from .fields import PlanarDomain
 from .ruled import RuledPatch
 from .seed import curvature, rule_point
 from .surface import GraphPatch
+
+DET_CLAMP = 0.02    # chart samples keep |det DF| at or above this
 
 
 @dataclass
@@ -36,11 +37,10 @@ def _grid_faces(nu: int, nv: int) -> np.ndarray:
 
 
 def mesh_ruled(patch: RuledPatch, ns: int, nr: int,
-               r_range: Optional[tuple[float, float]] = None,
-               det_clamp: float = 0.02) -> Mesh:
+               r_range: Optional[tuple[float, float]] = None) -> Mesh:
     """Sample the (s, r) chart; r is nudged off the singular fold.
 
-    Samples with |det DF| < det_clamp slide along their rule to the nearest
+    Samples with |det DF| < DET_CLAMP slide along their rule to the nearest
     admissible r (the fold r = 1/kappa is a parameterization artifact, not
     a feature of the surface); the number of moved samples is recorded.
     Each s row is embedded at once, with the arithmetic of ``RuledPatch.embed``.
@@ -54,8 +54,8 @@ def mesh_ruled(patch: RuledPatch, ns: int, nr: int,
         kap = curvature(patch.seed, s)
         if abs(kap) > 1e-12:
             fold = 1.0 / kap
-            near = np.abs(-1.0 + rs * kap) < det_clamp
-            rs = np.where(near, fold + np.where(rs >= fold, 1.0, -1.0) * det_clamp / abs(kap), rs)
+            near = np.abs(-1.0 + rs * kap) < DET_CLAMP
+            rs = np.where(near, fold + np.where(rs >= fold, 1.0, -1.0) * DET_CLAMP / abs(kap), rs)
             clamped += int(near.sum())
         verts[i, :, 0], verts[i, :, 1] = rule_point(patch.seed, s, rs)
         verts[i, :, 2] = patch.height(s, rs)
@@ -66,9 +66,8 @@ def mesh_ruled(patch: RuledPatch, ns: int, nr: int,
                 comments=[f"ruled patch mesh {ns}x{nr}"], clamped=clamped)
 
 
-def mesh_graph(patch: GraphPatch, nx: int, ny: int,
-               domain: Optional[PlanarDomain] = None) -> Mesh:
-    dom = domain or patch.domain
+def mesh_graph(patch: GraphPatch, nx: int, ny: int) -> Mesh:
+    dom = patch.domain
     xs = np.linspace(dom.xmin, dom.xmax, nx)
     ys = np.linspace(dom.ymin, dom.ymax, ny)
     verts = [patch.point(float(x), float(y)).as_tuple() for x in xs for y in ys]
@@ -85,7 +84,7 @@ def write_obj(mesh: Mesh, path: str):
                 fh.write(f"{tag} %r %r %r\n" * (len(block) // 3) % tuple(block))
 
 
-def lint_obj(path: str, degenerate_tol: float = 1e-12) -> list[str]:
+def lint_obj(path: str) -> list[str]:
     """Structural check: parseable finite records, indices in range, non-degenerate faces."""
     problems = []
     verts, faces = array("d"), array("q")
@@ -121,7 +120,7 @@ def lint_obj(path: str, degenerate_tol: float = 1e-12) -> list[str]:
     with np.errstate(invalid="ignore", over="ignore"):  # a NaN or inf area is not degenerate
         cross = np.cross(b - a, c - a)
         area[good] = 0.5 * np.sqrt(np.vecdot(cross, cross))  # rounds as norm() of one face
-    for i in np.flatnonzero(~good | (area <= degenerate_tol)).tolist():
+    for i in np.flatnonzero(~good | (area <= 1e-12)).tolist():
         problems.append(f"face {i}: vertex index out of range" if out_of_range[i] else
                         f"face {i}: repeated vertex index" if repeated[i] else
                         f"face {i}: degenerate (area {area[i]:.3e})")

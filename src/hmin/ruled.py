@@ -44,12 +44,11 @@ from .report import worst_abs
 from .seed import (SeedCurve, curvature, extract_seed, rule_jacobian,
                    rule_jacobian_det, rule_point, singular_locus, SingularLocus,
                    EPS_KAPPA)
-from .surface import EPS_CHAR, GraphPatch, h_mean_curvature, horizontal_data
+from .surface import W_MARGIN, GraphPatch, h_mean_curvature, horizontal_data
 
 EPS_DELTA = 1e-9
 DET_GUARD = 0.1
 FOLD_GUARD = 0.15   # chart samples keep |-1 + r kappa| above this
-W_GUARD = 1e-3      # and, by default, |W| at or above this
 
 
 def _inner(curve: SeedCurve, s: float) -> float:
@@ -74,12 +73,12 @@ class RuledPatch:
         if s < self.s_range[0] - 1e-9 or s > self.s_range[1] + 1e-9:
             raise OutOfRange(f"s={s} outside {self.s_range}")
 
-    def r_at(self, s: float, fallback: float = 1.0) -> tuple[float, float]:
+    def r_at(self, s: float) -> tuple[float, float]:
         """The rule-parameter interval over the rule through gamma(s)."""
         if callable(self.r_range):
             lo, hi = self.r_range(s)
             return (float(lo), float(hi))
-        return self.r_interval(fallback)
+        return self.r_interval()
 
     def height(self, s: float, r: float) -> float:
         self._check_s(s)
@@ -106,12 +105,13 @@ class RuledPatch:
             raise SingularRule(f"1 - r*kappa = {den} at (s={s}, r={r})")
         return (self.w0(s) + r - 0.5 * r * r * kap) / den
 
-    def w_ode_residual(self, s: float, r: float, step: float = 1e-6) -> float:
+    def w_ode_residual(self, s: float, r: float) -> float:
         """|dW/dr - 1 - kappa W/(1 - r kappa)| with dW/dr by central differences."""
         kap = curvature(self.seed, s)
         den = 1.0 - r * kap
         if abs(den) < 1e-12:
             raise SingularRule(f"1 - r*kappa = {den} at (s={s}, r={r})")
+        step = 1e-6
         dw = (self.w(s, r + step) - self.w(s, r - step)) / (2.0 * step)
         return abs(dw - 1.0 - kap * self.w(s, r) / den)
 
@@ -129,12 +129,11 @@ class RuledPatch:
         return self.r_range
 
 
-def validate_arclength(curve: SeedCurve, s_range: tuple[float, float],
-                       tol: float = 1e-6, n: int = 64) -> float:
-    """Max deviation of |gamma'| from 1 over the range; raises when beyond tol."""
+def validate_arclength(curve: SeedCurve, s_range: tuple[float, float]) -> float:
+    """Max deviation of |gamma'| from 1 over the range; raises beyond 1e-6."""
     worst = worst_abs(math.hypot(*curve.tangent(float(s))) - 1.0
-                      for s in np.linspace(s_range[0], s_range[1], n))
-    if not worst <= tol:
+                      for s in np.linspace(s_range[0], s_range[1], 64))
+    if not worst <= 1e-6:
         raise HminError(f"seed is not arclength-parameterized: max ||gamma'|-1| = {worst}")
     return worst
 
@@ -152,14 +151,13 @@ def build_surface(seed_curve: SeedCurve, h0: Profile,
 
 
 def invert_chart(patch: RuledPatch, z: tuple[float, float],
-                 start: tuple[float, float], tol: float = 1e-13,
-                 max_iter: int = 60) -> tuple[float, float]:
+                 start: tuple[float, float]) -> tuple[float, float]:
     """Newton solve of F(s, r) = z, warm-started at ``start``."""
     s, r = start
-    for _ in range(max_iter):
+    for _ in range(60):
         fx, fy = rule_point(patch.seed, s, r)
         rx, ry = fx - z[0], fy - z[1]
-        if math.hypot(rx, ry) < tol:
+        if math.hypot(rx, ry) < 1e-13:
             return (s, r)
         j = rule_jacobian(patch.seed, s, r)
         det = j[0, 0] * j[1, 1] - j[0, 1] * j[1, 0]
@@ -212,7 +210,7 @@ def w_direct(patch: RuledPatch, s: float, r: float, method: str = "chain") -> fl
     return math.hypot(p, q)
 
 
-def graph_field(patch: RuledPatch, s0: float, r0: float, halfwidth: float = 1.0) -> GraphPatch:
+def graph_field(patch: RuledPatch, s0: float, r0: float) -> GraphPatch:
     """A GraphPatch view of the built surface near embed(s0, r0).
 
     Heights come from Newton inversion of the chart; the gradient is exact
@@ -231,7 +229,7 @@ def graph_field(patch: RuledPatch, s0: float, r0: float, halfwidth: float = 1.0)
     def grad(x: float, y: float) -> tuple[float, float]:
         return chart_height_gradient(patch, *solve(x, y))
 
-    dom = PlanarDomain(zx - halfwidth, zx + halfwidth, zy - halfwidth, zy + halfwidth)
+    dom = PlanarDomain(zx - 1.0, zx + 1.0, zy - 1.0, zy + 1.0)
     # the gradient is exact, so its difference step can sit well below the
     # generic default; third derivatives blow up near the chart fold and
     # would otherwise dominate the Hessian truncation error
@@ -239,7 +237,7 @@ def graph_field(patch: RuledPatch, s0: float, r0: float, halfwidth: float = 1.0)
 
 
 def chart_samples(patch: RuledPatch, n: int,
-                  w_min: Optional[float] = W_GUARD) -> Iterator[tuple[float, float]]:
+                  w_min: Optional[float] = W_MARGIN) -> Iterator[tuple[float, float]]:
     """(s, r) samples of the chart for the built-patch checks.
 
     Interior s of an n-point grid over ``s_range`` crossed with an n-point
@@ -260,15 +258,14 @@ def chart_samples(patch: RuledPatch, n: int,
             yield s, r
 
 
-def curvature_on_patch(patch: RuledPatch, s: float, r: float,
-                       eps_char: float = EPS_CHAR) -> float:
+def curvature_on_patch(patch: RuledPatch, s: float, r: float) -> float:
     """H-mean curvature of the built patch where it is locally a graph."""
     det = rule_jacobian_det(patch.seed, s, r)
     if abs(det) <= DET_GUARD:
         raise FieldUndefined(f"|det DF| = {abs(det)} <= {DET_GUARD} at (s={s}, r={r})")
     gp = graph_field(patch, s, r)
     z = rule_point(patch.seed, s, r)
-    return h_mean_curvature(gp, z, eps_char=eps_char, cross_check=False)
+    return h_mean_curvature(gp, z, cross_check=False)
 
 
 # ---------------------------------------------------------------------------
@@ -304,14 +301,13 @@ class LociReport:
         return not self.roots
 
 
-def _roots_at(patch: RuledPatch, s: float, eps_kappa: float,
-              eps_delta: float) -> tuple[str, list[float]]:
+def _roots_at(patch: RuledPatch, s: float) -> tuple[str, list[float]]:
     kap = curvature(patch.seed, s)
     w0 = patch.w0(s)
-    if abs(kap) <= eps_kappa:
+    if abs(kap) <= EPS_KAPPA:
         return LABEL_KAPPA_ZERO, [-w0]
     disc = 1.0 + 2.0 * w0 * kap
-    if abs(disc) <= eps_delta:
+    if abs(disc) <= EPS_DELTA:
         return LABEL_DOUBLE, [1.0 / kap]
     if disc < 0.0:
         return LABEL_NONE, []
@@ -320,12 +316,7 @@ def _roots_at(patch: RuledPatch, s: float, eps_kappa: float,
     return LABEL_TWO, pair
 
 
-def characteristic_locus(patch: RuledPatch, n_s: int = 201,
-                         eps_kappa: float = EPS_KAPPA,
-                         eps_delta: float = EPS_DELTA,
-                         verify: bool = True,
-                         w_tol: float = 1e-8,
-                         direct_tol: float = 1e-6) -> LociReport:
+def characteristic_locus(patch: RuledPatch, n_s: int = 201) -> LociReport:
     """Solve the characteristic quadratic per sampled s and verify each root.
 
     Verification is two-sided: the closed-form W must vanish at the root,
@@ -338,7 +329,7 @@ def characteristic_locus(patch: RuledPatch, n_s: int = 201,
     labels: list[tuple[float, str]] = []
     for s in np.linspace(s_lo, s_hi, n_s):
         s = float(s)
-        label, rs = _roots_at(patch, s, eps_kappa, eps_delta)
+        label, rs = _roots_at(patch, s)
         labels.append((s, label))
         for r in rs:
             try:
@@ -348,27 +339,24 @@ def characteristic_locus(patch: RuledPatch, n_s: int = 201,
             det = rule_jacobian_det(patch.seed, s, r)
             image = patch.embed(s, r)
             wd = None
-            ok = abs(wf) <= w_tol
-            if verify and ok:
-                if abs(det) > DET_GUARD:
-                    wd = w_direct(patch, s, r)
-                    ok = wd <= direct_tol
-                else:
-                    # probe the rule on the invertible side of the fold
-                    probe = r + (0.5 if det < 0 else -0.5) * 0.5
-                    for cand in (probe, r + 0.25, r - 0.25):
-                        if abs(rule_jacobian_det(patch.seed, s, cand)) > DET_GUARD:
-                            wd = w_direct(patch, s, cand)
-                            ok = abs(wd - abs(patch.w(s, cand))) <= direct_tol
-                            break
+            ok = abs(wf) <= 1e-8
+            if ok and abs(det) > DET_GUARD:
+                wd = w_direct(patch, s, r)
+                ok = wd <= 1e-6
+            elif ok:
+                # probe the rule on the invertible side of the fold
+                probe = r + (0.5 if det < 0 else -0.5) * 0.5
+                for cand in (probe, r + 0.25, r - 0.25):
+                    if abs(rule_jacobian_det(patch.seed, s, cand)) > DET_GUARD:
+                        wd = w_direct(patch, s, cand)
+                        ok = abs(wd - abs(patch.w(s, cand))) <= 1e-6
+                        break
             roots.append(LocusRoot(s, r, label, image, wf, wd, det, ok))
-    return LociReport(roots, labels, singular_locus(patch.seed, eps_kappa))
+    return LociReport(roots, labels, singular_locus(patch.seed))
 
 
 def locus_branch_slope(patch: RuledPatch, s: float, side: int,
-                       which: str = "min", h: float = 1e-3,
-                       eps_kappa: float = EPS_KAPPA,
-                       eps_delta: float = EPS_DELTA) -> float:
+                       which: str = "min") -> float:
     """One-sided ds-slope of a characteristic branch at s, second order.
 
     ``side`` is +1 (limit from above) or -1 (from below); ``which`` picks
@@ -376,11 +364,12 @@ def locus_branch_slope(patch: RuledPatch, s: float, side: int,
     """
 
     def branch(sv: float) -> float:
-        _, rs = _roots_at(patch, sv, eps_kappa, eps_delta)
+        _, rs = _roots_at(patch, sv)
         if not rs:
             raise FieldUndefined(f"no characteristic root at s={sv}")
         return min(rs) if which == "min" else max(rs)
 
+    h = 1e-3
     c0 = branch(s)
     c1 = branch(s + side * h)
     c2 = branch(s + side * 2.0 * h)
@@ -477,8 +466,7 @@ class GSCValidation:
 
     @property
     def max_gap(self) -> float:
-        gaps = [c.gap for c in self.checks if c.gap is not None]
-        return max(gaps) if gaps else 0.0
+        return worst_abs(c.gap for c in self.checks if c.gap is not None)
 
 
 def validate_gsc(gsc: GeneralizedSeedCurve, tol: float) -> GSCValidation:
@@ -500,8 +488,7 @@ def validate_gsc(gsc: GeneralizedSeedCurve, tol: float) -> GSCValidation:
     return GSCValidation(checks)
 
 
-def constant_curvature_test(gsc: GeneralizedSeedCurve, tol: float,
-                            n: int = 101) -> tuple[bool, list[dict]]:
+def constant_curvature_test(gsc: GeneralizedSeedCurve, tol: float) -> tuple[bool, list[dict]]:
     """True iff each piece's signed curvature is constant to tol.
 
     The constants may differ from piece to piece.
@@ -513,7 +500,7 @@ def constant_curvature_test(gsc: GeneralizedSeedCurve, tol: float,
         hi = piece.b if math.isfinite(piece.b) else piece.curve.s_max
         lo = max(lo, piece.curve.s_min)
         hi = min(hi, piece.curve.s_max)
-        kappas = np.array([curvature(piece.curve, float(s)) for s in np.linspace(lo, hi, n)])
+        kappas = np.array([curvature(piece.curve, float(s)) for s in np.linspace(lo, hi, 101)])
         mean = float(kappas.mean())
         dev = float(np.abs(kappas - mean).max())
         summary.append({"name": piece.name, "kappa": mean, "max_dev": dev})
@@ -546,21 +533,19 @@ def lifted_height(patch: GraphPatch, curve: SeedCurve) -> Profile:
 
 
 def roundtrip(patch: GraphPatch, z0: tuple[float, float],
-              arc_span: float = 1.0, r_span: float = 0.5,
-              n_s: int = 21, n_r: int = 21,
-              step: float = 1e-3) -> float:
+              arc_span: float = 1.0, r_span: float = 0.5) -> float:
     """Extract (seed, h0), rebuild via the representation, compare heights.
 
     Returns the max |h_rebuilt - h| over chart samples that are graph-valid
     (|det DF| > 0.1) and land inside the patch domain.
     """
-    curve = extract_seed(patch, z0, arc_span, step=step)
+    curve = extract_seed(patch, z0, arc_span)
     h0 = lifted_height(patch, curve)
     span = min(arc_span, -curve.s_min, curve.s_max)
     built = RuledPatch(curve, h0, (-span, span), (-r_span, r_span))
     errs = []
-    for s in np.linspace(-span, span, n_s):
-        for r in np.linspace(-r_span, r_span, n_r):
+    for s in np.linspace(-span, span, 21):
+        for r in np.linspace(-r_span, r_span, 21):
             s, r = float(s), float(r)
             if abs(rule_jacobian_det(curve, s, r)) <= DET_GUARD:
                 continue
@@ -618,13 +603,14 @@ class NotEntire:
 Classification = Class1 | Class2 | NotMinimal | NotEntire
 
 
-def classify_entire_graph(patch: GraphPatch, tol: float = 1e-6,
-                          n_grid: int = 21, tol_kappa: float = 1e-4) -> Classification:
+def classify_entire_graph(patch: GraphPatch) -> Classification:
     """Classify an entire minimal graph: circular seed means a plane,
     straight seed means the shear family t = h0(ax+by) - (ax+by)(bx-ay)/2."""
+    tol = 1e-6          # on |H| and on the residual of the plane fit
+    tol_kappa = 1e-4    # on the seed curvature
     dom = patch.domain
-    xs = np.linspace(dom.xmin, dom.xmax, n_grid)
-    ys = np.linspace(dom.ymin, dom.ymax, n_grid)
+    xs = np.linspace(dom.xmin, dom.xmax, 21)
+    ys = np.linspace(dom.ymin, dom.ymax, 21)
 
     best = (0.0, (0.0, 0.0))
     worst_h = (0.0, (0.0, 0.0))
@@ -650,7 +636,7 @@ def classify_entire_graph(patch: GraphPatch, tol: float = 1e-6,
                         and dom.ymin + margin_y <= y <= dom.ymax - margin_y)
             if interior and hd.w > best[0]:
                 best = (hd.w, (x, y))
-            if hd.w > 1e-3:
+            if hd.w > W_MARGIN:
                 hcur = abs(h_mean_curvature(patch, (x, y), cross_check=False, jet=jet))
                 if not math.isfinite(hcur):
                     return NotEntire(f"mean curvature not finite at ({x}, {y})")

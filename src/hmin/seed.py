@@ -25,7 +25,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import CharacteristicStart, FieldUndefined, OutOfRange, StencilOutOfDomain
-from .fields import RK4_STEP, rk4_integrate
+from .fields import FD_STEP, RK4_STEP, rk4_integrate
 from .surface import EPS_CHAR, GraphPatch, horizontal_data, unit_horizontal_field
 
 EPS_KAPPA = 1e-8
@@ -127,25 +127,25 @@ def curvature(curve: SeedCurve, s: float) -> float:
 
 
 def extract_seed(patch: GraphPatch, z0: tuple[float, float], arc_span: float,
-                 step: float = RK4_STEP, eps_char: float = EPS_CHAR) -> SeedCurve:
+                 step: float = RK4_STEP) -> SeedCurve:
     """Trace the seed curve of a graph patch through z0, both directions.
 
-    Stops at the domain boundary or where W drops below 10*eps_char
+    Stops at the domain boundary or where W drops below 10*EPS_CHAR
     (recording the reason; the limit point is not claimed).  Second
     derivatives come from differencing the evaluated unit field along the
     tangent direction.
     """
-    data = horizontal_data(patch, z0, eps_char)
+    data = horizontal_data(patch, z0)
     if data.nu is None:
-        raise CharacteristicStart(f"W={data.w} <= {eps_char} at {z0}")
-    nu = unit_horizontal_field(patch, eps_char)
+        raise CharacteristicStart(f"W={data.w} <= {EPS_CHAR} at {z0}")
+    nu = unit_horizontal_field(patch)
 
     def stop(x: float, y: float) -> bool:
         try:
             hd = horizontal_data(patch, (x, y), 0.0)
         except (FieldUndefined, StencilOutOfDomain):
             return True
-        return (not math.isfinite(hd.w)) or hd.w < 10.0 * eps_char
+        return (not math.isfinite(hd.w)) or hd.w < 10.0 * EPS_CHAR
 
     n_steps = max(1, int(round(arc_span / step)))
     fwd = rk4_integrate(nu, z0, step, n_steps, stop)
@@ -227,11 +227,12 @@ def rule_jacobian_det(curve: SeedCurve, s: float, r: float) -> float:
     return -1.0 + r * curvature(curve, s)
 
 
-def rule_jacobian_det_fd(curve: SeedCurve, s: float, r: float, step: float = 1e-5) -> float:
+def rule_jacobian_det_fd(curve: SeedCurve, s: float, r: float) -> float:
     """Finite-difference Jacobian determinant of F, for cross-checking."""
-    fp = rule_point(curve, s + step, r)
-    fm = rule_point(curve, s - step, r)
-    dfs = ((fp[0] - fm[0]) / (2 * step), (fp[1] - fm[1]) / (2 * step))
+    h = FD_STEP
+    fp = rule_point(curve, s + h, r)
+    fm = rule_point(curve, s - h, r)
+    dfs = ((fp[0] - fm[0]) / (2 * h), (fp[1] - fm[1]) / (2 * h))
     d = curve.tangent(s)
     dfr = (d[1], -d[0])
     return dfs[0] * dfr[1] - dfs[1] * dfr[0]
@@ -245,19 +246,18 @@ def rule_jacobian(curve: SeedCurve, s: float, r: float) -> np.ndarray:
 
 @dataclass
 class SingularLocus:
-    """Branches of {r = 1/kappa(s)} over runs where |kappa| > eps_kappa."""
+    """Branches of {r = 1/kappa(s)} over runs where |kappa| > EPS_KAPPA."""
 
     branches: list[tuple[np.ndarray, np.ndarray]] = field(default_factory=list)
-    eps_kappa: float = EPS_KAPPA
 
     @property
     def empty(self) -> bool:
         return not self.branches
 
 
-def singular_locus(curve: SeedCurve, eps_kappa: float = EPS_KAPPA) -> SingularLocus:
+def singular_locus(curve: SeedCurve) -> SingularLocus:
     kap = np.array([curvature(curve, float(v)) for v in curve.s])
-    mask = np.abs(kap) > eps_kappa
+    mask = np.abs(kap) > EPS_KAPPA
     branches = []
     start = None
     for i, flag in enumerate(list(mask) + [False]):
@@ -267,4 +267,4 @@ def singular_locus(curve: SeedCurve, eps_kappa: float = EPS_KAPPA) -> SingularLo
             sl = slice(start, i)
             branches.append((curve.s[sl].copy(), 1.0 / kap[sl]))
             start = None
-    return SingularLocus(branches, eps_kappa)
+    return SingularLocus(branches)

@@ -35,6 +35,7 @@ from .fields import FD_STEP, Grid2, PlanarDomain, Profile, ScalarField2
 from .heis import HPoint, group_mul
 
 EPS_CHAR = 1e-9
+W_MARGIN = 1e-3      # curvature is read only where W exceeds this
 HOMOGENEOUS_DIM = 4  # Q for the first Heisenberg group
 
 
@@ -110,11 +111,10 @@ def horizontal_data(patch: GraphPatch, z: tuple[float, float],
     return HorizontalData(p, q, w, nu)
 
 
-def unit_horizontal_field(patch: GraphPatch,
-                          eps_char: float = EPS_CHAR) -> Callable[[float, float], tuple[float, float]]:
+def unit_horizontal_field(patch: GraphPatch) -> Callable[[float, float], tuple[float, float]]:
     """The planar unit field nu = (p, q)/W on the patch domain.
 
-    Raises FieldUndefined off the domain or where W <= eps_char (analytic
+    Raises FieldUndefined off the domain or where W <= EPS_CHAR (analytic
     evaluators would otherwise happily extend past the declared domain).
     """
 
@@ -123,15 +123,14 @@ def unit_horizontal_field(patch: GraphPatch,
             raise FieldUndefined(f"({x}, {y}) outside the patch domain")
         p, q = _pq(patch, x, y)
         w = math.hypot(p, q)
-        if not math.isfinite(w) or w <= eps_char:
+        if not math.isfinite(w) or w <= EPS_CHAR:
             raise FieldUndefined(f"horizontal Gauss map undefined at ({x}, {y}), W={w}")
         return (p / w, q / w)
 
     return nu
 
 
-def _curvature_terms(patch: GraphPatch, x: float, y: float, eps_char: float,
-                     jet: Optional[tuple]):
+def _curvature_terms(patch: GraphPatch, x: float, y: float, jet: Optional[tuple]):
     """p, q, W and (p_x, p_y, q_x, q_y) at a non-characteristic point.
 
     W is tested before the Hessian is read (a 1-jet is completed only then).
@@ -140,7 +139,7 @@ def _curvature_terms(patch: GraphPatch, x: float, y: float, eps_char: float,
     """
     p, q = _pq(patch, x, y, jet)
     w = math.hypot(p, q)
-    if w <= eps_char:
+    if w <= EPS_CHAR:
         raise CharacteristicPoint(f"W={w} at ({x}, {y})")
     if jet is None:
         (hxx, hxy), (_, hyy) = patch.h.hessian(x, y)
@@ -157,8 +156,7 @@ def _curvature_div_form(patch: GraphPatch, x: float, y: float, step: float) -> f
 
 
 def h_mean_curvature(patch: GraphPatch, z: tuple[float, float],
-                     eps_char: float = EPS_CHAR, cross_check: bool = True,
-                     jet: Optional[tuple] = None) -> float:
+                     cross_check: bool = True, jet: Optional[tuple] = None) -> float:
     """H-mean curvature at a non-characteristic point of the patch.
 
     Returns the p/q-form value, read from ``jet`` (the field's jet at z)
@@ -168,7 +166,7 @@ def h_mean_curvature(patch: GraphPatch, z: tuple[float, float],
     characteristic set, where the unit field's derivatives blow up.
     """
     x, y = z
-    p, q, w, p_x, p_y, q_x, q_y = _curvature_terms(patch, x, y, eps_char, jet)
+    p, q, w, p_x, p_y, q_x, q_y = _curvature_terms(patch, x, y, jet)
     value = (q * q * p_x + p * p * q_y - p * q * (q_x + p_y)) / w ** 3
     if cross_check:
         if patch.analytic:
@@ -184,9 +182,9 @@ def h_mean_curvature(patch: GraphPatch, z: tuple[float, float],
 
 
 def shape_matrix(patch: GraphPatch, z: tuple[float, float],
-                 eps_char: float = EPS_CHAR, jet: Optional[tuple] = None) -> ShapeMatrix:
+                 jet: Optional[tuple] = None) -> ShapeMatrix:
     """The 2x2 horizontal shape operator; trace = H, (p, q) in the kernel."""
-    p, q, w, p_x, p_y, q_x, q_y = _curvature_terms(patch, z[0], z[1], eps_char, jet)
+    p, q, w, p_x, p_y, q_x, q_y = _curvature_terms(patch, z[0], z[1], jet)
     w3 = w ** 3
     a11 = (q * q * p_x - p * q * q_x) / w3
     a12 = (p * p * q_x - p * q * p_x) / w3
@@ -213,19 +211,19 @@ def rotational_curvature(u: Profile, s: float) -> float:
     return (2.0 * s * upp + (HOMOGENEOUS_DIM - 3.0) * up * one) / (2.0 * math.sqrt(s) * one ** 1.5)
 
 
-def catenoid_profile(a: float, u0: float, sign: float = 1.0) -> Profile:
-    """The zero-curvature profile u(s) = u0 +/- (2/a) sqrt(a s - 1), s >= 1/a."""
+def catenoid_profile(a: float, u0: float) -> Profile:
+    """The zero-curvature profile u(s) = u0 + (2/a) sqrt(a s - 1), s >= 1/a."""
     if a <= 0.0:
         raise ValueError("a must be positive")
 
     def f(s: float) -> float:
-        return u0 + sign * (2.0 / a) * math.sqrt(a * s - 1.0)
+        return u0 + (2.0 / a) * math.sqrt(a * s - 1.0)
 
     def d1(s: float) -> float:
-        return sign / math.sqrt(a * s - 1.0)
+        return 1.0 / math.sqrt(a * s - 1.0)
 
     def d2(s: float) -> float:
-        return -sign * 0.5 * a * (a * s - 1.0) ** -1.5
+        return -0.5 * a * (a * s - 1.0) ** -1.5
 
     return Profile(f=f, d1=d1, d2=d2)
 
@@ -265,8 +263,7 @@ def translate_graph(patch: GraphPatch, g0: HPoint) -> GraphPatch:
         hess = lambda x, y: old.hessian(x - x0, y - y0)  # noqa: E731
 
     return GraphPatch(new_dom, ScalarField2(f=f, grad=grad, hess=hess,
-                                            fd_step=old.fd_step, hess_step=old.hess_step,
-                                            domain=new_dom))
+                                            fd_step=old.fd_step, domain=new_dom))
 
 
 def rotate_graph(patch: GraphPatch, theta: float) -> GraphPatch:
@@ -308,8 +305,7 @@ def rotate_graph(patch: GraphPatch, theta: float) -> GraphPatch:
             return ((out[0, 0], out[0, 1]), (out[1, 0], out[1, 1]))
 
     return GraphPatch(new_dom, ScalarField2(f=f, grad=grad, hess=hess,
-                                            fd_step=old.fd_step, hess_step=old.hess_step,
-                                            domain=new_dom))
+                                            fd_step=old.fd_step, domain=new_dom))
 
 
 def left_translate_points(points: Sequence[HPoint], g0: HPoint) -> list[HPoint]:
@@ -353,7 +349,6 @@ class ScanComponent:
 
 @dataclass
 class CharacteristicScan:
-    eps: float
     components: list[ScanComponent]
 
     @property
@@ -362,7 +357,7 @@ class CharacteristicScan:
 
 
 def _edge_min(wfun: Callable[[float, float], float], a: tuple[float, float],
-              b: tuple[float, float], iters: int = 60) -> tuple[tuple[float, float], float]:
+              b: tuple[float, float]) -> tuple[tuple[float, float], float]:
     """Golden-section minimum of W along the segment [a, b]."""
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     lo, hi = 0.0, 1.0
@@ -373,7 +368,7 @@ def _edge_min(wfun: Callable[[float, float], float], a: tuple[float, float],
     c = hi - invphi * (hi - lo)
     d = lo + invphi * (hi - lo)
     fc, fd = wfun(*at(c)), wfun(*at(d))
-    for _ in range(iters):
+    for _ in range(60):
         if fc < fd:
             hi, d, fd = d, c, fc
             c = hi - invphi * (hi - lo)
@@ -439,7 +434,7 @@ def characteristic_scan(patch: GraphPatch, grid: Grid2, eps: float) -> Character
                         refined.append(pt)
         images = [patch.point(x, y) for x, y in nodes[:8]]
         out.append(ScanComponent(nodes, refined, images))
-    return CharacteristicScan(eps, out)
+    return CharacteristicScan(out)
 
 
 # ---------------------------------------------------------------------------
@@ -453,8 +448,6 @@ class ImplicitSurface:
 
     phi: Callable[[float, float, float], float]
     orientation: int = 1
-    fd_step: float = FD_STEP
-    source: Optional[str] = None
     _sym: Optional[dict] = None
 
     @staticmethod
@@ -473,27 +466,27 @@ class ImplicitSurface:
             for var in ("x", "y", "t"):
                 sym[f"{name}_{var}"] = ex.differentiate(tree2, var)
         compiled = {k: ex.compile_fn(v, ("x", "y", "t")) for k, v in sym.items()}
-        return ImplicitSurface(phi=phi, orientation=orientation, source=src, _sym=compiled)
+        return ImplicitSurface(phi=phi, orientation=orientation, _sym=compiled)
 
     def _pq(self, x: float, y: float, t: float) -> tuple[float, float]:
         o = float(self.orientation)
         if self._sym is not None:
             return (o * self._sym["p"](x, y, t), o * self._sym["q"](x, y, t))
-        h = self.fd_step
+        h = FD_STEP
         phix = (self.phi(x + h, y, t) - self.phi(x - h, y, t)) / (2.0 * h)
         phiy = (self.phi(x, y + h, t) - self.phi(x, y - h, t)) / (2.0 * h)
         phit = (self.phi(x, y, t + h) - self.phi(x, y, t - h)) / (2.0 * h)
         return (o * (phix - 0.5 * y * phit), o * (phiy + 0.5 * x * phit))
 
-    def horizontal_data(self, g: HPoint, eps_char: float = EPS_CHAR) -> HorizontalData:
+    def horizontal_data(self, g: HPoint) -> HorizontalData:
         p, q = self._pq(g.x, g.y, g.t)
         w = math.hypot(p, q)
-        nu = (p / w, q / w) if w > eps_char else None
+        nu = (p / w, q / w) if w > EPS_CHAR else None
         return HorizontalData(p, q, w, nu)
 
     def _x_derivative(self, fn: Callable, g: HPoint, which: int) -> float:
         # directional derivative along X1 (which=1) or X2 (which=2)
-        h = max(self.fd_step, 1e-6)
+        h = FD_STEP
         if which == 1:
             fp = fn(g.x + h, g.y, g.t - 0.5 * g.y * h)
             fm = fn(g.x - h, g.y, g.t + 0.5 * g.y * h)
@@ -502,10 +495,10 @@ class ImplicitSurface:
             fm = fn(g.x, g.y - h, g.t - 0.5 * g.x * h)
         return (fp - fm) / (2.0 * h)
 
-    def h_mean_curvature(self, g: HPoint, eps_char: float = EPS_CHAR) -> float:
+    def h_mean_curvature(self, g: HPoint) -> float:
         p, q = self._pq(g.x, g.y, g.t)
         w = math.hypot(p, q)
-        if w <= eps_char:
+        if w <= EPS_CHAR:
             raise CharacteristicPoint(f"W={w} at {g}")
         o = float(self.orientation)
         if self._sym is not None:
@@ -528,19 +521,17 @@ class ImplicitSurface:
     def flipped(self) -> "ImplicitSurface":
         return replace(self, orientation=-self.orientation)
 
-    def solve_height(self, x: float, y: float, t0: float,
-                     tol: float = 1e-12, max_iter: int = 60) -> float:
+    def solve_height(self, x: float, y: float, t0: float) -> float:
         """1-D Newton for t with phi(x, y, t) = 0, starting from t0."""
         t = t0
-        h = max(self.fd_step, 1e-7)
-        for _ in range(max_iter):
+        for _ in range(60):
             val = self.phi(x, y, t)
-            if abs(val) < tol:
+            if abs(val) < 1e-12:
                 return t
             if self._sym is not None:
                 dt = self._sym["dt"](x, y, t)
             else:
-                dt = (self.phi(x, y, t + h) - self.phi(x, y, t - h)) / (2.0 * h)
+                dt = (self.phi(x, y, t + FD_STEP) - self.phi(x, y, t - FD_STEP)) / (2.0 * FD_STEP)
             if dt == 0.0 or not math.isfinite(dt):
                 break
             t -= val / dt

@@ -322,6 +322,12 @@ ZERO_SQRT = {"kind": "graph",
         "xmin": 1, "xmax": -1, "ymin": -1, "ymax": 1}}}, []),
     ("verify", {"kind": "implicit", "implicit": {"phi": "t - x*y/2", "window": {
         "xmin": -1, "xmax": 1, "ymin": 1, "ymax": -1}}}, []),
+    # a spec interval must have finite bounds and width, and be ordered
+    ("verify", {"kind": "graph", "graph": {"h": "x*y/2", "domain": {
+        "xmin": -math.inf, "xmax": 1, "ymin": -1, "ymax": 1}}}, []),
+    ("classify", {"kind": "graph", "graph": {"h": "x*y/2", "domain": {
+        "xmin": -1e308, "xmax": 1e308, "ymin": -1e308, "ymax": 1e308}}}, []),
+    ("build", {"kind": "ruled", "ruled": {**CYLINDER["ruled"], "r_range": [1, -1]}}, []),
 ])
 def test_undefined_input_exit_2(tmp_path, capsys, command, payload, extra):
     spec = write_spec(tmp_path, "in.json", payload)

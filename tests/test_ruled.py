@@ -8,13 +8,13 @@ from hmin.errors import (DegenerateDenominator, FieldUndefined, OutOfRange,
 from hmin.fields import PlanarDomain, Profile, square
 from hmin.gallery import circle_seed, gallery_get, line_seed, optreg2_seed
 from hmin.heis import HPoint, dilate, group_mul
-from hmin.ruled import (GeneralizedSeedCurve, GSCJoin, GSCPiece, RuledPatch,
-                        bernstein_quotient, build_surface,
+from hmin.ruled import (GeneralizedSeedCurve, GSCJoin, GSCPiece, GSCValidation,
+                        JoinCheck, RuledPatch, bernstein_quotient, build_surface,
                         characteristic_locus, chart_samples, classify_entire_graph,
                         constant_curvature_test, curvature_on_patch,
                         extend_rules, invert_chart, roundtrip, rule,
                         validate_gsc, w_direct)
-from hmin.seed import curvature
+from hmin.seed import SeedCurve, curvature
 from hmin.surface import GraphPatch
 
 
@@ -370,6 +370,12 @@ def test_validate_gsc_infinite_end_is_flagged():
     assert not out.valid and "infinite" in out.checks[0].note
 
 
+@pytest.mark.parametrize("gaps", [(1e-9, math.nan), (math.nan, 1e-9)])
+def test_max_gap_keeps_a_nan_gap(gaps):
+    out = GSCValidation([JoinCheck(i, g, g <= 1e-6) for i, g in enumerate(gaps)])
+    assert not out.valid and math.isnan(out.max_gap)
+
+
 def test_constant_curvature_gencurve_and_flat():
     ok, summary = constant_curvature_test(gallery_get("gencurve-3").gsc(), 1e-9)
     assert ok and all(abs(p["kappa"]) <= 1e-12 for p in summary)
@@ -384,6 +390,16 @@ def test_constant_curvature_rejects_optreg_seed():
     ok, summary = constant_curvature_test(GeneralizedSeedCurve([piece]), 1e-3)
     assert not ok
     assert summary[0]["max_dev"] > 0.3
+
+
+def test_constant_curvature_nan_sample_fails():
+    # a straight seed whose second derivative is undefined past s = 0.5
+    curve = SeedCurve.from_callables(
+        lambda s: (s, 0.0), lambda s: (1.0, 0.0),
+        lambda s: (math.nan, math.nan) if s > 0.5 else (0.0, 0.0), (-1.0, 1.0))
+    piece = GSCPiece(curve, Profile.constant(0.0), -1.0, 1.0)
+    ok, summary = constant_curvature_test(GeneralizedSeedCurve([piece]), 1e-6)
+    assert ok is False and math.isnan(summary[0]["max_dev"])
 
 
 def test_pieces_may_have_different_constants():
