@@ -16,7 +16,8 @@ Exit codes: 0 all checks pass, 1 a check failed, 2 spec or input error
 (including a surface undefined on its domain, a domain, window, s_range
 or r_range that is not finite and ordered, an expression using a
 variable its field does not take, --z0 outside it, a --span that is not
-finite and positive, or a --grid value below 2), 3
+finite and positive, a --grid value below 2, or seed samples whose s is
+not strictly increasing), 3
 characteristic start point, 4 unknown gallery name or bad gallery
 parameter (including one that no named entry takes).
 """
@@ -163,6 +164,8 @@ def _seed_from_csv(path: str, s_range: tuple[float, float]) -> SeedCurve:
     if rows.ndim != 2 or rows.shape[1] < 5:
         raise SpecError("seed sample file needs columns s,x,y,dx,dy")
     s = rows[:, 0]
+    if not np.all(np.diff(s) > 0):
+        raise SpecError("seed sample s must be strictly increasing")
     g = rows[:, 1:3]
     dg = rows[:, 3:5]
     ddg = np.gradient(dg, s, axis=0)

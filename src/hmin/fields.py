@@ -4,7 +4,8 @@ A ScalarField2 evaluates a function on a planar domain together with its
 first and second derivatives, either from analytic evaluators or by
 central finite differences.  The module also provides the fixed-step RK4
 integrator used for seed-curve tracing and an adaptive Simpson rule used
-for integral-defined curves.
+for integral-defined curves.  The integrator also returns the first two
+stage slopes (k1, k2) of every step; seed tracing reuses them.
 
 Numerical defaults (fixed; only a field's ``fd_step`` can be set):
 
@@ -20,6 +21,7 @@ Numerical defaults (fixed; only a field's ``fd_step`` can be set):
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
@@ -254,8 +256,15 @@ class Profile:
 
 @dataclass
 class IntegratedCurve:
+    """The points of an RK4 trace and the first two stage slopes of each step.
+
+    ``stages[j]`` is ``(k1x, k1y, k2x, k2y)`` of the step from ``points[j]``:
+    the field there and at ``points[j] + (step/2) k1``, as the step read them.
+    """
+
     points: np.ndarray           # (n+1, 2), includes the start point
     stop_reason: Optional[str]   # None when all n_steps were taken
+    stages: np.ndarray           # (n, 4), one row per step taken
 
     @property
     def end(self) -> tuple[float, float]:
@@ -283,10 +292,11 @@ def rk4_integrate(v: Callable[[float, float], Sequence[float]],
     if step <= 0.0:
         raise ValueError("step must be positive")
     pts = [(float(z0[0]), float(z0[1]))]
+    stages = array("d")
     reason = None
     x, y = pts[0]
     if stop is not None and stop(x, y):
-        return IntegratedCurve(np.array(pts), "stop predicate at start")
+        return IntegratedCurve(np.array(pts), "stop predicate at start", np.empty((0, 4)))
     for _ in range(n_steps):
         try:
             k1x, k1y = _eval_field(v, x, y)
@@ -299,10 +309,11 @@ def rk4_integrate(v: Callable[[float, float], Sequence[float]],
         x += step * (k1x + 2.0 * k2x + 2.0 * k3x + k4x) / 6.0
         y += step * (k1y + 2.0 * k2y + 2.0 * k3y + k4y) / 6.0
         pts.append((x, y))
+        stages.extend((k1x, k1y, k2x, k2y))
         if stop is not None and stop(x, y):
             reason = "stop predicate"
             break
-    return IntegratedCurve(np.array(pts), reason)
+    return IntegratedCurve(np.array(pts), reason, np.array(stages).reshape(-1, 4))
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import inspect
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field as dc_field
 from typing import Callable, Iterator, Optional
 
@@ -37,7 +38,7 @@ from .ruled import (GeneralizedSeedCurve, GSCJoin, GSCPiece, RuledPatch,
                     characteristic_locus, chart_height_gradient, chart_samples,
                     curvature_on_patch, locus_branch_slope, roundtrip,
                     validate_gsc, w_direct)
-from .seed import SeedCurve, _hermite, curvature, extract_seed
+from .seed import SeedCurve, curvature, extract_seed
 from .surface import (EPS_CHAR, W_MARGIN, GraphPatch, ImplicitSurface,
                       characteristic_scan, h_mean_curvature, horizontal_data)
 
@@ -166,11 +167,16 @@ def _profile_from_samples(s: np.ndarray, values: np.ndarray,
                           d1: Callable[[float], float]) -> Profile:
     """Cubic Hermite profile through (s, values) with exact slope callable."""
 
+    nodes, vals = s.tolist(), values.tolist()
+
     def f(sq: float) -> float:
-        i = int(np.searchsorted(s, sq)) - 1
-        i = min(max(i, 0), len(s) - 2)
-        return float(_hermite(sq, s[i], s[i + 1], values[i], values[i + 1],
-                              d1(float(s[i])), d1(float(s[i + 1]))))
+        i = min(max(bisect_left(nodes, sq) - 1, 0), len(nodes) - 2)
+        s0, s1 = nodes[i], nodes[i + 1]
+        dt = s1 - s0
+        t = (sq - s0) / dt
+        t2, t3 = t * t, t * t * t
+        return float((2 * t3 - 3 * t2 + 1) * vals[i] + (t3 - 2 * t2 + t) * dt * d1(s0)
+                     + (-2 * t3 + 3 * t2) * vals[i + 1] + (t3 - t2) * dt * d1(s1))
 
     return Profile(f=f, d1=d1)
 

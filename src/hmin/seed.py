@@ -19,6 +19,8 @@ which degenerates exactly on the singular locus {r = 1/kappa(s)}.
 from __future__ import annotations
 
 import math
+from array import array
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -32,24 +34,14 @@ EPS_KAPPA = 1e-8
 _RANGE_SLOP = 1e-9
 
 
-def _hermite(sq: float, s0: float, s1: float, p0, p1, m0, m1, derivative: bool = False):
-    dt = s1 - s0
-    t = (sq - s0) / dt
-    t2, t3 = t * t, t * t * t
-    if not derivative:
-        return ((2 * t3 - 3 * t2 + 1) * p0 + (t3 - 2 * t2 + t) * dt * m0
-                + (-2 * t3 + 3 * t2) * p1 + (t3 - t2) * dt * m1)
-    return ((6 * t2 - 6 * t) * p0 / dt + (3 * t2 - 4 * t + 1) * m0
-            + (-6 * t2 + 6 * t) * p1 / dt + (3 * t2 - 2 * t) * m1)
-
-
 @dataclass
 class SeedCurve:
     """Sampled arclength curve with tangents and second derivatives.
 
     Sample queries between nodes use cubic Hermite interpolation on
     (gamma, gamma') and on (gamma', gamma''); closed-form curves may carry
-    exact callables which take precedence over interpolation.
+    exact callables which take precedence over interpolation.  Lookups read
+    plain-Python copies of the samples, made once per curve.
     """
 
     s: np.ndarray
@@ -63,6 +55,11 @@ class SeedCurve:
     dgamma_fn: Optional[Callable[[float], tuple[float, float]]] = None
     ddgamma_fn: Optional[Callable[[float], tuple[float, float]]] = None
 
+    def __post_init__(self):
+        self._s = self.s.tolist()
+        self._g, self._dg, self._ddg = (array("d", np.asarray(a, dtype=float).tobytes())
+                                        for a in (self.g, self.dg, self.ddg))
+
     @property
     def s_min(self) -> float:
         return float(self.s[0])
@@ -71,40 +68,52 @@ class SeedCurve:
     def s_max(self) -> float:
         return float(self.s[-1])
 
-    def _bracket(self, sq: float) -> int:
-        if len(self.s) < 2:
+    def _check_range(self, sq: float) -> None:
+        s = self._s
+        if len(s) < 2:
             raise OutOfRange("curve has fewer than two samples")
-        if sq < self.s_min - _RANGE_SLOP or sq > self.s_max + _RANGE_SLOP:
-            raise OutOfRange(f"s={sq} outside sampled range [{self.s_min}, {self.s_max}]")
-        i = int(np.searchsorted(self.s, sq)) - 1
-        return min(max(i, 0), len(self.s) - 2)
+        if sq < s[0] - _RANGE_SLOP or sq > s[-1] + _RANGE_SLOP:
+            raise OutOfRange(f"s={sq} outside sampled range [{s[0]}, {s[-1]}]")
+
+    def _interpolate(self, sq: float, p: array, m: array,
+                     derivative: bool = False) -> tuple[float, float]:
+        """Cubic Hermite through values ``p`` with slopes ``m`` (flat x, y pairs)."""
+        self._check_range(sq)
+        s = self._s
+        i = min(max(bisect_left(s, sq) - 1, 0), len(s) - 2)
+        s0 = s[i]
+        dt = s[i + 1] - s0
+        t = (sq - s0) / dt
+        t2, t3 = t * t, t * t * t
+        j = 2 * i
+        p0x, p0y, p1x, p1y = p[j], p[j + 1], p[j + 2], p[j + 3]
+        m0x, m0y, m1x, m1y = m[j], m[j + 1], m[j + 2], m[j + 3]
+        if not derivative:
+            a, b = 2 * t3 - 3 * t2 + 1, (t3 - 2 * t2 + t) * dt
+            c, d = -2 * t3 + 3 * t2, (t3 - t2) * dt
+            return (float(a * p0x + b * m0x + c * p1x + d * m1x),
+                    float(a * p0y + b * m0y + c * p1y + d * m1y))
+        a, b, c, d = 6 * t2 - 6 * t, 3 * t2 - 4 * t + 1, -6 * t2 + 6 * t, 3 * t2 - 2 * t
+        return (float(a * p0x / dt + b * m0x + c * p1x / dt + d * m1x),
+                float(a * p0y / dt + b * m0y + c * p1y / dt + d * m1y))
 
     def point(self, sq: float) -> tuple[float, float]:
         if self.gamma_fn is not None:
-            self._bracket(sq)
+            self._check_range(sq)
             return tuple(map(float, self.gamma_fn(sq)))
-        i = self._bracket(sq)
-        v = _hermite(sq, self.s[i], self.s[i + 1], self.g[i], self.g[i + 1],
-                     self.dg[i], self.dg[i + 1])
-        return (float(v[0]), float(v[1]))
+        return self._interpolate(sq, self._g, self._dg)
 
     def tangent(self, sq: float) -> tuple[float, float]:
         if self.dgamma_fn is not None:
-            self._bracket(sq)
+            self._check_range(sq)
             return tuple(map(float, self.dgamma_fn(sq)))
-        i = self._bracket(sq)
-        v = _hermite(sq, self.s[i], self.s[i + 1], self.dg[i], self.dg[i + 1],
-                     self.ddg[i], self.ddg[i + 1])
-        return (float(v[0]), float(v[1]))
+        return self._interpolate(sq, self._dg, self._ddg)
 
     def second(self, sq: float) -> tuple[float, float]:
         if self.ddgamma_fn is not None:
-            self._bracket(sq)
+            self._check_range(sq)
             return tuple(map(float, self.ddgamma_fn(sq)))
-        i = self._bracket(sq)
-        v = _hermite(sq, self.s[i], self.s[i + 1], self.dg[i], self.dg[i + 1],
-                     self.ddg[i], self.ddg[i + 1], derivative=True)
-        return (float(v[0]), float(v[1]))
+        return self._interpolate(sq, self._dg, self._ddg, derivative=True)
 
     @staticmethod
     def from_callables(gamma: Callable[[float], tuple[float, float]],
@@ -132,13 +141,20 @@ def extract_seed(patch: GraphPatch, z0: tuple[float, float], arc_span: float,
 
     Stops at the domain boundary or where W drops below 10*EPS_CHAR
     (recording the reason; the limit point is not claimed).  Second
-    derivatives come from differencing the evaluated unit field along the
-    tangent direction.
+    derivatives come from differencing the unit field at x +- (step/2)
+    gamma'.  Where a step starts, the tracer has already evaluated both the
+    tangent (its k1) and one side of that stencil (its k2: the + side on the
+    forward branch, the - side on the backward one); the field is evaluated
+    here only at the branch ends and on the other side of the stencil.
     """
     data = horizontal_data(patch, z0)
     if data.nu is None:
         raise CharacteristicStart(f"W={data.w} <= {EPS_CHAR} at {z0}")
     nu = unit_horizontal_field(patch)
+
+    def nu_back(x: float, y: float) -> tuple[float, float]:
+        vx, vy = nu(x, y)
+        return (-vx, -vy)
 
     def stop(x: float, y: float) -> bool:
         try:
@@ -149,18 +165,24 @@ def extract_seed(patch: GraphPatch, z0: tuple[float, float], arc_span: float,
 
     n_steps = max(1, int(round(arc_span / step)))
     fwd = rk4_integrate(nu, z0, step, n_steps, stop)
-    back = rk4_integrate(lambda x, y: tuple(-c for c in nu(x, y)), z0, step, n_steps, stop)
+    back = rk4_integrate(nu_back, z0, step, n_steps, stop)
 
     n_b = len(back.points) - 1
     pts = np.vstack([back.points[::-1][:-1], fwd.points])
+    # per point, what the steps that start there evaluated, turned to +s:
+    # gamma' (k1) and nu at x + (step/2) gamma' (forward k2) and at
+    # x - (step/2) gamma' (backward k2); NaN where no such step starts
+    rows = np.full((len(pts), 6), np.nan)
+    rows[n_b:n_b + len(fwd.stages), :4] = fwd.stages
+    rows[n_b:0:-1, [0, 1, 4, 5]] = -back.stages
 
     # trim boundary samples where the unit field itself is not evaluable
     valid = np.ones(len(pts), dtype=bool)
-    tangents = np.zeros_like(pts)
-    for i, (x, y) in enumerate(pts):
+    for i in np.flatnonzero(np.isnan(rows[:, 0])):
         try:
-            tangents[i] = nu(float(x), float(y))
+            rows[i, :2] = nu(*pts[i].tolist())
         except (FieldUndefined, StencilOutOfDomain):
+            rows[i, :2] = 0.0
             valid[i] = False
     base = n_b  # index of z0
     lo = base
@@ -170,27 +192,31 @@ def extract_seed(patch: GraphPatch, z0: tuple[float, float], arc_span: float,
     while hi < len(pts) - 1 and valid[hi + 1]:
         hi += 1
     pts = pts[lo:hi + 1]
-    tangents = tangents[lo:hi + 1]
+    rows = rows[lo:hi + 1]
+    tangents = rows[:, :2].copy()
     s = (np.arange(lo, hi + 1) - base) * step
     base -= lo  # index of z0 within the trimmed arrays
 
     # gamma'' = directional derivative of the unit field along the tangent;
     # end samples whose central stencil leaves the domain are dropped rather
     # than estimated one-sided (their curvature would be unreliable)
-    seconds = np.zeros_like(pts)
-    ok = np.ones(len(pts), dtype=bool)
     delta = 0.5 * step
-    for i, (x, y) in enumerate(pts):
-        t1, t2 = tangents[i]
-        try:
-            fp = nu(float(x) + delta * t1, float(y) + delta * t2)
-            fm = nu(float(x) - delta * t1, float(y) - delta * t2)
-            seconds[i] = ((fp[0] - fm[0]) / (2 * delta), (fp[1] - fm[1]) / (2 * delta))
-        except (FieldUndefined, StencilOutOfDomain):
-            if 0 < i < len(pts) - 1:
-                seconds[i] = (tangents[i + 1] - tangents[i - 1]) / (2 * step)
-            else:
-                ok[i] = False
+    fp, fm = rows[:, 2:4], rows[:, 4:]
+    for side, at in ((fp, pts + delta * tangents), (fm, pts - delta * tangents)):
+        need = np.flatnonzero(np.isnan(side[:, 0]))
+        for i, (x, y) in zip(need.tolist(), at[need].tolist()):
+            try:
+                side[i] = nu(x, y)
+            except (FieldUndefined, StencilOutOfDomain):
+                pass  # stays NaN
+    seconds = (fp - fm) / (2 * delta)
+    ok = np.ones(len(pts), dtype=bool)
+    for i in np.flatnonzero(np.isnan(seconds[:, 0])):
+        if 0 < i < len(pts) - 1:
+            seconds[i] = (tangents[i + 1] - tangents[i - 1]) / (2 * step)
+        else:
+            seconds[i] = 0.0
+            ok[i] = False
     # |gamma'| = 1 forces <gamma', gamma''> = 0; the tangential component of
     # the estimate is truncation error, so project it out (kappa is unchanged)
     tang = np.einsum("ij,ij->i", seconds, tangents)

@@ -130,6 +130,14 @@ def unit_horizontal_field(patch: GraphPatch) -> Callable[[float, float], tuple[f
     return nu
 
 
+def _cube(w: float) -> float:
+    """w ** 3, or inf where a float power would raise OverflowError."""
+    try:
+        return w ** 3
+    except OverflowError:
+        return math.inf
+
+
 def _curvature_terms(patch: GraphPatch, x: float, y: float, jet: Optional[tuple]):
     """p, q, W and (p_x, p_y, q_x, q_y) at a non-characteristic point.
 
@@ -167,7 +175,7 @@ def h_mean_curvature(patch: GraphPatch, z: tuple[float, float],
     """
     x, y = z
     p, q, w, p_x, p_y, q_x, q_y = _curvature_terms(patch, x, y, jet)
-    value = (q * q * p_x + p * p * q_y - p * q * (q_x + p_y)) / w ** 3
+    value = (q * q * p_x + p * p * q_y - p * q * (q_x + p_y)) / _cube(w)
     if cross_check:
         if patch.analytic:
             base_tol, step = 1e-8, patch.h.fd_step
@@ -185,7 +193,7 @@ def shape_matrix(patch: GraphPatch, z: tuple[float, float],
                  jet: Optional[tuple] = None) -> ShapeMatrix:
     """The 2x2 horizontal shape operator; trace = H, (p, q) in the kernel."""
     p, q, w, p_x, p_y, q_x, q_y = _curvature_terms(patch, z[0], z[1], jet)
-    w3 = w ** 3
+    w3 = _cube(w)
     a11 = (q * q * p_x - p * q * q_x) / w3
     a12 = (p * p * q_x - p * q * p_x) / w3
     a21 = (q * q * p_y - p * q * q_y) / w3
@@ -516,7 +524,7 @@ class ImplicitSurface:
             x2p = self._x_derivative(pf, g, 2)
             x1q = self._x_derivative(qf, g, 1)
             x2q = self._x_derivative(qf, g, 2)
-        return (q * q * x1p + p * p * x2q - p * q * (x1q + x2p)) / w ** 3
+        return (q * q * x1p + p * p * x2q - p * q * (x1q + x2p)) / _cube(w)
 
     def flipped(self) -> "ImplicitSurface":
         return replace(self, orientation=-self.orientation)

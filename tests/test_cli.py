@@ -354,6 +354,32 @@ def test_curvature_scan_without_samples_fails(tmp_path, payload):
     assert check["name"] == "max_abs_h_curvature" and math.isnan(check["measured"])
 
 
+# W reaches 1e300 on this domain, where W^3 overflows a float
+HUGE_DOMAIN = {"kind": "graph", "graph": {"h": "x*y/2", "domain": {
+    "xmin": -1e300, "xmax": 1e300, "ymin": -1e300, "ymax": 1e300}}}
+
+
+def test_verify_huge_domain_fails_without_overflow(tmp_path):
+    spec = write_spec(tmp_path, "huge.json", HUGE_DOMAIN)
+    assert main(["verify", "--spec", spec, "--out", str(tmp_path / "v")]) == 1
+    report = json.loads((tmp_path / "v" / "report.json").read_text())
+    failed = [c for c in report["checks"] if not c["pass"]]
+    assert failed and all(not math.isfinite(c["measured"]) for c in failed)
+
+
+@pytest.mark.parametrize("nodes", [[0.0, 0.0, 0.5, 1.0], [0.0, 0.5, 0.25, 1.0]],
+                         ids=["repeated", "unsorted"])
+def test_seed_samples_must_increase(tmp_path, capsys, nodes):
+    samples = tmp_path / "seed.csv"
+    samples.write_text("s,x,y,dx,dy\n" + "".join(f"{s},{s},0,1,0\n" for s in nodes))
+    spec = write_spec(tmp_path, "in.json", {"kind": "ruled", "ruled": {
+        "seed": {"kind": "samples", "path": str(samples)}, "h0": "s",
+        "s_range": [0, 1], "r_range": [-1, 1]}})
+    assert main(["verify", "--spec", spec, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: seed sample s must be strictly increasing"]
+
+
 @pytest.mark.parametrize("name,param,value", [
     ("catenoid", "--a", "0"),
     ("catenoid", "--a", "-1"),

@@ -188,6 +188,18 @@ def test_rk4_stop_predicate():
     assert out.end[0] == pytest.approx(0.4)
 
 
+def test_rk4_stages_are_k1_and_k2_of_each_step():
+    step = 0.05
+    out = rk4_integrate(circle_field, (1.0, 0.0), step, 40, stop=lambda x, y: y < -0.5)
+    assert out.stages.shape == (len(out.points) - 1, 4)
+    for (x, y), (k1x, k1y, k2x, k2y) in zip(out.points[:-1].tolist(), out.stages.tolist()):
+        assert (k1x, k1y) == circle_field(x, y)
+        assert (k2x, k2y) == circle_field(x + 0.5 * step * k1x, y + 0.5 * step * k1y)
+    assert rk4_integrate(circle_field, (0.0, 0.0), step, 10).stages.shape == (0, 4)
+    assert rk4_integrate(circle_field, (1.0, 0.0), step, 10,
+                         stop=lambda x, y: True).stages.shape == (0, 4)
+
+
 def test_rk4_rejects_bad_step():
     with pytest.raises(ValueError):
         rk4_integrate(lambda x, y: (1.0, 0.0), (0.0, 0.0), -0.1, 10)

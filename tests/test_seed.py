@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from hmin import seed as seed_module
 from hmin.errors import CharacteristicStart, OutOfRange
-from hmin.fields import PlanarDomain, square
-from hmin.gallery import circle_seed, line_seed, optreg2_seed
-from hmin.seed import (curvature, extract_seed, rule_jacobian_det,
+from hmin.fields import RK4_STEP, PlanarDomain, ScalarField2, square
+from hmin.gallery import circle_seed, gallery_get, gallery_names, line_seed, optreg2_seed
+from hmin.seed import (_RANGE_SLOP, SeedCurve, curvature, extract_seed, rule_jacobian_det,
                        rule_jacobian_det_fd, rule_point, singular_locus)
 from hmin.surface import GraphPatch, unit_horizontal_field
 
@@ -211,3 +212,154 @@ def test_perpendicular_integral_curves_are_straight():
             r = k * 1e-3
             err = math.hypot(x - (z0[0] + r * v0[0]), y - (z0[1] + r * v0[1]))
             assert err <= 1e-8 * max(1.0, r)
+
+
+# -- lookups and tracing against the numpy formulas they replaced -------------
+
+
+def _numpy_hermite(sq, s0, s1, p0, p1, m0, m1, derivative=False):
+    dt = s1 - s0
+    t = (sq - s0) / dt
+    t2, t3 = t * t, t * t * t
+    if not derivative:
+        return ((2 * t3 - 3 * t2 + 1) * p0 + (t3 - 2 * t2 + t) * dt * m0
+                + (-2 * t3 + 3 * t2) * p1 + (t3 - t2) * dt * m1)
+    return ((6 * t2 - 6 * t) * p0 / dt + (3 * t2 - 4 * t + 1) * m0
+            + (-6 * t2 + 6 * t) * p1 / dt + (3 * t2 - 2 * t) * m1)
+
+
+def _numpy_lookup(c, which, sq):
+    """A SeedCurve lookup as a range check, np.searchsorted and numpy Hermite."""
+    if len(c.s) < 2:
+        raise OutOfRange("curve has fewer than two samples")
+    if sq < c.s_min - _RANGE_SLOP or sq > c.s_max + _RANGE_SLOP:
+        raise OutOfRange("outside sampled range")
+    fn = {"point": c.gamma_fn, "tangent": c.dgamma_fn, "second": c.ddgamma_fn}[which]
+    if fn is not None:
+        return tuple(map(float, fn(sq)))
+    i = min(max(int(np.searchsorted(c.s, sq)) - 1, 0), len(c.s) - 2)
+    p, m = (c.g, c.dg) if which == "point" else (c.dg, c.ddg)
+    v = _numpy_hermite(sq, c.s[i], c.s[i + 1], p[i], p[i + 1], m[i], m[i + 1],
+                       derivative=which == "second")
+    return (float(v[0]), float(v[1]))
+
+
+def _outcome(fn, *args):
+    try:
+        return repr(fn(*args))
+    except OutOfRange:
+        return "OutOfRange"
+
+
+def test_lookups_match_numpy_hermite():
+    catenoid = gallery_get("catenoid")
+    one = (np.zeros(1), np.zeros((1, 2)), np.zeros((1, 2)), np.zeros((1, 2)))
+    curves = [catenoid.ruled().seed, *(p.curve for p in catenoid.gsc().pieces), optreg2_seed(),
+              extract_seed(FLAT, (1.0, 0.0), 1.0), extract_seed(CATENOID, (2.0, 0.0), 1.0),
+              circle_seed((0.0, 0.0), (1.0, 0.0), (-2.0, 2.0)),
+              line_seed((0.0, 1.0), (-1.0, 0.0), (-2.0, 2.0)),
+              SeedCurve(*one), SeedCurve(*one, gamma_fn=lambda s: (s, 0.0))]
+    for c in curves:
+        lo, hi = c.s_min, c.s_max
+        edges = [lo - _RANGE_SLOP, lo + _RANGE_SLOP, hi - _RANGE_SLOP, hi + _RANGE_SLOP,
+                 lo - 4 * _RANGE_SLOP, hi + 4 * _RANGE_SLOP, -math.inf, math.inf, math.nan]
+        queries = c.s.tolist() + (0.5 * (c.s[1:] + c.s[:-1])).tolist() + edges
+        for which in ("point", "tangent", "second"):
+            for sq in queries:
+                assert (_outcome(getattr(c, which), sq)
+                        == _outcome(_numpy_lookup, c, which, sq)), (c.provenance, which, sq)
+
+
+def _two_sided_stencil(patch, c):
+    """gamma'' as the unit field differenced at x +- (step/2) gamma', projected."""
+    nu = unit_horizontal_field(patch)
+    delta = 0.5 * RK4_STEP
+    out = np.zeros_like(c.g)
+    for i, ((x, y), (t1, t2)) in enumerate(zip(c.g, c.dg)):
+        fp = nu(float(x) + delta * t1, float(y) + delta * t2)
+        fm = nu(float(x) - delta * t1, float(y) - delta * t2)
+        out[i] = ((fp[0] - fm[0]) / (2 * delta), (fp[1] - fm[1]) / (2 * delta))
+    out -= np.einsum("ij,ij->i", out, c.dg)[:, None] * c.dg
+    return out
+
+
+# (first and last s in steps, stop_lo, stop_hi) of each trace, as extracted
+# by the tracer that evaluated every tangent and stencil side itself
+EXTRACTED = {
+    "char-plane": (-3142, 3142, None, None),
+    "general-plane": (-1571, 1571, None, None),
+    "hyperbolic": (-1500, 1500, None, None),
+    "catenoid": (-1000, 1000, None, None),
+    "counterexample": (-850, 850, None, None),
+    "cylinder": (-900, 900, None, None),
+    "gencurve-n": (-700, 700, None, None),
+    "FLAT": (-3142, 3142, None, None),
+    "HYP": (-1400, 1400, None, None),
+    "CATENOID": (-1000, 688, None,
+                 "FieldUndefined: (1.3992626836893491, 0.30309023330021556) "
+                 "outside the patch domain"),
+    "HYP-fd": (-2999, 2999,
+               "StencilOutOfDomain: stencil point (3.0000099999997807, 0.999999999996068) "
+               "outside domain",
+               "StencilOutOfDomain: stencil point (-3.0000099999997807, 0.999999999996068) "
+               "outside domain"),
+}
+
+
+def test_extracted_tangents_and_seconds_match_direct_evaluation():
+    cases = [(name, e.graph, e.seed_base, e.arc_span)
+             for name, e in ((n, gallery_get(n)) for n in gallery_names())
+             if e.graph is not None and e.seed_base is not None]
+    cases += [("FLAT", FLAT, (1.0, 0.0), math.pi), ("HYP", HYP, (0.0, 1.0), 1.4),
+              ("CATENOID", CATENOID, (2.0, 0.0), 1.0),
+              ("HYP-fd", HYP.fd_only(), (0.0, 1.0), 4.0)]  # both ends at the domain edge
+    assert sorted(name for name, *_ in cases) == sorted(EXTRACTED)
+    for name, patch, z0, span in cases:
+        c = extract_seed(patch, z0, span)
+        k_lo, k_hi, stop_lo, stop_hi = EXTRACTED[name]
+        assert c.s.tobytes() == (np.arange(k_lo, k_hi + 1) * RK4_STEP).tobytes(), name
+        assert (c.stop_lo, c.stop_hi) == (stop_lo, stop_hi), name
+        nu = unit_horizontal_field(patch)
+        for (x, y), d in zip(c.g.tolist(), c.dg.tolist()):
+            assert repr(tuple(d)) == repr(nu(x, y)), name
+        assert c.ddg.tobytes() == _two_sided_stencil(patch, c).tobytes(), name
+
+
+def test_undefined_stencil_side_falls_back_to_tangent_differences():
+    c = extract_seed(FLAT, (1.0, 0.0), 0.1)
+    # a hole at the - side of a forward point's stencil, the side the tracer
+    # evaluates itself; the nearest RK4 stage point is 8e-11 away
+    i = 130
+    hx, hy = (c.g[i] - 0.5 * RK4_STEP * c.dg[i]).tolist()
+    holed = GraphPatch.from_expr("0", PlanarDomain(
+        -3, 3, -3, 3, lambda x, y: math.hypot(x - hx, y - hy) > 1e-12))
+    d = extract_seed(holed, (1.0, 0.0), 0.1)
+    assert d.g.tobytes() == c.g.tobytes() and d.dg.tobytes() == c.dg.tobytes()
+    want = (d.dg[i + 1] - d.dg[i - 1]) / (2 * RK4_STEP)
+    want -= (want[0] * d.dg[i, 0] + want[1] * d.dg[i, 1]) * d.dg[i]
+    assert d.ddg[i].tobytes() == want.tobytes()
+    others = np.arange(len(d.s)) != i
+    assert d.ddg[others].tobytes() == c.ddg[others].tobytes()
+
+
+def test_tracing_costs_at_most_six_gradients_per_step(monkeypatch):
+    gradients, steps = [0], [0]
+    gradient, rk4 = ScalarField2.gradient, seed_module.rk4_integrate
+
+    def counted_gradient(x, y):
+        gradients[0] += 1
+        return gradient(HYP.h, x, y)
+
+    def counted_rk4(*args):
+        out = rk4(*args)
+        steps[0] += len(out.stages)
+        return out
+
+    monkeypatch.setattr(HYP.h, "gradient", counted_gradient)
+    monkeypatch.setattr(seed_module, "rk4_integrate", counted_rk4)
+    extract_seed(HYP, (0.0, 1.0), 1.0)
+    assert steps[0] == 2000
+    # per step: four RK4 stages, the stop test and one stencil side; once per
+    # seed: the check at z0, the stop test at z0 on each branch and the
+    # tangent and both stencil sides at each of the two branch ends
+    assert gradients[0] <= 6 * steps[0] + 9
