@@ -4,8 +4,9 @@ A ScalarField2 evaluates a function on a planar domain together with its
 first and second derivatives, either from analytic evaluators or by
 central finite differences.  The module also provides the fixed-step RK4
 integrator used for seed-curve tracing and an adaptive Simpson rule used
-for integral-defined curves.  The integrator also returns the first two
-stage slopes (k1, k2) of every step; seed tracing reuses them.
+for integral-defined curves.  The integrator returns the first two stage
+slopes (k1, k2) of every step, which seed tracing reuses, and ends a trace
+at the start of a step whose k2 turns back from its k1 (k1 . k2 <= 0).
 
 Numerical defaults (fixed; only a field's ``fd_step`` can be set):
 
@@ -35,6 +36,7 @@ HESS_STEP = 5e-5
 PROFILE_STEP = 1e-6
 RK4_STEP = 1e-3
 SIMPSON_TOL = 1e-10
+TURN_BACK = "field turns back: k1 . k2 <= 0"  # rk4_integrate's own stop reason
 
 
 @dataclass(frozen=True)
@@ -282,12 +284,14 @@ def _eval_field(v: Callable, x: float, y: float) -> tuple[float, float]:
 def rk4_integrate(v: Callable[[float, float], Sequence[float]],
                   z0: tuple[float, float],
                   step: float,
-                  n_steps: int,
-                  stop: Optional[Callable[[float, float], bool]] = None) -> IntegratedCurve:
+                  n_steps: int) -> IntegratedCurve:
     """Trace the integral curve of ``v`` from ``z0`` with fixed-step RK4.
 
-    Stops early (recording the reason) when ``stop`` fires at a committed
-    point or when the field cannot be evaluated at a stage point.
+    Ends early, recording the reason, when the field cannot be evaluated at
+    a stage point, or at the start of a step whose second stage slope turns
+    back from its first (``k1 . k2 <= 0``, read before k3 and k4).  For a
+    unit field the latter happens only across a point where the field flips
+    direction, or where the curve bends by more than pi/step.
     """
     if step <= 0.0:
         raise ValueError("step must be positive")
@@ -295,12 +299,13 @@ def rk4_integrate(v: Callable[[float, float], Sequence[float]],
     stages = array("d")
     reason = None
     x, y = pts[0]
-    if stop is not None and stop(x, y):
-        return IntegratedCurve(np.array(pts), "stop predicate at start", np.empty((0, 4)))
     for _ in range(n_steps):
         try:
             k1x, k1y = _eval_field(v, x, y)
             k2x, k2y = _eval_field(v, x + 0.5 * step * k1x, y + 0.5 * step * k1y)
+            if k1x * k2x + k1y * k2y <= 0.0:
+                reason = TURN_BACK
+                break
             k3x, k3y = _eval_field(v, x + 0.5 * step * k2x, y + 0.5 * step * k2y)
             k4x, k4y = _eval_field(v, x + step * k3x, y + step * k3y)
         except (FieldUndefined, StencilOutOfDomain) as err:
@@ -310,9 +315,6 @@ def rk4_integrate(v: Callable[[float, float], Sequence[float]],
         y += step * (k1y + 2.0 * k2y + 2.0 * k3y + k4y) / 6.0
         pts.append((x, y))
         stages.extend((k1x, k1y, k2x, k2y))
-        if stop is not None and stop(x, y):
-            reason = "stop predicate"
-            break
     return IntegratedCurve(np.array(pts), reason, np.array(stages).reshape(-1, 4))
 
 

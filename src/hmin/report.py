@@ -52,12 +52,11 @@ class Report:
     defaults: dict = field(default_factory=dict)
     outputs: list[str] = field(default_factory=list)
     wall_time_s: float = 0.0
-    error: Optional[str] = None
     result: Optional[dict] = None   # command-specific payload (e.g. a verdict)
 
     @property
     def passed(self) -> bool:
-        return self.error is None and all(c.passed for c in self.checks)
+        return all(c.passed for c in self.checks)
 
     def add(self, check: Check) -> Check:
         self.checks.append(check)
@@ -72,7 +71,6 @@ class Report:
             "defaults": self.defaults,
             "outputs": self.outputs,
             "wall_time_s": self.wall_time_s,
-            "error": self.error,
         }
         if self.result is not None:
             out["result"] = self.result

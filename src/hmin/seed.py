@@ -18,7 +18,6 @@ which degenerates exactly on the singular locus {r = 1/kappa(s)}.
 
 from __future__ import annotations
 
-import math
 from array import array
 from bisect import bisect_left
 from dataclasses import dataclass, field
@@ -139,14 +138,19 @@ def extract_seed(patch: GraphPatch, z0: tuple[float, float], arc_span: float,
                  step: float = RK4_STEP) -> SeedCurve:
     """Trace the seed curve of a graph patch through z0, both directions.
 
-    Stops at the domain boundary or where W drops below 10*EPS_CHAR
-    (recording the reason; the limit point is not claimed).  Second
+    A branch ends where the unit field is undefined (off the domain, or
+    W <= EPS_CHAR) or where it turns back, as it does across a
+    characteristic point (the tracer's stop rule, recorded as the stop
+    reason).  The end sample then lies within one step of the
+    characteristic point, so its curvature carries stencil error.  Second
     derivatives come from differencing the unit field at x +- (step/2)
     gamma'.  Where a step starts, the tracer has already evaluated both the
     tangent (its k1) and one side of that stencil (its k2: the + side on the
     forward branch, the - side on the backward one); the field is evaluated
     here only at the branch ends and on the other side of the stencil.
     """
+    if not patch.domain.contains(*z0):
+        raise FieldUndefined(f"z0={z0} outside the patch domain")
     data = horizontal_data(patch, z0)
     if data.nu is None:
         raise CharacteristicStart(f"W={data.w} <= {EPS_CHAR} at {z0}")
@@ -156,16 +160,9 @@ def extract_seed(patch: GraphPatch, z0: tuple[float, float], arc_span: float,
         vx, vy = nu(x, y)
         return (-vx, -vy)
 
-    def stop(x: float, y: float) -> bool:
-        try:
-            hd = horizontal_data(patch, (x, y), 0.0)
-        except (FieldUndefined, StencilOutOfDomain):
-            return True
-        return (not math.isfinite(hd.w)) or hd.w < 10.0 * EPS_CHAR
-
     n_steps = max(1, int(round(arc_span / step)))
-    fwd = rk4_integrate(nu, z0, step, n_steps, stop)
-    back = rk4_integrate(nu_back, z0, step, n_steps, stop)
+    fwd = rk4_integrate(nu, z0, step, n_steps)
+    back = rk4_integrate(nu_back, z0, step, n_steps)
 
     n_b = len(back.points) - 1
     pts = np.vstack([back.points[::-1][:-1], fwd.points])

@@ -103,11 +103,11 @@ def _pq(patch: GraphPatch, x: float, y: float, jet: Optional[tuple] = None) -> t
 
 
 def horizontal_data(patch: GraphPatch, z: tuple[float, float],
-                    eps_char: float = EPS_CHAR, jet: Optional[tuple] = None) -> HorizontalData:
+                    jet: Optional[tuple] = None) -> HorizontalData:
     """p, q, W and nu at z; ``jet`` is the field's jet at z, if the caller has it."""
     p, q = _pq(patch, z[0], z[1], jet)
     w = math.hypot(p, q)
-    nu = (p / w, q / w) if w > eps_char else None
+    nu = (p / w, q / w) if w > EPS_CHAR else None
     return HorizontalData(p, q, w, nu)
 
 
@@ -450,36 +450,42 @@ def characteristic_scan(patch: GraphPatch, grid: Grid2, eps: float) -> Character
 # ---------------------------------------------------------------------------
 
 
+class _Compiled(NamedTuple):
+    """The evaluators ``ImplicitSurface.from_expr`` compiles, in (x, y, t)."""
+
+    pq: Callable     # (p, q)
+    dt: Callable     # phi_t
+    curv: Callable   # (p, q, p_x, p_y, p_t, q_x, q_y, q_t)
+
+
 @dataclass
 class ImplicitSurface:
     """Level set phi = 0 with an orientation flag (+1 keeps phi, -1 negates it)."""
 
     phi: Callable[[float, float, float], float]
     orientation: int = 1
-    _sym: Optional[dict] = None
+    _sym: Optional[_Compiled] = None  # without it, derivatives difference phi
 
     @staticmethod
     def from_expr(src: str, orientation: int = 1) -> "ImplicitSurface":
         tree = ex.parse(src)
-        phi = ex.compile_fn(tree, ("x", "y", "t"))
-        dx = ex.differentiate(tree, "x")
-        dy = ex.differentiate(tree, "y")
+        xyt = ("x", "y", "t")
         dt = ex.differentiate(tree, "t")
         half_y = ex.div(ex.Var("y"), ex.Num(2.0))
         half_x = ex.div(ex.Var("x"), ex.Num(2.0))
-        p_tree = ex.sub(dx, ex.mul(half_y, dt))            # X1 phi
-        q_tree = ex.add(dy, ex.mul(half_x, dt))            # X2 phi
-        sym = {"p": p_tree, "q": q_tree, "dt": dt}
-        for name, tree2 in (("p", p_tree), ("q", q_tree)):
-            for var in ("x", "y", "t"):
-                sym[f"{name}_{var}"] = ex.differentiate(tree2, var)
-        compiled = {k: ex.compile_fn(v, ("x", "y", "t")) for k, v in sym.items()}
-        return ImplicitSurface(phi=phi, orientation=orientation, _sym=compiled)
+        p = ex.sub(ex.differentiate(tree, "x"), ex.mul(half_y, dt))   # X1 phi
+        q = ex.add(ex.differentiate(tree, "y"), ex.mul(half_x, dt))   # X2 phi
+        curv = [p, q] + [ex.differentiate(f, v) for f in (p, q) for v in xyt]
+        compiled = _Compiled(ex.compile_fn([p, q], xyt), ex.compile_fn(dt, xyt),
+                             ex.compile_fn(curv, xyt))
+        return ImplicitSurface(phi=ex.compile_fn(tree, xyt), orientation=orientation,
+                               _sym=compiled)
 
     def _pq(self, x: float, y: float, t: float) -> tuple[float, float]:
         o = float(self.orientation)
         if self._sym is not None:
-            return (o * self._sym["p"](x, y, t), o * self._sym["q"](x, y, t))
+            p, q = self._sym.pq(x, y, t)
+            return (o * p, o * q)
         h = FD_STEP
         phix = (self.phi(x + h, y, t) - self.phi(x - h, y, t)) / (2.0 * h)
         phiy = (self.phi(x, y + h, t) - self.phi(x, y - h, t)) / (2.0 * h)
@@ -504,26 +510,22 @@ class ImplicitSurface:
         return (fp - fm) / (2.0 * h)
 
     def h_mean_curvature(self, g: HPoint) -> float:
-        p, q = self._pq(g.x, g.y, g.t)
+        x, y, t = g.x, g.y, g.t
+        if self._sym is not None:
+            o = float(self.orientation)
+            p, q, p_x, p_y, p_t, q_x, q_y, q_t = self._sym.curv(x, y, t)
+            p, q = o * p, o * q
+            x1p, x2p = o * (p_x - 0.5 * y * p_t), o * (p_y + 0.5 * x * p_t)
+            x1q, x2q = o * (q_x - 0.5 * y * q_t), o * (q_y + 0.5 * x * q_t)
+        else:
+            p, q = self._pq(x, y, t)
+            pf = lambda x, y, t: self._pq(x, y, t)[0]  # noqa: E731
+            qf = lambda x, y, t: self._pq(x, y, t)[1]  # noqa: E731
+            x1p, x2p = self._x_derivative(pf, g, 1), self._x_derivative(pf, g, 2)
+            x1q, x2q = self._x_derivative(qf, g, 1), self._x_derivative(qf, g, 2)
         w = math.hypot(p, q)
         if w <= EPS_CHAR:
             raise CharacteristicPoint(f"W={w} at {g}")
-        o = float(self.orientation)
-        if self._sym is not None:
-            s = self._sym
-            x, y, t = g.x, g.y, g.t
-            x1p = s["p_x"](x, y, t) - 0.5 * y * s["p_t"](x, y, t)
-            x2p = s["p_y"](x, y, t) + 0.5 * x * s["p_t"](x, y, t)
-            x1q = s["q_x"](x, y, t) - 0.5 * y * s["q_t"](x, y, t)
-            x2q = s["q_y"](x, y, t) + 0.5 * x * s["q_t"](x, y, t)
-            x1p, x2p, x1q, x2q = o * x1p, o * x2p, o * x1q, o * x2q
-        else:
-            pf = lambda x, y, t: self._pq(x, y, t)[0]  # noqa: E731
-            qf = lambda x, y, t: self._pq(x, y, t)[1]  # noqa: E731
-            x1p = self._x_derivative(pf, g, 1)
-            x2p = self._x_derivative(pf, g, 2)
-            x1q = self._x_derivative(qf, g, 1)
-            x2q = self._x_derivative(qf, g, 2)
         return (q * q * x1p + p * p * x2q - p * q * (x1q + x2p)) / _cube(w)
 
     def flipped(self) -> "ImplicitSurface":
@@ -537,7 +539,7 @@ class ImplicitSurface:
             if abs(val) < 1e-12:
                 return t
             if self._sym is not None:
-                dt = self._sym["dt"](x, y, t)
+                dt = self._sym.dt(x, y, t)
             else:
                 dt = (self.phi(x, y, t + FD_STEP) - self.phi(x, y, t - FD_STEP)) / (2.0 * FD_STEP)
             if dt == 0.0 or not math.isfinite(dt):

@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from hmin.errors import FieldUndefined, StencilOutOfDomain
-from hmin.fields import (Grid2, PlanarDomain, Profile, ScalarField2,
-                         adaptive_simpson, cumulative_integral, rk4_integrate,
-                         square)
+from hmin.fields import (TURN_BACK, Grid2, PlanarDomain, Profile, ScalarField2,
+                         adaptive_simpson, cumulative_integral, rk4_integrate, square)
 
 
 def test_fd_gradient_of_product():
@@ -181,23 +180,23 @@ def test_rk4_early_stop_on_undefined_field():
     assert out.end[0] <= 0.55
 
 
-def test_rk4_stop_predicate():
-    out = rk4_integrate(lambda x, y: (1.0, 0.0), (0.0, 0.0), 0.1, 100,
-                        stop=lambda x, y: x >= 0.35)
-    assert out.stop_reason == "stop predicate"
-    assert out.end[0] == pytest.approx(0.4)
-
-
 def test_rk4_stages_are_k1_and_k2_of_each_step():
     step = 0.05
-    out = rk4_integrate(circle_field, (1.0, 0.0), step, 40, stop=lambda x, y: y < -0.5)
+    out = rk4_integrate(circle_field, (1.0, 0.0), step, 40)
     assert out.stages.shape == (len(out.points) - 1, 4)
     for (x, y), (k1x, k1y, k2x, k2y) in zip(out.points[:-1].tolist(), out.stages.tolist()):
         assert (k1x, k1y) == circle_field(x, y)
         assert (k2x, k2y) == circle_field(x + 0.5 * step * k1x, y + 0.5 * step * k1y)
     assert rk4_integrate(circle_field, (0.0, 0.0), step, 10).stages.shape == (0, 4)
-    assert rk4_integrate(circle_field, (1.0, 0.0), step, 10,
-                         stop=lambda x, y: True).stages.shape == (0, 4)
+
+
+def test_rk4_ends_where_the_field_turns_back():
+    # the unit field flips at x = 0.35: the step from x = 0.3 reads k2 there
+    # beyond the flip, so the trace ends at x = 0.3 before taking that step
+    out = rk4_integrate(lambda x, y: (1.0 if x < 0.35 else -1.0, 0.0), (0.0, 0.0), 0.1, 100)
+    assert out.stop_reason == TURN_BACK
+    assert len(out.points) == 4 and out.stages.shape == (3, 4)
+    assert out.end == (pytest.approx(0.3), 0.0)
 
 
 def test_rk4_rejects_bad_step():

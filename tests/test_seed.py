@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from hmin import seed as seed_module
-from hmin.errors import CharacteristicStart, OutOfRange
-from hmin.fields import RK4_STEP, PlanarDomain, ScalarField2, square
+from hmin.errors import CharacteristicStart, FieldUndefined, OutOfRange
+from hmin.fields import RK4_STEP, TURN_BACK, PlanarDomain, ScalarField2, square
 from hmin.gallery import circle_seed, gallery_get, gallery_names, line_seed, optreg2_seed
 from hmin.seed import (_RANGE_SLOP, SeedCurve, curvature, extract_seed, rule_jacobian_det,
                        rule_jacobian_det_fd, rule_point, singular_locus)
@@ -13,6 +13,7 @@ from hmin.surface import GraphPatch, unit_horizontal_field
 
 FLAT = GraphPatch.from_expr("0", square(3.0))
 HYP = GraphPatch.from_expr("x*y/2", square(3.0))
+PARAB = GraphPatch.from_expr("(x^2+y^2)/4", square(3.0))  # characteristic at the origin
 CATENOID = GraphPatch.from_expr(
     "sqrt((x^2+y^2)/2 - 1)",
     PlanarDomain(-4, 4, -4, 4, lambda x, y: x * x + y * y > 2.05))
@@ -47,6 +48,11 @@ def test_extraction_rejects_characteristic_start():
         extract_seed(FLAT, (0.0, 0.0), 1.0)
     with pytest.raises(CharacteristicStart):
         extract_seed(HYP, (1.0, 0.0), 1.0)
+
+
+def test_extraction_rejects_a_start_outside_the_domain():
+    with pytest.raises(FieldUndefined, match=r"z0=\(5\.0, 1\.0\)"):
+        extract_seed(HYP, (5.0, 1.0), 1.0)
 
 
 def test_extraction_stops_at_domain_boundary():
@@ -284,17 +290,20 @@ def _two_sided_stencil(patch, c):
 
 
 # (first and last s in steps, stop_lo, stop_hi) of each trace, as extracted
-# by the tracer that evaluated every tangent and stencil side itself
+# by the tracer that evaluated every tangent and stencil side itself; the
+# cylinder and PARAB traces end where the unit field turns back across a
+# characteristic point
 EXTRACTED = {
     "char-plane": (-3142, 3142, None, None),
     "general-plane": (-1571, 1571, None, None),
     "hyperbolic": (-1500, 1500, None, None),
     "catenoid": (-1000, 1000, None, None),
     "counterexample": (-850, 850, None, None),
-    "cylinder": (-900, 900, None, None),
+    "cylinder": (-707, 900, TURN_BACK, None),
     "gencurve-n": (-700, 700, None, None),
     "FLAT": (-3142, 3142, None, None),
     "HYP": (-1400, 1400, None, None),
+    "PARAB": (-3000, 1414, None, TURN_BACK),
     "CATENOID": (-1000, 688, None,
                  "FieldUndefined: (1.3992626836893491, 0.30309023330021556) "
                  "outside the patch domain"),
@@ -311,7 +320,7 @@ def test_extracted_tangents_and_seconds_match_direct_evaluation():
              for name, e in ((n, gallery_get(n)) for n in gallery_names())
              if e.graph is not None and e.seed_base is not None]
     cases += [("FLAT", FLAT, (1.0, 0.0), math.pi), ("HYP", HYP, (0.0, 1.0), 1.4),
-              ("CATENOID", CATENOID, (2.0, 0.0), 1.0),
+              ("CATENOID", CATENOID, (2.0, 0.0), 1.0), ("PARAB", PARAB, (1.0, 0.0), 3.0),
               ("HYP-fd", HYP.fd_only(), (0.0, 1.0), 4.0)]  # both ends at the domain edge
     assert sorted(name for name, *_ in cases) == sorted(EXTRACTED)
     for name, patch, z0, span in cases:
@@ -319,6 +328,7 @@ def test_extracted_tangents_and_seconds_match_direct_evaluation():
         k_lo, k_hi, stop_lo, stop_hi = EXTRACTED[name]
         assert c.s.tobytes() == (np.arange(k_lo, k_hi + 1) * RK4_STEP).tobytes(), name
         assert (c.stop_lo, c.stop_hi) == (stop_lo, stop_hi), name
+        assert np.hypot(*np.diff(c.g, axis=0).T).min() >= 0.5 * RK4_STEP, name
         nu = unit_horizontal_field(patch)
         for (x, y), d in zip(c.g.tolist(), c.dg.tolist()):
             assert repr(tuple(d)) == repr(nu(x, y)), name
@@ -342,7 +352,7 @@ def test_undefined_stencil_side_falls_back_to_tangent_differences():
     assert d.ddg[others].tobytes() == c.ddg[others].tobytes()
 
 
-def test_tracing_costs_at_most_six_gradients_per_step(monkeypatch):
+def test_tracing_costs_at_most_five_gradients_per_step(monkeypatch):
     gradients, steps = [0], [0]
     gradient, rk4 = ScalarField2.gradient, seed_module.rk4_integrate
 
@@ -359,7 +369,7 @@ def test_tracing_costs_at_most_six_gradients_per_step(monkeypatch):
     monkeypatch.setattr(seed_module, "rk4_integrate", counted_rk4)
     extract_seed(HYP, (0.0, 1.0), 1.0)
     assert steps[0] == 2000
-    # per step: four RK4 stages, the stop test and one stencil side; once per
-    # seed: the check at z0, the stop test at z0 on each branch and the
-    # tangent and both stencil sides at each of the two branch ends
-    assert gradients[0] <= 6 * steps[0] + 9
+    # per step: four RK4 stages and one stencil side; once per seed: the
+    # check at z0, and at each branch end the tangent and the stencil side
+    # that a step starting there would have read
+    assert gradients[0] <= 5 * steps[0] + 5
