@@ -250,25 +250,29 @@ def cmd_verify(args, spec: dict, report: Report) -> None:
         dev = gal.max_curvature_deviation(patch, patch.domain, nx, ny)
         report.add(check_leq("max_abs_h_curvature", dev, tol))
         scan = characteristic_scan(patch, Grid2(patch.domain, nx, ny), EPS_CHAR)
-        report.add(check_flag("characteristic_scan", True,
-                              note=f"{len(scan.components)} component(s)"))
+        note = f"{len(scan.components)} component(s)"
+        if scan.undefined_w:
+            note += f", {scan.undefined_w} node(s) where W is not finite"
+        report.add(check_flag("characteristic_scan", True, note=note))
     elif spec["kind"] == "implicit":
         surf = implicit_from_spec(spec)
         imp = spec["implicit"]
         t_guess = imp.get("t0", 0.0)
-        values, skipped = [], 0
+        values, near, no_height = [], 0, 0
         for x, y in Grid2(_domain_of(imp.get("window")), nx, ny).nodes:
             try:
                 g = HPoint(x, y, surf.solve_height(x, y, t_guess))
-                if surf.horizontal_data(g).w <= gal.W_MARGIN:
-                    skipped += 1
-                    continue
-                values.append(surf.h_mean_curvature(g))
             except HminError:
-                skipped += 1
+                no_height += 1
+                continue
+            if surf.horizontal_data(g).w <= gal.W_MARGIN:
+                near += 1
+                continue
+            values.append(surf.h_mean_curvature(g))
         measured = worst_abs(values) if values else math.nan
         report.add(check_leq("max_abs_h_curvature", measured, gal.TOL_H_ANALYTIC,
-                             note=f"{skipped} nodes skipped"))
+                             note=f"{len(values)} nodes evaluated, {near} near the "
+                                  f"characteristic set, {no_height} without a height"))
     else:
         patch = ruled_from_spec(spec)
         worst = worst_abs(curvature_on_patch(patch, s, r) for s, r in chart_samples(patch, 9))

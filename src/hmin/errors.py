@@ -11,7 +11,11 @@ class HminError(Exception):
 
 
 class StencilOutOfDomain(HminError):
-    """A finite-difference stencil point left the field's domain."""
+    """A finite-difference stencil point left the field's domain.
+
+    Raised for a chunk of nodes, it records the index of the failing node
+    in the chunk as ``node``.
+    """
 
 
 class FieldUndefined(HminError):

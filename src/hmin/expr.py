@@ -19,7 +19,8 @@ domain errors (log of a negative number, division by zero, ...); such
 values become NaN and propagate.
 
 ``evaluate`` walks a tree and is the oracle; ``compile_fn`` generates one
-straight-line function for a list of trees that returns the same floats.
+straight-line function for a list of trees, over floats or over arrays,
+that returns the same floats.
 The simplifications used by ``differentiate`` include ``mul(0, u) -> 0``,
 which keeps derivative trees small but drops u's NaN domain:
 ``0*sqrt(x)`` is NaN at x = -1, while its x-derivative there is 0.  A
@@ -33,7 +34,10 @@ import math
 import operator
 import re
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Iterable, Sequence, Union
+
+import numpy as np
 
 from .errors import ParseError, SpecError
 
@@ -321,8 +325,33 @@ def evaluate(e: Expr, env: dict[str, float]) -> float:
     raise TypeError(f"not an Expr: {e!r}")
 
 
-# The functions the generated code calls: the ones ``evaluate`` uses.
+def pointwise(fn: Callable[..., float], *args) -> np.ndarray:
+    """``fn`` at each element of equally long 1-d arrays (a float argument
+    is the same at every element), as a float array.
+
+    Each element is the very float ``fn`` returns there, so an array path
+    built from this agrees bit for bit with the scalar path.
+    """
+    n = next(len(a) for a in args if isinstance(a, np.ndarray))
+    cols = (a.tolist() if isinstance(a, np.ndarray) else [a] * n for a in args)
+    return np.fromiter(map(fn, *cols), dtype=float, count=n)
+
+
+def _array_div(a, b):
+    return np.where(b == 0.0, _NAN, a / b)
+
+
+# The functions the generated code calls.  Over floats they are the ones
+# ``evaluate`` uses.  Over arrays, / sqrt abs are numpy operations, which
+# IEEE 754 rounds exactly as the float ones (``div`` keeps the NaN rule);
+# every other entry applies the float function at each element, because
+# numpy's transcendentals and powers differ from the C library's in the
+# last bit, and its sign(-0) is -0.  See docs/grammar.md.
 _TABLE: dict[str, Callable] = {"div": safe_div, "pow": safe_pow, **FUNCTIONS}
+_ARRAY_TABLE: dict[str, Callable] = {
+    **{name: partial(pointwise, fn) for name, fn in _TABLE.items()},
+    "div": _array_div, "sqrt": np.sqrt, "abs": np.abs,
+}
 
 # node type -> (code template, scalar function folding constant operands)
 _BINARY: dict[type, tuple[str, Callable[[float, float], float]]] = {
@@ -334,7 +363,8 @@ _BINARY: dict[type, tuple[str, Callable[[float, float], float]]] = {
 }
 
 
-def compile_fn(e: Union[Expr, Sequence[Expr]], var_order: Iterable[str]) -> Callable:
+def compile_fn(e: Union[Expr, Sequence[Expr]], var_order: Iterable[str],
+               array: bool = False) -> Callable:
     """Compile one tree, or a list of trees, into a positional-argument function.
 
     The trees are hash-consed into one DAG, so a subexpression they share is
@@ -342,11 +372,13 @@ def compile_fn(e: Union[Expr, Sequence[Expr]], var_order: Iterable[str]) -> Call
     returns one value for a tree and a tuple for a list.  Subtrees without
     variables are folded at compile time.  The operations and their order
     are those of ``evaluate``, so every result is the float it returns, NaN
-    included (see docs/grammar.md).
+    included (see docs/grammar.md).  With ``array`` the arguments are
+    equally long 1-d float arrays and every result is an array of their
+    length, each element the float of the scalar code at that point.
     """
     many = isinstance(e, (list, tuple))
     params = {name: f"a{i}" for i, name in enumerate(var_order)}
-    namespace: dict[str, object] = dict(_TABLE)
+    namespace: dict[str, object] = dict(_ARRAY_TABLE if array else _TABLE)
     lines: list[str] = []
     numbered: dict[str, str] = {}              # code of an operation -> its local name
     seen: dict[int, Union[str, float]] = {}    # id(node) -> local name or constant
@@ -394,9 +426,19 @@ def compile_fn(e: Union[Expr, Sequence[Expr]], var_order: Iterable[str]) -> Call
         seen[id(node)] = out
         return out
 
-    outs = [text(visit(t)) for t in (e if many else [e])]
+    results = [visit(t) for t in (e if many else [e])]
+    outs = [text(r) for r in results]
+    args = list(params.values())
+    if array:
+        # a result that is a constant or an argument gets an array of its own
+        namespace["full"] = np.full
+        outs = [o if isinstance(r, str) and r not in args else f"full(len(a0), {o})"
+                for r, o in zip(results, outs)]
+        # IEEE results such as inf - inf = NaN are the point, not a warning
+        namespace["errstate"] = np.errstate
+        lines = ['with errstate(all="ignore"):', *(f"    {line}" for line in lines or ["pass"])]
     ret = f"({', '.join(outs)},)" if many else outs[0]
-    src = "\n    ".join([f"def compiled({', '.join(params.values())}):", *lines, f"return {ret}"])
+    src = "\n    ".join([f"def compiled({', '.join(args)}):", *lines, f"return {ret}"])
     exec(compile(src, "<hmin.expr.compile_fn>", "exec"), namespace)
     return namespace["compiled"]
 

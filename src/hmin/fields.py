@@ -2,7 +2,9 @@
 
 A ScalarField2 evaluates a function on a planar domain together with its
 first and second derivatives, either from analytic evaluators or by
-central finite differences.  The module also provides the fixed-step RK4
+central finite differences.  Its ``jet`` takes one point or a chunk of
+points (1-d arrays of at most ``CHUNK`` nodes, from ``chunks``); the
+other evaluators take one point.  The module also provides the fixed-step RK4
 integrator used for seed-curve tracing and an adaptive Simpson rule used
 for integral-defined curves.  The integrator returns the first two stage
 slopes (k1, k2) of every step, which seed tracing reuses, and ends a trace
@@ -23,8 +25,9 @@ from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass, replace
-from typing import Callable, Optional, Sequence
+from dataclasses import dataclass, field, replace
+from itertools import repeat
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -37,6 +40,9 @@ PROFILE_STEP = 1e-6
 RK4_STEP = 1e-3
 SIMPSON_TOL = 1e-10
 TURN_BACK = "field turns back: k1 . k2 <= 0"  # rk4_integrate's own stop reason
+# nodes per array evaluation: bounds the temporaries generated array code
+# keeps alive at once
+CHUNK = 1024
 
 
 @dataclass(frozen=True)
@@ -54,9 +60,23 @@ class PlanarDomain:
             return False
         return self.membership is None or bool(self.membership(x, y))
 
+    def contains_all(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """``contains`` at every point (x[i], y[i]), as a boolean array."""
+        inside = (self.xmin <= x) & (x <= self.xmax) & (self.ymin <= y) & (y <= self.ymax)
+        if self.membership is not None:
+            inside[inside] = [bool(self.membership(a, b))
+                              for a, b in zip(x[inside].tolist(), y[inside].tolist())]
+        return inside
+
 
 def square(half: float) -> PlanarDomain:
     return PlanarDomain(-half, half, -half, half)
+
+
+def _stencil_points(x, y, h: float) -> tuple:
+    """The 8 points around (x, y) that the stencils of step h read, in the order they are checked."""
+    return ((x + h, y), (x - h, y), (x, y + h), (x, y - h),
+            (x + h, y + h), (x + h, y - h), (x - h, y + h), (x - h, y - h))
 
 
 @dataclass
@@ -70,6 +90,9 @@ class ScalarField2:
     obtained by differencing the gradient at ``fd_step`` and symmetrizing
     the mixed partials.  Fields without an analytic Hessian are *stencil
     fields*: their derivatives read f around (x, y), inside ``domain``.
+    ``exprs`` holds the trees of an expression-backed field: f, then, when
+    analytic, (fx, fy, fxx, fxy, fyy); ``jet`` compiles them for arrays on
+    the first chunk it is given.
     """
 
     f: Callable[[float, float], float]
@@ -79,36 +102,63 @@ class ScalarField2:
     domain: Optional[PlanarDomain] = None
     source: Optional[str] = None  # expression text when expr-backed
     jet_eval: Optional[Callable[[float, float], tuple]] = None  # (f, fx, fy, fxx, fxy, fyy)
+    exprs: tuple[ex.Expr, ...] = ()
+    _array: Optional[Callable] = field(default=None, init=False, repr=False, compare=False)
 
     # -- evaluation ---------------------------------------------------------
 
     def value(self, x: float, y: float) -> float:
         return self.f(x, y)
 
-    def _check_stencil(self, x: float, y: float, h: float):
+    def _check_stencil(self, x, y, h: float):
         dom = self.domain
         if dom is None:
             return
+        if isinstance(x, np.ndarray):
+            return self._check_stencils(x, y, h)
         # the bounds of all 8 points at once: rounding is monotone and NaN
         # fails both forms, so this accepts exactly what the loop accepts
         inside = dom.xmin <= x - h and x + h <= dom.xmax and dom.ymin <= y - h and y + h <= dom.ymax
         if inside and dom.membership is None:
             return
-        points = ((x + h, y), (x - h, y), (x, y + h), (x, y - h),
-                  (x + h, y + h), (x + h, y - h), (x - h, y + h), (x - h, y - h))
+        points = _stencil_points(x, y, h)
         if inside and all(dom.membership(px, py) for px, py in points):
             return
         for px, py in points:
             if not dom.contains(px, py):
                 raise StencilOutOfDomain(f"stencil point ({px}, {py}) outside domain")
 
-    def _fd_gradient(self, x: float, y: float) -> tuple[float, float]:
-        h = self.fd_step
-        self._check_stencil(x, y, h)
-        return ((self.f(x + h, y) - self.f(x - h, y)) / (2.0 * h),
-                (self.f(x, y + h) - self.f(x, y - h)) / (2.0 * h))
+    def _check_stencils(self, x: np.ndarray, y: np.ndarray, h: float):
+        """``_check_stencil`` at each node of a chunk: raises for the first
+        failing node, and the error records its index as ``node``."""
+        ok = np.logical_and.reduce([self.domain.contains_all(px, py)
+                                    for px, py in _stencil_points(x, y, h)])
+        if not ok.all():
+            i = int(np.argmin(ok))
+            try:
+                self._check_stencil(float(x[i]), float(y[i]), h)
+            except StencilOutOfDomain as err:
+                err.node = i
+                raise
 
-    def _stencil_hessian(self, x: float, y: float, f00: Optional[float] = None):
+    def _compiled(self) -> Callable:
+        """The array code of ``exprs``, compiled on the first chunk."""
+        if self._array is None:
+            trees = self.exprs if len(self.exprs) > 1 else self.exprs[0]
+            self._array = ex.compile_fn(trees, ("x", "y"), array=True)
+        return self._array
+
+    def _values(self, x) -> Callable:
+        """The evaluator of f at a point, or at a chunk of an expression-backed stencil field."""
+        return self._compiled() if isinstance(x, np.ndarray) else self.f
+
+    def _fd_gradient(self, x, y) -> tuple:
+        f, h = self._values(x), self.fd_step
+        self._check_stencil(x, y, h)
+        return ((f(x + h, y) - f(x - h, y)) / (2.0 * h),
+                (f(x, y + h) - f(x, y - h)) / (2.0 * h))
+
+    def _stencil_hessian(self, x, y, f00=None):
         """(fxx, fxy, fyy) of a stencil field; ``f00`` is f(x, y) if known."""
         if self.grad is not None:
             h = self.fd_step
@@ -121,13 +171,12 @@ class ScalarField2:
             fxy = 0.5 * ((gyp[0] - gym[0]) / (2.0 * h) + (gxp[1] - gxm[1]) / (2.0 * h))
             return (fxx, fxy, fyy)
         # 9-point symmetric stencil on values
-        h = HESS_STEP
+        f, h = self._values(x), HESS_STEP
         self._check_stencil(x, y, h)
-        f00 = self.f(x, y) if f00 is None else f00
-        fxx = (self.f(x + h, y) - 2.0 * f00 + self.f(x - h, y)) / (h * h)
-        fyy = (self.f(x, y + h) - 2.0 * f00 + self.f(x, y - h)) / (h * h)
-        fxy = (self.f(x + h, y + h) - self.f(x + h, y - h)
-               - self.f(x - h, y + h) + self.f(x - h, y - h)) / (4.0 * h * h)
+        f00 = f(x, y) if f00 is None else f00
+        fxx = (f(x + h, y) - 2.0 * f00 + f(x - h, y)) / (h * h)
+        fyy = (f(x, y + h) - 2.0 * f00 + f(x, y - h)) / (h * h)
+        fxy = (f(x + h, y + h) - f(x + h, y - h) - f(x - h, y + h) + f(x - h, y - h)) / (4.0 * h * h)
         return (fxx, fxy, fyy)
 
     def gradient(self, x: float, y: float) -> tuple[float, float]:
@@ -140,14 +189,25 @@ class ScalarField2:
         fxx, fxy, fyy = self._stencil_hessian(x, y)
         return ((fxx, fxy), (fxy, fyy))
 
-    def jet(self, x: float, y: float, first: Optional[tuple] = None) -> tuple:
+    def jet(self, x, y, first: Optional[tuple] = None) -> tuple:
         """The 2-jet ``(f, fx, fy, fxx, fxy, fyy)`` at (x, y), each read once.
 
         A stencil field builds it in two steps, so that a scan can filter on
         the gradient before the Hessian stencil is checked: ``jet(x, y)``
         returns the 1-jet ``(f, fx, fy)`` and ``jet(x, y, first)`` completes
         it.  Other fields return the 2-jet at once, and pass it back as is.
+
+        x and y may also be a non-empty chunk of nodes; the jet is then a
+        tuple of arrays whose elements are the floats of the scalar jet at
+        each node.  An expression-backed field evaluates them with array
+        code, any other field with its scalar jet at each node.  A stencil
+        check that fails raises for the first failing node of the chunk, and
+        the error records its index in the chunk as ``node``.
         """
+        if isinstance(x, np.ndarray):
+            # IEEE results such as inf - inf = NaN are the point, not a warning
+            with np.errstate(all="ignore"):
+                return self._chunk_jet(x, y, first)
         if first is not None:
             return first if self.hess is not None else first + self._stencil_hessian(x, y, first[0])
         if self.jet_eval is not None:
@@ -158,6 +218,27 @@ class ScalarField2:
         (fxx, fxy), (_, fyy) = self.hess(x, y)
         return first + (fxx, fxy, fyy)
 
+    def _chunk_jet(self, x: np.ndarray, y: np.ndarray, first: Optional[tuple]) -> tuple:
+        if not self.exprs:
+            return self._jet_each(x, y, first)
+        if first is not None:
+            return first if self.hess is not None else first + self._stencil_hessian(x, y, first[0])
+        if self.hess is not None:
+            return self._compiled()(x, y)
+        return (self._compiled()(x, y), *self._fd_gradient(x, y))
+
+    def _jet_each(self, x: np.ndarray, y: np.ndarray, first: Optional[tuple]) -> tuple:
+        """``jet`` at each node of a chunk, point by point."""
+        firsts = zip(*(a.tolist() for a in first)) if first is not None else repeat(None)
+        rows = []
+        for i, (px, py, node_first) in enumerate(zip(x.tolist(), y.tolist(), firsts)):
+            try:
+                rows.append(self.jet(px, py, node_first))
+            except StencilOutOfDomain as err:
+                err.node = i
+                raise
+        return tuple(np.array(column, dtype=float) for column in zip(*rows))
+
     # -- construction -------------------------------------------------------
 
     @staticmethod
@@ -166,19 +247,20 @@ class ScalarField2:
         tree = ex.parse(src)
         dx = ex.differentiate(tree, "x")
         dy = ex.differentiate(tree, "y")
-        jet = ex.compile_fn([tree, dx, dy, ex.differentiate(dx, "x"), ex.differentiate(dx, "y"),
-                             ex.differentiate(dy, "y")], ("x", "y"))
+        trees = (tree, dx, dy, ex.differentiate(dx, "x"), ex.differentiate(dx, "y"),
+                 ex.differentiate(dy, "y"))
+        jet = ex.compile_fn(trees, ("x", "y"))
 
         def hess(x: float, y: float):
             _, _, _, fxx, fxy, fyy = jet(x, y)
             return ((fxx, fxy), (fxy, fyy))
 
         return ScalarField2(f=ex.compile_fn(tree, ("x", "y")), grad=ex.compile_fn([dx, dy], ("x", "y")),
-                            hess=hess, domain=domain, source=src, jet_eval=jet)
+                            hess=hess, domain=domain, source=src, jet_eval=jet, exprs=trees)
 
     def fd_only(self) -> "ScalarField2":
         """A copy that drops analytic derivative evaluators (pure FD mode)."""
-        return replace(self, grad=None, hess=None, jet_eval=None)
+        return replace(self, grad=None, hess=None, jet_eval=None, exprs=self.exprs[:1])
 
 
 def grad(f: ScalarField2, p: tuple[float, float]) -> tuple[float, float]:
@@ -195,12 +277,27 @@ class Grid2:
 
     @property
     def nodes(self) -> list[tuple[float, float]]:
-        xs, ys = (a.tolist() for a in self.lattice())
-        return [(x, y) for x in xs for y in ys if self.domain.contains(x, y)]
+        return list(zip(*(a.tolist() for a in self.points())))
 
     def lattice(self) -> tuple[np.ndarray, np.ndarray]:
         return (np.linspace(self.domain.xmin, self.domain.xmax, self.nx),
                 np.linspace(self.domain.ymin, self.domain.ymax, self.ny))
+
+    def mesh(self) -> tuple[np.ndarray, np.ndarray]:
+        """x and y of every lattice node, as (nx, ny) arrays."""
+        return np.meshgrid(*self.lattice(), indexing="ij")
+
+    def points(self) -> tuple[np.ndarray, np.ndarray]:
+        """x and y of the nodes inside the domain, x-major as in ``nodes``."""
+        x, y = self.mesh()
+        inside = self.domain.contains_all(x, y)
+        return x[inside], y[inside]
+
+
+def chunks(*arrays: np.ndarray) -> Iterator[tuple[np.ndarray, ...]]:
+    """Consecutive slices of at most CHUNK points of equally long arrays."""
+    for i in range(0, len(arrays[0]), CHUNK):
+        yield tuple(a[i:i + CHUNK] for a in arrays)
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,7 @@ def worst_abs(values: Iterable[float]) -> float:
     A NaN sample anywhere makes the result NaN, so a ``check_leq`` on it
     fails instead of the sample being silently dropped by ``max``.
     """
-    arr = np.abs(np.fromiter(values, dtype=float))
+    arr = np.abs(values if isinstance(values, np.ndarray) else np.fromiter(values, dtype=float))
     return float(arr.max()) if arr.size else 0.0
 
 

@@ -18,6 +18,12 @@ derivatives, 1e-4 in pure finite-difference mode).
 Implicit surfaces phi(x, y, t) = 0 carry an orientation flag; negating the
 orientation negates the curvature.  Curvature at characteristic points is
 deliberately left undefined: the scan reports the locus instead.
+
+``horizontal_data`` and ``h_mean_curvature`` (without the cross-check)
+also take a chunk of graph nodes, as 1-d arrays x and y together with
+the height field's jet there (``ScalarField2.jet``); every element is
+the float the same call gives at that node.  W = hypot(p, q) and W^3
+are taken per element, as numpy's differ in the last bit.
 """
 
 from __future__ import annotations
@@ -31,7 +37,7 @@ import numpy as np
 from . import expr as ex
 from .errors import (CharacteristicPoint, FieldUndefined, HminError,
                      NonPositiveRadius, NotAGraphAfterTransform)
-from .fields import FD_STEP, Grid2, PlanarDomain, Profile, ScalarField2
+from .fields import FD_STEP, Grid2, PlanarDomain, Profile, ScalarField2, chunks
 from .heis import HPoint, group_mul
 
 EPS_CHAR = 1e-9
@@ -76,7 +82,8 @@ class HorizontalData(NamedTuple):
     p: float
     q: float
     w: float
-    nu: Optional[tuple[float, float]]  # absent exactly at characteristic points
+    # absent exactly at characteristic points; on a chunk, NaN at those nodes
+    nu: Optional[tuple[float, float]]
 
 
 @dataclass(frozen=True)
@@ -97,17 +104,23 @@ class ShapeMatrix:
         return (a * v[0] + b * v[1], c * v[0] + d * v[1])
 
 
-def _pq(patch: GraphPatch, x: float, y: float, jet: Optional[tuple] = None) -> tuple[float, float]:
+def _pq(patch: GraphPatch, x, y, jet: Optional[tuple] = None) -> tuple:
     hx, hy = patch.h.gradient(x, y) if jet is None else (jet[1], jet[2])
     return (-(hx + 0.5 * y), -(hy - 0.5 * x))
 
 
-def horizontal_data(patch: GraphPatch, z: tuple[float, float],
-                    jet: Optional[tuple] = None) -> HorizontalData:
-    """p, q, W and nu at z; ``jet`` is the field's jet at z, if the caller has it."""
+def horizontal_data(patch: GraphPatch, z: tuple, jet: Optional[tuple] = None) -> HorizontalData:
+    """p, q, W and nu at z; ``jet`` is the field's jet at z, if the caller has it.
+
+    z may be a chunk of nodes (x, y), given with its jet.
+    """
     p, q = _pq(patch, z[0], z[1], jet)
-    w = math.hypot(p, q)
-    nu = (p / w, q / w) if w > EPS_CHAR else None
+    if not isinstance(p, np.ndarray):
+        w = math.hypot(p, q)
+        return HorizontalData(p, q, w, (p / w, q / w) if w > EPS_CHAR else None)
+    w = ex.pointwise(math.hypot, p, q)
+    with np.errstate(all="ignore"):
+        nu = tuple(np.where(w > EPS_CHAR, v / w, math.nan) for v in (p, q))
     return HorizontalData(p, q, w, nu)
 
 
@@ -130,30 +143,45 @@ def unit_horizontal_field(patch: GraphPatch) -> Callable[[float, float], tuple[f
     return nu
 
 
-def _cube(w: float) -> float:
+def _cube(w):
     """w ** 3, or inf where a float power would raise OverflowError."""
+    if isinstance(w, np.ndarray):
+        return ex.pointwise(_cube, w)
     try:
         return w ** 3
     except OverflowError:
         return math.inf
 
 
-def _curvature_terms(patch: GraphPatch, x: float, y: float, jet: Optional[tuple]):
-    """p, q, W and (p_x, p_y, q_x, q_y) at a non-characteristic point.
+def _curvature_terms(patch: GraphPatch, x, y, jet: Optional[tuple]):
+    """p, q, W and (p_x, p_y, q_x, q_y) at a non-characteristic point, or
+    at a chunk of them (given with its jet).
 
     W is tested before the Hessian is read (a 1-jet is completed only then).
     Without a jet the height is not read: on a chart-inverted graph it costs
     a Newton solve.
     """
     p, q = _pq(patch, x, y, jet)
-    w = math.hypot(p, q)
-    if w <= EPS_CHAR:
-        raise CharacteristicPoint(f"W={w} at ({x}, {y})")
+    if isinstance(p, np.ndarray):
+        w = ex.pointwise(math.hypot, p, q)
+        at = np.flatnonzero(w <= EPS_CHAR)
+        if at.size:
+            i = at[0]
+            raise CharacteristicPoint(f"W={float(w[i])} at ({float(x[i])}, {float(y[i])})")
+    else:
+        w = math.hypot(p, q)
+        if w <= EPS_CHAR:
+            raise CharacteristicPoint(f"W={w} at ({x}, {y})")
     if jet is None:
         (hxx, hxy), (_, hyy) = patch.h.hessian(x, y)
     else:
         _, _, _, hxx, hxy, hyy = patch.h.jet(x, y, jet)
     return p, q, w, -hxx, -(hxy + 0.5), -(hxy - 0.5), -hyy
+
+
+def _pq_form(p, q, w, p_x, p_y, q_x, q_y):
+    """The p/q-form curvature from the terms of ``_curvature_terms``."""
+    return (q * q * p_x + p * p * q_y - p * q * (q_x + p_y)) / _cube(w)
 
 
 def _curvature_div_form(patch: GraphPatch, x: float, y: float, step: float) -> float:
@@ -163,8 +191,8 @@ def _curvature_div_form(patch: GraphPatch, x: float, y: float, step: float) -> f
     return dnu1 + dnu2
 
 
-def h_mean_curvature(patch: GraphPatch, z: tuple[float, float],
-                     cross_check: bool = True, jet: Optional[tuple] = None) -> float:
+def h_mean_curvature(patch: GraphPatch, z: tuple, cross_check: bool = True,
+                     jet: Optional[tuple] = None):
     """H-mean curvature at a non-characteristic point of the patch.
 
     Returns the p/q-form value, read from ``jet`` (the field's jet at z)
@@ -172,17 +200,22 @@ def h_mean_curvature(patch: GraphPatch, z: tuple[float, float],
     independently and a disagreement beyond tolerance raises
     CurvatureMismatch.  The tolerance relaxes like (0.05/W)^3 close to the
     characteristic set, where the unit field's derivatives blow up.
+    Without the cross-check, z may be a chunk of nodes (x, y), given with
+    its jet; the result is then an array.
     """
     x, y = z
-    p, q, w, p_x, p_y, q_x, q_y = _curvature_terms(patch, x, y, jet)
-    value = (q * q * p_x + p * p * q_y - p * q * (q_x + p_y)) / _cube(w)
+    terms = _curvature_terms(patch, x, y, jet)
+    if isinstance(x, np.ndarray) and not cross_check:
+        with np.errstate(all="ignore"):
+            return _pq_form(*terms)
+    value = _pq_form(*terms)
     if cross_check:
         if patch.analytic:
             base_tol, step = 1e-8, patch.h.fd_step
         else:
             base_tol, step = 1e-4, max(patch.h.fd_step, 1e-4)
         other = _curvature_div_form(patch, x, y, step)
-        tol = base_tol * max(1.0, (0.05 / w) ** 3)
+        tol = base_tol * max(1.0, (0.05 / terms[2]) ** 3)
         if abs(value - other) > tol:
             raise CurvatureMismatch(
                 f"pq-form {value} vs divergence-form {other} at ({x}, {y}), tol {tol}")
@@ -358,6 +391,7 @@ class ScanComponent:
 @dataclass
 class CharacteristicScan:
     components: list[ScanComponent]
+    undefined_w: int = 0   # nodes where W is not finite: neither flagged nor clear
 
     @property
     def empty(self) -> bool:
@@ -390,30 +424,29 @@ def _edge_min(wfun: Callable[[float, float], float], a: tuple[float, float],
 
 
 def characteristic_scan(patch: GraphPatch, grid: Grid2, eps: float) -> CharacteristicScan:
-    """Grid nodes with W < eps, clustered, with sub-grid edge refinement."""
+    """Grid nodes with W < eps, clustered, with sub-grid edge refinement.
+
+    W is read through the height field's jet, one chunk of nodes at a time.
+    """
     def wfun(x: float, y: float) -> float:
         p, q = _pq(patch, x, y)
         return math.hypot(p, q)
 
     xs, ys = grid.lattice()
     ni, nj = len(xs), len(ys)
+    gx, gy = grid.mesh()
+    inside = grid.domain.contains_all(gx, gy)
     w = np.full((ni, nj), np.inf)
-    inside = np.zeros((ni, nj), dtype=bool)
-    for i, x in enumerate(xs):
-        for j, y in enumerate(ys):
-            if not grid.domain.contains(float(x), float(y)):
-                continue
-            inside[i, j] = True
-            w[i, j] = wfun(float(x), float(y))
+    for (nodes,) in chunks(np.flatnonzero(inside)):
+        x, y = gx.flat[nodes], gy.flat[nodes]
+        w.flat[nodes] = horizontal_data(patch, (x, y), jet=patch.h.jet(x, y)).w
     flagged = inside & (w < eps)
 
     # cluster flagged nodes into 8-connected components
     comp = -np.ones((ni, nj), dtype=int)
     comps: list[list[tuple[int, int]]] = []
-    for i in range(ni):
-        for j in range(nj):
-            if not flagged[i, j] or comp[i, j] >= 0:
-                continue
+    for i, j in np.argwhere(flagged).tolist():
+        if comp[i, j] < 0:
             stack = [(i, j)]
             comp[i, j] = len(comps)
             members = []
@@ -442,7 +475,7 @@ def characteristic_scan(patch: GraphPatch, grid: Grid2, eps: float) -> Character
                         refined.append(pt)
         images = [patch.point(x, y) for x, y in nodes[:8]]
         out.append(ScanComponent(nodes, refined, images))
-    return CharacteristicScan(out)
+    return CharacteristicScan(out, int(np.count_nonzero(inside & ~np.isfinite(w))))
 
 
 # ---------------------------------------------------------------------------

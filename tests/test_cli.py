@@ -71,6 +71,35 @@ def test_verify_implicit(specs, tmp_path):
                  "--out", str(tmp_path / "o3")]) == 0
 
 
+@pytest.mark.parametrize("phi,note", [
+    # a vertical plane: only the 51 nodes on x = 2y have a height
+    ("x - 2*y", "51 nodes evaluated, 0 near the characteristic set, 10150 without a height"),
+    # W = |y| on t = x y / 2: the nodes of the x-axis are characteristic
+    ("t - x*y/2", "10100 nodes evaluated, 101 near the characteristic set, 0 without a height"),
+])
+def test_verify_implicit_says_why_nodes_were_not_evaluated(tmp_path, phi, note):
+    spec = write_spec(tmp_path, "in.json", {"kind": "implicit", "implicit": {"phi": phi}})
+    assert main(["verify", "--spec", spec, "--out", str(tmp_path / "v")]) == 0
+    check = json.loads((tmp_path / "v" / "report.json").read_text())["checks"][0]
+    assert (check["name"], check["measured"], check["note"]) == ("max_abs_h_curvature", 0.0, note)
+
+
+def test_verify_graph_scan_counts_nodes_where_w_is_not_finite(tmp_path):
+    spec = write_spec(tmp_path, "in.json", {"kind": "graph", "graph": {
+        "h": "x*y/2 + sqrt(x)", "domain": {"xmin": -1, "xmax": 1, "ymin": -1, "ymax": 1}}})
+    assert main(["verify", "--spec", spec, "--out", str(tmp_path / "v")]) == 1
+    checks = json.loads((tmp_path / "v" / "report.json").read_text())["checks"]
+    scan = [c for c in checks if c["name"] == "characteristic_scan"][0]
+    assert scan["note"] == "1 component(s), 5151 node(s) where W is not finite"
+
+
+def test_verify_graph_scan_note_leaves_out_a_zero_count(specs, tmp_path):
+    assert main(["verify", "--spec", specs["parab"], "--grid", "11", "11",
+                 "--out", str(tmp_path / "v")]) == 1
+    checks = json.loads((tmp_path / "v" / "report.json").read_text())["checks"]
+    assert [c["note"] for c in checks if c["name"] == "characteristic_scan"] == ["1 component(s)"]
+
+
 def test_spec_errors_exit_2(specs, tmp_path):
     assert main(["verify", "--spec", specs["bad_expr"], "--out", str(tmp_path)]) == 2
     assert main(["verify", "--spec", specs["bad_schema"], "--out", str(tmp_path)]) == 2

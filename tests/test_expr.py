@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -236,3 +237,50 @@ def test_compiled_evaluation_matches_evaluate(tree):
     compiled = ex.compile_fn(tree, names)
     assert [repr(compiled(*env.values())) for env in points] == \
         [repr(ex.evaluate(tree, env)) for env in points]
+
+
+@given(_trees)
+@settings(max_examples=300, deadline=None)
+@pytest.mark.filterwarnings("error")
+def test_compiled_array_evaluation_matches_evaluate(tree):
+    names = list(_BATCH)
+    points = [dict(zip(names, values)) for values in zip(*_BATCH.values())]
+    compiled = ex.compile_fn(tree, names, array=True)
+    got = compiled(*(np.array(values) for values in _BATCH.values()))
+    assert isinstance(got, np.ndarray) and got.shape == (len(points),)
+    assert [repr(float(v)) for v in got] == [repr(ex.evaluate(tree, env)) for env in points]
+
+
+def test_compiled_array_results_are_arrays_of_their_own():
+    x, y = np.array([1.0, 2.0]), np.array([3.0, 4.0])
+    const, same, both = ex.compile_fn([ex.parse("2*pi"), ex.parse("x"), ex.parse("x*y")],
+                                      ("x", "y"), array=True)(x, y)
+    assert const.tolist() == [2 * math.pi] * 2 and same.tolist() == [1.0, 2.0]
+    assert same is not x and both.tolist() == [3.0, 8.0]
+
+
+# every function at the values where the float rules matter
+_SPECIAL = [0.0, -0.0, math.inf, -math.inf, math.nan, 1e200, -1e200, 1.0, -1.0, 0.5, 1000.0]
+_PAIRS = [(a, b) for a in _SPECIAL for b in _SPECIAL] + [
+    (0.0, -1.0), (-8.0, 1.0 / 3.0), (1e200, 2.0), (1.0, -0.0), (-1.0, -0.0), (10.0, 400.0)]
+
+
+def _reprs(values):
+    return [repr(float(v)) for v in values]
+
+
+def test_every_function_has_an_array_entry_with_the_floats_of_the_scalar_one():
+    assert set(ex.FUNCTIONS) | {"div", "pow"} <= set(ex._ARRAY_TABLE)
+    with np.errstate(all="ignore"):
+        for name, fn in ex.FUNCTIONS.items():
+            assert _reprs(ex._ARRAY_TABLE[name](np.array(_SPECIAL))) == _reprs(map(fn, _SPECIAL)), name
+        a, b = (np.array(column) for column in zip(*_PAIRS))
+        for name, fn in (("div", ex.safe_div), ("pow", ex.safe_pow)):
+            want = [repr(fn(u, v)) for u, v in _PAIRS]
+            assert _reprs(ex._ARRAY_TABLE[name](a, b)) == want, name
+            # a constant operand, as folded literals appear in generated code
+            assert _reprs(ex._ARRAY_TABLE[name](a, 2.0)) == [repr(fn(u, 2.0)) for u in a.tolist()]
+        # the scalar rules turn an overflow into NaN where numpy gives inf
+        assert _reprs(ex._ARRAY_TABLE["exp"](np.array([1000.0]))) == ["nan"]
+        assert _reprs(ex._ARRAY_TABLE["pow"](np.array([1e200]), 2.0)) == ["nan"]
+        assert np.exp(1000.0) == np.power(1e200, 2.0) == math.inf

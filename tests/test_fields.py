@@ -132,6 +132,32 @@ def test_grid_respects_membership():
     assert (0.0, 0.0) in nodes
 
 
+def test_grid_points_are_its_nodes_in_lattice_order():
+    dom = PlanarDomain(-1, 1, -1, 1, membership=lambda x, y: x * x + y * y <= 1)
+    grid = Grid2(dom, 21, 17)
+    xs, ys = (a.tolist() for a in grid.lattice())
+    want = [(x, y) for x in xs for y in ys if dom.contains(x, y)]
+    assert grid.nodes == want
+    assert list(zip(*(a.tolist() for a in grid.points()))) == want
+
+
+def test_jet_of_a_chunk_is_the_scalar_jet_at_each_node():
+    dom = PlanarDomain(-1.0, 1.0, -1.0, 1.0, membership=lambda x, y: x * x + y * y <= 0.9)
+    # NaN for x < 0 and a division by zero at x = 0
+    analytic = ScalarField2.from_expr("sqrt(x) + x^2*y - atanh(y/2) + 1/x", dom)
+    closure = ScalarField2(f=analytic.f, grad=analytic.grad, hess=analytic.hess, domain=dom)
+    x, y = Grid2(PlanarDomain(-0.6, 0.6, -0.6, 0.6), 17, 13).points()
+    for field in (analytic, analytic.fd_only(), closure, closure.fd_only()):
+        first = field.jet(x, y)
+        second = field.jet(x, y, first)
+        assert all(isinstance(a, np.ndarray) and a.shape == x.shape for a in second)
+        for i, (px, py) in enumerate(zip(x.tolist(), y.tolist())):
+            want = field.jet(px, py)
+            assert [repr(float(a[i])) for a in first] == [repr(v) for v in want]
+            want = field.jet(px, py, want)
+            assert [repr(float(a[i])) for a in second] == [repr(v) for v in want]
+
+
 # -- RK4 ---------------------------------------------------------------------
 
 

@@ -6,7 +6,7 @@ import pytest
 from hmin import expr as ex
 from hmin.errors import UnknownName
 from hmin.fields import Grid2, PlanarDomain
-from hmin.gallery import (_counterexample_triple, gallery_get, gallery_names,
+from hmin.gallery import (_check_scan, _counterexample_triple, gallery_get, gallery_names,
                           gallery_verify, max_curvature_deviation)
 from hmin.seed import curvature
 from hmin.surface import GraphPatch, ImplicitSurface
@@ -180,6 +180,17 @@ def test_scan_of_a_surface_undefined_on_part_of_its_domain_is_nan():
     # 0*sqrt(x) differentiates to 0, so only the height shows the hole at x < 0
     patch = GraphPatch.from_expr("x*y/2 + 0*sqrt(x)", PlanarDomain(-1, 1, -1, 1))
     assert math.isnan(max_curvature_deviation(patch, patch.domain, 21, 21))
+
+
+def test_scan_empty_check_fails_where_w_is_undefined():
+    entry = gallery_get("counterexample")
+    assert _check_scan(entry).passed
+    # a scan domain that reaches x = 0, where y/x and so W are NaN; no node
+    # of it is characteristic
+    entry.scan_domain = PlanarDomain(-1.0, 3.0, -3.0, 3.0)
+    check = _check_scan(entry)
+    assert check.name == "scan_empty" and check.passed is False
+    assert check.note == "101 node(s) where W is not finite"
 
 
 def test_counterexample_locus_check_fails_where_w_is_undefined():

@@ -36,6 +36,26 @@ def test_characteristic_point_has_no_gauss_map():
     assert hd.w == 0.0 and hd.nu is None
 
 
+def test_horizontal_data_and_curvature_of_a_chunk_are_the_scalar_ones():
+    x, y = Grid2(square(2.0), 9, 11).points()
+    jet = PARAB.h.jet(x, y)
+    hd = horizontal_data(PARAB, (x, y), jet=jet)
+    # (0, 0) is characteristic: no Gauss map there, and no curvature
+    at = int(np.flatnonzero((x == 0.0) & (y == 0.0))[0])
+    keep = np.arange(len(x)) != at
+    h = iter(h_mean_curvature(PARAB, (x[keep], y[keep]), cross_check=False,
+                              jet=tuple(a[keep] for a in jet)).tolist())
+    for i, (px, py) in enumerate(zip(x.tolist(), y.tolist())):
+        one = horizontal_data(PARAB, (px, py))
+        assert [repr(float(a[i])) for a in hd[:3]] == [repr(v) for v in one[:3]]
+        if i != at:
+            assert [float(a[i]) for a in hd.nu] == list(one.nu)
+            assert repr(next(h)) == repr(h_mean_curvature(PARAB, (px, py), False))
+    assert math.isnan(hd.nu[0][at]) and math.isnan(hd.nu[1][at])
+    with pytest.raises(CharacteristicPoint, match=r"^W=0.0 at \(0.0, 0.0\)$"):
+        h_mean_curvature(PARAB, (x, y), cross_check=False, jet=jet)
+
+
 def test_h_curvature_plane_zero():
     assert abs(h_mean_curvature(FLAT, (1.0, 1.0))) <= 1e-12
 
