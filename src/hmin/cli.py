@@ -253,7 +253,8 @@ def cmd_verify(args, spec: dict, report: Report) -> None:
         note = f"{len(scan.components)} component(s)"
         if scan.undefined_w:
             note += f", {scan.undefined_w} node(s) where W is not finite"
-        report.add(check_flag("characteristic_scan", True, note=note))
+        # a node where W is not finite may hide a characteristic point
+        report.add(check_flag("characteristic_scan", not scan.undefined_w, note=note))
     elif spec["kind"] == "implicit":
         surf = implicit_from_spec(spec)
         imp = spec["implicit"]

@@ -67,17 +67,15 @@ def _sign(v: float) -> float:
     return 0.0 if v == 0.0 else _NAN
 
 
+# the C-library functions of the language; each raises where it has no value
+_LIBM: dict[str, Callable[[float], float]] = {
+    "sin": math.sin, "cos": math.cos, "tan": math.tan, "tanh": math.tanh,
+    "atan": math.atan, "atanh": math.atanh, "sqrt": math.sqrt,
+    "exp": math.exp, "log": math.log,
+}
 FUNCTIONS: dict[str, Callable[[float], float]] = {
-    "sin": _safe1(math.sin),
-    "cos": _safe1(math.cos),
-    "tan": _safe1(math.tan),
-    "tanh": _safe1(math.tanh),
-    "atan": _safe1(math.atan),
-    "atanh": _safe1(math.atanh),
-    "sqrt": _safe1(math.sqrt),
+    **{name: _safe1(fn) for name, fn in _LIBM.items()},
     "abs": abs,
-    "exp": _safe1(math.exp),
-    "log": _safe1(math.log),
     "sign": _sign,
 }
 
@@ -337,20 +335,42 @@ def pointwise(fn: Callable[..., float], *args) -> np.ndarray:
     return np.fromiter(map(fn, *cols), dtype=float, count=n)
 
 
+def _mapped(bare: Callable[..., float], safe: Callable[..., float], *args) -> np.ndarray:
+    """``pointwise(safe, *args)``, computed as ``pointwise(bare, *args)``
+    unless ``bare`` raises at some element.
+
+    ``bare`` is a C-library function and ``safe`` the float function that
+    returns ``bare``'s value wherever it does not raise; mapping ``bare``
+    costs no Python frame per element.
+    """
+    try:
+        return pointwise(bare, *args)
+    except (ValueError, OverflowError):
+        return pointwise(safe, *args)
+
+
 def _array_div(a, b):
     return np.where(b == 0.0, _NAN, a / b)
 
 
+def _array_pow(a, b):
+    return _mapped(math.pow, safe_pow, a, b)
+
+
+def _array_sign(v):
+    return np.where(v > 0.0, 1.0, np.where(v < 0.0, -1.0, np.where(v == 0.0, 0.0, _NAN)))
+
+
 # The functions the generated code calls.  Over floats they are the ones
-# ``evaluate`` uses.  Over arrays, / sqrt abs are numpy operations, which
-# IEEE 754 rounds exactly as the float ones (``div`` keeps the NaN rule);
-# every other entry applies the float function at each element, because
-# numpy's transcendentals and powers differ from the C library's in the
-# last bit, and its sign(-0) is -0.  See docs/grammar.md.
+# ``evaluate`` uses.  Over arrays, / sqrt abs sign are numpy operations,
+# which give exactly the float ones (``div`` and ``sign`` keep the rules
+# for 0 and NaN); pow and the other functions map the C-library function
+# over the chunk, because numpy's transcendentals and powers differ from
+# it in the last bit.  See docs/grammar.md.
 _TABLE: dict[str, Callable] = {"div": safe_div, "pow": safe_pow, **FUNCTIONS}
 _ARRAY_TABLE: dict[str, Callable] = {
-    **{name: partial(pointwise, fn) for name, fn in _TABLE.items()},
-    "div": _array_div, "sqrt": np.sqrt, "abs": np.abs,
+    **{name: partial(_mapped, fn, FUNCTIONS[name]) for name, fn in _LIBM.items()},
+    "div": _array_div, "pow": _array_pow, "sqrt": np.sqrt, "abs": np.abs, "sign": _array_sign,
 }
 
 # node type -> (code template, scalar function folding constant operands)

@@ -45,9 +45,29 @@ TURN_BACK = "field turns back: k1 . k2 <= 0"  # rk4_integrate's own stop reason
 CHUNK = 1024
 
 
+def over_arrays(predicate: Callable) -> Callable:
+    """Mark a membership predicate as valid over arrays.
+
+    A marked predicate takes equally long 1-d float arrays x and y as well
+    as floats, and returns a boolean array whose element i is the bool of
+    the float call at (x[i], y[i]).  Written with ``+ - *``, ``abs``,
+    comparisons and ``&`` (not ``and``/``or``, nor chained comparisons),
+    and with any other float function applied through ``expr.pointwise``,
+    it does so by construction.
+    """
+    predicate.over_arrays = True
+    return predicate
+
+
 @dataclass(frozen=True)
 class PlanarDomain:
-    """Axis-aligned bounds plus an optional membership predicate."""
+    """Axis-aligned bounds plus an optional membership predicate.
+
+    ``membership(x, y)`` decides a point within the bounds; ``contains``
+    calls it with floats.  ``contains_all`` calls a predicate marked by
+    ``over_arrays`` once with the in-bounds points of its arrays, and any
+    other predicate once per in-bounds point.
+    """
 
     xmin: float
     xmax: float
@@ -63,9 +83,13 @@ class PlanarDomain:
     def contains_all(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """``contains`` at every point (x[i], y[i]), as a boolean array."""
         inside = (self.xmin <= x) & (x <= self.xmax) & (self.ymin <= y) & (y <= self.ymax)
-        if self.membership is not None:
-            inside[inside] = [bool(self.membership(a, b))
-                              for a, b in zip(x[inside].tolist(), y[inside].tolist())]
+        member = self.membership
+        if member is not None:
+            x, y = x[inside], y[inside]
+            if getattr(member, "over_arrays", False):
+                inside[inside] = member(x, y)
+            else:
+                inside[inside] = [bool(member(a, b)) for a, b in zip(x.tolist(), y.tolist())]
         return inside
 
 
@@ -131,8 +155,9 @@ class ScalarField2:
     def _check_stencils(self, x: np.ndarray, y: np.ndarray, h: float):
         """``_check_stencil`` at each node of a chunk: raises for the first
         failing node, and the error records its index as ``node``."""
-        ok = np.logical_and.reduce([self.domain.contains_all(px, py)
-                                    for px, py in _stencil_points(x, y, h)])
+        # the 8 stencil points of every node in one membership call
+        px, py = (np.concatenate(c) for c in zip(*_stencil_points(x, y, h)))
+        ok = self.domain.contains_all(px, py).reshape(8, -1).all(axis=0)
         if not ok.all():
             i = int(np.argmin(ok))
             try:

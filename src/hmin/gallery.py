@@ -30,8 +30,9 @@ from typing import Callable, Iterator, Optional
 
 import numpy as np
 
+from . import expr as ex
 from .errors import StencilOutOfDomain, UnknownName
-from .fields import Grid2, PlanarDomain, Profile, chunks, cumulative_integral
+from .fields import Grid2, PlanarDomain, Profile, chunks, cumulative_integral, over_arrays
 from .heis import HPoint
 from .report import Check, check_flag, check_leq, worst_abs
 from .ruled import (GeneralizedSeedCurve, GSCJoin, GSCPiece, RuledPatch,
@@ -320,7 +321,7 @@ def _catenoid(a: float = 2.0, u0: float = 0.0) -> GalleryEntry:
     half = max(3.6, 2.2 * math.sqrt(rim2))
 
     def member(margin):
-        return lambda x, y: x * x + y * y >= rim2 + margin
+        return over_arrays(lambda x, y: x * x + y * y >= rim2 + margin)
 
     dom = PlanarDomain(-half, half, -half, half, member(0.08))
     vdom = PlanarDomain(-half + 0.2, half - 0.2, -half + 0.2, half - 0.2, member(0.15))
@@ -387,15 +388,21 @@ def _catenoid(a: float = 2.0, u0: float = 0.0) -> GalleryEntry:
     return entry
 
 
+def _sector(x_min: float, half_angle: float) -> Callable:
+    """The membership x >= x_min and |atan2(y, x)| <= half_angle, at a point
+    or over arrays (math.atan2 at each element: numpy's differs in the last bit)."""
+    @over_arrays
+    def inside(x, y):
+        if isinstance(x, np.ndarray):
+            return (x >= x_min) & (abs(ex.pointwise(math.atan2, y, x)) <= half_angle)
+        return x >= x_min and abs(math.atan2(y, x)) <= half_angle
+
+    return inside
+
+
 def _counterexample() -> GalleryEntry:
-    def member_wide(x, y):
-        return x >= 0.1 and abs(math.atan2(y, x)) <= 0.95
-
-    def member_tight(x, y):
-        return x >= 0.25 and abs(math.atan2(y, x)) <= 0.9
-
-    dom = PlanarDomain(0.1, 3.2, -3.2, 3.2, member_wide)
-    vdom = PlanarDomain(0.25, 3.0, -3.0, 3.0, member_tight)
+    dom = PlanarDomain(0.1, 3.2, -3.2, 3.2, _sector(0.1, 0.95))
+    vdom = PlanarDomain(0.25, 3.0, -3.0, 3.0, _sector(0.25, 0.9))
 
     def known_seed(z0):
         rho = math.hypot(*z0)
@@ -482,8 +489,8 @@ def _gencurve(n: int = 3) -> GalleryEntry:
     odd = n % 2 == 1
     if odd:
         src = f"sign(x)*abs(x)^(1/{_num(float(n))}) + x*y/2"
-        dom = PlanarDomain(-2.1, 2.1, -2.1, 2.1, lambda x, y: abs(x) >= 0.05)
-        vdom = PlanarDomain(-2.0, 2.0, -2.0, 2.0, lambda x, y: abs(x) >= 0.1)
+        dom = PlanarDomain(-2.1, 2.1, -2.1, 2.1, over_arrays(lambda x, y: abs(x) >= 0.05))
+        vdom = PlanarDomain(-2.0, 2.0, -2.0, 2.0, over_arrays(lambda x, y: abs(x) >= 0.1))
         graph = GraphPatch.from_expr(src, dom)
         graph_lower = None
     else:
@@ -566,7 +573,10 @@ def _iso_profile(R: float = 1.0) -> GalleryEntry:
            f" + pi*{_num(r2)}/8")
 
     def member(lo, hi):
-        return lambda x, y: lo * lo <= x * x + y * y <= hi * hi
+        def inside(x, y):
+            r2 = x * x + y * y
+            return (lo * lo <= r2) & (r2 <= hi * hi)
+        return over_arrays(inside)
 
     dom = PlanarDomain(-0.97 * R, 0.97 * R, -0.97 * R, 0.97 * R,
                        member(0.04 * R, 0.96 * R))

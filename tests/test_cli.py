@@ -100,6 +100,17 @@ def test_verify_graph_scan_note_leaves_out_a_zero_count(specs, tmp_path):
     assert [c["note"] for c in checks if c["name"] == "characteristic_scan"] == ["1 component(s)"]
 
 
+def test_verify_graph_scan_fails_where_w_is_not_finite(specs, tmp_path):
+    spec = write_spec(tmp_path, "in.json", {"kind": "graph", "graph": {
+        "h": "x*y/2 + sqrt(x)", "domain": {"xmin": -1, "xmax": 1, "ymin": -1, "ymax": 1}}})
+    passed = {}
+    for name, path in (("sqrt", spec), ("parab", specs["parab"])):
+        main(["verify", "--spec", path, "--grid", "41", "41", "--out", str(tmp_path / name)])
+        checks = json.loads((tmp_path / name / "report.json").read_text())["checks"]
+        passed[name] = [c["pass"] for c in checks if c["name"] == "characteristic_scan"]
+    assert passed == {"sqrt": [False], "parab": [True]}
+
+
 def test_spec_errors_exit_2(specs, tmp_path):
     assert main(["verify", "--spec", specs["bad_expr"], "--out", str(tmp_path)]) == 2
     assert main(["verify", "--spec", specs["bad_schema"], "--out", str(tmp_path)]) == 2

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hmin import expr as ex
+from hmin import surface
 from hmin.errors import ParseError, SpecError
 
 # (expression, sampling interval for every variable)
@@ -284,3 +285,34 @@ def test_every_function_has_an_array_entry_with_the_floats_of_the_scalar_one():
         assert _reprs(ex._ARRAY_TABLE["exp"](np.array([1000.0]))) == ["nan"]
         assert _reprs(ex._ARRAY_TABLE["pow"](np.array([1e200]), 2.0)) == ["nan"]
         assert np.exp(1000.0) == np.power(1e200, 2.0) == math.inf
+
+
+# inputs where no function of the language raises, and, per function that
+# can raise, one input where it does
+_REGULAR = [0.5, 0.25, 0.75, 1e-300, 5e-324, 0.9999999999999999, 0.1]
+_RAISES = {"sin": math.inf, "cos": -math.inf, "tan": math.inf, "atanh": 1.0,
+           "sqrt": -1.0, "exp": 1000.0, "log": 0.0}
+
+
+def test_array_entries_give_the_float_functions_on_regular_and_redone_chunks():
+    with np.errstate(all="ignore"):
+        for name, fn in ex.FUNCTIONS.items():
+            bare = ex._LIBM.get(name, fn)
+            assert all(math.isfinite(bare(v)) for v in _REGULAR), name
+            assert _reprs(ex._ARRAY_TABLE[name](np.array(_REGULAR))) == _reprs(map(fn, _REGULAR)), name
+            if name in _RAISES:
+                # only the last element raises: the whole chunk is redone
+                values = _REGULAR + [_RAISES[name]]
+                with pytest.raises((ValueError, OverflowError)):
+                    bare(values[-1])
+                assert _reprs(ex._ARRAY_TABLE[name](np.array(values))) == _reprs(map(fn, values)), name
+        for pairs in ([(0.5, 2.0), (3.0, -1.5), (1e-300, 0.5), (-8.0, 3.0)],
+                      [(0.5, 2.0), (3.0, -1.5), (0.0, -1.0)],     # ValueError last
+                      [(0.5, 2.0), (3.0, -1.5), (10.0, 400.0)]):  # OverflowError last
+            a, b = (np.array(column) for column in zip(*pairs))
+            assert _reprs(ex._ARRAY_TABLE["pow"](a, b)) == [repr(ex.safe_pow(u, v)) for u, v in pairs]
+
+
+def test_array_cube_gives_the_float_cube():
+    for values in ([0.0, 5e-324, 2.0, 1e103, math.inf, math.nan], [0.0, 5e-324, 2.0, 1.7, 1e102]):
+        assert _reprs(surface._cube(np.array(values))) == _reprs(map(surface._cube, values))

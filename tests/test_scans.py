@@ -5,11 +5,14 @@ read chunks of nodes; every float, component and error message must be
 the same.
 """
 
+import functools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from hmin import expr as ex
 from hmin.errors import StencilOutOfDomain
 from hmin.fields import CHUNK, Grid2, PlanarDomain
 from hmin.gallery import gallery_get, gallery_names, max_curvature_deviation
@@ -222,3 +225,35 @@ def test_characteristic_scan_counts_nodes_where_w_is_not_finite():
     scan = characteristic_scan(patch, Grid2(patch.domain, 101, 101), EPS_CHAR)
     assert len(scan.components) == 1
     assert scan.undefined_w == 51 * 101
+
+
+# -- per-element cost --------------------------------------------------------------
+
+
+def _counted(calls, fn):
+    """fn, counting its calls in ``calls``; it keeps fn's attributes."""
+    @functools.wraps(fn)
+    def counting(*args):
+        calls.append(1)
+        return fn(*args)
+    return counting
+
+
+def test_fd_scan_calls_no_float_function_per_node(monkeypatch):
+    entry = gallery_get("catenoid")
+    member, contains_all, pow_calls = [], [], []
+    dom, vdom = (replace(d, membership=_counted(member, d.membership))
+                 for d in (entry.graph.domain, entry.verify_domain))
+    patch = GraphPatch.from_expr(entry.graph.h.source, dom)
+    patch = GraphPatch(dom, patch.h.fd_only())
+    monkeypatch.setattr(PlanarDomain, "contains_all", _counted(contains_all, PlanarDomain.contains_all))
+    monkeypatch.setattr(ex, "safe_pow", _counted(pow_calls, ex.safe_pow))
+    assert math.isfinite(max_curvature_deviation(patch, vdom))
+    # one membership call per array of points, where a call per point makes
+    # about 16 per node (the 8 stencil points at two steps)
+    assert len(contains_all) >= 2 and len(member) == len(contains_all)
+    # the FD stencils read x^2 at every node; math.pow never raises there
+    assert pow_calls == []
+    # a chunk where math.pow raises is redone with safe_pow at each element
+    ex.compile_fn(ex.parse("x^(-1)"), ("x",), array=True)(np.array([2.0, 0.0, 4.0]))
+    assert len(pow_calls) == 3
