@@ -8,24 +8,21 @@ surfaces via the seed-curve / height-function representation: a library
 
 from .errors import (CharacteristicPoint, CharacteristicStart,
                      DegenerateDenominator, FieldUndefined, HminError,
-                     NonPositiveRadius, NotAGraphAfterTransform, OutOfRange,
-                     ParseError, SingularRule, SpecError, StencilOutOfDomain,
-                     UnknownName)
-from .heis import (HPoint, FrameVector, ORIGIN, dilate, frame_from_cartesian,
-                   frame_to_cartesian, group_inv, group_mul)
+                     NotAGraphAfterTransform, OutOfRange, ParseError,
+                     SingularRule, SpecError, StencilOutOfDomain, UnknownName)
+from .heis import HPoint, ORIGIN, dilate, group_mul
 from .fields import (Grid2, PlanarDomain, Profile, ScalarField2,
-                     adaptive_simpson, grad, rk4_integrate, square)
-from .surface import (GraphPatch, HorizontalData, ImplicitSurface, ShapeMatrix,
-                      catenoid_profile, characteristic_scan, h_mean_curvature,
-                      horizontal_data, rotate_graph, rotational_curvature,
-                      shape_matrix, translate_graph)
+                     adaptive_simpson, rk4_integrate, square)
+from .surface import (GraphPatch, HorizontalData, ImplicitSurface,
+                      characteristic_scan, h_mean_curvature, horizontal_data,
+                      rotate_graph, translate_graph)
 from .seed import (SeedCurve, curvature, extract_seed, rule_jacobian_det,
                    rule_point, singular_locus)
 from .ruled import (GeneralizedSeedCurve, GSCJoin, GSCPiece, LociReport,
                     RuledPatch, bernstein_quotient, build_surface,
                     characteristic_locus, classify_entire_graph,
-                    constant_curvature_test, extend_rules, roundtrip, rule,
-                    validate_gsc, w_direct)
+                    constant_curvature_test, roundtrip, rule, validate_gsc,
+                    w_direct)
 from .gallery import GalleryEntry, gallery_get, gallery_names, gallery_verify
 
 __version__ = "0.1.0"

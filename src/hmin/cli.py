@@ -42,8 +42,8 @@ from .fields import FD_STEP, HESS_STEP, RK4_STEP, Grid2, PlanarDomain, Profile
 from .heis import HPoint
 from .meshes import lint_obj, mesh_graph, mesh_ruled, write_obj
 from .report import Report, check_flag, check_leq, digest_of, worst_abs
-from .ruled import (RuledPatch, build_surface, characteristic_locus, chart_samples,
-                    classify_entire_graph, curvature_on_patch)
+from .ruled import (RuledPatch, build_surface, characteristic_locus, classify_entire_graph,
+                    curvature_on_patch, worst_on_chart)
 from .seed import SeedCurve, curvature, extract_seed
 from .surface import (EPS_CHAR, GraphPatch, ImplicitSurface, characteristic_scan,
                       horizontal_data)
@@ -276,7 +276,7 @@ def cmd_verify(args, spec: dict, report: Report) -> None:
                                   f"characteristic set, {no_height} without a height"))
     else:
         patch = ruled_from_spec(spec)
-        worst = worst_abs(curvature_on_patch(patch, s, r) for s, r in chart_samples(patch, 9))
+        worst = worst_on_chart(patch, 9, lambda s, r: curvature_on_patch(patch, s, r))
         report.add(check_leq("built_patch_minimal", worst, 1e-6))
 
 
@@ -323,7 +323,7 @@ def cmd_build(args, spec: dict, report: Report) -> None:
     patch = _ruled_of(spec, entry)
     if patch is not None:
         mesh = mesh_ruled(patch, ns, nr)
-        worst = worst_abs(curvature_on_patch(patch, s, r) for s, r in chart_samples(patch, 7))
+        worst = worst_on_chart(patch, 7, lambda s, r: curvature_on_patch(patch, s, r))
         report.add(check_leq("post_build_minimal", worst, 1e-6))
         report.add(check_flag("clamped_samples", True, note=f"{mesh.clamped} moved"))
     else:

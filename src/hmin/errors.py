@@ -30,10 +30,6 @@ class CharacteristicStart(HminError):
     """Seed extraction was started at a characteristic point."""
 
 
-class NonPositiveRadius(HminError):
-    """A rotationally-invariant profile was evaluated at s <= 0."""
-
-
 class NotAGraphAfterTransform(HminError):
     """The image of a surface under a transform fails the vertical-line test."""
 

@@ -291,6 +291,8 @@ def _render(e: Expr, min_level: int) -> str:
 
 
 def to_str(e: Expr) -> str:
+    """The text of a tree, an oracle for the parser: ``parse(to_str(e))``
+    gives e back (the parse round trip)."""
     return _render(e, 1)
 
 

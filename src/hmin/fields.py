@@ -288,10 +288,6 @@ class ScalarField2:
         return replace(self, grad=None, hess=None, jet_eval=None, exprs=self.exprs[:1])
 
 
-def grad(f: ScalarField2, p: tuple[float, float]) -> tuple[float, float]:
-    return f.gradient(p[0], p[1])
-
-
 @dataclass(frozen=True)
 class Grid2:
     """Inclusive nx-by-ny lattice over a domain, filtered by membership."""
@@ -326,7 +322,7 @@ def chunks(*arrays: np.ndarray) -> Iterator[tuple[np.ndarray, ...]]:
 
 
 # ---------------------------------------------------------------------------
-# 1-D profiles (height functions, rotational profiles)
+# 1-D profiles (height functions and seed coordinates)
 # ---------------------------------------------------------------------------
 
 
@@ -346,15 +342,6 @@ class Profile:
             return self.d1(s)
         h = PROFILE_STEP
         return (self.f(s + h) - self.f(s - h)) / (2.0 * h)
-
-    def dd(self, s: float) -> float:
-        if self.d2 is not None:
-            return self.d2(s)
-        if self.d1 is not None:
-            h = PROFILE_STEP
-            return (self.d1(s + h) - self.d1(s - h)) / (2.0 * h)
-        h = math.sqrt(PROFILE_STEP)
-        return (self.f(s + h) - 2.0 * self.f(s) + self.f(s - h)) / (h * h)
 
     @staticmethod
     def from_expr(src: str) -> "Profile":

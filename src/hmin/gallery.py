@@ -36,9 +36,9 @@ from .fields import Grid2, PlanarDomain, Profile, chunks, cumulative_integral, o
 from .heis import HPoint
 from .report import Check, check_flag, check_leq, worst_abs
 from .ruled import (GeneralizedSeedCurve, GSCJoin, GSCPiece, RuledPatch,
-                    characteristic_locus, chart_height_gradient, chart_samples,
-                    curvature_on_patch, locus_branch_slope, roundtrip,
-                    validate_gsc, w_direct)
+                    characteristic_locus, chart_height_gradient, curvature_on_patch,
+                    locus_branch_slope, roundtrip, validate_gsc, w_direct,
+                    worst_on_chart)
 from .seed import SeedCurve, curvature, extract_seed
 from .surface import (EPS_CHAR, W_MARGIN, GraphPatch, ImplicitSurface,
                       characteristic_scan, h_mean_curvature, horizontal_data)
@@ -754,14 +754,13 @@ def gallery_verify(name: str, **params) -> list[Check]:
     if entry.ruled is not None:
         _check_locus(entry, checks)
         patch = entry.ruled()
-        samples = list(chart_samples(patch, 9))
-        checks.append(check_leq("built_patch_minimal", worst_abs(
-            curvature_on_patch(patch, s, r) for s, r in samples), 1e-6))
-        checks.append(check_leq("w_ode_residual", worst_abs(
-            patch.w_ode_residual(s, r) for s, r in samples), 1e-6))
-        checks.append(check_leq("w_formula_vs_direct", worst_abs(
-            abs(patch.w(s, r)) - w_direct(patch, s, r)
-            for s, r in chart_samples(patch, 7, w_min=None)), 1e-6))
+        checks.append(check_leq("built_patch_minimal", worst_on_chart(
+            patch, 9, lambda s, r: curvature_on_patch(patch, s, r)), 1e-6))
+        checks.append(check_leq("w_ode_residual", worst_on_chart(
+            patch, 9, patch.w_ode_residual), 1e-6))
+        checks.append(check_leq("w_formula_vs_direct", worst_on_chart(
+            patch, 7, lambda s, r: abs(patch.w(s, r)) - w_direct(patch, s, r),
+            w_min=None), 1e-6))
 
     if entry.expected_scan is not None and entry.graph is not None:
         checks.append(_check_scan(entry))

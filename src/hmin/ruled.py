@@ -31,8 +31,8 @@ pins down the sign conventions above.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
-from typing import Iterator, Optional
+from dataclasses import dataclass, field
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
@@ -114,9 +114,6 @@ class RuledPatch:
         step = 1e-6
         dw = (self.w(s, r + step) - self.w(s, r - step)) / (2.0 * step)
         return abs(dw - 1.0 - kap * self.w(s, r) / den)
-
-    def extended(self) -> "RuledPatch":
-        return replace(self, r_range=None)
 
     def r_interval(self, fallback: float = 1.0) -> tuple[float, float]:
         """A global r interval: the hull over s for per-s ranges."""
@@ -258,6 +255,14 @@ def chart_samples(patch: RuledPatch, n: int,
             yield s, r
 
 
+def worst_on_chart(patch: RuledPatch, n: int, value: Callable[[float, float], float],
+                   w_min: Optional[float] = W_MARGIN) -> float:
+    """``worst_abs`` of value(s, r) over ``chart_samples(patch, n, w_min)``;
+    NaN, so a check on it fails, when no sample is left."""
+    values = [value(s, r) for s, r in chart_samples(patch, n, w_min)]
+    return worst_abs(values) if values else math.nan
+
+
 def curvature_on_patch(patch: RuledPatch, s: float, r: float) -> float:
     """H-mean curvature of the built patch where it is locally a graph."""
     det = rule_jacobian_det(patch.seed, s, r)
@@ -377,13 +382,13 @@ def locus_branch_slope(patch: RuledPatch, s: float, side: int,
 
 
 # ---------------------------------------------------------------------------
-# Rules as geodesics
+# Rules in group form
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class Rule:
-    """One straight rule of the patch, in both group and chart form."""
+    """One straight rule of the patch in group form, r -> d(s) o delta_r v(s)."""
 
     base: HPoint                        # d(s) = (gamma(s), h0(s))
     direction: HPoint                   # v(s) = (gamma2', -gamma1', 0)
@@ -391,22 +396,16 @@ class Rule:
     def point(self, r: float) -> HPoint:
         return group_mul(self.base, dilate(r, self.direction))
 
-    def cc_distance(self, r1: float, r2: float) -> float:
-        # d(s) cancels on the left; delta_{r2} v^-1 o delta_{r1} v = delta_{r1-r2} v,
-        # whose cc-distance to the origin is |r1 - r2| * |v|_plane.
-        speed = math.hypot(self.direction.x, self.direction.y)
-        return abs(r1 - r2) * speed
-
 
 def rule(patch: RuledPatch, s: float) -> Rule:
+    """The rule through gamma(s), an oracle for ``RuledPatch.embed``.
+
+    ``Rule.point(r)`` uses the group product and the dilation, not the chart
+    formula, so it checks ``embed(s, r)`` independently.
+    """
     patch._check_s(s)
     g, d = patch.seed.point(s), patch.seed.tangent(s)
     return Rule(HPoint(g[0], g[1], patch.h0(s)), HPoint(d[1], -d[0], 0.0))
-
-
-def extend_rules(patch: RuledPatch) -> RuledPatch:
-    """Extended graph: same seed and height function, rules over all of R."""
-    return patch.extended()
 
 
 # ---------------------------------------------------------------------------

@@ -251,7 +251,8 @@ def rule_jacobian_det(curve: SeedCurve, s: float, r: float) -> float:
 
 
 def rule_jacobian_det_fd(curve: SeedCurve, s: float, r: float) -> float:
-    """Finite-difference Jacobian determinant of F, for cross-checking."""
+    """Finite-difference Jacobian determinant of F, an oracle for
+    ``rule_jacobian_det`` (acceptance criterion 05)."""
     h = FD_STEP
     fp = rule_point(curve, s + h, r)
     fm = rule_point(curve, s - h, r)

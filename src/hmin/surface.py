@@ -29,20 +29,18 @@ are taken per element, as numpy's differ in the last bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from . import expr as ex
-from .errors import (CharacteristicPoint, FieldUndefined, HminError,
-                     NonPositiveRadius, NotAGraphAfterTransform)
-from .fields import FD_STEP, Grid2, PlanarDomain, Profile, ScalarField2, chunks
-from .heis import HPoint, group_mul
+from .errors import CharacteristicPoint, FieldUndefined, HminError, NotAGraphAfterTransform
+from .fields import Grid2, PlanarDomain, ScalarField2, chunks
+from .heis import HPoint
 
 EPS_CHAR = 1e-9
-W_MARGIN = 1e-3      # curvature is read only where W exceeds this
-HOMOGENEOUS_DIM = 4  # Q for the first Heisenberg group
+W_MARGIN = 1e-3  # curvature is read only where W exceeds this
 
 
 class CurvatureMismatch(HminError):
@@ -86,27 +84,15 @@ class HorizontalData(NamedTuple):
     nu: Optional[tuple[float, float]]
 
 
-@dataclass(frozen=True)
-class ShapeMatrix:
-    entries: tuple[tuple[float, float], tuple[float, float]]
-
-    @property
-    def trace(self) -> float:
-        return self.entries[0][0] + self.entries[1][1]
-
-    def eigenvalues(self) -> tuple[float, float]:
-        vals = np.linalg.eigvals(np.array(self.entries))
-        vals = sorted(float(v.real) for v in vals)
-        return (vals[0], vals[1])
-
-    def apply(self, v: tuple[float, float]) -> tuple[float, float]:
-        (a, b), (c, d) = self.entries
-        return (a * v[0] + b * v[1], c * v[0] + d * v[1])
-
-
 def _pq(patch: GraphPatch, x, y, jet: Optional[tuple] = None) -> tuple:
     hx, hy = patch.h.gradient(x, y) if jet is None else (jet[1], jet[2])
     return (-(hx + 0.5 * y), -(hy - 0.5 * x))
+
+
+def _horizontal(p: float, q: float) -> HorizontalData:
+    """W and nu from the scalars p, q of a graph or a level set."""
+    w = math.hypot(p, q)
+    return HorizontalData(p, q, w, (p / w, q / w) if w > EPS_CHAR else None)
 
 
 def horizontal_data(patch: GraphPatch, z: tuple, jet: Optional[tuple] = None) -> HorizontalData:
@@ -116,8 +102,7 @@ def horizontal_data(patch: GraphPatch, z: tuple, jet: Optional[tuple] = None) ->
     """
     p, q = _pq(patch, z[0], z[1], jet)
     if not isinstance(p, np.ndarray):
-        w = math.hypot(p, q)
-        return HorizontalData(p, q, w, (p / w, q / w) if w > EPS_CHAR else None)
+        return _horizontal(p, q)
     w = ex.pointwise(math.hypot, p, q)
     with np.errstate(all="ignore"):
         nu = tuple(np.where(w > EPS_CHAR, v / w, math.nan) for v in (p, q))
@@ -187,7 +172,8 @@ def _curvature_terms(patch: GraphPatch, x, y, jet: Optional[tuple]):
 
 
 def _pq_form(p, q, w, p_x, p_y, q_x, q_y):
-    """The p/q-form curvature from the terms of ``_curvature_terms``."""
+    """The p/q-form curvature from the terms of ``_curvature_terms``; a level
+    set gives the derivatives of its p and q along X1 and X2."""
     return (q * q * p_x + p * p * q_y - p * q * (q_x + p_y)) / _cube(w)
 
 
@@ -229,53 +215,6 @@ def h_mean_curvature(patch: GraphPatch, z: tuple, cross_check: bool = True,
     return value
 
 
-def shape_matrix(patch: GraphPatch, z: tuple[float, float],
-                 jet: Optional[tuple] = None) -> ShapeMatrix:
-    """The 2x2 horizontal shape operator; trace = H, (p, q) in the kernel."""
-    p, q, w, p_x, p_y, q_x, q_y = _curvature_terms(patch, z[0], z[1], jet)
-    w3 = _cube(w)
-    a11 = (q * q * p_x - p * q * q_x) / w3
-    a12 = (p * p * q_x - p * q * p_x) / w3
-    a21 = (q * q * p_y - p * q * q_y) / w3
-    a22 = (p * p * q_y - p * q * p_y) / w3
-    return ShapeMatrix(((a11, a12), (a21, a22)))
-
-
-# ---------------------------------------------------------------------------
-# Rotationally invariant surfaces t = u(|z|^2 / 4)
-# ---------------------------------------------------------------------------
-
-
-def rotational_curvature(u: Profile, s: float) -> float:
-    """H-mean curvature of the level set u(|z|^2/4) - t = 0 at radius s = |z|^2/4.
-
-    Note the orientation: this uses phi = u - t, opposite to the graph
-    convention phi = t - h, so signs flip relative to h_mean_curvature.
-    """
-    if s <= 0.0:
-        raise NonPositiveRadius(f"s={s} must be positive")
-    up, upp = u.d(s), u.dd(s)
-    one = 1.0 + up * up
-    return (2.0 * s * upp + (HOMOGENEOUS_DIM - 3.0) * up * one) / (2.0 * math.sqrt(s) * one ** 1.5)
-
-
-def catenoid_profile(a: float, u0: float) -> Profile:
-    """The zero-curvature profile u(s) = u0 + (2/a) sqrt(a s - 1), s >= 1/a."""
-    if a <= 0.0:
-        raise ValueError("a must be positive")
-
-    def f(s: float) -> float:
-        return u0 + (2.0 / a) * math.sqrt(a * s - 1.0)
-
-    def d1(s: float) -> float:
-        return 1.0 / math.sqrt(a * s - 1.0)
-
-    def d2(s: float) -> float:
-        return -0.5 * a * (a * s - 1.0) ** -1.5
-
-    return Profile(f=f, d1=d1, d2=d2)
-
-
 # ---------------------------------------------------------------------------
 # Symmetries: left translation and rotation about the t-axis
 # ---------------------------------------------------------------------------
@@ -286,7 +225,7 @@ def translate_graph(patch: GraphPatch, g0: HPoint) -> GraphPatch:
 
     The planar part translates by (x0, y0) and the height becomes
     h(x - x0, y - y0) + t0 - ((x - x0) y0 - x0 (y - y0))/2, so p and q (and
-    hence the curvature) are carried along exactly.
+    hence the curvature) are carried along exactly: acceptance criterion 11.
     """
     x0, y0, t0 = g0.x, g0.y, g0.t
     old = patch.h
@@ -315,7 +254,8 @@ def translate_graph(patch: GraphPatch, g0: HPoint) -> GraphPatch:
 
 
 def rotate_graph(patch: GraphPatch, theta: float) -> GraphPatch:
-    """Rotate a graph patch about the t-axis; the image is again a graph."""
+    """Rotate a graph patch about the t-axis; the image is again a graph
+    with the rotated curvature (acceptance criterion 11)."""
     c, s = math.cos(theta), math.sin(theta)
     old = patch.h
     dom = patch.domain
@@ -354,10 +294,6 @@ def rotate_graph(patch: GraphPatch, theta: float) -> GraphPatch:
 
     return GraphPatch(new_dom, ScalarField2(f=f, grad=grad, hess=hess,
                                             fd_step=old.fd_step, domain=new_dom))
-
-
-def left_translate_points(points: Sequence[HPoint], g0: HPoint) -> list[HPoint]:
-    return [group_mul(g0, g) for g in points]
 
 
 def points_to_graph_samples(points: Sequence[HPoint], tol: float = 1e-9) -> dict:
@@ -503,8 +439,8 @@ class ImplicitSurface:
     """Level set phi = 0 with an orientation flag (+1 keeps phi, -1 negates it)."""
 
     phi: Callable[[float, float, float], float]
-    orientation: int = 1
-    _sym: Optional[_Compiled] = None  # without it, derivatives difference phi
+    orientation: int
+    _sym: _Compiled
 
     @staticmethod
     def from_expr(src: str, orientation: int = 1) -> "ImplicitSurface":
@@ -518,58 +454,25 @@ class ImplicitSurface:
         curv = [p, q] + [ex.differentiate(f, v) for f in (p, q) for v in xyt]
         compiled = _Compiled(ex.compile_fn([p, q], xyt), ex.compile_fn(dt, xyt),
                              ex.compile_fn(curv, xyt))
-        return ImplicitSurface(phi=ex.compile_fn(tree, xyt), orientation=orientation,
-                               _sym=compiled)
-
-    def _pq(self, x: float, y: float, t: float) -> tuple[float, float]:
-        o = float(self.orientation)
-        if self._sym is not None:
-            p, q = self._sym.pq(x, y, t)
-            return (o * p, o * q)
-        h = FD_STEP
-        phix = (self.phi(x + h, y, t) - self.phi(x - h, y, t)) / (2.0 * h)
-        phiy = (self.phi(x, y + h, t) - self.phi(x, y - h, t)) / (2.0 * h)
-        phit = (self.phi(x, y, t + h) - self.phi(x, y, t - h)) / (2.0 * h)
-        return (o * (phix - 0.5 * y * phit), o * (phiy + 0.5 * x * phit))
+        return ImplicitSurface(ex.compile_fn(tree, xyt), orientation, compiled)
 
     def horizontal_data(self, g: HPoint) -> HorizontalData:
-        p, q = self._pq(g.x, g.y, g.t)
-        w = math.hypot(p, q)
-        nu = (p / w, q / w) if w > EPS_CHAR else None
-        return HorizontalData(p, q, w, nu)
-
-    def _x_derivative(self, fn: Callable, g: HPoint, which: int) -> float:
-        # directional derivative along X1 (which=1) or X2 (which=2)
-        h = FD_STEP
-        if which == 1:
-            fp = fn(g.x + h, g.y, g.t - 0.5 * g.y * h)
-            fm = fn(g.x - h, g.y, g.t + 0.5 * g.y * h)
-        else:
-            fp = fn(g.x, g.y + h, g.t + 0.5 * g.x * h)
-            fm = fn(g.x, g.y - h, g.t - 0.5 * g.x * h)
-        return (fp - fm) / (2.0 * h)
+        o = float(self.orientation)
+        p, q = self._sym.pq(g.x, g.y, g.t)
+        return _horizontal(o * p, o * q)
 
     def h_mean_curvature(self, g: HPoint) -> float:
         x, y, t = g.x, g.y, g.t
-        if self._sym is not None:
-            o = float(self.orientation)
-            p, q, p_x, p_y, p_t, q_x, q_y, q_t = self._sym.curv(x, y, t)
-            p, q = o * p, o * q
-            x1p, x2p = o * (p_x - 0.5 * y * p_t), o * (p_y + 0.5 * x * p_t)
-            x1q, x2q = o * (q_x - 0.5 * y * q_t), o * (q_y + 0.5 * x * q_t)
-        else:
-            p, q = self._pq(x, y, t)
-            pf = lambda x, y, t: self._pq(x, y, t)[0]  # noqa: E731
-            qf = lambda x, y, t: self._pq(x, y, t)[1]  # noqa: E731
-            x1p, x2p = self._x_derivative(pf, g, 1), self._x_derivative(pf, g, 2)
-            x1q, x2q = self._x_derivative(qf, g, 1), self._x_derivative(qf, g, 2)
+        o = float(self.orientation)
+        p, q, p_x, p_y, p_t, q_x, q_y, q_t = self._sym.curv(x, y, t)
+        p, q = o * p, o * q
+        # the derivatives of p and q along X1 and X2
+        x1p, x2p = o * (p_x - 0.5 * y * p_t), o * (p_y + 0.5 * x * p_t)
+        x1q, x2q = o * (q_x - 0.5 * y * q_t), o * (q_y + 0.5 * x * q_t)
         w = math.hypot(p, q)
         if w <= EPS_CHAR:
             raise CharacteristicPoint(f"W={w} at {g}")
-        return (q * q * x1p + p * p * x2q - p * q * (x1q + x2p)) / _cube(w)
-
-    def flipped(self) -> "ImplicitSurface":
-        return replace(self, orientation=-self.orientation)
+        return _pq_form(p, q, w, x1p, x2p, x1q, x2q)
 
     def solve_height(self, x: float, y: float, t0: float) -> float:
         """1-D Newton for t with phi(x, y, t) = 0, starting from t0."""
@@ -578,10 +481,7 @@ class ImplicitSurface:
             val = self.phi(x, y, t)
             if abs(val) < 1e-12:
                 return t
-            if self._sym is not None:
-                dt = self._sym.dt(x, y, t)
-            else:
-                dt = (self.phi(x, y, t + FD_STEP) - self.phi(x, y, t - FD_STEP)) / (2.0 * FD_STEP)
+            dt = self._sym.dt(x, y, t)
             if dt == 0.0 or not math.isfinite(dt):
                 break
             t -= val / dt

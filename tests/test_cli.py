@@ -394,6 +394,25 @@ def test_curvature_scan_without_samples_fails(tmp_path, payload):
     assert check["name"] == "max_abs_h_curvature" and math.isnan(check["measured"])
 
 
+# the seed's curvature puts the fold at r = -1, so every chart sample of
+# r_range [-1.1, -0.9] lies within FOLD_GUARD of it and none is evaluated
+FOLD_RULED = {"kind": "ruled",
+              "ruled": {"seed": {"kind": "expression", "x": "cos(s)", "y": "sin(s)"},
+                        "h0": "0", "s_range": [-1, 1], "r_range": [-1.1, -0.9]}}
+
+
+@pytest.mark.parametrize("command,extra,name", [
+    ("verify", [], "built_patch_minimal"),
+    ("build", ["--grid", "5", "5"], "post_build_minimal"),
+])
+def test_ruled_chart_check_without_samples_fails(tmp_path, command, extra, name):
+    spec = write_spec(tmp_path, "fold.json", FOLD_RULED)
+    assert main([command, "--spec", spec, *extra, "--out", str(tmp_path / "o")]) == 1
+    report = json.loads((tmp_path / "o" / "report.json").read_text())
+    check = [c for c in report["checks"] if c["name"] == name][0]
+    assert math.isnan(check["measured"]) and check["pass"] is False
+
+
 # W reaches 1e300 on this domain, where W^3 overflows a float
 HUGE_DOMAIN = {"kind": "graph", "graph": {"h": "x*y/2", "domain": {
     "xmin": -1e300, "xmax": 1e300, "ymin": -1e300, "ymax": 1e300}}}

@@ -11,8 +11,6 @@ from hmin.fields import (TURN_BACK, Grid2, PlanarDomain, Profile, ScalarField2,
 def test_fd_gradient_of_product():
     f = ScalarField2(f=lambda x, y: x * y / 2)
     assert f.gradient(1.0, 2.0) == pytest.approx((1.0, 0.5), abs=1e-10)
-    from hmin.fields import grad
-    assert grad(f, (1.0, 2.0)) == pytest.approx((1.0, 0.5), abs=1e-10)
 
 
 def test_gradient_of_constant():

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,13 +8,12 @@ from hmin.errors import (DegenerateDenominator, FieldUndefined, OutOfRange,
                          SingularRule)
 from hmin.fields import PlanarDomain, Profile, square
 from hmin.gallery import circle_seed, gallery_get, line_seed, optreg2_seed
-from hmin.heis import HPoint, dilate, group_mul
+from hmin.heis import HPoint, group_mul
 from hmin.ruled import (GeneralizedSeedCurve, GSCJoin, GSCPiece, GSCValidation,
                         JoinCheck, RuledPatch, bernstein_quotient, build_surface,
                         characteristic_locus, chart_samples, classify_entire_graph,
                         constant_curvature_test, curvature_on_patch,
-                        extend_rules, invert_chart, roundtrip, rule,
-                        validate_gsc, w_direct)
+                        invert_chart, roundtrip, rule, validate_gsc, w_direct)
 from hmin.seed import SeedCurve, curvature
 from hmin.surface import GraphPatch
 
@@ -271,18 +271,6 @@ def test_rule_base_and_direction():
     assert (p.t - p.x * p.y / 2) ** 2 == pytest.approx(1 - p.x ** 2)
 
 
-def test_rule_cc_distance_is_parameter_gap():
-    patch = flat_patch()
-    ln = rule(patch, 0.5)
-    assert ln.cc_distance(0.8, -0.3) == pytest.approx(1.1, abs=1e-15)
-    # group-form reduction: delta_{r2} v^{-1} o delta_{r1} v = delta_{r1-r2} v
-    from hmin.heis import group_inv
-    v = ln.direction
-    red = group_mul(group_inv(dilate(-0.3, v)), dilate(0.8, v))
-    want = dilate(1.1, v)
-    assert max(abs(red.x - want.x), abs(red.y - want.y), abs(red.t - want.t)) <= 1e-15
-
-
 def test_rule_direction_is_unit_horizontal():
     patch = hyperbolic_patch()
     ln = rule(patch, 0.3)
@@ -301,7 +289,7 @@ def test_rule_out_of_range():
 def test_extend_hyperbolic_keeps_the_closed_form():
     patch = RuledPatch(line_seed((0.0, 1.0), (-1.0, 0.0), (-1.5, 1.5)),
                        Profile.from_expr("-s/2"), (-1.5, 1.5), (-0.5, 0.5))
-    ext = extend_rules(patch)
+    ext = replace(patch, r_range=None)
     assert ext.r_range is None
     for s in np.linspace(-1.4, 1.4, 7):
         for r in (-30.0, -3.0, 4.0, 50.0):
@@ -310,7 +298,7 @@ def test_extend_hyperbolic_keeps_the_closed_form():
 
 
 def test_extend_cylinder_keeps_the_closed_form():
-    ext = extend_rules(cylinder_patch())
+    ext = replace(cylinder_patch(), r_range=None)
     for s in (-0.9, 0.0, 0.5):
         for r in (-40.0, -2.0, 35.0):
             g = ext.embed(s, r)
@@ -331,7 +319,7 @@ def test_per_s_r_range():
 
 
 def test_extend_flat_plane_across_the_fold():
-    ext = extend_rules(flat_patch())
+    ext = replace(flat_patch(), r_range=None)
     for r in (-3.0, -1.5, 2.0):
         assert ext.embed(0.3, r).t == 0.0
 

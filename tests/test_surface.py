@@ -3,13 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from hmin.errors import CharacteristicPoint, NonPositiveRadius
-from hmin.fields import Grid2, PlanarDomain, Profile, ScalarField2, square
-from hmin.heis import HPoint
-from hmin.surface import (GraphPatch, ImplicitSurface, catenoid_profile,
-                          characteristic_scan, h_mean_curvature,
-                          horizontal_data, rotate_graph, rotational_curvature,
-                          shape_matrix, translate_graph)
+from hmin.errors import CharacteristicPoint
+from hmin.fields import Grid2, PlanarDomain, ScalarField2, square
+from hmin.gallery import gallery_get
+from hmin.heis import HPoint, group_mul
+from hmin.surface import (W_MARGIN, GraphPatch, ImplicitSurface, characteristic_scan,
+                          h_mean_curvature, horizontal_data, rotate_graph,
+                          translate_graph)
 
 HYP = GraphPatch.from_expr("x*y/2", square(3.0))
 FLAT = GraphPatch.from_expr("0", square(3.0))
@@ -95,27 +95,6 @@ def test_both_forms_agree_in_fd_mode():
         h_mean_curvature(patch, z)  # 1e-4 tolerance internally
 
 
-def test_shape_matrix_plane():
-    m = shape_matrix(FLAT, (1.0, 0.0))
-    assert abs(m.trace) <= 1e-12
-    hd = horizontal_data(FLAT, (1.0, 0.0))
-    img = m.apply((hd.p, hd.q))
-    assert max(map(abs, img)) <= 1e-12
-
-
-def test_shape_matrix_hyperbolic_vanishes():
-    m = shape_matrix(HYP, (1.0, 2.0))
-    assert max(abs(v) for row in m.entries for v in row) <= 1e-12
-
-
-def test_shape_matrix_paraboloid_eigenvalues():
-    m = shape_matrix(PARAB, (1.0, 0.0))
-    lo, hi = m.eigenvalues()
-    assert lo == pytest.approx(-math.sqrt(2) / 2, abs=1e-8)
-    assert hi == pytest.approx(0.0, abs=1e-8)
-    assert m.trace == pytest.approx(h_mean_curvature(PARAB, (1.0, 0.0)), abs=1e-8)
-
-
 def test_curvature_reads_the_jet_and_without_one_not_the_height():
     # a graph whose height is costly (a chart inversion) or undefined still
     # has its curvature from the derivatives alone
@@ -127,64 +106,9 @@ def test_curvature_reads_the_jet_and_without_one_not_the_height():
     z = (1.0, 0.5)
     want = h_mean_curvature(PARAB, z)
     assert h_mean_curvature(patch, z) == want
-    assert shape_matrix(patch, z) == shape_matrix(PARAB, z)
     jet = PARAB.h.jet(*z)
     assert h_mean_curvature(patch, z, jet=jet) == want
     assert horizontal_data(patch, z, jet=jet) == horizontal_data(PARAB, z)
-    assert shape_matrix(patch, z, jet=jet) == shape_matrix(PARAB, z)
-
-
-def test_shape_matrix_kernel_property():
-    rng = np.random.default_rng(3)
-    for _ in range(20):
-        z = tuple(rng.uniform(0.3, 2.0, size=2))
-        hd = horizontal_data(PARAB, z)
-        if hd.w < 1e-3:
-            continue
-        m = shape_matrix(PARAB, z)
-        img = m.apply((hd.p, hd.q))
-        norm = max(abs(v) for row in m.entries for v in row)
-        assert math.hypot(*img) <= 1e-8 * max(norm, 1e-30) * hd.w + 1e-14
-
-
-# -- rotationally invariant profiles ----------------------------------------
-
-
-def test_rotational_curvature_of_catenoid_profile_vanishes():
-    u = catenoid_profile(2.0, 0.0)
-    for s in (0.6, 1.0, 2.5, 7.0):
-        assert abs(rotational_curvature(u, s)) <= 1e-10
-
-
-def test_rotational_curvature_linear_profile():
-    u = Profile(f=lambda s: s, d1=lambda s: 1.0, d2=lambda s: 0.0)
-    assert rotational_curvature(u, 0.25) == pytest.approx(1 / math.sqrt(2), abs=1e-10)
-
-
-def test_rotational_curvature_constant_profile():
-    u = Profile.constant(3.0)
-    assert rotational_curvature(u, 1.0) == 0.0
-
-
-def test_rotational_curvature_rejects_nonpositive_radius():
-    with pytest.raises(NonPositiveRadius):
-        rotational_curvature(Profile.constant(0.0), 0.0)
-
-
-def test_catenoid_profile_values():
-    u = catenoid_profile(2.0, 0.0)
-    assert u(0.5) == 0.0                       # waist
-    assert u(1.5) == pytest.approx(math.sqrt(2))
-    u = catenoid_profile(4.0, 1.0)
-    assert u(1.0) == pytest.approx(1.0 + 0.5 * math.sqrt(3))
-
-
-def test_paraboloid_magnitude_matches_rotational_form():
-    # graph and rotational conventions have opposite orientations
-    u = Profile(f=lambda s: s, d1=lambda s: 1.0, d2=lambda s: 0.0)
-    graph_val = h_mean_curvature(PARAB, (1.0, 0.0))
-    rot_val = rotational_curvature(u, 0.25)
-    assert graph_val == pytest.approx(-rot_val, abs=1e-6)
 
 
 # -- symmetries ---------------------------------------------------------------
@@ -234,10 +158,10 @@ def test_rotation_equivariance_of_gauss_map():
 
 def test_point_set_translation_and_vertical_line_test():
     from hmin.errors import NotAGraphAfterTransform
-    from hmin.surface import left_translate_points, points_to_graph_samples
+    from hmin.surface import points_to_graph_samples
     pts = [HYP.point(x, y) for x in np.linspace(-1, 1, 5)
            for y in np.linspace(0.5, 1.5, 5)]
-    moved = left_translate_points(pts, HPoint(0.3, -0.2, 0.7))
+    moved = [group_mul(HPoint(0.3, -0.2, 0.7), g) for g in pts]
     heights = points_to_graph_samples(moved, tol=1e-9)   # still a graph
     assert len(heights) == len(pts)
     # two sheets over the same planar points fail the vertical-line test
@@ -250,17 +174,43 @@ def test_orientation_flip_negates_curvature():
     surf = ImplicitSurface.from_expr("t - (x^2+y^2)/4")
     g = HPoint(1.0, 0.0, 0.25)
     val = surf.h_mean_curvature(g)
-    assert surf.flipped().h_mean_curvature(g) == pytest.approx(-val, abs=1e-12)
+    flipped = ImplicitSurface.from_expr("t - (x^2+y^2)/4", orientation=-1)
+    assert flipped.h_mean_curvature(g) == pytest.approx(-val, abs=1e-12)
     assert val == pytest.approx(-math.sqrt(2) / 2, abs=1e-10)
+
+
+# the level sets of the gallery entries with both forms, at default parameters
+LEVEL_SETS = {
+    "char-plane": "t",
+    "general-plane": "(1.0)*x + (2.0)*y + (2.0)*t - (4.0)",
+    "hyperbolic": "t - x*y/2",
+    "catenoid": "(t - (0.0))^2 - (4/(4.0))*((2.0)*(x^2+y^2)/4 - 1)",
+    "counterexample": "y + x*tan(tanh(t))",
+    "cylinder": "(t - x*y/2)^2 - (1 - x^2)",
+    "gencurve-n": "(t - x*y/2)^(3.0) - x",
+}
 
 
 def test_implicit_matches_graph_curvature():
     surf = ImplicitSurface.from_expr("t - x*y/2")
-    g = HPoint(1.0, 2.0, 1.0)
-    assert abs(surf.h_mean_curvature(g)) <= 1e-12
-    fd_surf = ImplicitSurface(phi=lambda x, y, t: t - (x * x + y * y) / 4)
-    assert fd_surf.h_mean_curvature(HPoint(1.0, 0.0, 0.25)) == pytest.approx(
-        -math.sqrt(2) / 2, abs=1e-5)
+    assert abs(surf.h_mean_curvature(HPoint(1.0, 2.0, 1.0))) <= 1e-12
+    # each entry's level set against its graph, one independent formula
+    # against the other; orientation -1 negates the value exactly
+    for name, src in LEVEL_SETS.items():
+        entry = gallery_get(name)
+        flipped = ImplicitSurface.from_expr(src, orientation=-1)
+        evaluated = 0
+        for x, y in Grid2(entry.verify_domain, 11, 11).nodes:
+            if horizontal_data(entry.graph, (x, y)).w <= W_MARGIN:
+                continue
+            g = entry.graph.point(x, y)
+            assert flipped.phi(g.x, g.y, g.t) == entry.implicit.phi(g.x, g.y, g.t)
+            value = entry.implicit.h_mean_curvature(g)
+            want = h_mean_curvature(entry.graph, (x, y), cross_check=False)
+            assert abs(value - want) <= 1e-12, (name, x, y)
+            assert flipped.h_mean_curvature(g) == -value
+            evaluated += 1
+        assert evaluated > 0, name
 
 
 # -- characteristic scan ------------------------------------------------------
