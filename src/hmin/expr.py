@@ -465,18 +465,6 @@ def compile_fn(e: Union[Expr, Sequence[Expr]], var_order: Iterable[str],
     return namespace["compiled"]
 
 
-def variables(e: Expr) -> set[str]:
-    if isinstance(e, Var):
-        return {e.name} if e.name in VARIABLES else set()
-    if isinstance(e, (Num,)):
-        return set()
-    if isinstance(e, Neg):
-        return variables(e.arg)
-    if isinstance(e, Call):
-        return variables(e.arg)
-    return variables(e.left) | variables(e.right)
-
-
 # ---------------------------------------------------------------------------
 # Symbolic differentiation
 # ---------------------------------------------------------------------------

@@ -377,17 +377,9 @@ class IntegratedCurve:
     stop_reason: Optional[str]   # None when all n_steps were taken
     stages: np.ndarray           # (n, 4), one row per step taken
 
-    @property
-    def end(self) -> tuple[float, float]:
-        return (float(self.points[-1, 0]), float(self.points[-1, 1]))
 
-
-def _eval_field(v: Callable, x: float, y: float) -> tuple[float, float]:
-    out = v(x, y)
-    vx, vy = float(out[0]), float(out[1])
-    if not (math.isfinite(vx) and math.isfinite(vy)):
-        raise FieldUndefined(f"vector field not finite at ({x}, {y})")
-    return vx, vy
+def _not_finite(x: float, y: float) -> FieldUndefined:
+    return FieldUndefined(f"vector field not finite at ({x}, {y})")
 
 
 def rk4_integrate(v: Callable[[float, float], Sequence[float]],
@@ -397,10 +389,12 @@ def rk4_integrate(v: Callable[[float, float], Sequence[float]],
     """Trace the integral curve of ``v`` from ``z0`` with fixed-step RK4.
 
     Ends early, recording the reason, when the field cannot be evaluated at
-    a stage point, or at the start of a step whose second stage slope turns
-    back from its first (``k1 . k2 <= 0``, read before k3 and k4).  For a
-    unit field the latter happens only across a point where the field flips
-    direction, or where the curve bends by more than pi/step.
+    a stage point (``v`` raises, or returns a value that is not finite), or
+    at the start of a step whose second stage slope turns back from its
+    first (``k1 . k2 <= 0``, read before k3 and k4).  For a unit field the
+    latter happens only across a point where the field flips direction, or
+    where the curve bends by more than pi/step.  ``v`` is called once per
+    stage point, straight from the loop.
     """
     if step <= 0.0:
         raise ValueError("step must be positive")
@@ -408,15 +402,28 @@ def rk4_integrate(v: Callable[[float, float], Sequence[float]],
     stages = array("d")
     reason = None
     x, y = pts[0]
+    half = 0.5 * step  # 0.5 * step * k parses as (0.5 * step) * k
+    finite = math.isfinite
     for _ in range(n_steps):
         try:
-            k1x, k1y = _eval_field(v, x, y)
-            k2x, k2y = _eval_field(v, x + 0.5 * step * k1x, y + 0.5 * step * k1y)
+            k1x, k1y = v(x, y)
+            if not (finite(k1x) and finite(k1y)):
+                raise _not_finite(x, y)
+            ax, ay = x + half * k1x, y + half * k1y
+            k2x, k2y = v(ax, ay)
+            if not (finite(k2x) and finite(k2y)):
+                raise _not_finite(ax, ay)
             if k1x * k2x + k1y * k2y <= 0.0:
                 reason = TURN_BACK
                 break
-            k3x, k3y = _eval_field(v, x + 0.5 * step * k2x, y + 0.5 * step * k2y)
-            k4x, k4y = _eval_field(v, x + step * k3x, y + step * k3y)
+            ax, ay = x + half * k2x, y + half * k2y
+            k3x, k3y = v(ax, ay)
+            if not (finite(k3x) and finite(k3y)):
+                raise _not_finite(ax, ay)
+            ax, ay = x + step * k3x, y + step * k3y
+            k4x, k4y = v(ax, ay)
+            if not (finite(k4x) and finite(k4y)):
+                raise _not_finite(ax, ay)
         except (FieldUndefined, StencilOutOfDomain) as err:
             reason = f"{type(err).__name__}: {err}"
             break

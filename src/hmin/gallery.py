@@ -211,7 +211,7 @@ class GalleryEntry:
     expected_scan: Optional[dict] = None
     expected_chart_label: Optional[str] = None
     expected_chart_root: Optional[Callable[[float], float]] = None
-    roundtrip_base: Optional[tuple[float, float]] = None
+    check_roundtrip: bool = False  # rebuild the graph from the seed through seed_base
     xt_graph: Optional[Callable[[float, float], float]] = None
     extra: dict = dc_field(default_factory=dict)
 
@@ -237,7 +237,7 @@ def _char_plane() -> GalleryEntry:
         expected_scan={"kind": "point", "at": (0.0, 0.0)},
         expected_chart_label="double-root",
         expected_chart_root=lambda s: -1.0,
-        roundtrip_base=(1.0, 0.0),
+        check_roundtrip=True,
     )
     entry.ruled = lambda: RuledPatch(
         circle_seed((0.0, 0.0), (1.0, 0.0), (-math.pi, math.pi)),
@@ -304,7 +304,7 @@ def _hyperbolic() -> GalleryEntry:
         expected_scan={"kind": "line-y0"},
         expected_chart_label="kappa-zero",
         expected_chart_root=lambda s: -1.0,   # r = -y with y = 1 along the seed
-        roundtrip_base=(0.0, 1.0),
+        check_roundtrip=True,
     )
     entry.ruled = lambda: RuledPatch(
         line_seed((0.0, 1.0), (-1.0, 0.0), (-1.5, 1.5)),
@@ -431,7 +431,7 @@ def _counterexample() -> GalleryEntry:
         known_h0=known_h0,
         expected_scan={"kind": "empty"},
         expected_chart_label="none",
-        roundtrip_base=(1.0, 0.0),
+        check_roundtrip=True,
         xt_graph=lambda x, t: -x * math.tan(math.tanh(t)),
     )
     entry.ruled = lambda: RuledPatch(
@@ -740,6 +740,7 @@ def gallery_verify(name: str, **params) -> list[Check]:
                                            expect=-entry.expected_curvature)
             checks.append(check_leq("h_scan_lower", dev2, ta))
 
+    extracted = None
     if entry.graph is not None and entry.seed_base is not None:
         worst, extracted = _seed_deviation(entry)
         if entry.known_seed is not None or entry.radius_law is not None:
@@ -765,9 +766,9 @@ def gallery_verify(name: str, **params) -> list[Check]:
     if entry.expected_scan is not None and entry.graph is not None:
         checks.append(_check_scan(entry))
 
-    if entry.roundtrip_base is not None:
-        err = roundtrip(entry.graph, entry.roundtrip_base,
-                        arc_span=entry.arc_span, r_span=0.4)
+    if entry.check_roundtrip:
+        err = roundtrip(entry.graph, entry.seed_base, arc_span=entry.arc_span, r_span=0.4,
+                        curve=extracted)
         checks.append(check_leq("roundtrip", err, 1e-5))
 
     if entry.gsc is not None:

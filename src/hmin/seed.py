@@ -26,7 +26,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import CharacteristicStart, FieldUndefined, OutOfRange, StencilOutOfDomain
-from .fields import FD_STEP, RK4_STEP, rk4_integrate
+from .fields import FD_STEP, RK4_STEP, chunks, rk4_integrate
 from .surface import EPS_CHAR, GraphPatch, horizontal_data, unit_horizontal_field
 
 EPS_KAPPA = 1e-8
@@ -147,7 +147,10 @@ def extract_seed(patch: GraphPatch, z0: tuple[float, float], arc_span: float,
     gamma'.  Where a step starts, the tracer has already evaluated both the
     tangent (its k1) and one side of that stencil (its k2: the + side on the
     forward branch, the - side on the backward one); the field is evaluated
-    here only at the branch ends and on the other side of the stencil.
+    here only at the branch ends and on the other side of the stencil.  That
+    side is read for all points at once, by array code when the height is
+    expression-backed (``_field_at``), with the floats the tracer's field
+    gives.  The backward branch traces the reversed field, -nu.
     """
     if not patch.domain.contains(*z0):
         raise FieldUndefined(f"z0={z0} outside the patch domain")
@@ -155,14 +158,9 @@ def extract_seed(patch: GraphPatch, z0: tuple[float, float], arc_span: float,
     if data.nu is None:
         raise CharacteristicStart(f"W={data.w} <= {EPS_CHAR} at {z0}")
     nu = unit_horizontal_field(patch)
-
-    def nu_back(x: float, y: float) -> tuple[float, float]:
-        vx, vy = nu(x, y)
-        return (-vx, -vy)
-
     n_steps = max(1, int(round(arc_span / step)))
     fwd = rk4_integrate(nu, z0, step, n_steps)
-    back = rk4_integrate(nu_back, z0, step, n_steps)
+    back = rk4_integrate(unit_horizontal_field(patch, reverse=True), z0, step, n_steps)
 
     n_b = len(back.points) - 1
     pts = np.vstack([back.points[::-1][:-1], fwd.points])
@@ -201,11 +199,7 @@ def extract_seed(patch: GraphPatch, z0: tuple[float, float], arc_span: float,
     fp, fm = rows[:, 2:4], rows[:, 4:]
     for side, at in ((fp, pts + delta * tangents), (fm, pts - delta * tangents)):
         need = np.flatnonzero(np.isnan(side[:, 0]))
-        for i, (x, y) in zip(need.tolist(), at[need].tolist()):
-            try:
-                side[i] = nu(x, y)
-            except (FieldUndefined, StencilOutOfDomain):
-                pass  # stays NaN
+        side[need] = _field_at(patch, nu, at[need])
     seconds = (fp - fm) / (2 * delta)
     ok = np.ones(len(pts), dtype=bool)
     for i in np.flatnonzero(np.isnan(seconds[:, 0])):
@@ -231,6 +225,38 @@ def extract_seed(patch: GraphPatch, z0: tuple[float, float], arc_span: float,
     keep = slice(sl, sh + 1)
     return SeedCurve(s[keep], pts[keep], tangents[keep], seconds[keep],
                      provenance="extracted", stop_lo=stop_lo, stop_hi=stop_hi)
+
+
+def _field_at(patch: GraphPatch, nu: Callable, at: np.ndarray) -> np.ndarray:
+    """``nu`` at each point of ``at`` (shape (n, 2)), NaN where it raises.
+
+    An expression-backed height is read by array code, one chunk of
+    ``CHUNK`` points at a time, with the floats ``nu`` computes; a chunk
+    where a gradient stencil leaves the domain, and any other height, is
+    read point by point.
+    """
+    out = np.full(at.shape, np.nan)
+    x, y = at[:, 0], at[:, 1]
+    each = range(len(at))
+    if patch.h.exprs:
+        each = []
+        for (i,) in chunks(np.flatnonzero(patch.domain.contains_all(x, y))):
+            try:
+                jet = patch.h.jet(x[i], y[i])
+            except StencilOutOfDomain:
+                each.extend(i.tolist())
+                continue
+            data = horizontal_data(patch, (x[i], y[i]), jet=jet)
+            # data.nu is NaN where W <= EPS_CHAR or W is NaN; nu also raises
+            # where W is inf
+            ok = np.isfinite(data.w)
+            out[i[ok]] = np.column_stack(data.nu)[ok]
+    for i in each:
+        try:
+            out[i] = nu(*at[i].tolist())
+        except (FieldUndefined, StencilOutOfDomain):
+            pass  # stays NaN
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -162,7 +162,7 @@ def test_jet_of_a_chunk_is_the_scalar_jet_at_each_node():
 def test_rk4_constant_field_is_exact():
     out = rk4_integrate(lambda x, y: (0.0, 1.0), (0.0, 0.0), 0.1, 10)
     assert out.stop_reason is None
-    assert out.end == (0.0, pytest.approx(1.0, abs=1e-15))
+    assert out.points[-1].tolist() == [0.0, pytest.approx(1.0, abs=1e-15)]
 
 
 def circle_field(x, y):
@@ -175,7 +175,7 @@ def circle_field(x, y):
 def test_rk4_circle_closes():
     step = 2 * math.pi * 1e-3
     out = rk4_integrate(circle_field, (1.0, 0.0), step, 1000)
-    ex, ey = out.end
+    ex, ey = out.points[-1]
     assert math.hypot(ex - 1.0, ey) <= 1e-9
 
 
@@ -187,7 +187,7 @@ def test_rk4_fourth_order_convergence():
     for n in (125, 250, 500, 1000, 2000, 4000):
         step = 2 * math.pi / n
         out = rk4_integrate(circle_field, (1.0, 0.0), step, n)
-        ex, ey = out.end
+        ex, ey = out.points[-1]
         errors.append(math.hypot(ex - 1.0, ey))
     for coarse, fine in zip(errors, errors[1:]):
         assert coarse / fine >= 8.0
@@ -201,7 +201,17 @@ def test_rk4_early_stop_on_undefined_field():
 
     out = rk4_integrate(v, (0.0, 0.0), 0.1, 100)
     assert out.stop_reason is not None and "FieldUndefined" in out.stop_reason
-    assert out.end[0] <= 0.55
+    assert out.points[-1, 0] <= 0.55
+
+
+@pytest.mark.parametrize("wall,stage", [(0.27, "0.30000000000000004"), (0.22, "0.25000000000000006")])
+def test_rk4_ends_where_the_field_is_not_finite(wall, stage):
+    # the field is NaN from x = wall on: the step from x = 0.2 reads its k4
+    # at x = 0.3 and its k2 at x = 0.25, so the trace ends at x = 0.2,
+    # naming the first stage point beyond the wall
+    out = rk4_integrate(lambda x, y: (1.0 if x < wall else math.nan, 0.0), (0.0, 0.0), 0.1, 100)
+    assert out.stop_reason == f"FieldUndefined: vector field not finite at ({stage}, 0.0)"
+    assert len(out.points) == 3 and out.stages.shape == (2, 4)
 
 
 def test_rk4_stages_are_k1_and_k2_of_each_step():
@@ -220,7 +230,7 @@ def test_rk4_ends_where_the_field_turns_back():
     out = rk4_integrate(lambda x, y: (1.0 if x < 0.35 else -1.0, 0.0), (0.0, 0.0), 0.1, 100)
     assert out.stop_reason == TURN_BACK
     assert len(out.points) == 4 and out.stages.shape == (3, 4)
-    assert out.end == (pytest.approx(0.3), 0.0)
+    assert out.points[-1].tolist() == [pytest.approx(0.3), 0.0]
 
 
 def test_rk4_rejects_bad_step():

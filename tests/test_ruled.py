@@ -4,10 +4,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from hmin import gallery as gallery_module
+from hmin import ruled as ruled_module
+from hmin import seed as seed_module
 from hmin.errors import (DegenerateDenominator, FieldUndefined, OutOfRange,
                          SingularRule)
 from hmin.fields import PlanarDomain, Profile, square
-from hmin.gallery import circle_seed, gallery_get, line_seed, optreg2_seed
+from hmin.gallery import (circle_seed, gallery_get, gallery_names, gallery_verify, line_seed,
+                          optreg2_seed)
 from hmin.heis import HPoint, group_mul
 from hmin.ruled import (GeneralizedSeedCurve, GSCJoin, GSCPiece, GSCValidation,
                         JoinCheck, RuledPatch, bernstein_quotient, build_surface,
@@ -460,6 +464,53 @@ def test_roundtrip_flat():
 def test_roundtrip_counterexample():
     entry = gallery_get("counterexample")
     assert roundtrip(entry.graph, (1.0, 0.0), arc_span=0.8, r_span=0.4) <= 1e-5
+
+
+# the entries whose battery rebuilds the graph from the traced seed
+ROUNDTRIP_ENTRIES = ("char-plane", "hyperbolic", "counterexample")
+
+
+def count_seed_traces(monkeypatch) -> list:
+    """Record the arguments of every extract_seed call of gallery and ruled."""
+    calls, extract = [], seed_module.extract_seed
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return extract(*args, **kwargs)
+
+    for module in (gallery_module, ruled_module):
+        monkeypatch.setattr(module, "extract_seed", counted)
+    return calls
+
+
+@pytest.mark.parametrize("name", ROUNDTRIP_ENTRIES)
+def test_roundtrip_reuses_the_callers_curve(monkeypatch, name):
+    entry = gallery_get(name)
+    args = (entry.graph, entry.seed_base, entry.arc_span, 0.4)
+    want = roundtrip(*args)
+    curve = seed_module.extract_seed(*args[:3])
+    calls = count_seed_traces(monkeypatch)
+    assert repr(roundtrip(*args, curve=curve)) == repr(want)
+    assert calls == []
+
+
+@pytest.mark.parametrize("name", ROUNDTRIP_ENTRIES)
+def test_gallery_battery_traces_each_seed_once(monkeypatch, name):
+    calls = count_seed_traces(monkeypatch)
+    checks = gallery_verify(name)
+    assert "roundtrip" in {c.name for c in checks}
+    assert len(calls) == 1
+
+
+def test_roundtrip_entries_are_the_ones_that_check_it():
+    assert tuple(n for n in gallery_names() if gallery_get(n).check_roundtrip) == ROUNDTRIP_ENTRIES
+
+
+def test_classify_traces_the_seed_once(monkeypatch):
+    calls = count_seed_traces(monkeypatch)
+    out = classify_entire_graph(GraphPatch.from_expr("x*y/2 + 0.3*x + 0.1", square(3.0)))
+    assert out.kind == "class2" and out.rebuild_error <= 1e-6
+    assert len(calls) == 1
 
 
 def test_invert_chart_roundtrip():

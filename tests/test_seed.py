@@ -313,6 +313,15 @@ EXTRACTED = {
                "StencilOutOfDomain: stencil point (-3.0000099999997807, 0.999999999996068) "
                "outside domain"),
 }
+# a height without array code: its stencil sides are read point by point
+EXTRACTED["HYP-closure"] = EXTRACTED["HYP-fd"]
+# the last backward step ends at its k2, a point inside the domain whose
+# gradient stencil is not: the chunk of stencil sides holding that point is
+# read point by point
+EXTRACTED["HYP-fd-edge"] = (
+    -2998, 2999,
+    "StencilOutOfDomain: stencil point (2.999509999999781, 0.9999999999960797) outside domain",
+    EXTRACTED["HYP-fd"][3])
 
 
 def test_extracted_tangents_and_seconds_match_direct_evaluation():
@@ -321,7 +330,11 @@ def test_extracted_tangents_and_seconds_match_direct_evaluation():
              if e.graph is not None and e.seed_base is not None]
     cases += [("FLAT", FLAT, (1.0, 0.0), math.pi), ("HYP", HYP, (0.0, 1.0), 1.4),
               ("CATENOID", CATENOID, (2.0, 0.0), 1.0), ("PARAB", PARAB, (1.0, 0.0), 3.0),
-              ("HYP-fd", HYP.fd_only(), (0.0, 1.0), 4.0)]  # both ends at the domain edge
+              ("HYP-fd", HYP.fd_only(), (0.0, 1.0), 4.0),  # both ends at the domain edge
+              ("HYP-closure", GraphPatch(square(3.0), ScalarField2(lambda x, y: x * y / 2)),
+               (0.0, 1.0), 4.0),
+              ("HYP-fd-edge", GraphPatch.from_expr(
+                  "x*y/2", PlanarDomain(-3.0, 2.999505, -3.0, 3.0)).fd_only(), (0.0, 1.0), 4.0)]
     assert sorted(name for name, *_ in cases) == sorted(EXTRACTED)
     for name, patch, z0, span in cases:
         c = extract_seed(patch, z0, span)
@@ -333,6 +346,22 @@ def test_extracted_tangents_and_seconds_match_direct_evaluation():
         for (x, y), d in zip(c.g.tolist(), c.dg.tolist()):
             assert repr(tuple(d)) == repr(nu(x, y)), name
         assert c.ddg.tobytes() == _two_sided_stencil(patch, c).tobytes(), name
+
+
+def test_stencil_sides_are_nan_where_the_unit_field_raises():
+    # W is inf at (1, 1), 0 at the origin, and (5, 0) is off the domain
+    at = np.array([[1.0, 1.0], [0.0, 0.0], [5.0, 0.0], [0.5, 0.001], [1e-3, 2e-3]])
+    for patch in (GraphPatch.from_expr("1.5e308*x*y", square(3.0)),
+                  GraphPatch(square(3.0), ScalarField2(lambda x, y: 1.5e308 * x * y,
+                                                       lambda x, y: (1.5e308 * y, 1.5e308 * x)))):
+        nu = unit_horizontal_field(patch)
+        want = []
+        for x, y in at.tolist():
+            try:
+                want.append(nu(x, y))
+            except FieldUndefined:
+                want.append((math.nan, math.nan))
+        assert seed_module._field_at(patch, nu, at).tobytes() == np.array(want).tobytes()
 
 
 def test_undefined_stencil_side_falls_back_to_tangent_differences():
@@ -352,7 +381,7 @@ def test_undefined_stencil_side_falls_back_to_tangent_differences():
     assert d.ddg[others].tobytes() == c.ddg[others].tobytes()
 
 
-def test_tracing_costs_at_most_five_gradients_per_step(monkeypatch):
+def test_tracing_costs_at_most_four_gradients_per_step(monkeypatch):
     gradients, steps = [0], [0]
     gradient, rk4 = ScalarField2.gradient, seed_module.rk4_integrate
 
@@ -369,7 +398,6 @@ def test_tracing_costs_at_most_five_gradients_per_step(monkeypatch):
     monkeypatch.setattr(seed_module, "rk4_integrate", counted_rk4)
     extract_seed(HYP, (0.0, 1.0), 1.0)
     assert steps[0] == 2000
-    # per step: four RK4 stages and one stencil side; once per seed: the
-    # check at z0, and at each branch end the tangent and the stencil side
-    # that a step starting there would have read
-    assert gradients[0] <= 5 * steps[0] + 5
+    # per step: four RK4 stages (the other stencil side is read by array
+    # code); once per seed: the check at z0 and the tangent at each branch end
+    assert gradients[0] <= 4 * steps[0] + 3
