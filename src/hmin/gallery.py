@@ -767,8 +767,7 @@ def gallery_verify(name: str, **params) -> list[Check]:
         checks.append(_check_scan(entry))
 
     if entry.check_roundtrip:
-        err = roundtrip(entry.graph, entry.seed_base, arc_span=entry.arc_span, r_span=0.4,
-                        curve=extracted)
+        err = roundtrip(entry.graph, extracted, entry.arc_span, 0.4)
         checks.append(check_leq("roundtrip", err, 1e-5))
 
     if entry.gsc is not None:

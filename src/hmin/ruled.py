@@ -531,18 +531,13 @@ def lifted_height(patch: GraphPatch, curve: SeedCurve) -> Profile:
     return Profile(f=f)
 
 
-def roundtrip(patch: GraphPatch, z0: tuple[float, float],
-              arc_span: float = 1.0, r_span: float = 0.5,
-              curve: Optional[SeedCurve] = None) -> float:
-    """Extract (seed, h0), rebuild via the representation, compare heights.
+def roundtrip(patch: GraphPatch, curve: SeedCurve, arc_span: float, r_span: float) -> float:
+    """Rebuild the graph from its seed ``curve`` and h0, compare heights.
 
-    Returns the max |h_rebuilt - h| over chart samples that are graph-valid
-    (|det DF| > 0.1) and land inside the patch domain.  ``curve`` is the
-    seed through z0, ``extract_seed(patch, z0, arc_span)``, if the caller
-    has it.
+    ``curve`` is the seed ``extract_seed(patch, z0, arc_span)`` through a base
+    point z0.  Returns the max |h_rebuilt - h| over chart samples that are
+    graph-valid (|det DF| > 0.1) and land inside the patch domain.
     """
-    if curve is None:
-        curve = extract_seed(patch, z0, arc_span)
     h0 = lifted_height(patch, curve)
     span = min(arc_span, -curve.s_min, curve.s_max)
     built = RuledPatch(curve, h0, (-span, span), (-r_span, r_span))
@@ -668,7 +663,7 @@ def classify_entire_graph(patch: GraphPatch) -> Classification:
         alpha = None
         if abs(d[1]) > 1e-9:
             alpha = -d[0] / (2.0 * d[1])
-        err = roundtrip(patch, z0, arc_span=span, r_span=min(1.0, window / 6.0), curve=curve)
+        err = roundtrip(patch, curve, span, min(1.0, window / 6.0))
         return Class2(direction=d, base=base, h0_samples=h0s, alpha=alpha,
                       rebuild_error=err)
 

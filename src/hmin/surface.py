@@ -116,22 +116,16 @@ def unit_horizontal_field(patch: GraphPatch,
 
     Raises FieldUndefined off the domain or where W <= EPS_CHAR (analytic
     evaluators would otherwise happily extend past the declared domain).
-    The domain bounds, the membership predicate and the height's bound
-    ``gradient`` are read once, when the field is made; a call computes p, q
-    and W inline, as ``PlanarDomain.contains`` and ``_pq`` do, with the
-    gradient as its only inner call.
     """
     dom = patch.domain
-    xmin, xmax, ymin, ymax, member = dom.xmin, dom.xmax, dom.ymin, dom.ymax, dom.membership
-    gradient = patch.h.gradient
-    # -(a / w) == (-a) / w exactly, so -nu flips the sign of p and q instead
-    sign = 1.0 if reverse else -1.0
 
     def nu(x: float, y: float) -> tuple[float, float]:
-        if not (xmin <= x <= xmax and ymin <= y <= ymax and (member is None or member(x, y))):
+        if not dom.contains(x, y):
             raise FieldUndefined(f"({x}, {y}) outside the patch domain")
-        hx, hy = gradient(x, y)
-        p, q = sign * (hx + 0.5 * y), sign * (hy - 0.5 * x)
+        p, q = _pq(patch, x, y)
+        if reverse:
+            # -(a / w) == (-a) / w exactly, so -nu flips the sign of p and q instead
+            p, q = -p, -q
         w = math.hypot(p, q)
         if not math.isfinite(w) or w <= EPS_CHAR:
             raise FieldUndefined(f"horizontal Gauss map undefined at ({x}, {y}), W={w}")

@@ -102,10 +102,11 @@ def test_criterion_03_seed_extraction():
 
 def test_criterion_04_representation_roundtrip():
     worst = 0.0
-    worst = max(worst, roundtrip(gallery_get("hyperbolic").graph, (0.0, 1.0)))
-    worst = max(worst, roundtrip(gallery_get("char-plane").graph, (1.0, 0.0)))
-    worst = max(worst, roundtrip(gallery_get("counterexample").graph, (1.0, 0.0),
-                                 arc_span=0.8, r_span=0.4))
+    for name, z0, arc_span, r_span in (("hyperbolic", (0.0, 1.0), 1.0, 0.5),
+                                       ("char-plane", (1.0, 0.0), 1.0, 0.5),
+                                       ("counterexample", (1.0, 0.0), 0.8, 0.4)):
+        graph = gallery_get(name).graph
+        worst = max(worst, roundtrip(graph, extract_seed(graph, z0, arc_span), arc_span, r_span))
     report(4, "representation round-trip", worst, 1e-5)
 
 

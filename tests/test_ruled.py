@@ -18,7 +18,7 @@ from hmin.ruled import (GeneralizedSeedCurve, GSCJoin, GSCPiece, GSCValidation,
                         characteristic_locus, chart_samples, classify_entire_graph,
                         constant_curvature_test, curvature_on_patch,
                         invert_chart, roundtrip, rule, validate_gsc, w_direct)
-from hmin.seed import SeedCurve, curvature
+from hmin.seed import SeedCurve, curvature, extract_seed
 from hmin.surface import GraphPatch
 
 
@@ -453,17 +453,17 @@ def test_bernstein_quotient_degenerate_denominator():
 
 def test_roundtrip_hyperbolic():
     patch = GraphPatch.from_expr("x*y/2", square(3.0))
-    assert roundtrip(patch, (0.0, 1.0)) <= 1e-6
+    assert roundtrip(patch, extract_seed(patch, (0.0, 1.0), 1.0), 1.0, 0.5) <= 1e-6
 
 
 def test_roundtrip_flat():
     patch = GraphPatch.from_expr("0", square(3.0))
-    assert roundtrip(patch, (1.0, 0.0)) <= 1e-6
+    assert roundtrip(patch, extract_seed(patch, (1.0, 0.0), 1.0), 1.0, 0.5) <= 1e-6
 
 
 def test_roundtrip_counterexample():
     entry = gallery_get("counterexample")
-    assert roundtrip(entry.graph, (1.0, 0.0), arc_span=0.8, r_span=0.4) <= 1e-5
+    assert roundtrip(entry.graph, extract_seed(entry.graph, (1.0, 0.0), 0.8), 0.8, 0.4) <= 1e-5
 
 
 # the entries whose battery rebuilds the graph from the traced seed
@@ -481,17 +481,6 @@ def count_seed_traces(monkeypatch) -> list:
     for module in (gallery_module, ruled_module):
         monkeypatch.setattr(module, "extract_seed", counted)
     return calls
-
-
-@pytest.mark.parametrize("name", ROUNDTRIP_ENTRIES)
-def test_roundtrip_reuses_the_callers_curve(monkeypatch, name):
-    entry = gallery_get(name)
-    args = (entry.graph, entry.seed_base, entry.arc_span, 0.4)
-    want = roundtrip(*args)
-    curve = seed_module.extract_seed(*args[:3])
-    calls = count_seed_traces(monkeypatch)
-    assert repr(roundtrip(*args, curve=curve)) == repr(want)
-    assert calls == []
 
 
 @pytest.mark.parametrize("name", ROUNDTRIP_ENTRIES)
