@@ -270,8 +270,7 @@ def cmd_verify(args, spec: dict, report: Report) -> None:
                 near += 1
                 continue
             values.append(surf.h_mean_curvature(g))
-        measured = worst_abs(values) if values else math.nan
-        report.add(check_leq("max_abs_h_curvature", measured, gal.TOL_H_ANALYTIC,
+        report.add(check_leq("max_abs_h_curvature", worst_abs(values), gal.TOL_H_ANALYTIC,
                              note=f"{len(values)} nodes evaluated, {near} near the "
                                   f"characteristic set, {no_height} without a height"))
     else:

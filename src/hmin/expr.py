@@ -33,7 +33,7 @@ from __future__ import annotations
 import math
 import operator
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 from typing import Callable, Iterable, Sequence, Union
 
@@ -323,6 +323,18 @@ def evaluate(e: Expr, env: dict[str, float]) -> float:
     if isinstance(e, Call):
         return FUNCTIONS[e.fn](evaluate(e.arg, env))
     raise TypeError(f"not an Expr: {e!r}")
+
+
+def substitute(e: Expr, env: dict[str, Expr]) -> Expr:
+    """``e`` with every variable named in ``env`` replaced by its tree, so
+    evaluating the result evaluates e at the values of those trees."""
+    if isinstance(e, Var):
+        return env.get(e.name, e)
+    if isinstance(e, (Neg, Call)):
+        return replace(e, arg=substitute(e.arg, env))
+    if type(e) in _BINARY:
+        return type(e)(substitute(e.left, env), substitute(e.right, env))
+    return e  # a number
 
 
 def pointwise(fn: Callable[..., float], *args) -> np.ndarray:

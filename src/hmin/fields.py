@@ -1,8 +1,9 @@
 """Planar scalar fields, grids, and the shared numerical kernels.
 
-A ScalarField2 evaluates a function on a planar domain together with its
-first and second derivatives, either from analytic evaluators or by
-central finite differences.  Its ``jet`` takes one point or a chunk of
+A ScalarField2 (fields ``f, grad, fd_step, domain, exprs``) evaluates a
+function on a planar domain with its first and second derivatives: exact
+ones when it has the six trees of an expression-backed field, central
+finite differences otherwise.  Its ``jet`` takes one point or a chunk of
 points (1-d arrays of at most ``CHUNK`` nodes, from ``chunks``); the
 other evaluators take one point.  The module also provides the fixed-step RK4
 integrator used for seed-curve tracing and an adaptive Simpson rule used
@@ -107,27 +108,30 @@ def _stencil_points(x, y, h: float) -> tuple:
 class ScalarField2:
     """A real function on a planar domain with derivative evaluators.
 
-    ``grad`` and ``hess`` are optional analytic evaluators; when absent,
-    derivatives fall back to central differences with step ``fd_step``
-    (first order) and ``HESS_STEP`` (second order on values).  When an
-    analytic gradient is present but the Hessian is not, the Hessian is
-    obtained by differencing the gradient at ``fd_step`` and symmetrizing
-    the mixed partials.  Fields without an analytic Hessian are *stencil
-    fields*: their derivatives read f around (x, y), inside ``domain``.
-    ``exprs`` holds the trees of an expression-backed field: f, then, when
-    analytic, (fx, fy, fxx, fxy, fyy); ``jet`` compiles them for arrays on
-    the first chunk it is given.
+    ``grad`` is an optional analytic gradient; without it, first
+    derivatives are central differences with step ``fd_step``.  ``exprs``
+    holds the trees of an expression-backed field: f, then, when analytic,
+    (fx, fy, fxx, fxy, fyy).  A field has an analytic Hessian exactly when
+    it has those six trees; its scalar 2-jet is compiled from them once, on
+    construction.  Without them the Hessian differences the gradient at
+    ``fd_step`` (symmetrizing the mixed partials) when there is one, and
+    the values at ``HESS_STEP`` otherwise.  Fields without an analytic
+    Hessian are *stencil fields*: their derivatives read f around (x, y),
+    inside ``domain``.  ``jet`` compiles ``exprs`` for arrays on the first
+    chunk it is given.
     """
 
     f: Callable[[float, float], float]
     grad: Optional[Callable[[float, float], tuple[float, float]]] = None
-    hess: Optional[Callable[[float, float], tuple[tuple[float, float], tuple[float, float]]]] = None
     fd_step: float = FD_STEP
     domain: Optional[PlanarDomain] = None
-    source: Optional[str] = None  # expression text when expr-backed
-    jet_eval: Optional[Callable[[float, float], tuple]] = None  # (f, fx, fy, fxx, fxy, fyy)
     exprs: tuple[ex.Expr, ...] = ()
+    _jet: Optional[Callable] = field(default=None, init=False, repr=False, compare=False)
     _array: Optional[Callable] = field(default=None, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        if len(self.exprs) == 6:
+            self._jet = ex.compile_fn(self.exprs, ("x", "y"))
 
     # -- evaluation ---------------------------------------------------------
 
@@ -208,10 +212,10 @@ class ScalarField2:
         return self._fd_gradient(x, y) if self.grad is None else tuple(self.grad(x, y))
 
     def hessian(self, x: float, y: float) -> tuple[tuple[float, float], tuple[float, float]]:
-        if self.hess is not None:
-            m = self.hess(x, y)
-            return ((m[0][0], m[0][1]), (m[1][0], m[1][1]))
-        fxx, fxy, fyy = self._stencil_hessian(x, y)
+        if self._jet is not None:
+            _, _, _, fxx, fxy, fyy = self._jet(x, y)
+        else:
+            fxx, fxy, fyy = self._stencil_hessian(x, y)
         return ((fxx, fxy), (fxy, fyy))
 
     def jet(self, x, y, first: Optional[tuple] = None) -> tuple:
@@ -233,23 +237,19 @@ class ScalarField2:
             # IEEE results such as inf - inf = NaN are the point, not a warning
             with np.errstate(all="ignore"):
                 return self._chunk_jet(x, y, first)
+        if self._jet is not None:
+            return first if first is not None else self._jet(x, y)
         if first is not None:
-            return first if self.hess is not None else first + self._stencil_hessian(x, y, first[0])
-        if self.jet_eval is not None:
-            return self.jet_eval(x, y)
-        first = (self.f(x, y), *(self._fd_gradient(x, y) if self.grad is None else self.grad(x, y)))
-        if self.hess is None:
-            return first
-        (fxx, fxy), (_, fyy) = self.hess(x, y)
-        return first + (fxx, fxy, fyy)
+            return first + self._stencil_hessian(x, y, first[0])
+        return (self.f(x, y), *(self._fd_gradient(x, y) if self.grad is None else self.grad(x, y)))
 
     def _chunk_jet(self, x: np.ndarray, y: np.ndarray, first: Optional[tuple]) -> tuple:
         if not self.exprs:
             return self._jet_each(x, y, first)
+        if self._jet is not None:
+            return first if first is not None else self._compiled()(x, y)
         if first is not None:
-            return first if self.hess is not None else first + self._stencil_hessian(x, y, first[0])
-        if self.hess is not None:
-            return self._compiled()(x, y)
+            return first + self._stencil_hessian(x, y, first[0])
         return (self._compiled()(x, y), *self._fd_gradient(x, y))
 
     def _jet_each(self, x: np.ndarray, y: np.ndarray, first: Optional[tuple]) -> tuple:
@@ -269,23 +269,21 @@ class ScalarField2:
     @staticmethod
     def from_expr(src: str, domain: Optional[PlanarDomain] = None) -> "ScalarField2":
         """Build a field from an expression in x, y with symbolic derivatives."""
-        tree = ex.parse(src)
+        return ScalarField2.from_tree(ex.parse(src), domain)
+
+    @staticmethod
+    def from_tree(tree: ex.Expr, domain: Optional[PlanarDomain] = None) -> "ScalarField2":
+        """Build a field from a tree in x, y with symbolic derivatives."""
         dx = ex.differentiate(tree, "x")
         dy = ex.differentiate(tree, "y")
         trees = (tree, dx, dy, ex.differentiate(dx, "x"), ex.differentiate(dx, "y"),
                  ex.differentiate(dy, "y"))
-        jet = ex.compile_fn(trees, ("x", "y"))
-
-        def hess(x: float, y: float):
-            _, _, _, fxx, fxy, fyy = jet(x, y)
-            return ((fxx, fxy), (fxy, fyy))
-
         return ScalarField2(f=ex.compile_fn(tree, ("x", "y")), grad=ex.compile_fn([dx, dy], ("x", "y")),
-                            hess=hess, domain=domain, source=src, jet_eval=jet, exprs=trees)
+                            domain=domain, exprs=trees)
 
     def fd_only(self) -> "ScalarField2":
         """A copy that drops analytic derivative evaluators (pure FD mode)."""
-        return replace(self, grad=None, hess=None, jet_eval=None, exprs=self.exprs[:1])
+        return replace(self, grad=None, exprs=self.exprs[:1])
 
 
 @dataclass(frozen=True)

@@ -475,7 +475,6 @@ def _cylinder() -> GalleryEntry:
         known_kappa=lambda z0: 0.0,
         expected_chart_label="kappa-zero",
         expected_chart_root=lambda s: -s / math.sqrt(1.0 - s * s),
-        extra={"implicit_residual": lambda x, y, t: (t - x * y / 2.0) ** 2 - (1.0 - x * x)},
     )
     entry.ruled_pair = make_pair
     entry.ruled = lambda: make_pair()[0]
@@ -658,7 +657,7 @@ def max_curvature_deviation(patch: GraphPatch, domain: PlanarDomain,
     """
     worst = [worst_abs(dev) for x, y in chunks(*Grid2(domain, nx, ny).points())
              if (dev := _deviations(patch, x, y, expect)).size]
-    return worst_abs(worst) if worst else math.nan
+    return worst_abs(worst)
 
 
 def _deviations(patch: GraphPatch, x: np.ndarray, y: np.ndarray, expect: float) -> np.ndarray:
@@ -862,10 +861,9 @@ def _optreg2_corner(entry: GalleryEntry) -> list[Check]:
 def _cylinder_checks(entry: GalleryEntry) -> list[Check]:
     checks = []
     s1, s2 = entry.ruled_pair()
-    resid = entry.extra["implicit_residual"]
     images = (patch.embed(float(s), float(r)) for patch in (s1, s2)
               for s in np.linspace(*patch.s_range, 25) for r in np.linspace(-2.0, 2.0, 25))
-    worst = worst_abs(resid(g.x, g.y, g.t) for g in images)
+    worst = worst_abs(entry.implicit.phi(g.x, g.y, g.t) for g in images)
     checks.append(check_leq("cylinder_implicit_residual", worst, 1e-9))
     # piecewise-constant Gauss map (+-1, 0) off the characteristic locus
     checks.append(check_leq("cylinder_gauss_piecewise",

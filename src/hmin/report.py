@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
@@ -27,13 +28,14 @@ class Check:
 
 
 def worst_abs(values: Iterable[float]) -> float:
-    """The largest |v| over the samples, 0.0 when there are none.
+    """The largest |v| over the samples, NaN when there are none.
 
     A NaN sample anywhere makes the result NaN, so a ``check_leq`` on it
-    fails instead of the sample being silently dropped by ``max``.
+    fails instead of the sample being silently dropped by ``max``; so does
+    a check that measured no sample at all.
     """
     arr = np.abs(values if isinstance(values, np.ndarray) else np.fromiter(values, dtype=float))
-    return float(arr.max()) if arr.size else 0.0
+    return float(arr.max()) if arr.size else math.nan
 
 
 def check_leq(name: str, measured: float, threshold: float, note: str = "") -> Check:

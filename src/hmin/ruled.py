@@ -257,10 +257,9 @@ def chart_samples(patch: RuledPatch, n: int,
 
 def worst_on_chart(patch: RuledPatch, n: int, value: Callable[[float, float], float],
                    w_min: Optional[float] = W_MARGIN) -> float:
-    """``worst_abs`` of value(s, r) over ``chart_samples(patch, n, w_min)``;
+    """``worst_abs`` of value(s, r) over ``chart_samples(patch, n, w_min)``:
     NaN, so a check on it fails, when no sample is left."""
-    values = [value(s, r) for s, r in chart_samples(patch, n, w_min)]
-    return worst_abs(values) if values else math.nan
+    return worst_abs(value(s, r) for s, r in chart_samples(patch, n, w_min))
 
 
 def curvature_on_patch(patch: RuledPatch, s: float, r: float) -> float:

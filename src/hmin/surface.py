@@ -36,7 +36,7 @@ import numpy as np
 
 from . import expr as ex
 from .errors import CharacteristicPoint, FieldUndefined, HminError, NotAGraphAfterTransform
-from .fields import Grid2, PlanarDomain, ScalarField2, chunks
+from .fields import Grid2, PlanarDomain, ScalarField2, chunks, over_arrays
 from .heis import HPoint
 
 EPS_CHAR = 1e-9
@@ -226,80 +226,70 @@ def h_mean_curvature(patch: GraphPatch, z: tuple, cross_check: bool = True,
 # ---------------------------------------------------------------------------
 
 
+def _height(patch: GraphPatch) -> ex.Expr:
+    """The height tree of a graph, which a symmetry substitutes into."""
+    if not patch.h.exprs:
+        raise HminError("only a graph with an expression-backed height can be moved")
+    return patch.h.exprs[0]
+
+
+def _moved(patch: GraphPatch, tree: ex.Expr, domain: PlanarDomain) -> GraphPatch:
+    """The graph of the moved height ``tree`` over ``domain``; its derivatives
+    are symbolic when those of ``patch`` are, and differences otherwise."""
+    h = ScalarField2.from_tree(tree, domain)
+    return GraphPatch(domain, h if patch.analytic else h.fd_only())
+
+
 def translate_graph(patch: GraphPatch, g0: HPoint) -> GraphPatch:
     """Left-translate a graph patch; the image is again a graph.
 
     The planar part translates by (x0, y0) and the height becomes
     h(x - x0, y - y0) + t0 - ((x - x0) y0 - x0 (y - y0))/2, so p and q (and
     hence the curvature) are carried along exactly: acceptance criterion 11.
+    The new height is that expression tree, so its derivatives are exact
+    symbolic ones when those of h are, and central differences when h has
+    none; h must be expression-backed.
     """
-    x0, y0, t0 = g0.x, g0.y, g0.t
-    old = patch.h
+    # plain floats: the literals of a tree are compiled as their repr
+    x0, y0, t0 = float(g0.x), float(g0.y), float(g0.t)
     dom = patch.domain
-    membership = None
-    if dom.membership is not None:
-        membership = lambda x, y, m=dom.membership: m(x - x0, y - y0)  # noqa: E731
+    m = dom.membership
+    membership = None if m is None else lambda x, y: m(x - x0, y - y0)  # noqa: E731
+    if getattr(m, "over_arrays", False):
+        over_arrays(membership)
     new_dom = PlanarDomain(dom.xmin + x0, dom.xmax + x0, dom.ymin + y0, dom.ymax + y0,
                            membership)
-
-    def f(x: float, y: float) -> float:
-        return old.value(x - x0, y - y0) + t0 - 0.5 * ((x - x0) * y0 - x0 * (y - y0))
-
-    grad = None
-    if old.grad is not None:
-        def grad(x: float, y: float):
-            gx, gy = old.gradient(x - x0, y - y0)
-            return (gx - 0.5 * y0, gy + 0.5 * x0)
-
-    hess = None
-    if old.hess is not None:
-        hess = lambda x, y: old.hessian(x - x0, y - y0)  # noqa: E731
-
-    return GraphPatch(new_dom, ScalarField2(f=f, grad=grad, hess=hess,
-                                            fd_step=old.fd_step, domain=new_dom))
+    u, v = ex.sub(ex.Var("x"), ex.Num(x0)), ex.sub(ex.Var("y"), ex.Num(y0))
+    shear = ex.mul(ex.Num(0.5), ex.sub(ex.mul(u, ex.Num(y0)), ex.mul(ex.Num(x0), v)))
+    tree = ex.sub(ex.add(ex.substitute(_height(patch), {"x": u, "y": v}), ex.Num(t0)), shear)
+    return _moved(patch, tree, new_dom)
 
 
 def rotate_graph(patch: GraphPatch, theta: float) -> GraphPatch:
     """Rotate a graph patch about the t-axis; the image is again a graph
-    with the rotated curvature (acceptance criterion 11)."""
+    with the rotated curvature (acceptance criterion 11).
+
+    The new height is h(c x + s y, -s x + c y) (c = cos theta, s = sin
+    theta) as an expression tree, so its derivatives are exact symbolic
+    ones when those of h are, and central differences when h has none; h
+    must be expression-backed.
+    """
     c, s = math.cos(theta), math.sin(theta)
-    old = patch.h
     dom = patch.domain
+    xs, ys = zip(*((c * px - s * py, s * px + c * py)
+                   for px in (dom.xmin, dom.xmax) for py in (dom.ymin, dom.ymax)))
 
-    def back(x: float, y: float) -> tuple[float, float]:
-        return (c * x + s * y, -s * x + c * y)
-
-    corners = [(dom.xmin, dom.ymin), (dom.xmin, dom.ymax), (dom.xmax, dom.ymin),
-               (dom.xmax, dom.ymax)]
-    rot = [(c * px - s * py, s * px + c * py) for px, py in corners]
-    xs, ys = [p[0] for p in rot], [p[1] for p in rot]
-
-    def membership(x: float, y: float) -> bool:
-        bx, by = back(x, y)
-        return dom.contains(bx, by)
+    @over_arrays
+    def membership(x, y):
+        # the point rotated back, in the old domain
+        bx, by = c * x + s * y, -s * x + c * y
+        return dom.contains_all(bx, by) if isinstance(x, np.ndarray) else dom.contains(bx, by)
 
     new_dom = PlanarDomain(min(xs), max(xs), min(ys), max(ys), membership)
-
-    def f(x: float, y: float) -> float:
-        return old.value(*back(x, y))
-
-    grad = None
-    if old.grad is not None:
-        def grad(x: float, y: float):
-            gx, gy = old.gradient(*back(x, y))
-            return (c * gx - s * gy, s * gx + c * gy)
-
-    hess = None
-    if old.hess is not None:
-        def hess(x: float, y: float):
-            (axx, axy), (_, ayy) = old.hessian(*back(x, y))
-            m = np.array([[axx, axy], [axy, ayy]])
-            r = np.array([[c, -s], [s, c]])
-            out = r @ m @ r.T
-            return ((out[0, 0], out[0, 1]), (out[1, 0], out[1, 1]))
-
-    return GraphPatch(new_dom, ScalarField2(f=f, grad=grad, hess=hess,
-                                            fd_step=old.fd_step, domain=new_dom))
+    x, y = ex.Var("x"), ex.Var("y")
+    back = {"x": ex.add(ex.mul(ex.Num(c), x), ex.mul(ex.Num(s), y)),
+            "y": ex.add(ex.mul(ex.Num(-s), x), ex.mul(ex.Num(c), y))}
+    return _moved(patch, ex.substitute(_height(patch), back), new_dom)
 
 
 def points_to_graph_samples(points: Sequence[HPoint], tol: float = 1e-9) -> dict:

@@ -253,6 +253,15 @@ def test_compiled_array_evaluation_matches_evaluate(tree):
     assert [repr(float(v)) for v in got] == [repr(ex.evaluate(tree, env)) for env in points]
 
 
+@given(_trees, st.dictionaries(st.sampled_from(["x", "y", "t", "s", "r"]), _trees))
+@settings(max_examples=300, deadline=None)
+def test_substitution_evaluates_the_tree_at_the_substituted_values(tree, env):
+    for values in zip(*_BATCH.values()):
+        point = dict(zip(_BATCH, values))
+        at = {**point, **{v: ex.evaluate(sub, point) for v, sub in env.items()}}
+        assert repr(ex.evaluate(ex.substitute(tree, env), point)) == repr(ex.evaluate(tree, at))
+
+
 def test_compiled_array_results_are_arrays_of_their_own():
     x, y = np.array([1.0, 2.0]), np.array([3.0, 4.0])
     const, same, both = ex.compile_fn([ex.parse("2*pi"), ex.parse("x"), ex.parse("x*y")],

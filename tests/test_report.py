@@ -1,13 +1,16 @@
 import math
 
+import numpy as np
 import pytest
 
 from hmin.report import check_leq, worst_abs
 
 
-def test_worst_abs_of_no_samples_is_zero():
-    assert worst_abs([]) == 0.0
-    assert worst_abs(v for v in ()) == 0.0
+def test_worst_abs_of_no_samples_is_nan_and_fails():
+    for values in ([], (v for v in ()), np.empty(0)):
+        worst = worst_abs(values)
+        assert math.isnan(worst)
+        assert not check_leq("c", worst, 1.0).passed
 
 
 def test_worst_abs_is_the_largest_magnitude():

@@ -14,7 +14,7 @@ import pytest
 
 from hmin import expr as ex
 from hmin.errors import StencilOutOfDomain
-from hmin.fields import CHUNK, Grid2, PlanarDomain
+from hmin.fields import CHUNK, Grid2, PlanarDomain, ScalarField2
 from hmin.gallery import gallery_get, gallery_names, max_curvature_deviation
 from hmin.heis import HPoint
 from hmin.report import worst_abs
@@ -114,7 +114,7 @@ def test_chunked_scan_equals_the_node_loop_on_gallery_graphs(patch, domain, expe
 
 
 def test_chunked_scan_equals_the_node_loop_on_closure_graphs():
-    # the moved graphs of the invariance criteria: closures, read node by node
+    # the moved graphs of the invariance criteria carry the trees of their height
     rng = np.random.default_rng(11)
     for name in ("hyperbolic", "catenoid"):
         entry = gallery_get(name)
@@ -124,7 +124,7 @@ def test_chunked_scan_equals_the_node_loop_on_closure_graphs():
             theta = float(rng.uniform(0.0, 2 * math.pi))
             for patch, domain in ((translate_graph(graph, g0), translate_graph(inner, g0).domain),
                                   (rotate_graph(graph, theta), rotate_graph(inner, theta).domain)):
-                assert patch.h.exprs == ()
+                assert len(patch.h.exprs) == len(graph.h.exprs)
                 got = max_curvature_deviation(patch, domain, 21, 21)
                 assert math.isfinite(got)
                 assert repr(got) == repr(deviation_by_node(patch, domain, 21, 21))
@@ -166,7 +166,7 @@ def _fd_patch():
 
 def _stencil_cases():
     fd = _fd_patch()
-    moved = translate_graph(fd, HPoint(0.0, 0.0, 0.0))   # the same field, as a closure
+    closure = GraphPatch(fd.domain, ScalarField2(fd.h.f))   # the same field, without trees
     # node 0 (x = 1 - 2e-5) fails only its Hessian stencil (step 5e-5); node 1
     # (x = 1 - 5e-6) fails its gradient stencil (step 1e-5); W = |y| = 0.5
     hess_first = PlanarDomain(1 - 2e-5, 1 - 5e-6, 0.5, 0.5)
@@ -174,7 +174,7 @@ def _stencil_cases():
     # in the second chunk, and the next column starts at node 2000
     wide = PlanarDomain(1 - 2e-5 - 19 * 1e-4, 1 - 2e-5 + 1e-4, 0.1, 0.9,
                         lambda x, y: x < 1 - 1e-5 or y > 0.5)
-    for name, patch in (("expr", fd), ("closure", moved)):
+    for name, patch in (("expr", fd), ("closure", closure)):
         yield pytest.param(patch, hess_first, 2, 1, id=f"{name}-hessian-first")
         yield pytest.param(patch, wide, 21, 100, id=f"{name}-second-chunk")
         # only the gradient stencil leaves the domain: at x = 1 - 5e-6
@@ -244,8 +244,7 @@ def test_fd_scan_calls_no_float_function_per_node(monkeypatch):
     member, contains_all, pow_calls = [], [], []
     dom, vdom = (replace(d, membership=_counted(member, d.membership))
                  for d in (entry.graph.domain, entry.verify_domain))
-    patch = GraphPatch.from_expr(entry.graph.h.source, dom)
-    patch = GraphPatch(dom, patch.h.fd_only())
+    patch = GraphPatch(dom, ScalarField2.from_tree(entry.graph.h.exprs[0], dom).fd_only())
     monkeypatch.setattr(PlanarDomain, "contains_all", _counted(contains_all, PlanarDomain.contains_all))
     monkeypatch.setattr(ex, "safe_pow", _counted(pow_calls, ex.safe_pow))
     assert math.isfinite(max_curvature_deviation(patch, vdom))

@@ -1,10 +1,11 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from hmin.errors import CharacteristicPoint
-from hmin.fields import Grid2, PlanarDomain, ScalarField2, square
+from hmin.errors import CharacteristicPoint, HminError
+from hmin.fields import Grid2, PlanarDomain, ScalarField2, over_arrays, square
 from hmin.gallery import gallery_get
 from hmin.heis import HPoint, group_mul
 from hmin.surface import (W_MARGIN, GraphPatch, ImplicitSurface, characteristic_scan,
@@ -101,8 +102,7 @@ def test_curvature_reads_the_jet_and_without_one_not_the_height():
     def no_height(x, y):
         raise AssertionError("height read")
 
-    field = ScalarField2(f=no_height, grad=PARAB.h.grad, hess=PARAB.h.hess, domain=square(3.0))
-    patch = GraphPatch(square(3.0), field)
+    patch = GraphPatch(square(3.0), replace(PARAB.h, f=no_height))
     z = (1.0, 0.5)
     want = h_mean_curvature(PARAB, z)
     assert h_mean_curvature(patch, z) == want
@@ -154,6 +154,62 @@ def test_rotation_equivariance_of_gauss_map():
                 hd2 = horizontal_data(rot, rz)
                 want = (c * hd.nu[0] - s * hd.nu[1], s * hd.nu[0] + c * hd.nu[1])
                 assert hd2.nu == pytest.approx(want, abs=1e-8)
+
+
+WAVY = GraphPatch.from_expr("sin(x)*y^2 + x^3/3", square(2.0))
+G0, THETA = HPoint(0.3, -0.4, 0.7), 0.9
+C, S = math.cos(THETA), math.sin(THETA)
+
+
+def test_moved_graphs_keep_the_derivative_mode():
+    for patch in (WAVY, WAVY.fd_only(), CATENOID, CATENOID.fd_only()):
+        for moved in (translate_graph(patch, G0), rotate_graph(patch, THETA)):
+            # six trees and a gradient, or one tree and differences
+            assert len(moved.h.exprs) == len(patch.h.exprs) in (1, 6)
+            assert (moved.h.grad is None) == (patch.h.grad is None)
+
+
+def test_translated_graph_has_the_translated_derivatives():
+    moved = translate_graph(WAVY, G0)
+    for x, y in [(0.5, 0.1), (-0.3, -0.3), (0.7, -1.1)]:
+        at = (x - G0.x, y - G0.y)
+        assert np.array(moved.h.hessian(x, y)) == pytest.approx(np.array(WAVY.h.hessian(*at)),
+                                                                abs=1e-12)
+        gx, gy = WAVY.h.gradient(*at)
+        assert moved.h.gradient(x, y) == pytest.approx((gx - G0.y / 2, gy + G0.x / 2), abs=1e-12)
+
+
+def test_rotated_graph_has_the_rotated_derivatives():
+    moved = rotate_graph(WAVY, THETA)
+    r = np.array([[C, -S], [S, C]])
+    for x, y in [(0.2, 0.5), (-0.6, 0.1), (0.4, -0.7)]:
+        at = (C * x + S * y, -S * x + C * y)
+        want = r @ np.array(WAVY.h.hessian(*at)) @ r.T
+        assert np.array(moved.h.hessian(x, y)) == pytest.approx(want, abs=1e-12)
+        assert moved.h.gradient(x, y) == pytest.approx(r @ WAVY.h.gradient(*at), abs=1e-12)
+
+
+def test_moved_membership_takes_arrays_when_it_can():
+    marked = GraphPatch(replace(CATENOID.domain,
+                                membership=over_arrays(lambda x, y: x * x + y * y > 2.05)),
+                        CATENOID.h)
+    x, y = Grid2(PlanarDomain(-3.0, 3.0, -3.0, 3.0), 41, 41).points()
+    for patch in (CATENOID, marked):
+        # a rotation maps through contains_all, which takes any membership
+        for moved, over in ((translate_graph(patch, G0), patch is marked),
+                            (rotate_graph(patch, THETA), True)):
+            dom = moved.domain
+            assert getattr(dom.membership, "over_arrays", False) == over
+            assert dom.contains_all(x, y).tolist() == [
+                dom.contains(a, b) for a, b in zip(x.tolist(), y.tolist())]
+
+
+def test_a_graph_without_trees_cannot_be_moved():
+    closure = GraphPatch(square(1.0), ScalarField2(lambda x, y: x * y / 2))
+    with pytest.raises(HminError):
+        translate_graph(closure, HPoint(0.1, 0.2, 0.3))
+    with pytest.raises(HminError):
+        rotate_graph(closure, 0.5)
 
 
 def test_point_set_translation_and_vertical_line_test():
