@@ -120,7 +120,7 @@ def graph_from_spec(spec: dict) -> GraphPatch:
     # domain, so the patch (and every grid over it) is inset by two steps:
     # one step alone would leave the outermost stencil points to rounding
     field = patch.h.fd_only()
-    m = 2.0 * max(field.fd_step, HESS_STEP)
+    m = 2.0 * max(FD_STEP, HESS_STEP)
     return GraphPatch(PlanarDomain(dom.xmin + m, dom.xmax - m, dom.ymin + m, dom.ymax - m), field)
 
 

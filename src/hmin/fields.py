@@ -1,17 +1,18 @@
 """Planar scalar fields, grids, and the shared numerical kernels.
 
-A ScalarField2 (fields ``f, grad, fd_step, domain, exprs``) evaluates a
-function on a planar domain with its first and second derivatives: exact
-ones when it has the six trees of an expression-backed field, central
-finite differences otherwise.  Its ``jet`` takes one point or a chunk of
-points (1-d arrays of at most ``CHUNK`` nodes, from ``chunks``); the
-other evaluators take one point.  The module also provides the fixed-step RK4
-integrator used for seed-curve tracing and an adaptive Simpson rule used
-for integral-defined curves.  The integrator returns the first two stage
-slopes (k1, k2) of every step, which seed tracing reuses, and ends a trace
-at the start of a step whose k2 turns back from its k1 (k1 . k2 <= 0).
+A ScalarField2 (fields ``exprs, domain``) evaluates a function given by
+expression trees on a planar domain, with its first and second
+derivatives: exact ones when it has the six trees of an analytic field,
+central finite differences when it has f alone.  Its ``jet`` takes one
+point or a chunk of points (1-d arrays of at most ``CHUNK`` nodes, from
+``chunks``); the other evaluators take one point.  The module also
+provides the fixed-step RK4 integrator used for seed-curve tracing and an
+adaptive Simpson rule used for integral-defined curves.  The integrator
+returns the first two stage slopes (k1, k2) of every step, which seed
+tracing reuses, and ends a trace at the start of a step whose k2 turns
+back from its k1 (k1 . k2 <= 0).
 
-Numerical defaults (fixed; only a field's ``fd_step`` can be set):
+Numerical defaults (fixed):
 
 * ``FD_STEP = 1e-5`` central-difference step for first derivatives,
 * ``HESS_STEP = 5e-5`` step for value-based second differences (the
@@ -26,8 +27,7 @@ from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass, field, replace
-from itertools import repeat
+from dataclasses import dataclass, field
 from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -108,29 +108,26 @@ def _stencil_points(x, y, h: float) -> tuple:
 class ScalarField2:
     """A real function on a planar domain with derivative evaluators.
 
-    ``grad`` is an optional analytic gradient; without it, first
-    derivatives are central differences with step ``fd_step``.  ``exprs``
-    holds the trees of an expression-backed field: f, then, when analytic,
-    (fx, fy, fxx, fxy, fyy).  A field has an analytic Hessian exactly when
-    it has those six trees; its scalar 2-jet is compiled from them once, on
-    construction.  Without them the Hessian differences the gradient at
-    ``fd_step`` (symmetrizing the mixed partials) when there is one, and
-    the values at ``HESS_STEP`` otherwise.  Fields without an analytic
-    Hessian are *stencil fields*: their derivatives read f around (x, y),
-    inside ``domain``.  ``jet`` compiles ``exprs`` for arrays on the first
-    chunk it is given.
+    ``exprs`` holds the trees of the field in x, y: f, then, when analytic,
+    (fx, fy, fxx, fxy, fyy).  On construction f is compiled, and so are
+    the gradient and the 2-jet of an analytic field.  A field with f alone
+    is a *stencil field*: its gradient is central differences at
+    ``FD_STEP`` and its Hessian second differences of the values at
+    ``HESS_STEP``, read around (x, y), inside ``domain``.  ``jet`` compiles
+    ``exprs`` for arrays on the first chunk it is given.
     """
 
-    f: Callable[[float, float], float]
-    grad: Optional[Callable[[float, float], tuple[float, float]]] = None
-    fd_step: float = FD_STEP
+    exprs: tuple[ex.Expr, ...]
     domain: Optional[PlanarDomain] = None
-    exprs: tuple[ex.Expr, ...] = ()
+    f: Optional[Callable] = field(default=None, init=False, repr=False, compare=False)
+    _grad: Optional[Callable] = field(default=None, init=False, repr=False, compare=False)
     _jet: Optional[Callable] = field(default=None, init=False, repr=False, compare=False)
     _array: Optional[Callable] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        self.f = ex.compile_fn(self.exprs[0], ("x", "y"))
         if len(self.exprs) == 6:
+            self._grad = ex.compile_fn(self.exprs[1:3], ("x", "y"))
             self._jet = ex.compile_fn(self.exprs, ("x", "y"))
 
     # -- evaluation ---------------------------------------------------------
@@ -178,28 +175,18 @@ class ScalarField2:
         return self._array
 
     def _values(self, x) -> Callable:
-        """The evaluator of f at a point, or at a chunk of an expression-backed stencil field."""
+        """The evaluator of f at a point, or at a chunk of nodes."""
         return self._compiled() if isinstance(x, np.ndarray) else self.f
 
     def _fd_gradient(self, x, y) -> tuple:
-        f, h = self._values(x), self.fd_step
+        f, h = self._values(x), FD_STEP
         self._check_stencil(x, y, h)
         return ((f(x + h, y) - f(x - h, y)) / (2.0 * h),
                 (f(x, y + h) - f(x, y - h)) / (2.0 * h))
 
     def _stencil_hessian(self, x, y, f00=None):
-        """(fxx, fxy, fyy) of a stencil field; ``f00`` is f(x, y) if known."""
-        if self.grad is not None:
-            h = self.fd_step
-            self._check_stencil(x, y, h)
-            gxp, gxm = self.grad(x + h, y), self.grad(x - h, y)
-            gyp, gym = self.grad(x, y + h), self.grad(x, y - h)
-            fxx = (gxp[0] - gxm[0]) / (2.0 * h)
-            fyy = (gyp[1] - gym[1]) / (2.0 * h)
-            # mixed partials symmetrized by averaging the two estimates
-            fxy = 0.5 * ((gyp[0] - gym[0]) / (2.0 * h) + (gxp[1] - gxm[1]) / (2.0 * h))
-            return (fxx, fxy, fyy)
-        # 9-point symmetric stencil on values
+        """(fxx, fxy, fyy) of a stencil field by the 9-point symmetric stencil
+        on values; ``f00`` is f(x, y) if known."""
         f, h = self._values(x), HESS_STEP
         self._check_stencil(x, y, h)
         f00 = f(x, y) if f00 is None else f00
@@ -209,7 +196,7 @@ class ScalarField2:
         return (fxx, fxy, fyy)
 
     def gradient(self, x: float, y: float) -> tuple[float, float]:
-        return self._fd_gradient(x, y) if self.grad is None else tuple(self.grad(x, y))
+        return self._fd_gradient(x, y) if self._grad is None else tuple(self._grad(x, y))
 
     def hessian(self, x: float, y: float) -> tuple[tuple[float, float], tuple[float, float]]:
         if self._jet is not None:
@@ -224,14 +211,14 @@ class ScalarField2:
         A stencil field builds it in two steps, so that a scan can filter on
         the gradient before the Hessian stencil is checked: ``jet(x, y)``
         returns the 1-jet ``(f, fx, fy)`` and ``jet(x, y, first)`` completes
-        it.  Other fields return the 2-jet at once, and pass it back as is.
+        it.  An analytic field returns the 2-jet at once, and passes it back
+        as is.
 
         x and y may also be a non-empty chunk of nodes; the jet is then a
-        tuple of arrays whose elements are the floats of the scalar jet at
-        each node.  An expression-backed field evaluates them with array
-        code, any other field with its scalar jet at each node.  A stencil
-        check that fails raises for the first failing node of the chunk, and
-        the error records its index in the chunk as ``node``.
+        tuple of arrays, evaluated by array code, whose elements are the
+        floats of the scalar jet at each node.  A stencil check that fails
+        raises for the first failing node of the chunk, and the error
+        records its index in the chunk as ``node``.
         """
         if isinstance(x, np.ndarray):
             # IEEE results such as inf - inf = NaN are the point, not a warning
@@ -241,28 +228,14 @@ class ScalarField2:
             return first if first is not None else self._jet(x, y)
         if first is not None:
             return first + self._stencil_hessian(x, y, first[0])
-        return (self.f(x, y), *(self._fd_gradient(x, y) if self.grad is None else self.grad(x, y)))
+        return (self.f(x, y), *self._fd_gradient(x, y))
 
     def _chunk_jet(self, x: np.ndarray, y: np.ndarray, first: Optional[tuple]) -> tuple:
-        if not self.exprs:
-            return self._jet_each(x, y, first)
         if self._jet is not None:
             return first if first is not None else self._compiled()(x, y)
         if first is not None:
             return first + self._stencil_hessian(x, y, first[0])
         return (self._compiled()(x, y), *self._fd_gradient(x, y))
-
-    def _jet_each(self, x: np.ndarray, y: np.ndarray, first: Optional[tuple]) -> tuple:
-        """``jet`` at each node of a chunk, point by point."""
-        firsts = zip(*(a.tolist() for a in first)) if first is not None else repeat(None)
-        rows = []
-        for i, (px, py, node_first) in enumerate(zip(x.tolist(), y.tolist(), firsts)):
-            try:
-                rows.append(self.jet(px, py, node_first))
-            except StencilOutOfDomain as err:
-                err.node = i
-                raise
-        return tuple(np.array(column, dtype=float) for column in zip(*rows))
 
     # -- construction -------------------------------------------------------
 
@@ -278,12 +251,11 @@ class ScalarField2:
         dy = ex.differentiate(tree, "y")
         trees = (tree, dx, dy, ex.differentiate(dx, "x"), ex.differentiate(dx, "y"),
                  ex.differentiate(dy, "y"))
-        return ScalarField2(f=ex.compile_fn(tree, ("x", "y")), grad=ex.compile_fn([dx, dy], ("x", "y")),
-                            domain=domain, exprs=trees)
+        return ScalarField2(trees, domain)
 
     def fd_only(self) -> "ScalarField2":
-        """A copy that drops analytic derivative evaluators (pure FD mode)."""
-        return replace(self, grad=None, exprs=self.exprs[:1])
+        """The field of the same height with f alone (pure FD mode)."""
+        return ScalarField2(self.exprs[:1], self.domain)
 
 
 @dataclass(frozen=True)

@@ -674,7 +674,7 @@ def _deviations(patch: GraphPatch, x: np.ndarray, y: np.ndarray, expect: float) 
     if not keep.any():
         return np.empty(0)
     x, y, jet = x[keep], y[keep], tuple(a[keep] for a in jet)
-    h = h_mean_curvature(patch, (x, y), cross_check=False, jet=jet)
+    h = h_mean_curvature(patch, (x, y), jet=jet)
     # the derivatives can be finite where the height is not (see expr)
     return np.where(np.isfinite(jet[0]), h - expect, math.nan)
 

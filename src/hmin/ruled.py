@@ -36,15 +36,15 @@ from typing import Callable, Iterator, Optional
 
 import numpy as np
 
-from .errors import (DegenerateDenominator, FieldUndefined, HminError,
+from .errors import (CharacteristicPoint, DegenerateDenominator, FieldUndefined, HminError,
                      OutOfRange, SingularRule)
-from .fields import PlanarDomain, Profile, ScalarField2
+from .fields import FD_STEP, Profile
 from .heis import HPoint, dilate, group_mul
 from .report import worst_abs
 from .seed import (SeedCurve, curvature, extract_seed, rule_jacobian,
                    rule_jacobian_det, rule_point, singular_locus, SingularLocus,
                    EPS_KAPPA)
-from .surface import W_MARGIN, GraphPatch, h_mean_curvature, horizontal_data
+from .surface import EPS_CHAR, W_MARGIN, GraphPatch, h_mean_curvature, horizontal_data
 
 EPS_DELTA = 1e-9
 DET_GUARD = 0.1
@@ -143,7 +143,7 @@ def build_surface(seed_curve: SeedCurve, h0: Profile,
 
 
 # ---------------------------------------------------------------------------
-# Local graph reconstruction (the oracle side of every W/curvature check)
+# The built graph through the chart; Newton inversion is the W oracle
 # ---------------------------------------------------------------------------
 
 
@@ -207,32 +207,6 @@ def w_direct(patch: RuledPatch, s: float, r: float, method: str = "chain") -> fl
     return math.hypot(p, q)
 
 
-def graph_field(patch: RuledPatch, s0: float, r0: float) -> GraphPatch:
-    """A GraphPatch view of the built surface near embed(s0, r0).
-
-    Heights come from Newton inversion of the chart; the gradient is exact
-    via the chain rule, and second derivatives fall back to differencing
-    the gradient.  Valid while the inversion stays in the (s0, r0) basin,
-    which is all the stencils used here need.
-    """
-    zx, zy = rule_point(patch.seed, s0, r0)
-
-    def solve(x: float, y: float) -> tuple[float, float]:
-        return invert_chart(patch, (x, y), (s0, r0))
-
-    def f(x: float, y: float) -> float:
-        return patch.height(*solve(x, y))
-
-    def grad(x: float, y: float) -> tuple[float, float]:
-        return chart_height_gradient(patch, *solve(x, y))
-
-    dom = PlanarDomain(zx - 1.0, zx + 1.0, zy - 1.0, zy + 1.0)
-    # the gradient is exact, so its difference step can sit well below the
-    # generic default; third derivatives blow up near the chart fold and
-    # would otherwise dominate the Hessian truncation error
-    return GraphPatch(dom, ScalarField2(f=f, grad=grad, domain=dom, fd_step=1e-6))
-
-
 def chart_samples(patch: RuledPatch, n: int,
                   w_min: Optional[float] = W_MARGIN) -> Iterator[tuple[float, float]]:
     """(s, r) samples of the chart for the built-patch checks.
@@ -262,14 +236,36 @@ def worst_on_chart(patch: RuledPatch, n: int, value: Callable[[float, float], fl
     return worst_abs(value(s, r) for s, r in chart_samples(patch, n, w_min))
 
 
+def _chart_nu(patch: RuledPatch, s: float, r: float) -> tuple[float, float]:
+    """The built graph's unit field nu = (p, q)/W at F(s, r), from the
+    chain-rule gradient; raises CharacteristicPoint where W <= EPS_CHAR."""
+    x, y = rule_point(patch.seed, s, r)
+    hx, hy = chart_height_gradient(patch, s, r)
+    p, q = -(hx + 0.5 * y), -(hy - 0.5 * x)
+    w = math.hypot(p, q)
+    if w <= EPS_CHAR:
+        raise CharacteristicPoint(f"W={w} at ({x}, {y})")
+    return (p / w, q / w)
+
+
 def curvature_on_patch(patch: RuledPatch, s: float, r: float) -> float:
-    """H-mean curvature of the built patch where it is locally a graph."""
+    """H-mean curvature of the built patch where it is locally a graph.
+
+    H = div nu is taken in chart coordinates: d nu/d(s, r) by central
+    differences of ``_chart_nu`` at FD_STEP, and d nu/d(x, y) =
+    d nu/d(s, r) J^-1 with J = DF(s, r) (``rule_jacobian``); H is the trace.
+    """
     det = rule_jacobian_det(patch.seed, s, r)
     if abs(det) <= DET_GUARD:
         raise FieldUndefined(f"|det DF| = {abs(det)} <= {DET_GUARD} at (s={s}, r={r})")
-    gp = graph_field(patch, s, r)
-    z = rule_point(patch.seed, s, r)
-    return h_mean_curvature(gp, z, cross_check=False)
+    h = FD_STEP
+    (sp1, sp2), (sm1, sm2) = _chart_nu(patch, s + h, r), _chart_nu(patch, s - h, r)
+    (rp1, rp2), (rm1, rm2) = _chart_nu(patch, s, r + h), _chart_nu(patch, s, r - h)
+    j = rule_jacobian(patch.seed, s, r)
+    det_j = j[0, 0] * j[1, 1] - j[0, 1] * j[1, 0]
+    # trace of [[nu1_s, nu1_r], [nu2_s, nu2_r]] [[j11, -j01], [-j10, j00]] / det_j
+    return ((sp1 - sm1) * j[1, 1] - (rp1 - rm1) * j[1, 0]
+            - (sp2 - sm2) * j[0, 1] + (rp2 - rm2) * j[0, 0]) / (2.0 * h * det_j)
 
 
 # ---------------------------------------------------------------------------
@@ -634,7 +630,7 @@ def classify_entire_graph(patch: GraphPatch) -> Classification:
             if interior and hd.w > best[0]:
                 best = (hd.w, (x, y))
             if hd.w > W_MARGIN:
-                hcur = abs(h_mean_curvature(patch, (x, y), cross_check=False, jet=jet))
+                hcur = abs(h_mean_curvature(patch, (x, y), jet=jet))
                 if not math.isfinite(hcur):
                     return NotEntire(f"mean curvature not finite at ({x}, {y})")
                 if hcur > worst_h[0]:

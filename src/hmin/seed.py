@@ -148,9 +148,9 @@ def extract_seed(patch: GraphPatch, z0: tuple[float, float], arc_span: float,
     tangent (its k1) and one side of that stencil (its k2: the + side on the
     forward branch, the - side on the backward one); the field is evaluated
     here only at the branch ends and on the other side of the stencil.  That
-    side is read for all points at once, by array code when the height is
-    expression-backed (``_field_at``), with the floats the tracer's field
-    gives.  The backward branch traces the reversed field, -nu.
+    side is read for all points at once, by array code (``_field_at``), with
+    the floats the tracer's field gives.  The backward branch traces the
+    reversed field, -nu.
     """
     if not patch.domain.contains(*z0):
         raise FieldUndefined(f"z0={z0} outside the patch domain")
@@ -230,27 +230,24 @@ def extract_seed(patch: GraphPatch, z0: tuple[float, float], arc_span: float,
 def _field_at(patch: GraphPatch, nu: Callable, at: np.ndarray) -> np.ndarray:
     """``nu`` at each point of ``at`` (shape (n, 2)), NaN where it raises.
 
-    An expression-backed height is read by array code, one chunk of
-    ``CHUNK`` points at a time, with the floats ``nu`` computes; a chunk
-    where a gradient stencil leaves the domain, and any other height, is
-    read point by point.
+    The height is read by array code, one chunk of ``CHUNK`` points at a
+    time, with the floats ``nu`` computes; a chunk where a gradient stencil
+    leaves the domain is read point by point.
     """
     out = np.full(at.shape, np.nan)
     x, y = at[:, 0], at[:, 1]
-    each = range(len(at))
-    if patch.h.exprs:
-        each = []
-        for (i,) in chunks(np.flatnonzero(patch.domain.contains_all(x, y))):
-            try:
-                jet = patch.h.jet(x[i], y[i])
-            except StencilOutOfDomain:
-                each.extend(i.tolist())
-                continue
-            data = horizontal_data(patch, (x[i], y[i]), jet=jet)
-            # data.nu is NaN where W <= EPS_CHAR or W is NaN; nu also raises
-            # where W is inf
-            ok = np.isfinite(data.w)
-            out[i[ok]] = np.column_stack(data.nu)[ok]
+    each = []
+    for (i,) in chunks(np.flatnonzero(patch.domain.contains_all(x, y))):
+        try:
+            jet = patch.h.jet(x[i], y[i])
+        except StencilOutOfDomain:
+            each.extend(i.tolist())
+            continue
+        data = horizontal_data(patch, (x[i], y[i]), jet=jet)
+        # data.nu is NaN where W <= EPS_CHAR or W is NaN; nu also raises
+        # where W is inf
+        ok = np.isfinite(data.w)
+        out[i[ok]] = np.column_stack(data.nu)[ok]
     for i in each:
         try:
             out[i] = nu(*at[i].tolist())

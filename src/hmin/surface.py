@@ -7,22 +7,21 @@ For a graph t = h(x, y) the defining function is phi = t - h, so
 
 and the projected horizontal Gauss map is nu = (p, q)/W, defined off the
 characteristic set {W = 0}.  The H-mean curvature is the planar divergence
-of nu; it is evaluated both in divergence form (differencing the unit
-field) and in the equivalent p/q form
+of nu, evaluated in the equivalent p/q form
 
     H = (q^2 p_x + p^2 q_y - p q (q_x + p_y)) / W^3
 
-and the two evaluations are required to agree (1e-8 with analytic
-derivatives, 1e-4 in pure finite-difference mode).
+from the height's 2-jet.  The tests hold it against the divergence form,
+which differences the unit field.
 
 Implicit surfaces phi(x, y, t) = 0 carry an orientation flag; negating the
 orientation negates the curvature.  Curvature at characteristic points is
 deliberately left undefined: the scan reports the locus instead.
 
-``horizontal_data`` and ``h_mean_curvature`` (without the cross-check)
-also take a chunk of graph nodes, as 1-d arrays x and y together with
-the height field's jet there (``ScalarField2.jet``); every element is
-the float the same call gives at that node.  W = hypot(p, q) and W^3
+``horizontal_data`` and ``h_mean_curvature`` also take a chunk of graph
+nodes, as 1-d arrays x and y together with the height field's jet there
+(``ScalarField2.jet``); every element is the float the same call gives
+at that node.  W = hypot(p, q) and W^3
 are taken per element, as numpy's differ in the last bit.
 """
 
@@ -35,16 +34,12 @@ from typing import Callable, NamedTuple, Optional, Sequence
 import numpy as np
 
 from . import expr as ex
-from .errors import CharacteristicPoint, FieldUndefined, HminError, NotAGraphAfterTransform
+from .errors import CharacteristicPoint, FieldUndefined, NotAGraphAfterTransform
 from .fields import Grid2, PlanarDomain, ScalarField2, chunks, over_arrays
 from .heis import HPoint
 
 EPS_CHAR = 1e-9
 W_MARGIN = 1e-3  # curvature is read only where W exceeds this
-
-
-class CurvatureMismatch(HminError):
-    """Divergence-form and p/q-form curvature disagree beyond tolerance."""
 
 
 @dataclass
@@ -67,7 +62,7 @@ class GraphPatch:
 
     @property
     def analytic(self) -> bool:
-        return self.h.grad is not None
+        return len(self.h.exprs) == 6
 
     def point(self, x: float, y: float) -> HPoint:
         t = self.h.value(x, y)
@@ -156,8 +151,6 @@ def _curvature_terms(patch: GraphPatch, x, y, jet: Optional[tuple]):
     at a chunk of them (given with its jet).
 
     W is tested before the Hessian is read (a 1-jet is completed only then).
-    Without a jet the height is not read: on a chart-inverted graph it costs
-    a Newton solve.
     """
     p, q = _pq(patch, x, y, jet)
     if isinstance(p, np.ndarray):
@@ -183,42 +176,19 @@ def _pq_form(p, q, w, p_x, p_y, q_x, q_y):
     return (q * q * p_x + p * p * q_y - p * q * (q_x + p_y)) / _cube(w)
 
 
-def _curvature_div_form(patch: GraphPatch, x: float, y: float, step: float) -> float:
-    nu = unit_horizontal_field(patch)
-    dnu1 = (nu(x + step, y)[0] - nu(x - step, y)[0]) / (2.0 * step)
-    dnu2 = (nu(x, y + step)[1] - nu(x, y - step)[1]) / (2.0 * step)
-    return dnu1 + dnu2
-
-
-def h_mean_curvature(patch: GraphPatch, z: tuple, cross_check: bool = True,
-                     jet: Optional[tuple] = None):
+def h_mean_curvature(patch: GraphPatch, z: tuple, jet: Optional[tuple] = None):
     """H-mean curvature at a non-characteristic point of the patch.
 
     Returns the p/q-form value, read from ``jet`` (the field's jet at z)
-    when given.  With ``cross_check`` the divergence form is evaluated
-    independently and a disagreement beyond tolerance raises
-    CurvatureMismatch.  The tolerance relaxes like (0.05/W)^3 close to the
-    characteristic set, where the unit field's derivatives blow up.
-    Without the cross-check, z may be a chunk of nodes (x, y), given with
-    its jet; the result is then an array.
+    when given.  z may also be a chunk of nodes (x, y), given with its
+    jet; the result is then an array.
     """
     x, y = z
     terms = _curvature_terms(patch, x, y, jet)
-    if isinstance(x, np.ndarray) and not cross_check:
+    if isinstance(x, np.ndarray):
         with np.errstate(all="ignore"):
             return _pq_form(*terms)
-    value = _pq_form(*terms)
-    if cross_check:
-        if patch.analytic:
-            base_tol, step = 1e-8, patch.h.fd_step
-        else:
-            base_tol, step = 1e-4, max(patch.h.fd_step, 1e-4)
-        other = _curvature_div_form(patch, x, y, step)
-        tol = base_tol * max(1.0, (0.05 / terms[2]) ** 3)
-        if abs(value - other) > tol:
-            raise CurvatureMismatch(
-                f"pq-form {value} vs divergence-form {other} at ({x}, {y}), tol {tol}")
-    return value
+    return _pq_form(*terms)
 
 
 # ---------------------------------------------------------------------------
@@ -226,18 +196,11 @@ def h_mean_curvature(patch: GraphPatch, z: tuple, cross_check: bool = True,
 # ---------------------------------------------------------------------------
 
 
-def _height(patch: GraphPatch) -> ex.Expr:
-    """The height tree of a graph, which a symmetry substitutes into."""
-    if not patch.h.exprs:
-        raise HminError("only a graph with an expression-backed height can be moved")
-    return patch.h.exprs[0]
-
-
 def _moved(patch: GraphPatch, tree: ex.Expr, domain: PlanarDomain) -> GraphPatch:
     """The graph of the moved height ``tree`` over ``domain``; its derivatives
     are symbolic when those of ``patch`` are, and differences otherwise."""
-    h = ScalarField2.from_tree(tree, domain)
-    return GraphPatch(domain, h if patch.analytic else h.fd_only())
+    h = ScalarField2.from_tree(tree, domain) if patch.analytic else ScalarField2((tree,), domain)
+    return GraphPatch(domain, h)
 
 
 def translate_graph(patch: GraphPatch, g0: HPoint) -> GraphPatch:
@@ -248,7 +211,7 @@ def translate_graph(patch: GraphPatch, g0: HPoint) -> GraphPatch:
     hence the curvature) are carried along exactly: acceptance criterion 11.
     The new height is that expression tree, so its derivatives are exact
     symbolic ones when those of h are, and central differences when h has
-    none; h must be expression-backed.
+    none.
     """
     # plain floats: the literals of a tree are compiled as their repr
     x0, y0, t0 = float(g0.x), float(g0.y), float(g0.t)
@@ -261,7 +224,7 @@ def translate_graph(patch: GraphPatch, g0: HPoint) -> GraphPatch:
                            membership)
     u, v = ex.sub(ex.Var("x"), ex.Num(x0)), ex.sub(ex.Var("y"), ex.Num(y0))
     shear = ex.mul(ex.Num(0.5), ex.sub(ex.mul(u, ex.Num(y0)), ex.mul(ex.Num(x0), v)))
-    tree = ex.sub(ex.add(ex.substitute(_height(patch), {"x": u, "y": v}), ex.Num(t0)), shear)
+    tree = ex.sub(ex.add(ex.substitute(patch.h.exprs[0], {"x": u, "y": v}), ex.Num(t0)), shear)
     return _moved(patch, tree, new_dom)
 
 
@@ -271,8 +234,7 @@ def rotate_graph(patch: GraphPatch, theta: float) -> GraphPatch:
 
     The new height is h(c x + s y, -s x + c y) (c = cos theta, s = sin
     theta) as an expression tree, so its derivatives are exact symbolic
-    ones when those of h are, and central differences when h has none; h
-    must be expression-backed.
+    ones when those of h are, and central differences when h has none.
     """
     c, s = math.cos(theta), math.sin(theta)
     dom = patch.domain
@@ -289,7 +251,7 @@ def rotate_graph(patch: GraphPatch, theta: float) -> GraphPatch:
     x, y = ex.Var("x"), ex.Var("y")
     back = {"x": ex.add(ex.mul(ex.Num(c), x), ex.mul(ex.Num(s), y)),
             "y": ex.add(ex.mul(ex.Num(-s), x), ex.mul(ex.Num(c), y))}
-    return _moved(patch, ex.substitute(_height(patch), back), new_dom)
+    return _moved(patch, ex.substitute(patch.h.exprs[0], back), new_dom)
 
 
 def points_to_graph_samples(points: Sequence[HPoint], tol: float = 1e-9) -> dict:

@@ -3,40 +3,46 @@ import math
 import numpy as np
 import pytest
 
+from hmin import expr as ex
 from hmin.errors import FieldUndefined, StencilOutOfDomain
-from hmin.fields import (TURN_BACK, Grid2, PlanarDomain, Profile, ScalarField2,
+from hmin.fields import (FD_STEP, TURN_BACK, Grid2, PlanarDomain, Profile, ScalarField2,
                          adaptive_simpson, cumulative_integral, rk4_integrate, square)
 
 
+def fd_field(src, domain=None):
+    """The stencil field of the expression ``src``: f alone, no derivative trees."""
+    return ScalarField2((ex.parse(src),), domain)
+
+
 def test_fd_gradient_of_product():
-    f = ScalarField2(f=lambda x, y: x * y / 2)
+    f = fd_field("x*y/2")
     assert f.gradient(1.0, 2.0) == pytest.approx((1.0, 0.5), abs=1e-10)
 
 
 def test_gradient_of_constant():
-    f = ScalarField2(f=lambda x, y: 4.25)
+    f = fd_field("4.25")
     assert f.gradient(0.3, -0.7) == (0.0, 0.0)
 
 
 def test_fd_gradient_matches_analytic():
-    f = ScalarField2(f=lambda x, y: x * x + y * y, fd_step=1e-5)
+    f = fd_field("x*x + y*y")
     gx, gy = f.gradient(1.0, 1.0)
     assert abs(gx - 2.0) <= 1e-8 and abs(gy - 2.0) <= 1e-8
 
 
 def test_fd_gradient_error_bound_on_gallery_fields():
-    # max-norm error <= 10 * fd_step^2 over a grid, for smooth test fields
+    # max-norm error <= 10 * FD_STEP^2 over a grid, for smooth test fields
     fields = [
-        (lambda x, y: math.sin(x) * math.cos(y),
+        ("sin(x)*cos(y)",
          lambda x, y: (math.cos(x) * math.cos(y), -math.sin(x) * math.sin(y))),
-        (lambda x, y: math.exp(0.3 * x - 0.2 * y),
+        ("exp(0.3*x - 0.2*y)",
          lambda x, y: (0.3 * math.exp(0.3 * x - 0.2 * y),
                        -0.2 * math.exp(0.3 * x - 0.2 * y))),
-        (lambda x, y: x * y / 2, lambda x, y: (y / 2, x / 2)),
+        ("x*y/2", lambda x, y: (y / 2, x / 2)),
     ]
-    step = 1e-5
-    for f, grad in fields:
-        fld = ScalarField2(f=f, fd_step=step)
+    step = FD_STEP
+    for src, grad in fields:
+        fld = fd_field(src)
         worst = 0.0
         for x in np.linspace(-1, 1, 11):
             for y in np.linspace(-1, 1, 11):
@@ -47,7 +53,7 @@ def test_fd_gradient_error_bound_on_gallery_fields():
 
 
 def test_hessian_is_symmetric_by_construction():
-    f = ScalarField2(f=lambda x, y: math.sin(x * y) + x ** 3)
+    f = fd_field("sin(x*y) + x^3")
     (hxx, hxy), (hyx, hyy) = f.hessian(0.4, -0.2)
     assert hxy == hyx
     assert abs(hxy - (math.cos(0.4 * -0.2) - 0.4 * -0.2 * math.sin(0.4 * -0.2))) <= 1e-5
@@ -55,7 +61,7 @@ def test_hessian_is_symmetric_by_construction():
 
 def test_stencil_domain_guard():
     dom = PlanarDomain(-1, 1, -1, 1)
-    f = ScalarField2(f=lambda x, y: x + y, domain=dom)
+    f = fd_field("x + y", dom)
     with pytest.raises(StencilOutOfDomain):
         f.gradient(1.0, 0.0)
     assert f.gradient(0.99, 0.0) == pytest.approx((1.0, 1.0))
@@ -81,7 +87,7 @@ def test_stencil_fast_path_agrees_with_the_loop(dom):
              (0.5, 0.5), (0.5, 0.25), (0.375, 0.375),  # on and off the membership line
              (math.nextafter(edge, -2.0), 0.0), (0.0, math.nextafter(edge, -2.0)),
              (math.nextafter(1.0 - h, 2.0), 0.0), (math.nan, 0.0), (0.0, math.nan)]
-    field = ScalarField2(f=lambda x, y: x + y, domain=dom)
+    field = fd_field("x + y", dom)
     seen = set()
     for x, y in nodes:
         want = _stencil_by_loop(dom, x, y, h)
@@ -106,11 +112,6 @@ def test_jet_of_a_stencil_field_comes_in_two_steps():
     first = fd.jet(1.0 - 2e-5, 0.0)
     with pytest.raises(StencilOutOfDomain):
         fd.jet(1.0 - 2e-5, 0.0, first)
-    grad_only = ScalarField2(f=fd.f, grad=ScalarField2.from_expr("x^2*y - y^3/3").grad,
-                             domain=dom)
-    first = grad_only.jet(0.5, 0.25)
-    (hxx, hxy), (_, hyy) = grad_only.hessian(0.5, 0.25)
-    assert grad_only.jet(0.5, 0.25, first) == (*first, hxx, hxy, hyy)
 
 
 def test_expr_backed_field_has_exact_derivatives():
@@ -119,7 +120,7 @@ def test_expr_backed_field_has_exact_derivatives():
     (hxx, hxy), (_, hyy) = f.hessian(1.5, 2.0)
     assert (hxx, hxy, hyy) == pytest.approx((4.0, 3.0, -4.0))
     fd = f.fd_only()
-    assert fd.grad is None and fd.exprs == f.exprs[:1]
+    assert fd.exprs == f.exprs[:1] and fd.domain is f.domain
     assert fd.gradient(1.5, 2.0) == pytest.approx((6.0, 1.5 ** 2 - 4.0), abs=1e-8)
 
 
@@ -143,9 +144,8 @@ def test_jet_of_a_chunk_is_the_scalar_jet_at_each_node():
     dom = PlanarDomain(-1.0, 1.0, -1.0, 1.0, membership=lambda x, y: x * x + y * y <= 0.9)
     # NaN for x < 0 and a division by zero at x = 0
     analytic = ScalarField2.from_expr("sqrt(x) + x^2*y - atanh(y/2) + 1/x", dom)
-    closure = ScalarField2(f=analytic.f, grad=analytic.grad, domain=dom)
     x, y = Grid2(PlanarDomain(-0.6, 0.6, -0.6, 0.6), 17, 13).points()
-    for field in (analytic, analytic.fd_only(), closure, closure.fd_only()):
+    for field in (analytic, analytic.fd_only()):
         first = field.jet(x, y)
         second = field.jet(x, y, first)
         assert all(isinstance(a, np.ndarray) and a.shape == x.shape for a in second)

@@ -109,6 +109,59 @@ def test_representation_sufficiency_for_arbitrary_data():
                 assert abs(curvature_on_patch(patch, s, r)) <= 1e-6
 
 
+def _newton_curvature(patch, s, r):
+    """H of the built patch through Newton inversion, the oracle of
+    ``curvature_on_patch``: the chain-rule gradient at chart points
+    inverted from planar points around F(s, r), differenced at 1e-6 for
+    the Hessian, in p/q form."""
+    x, y = seed_module.rule_point(patch.seed, s, r)
+    step = 1e-6
+
+    def grad(px, py):
+        return ruled_module.chart_height_gradient(patch, *invert_chart(patch, (px, py), (s, r)))
+
+    gxp, gxm, gyp, gym = (grad(x + step, y), grad(x - step, y),
+                          grad(x, y + step), grad(x, y - step))
+    hxx = (gxp[0] - gxm[0]) / (2 * step)
+    hyy = (gyp[1] - gym[1]) / (2 * step)
+    hxy = 0.5 * ((gyp[0] - gym[0]) / (2 * step) + (gxp[1] - gxm[1]) / (2 * step))
+    hx, hy = grad(x, y)
+    p, q = -(hx + 0.5 * y), -(hy - 0.5 * x)
+    p_x, p_y, q_x, q_y = -hxx, -(hxy + 0.5), -(hxy - 0.5), -hyy
+    return (q * q * p_x + p * p * q_y - p * q * (q_x + p_y)) / math.hypot(p, q) ** 3
+
+
+RULED_ENTRIES = [name for name in gallery_names() if gallery_get(name).ruled is not None]
+
+
+@pytest.mark.parametrize("name", RULED_ENTRIES)
+def test_chart_curvature_agrees_with_the_newton_route(name):
+    patch = gallery_get(name).ruled()
+    samples = list(chart_samples(patch, 9))
+    assert samples
+    for s, r in samples:
+        assert abs(curvature_on_patch(patch, s, r) - _newton_curvature(patch, s, r)) <= 1e-7
+
+
+@pytest.mark.parametrize("name", RULED_ENTRIES)
+def test_chart_curvature_sees_a_perturbed_height(monkeypatch, name):
+    # dh/dr raised by 1e-3 r: grad h = J^-T (dh/ds, dh/dr) moves by J^-T (0, 1e-3 r)
+    exact = ruled_module.chart_height_gradient
+
+    def perturbed(patch, s, r):
+        hx, hy = exact(patch, s, r)
+        j = seed_module.rule_jacobian(patch.seed, s, r)
+        det = j[0, 0] * j[1, 1] - j[0, 1] * j[1, 0]
+        return (hx - j[1, 0] * 1e-3 * r / det, hy + j[0, 0] * 1e-3 * r / det)
+
+    monkeypatch.setattr(ruled_module, "chart_height_gradient", perturbed)
+    patch = gallery_get(name).ruled()
+    samples = list(chart_samples(patch, 9))
+    chart = max(abs(curvature_on_patch(patch, s, r)) for s, r in samples)
+    newton = max(abs(_newton_curvature(patch, s, r)) for s, r in samples)
+    assert chart > 1e-4 and newton > 1e-4, (chart, newton)
+
+
 def _dtheta(coef, s):
     return coef[0] * math.cos(s) - 2 * coef[1] * math.sin(2 * s) + coef[2]
 

@@ -36,7 +36,7 @@ def deviation_by_node(patch, domain, nx=101, ny=101, expect=0.0):
         jet = field.jet(x, y)
         if horizontal_data(patch, (x, y), jet=jet).w <= W_MARGIN:
             continue
-        deviations.append(h_mean_curvature(patch, (x, y), cross_check=False, jet=jet) - expect
+        deviations.append(h_mean_curvature(patch, (x, y), jet=jet) - expect
                           if math.isfinite(jet[0]) else math.nan)
     return worst_abs(deviations) if deviations else math.nan
 
@@ -166,7 +166,6 @@ def _fd_patch():
 
 def _stencil_cases():
     fd = _fd_patch()
-    closure = GraphPatch(fd.domain, ScalarField2(fd.h.f))   # the same field, without trees
     # node 0 (x = 1 - 2e-5) fails only its Hessian stencil (step 5e-5); node 1
     # (x = 1 - 5e-6) fails its gradient stencil (step 1e-5); W = |y| = 0.5
     hess_first = PlanarDomain(1 - 2e-5, 1 - 5e-6, 0.5, 0.5)
@@ -174,12 +173,10 @@ def _stencil_cases():
     # in the second chunk, and the next column starts at node 2000
     wide = PlanarDomain(1 - 2e-5 - 19 * 1e-4, 1 - 2e-5 + 1e-4, 0.1, 0.9,
                         lambda x, y: x < 1 - 1e-5 or y > 0.5)
-    for name, patch in (("expr", fd), ("closure", closure)):
-        yield pytest.param(patch, hess_first, 2, 1, id=f"{name}-hessian-first")
-        yield pytest.param(patch, wide, 21, 100, id=f"{name}-second-chunk")
-        # only the gradient stencil leaves the domain: at x = 1 - 5e-6
-        yield pytest.param(patch, PlanarDomain(0.5, 1 - 5e-6, 0.5, 0.5), 3, 1,
-                           id=f"{name}-gradient")
+    yield pytest.param(fd, hess_first, 2, 1, id="expr-hessian-first")
+    yield pytest.param(fd, wide, 21, 100, id="expr-second-chunk")
+    # only the gradient stencil leaves the domain: at x = 1 - 5e-6
+    yield pytest.param(fd, PlanarDomain(0.5, 1 - 5e-6, 0.5, 0.5), 3, 1, id="expr-gradient")
 
 
 @pytest.mark.parametrize("patch,domain,nx,ny", list(_stencil_cases()))

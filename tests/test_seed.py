@@ -313,8 +313,6 @@ EXTRACTED = {
                "StencilOutOfDomain: stencil point (-3.0000099999997807, 0.999999999996068) "
                "outside domain"),
 }
-# a height without array code: its stencil sides are read point by point
-EXTRACTED["HYP-closure"] = EXTRACTED["HYP-fd"]
 # the last backward step ends at its k2, a point inside the domain whose
 # gradient stencil is not: the chunk of stencil sides holding that point is
 # read point by point
@@ -331,8 +329,6 @@ def test_extracted_tangents_and_seconds_match_direct_evaluation():
     cases += [("FLAT", FLAT, (1.0, 0.0), math.pi), ("HYP", HYP, (0.0, 1.0), 1.4),
               ("CATENOID", CATENOID, (2.0, 0.0), 1.0), ("PARAB", PARAB, (1.0, 0.0), 3.0),
               ("HYP-fd", HYP.fd_only(), (0.0, 1.0), 4.0),  # both ends at the domain edge
-              ("HYP-closure", GraphPatch(square(3.0), ScalarField2(lambda x, y: x * y / 2)),
-               (0.0, 1.0), 4.0),
               ("HYP-fd-edge", GraphPatch.from_expr(
                   "x*y/2", PlanarDomain(-3.0, 2.999505, -3.0, 3.0)).fd_only(), (0.0, 1.0), 4.0)]
     assert sorted(name for name, *_ in cases) == sorted(EXTRACTED)
@@ -352,8 +348,7 @@ def test_stencil_sides_are_nan_where_the_unit_field_raises():
     # W is inf at (1, 1), 0 at the origin, and (5, 0) is off the domain
     at = np.array([[1.0, 1.0], [0.0, 0.0], [5.0, 0.0], [0.5, 0.001], [1e-3, 2e-3]])
     for patch in (GraphPatch.from_expr("1.5e308*x*y", square(3.0)),
-                  GraphPatch(square(3.0), ScalarField2(lambda x, y: 1.5e308 * x * y,
-                                                       lambda x, y: (1.5e308 * y, 1.5e308 * x)))):
+                  GraphPatch.from_expr("1.5e308*x*y", square(3.0)).fd_only()):
         nu = unit_horizontal_field(patch)
         want = []
         for x, y in at.tolist():

@@ -4,13 +4,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from hmin.errors import CharacteristicPoint, HminError
-from hmin.fields import Grid2, PlanarDomain, ScalarField2, over_arrays, square
+from hmin.errors import CharacteristicPoint
+from hmin.fields import FD_STEP, Grid2, PlanarDomain, ScalarField2, over_arrays, square
 from hmin.gallery import gallery_get
 from hmin.heis import HPoint, group_mul
 from hmin.surface import (W_MARGIN, GraphPatch, ImplicitSurface, characteristic_scan,
                           h_mean_curvature, horizontal_data, rotate_graph,
-                          translate_graph)
+                          translate_graph, unit_horizontal_field)
 
 HYP = GraphPatch.from_expr("x*y/2", square(3.0))
 FLAT = GraphPatch.from_expr("0", square(3.0))
@@ -44,17 +44,17 @@ def test_horizontal_data_and_curvature_of_a_chunk_are_the_scalar_ones():
     # (0, 0) is characteristic: no Gauss map there, and no curvature
     at = int(np.flatnonzero((x == 0.0) & (y == 0.0))[0])
     keep = np.arange(len(x)) != at
-    h = iter(h_mean_curvature(PARAB, (x[keep], y[keep]), cross_check=False,
+    h = iter(h_mean_curvature(PARAB, (x[keep], y[keep]),
                               jet=tuple(a[keep] for a in jet)).tolist())
     for i, (px, py) in enumerate(zip(x.tolist(), y.tolist())):
         one = horizontal_data(PARAB, (px, py))
         assert [repr(float(a[i])) for a in hd[:3]] == [repr(v) for v in one[:3]]
         if i != at:
             assert [float(a[i]) for a in hd.nu] == list(one.nu)
-            assert repr(next(h)) == repr(h_mean_curvature(PARAB, (px, py), False))
+            assert repr(next(h)) == repr(h_mean_curvature(PARAB, (px, py)))
     assert math.isnan(hd.nu[0][at]) and math.isnan(hd.nu[1][at])
     with pytest.raises(CharacteristicPoint, match=r"^W=0.0 at \(0.0, 0.0\)$"):
-        h_mean_curvature(PARAB, (x, y), cross_check=False, jet=jet)
+        h_mean_curvature(PARAB, (x, y), jet=jet)
 
 
 def test_h_curvature_plane_zero():
@@ -76,6 +76,28 @@ def test_h_curvature_raises_at_characteristic_point():
         h_mean_curvature(HYP, (1.0, 0.0))
 
 
+def _div_form(patch, z):
+    """The divergence form of the curvature, the oracle of the p/q form:
+    central differences of the unit field nu, at FD_STEP for analytic
+    derivatives and at 1e-4 in pure finite-difference mode."""
+    x, y = z
+    step = FD_STEP if patch.analytic else max(FD_STEP, 1e-4)
+    nu = unit_horizontal_field(patch)
+    return ((nu(x + step, y)[0] - nu(x - step, y)[0]) / (2.0 * step)
+            + (nu(x, y + step)[1] - nu(x, y - step)[1]) / (2.0 * step))
+
+
+def _assert_forms_agree(patch, z):
+    """The p/q form and the divergence form agree to 1e-8 with analytic
+    derivatives and 1e-4 in pure finite-difference mode, relaxed like
+    (0.05/W)^3 close to the characteristic set, where the unit field's
+    derivatives blow up."""
+    base_tol = 1e-8 if patch.analytic else 1e-4
+    tol = base_tol * max(1.0, (0.05 / horizontal_data(patch, z).w) ** 3)
+    value, other = h_mean_curvature(patch, z), _div_form(patch, z)
+    assert abs(value - other) <= tol, (value, other, z)
+
+
 def test_both_curvature_forms_agree_on_random_smooth_fields():
     rng = np.random.default_rng(7)
     for _ in range(12):
@@ -87,22 +109,23 @@ def test_both_curvature_forms_agree_on_random_smooth_fields():
             z = tuple(rng.uniform(-1.5, 1.5, size=2))
             if horizontal_data(patch, z).w < 0.3:
                 continue
-            h_mean_curvature(patch, z)  # raises CurvatureMismatch beyond 1e-8
+            _assert_forms_agree(patch, z)
 
 
 def test_both_forms_agree_in_fd_mode():
     patch = CATENOID.fd_only()
     for z in [(2.0, 0.0), (2.2, 0.7), (-1.8, 1.2)]:
-        h_mean_curvature(patch, z)  # 1e-4 tolerance internally
+        _assert_forms_agree(patch, z)
 
 
 def test_curvature_reads_the_jet_and_without_one_not_the_height():
-    # a graph whose height is costly (a chart inversion) or undefined still
-    # has its curvature from the derivatives alone
+    # the curvature comes from the derivatives alone, even where the
+    # height cannot be read
     def no_height(x, y):
         raise AssertionError("height read")
 
-    patch = GraphPatch(square(3.0), replace(PARAB.h, f=no_height))
+    patch = GraphPatch(square(3.0), ScalarField2(PARAB.h.exprs))
+    patch.h.f = no_height
     z = (1.0, 0.5)
     want = h_mean_curvature(PARAB, z)
     assert h_mean_curvature(patch, z) == want
@@ -137,9 +160,8 @@ def test_translation_preserves_curvature():
             z = tuple(rng.uniform(-1.0, 1.0, size=2))
             if horizontal_data(HYP, z).w < 1e-2:
                 continue
-            before = h_mean_curvature(HYP, z, cross_check=False)
-            after = h_mean_curvature(moved, (z[0] + g0.x, z[1] + g0.y),
-                                     cross_check=False)
+            before = h_mean_curvature(HYP, z)
+            after = h_mean_curvature(moved, (z[0] + g0.x, z[1] + g0.y))
             assert abs(after - before) <= 1e-6
 
 
@@ -164,9 +186,9 @@ C, S = math.cos(THETA), math.sin(THETA)
 def test_moved_graphs_keep_the_derivative_mode():
     for patch in (WAVY, WAVY.fd_only(), CATENOID, CATENOID.fd_only()):
         for moved in (translate_graph(patch, G0), rotate_graph(patch, THETA)):
-            # six trees and a gradient, or one tree and differences
+            # six trees, or one tree and differences
             assert len(moved.h.exprs) == len(patch.h.exprs) in (1, 6)
-            assert (moved.h.grad is None) == (patch.h.grad is None)
+            assert moved.analytic == patch.analytic
 
 
 def test_translated_graph_has_the_translated_derivatives():
@@ -202,14 +224,6 @@ def test_moved_membership_takes_arrays_when_it_can():
             assert getattr(dom.membership, "over_arrays", False) == over
             assert dom.contains_all(x, y).tolist() == [
                 dom.contains(a, b) for a, b in zip(x.tolist(), y.tolist())]
-
-
-def test_a_graph_without_trees_cannot_be_moved():
-    closure = GraphPatch(square(1.0), ScalarField2(lambda x, y: x * y / 2))
-    with pytest.raises(HminError):
-        translate_graph(closure, HPoint(0.1, 0.2, 0.3))
-    with pytest.raises(HminError):
-        rotate_graph(closure, 0.5)
 
 
 def test_point_set_translation_and_vertical_line_test():
@@ -262,7 +276,7 @@ def test_implicit_matches_graph_curvature():
             g = entry.graph.point(x, y)
             assert flipped.phi(g.x, g.y, g.t) == entry.implicit.phi(g.x, g.y, g.t)
             value = entry.implicit.h_mean_curvature(g)
-            want = h_mean_curvature(entry.graph, (x, y), cross_check=False)
+            want = h_mean_curvature(entry.graph, (x, y))
             assert abs(value - want) <= 1e-12, (name, x, y)
             assert flipped.h_mean_curvature(g) == -value
             evaluated += 1
