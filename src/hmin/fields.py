@@ -8,9 +8,8 @@ point or a chunk of points (1-d arrays of at most ``CHUNK`` nodes, from
 ``chunks``); the other evaluators take one point.  The module also
 provides the fixed-step RK4 integrator used for seed-curve tracing and an
 adaptive Simpson rule used for integral-defined curves.  The integrator
-returns the first two stage slopes (k1, k2) of every step, which seed
-tracing reuses, and ends a trace at the start of a step whose k2 turns
-back from its k1 (k1 . k2 <= 0).
+returns the traced points alone, and ends a trace at the start of a step
+whose k2 turns back from its k1 (k1 . k2 <= 0).
 
 Numerical defaults (fixed):
 
@@ -20,13 +19,15 @@ Numerical defaults (fixed):
   1e-8 level; gradients still use FD_STEP),
 * ``PROFILE_STEP = 1e-6`` difference step of a profile without analytic
   derivatives,
-* ``RK4_STEP = 1e-3`` arclength step for curve tracing.
+* ``RK4_STEP = 1e-2`` arclength step for curve tracing (seed tracing
+  reads gamma'' from the height's 2-jet, so RK4's own error, not a
+  difference stencil, sets the step).
 """
 
 from __future__ import annotations
 
+import copy
 import math
-from array import array
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Optional, Sequence
 
@@ -38,7 +39,7 @@ from .errors import FieldUndefined, StencilOutOfDomain
 FD_STEP = 1e-5
 HESS_STEP = 5e-5
 PROFILE_STEP = 1e-6
-RK4_STEP = 1e-3
+RK4_STEP = 1e-2
 SIMPSON_TOL = 1e-10
 TURN_BACK = "field turns back: k1 . k2 <= 0"  # rk4_integrate's own stop reason
 # nodes per array evaluation: bounds the temporaries generated array code
@@ -254,8 +255,11 @@ class ScalarField2:
         return ScalarField2(trees, domain)
 
     def fd_only(self) -> "ScalarField2":
-        """The field of the same height with f alone (pure FD mode)."""
-        return ScalarField2(self.exprs[:1], self.domain)
+        """The field of the same height with f alone (pure FD mode); it keeps
+        this field's compiled f."""
+        out = copy.copy(self)  # no __post_init__, so f is not compiled again
+        out.exprs, out._grad, out._jet, out._array = self.exprs[:1], None, None, None
+        return out
 
 
 @dataclass(frozen=True)
@@ -337,15 +341,10 @@ class Profile:
 
 @dataclass
 class IntegratedCurve:
-    """The points of an RK4 trace and the first two stage slopes of each step.
-
-    ``stages[j]`` is ``(k1x, k1y, k2x, k2y)`` of the step from ``points[j]``:
-    the field there and at ``points[j] + (step/2) k1``, as the step read them.
-    """
+    """The points of an RK4 trace."""
 
     points: np.ndarray           # (n+1, 2), includes the start point
     stop_reason: Optional[str]   # None when all n_steps were taken
-    stages: np.ndarray           # (n, 4), one row per step taken
 
 
 def _not_finite(x: float, y: float) -> FieldUndefined:
@@ -369,7 +368,6 @@ def rk4_integrate(v: Callable[[float, float], Sequence[float]],
     if step <= 0.0:
         raise ValueError("step must be positive")
     pts = [(float(z0[0]), float(z0[1]))]
-    stages = array("d")
     reason = None
     x, y = pts[0]
     half = 0.5 * step  # 0.5 * step * k parses as (0.5 * step) * k
@@ -400,8 +398,7 @@ def rk4_integrate(v: Callable[[float, float], Sequence[float]],
         x += step * (k1x + 2.0 * k2x + 2.0 * k3x + k4x) / 6.0
         y += step * (k1y + 2.0 * k2y + 2.0 * k3y + k4y) / 6.0
         pts.append((x, y))
-        stages.extend((k1x, k1y, k2x, k2y))
-    return IntegratedCurve(np.array(pts), reason, np.array(stages).reshape(-1, 4))
+    return IntegratedCurve(np.array(pts), reason)
 
 
 # ---------------------------------------------------------------------------

@@ -138,122 +138,83 @@ def extract_seed(patch: GraphPatch, z0: tuple[float, float], arc_span: float,
                  step: float = RK4_STEP) -> SeedCurve:
     """Trace the seed curve of a graph patch through z0, both directions.
 
-    A branch ends where the unit field is undefined (off the domain, or
-    W <= EPS_CHAR) or where it turns back, as it does across a
-    characteristic point (the tracer's stop rule, recorded as the stop
-    reason).  The end sample then lies within one step of the
-    characteristic point, so its curvature carries stencil error.  Second
-    derivatives come from differencing the unit field at x +- (step/2)
-    gamma'.  Where a step starts, the tracer has already evaluated both the
-    tangent (its k1) and one side of that stencil (its k2: the + side on the
-    forward branch, the - side on the backward one); the field is evaluated
-    here only at the branch ends and on the other side of the stencil.  That
-    side is read for all points at once, by array code (``_field_at``), with
-    the floats the tracer's field gives.  The backward branch traces the
-    reversed field, -nu.
+    Each branch is traced by RK4 on the unit field (the backward one on the
+    reversed field, -nu), so its samples are one step apart in arclength.
+    It ends where the field is undefined (off the domain, or W <= EPS_CHAR)
+    or where it turns back, as it does across a characteristic point (the
+    tracer's stop rule, recorded as the stop reason).  At every traced
+    point the tangent gamma' = nu and the second derivative
+
+        gamma'' = (I - nu nu^T) d(p, q)/d(x, y) nu / W
+
+    are read from the height's 2-jet, one chunk of points at a time
+    (``_seed_jet``); d(p, q)/d(x, y) is minus the Hessian plus
+    (0, -1/2; 1/2, 0).  A branch is cut before its first point where that
+    jet does not define them; if the RK4 stop reason is not already set,
+    it becomes "trimmed boundary sample".
     """
     if not patch.domain.contains(*z0):
         raise FieldUndefined(f"z0={z0} outside the patch domain")
     data = horizontal_data(patch, z0)
     if data.nu is None:
         raise CharacteristicStart(f"W={data.w} <= {EPS_CHAR} at {z0}")
-    nu = unit_horizontal_field(patch)
     n_steps = max(1, int(round(arc_span / step)))
-    fwd = rk4_integrate(nu, z0, step, n_steps)
-    back = rk4_integrate(unit_horizontal_field(patch, reverse=True), z0, step, n_steps)
-
-    n_b = len(back.points) - 1
-    pts = np.vstack([back.points[::-1][:-1], fwd.points])
-    # per point, what the steps that start there evaluated, turned to +s:
-    # gamma' (k1) and nu at x + (step/2) gamma' (forward k2) and at
-    # x - (step/2) gamma' (backward k2); NaN where no such step starts
-    rows = np.full((len(pts), 6), np.nan)
-    rows[n_b:n_b + len(fwd.stages), :4] = fwd.stages
-    rows[n_b:0:-1, [0, 1, 4, 5]] = -back.stages
-
-    # trim boundary samples where the unit field itself is not evaluable
-    valid = np.ones(len(pts), dtype=bool)
-    for i in np.flatnonzero(np.isnan(rows[:, 0])):
-        try:
-            rows[i, :2] = nu(*pts[i].tolist())
-        except (FieldUndefined, StencilOutOfDomain):
-            rows[i, :2] = 0.0
-            valid[i] = False
-    base = n_b  # index of z0
-    lo = base
-    while lo > 0 and valid[lo - 1]:
-        lo -= 1
-    hi = base
-    while hi < len(pts) - 1 and valid[hi + 1]:
-        hi += 1
-    pts = pts[lo:hi + 1]
-    rows = rows[lo:hi + 1]
-    tangents = rows[:, :2].copy()
-    s = (np.arange(lo, hi + 1) - base) * step
-    base -= lo  # index of z0 within the trimmed arrays
-
-    # gamma'' = directional derivative of the unit field along the tangent;
-    # end samples whose central stencil leaves the domain are dropped rather
-    # than estimated one-sided (their curvature would be unreliable)
-    delta = 0.5 * step
-    fp, fm = rows[:, 2:4], rows[:, 4:]
-    for side, at in ((fp, pts + delta * tangents), (fm, pts - delta * tangents)):
-        need = np.flatnonzero(np.isnan(side[:, 0]))
-        side[need] = _field_at(patch, nu, at[need])
-    seconds = (fp - fm) / (2 * delta)
-    ok = np.ones(len(pts), dtype=bool)
-    for i in np.flatnonzero(np.isnan(seconds[:, 0])):
-        if 0 < i < len(pts) - 1:
-            seconds[i] = (tangents[i + 1] - tangents[i - 1]) / (2 * step)
-        else:
-            seconds[i] = 0.0
-            ok[i] = False
-    # |gamma'| = 1 forces <gamma', gamma''> = 0; the tangential component of
-    # the estimate is truncation error, so project it out (kappa is unchanged)
-    tang = np.einsum("ij,ij->i", seconds, tangents)
-    seconds -= tang[:, None] * tangents
-
-    stop_lo, stop_hi = back.stop_reason, fwd.stop_reason
-    sl = 0
-    while sl < base and not ok[sl]:
-        sl += 1
-        stop_lo = stop_lo or "trimmed boundary sample"
-    sh = len(pts) - 1
-    while sh > base and not ok[sh]:
-        sh -= 1
-        stop_hi = stop_hi or "trimmed boundary sample"
-    keep = slice(sl, sh + 1)
-    return SeedCurve(s[keep], pts[keep], tangents[keep], seconds[keep],
-                     provenance="extracted", stop_lo=stop_lo, stop_hi=stop_hi)
+    branches = []
+    for reverse in (True, False):
+        trace = rk4_integrate(unit_horizontal_field(patch, reverse), z0, step, n_steps)
+        dg, ddg = _seed_jet(patch, trace.points)
+        if not len(dg):
+            raise FieldUndefined(f"gamma'' undefined at z0={z0}")
+        stop = trace.stop_reason
+        if len(dg) < len(trace.points):
+            stop = stop or "trimmed boundary sample"
+        branches.append((trace.points[:len(dg)], dg, ddg, stop))
+    (g_b, dg_b, ddg_b, stop_lo), (g_f, dg_f, ddg_f, stop_hi) = branches
+    # the backward branch reversed, without its copy of z0
+    s = np.arange(1 - len(g_b), len(g_f)) * step
+    g, dg, ddg = (np.vstack([b[:0:-1], f]) for b, f in ((g_b, g_f), (dg_b, dg_f), (ddg_b, ddg_f)))
+    return SeedCurve(s, g, dg, ddg, provenance="extracted", stop_lo=stop_lo, stop_hi=stop_hi)
 
 
-def _field_at(patch: GraphPatch, nu: Callable, at: np.ndarray) -> np.ndarray:
-    """``nu`` at each point of ``at`` (shape (n, 2)), NaN where it raises.
+def _seed_jet(patch: GraphPatch, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """gamma' and gamma'' at the leading points of ``pts`` (shape (n, 2)).
 
-    The height is read by array code, one chunk of ``CHUNK`` points at a
-    time, with the floats ``nu`` computes; a chunk where a gradient stencil
-    leaves the domain is read point by point.
+    They are read from the height's 2-jet by array code, one chunk of
+    ``CHUNK`` points at a time, with the floats the scalar jet gives.  The
+    rows stop before the first point that is off the domain, whose
+    difference stencil leaves it, where W is not finite or W <= EPS_CHAR,
+    or where gamma'' is not finite.
     """
-    out = np.full(at.shape, np.nan)
-    x, y = at[:, 0], at[:, 1]
-    each = []
-    for (i,) in chunks(np.flatnonzero(patch.domain.contains_all(x, y))):
-        try:
-            jet = patch.h.jet(x[i], y[i])
-        except StencilOutOfDomain:
-            each.extend(i.tolist())
-            continue
-        data = horizontal_data(patch, (x[i], y[i]), jet=jet)
-        # data.nu is NaN where W <= EPS_CHAR or W is NaN; nu also raises
-        # where W is inf
-        ok = np.isfinite(data.w)
-        out[i[ok]] = np.column_stack(data.nu)[ok]
-    for i in each:
-        try:
-            out[i] = nu(*at[i].tolist())
-        except (FieldUndefined, StencilOutOfDomain):
-            pass  # stays NaN
-    return out
+    x, y = pts[:, 0], pts[:, 1]
+    inside = patch.domain.contains_all(x, y)
+    n = len(pts) if inside.all() else int(np.argmin(inside))
+    dg, ddg = [np.empty((0, 2))], [np.empty((0, 2))]
+    for cx, cy in chunks(x[:n], y[:n]):
+        k = len(cx)
+        while k:
+            try:
+                jet = patch.h.jet(cx[:k], cy[:k], patch.h.jet(cx[:k], cy[:k]))
+                break
+            except StencilOutOfDomain as err:
+                k = err.node  # the points before it pass the stencil checks
+        if not k:
+            break
+        data = horizontal_data(patch, (cx[:k], cy[:k]), jet=jet)
+        w, (nx, ny) = data.w, data.nu
+        _, _, _, hxx, hxy, hyy = jet
+        with np.errstate(all="ignore"):
+            # d(p, q)/d(x, y) nu, then its part normal to nu, over W
+            ax = -hxx * nx - (hxy + 0.5) * ny
+            ay = -(hxy - 0.5) * nx - hyy * ny
+            dot = nx * ax + ny * ay
+            sx, sy = (ax - dot * nx) / w, (ay - dot * ny) / w
+            ok = np.isfinite(w) & (w > EPS_CHAR) & np.isfinite(sx) & np.isfinite(sy)
+        m = k if ok.all() else int(np.argmin(ok))
+        dg.append(np.column_stack((nx, ny))[:m])
+        ddg.append(np.column_stack((sx, sy))[:m])
+        if m < len(cx):
+            break
+    return np.vstack(dg), np.vstack(ddg)
 
 
 # ---------------------------------------------------------------------------

@@ -121,6 +121,7 @@ def test_expr_backed_field_has_exact_derivatives():
     assert (hxx, hxy, hyy) == pytest.approx((4.0, 3.0, -4.0))
     fd = f.fd_only()
     assert fd.exprs == f.exprs[:1] and fd.domain is f.domain
+    assert fd.f is f.f and len(f.jet(1.5, 2.0)) == 6  # f taken over, not compiled again
     assert fd.gradient(1.5, 2.0) == pytest.approx((6.0, 1.5 ** 2 - 4.0), abs=1e-8)
 
 
@@ -211,17 +212,7 @@ def test_rk4_ends_where_the_field_is_not_finite(wall, stage):
     # naming the first stage point beyond the wall
     out = rk4_integrate(lambda x, y: (1.0 if x < wall else math.nan, 0.0), (0.0, 0.0), 0.1, 100)
     assert out.stop_reason == f"FieldUndefined: vector field not finite at ({stage}, 0.0)"
-    assert len(out.points) == 3 and out.stages.shape == (2, 4)
-
-
-def test_rk4_stages_are_k1_and_k2_of_each_step():
-    step = 0.05
-    out = rk4_integrate(circle_field, (1.0, 0.0), step, 40)
-    assert out.stages.shape == (len(out.points) - 1, 4)
-    for (x, y), (k1x, k1y, k2x, k2y) in zip(out.points[:-1].tolist(), out.stages.tolist()):
-        assert (k1x, k1y) == circle_field(x, y)
-        assert (k2x, k2y) == circle_field(x + 0.5 * step * k1x, y + 0.5 * step * k1y)
-    assert rk4_integrate(circle_field, (0.0, 0.0), step, 10).stages.shape == (0, 4)
+    assert len(out.points) == 3
 
 
 def test_rk4_ends_where_the_field_turns_back():
@@ -229,7 +220,7 @@ def test_rk4_ends_where_the_field_turns_back():
     # beyond the flip, so the trace ends at x = 0.3 before taking that step
     out = rk4_integrate(lambda x, y: (1.0 if x < 0.35 else -1.0, 0.0), (0.0, 0.0), 0.1, 100)
     assert out.stop_reason == TURN_BACK
-    assert len(out.points) == 4 and out.stages.shape == (3, 4)
+    assert len(out.points) == 4
     assert out.points[-1].tolist() == [pytest.approx(0.3), 0.0]
 
 

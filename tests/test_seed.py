@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from hmin import seed as seed_module
-from hmin.errors import CharacteristicStart, FieldUndefined, OutOfRange
-from hmin.fields import RK4_STEP, TURN_BACK, PlanarDomain, ScalarField2, square
+from hmin.errors import CharacteristicStart, FieldUndefined, OutOfRange, StencilOutOfDomain
+from hmin.fields import RK4_STEP, TURN_BACK, PlanarDomain, ScalarField2, rk4_integrate, square
 from hmin.gallery import circle_seed, gallery_get, gallery_names, line_seed, optreg2_seed
 from hmin.seed import (_RANGE_SLOP, SeedCurve, curvature, extract_seed, rule_jacobian_det,
                        rule_jacobian_det_fd, rule_point, singular_locus)
-from hmin.surface import GraphPatch, unit_horizontal_field
+from hmin.surface import EPS_CHAR, GraphPatch, unit_horizontal_field
 
 FLAT = GraphPatch.from_expr("0", square(3.0))
 HYP = GraphPatch.from_expr("x*y/2", square(3.0))
@@ -53,6 +53,9 @@ def test_extraction_rejects_characteristic_start():
 def test_extraction_rejects_a_start_outside_the_domain():
     with pytest.raises(FieldUndefined, match=r"z0=\(5\.0, 1\.0\)"):
         extract_seed(HYP, (5.0, 1.0), 1.0)
+    # inside, with its gradient stencil, but the Hessian stencil leaves the domain
+    with pytest.raises(FieldUndefined, match=r"gamma'' undefined at z0=\(2\.99997, 1\.0\)"):
+        extract_seed(HYP.fd_only(), (2.99997, 1.0), 1.0)
 
 
 def test_extraction_stops_at_domain_boundary():
@@ -204,7 +207,6 @@ def test_transverse_speed_is_one_minus_r_kappa():
 
 def test_perpendicular_integral_curves_are_straight():
     # trace nu-perp by RK4 and compare against the straight line z0 + r*nu_perp(z0)
-    from hmin.fields import rk4_integrate
     for patch, z0 in ((FLAT, (1.0, 0.0)), (CATENOID, (2.2, 0.4))):
         nu = unit_horizontal_field(patch)
 
@@ -276,63 +278,88 @@ def test_lookups_match_numpy_hermite():
                         == _outcome(_numpy_lookup, c, which, sq)), (c.provenance, which, sq)
 
 
-def _two_sided_stencil(patch, c):
-    """gamma'' as the unit field differenced at x +- (step/2) gamma', projected."""
-    nu = unit_horizontal_field(patch)
-    delta = 0.5 * RK4_STEP
-    out = np.zeros_like(c.g)
-    for i, ((x, y), (t1, t2)) in enumerate(zip(c.g, c.dg)):
-        fp = nu(float(x) + delta * t1, float(y) + delta * t2)
-        fm = nu(float(x) - delta * t1, float(y) - delta * t2)
-        out[i] = ((fp[0] - fm[0]) / (2 * delta), (fp[1] - fm[1]) / (2 * delta))
-    out -= np.einsum("ij,ij->i", out, c.dg)[:, None] * c.dg
-    return out
-
-
-# (first and last s in steps, stop_lo, stop_hi) of each trace, as extracted
-# by the tracer that evaluated every tangent and stencil side itself; the
-# cylinder and PARAB traces end where the unit field turns back across a
+# (first and last s in steps, stop_lo, stop_hi) of each trace; the cylinder
+# and PARAB traces end where the unit field turns back across a
 # characteristic point
 EXTRACTED = {
-    "char-plane": (-3142, 3142, None, None),
-    "general-plane": (-1571, 1571, None, None),
-    "hyperbolic": (-1500, 1500, None, None),
-    "catenoid": (-1000, 1000, None, None),
-    "counterexample": (-850, 850, None, None),
-    "cylinder": (-707, 900, TURN_BACK, None),
-    "gencurve-n": (-700, 700, None, None),
-    "FLAT": (-3142, 3142, None, None),
-    "HYP": (-1400, 1400, None, None),
-    "PARAB": (-3000, 1414, None, TURN_BACK),
-    "CATENOID": (-1000, 688, None,
-                 "FieldUndefined: (1.3992626836893491, 0.30309023330021556) "
+    "char-plane": (-314, 314, None, None),
+    "general-plane": (-157, 157, None, None),
+    "hyperbolic": (-150, 150, None, None),
+    "catenoid": (-100, 100, None, None),
+    "counterexample": (-85, 85, None, None),
+    "cylinder": (-71, 90, TURN_BACK, None),
+    "gencurve-n": (-70, 70, None, None),
+    "FLAT": (-314, 314, None, None),
+    "HYP": (-140, 140, None, None),
+    "PARAB": (-300, 141, None, TURN_BACK),
+    "CATENOID": (-100, 68, None,
+                 "FieldUndefined: (1.398762740318712, 0.30306448196355584) "
                  "outside the patch domain"),
-    "HYP-fd": (-2999, 2999,
-               "StencilOutOfDomain: stencil point (3.0000099999997807, 0.999999999996068) "
+    "HYP-fd": (-299, 299,
+               "StencilOutOfDomain: stencil point (3.00000999999998, 0.9999999999962766) "
                "outside domain",
-               "StencilOutOfDomain: stencil point (-3.0000099999997807, 0.999999999996068) "
+               "StencilOutOfDomain: stencil point (-3.00000999999998, 0.9999999999962766) "
                "outside domain"),
 }
-# the last backward step ends at its k2, a point inside the domain whose
-# gradient stencil is not: the chunk of stencil sides holding that point is
-# read point by point
+# the last backward point, x = 2.99, is inside the domain and so is its
+# gradient stencil, but its Hessian stencil is not: the branch is cut before
+# it, under the tracer's stop reason, or under "trimmed boundary sample"
+# when the tracer took all its steps
+EDGE = GraphPatch.from_expr("x*y/2", PlanarDomain(-3.0, 2.99003, -3.0, 3.0)).fd_only()
 EXTRACTED["HYP-fd-edge"] = (
-    -2998, 2999,
-    "StencilOutOfDomain: stencil point (2.999509999999781, 0.9999999999960797) outside domain",
+    -298, 299, "FieldUndefined: (2.99499999999998, 0.999999999996394) outside the patch domain",
     EXTRACTED["HYP-fd"][3])
+EXTRACTED["HYP-fd-steps"] = (-298, 299, "trimmed boundary sample", None)
 
 
-def test_extracted_tangents_and_seconds_match_direct_evaluation():
+def _extracted_cases():
     cases = [(name, e.graph, e.seed_base, e.arc_span)
              for name, e in ((n, gallery_get(n)) for n in gallery_names())
              if e.graph is not None and e.seed_base is not None]
     cases += [("FLAT", FLAT, (1.0, 0.0), math.pi), ("HYP", HYP, (0.0, 1.0), 1.4),
               ("CATENOID", CATENOID, (2.0, 0.0), 1.0), ("PARAB", PARAB, (1.0, 0.0), 3.0),
               ("HYP-fd", HYP.fd_only(), (0.0, 1.0), 4.0),  # both ends at the domain edge
-              ("HYP-fd-edge", GraphPatch.from_expr(
-                  "x*y/2", PlanarDomain(-3.0, 2.999505, -3.0, 3.0)).fd_only(), (0.0, 1.0), 4.0)]
+              ("HYP-fd-edge", EDGE, (0.0, 1.0), 4.0), ("HYP-fd-steps", EDGE, (0.0, 1.0), 2.99)]
     assert sorted(name for name, *_ in cases) == sorted(EXTRACTED)
-    for name, patch, z0, span in cases:
+    return cases
+
+
+def _scalar_seed_jet(patch, x, y):
+    """gamma' and gamma'' at (x, y) from the scalar 2-jet, or None where
+    extract_seed cuts a branch (the scalar oracle of ``_seed_jet``)."""
+    if not patch.domain.contains(x, y):
+        return None
+    try:
+        _, hx, hy, hxx, hxy, hyy = patch.h.jet(x, y, patch.h.jet(x, y))
+    except StencilOutOfDomain:
+        return None
+    p, q = -(hx + 0.5 * y), -(hy - 0.5 * x)
+    w = math.hypot(p, q)
+    if not (math.isfinite(w) and w > EPS_CHAR):
+        return None
+    nx, ny = p / w, q / w
+    ax = -hxx * nx - (hxy + 0.5) * ny
+    ay = -(hxy - 0.5) * nx - hyy * ny
+    dot = nx * ax + ny * ay
+    sx, sy = (ax - dot * nx) / w, (ay - dot * ny) / w
+    if not (math.isfinite(sx) and math.isfinite(sy)):
+        return None
+    return (nx, ny), (sx, sy)
+
+
+def _scalar_prefix(patch, pts):
+    """``_scalar_seed_jet`` at the leading points of ``pts`` where it is defined."""
+    out = []
+    for x, y in pts:
+        rows = _scalar_seed_jet(patch, x, y)
+        if rows is None:
+            break
+        out.append(rows)
+    return out
+
+
+def test_extracted_tangents_and_seconds_match_direct_evaluation():
+    for name, patch, z0, span in _extracted_cases():
         c = extract_seed(patch, z0, span)
         k_lo, k_hi, stop_lo, stop_hi = EXTRACTED[name]
         assert c.s.tobytes() == (np.arange(k_lo, k_hi + 1) * RK4_STEP).tobytes(), name
@@ -341,39 +368,64 @@ def test_extracted_tangents_and_seconds_match_direct_evaluation():
         nu = unit_horizontal_field(patch)
         for (x, y), d in zip(c.g.tolist(), c.dg.tolist()):
             assert repr(tuple(d)) == repr(nu(x, y)), name
-        assert c.ddg.tobytes() == _two_sided_stencil(patch, c).tobytes(), name
+        # the traces rebuilt by RK4 and read by the scalar oracle, each up to
+        # its first point where the oracle is undefined
+        branches = []
+        for reverse in (True, False):
+            trace = rk4_integrate(unit_horizontal_field(patch, reverse), z0, RK4_STEP,
+                                  max(1, int(round(span / RK4_STEP))))
+            rows = _scalar_prefix(patch, trace.points.tolist())
+            stop = trace.stop_reason
+            if len(rows) < len(trace.points):
+                stop = stop or "trimmed boundary sample"
+            branches.append((trace.points[:len(rows)], rows, stop))
+        (back, rows_b, stop_lo), (fwd, rows_f, stop_hi) = branches
+        assert (c.stop_lo, c.stop_hi) == (stop_lo, stop_hi), name
+        assert c.g.tobytes() == np.vstack([back[:0:-1], fwd]).tobytes(), name
+        rows = rows_b[:0:-1] + rows_f
+        assert c.dg.tobytes() == np.array([d for d, _ in rows]).tobytes(), name
+        assert c.ddg.tobytes() == np.array([dd for _, dd in rows]).tobytes(), name
 
 
-def test_stencil_sides_are_nan_where_the_unit_field_raises():
-    # W is inf at (1, 1), 0 at the origin, and (5, 0) is off the domain
-    at = np.array([[1.0, 1.0], [0.0, 0.0], [5.0, 0.0], [0.5, 0.001], [1e-3, 2e-3]])
-    for patch in (GraphPatch.from_expr("1.5e308*x*y", square(3.0)),
-                  GraphPatch.from_expr("1.5e308*x*y", square(3.0)).fd_only()):
-        nu = unit_horizontal_field(patch)
-        want = []
-        for x, y in at.tolist():
-            try:
-                want.append(nu(x, y))
-            except FieldUndefined:
-                want.append((math.nan, math.nan))
-        assert seed_module._field_at(patch, nu, at).tobytes() == np.array(want).tobytes()
+@pytest.mark.parametrize("fd", [False, True])
+def test_seed_jet_stops_before_the_first_undefined_point(fd):
+    # 1.5e308*x*y: W is inf at (1, 1), and the FD Hessian is NaN there;
+    # W = 0 at the origin; (5, 0) is off the domain; the FD stencils of
+    # (1.09997, 0.001) leave it (the Hessian's only), and so do those of
+    # (1.099995, 0.001) (the gradient's too)
+    patch = GraphPatch.from_expr("1.5e308*x*y", PlanarDomain(-3.0, 1.1, -3.0, 3.0))
+    patch = patch.fd_only() if fd else patch
+    good = [(0.5, 0.001), (1e-3, 2e-3), (-0.5, 0.25)]
+    bad = [(1.0, 1.0), (0.0, 0.0), (5.0, 0.0), (1.09997, 0.001), (1.099995, 0.001)]
+    # the long cases span two chunks, with the first undefined point in either
+    runs = [good + bad + good, bad, good, good * 400 + bad[:1] + good, good + bad[:1] + good * 400,
+            good + bad[3:4] + good * 400]
+    runs += [good[:1] + [b] + good for b in bad]
+    edge = [1204, 5, 5] if not fd else [3, 1, 1]
+    assert ([len(_scalar_prefix(patch, pts)) for pts in runs]
+            == [3, 0, 3, 1200, 3, edge[0], 1, 1, 1] + edge[1:])
+    for pts in runs:
+        want = _scalar_prefix(patch, pts)
+        dg, ddg = seed_module._seed_jet(patch, np.array(pts))
+        assert dg.shape == ddg.shape == (len(want), 2)
+        assert dg.tobytes() == np.array([d for d, _ in want] or np.empty((0, 2))).tobytes()
+        assert ddg.tobytes() == np.array([dd for _, dd in want] or np.empty((0, 2))).tobytes()
 
 
-def test_undefined_stencil_side_falls_back_to_tangent_differences():
-    c = extract_seed(FLAT, (1.0, 0.0), 0.1)
-    # a hole at the - side of a forward point's stencil, the side the tracer
-    # evaluates itself; the nearest RK4 stage point is 8e-11 away
-    i = 130
-    hx, hy = (c.g[i] - 0.5 * RK4_STEP * c.dg[i]).tolist()
-    holed = GraphPatch.from_expr("0", PlanarDomain(
-        -3, 3, -3, 3, lambda x, y: math.hypot(x - hx, y - hy) > 1e-12))
-    d = extract_seed(holed, (1.0, 0.0), 0.1)
-    assert d.g.tobytes() == c.g.tobytes() and d.dg.tobytes() == c.dg.tobytes()
-    want = (d.dg[i + 1] - d.dg[i - 1]) / (2 * RK4_STEP)
-    want -= (want[0] * d.dg[i, 0] + want[1] * d.dg[i, 1]) * d.dg[i]
-    assert d.ddg[i].tobytes() == want.tobytes()
-    others = np.arange(len(d.s)) != i
-    assert d.ddg[others].tobytes() == c.ddg[others].tobytes()
+def test_seconds_match_the_closed_form_seeds():
+    # gamma'' = kappa gamma'_perp on the circles (kappa = -1/|z0 - c|) and
+    # lines (kappa = 0) the gallery knows, at every sample, end samples too
+    names = set()
+    for name in gallery_names():
+        e = gallery_get(name)
+        if e.graph is None or e.seed_base is None or e.known_kappa is None:
+            continue
+        names.add(name)
+        c = extract_seed(e.graph, e.seed_base, e.arc_span)
+        k = e.known_kappa(e.seed_base)
+        want = k * np.column_stack((c.dg[:, 1], -c.dg[:, 0]))
+        assert np.abs(c.ddg - want).max() <= 1e-9, name
+    assert {"char-plane", "general-plane", "counterexample", "hyperbolic"} <= names
 
 
 def test_tracing_costs_at_most_four_gradients_per_step(monkeypatch):
@@ -386,13 +438,13 @@ def test_tracing_costs_at_most_four_gradients_per_step(monkeypatch):
 
     def counted_rk4(*args):
         out = rk4(*args)
-        steps[0] += len(out.stages)
+        steps[0] += len(out.points) - 1
         return out
 
     monkeypatch.setattr(HYP.h, "gradient", counted_gradient)
     monkeypatch.setattr(seed_module, "rk4_integrate", counted_rk4)
     extract_seed(HYP, (0.0, 1.0), 1.0)
-    assert steps[0] == 2000
-    # per step: four RK4 stages (the other stencil side is read by array
-    # code); once per seed: the check at z0 and the tangent at each branch end
+    assert steps[0] == 200
+    # per step: four RK4 stages (gamma' and gamma'' are read by array code);
+    # once per seed: the check at z0
     assert gradients[0] <= 4 * steps[0] + 3
