@@ -346,22 +346,17 @@ def cmd_loci(args, spec: dict, report: Report) -> None:
     if patch is None:
         raise SpecError("loci needs a ruled spec or a gallery entry with a ruled construction")
     rep = characteristic_locus(patch)
-    rows = []
-    for root in rep.roots:
-        rows.append({
-            "s": root.s, "r": root.r,
-            "x": root.image.x, "y": root.image.y, "t": root.image.t,
-            "kappa": curvature(patch.seed, root.s),
-            "W": root.w_formula, "branch": root.label,
-        })
-    for s_arr, r_arr in rep.singular.branches:
-        for s, r in zip(s_arr, r_arr):
-            g = patch.embed(float(s), float(r))
-            rows.append({
-                "s": float(s), "r": float(r), "x": g.x, "y": g.y, "t": g.t,
-                "kappa": curvature(patch.seed, float(s)),
-                "W": float("nan"), "branch": "singular",
-            })
+    kappa = curvature(patch.seed, np.array([root.s for root in rep.roots], dtype=float))
+    rows = [{"s": root.s, "r": root.r,
+             "x": root.image.x, "y": root.image.y, "t": root.image.t,
+             "kappa": k, "W": root.w_formula, "branch": root.label}
+            for root, k in zip(rep.roots, kappa.tolist())]
+    branches = rep.singular.branches
+    s = np.concatenate([np.empty(0)] + [b for b, _ in branches])
+    r = np.concatenate([np.empty(0)] + [b for _, b in branches])
+    columns = (s, r, *patch.embed(s, r), curvature(patch.seed, s))
+    rows += [dict(zip(("s", "r", "x", "y", "t", "kappa"), values), W=math.nan, branch="singular")
+             for values in zip(*(c.tolist() for c in columns))]
     _write_csv(_output_path(report, args.out, "loci.csv"), rows)
     report.add(check_flag("roots_verified",
                           all(r.verified for r in rep.roots),

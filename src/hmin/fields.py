@@ -302,16 +302,22 @@ def chunks(*arrays: np.ndarray) -> Iterator[tuple[np.ndarray, ...]]:
 
 @dataclass
 class Profile:
-    """A scalar function of one variable with optional analytic derivatives."""
+    """A scalar function of one variable with optional analytic derivatives.
+
+    The profile and ``d`` take a float s, or a 1-d array of s, at whose
+    elements they are called one by one (``expr.pointwise``).
+    """
 
     f: Callable[[float], float]
     d1: Optional[Callable[[float], float]] = None
     d2: Optional[Callable[[float], float]] = None
 
-    def __call__(self, s: float) -> float:
-        return self.f(s)
+    def __call__(self, s):
+        return ex.pointwise(self.f, s) if isinstance(s, np.ndarray) else self.f(s)
 
-    def d(self, s: float) -> float:
+    def d(self, s):
+        if isinstance(s, np.ndarray):
+            return ex.pointwise(self.d, s)
         if self.d1 is not None:
             return self.d1(s)
         h = PROFILE_STEP

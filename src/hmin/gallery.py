@@ -26,7 +26,8 @@ import inspect
 import math
 from bisect import bisect_left
 from dataclasses import dataclass, field as dc_field
-from typing import Callable, Iterator, Optional
+from functools import partial
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -681,10 +682,10 @@ def _deviations(patch: GraphPatch, x: np.ndarray, y: np.ndarray, expect: float) 
 
 def known_seed_deviation(extracted: SeedCurve, known: SeedCurve) -> float:
     """max |gamma_extracted(s) - gamma_known(s)| / max(1, |s|) over the common s range."""
-    lo = max(extracted.s_min, known.s_min)
-    hi = min(extracted.s_max, known.s_max)
-    return worst_abs(math.dist(extracted.point(s), known.point(s)) / max(1.0, abs(s))
-                     for s in map(float, np.linspace(lo, hi, 101)))
+    s = np.linspace(max(extracted.s_min, known.s_min), min(extracted.s_max, known.s_max), 101)
+    (gx, gy), (kx, ky) = extracted.point(s), known.point(s)
+    return worst_abs(ex.pointwise(math.hypot, gx - kx, gy - ky)
+                     / np.where(abs(s) > 1.0, abs(s), 1.0))
 
 
 def _seed_deviation(entry: GalleryEntry) -> tuple[float, SeedCurve]:
@@ -693,10 +694,10 @@ def _seed_deviation(entry: GalleryEntry) -> tuple[float, SeedCurve]:
     if entry.known_seed is not None:
         worst = known_seed_deviation(extracted, entry.known_seed(entry.seed_base))
     elif entry.radius_law is not None:
-        lo, hi = max(extracted.s_min, -1.0), min(extracted.s_max, 0.0)
-        points = ((s, extracted.point(s)) for s in map(float, np.linspace(lo, hi, 101)))
-        worst = worst_abs(g[0] * g[0] + g[1] * g[1] - entry.radius_law(entry.seed_base, s)
-                          for s, g in points)
+        s = np.linspace(max(extracted.s_min, -1.0), min(extracted.s_max, 0.0), 101)
+        gx, gy = extracted.point(s)
+        worst = worst_abs(gx * gx + gy * gy
+                          - ex.pointwise(partial(entry.radius_law, entry.seed_base), s))
     return worst, extracted
 
 
@@ -747,8 +748,7 @@ def gallery_verify(name: str, **params) -> list[Check]:
         if entry.known_kappa is not None:
             kk = entry.known_kappa(entry.seed_base)
             span = min(-extracted.s_min, extracted.s_max) * 0.9
-            kdev = worst_abs(curvature(extracted, float(s)) - kk
-                             for s in np.linspace(-span, span, 41))
+            kdev = worst_abs(curvature(extracted, np.linspace(-span, span, 41)) - kk)
             checks.append(check_leq("seed_kappa", kdev, 1e-5))
 
     if entry.ruled is not None:
@@ -861,9 +861,9 @@ def _optreg2_corner(entry: GalleryEntry) -> list[Check]:
 def _cylinder_checks(entry: GalleryEntry) -> list[Check]:
     checks = []
     s1, s2 = entry.ruled_pair()
-    images = (patch.embed(float(s), float(r)) for patch in (s1, s2)
-              for s in np.linspace(*patch.s_range, 25) for r in np.linspace(-2.0, 2.0, 25))
-    worst = worst_abs(entry.implicit.phi(g.x, g.y, g.t) for g in images)
+    r = np.tile(np.linspace(-2.0, 2.0, 25), 25)
+    images = (patch.embed(np.repeat(np.linspace(*patch.s_range, 25), 25), r) for patch in (s1, s2))
+    worst = worst_abs(np.concatenate([ex.pointwise(entry.implicit.phi, *g) for g in images]))
     checks.append(check_leq("cylinder_implicit_residual", worst, 1e-9))
     # piecewise-constant Gauss map (+-1, 0) off the characteristic locus
     checks.append(check_leq("cylinder_gauss_piecewise",
@@ -871,21 +871,21 @@ def _cylinder_checks(entry: GalleryEntry) -> list[Check]:
     return checks
 
 
-def _cylinder_gauss_errors(*patches: RuledPatch) -> Iterator[float]:
+def _cylinder_gauss_errors(*patches: RuledPatch) -> np.ndarray:
     """|nu_1| - 1 and nu_2 of the horizontal Gauss map off the characteristic locus."""
+    errors = []
     for patch in patches:
-        for s in np.linspace(-0.9, 0.9, 13):
-            for r in np.linspace(-1.5, 1.5, 13):
-                s, r = float(s), float(r)
-                if abs(patch.w(s, r)) < 1e-2:
-                    continue
-                x, y = patch.seed.point(s)[0], -r
-                hx, hy = chart_height_gradient(patch, s, r)
-                p = -(hx + 0.5 * y)
-                q = -(hy - 0.5 * x)
-                w = math.hypot(p, q)
-                yield abs(p / w) - 1.0
-                yield q / w
+        s = np.repeat(np.linspace(-0.9, 0.9, 13), 13)
+        r = np.tile(np.linspace(-1.5, 1.5, 13), 13)
+        keep = ~(abs(patch.w(s, r)) < 1e-2)
+        s, r = s[keep], r[keep]
+        x, y = patch.seed.point(s)[0], -r
+        hx, hy = chart_height_gradient(patch, s, r)
+        p = -(hx + 0.5 * y)
+        q = -(hy - 0.5 * x)
+        w = ex.pointwise(math.hypot, p, q)
+        errors += [abs(p / w) - 1.0, q / w]
+    return np.concatenate(errors)
 
 
 def _gencurve_even_checks(entry: GalleryEntry) -> list[Check]:

@@ -32,17 +32,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Optional
+from typing import Callable, Optional
 
 import numpy as np
 
+from . import expr as ex
 from .errors import (CharacteristicPoint, DegenerateDenominator, FieldUndefined, HminError,
                      OutOfRange, SingularRule)
 from .fields import FD_STEP, Profile
 from .heis import HPoint, dilate, group_mul
 from .report import worst_abs
 from .seed import (SeedCurve, curvature, extract_seed, rule_jacobian,
-                   rule_jacobian_det, rule_point, singular_locus, SingularLocus,
+                   rule_jacobian_det, rule_point, singular_locus, takes_arrays, SingularLocus,
                    EPS_KAPPA)
 from .surface import EPS_CHAR, W_MARGIN, GraphPatch, h_mean_curvature, horizontal_data
 
@@ -51,7 +52,13 @@ DET_GUARD = 0.1
 FOLD_GUARD = 0.15   # chart samples keep |-1 + r kappa| above this
 
 
-def _inner(curve: SeedCurve, s: float) -> float:
+def _hypot(p, q):
+    """math.hypot, at each element over arrays (numpy's differs in the last bit)."""
+    return ex.pointwise(math.hypot, p, q) if isinstance(p, np.ndarray) else math.hypot(p, q)
+
+
+@takes_arrays
+def _inner(curve: SeedCurve, s):
     g, d = curve.point(s), curve.tangent(s)
     return g[0] * d[0] + g[1] * d[1]
 
@@ -69,8 +76,14 @@ class RuledPatch:
     s_range: tuple[float, float]
     r_range: object = (-1.0, 1.0)
 
-    def _check_s(self, s: float):
-        if s < self.s_range[0] - 1e-9 or s > self.s_range[1] + 1e-9:
+    def _check_s(self, s):
+        lo, hi = self.s_range[0] - 1e-9, self.s_range[1] + 1e-9
+        if isinstance(s, np.ndarray):
+            s = s[(s < lo) | (s > hi)]
+            if not s.size:
+                return
+            s = float(s[0])  # the first element the scalar check rejects
+        if s < lo or s > hi:
             raise OutOfRange(f"s={s} outside {self.s_range}")
 
     def r_at(self, s: float) -> tuple[float, float]:
@@ -80,37 +93,43 @@ class RuledPatch:
             return (float(lo), float(hi))
         return self.r_interval()
 
-    def height(self, s: float, r: float) -> float:
+    @takes_arrays
+    def height(self, s, r):
         self._check_s(s)
         return self.h0(s) - 0.5 * r * _inner(self.seed, s)
 
-    def embed(self, s: float, r: float) -> HPoint:
+    @takes_arrays
+    def embed(self, s, r):
+        """The point over (s, r); over arrays of s and r, the arrays (x, y, t)."""
         x, y = rule_point(self.seed, s, r)
         t = self.height(s, r)
-        if not math.isfinite(t):
-            raise FieldUndefined(f"height not finite at (s={s}, r={r})")
-        return HPoint(x, y, t)
+        if not isinstance(t, np.ndarray):
+            if not math.isfinite(t):
+                raise FieldUndefined(f"height not finite at (s={s}, r={r})")
+            return HPoint(x, y, t)
+        if not (np.isfinite(x) & np.isfinite(y) & np.isfinite(t)).all():
+            raise FieldUndefined("embedding not finite")  # the replay names the element
+        return x, y, t
 
-    def w0(self, s: float) -> float:
+    @takes_arrays
+    def w0(self, s):
         """Angle function along the seed: -h0' + (gamma1 gamma2' - gamma2 gamma1')/2."""
         self._check_s(s)
         g, d = self.seed.point(s), self.seed.tangent(s)
         return -self.h0.d(s) + 0.5 * (g[0] * d[1] - g[1] * d[0])
 
-    def w(self, s: float, r: float) -> float:
+    @takes_arrays
+    def w(self, s, r):
         """Signed angle function on the chart (Frobenius closed form)."""
         kap = curvature(self.seed, s)
-        den = 1.0 - r * kap
-        if abs(den) < 1e-12:
-            raise SingularRule(f"1 - r*kappa = {den} at (s={s}, r={r})")
+        den = _rule_den(s, r, kap)
         return (self.w0(s) + r - 0.5 * r * r * kap) / den
 
-    def w_ode_residual(self, s: float, r: float) -> float:
+    @takes_arrays
+    def w_ode_residual(self, s, r):
         """|dW/dr - 1 - kappa W/(1 - r kappa)| with dW/dr by central differences."""
         kap = curvature(self.seed, s)
-        den = 1.0 - r * kap
-        if abs(den) < 1e-12:
-            raise SingularRule(f"1 - r*kappa = {den} at (s={s}, r={r})")
+        den = _rule_den(s, r, kap)
         step = 1e-6
         dw = (self.w(s, r + step) - self.w(s, r - step)) / (2.0 * step)
         return abs(dw - 1.0 - kap * self.w(s, r) / den)
@@ -126,10 +145,17 @@ class RuledPatch:
         return self.r_range
 
 
+def _rule_den(s, r, kap):
+    """1 - r kappa, or SingularRule where it is below 1e-12 in size."""
+    den = 1.0 - r * kap
+    if np.any(abs(den) < 1e-12):
+        raise SingularRule(f"1 - r*kappa = {den} at (s={s}, r={r})")
+    return den
+
+
 def validate_arclength(curve: SeedCurve, s_range: tuple[float, float]) -> float:
     """Max deviation of |gamma'| from 1 over the range; raises beyond 1e-6."""
-    worst = worst_abs(math.hypot(*curve.tangent(float(s))) - 1.0
-                      for s in np.linspace(s_range[0], s_range[1], 64))
+    worst = worst_abs(_hypot(*curve.tangent(np.linspace(s_range[0], s_range[1], 64))) - 1.0)
     if not worst <= 1e-6:
         raise HminError(f"seed is not arclength-parameterized: max ||gamma'|-1| = {worst}")
     return worst
@@ -166,14 +192,15 @@ def invert_chart(patch: RuledPatch, z: tuple[float, float],
     raise FieldUndefined(f"chart inversion did not converge at z={z}")
 
 
-def chart_height_gradient(patch: RuledPatch, s: float, r: float) -> tuple[float, float]:
+@takes_arrays
+def chart_height_gradient(patch: RuledPatch, s, r) -> tuple:
     """Planar gradient of the reconstructed height at F(s, r) by the chain rule."""
     g, d1, d2 = patch.seed.point(s), patch.seed.tangent(s), patch.seed.second(s)
     dh_ds = patch.h0.d(s) - 0.5 * r * (1.0 + g[0] * d2[0] + g[1] * d2[1])
     dh_dr = -0.5 * (g[0] * d1[0] + g[1] * d1[1])
     j = rule_jacobian(patch.seed, s, r)
     det = j[0, 0] * j[1, 1] - j[0, 1] * j[1, 0]
-    if abs(det) < 1e-14:
+    if np.any(abs(det) < 1e-14):
         raise FieldUndefined(f"chart Jacobian singular at (s={s}, r={r})")
     # grad h = J^{-T} (dh_ds, dh_dr)
     hx = (j[1, 1] * dh_ds - j[1, 0] * dh_dr) / det
@@ -181,12 +208,14 @@ def chart_height_gradient(patch: RuledPatch, s: float, r: float) -> tuple[float,
     return (hx, hy)
 
 
-def w_direct(patch: RuledPatch, s: float, r: float, method: str = "chain") -> float:
+@takes_arrays
+def w_direct(patch: RuledPatch, s, r, method: str = "chain"):
     """Angle function of the reconstructed graph at F(s, r), from first principles.
 
     ``chain`` differentiates the reconstructed height through the chart
-    (exact up to interpolation error); ``invert`` finite-differences the
-    height obtained by Newton-inverting F, a fully independent route.
+    (exact up to interpolation error), and takes arrays of s and r;
+    ``invert`` finite-differences the height obtained by Newton-inverting
+    F, a fully independent route, at one (s, r).
     """
     x, y = rule_point(patch.seed, s, r)
     if method == "chain":
@@ -204,51 +233,53 @@ def w_direct(patch: RuledPatch, s: float, r: float, method: str = "chain") -> fl
         raise ValueError(f"unknown method {method!r}")
     p = -(hx + 0.5 * y)
     q = -(hy - 0.5 * x)
-    return math.hypot(p, q)
+    return _hypot(p, q)
 
 
 def chart_samples(patch: RuledPatch, n: int,
-                  w_min: Optional[float] = W_MARGIN) -> Iterator[tuple[float, float]]:
-    """(s, r) samples of the chart for the built-patch checks.
+                  w_min: Optional[float] = W_MARGIN) -> tuple[np.ndarray, np.ndarray]:
+    """(s, r) samples of the chart for the built-patch checks, as two arrays.
 
     Interior s of an n-point grid over ``s_range`` crossed with an n-point
-    grid over ``r_interval()``, skipping samples near the fold
+    grid over ``r_interval()``, s-major, skipping samples near the fold
     (|-1 + r kappa| <= FOLD_GUARD, which also keeps 1 - r kappa away from 0)
     and, unless ``w_min`` is None, near the characteristic locus
     (|W| < w_min).
     """
-    rs = [float(r) for r in np.linspace(*patch.r_interval(), n)]
-    for s in np.linspace(*patch.s_range, n)[1:-1]:
-        s = float(s)
-        kap = curvature(patch.seed, s)
-        for r in rs:
-            if abs(-1.0 + r * kap) <= FOLD_GUARD:
-                continue
-            if w_min is not None and abs(patch.w(s, r)) < w_min:
-                continue
-            yield s, r
+    rs = np.linspace(*patch.r_interval(), n)
+    ss = np.linspace(*patch.s_range, n)[1:-1]
+    s, r = np.repeat(ss, n), np.tile(rs, len(ss))
+    keep = ~(abs(-1.0 + r * np.repeat(curvature(patch.seed, ss), n)) <= FOLD_GUARD)
+    s, r = s[keep], r[keep]
+    if w_min is not None:
+        keep = ~(abs(patch.w(s, r)) < w_min)
+        s, r = s[keep], r[keep]
+    return s, r
 
 
-def worst_on_chart(patch: RuledPatch, n: int, value: Callable[[float, float], float],
+def worst_on_chart(patch: RuledPatch, n: int, value: Callable[[np.ndarray, np.ndarray], np.ndarray],
                    w_min: Optional[float] = W_MARGIN) -> float:
-    """``worst_abs`` of value(s, r) over ``chart_samples(patch, n, w_min)``:
-    NaN, so a check on it fails, when no sample is left."""
-    return worst_abs(value(s, r) for s, r in chart_samples(patch, n, w_min))
+    """``worst_abs`` of value(s, r), which takes the arrays of
+    ``chart_samples(patch, n, w_min)``: NaN, so a check on it fails, when no
+    sample is left."""
+    return worst_abs(value(*chart_samples(patch, n, w_min)))
 
 
-def _chart_nu(patch: RuledPatch, s: float, r: float) -> tuple[float, float]:
+@takes_arrays
+def _chart_nu(patch: RuledPatch, s, r) -> tuple:
     """The built graph's unit field nu = (p, q)/W at F(s, r), from the
     chain-rule gradient; raises CharacteristicPoint where W <= EPS_CHAR."""
     x, y = rule_point(patch.seed, s, r)
     hx, hy = chart_height_gradient(patch, s, r)
     p, q = -(hx + 0.5 * y), -(hy - 0.5 * x)
-    w = math.hypot(p, q)
-    if w <= EPS_CHAR:
+    w = _hypot(p, q)
+    if np.any(w <= EPS_CHAR):
         raise CharacteristicPoint(f"W={w} at ({x}, {y})")
     return (p / w, q / w)
 
 
-def curvature_on_patch(patch: RuledPatch, s: float, r: float) -> float:
+@takes_arrays
+def curvature_on_patch(patch: RuledPatch, s, r):
     """H-mean curvature of the built patch where it is locally a graph.
 
     H = div nu is taken in chart coordinates: d nu/d(s, r) by central
@@ -256,7 +287,7 @@ def curvature_on_patch(patch: RuledPatch, s: float, r: float) -> float:
     d nu/d(s, r) J^-1 with J = DF(s, r) (``rule_jacobian``); H is the trace.
     """
     det = rule_jacobian_det(patch.seed, s, r)
-    if abs(det) <= DET_GUARD:
+    if np.any(abs(det) <= DET_GUARD):
         raise FieldUndefined(f"|det DF| = {abs(det)} <= {DET_GUARD} at (s={s}, r={r})")
     h = FD_STEP
     (sp1, sp2), (sm1, sm2) = _chart_nu(patch, s + h, r), _chart_nu(patch, s - h, r)
@@ -301,58 +332,77 @@ class LociReport:
         return not self.roots
 
 
-def _roots_at(patch: RuledPatch, s: float) -> tuple[str, list[float]]:
+def _roots(patch: RuledPatch, s: np.ndarray) -> tuple[list[str], np.ndarray, np.ndarray,
+                                                        np.ndarray]:
+    """The case label of the characteristic quadratic at each s, its number
+    of roots (0, 1 or 2) and the roots r1, r2, in increasing order
+    (sorted as floats, so a NaN pair stays as it is)."""
     kap = curvature(patch.seed, s)
     w0 = patch.w0(s)
-    if abs(kap) <= EPS_KAPPA:
-        return LABEL_KAPPA_ZERO, [-w0]
-    disc = 1.0 + 2.0 * w0 * kap
-    if abs(disc) <= EPS_DELTA:
-        return LABEL_DOUBLE, [1.0 / kap]
-    if disc < 0.0:
-        return LABEL_NONE, []
-    root = math.sqrt(disc)
-    pair = sorted([(1.0 - root) / kap, (1.0 + root) / kap])
-    return LABEL_TWO, pair
+    with np.errstate(all="ignore"):
+        disc = 1.0 + 2.0 * w0 * kap
+        root = np.sqrt(disc)
+        lo, hi = (1.0 - root) / kap, (1.0 + root) / kap
+        flat = abs(kap) <= EPS_KAPPA
+        double = ~flat & (abs(disc) <= EPS_DELTA)
+        none = ~flat & ~double & (disc < 0.0)
+        swap = hi < lo
+        r1 = np.where(flat, -w0, np.where(double, 1.0 / kap, np.where(swap, hi, lo)))
+        r2 = np.where(swap, lo, hi)
+    labels = np.select([flat, double, none], [LABEL_KAPPA_ZERO, LABEL_DOUBLE, LABEL_NONE],
+                       LABEL_TWO).tolist()
+    count = np.select([flat | double, none], [1, 0], 2)
+    return labels, count, r1, r2
 
 
 def characteristic_locus(patch: RuledPatch, n_s: int = 201) -> LociReport:
-    """Solve the characteristic quadratic per sampled s and verify each root.
+    """Solve the characteristic quadratic at n_s sampled s and verify each root.
 
     Verification is two-sided: the closed-form W must vanish at the root,
     and where the chart is invertible (|det DF| > 0.1) the angle function
     of the reconstructed graph must vanish too; near-singular roots are
     instead probed at nearby r, comparing |W| against the direct value.
+    Every stage runs over the arrays of all s, or of all roots.
     """
-    s_lo, s_hi = patch.s_range
-    roots: list[LocusRoot] = []
-    labels: list[tuple[float, str]] = []
-    for s in np.linspace(s_lo, s_hi, n_s):
-        s = float(s)
-        label, rs = _roots_at(patch, s)
-        labels.append((s, label))
-        for r in rs:
-            try:
-                wf = patch.w(s, r)
-            except SingularRule:
-                wf = patch.w0(s) + r - 0.5 * r * r * curvature(patch.seed, s)
-            det = rule_jacobian_det(patch.seed, s, r)
-            image = patch.embed(s, r)
-            wd = None
-            ok = abs(wf) <= 1e-8
-            if ok and abs(det) > DET_GUARD:
-                wd = w_direct(patch, s, r)
-                ok = wd <= 1e-6
-            elif ok:
-                # probe the rule on the invertible side of the fold
-                probe = r + (0.5 if det < 0 else -0.5) * 0.5
-                for cand in (probe, r + 0.25, r - 0.25):
-                    if abs(rule_jacobian_det(patch.seed, s, cand)) > DET_GUARD:
-                        wd = w_direct(patch, s, cand)
-                        ok = abs(wd - abs(patch.w(s, cand))) <= 1e-6
-                        break
-            roots.append(LocusRoot(s, r, label, image, wf, wd, det, ok))
-    return LociReport(roots, labels, singular_locus(patch.seed))
+    ss = np.linspace(*patch.s_range, n_s)
+    labels, count, r1, r2 = _roots(patch, ss)
+    # the roots in the order of s, and at one s in increasing order
+    pick = np.column_stack([count >= 1, count >= 2]).ravel()
+    s = np.repeat(ss, 2)[pick]
+    r = np.column_stack([r1, r2]).ravel()[pick]
+    kap = np.repeat(curvature(patch.seed, ss), 2)[pick]
+    with np.errstate(all="ignore"):
+        num = patch.w0(s) + r - 0.5 * r * r * kap
+        den = 1.0 - r * kap
+        wf = np.where(abs(den) < 1e-12, num, num / den)  # W itself is undefined on the fold
+    det = rule_jacobian_det(patch.seed, s, r)
+    image = patch.embed(s, r)
+    wd = np.full(len(s), math.nan)
+    ok = abs(wf) <= 1e-8
+    direct = ok & (abs(det) > DET_GUARD)
+    wd[direct] = w_direct(patch, s[direct], r[direct])
+    ok[direct] = wd[direct] <= 1e-6
+    # probe the rule on the invertible side of the fold, then at r +- 0.25
+    near = ok & ~direct
+    sp, rp = s[near], r[near]
+    probes = [rp + np.where(det[near] < 0, 0.5, -0.5) * 0.5, rp + 0.25, rp - 0.25]
+    cand, found = rp, np.zeros(len(rp), dtype=bool)
+    for c in probes:
+        fresh = ~found & (abs(rule_jacobian_det(patch.seed, sp, c)) > DET_GUARD)
+        cand, found = np.where(fresh, c, cand), found | fresh
+    sp, cand = sp[found], cand[found]
+    wp = w_direct(patch, sp, cand)
+    probed = np.flatnonzero(near)[found]
+    wd[probed] = wp
+    ok[probed] = abs(wp - abs(patch.w(sp, cand))) <= 1e-6
+    checked = direct.copy()
+    checked[probed] = True
+    roots = [LocusRoot(si, ri, labels[i], HPoint(x, y, t), wfi, wdi if c else None, di, oki)
+             for si, ri, i, x, y, t, wfi, wdi, c, di, oki in zip(
+                 s.tolist(), r.tolist(), (np.flatnonzero(pick) // 2).tolist(),
+                 *(a.tolist() for a in image), wf.tolist(), wd.tolist(), checked.tolist(),
+                 det.tolist(), ok.tolist())]
+    return LociReport(roots, list(zip(ss.tolist(), labels)), singular_locus(patch.seed))
 
 
 def locus_branch_slope(patch: RuledPatch, s: float, side: int,
@@ -364,10 +414,11 @@ def locus_branch_slope(patch: RuledPatch, s: float, side: int,
     """
 
     def branch(sv: float) -> float:
-        _, rs = _roots_at(patch, sv)
-        if not rs:
+        _, count, r1, r2 = _roots(patch, np.array([sv]))
+        if not count[0]:
             raise FieldUndefined(f"no characteristic root at s={sv}")
-        return min(rs) if which == "min" else max(rs)
+        lo, hi = float(r1[0]), float(r2[0])
+        return lo if which == "min" or count[0] == 1 or not hi > lo else hi
 
     h = 1e-3
     c0 = branch(s)
@@ -494,7 +545,7 @@ def constant_curvature_test(gsc: GeneralizedSeedCurve, tol: float) -> tuple[bool
         hi = piece.b if math.isfinite(piece.b) else piece.curve.s_max
         lo = max(lo, piece.curve.s_min)
         hi = min(hi, piece.curve.s_max)
-        kappas = np.array([curvature(piece.curve, float(s)) for s in np.linspace(lo, hi, 101)])
+        kappas = curvature(piece.curve, np.linspace(lo, hi, 101))
         mean = float(kappas.mean())
         dev = float(np.abs(kappas - mean).max())
         summary.append({"name": piece.name, "kappa": mean, "max_dev": dev})
@@ -536,19 +587,16 @@ def roundtrip(patch: GraphPatch, curve: SeedCurve, arc_span: float, r_span: floa
     h0 = lifted_height(patch, curve)
     span = min(arc_span, -curve.s_min, curve.s_max)
     built = RuledPatch(curve, h0, (-span, span), (-r_span, r_span))
-    errs = []
-    for s in np.linspace(-span, span, 21):
-        for r in np.linspace(-r_span, r_span, 21):
-            s, r = float(s), float(r)
-            if abs(rule_jacobian_det(curve, s, r)) <= DET_GUARD:
-                continue
-            x, y = rule_point(curve, s, r)
-            if not patch.domain.contains(x, y):
-                continue
-            errs.append(built.height(s, r) - patch.h.value(x, y))
-    if not errs:
+    s = np.repeat(np.linspace(-span, span, 21), 21)
+    r = np.tile(np.linspace(-r_span, r_span, 21), 21)
+    keep = ~(abs(rule_jacobian_det(curve, s, r)) <= DET_GUARD)
+    s, r = s[keep], r[keep]
+    x, y = rule_point(curve, s, r)
+    inside = patch.domain.contains_all(x, y)
+    if not inside.any():
         raise FieldUndefined("no graph-valid chart samples landed in the patch domain")
-    return worst_abs(errs)
+    s, r, x, y = s[inside], r[inside], x[inside], y[inside]
+    return worst_abs(built.height(s, r) - ex.pointwise(patch.h.value, x, y))
 
 
 @dataclass
@@ -646,15 +694,15 @@ def classify_entire_graph(patch: GraphPatch) -> Classification:
     curve = extract_seed(patch, z0, span)
     lo = max(curve.s_min, -span / 2)
     hi = min(curve.s_max, span / 2)
-    kappas = np.array([curvature(curve, float(s)) for s in np.linspace(lo, hi, 41)])
+    kappas = curvature(curve, np.linspace(lo, hi, 41))
 
     if np.abs(kappas).max() <= tol_kappa:
         # straight seed: report direction, lifted base point and heights
         d = curve.tangent(0.0)
         g0 = curve.point(0.0)
         base = (g0[0], g0[1], patch.h.value(*g0))
-        h0s = [(float(s), patch.h.value(*curve.point(float(s))))
-               for s in np.linspace(lo, hi, 21)]
+        s21 = np.linspace(lo, hi, 21)
+        h0s = list(zip(s21.tolist(), ex.pointwise(patch.h.value, *curve.point(s21)).tolist()))
         alpha = None
         if abs(d[1]) > 1e-9:
             alpha = -d[0] / (2.0 * d[1])

@@ -18,6 +18,7 @@ which degenerates exactly on the singular locus {r = 1/kappa(s)}.
 
 from __future__ import annotations
 
+import functools
 from array import array
 from bisect import bisect_left
 from dataclasses import dataclass, field
@@ -33,6 +34,30 @@ EPS_KAPPA = 1e-8
 _RANGE_SLOP = 1e-9
 
 
+def takes_arrays(fn: Callable) -> Callable:
+    """Let ``fn``, written for floats, take equally long 1-d arrays as well.
+
+    The body of ``fn`` works on both; over arrays it runs without numpy
+    warnings (inf - inf = NaN is the point, as with floats).  An array
+    call that raises replays ``fn`` on the elements in order, so it
+    raises what the first failing scalar call raises.
+    """
+    @functools.wraps(fn)
+    def over(*args, **kwargs):
+        if not any(isinstance(a, np.ndarray) for a in args):
+            return fn(*args, **kwargs)
+        try:
+            with np.errstate(all="ignore"):
+                return fn(*args, **kwargs)
+        except Exception:
+            cols = [a.tolist() if isinstance(a, np.ndarray) else None for a in args]
+            n = len(next(c for c in cols if c is not None))
+            for i in range(n):
+                fn(*(a if c is None else c[i] for a, c in zip(args, cols)), **kwargs)
+            raise
+    return over
+
+
 @dataclass
 class SeedCurve:
     """Sampled arclength curve with tangents and second derivatives.
@@ -41,6 +66,12 @@ class SeedCurve:
     (gamma, gamma') and on (gamma', gamma''); closed-form curves may carry
     exact callables which take precedence over interpolation.  Lookups read
     plain-Python copies of the samples, made once per curve.
+
+    ``point``, ``tangent`` and ``second`` take a float s or a 1-d array of
+    s.  An array lookup makes one range check and one ``np.searchsorted``
+    and returns a pair of arrays, each element the float of the scalar
+    lookup (closed-form callables are called element by element); it
+    raises the OutOfRange of the first element a scalar lookup rejects.
     """
 
     s: np.ndarray
@@ -56,6 +87,7 @@ class SeedCurve:
 
     def __post_init__(self):
         self._s = self.s.tolist()
+        self._nodes = np.asarray(self.s, dtype=float)
         self._g, self._dg, self._ddg = (array("d", np.asarray(a, dtype=float).tobytes())
                                         for a in (self.g, self.dg, self.ddg))
 
@@ -67,51 +99,82 @@ class SeedCurve:
     def s_max(self) -> float:
         return float(self.s[-1])
 
-    def _check_range(self, sq: float) -> None:
+    def _first_rejected(self, sq: np.ndarray) -> int:
+        """The index of the first element of ``sq`` that ``_check_range``
+        rejects; len(sq) if it rejects none."""
         s = self._s
+        if len(s) < 2:
+            return 0
+        bad = (sq < s[0] - _RANGE_SLOP) | (sq > s[-1] + _RANGE_SLOP)
+        return int(bad.argmax()) if bad.any() else len(sq)
+
+    def _check_range(self, sq) -> None:
+        s = self._s
+        if isinstance(sq, np.ndarray):
+            k = self._first_rejected(sq)
+            if k == len(sq):
+                return
+            sq = float(sq[k])
         if len(s) < 2:
             raise OutOfRange("curve has fewer than two samples")
         if sq < s[0] - _RANGE_SLOP or sq > s[-1] + _RANGE_SLOP:
             raise OutOfRange(f"s={sq} outside sampled range [{s[0]}, {s[-1]}]")
 
-    def _interpolate(self, sq: float, p: array, m: array,
-                     derivative: bool = False) -> tuple[float, float]:
+    def _interpolate(self, sq, p: array, m: array, derivative: bool = False) -> tuple:
         """Cubic Hermite through values ``p`` with slopes ``m`` (flat x, y pairs)."""
         self._check_range(sq)
-        s = self._s
-        i = min(max(bisect_left(s, sq) - 1, 0), len(s) - 2)
-        s0 = s[i]
-        dt = s[i + 1] - s0
+        if isinstance(sq, np.ndarray):
+            s = self._nodes
+            i = np.clip(np.searchsorted(s, sq) - 1, 0, len(s) - 2)
+            s0 = s[i]
+            dt = s[i + 1] - s0
+            pv, mv = np.frombuffer(p).reshape(-1, 2), np.frombuffer(m).reshape(-1, 2)
+            (p0x, p0y), (p1x, p1y) = pv[i].T, pv[i + 1].T
+            (m0x, m0y), (m1x, m1y) = mv[i].T, mv[i + 1].T
+        else:
+            s, sq = self._s, float(sq)
+            i = min(max(bisect_left(s, sq) - 1, 0), len(s) - 2)
+            s0 = s[i]
+            dt = s[i + 1] - s0
+            j = 2 * i
+            p0x, p0y, p1x, p1y = p[j], p[j + 1], p[j + 2], p[j + 3]
+            m0x, m0y, m1x, m1y = m[j], m[j + 1], m[j + 2], m[j + 3]
         t = (sq - s0) / dt
         t2, t3 = t * t, t * t * t
-        j = 2 * i
-        p0x, p0y, p1x, p1y = p[j], p[j + 1], p[j + 2], p[j + 3]
-        m0x, m0y, m1x, m1y = m[j], m[j + 1], m[j + 2], m[j + 3]
         if not derivative:
             a, b = 2 * t3 - 3 * t2 + 1, (t3 - 2 * t2 + t) * dt
             c, d = -2 * t3 + 3 * t2, (t3 - t2) * dt
-            return (float(a * p0x + b * m0x + c * p1x + d * m1x),
-                    float(a * p0y + b * m0y + c * p1y + d * m1y))
+            return (a * p0x + b * m0x + c * p1x + d * m1x,
+                    a * p0y + b * m0y + c * p1y + d * m1y)
         a, b, c, d = 6 * t2 - 6 * t, 3 * t2 - 4 * t + 1, -6 * t2 + 6 * t, 3 * t2 - 2 * t
-        return (float(a * p0x / dt + b * m0x + c * p1x / dt + d * m1x),
-                float(a * p0y / dt + b * m0y + c * p1y / dt + d * m1y))
+        return (a * p0x / dt + b * m0x + c * p1x / dt + d * m1x,
+                a * p0y / dt + b * m0y + c * p1y / dt + d * m1y)
 
-    def point(self, sq: float) -> tuple[float, float]:
-        if self.gamma_fn is not None:
+    def _closed(self, fn: Callable, sq) -> tuple:
+        """A closed-form lookup: range check and call."""
+        if not isinstance(sq, np.ndarray):
             self._check_range(sq)
-            return tuple(map(float, self.gamma_fn(sq)))
+            return tuple(map(float, fn(sq)))
+        # the call at each element before the first one out of range, then
+        # the range check that rejects it, as in a loop of scalar lookups
+        k = self._first_rejected(sq)
+        rows = np.array([fn(v) for v in sq[:k].tolist()], dtype=float).reshape(-1, 2)
+        self._check_range(sq[k:])
+        return tuple(rows.T)
+
+    def point(self, sq) -> tuple:
+        if self.gamma_fn is not None:
+            return self._closed(self.gamma_fn, sq)
         return self._interpolate(sq, self._g, self._dg)
 
-    def tangent(self, sq: float) -> tuple[float, float]:
+    def tangent(self, sq) -> tuple:
         if self.dgamma_fn is not None:
-            self._check_range(sq)
-            return tuple(map(float, self.dgamma_fn(sq)))
+            return self._closed(self.dgamma_fn, sq)
         return self._interpolate(sq, self._dg, self._ddg)
 
-    def second(self, sq: float) -> tuple[float, float]:
+    def second(self, sq) -> tuple:
         if self.ddgamma_fn is not None:
-            self._check_range(sq)
-            return tuple(map(float, self.ddgamma_fn(sq)))
+            return self._closed(self.ddgamma_fn, sq)
         return self._interpolate(sq, self._dg, self._ddg, derivative=True)
 
     @staticmethod
@@ -128,7 +191,8 @@ class SeedCurve:
                          gamma_fn=gamma, dgamma_fn=dgamma, ddgamma_fn=ddgamma)
 
 
-def curvature(curve: SeedCurve, s: float) -> float:
+@takes_arrays
+def curvature(curve: SeedCurve, s):
     """Signed curvature gamma1'' gamma2' - gamma2'' gamma1'."""
     d1, d2 = curve.tangent(s), curve.second(s)
     return d2[0] * d1[1] - d2[1] * d1[0]
@@ -222,14 +286,15 @@ def _seed_jet(patch: GraphPatch, pts: np.ndarray) -> tuple[np.ndarray, np.ndarra
 # ---------------------------------------------------------------------------
 
 
-def rule_point(curve: SeedCurve, s: float, r: float) -> tuple[float, float]:
+@takes_arrays
+def rule_point(curve: SeedCurve, s, r) -> tuple:
     """F(s, r) = gamma(s) + r * gamma'(s)_perp."""
     g = curve.point(s)
     d = curve.tangent(s)
     return (g[0] + r * d[1], g[1] - r * d[0])
 
 
-def rule_jacobian_det(curve: SeedCurve, s: float, r: float) -> float:
+def rule_jacobian_det(curve: SeedCurve, s, r):
     """det DF(s, r) = -1 + r * kappa(s)."""
     return -1.0 + r * curvature(curve, s)
 
@@ -246,7 +311,9 @@ def rule_jacobian_det_fd(curve: SeedCurve, s: float, r: float) -> float:
     return dfs[0] * dfr[1] - dfs[1] * dfr[0]
 
 
-def rule_jacobian(curve: SeedCurve, s: float, r: float) -> np.ndarray:
+@takes_arrays
+def rule_jacobian(curve: SeedCurve, s, r) -> np.ndarray:
+    """DF(s, r); over arrays of s (and r), a (2, 2, n) array."""
     d1, d2 = curve.tangent(s), curve.second(s)
     return np.array([[d1[0] + r * d2[1], d1[1]],
                      [d1[1] - r * d2[0], -d1[0]]])
@@ -264,15 +331,8 @@ class SingularLocus:
 
 
 def singular_locus(curve: SeedCurve) -> SingularLocus:
-    kap = np.array([curvature(curve, float(v)) for v in curve.s])
-    mask = np.abs(kap) > EPS_KAPPA
-    branches = []
-    start = None
-    for i, flag in enumerate(list(mask) + [False]):
-        if flag and start is None:
-            start = i
-        elif not flag and start is not None:
-            sl = slice(start, i)
-            branches.append((curve.s[sl].copy(), 1.0 / kap[sl]))
-            start = None
-    return SingularLocus(branches)
+    kap = curvature(curve, curve.s)
+    # the runs of |kappa| > EPS_KAPPA start and stop at the changes of the mask
+    edges = np.flatnonzero(np.diff(np.abs(kap) > EPS_KAPPA, prepend=False, append=False))
+    return SingularLocus([(curve.s[a:b].copy(), 1.0 / kap[a:b])
+                          for a, b in zip(edges[::2].tolist(), edges[1::2].tolist())])

@@ -1,10 +1,13 @@
+import ast
 import json
 import math
+from pathlib import Path
 
 import pytest
 
-from hmin import fields, gallery, surface
+from hmin import cli, fields, gallery, surface
 from hmin.cli import main
+from hmin.errors import SpecError
 from hmin.meshes import lint_obj
 
 
@@ -464,3 +467,65 @@ def test_report_defaults_are_module_constants(tmp_path):
         "tol_h_analytic": gallery.TOL_H_ANALYTIC, "tol_h_fd": gallery.TOL_H_FD,
         "w_margin": gallery.W_MARGIN,
     }
+
+
+# -- the spec validator, built once per process --------------------------------
+
+
+def _schema():
+    return json.loads((Path(cli.__file__).parent / "spec.schema.json").read_text())
+
+
+def test_spec_schema_is_valid_against_its_metaschema():
+    jsonschema = pytest.importorskip("jsonschema")
+    schema = _schema()
+    jsonschema.validators.validator_for(schema).check_schema(schema)
+
+
+def _literal_specs() -> list:
+    """Every dict literal with a "kind" key in the test files."""
+    specs = []
+    for path in sorted(Path(__file__).parent.glob("test_*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Dict) and any(
+                    isinstance(k, ast.Constant) and k.value == "kind" for k in node.keys):
+                try:
+                    specs.append(ast.literal_eval(node))
+                except ValueError:
+                    pass
+    return specs
+
+
+def _mutations(spec: dict):
+    yield spec
+    for key in spec:
+        yield {k: v for k, v in spec.items() if k != key}
+    yield {**spec, "unknown": 1}
+    section = spec.get(spec.get("kind"))
+    if isinstance(section, dict):
+        for key in section:
+            yield {**spec, spec["kind"]: {k: v for k, v in section.items() if k != key}}
+            for bad in ("x", -1.5, None, [], {"unknown": 1}):
+                yield {**spec, spec["kind"]: {**section, key: bad}}
+
+
+def test_cached_validator_agrees_with_jsonschema_validate(tmp_path):
+    jsonschema = pytest.importorskip("jsonschema")
+    schema = _schema()
+    cases = {json.dumps(m, sort_keys=True): m for spec in _literal_specs()
+             for m in _mutations(spec)}
+    valid = 0
+    for i, spec in enumerate(cases.values()):
+        try:
+            jsonschema.validate(spec, schema)
+            want = None
+            valid += 1
+        except jsonschema.ValidationError as err:
+            want = f"spec validation failed: {err.message}"
+        try:
+            cli.load_spec(write_spec(tmp_path, f"{i}.json", spec))
+            got = None
+        except SpecError as err:
+            got = str(err) if str(err).startswith("spec validation failed") else None
+        assert got == want, spec
+    assert valid >= 10 and len(cases) - valid >= 100

@@ -134,10 +134,15 @@ def _newton_curvature(patch, s, r):
 RULED_ENTRIES = [name for name in gallery_names() if gallery_get(name).ruled is not None]
 
 
+def _chart_pairs(patch, n, **kwargs):
+    """The samples of ``chart_samples``, as a list of (s, r) floats."""
+    return list(zip(*(a.tolist() for a in chart_samples(patch, n, **kwargs))))
+
+
 @pytest.mark.parametrize("name", RULED_ENTRIES)
 def test_chart_curvature_agrees_with_the_newton_route(name):
     patch = gallery_get(name).ruled()
-    samples = list(chart_samples(patch, 9))
+    samples = _chart_pairs(patch, 9)
     assert samples
     for s, r in samples:
         assert abs(curvature_on_patch(patch, s, r) - _newton_curvature(patch, s, r)) <= 1e-7
@@ -156,7 +161,7 @@ def test_chart_curvature_sees_a_perturbed_height(monkeypatch, name):
 
     monkeypatch.setattr(ruled_module, "chart_height_gradient", perturbed)
     patch = gallery_get(name).ruled()
-    samples = list(chart_samples(patch, 9))
+    samples = _chart_pairs(patch, 9)
     chart = max(abs(curvature_on_patch(patch, s, r)) for s, r in samples)
     newton = max(abs(_newton_curvature(patch, s, r)) for s, r in samples)
     assert chart > 1e-4 and newton > 1e-4, (chart, newton)
@@ -721,7 +726,7 @@ def _old_chart_loop(patch, n):
 def test_chart_samples_match_the_old_loop_on_the_readme_cylinder():
     patch = RuledPatch(line_seed((0.0, 0.0), (1.0, 0.0), (-0.9, 0.9)),
                        Profile.from_expr("sqrt(1 - s^2)"), (-0.9, 0.9), (-1.0, 1.0))
-    samples = list(chart_samples(patch, 9))
+    samples = _chart_pairs(patch, 9)
     assert samples == _old_chart_loop(patch, 9)
     assert len(samples) == 62          # W = 0 at (s, r) = (0, 0)
 
@@ -730,7 +735,7 @@ def test_chart_samples_skip_the_fold():
     # kappa = -1, so the fold -1 + r kappa = 0 sits at r = -1
     patch = RuledPatch(circle_seed((0.0, 0.0), (1.0, 0.0), (-math.pi, math.pi)),
                        Profile.constant(0.0), (-math.pi, math.pi), (-2.0, 0.0))
-    samples = list(chart_samples(patch, 9, w_min=None))
+    samples = _chart_pairs(patch, 9, w_min=None)
     assert len(samples) == 7 * 8
     assert all(abs(-1.0 + r * curvature(patch.seed, s)) > 0.15 for s, r in samples)
     assert all(r != -1.0 for _, r in samples)
@@ -738,8 +743,8 @@ def test_chart_samples_skip_the_fold():
 
 def test_chart_samples_w_guard():
     patch = cylinder_patch()           # W = s / sqrt(1 - s^2) + r, zero at (0, 0)
-    guarded = list(chart_samples(patch, 9))
-    unguarded = list(chart_samples(patch, 9, w_min=None))
+    guarded = _chart_pairs(patch, 9)
+    unguarded = _chart_pairs(patch, 9, w_min=None)
     assert (0.0, 0.0) in unguarded and (0.0, 0.0) not in guarded
     assert len(guarded) == len(unguarded) - 1
     assert all(abs(patch.w(s, r)) >= 1e-3 for s, r in guarded)
@@ -750,3 +755,188 @@ def test_embed_undefined_height_raises():
                        Profile.from_expr("sqrt(1 - s^2)"), (-1.5, 1.5), (-1.0, 1.0))
     with pytest.raises(FieldUndefined):
         patch.embed(1.2, 0.0)
+
+
+# -- the chart functions over arrays against their scalar calls ----------------
+
+
+def _extracted_ruled_patch():
+    # the unit circle as an interpolated seed: kappa = -1, so the fold is r = -1
+    seed = extract_seed(GraphPatch.from_expr("0", square(3.0)), (1.0, 0.0), 1.0)
+    return RuledPatch(seed, Profile.constant(0.0), (-1.0, 1.0), (-0.5, 0.5))
+
+
+CHART_FUNCTIONS = {
+    "curvature": lambda p, s, r: curvature(p.seed, s),
+    "rule_point": lambda p, s, r: seed_module.rule_point(p.seed, s, r),
+    "rule_jacobian": lambda p, s, r: seed_module.rule_jacobian(p.seed, s, r),
+    "rule_jacobian_det": lambda p, s, r: seed_module.rule_jacobian_det(p.seed, s, r),
+    "_inner": lambda p, s, r: ruled_module._inner(p.seed, s),
+    "height": lambda p, s, r: p.height(s, r),
+    "embed": lambda p, s, r: p.embed(s, r),
+    "w0": lambda p, s, r: p.w0(s),
+    "w": lambda p, s, r: p.w(s, r),
+    "w_ode_residual": lambda p, s, r: p.w_ode_residual(s, r),
+    "chart_height_gradient": lambda p, s, r: ruled_module.chart_height_gradient(p, s, r),
+    "_chart_nu": lambda p, s, r: ruled_module._chart_nu(p, s, r),
+    "w_direct": lambda p, s, r: w_direct(p, s, r),
+    "curvature_on_patch": lambda p, s, r: curvature_on_patch(p, s, r),
+}
+
+
+def _scalar_repr(value) -> str:
+    if isinstance(value, HPoint):
+        value = value.as_tuple()
+    if isinstance(value, np.ndarray):          # rule_jacobian's 2x2 matrix
+        return repr(tuple(map(tuple, value.tolist())))
+    if isinstance(value, tuple):
+        return repr(tuple(map(float, value)))
+    return repr(float(value))
+
+
+def _element_reprs(value) -> list[str]:
+    """The reprs of the elements of an array call's result, as ``_scalar_repr`` gives them."""
+    if isinstance(value, tuple):
+        return [repr(t) for t in zip(*(a.tolist() for a in value))]
+    if value.ndim == 3:                        # rule_jacobian's (2, 2, n) array
+        return [repr(tuple(map(tuple, value[:, :, i].tolist()))) for i in range(value.shape[2])]
+    return [repr(v) for v in value.tolist()]
+
+
+def _outcomes(fn, patch, s, r):
+    """(scalar loop, array call) of fn: the element reprs, or the error raised first."""
+    scalar = []
+    for sv, rv in zip(s.tolist(), r.tolist()):
+        try:
+            scalar.append(_scalar_repr(fn(patch, sv, rv)))
+        except Exception as err:
+            scalar = (type(err), str(err))
+            break
+    try:
+        array = _element_reprs(fn(patch, s, r))
+    except Exception as err:
+        array = (type(err), str(err))
+    return scalar, array
+
+
+def _chart_cases(patch):
+    lo, hi = patch.s_range
+    r_lo, r_hi = patch.r_interval()
+    s = np.repeat(np.linspace(lo, hi, 5), 3)
+    r = np.tile([r_lo, 0.5 * (r_lo + r_hi), r_hi], 5)
+    mid = 0.5 * (lo + hi)
+    kap = curvature(patch.seed, mid)
+    fold = (mid, 1.0 / kap if kap else 0.0)
+    outside = (hi + 1.0, 0.0)
+    yield s, r
+    yield np.append(s, [math.nan, mid]), np.append(r, [0.1, math.nan])
+    yield np.insert(s, 4, [fold[0], outside[0]]), np.insert(r, 4, [fold[1], outside[1]])
+    yield np.insert(s, 4, [outside[0], fold[0]]), np.insert(r, 4, [outside[1], fold[1]])
+    yield s[:0], r[:0]
+
+
+@pytest.mark.parametrize("name", RULED_ENTRIES + ["extracted"])
+def test_chart_functions_over_arrays_match_their_scalar_calls(name):
+    patch = _extracted_ruled_patch() if name == "extracted" else gallery_get(name).ruled()
+    raised = set()
+    for s, r in _chart_cases(patch):
+        for fn_name, fn in CHART_FUNCTIONS.items():
+            scalar, array = _outcomes(fn, patch, s, r)
+            assert array == scalar, (fn_name, s, r)
+            if isinstance(scalar, tuple):
+                raised.add(scalar[0])
+    # the cases reach the range check, and the fold where it is on the chart
+    assert OutOfRange in raised
+
+
+def test_array_calls_raise_the_first_failing_elements_exception():
+    patch = flat_patch()                          # kappa = -1: the fold is r = -1
+    s, r = np.array([0.5, 0.2, 4.0]), np.array([0.0, -1.0, 0.0])
+    with pytest.raises(SingularRule, match=r"at \(s=0\.2, r=-1\.0\)"):
+        patch.w(s, r)
+    with pytest.raises(OutOfRange, match=r"^s=4\.0 outside"):
+        patch.w(s[::-1], r[::-1])
+    with pytest.raises(FieldUndefined, match=r"^height not finite at \(s=0\.2, r=nan\)"):
+        patch.embed(s[:2], np.array([0.0, math.nan]))
+
+
+# -- the characteristic locus against the per-s loop it replaced --------------
+
+
+def _scalar_roots(patch, s):
+    kap = curvature(patch.seed, s)
+    w0 = patch.w0(s)
+    if abs(kap) <= seed_module.EPS_KAPPA:
+        return ruled_module.LABEL_KAPPA_ZERO, [-w0]
+    disc = 1.0 + 2.0 * w0 * kap
+    if abs(disc) <= ruled_module.EPS_DELTA:
+        return ruled_module.LABEL_DOUBLE, [1.0 / kap]
+    if disc < 0.0:
+        return ruled_module.LABEL_NONE, []
+    root = math.sqrt(disc)
+    return ruled_module.LABEL_TWO, sorted([(1.0 - root) / kap, (1.0 + root) / kap])
+
+
+def _scalar_locus(patch, n_s):
+    """characteristic_locus as one scalar pass per sampled s (the oracle)."""
+    guard = ruled_module.DET_GUARD
+    roots, labels = [], []
+    for s in np.linspace(*patch.s_range, n_s):
+        s = float(s)
+        label, rs = _scalar_roots(patch, s)
+        labels.append((s, label))
+        for r in rs:
+            try:
+                wf = patch.w(s, r)
+            except SingularRule:
+                wf = patch.w0(s) + r - 0.5 * r * r * curvature(patch.seed, s)
+            det = seed_module.rule_jacobian_det(patch.seed, s, r)
+            image = patch.embed(s, r)
+            wd = None
+            ok = abs(wf) <= 1e-8
+            if ok and abs(det) > guard:
+                wd = w_direct(patch, s, r)
+                ok = wd <= 1e-6
+            elif ok:
+                probe = r + (0.5 if det < 0 else -0.5) * 0.5
+                for cand in (probe, r + 0.25, r - 0.25):
+                    if abs(seed_module.rule_jacobian_det(patch.seed, s, cand)) > guard:
+                        wd = w_direct(patch, s, cand)
+                        ok = abs(wd - abs(patch.w(s, cand))) <= 1e-6
+                        break
+            roots.append(ruled_module.LocusRoot(s, r, label, image, wf, wd, det, ok))
+    kap = np.array([curvature(patch.seed, float(v)) for v in patch.seed.s])
+    mask = list(np.abs(kap) > seed_module.EPS_KAPPA) + [False]
+    branches, start = [], None
+    for i, flag in enumerate(mask):
+        if flag and start is None:
+            start = i
+        elif not flag and start is not None:
+            branches.append((patch.seed.s[start:i].copy(), 1.0 / kap[start:i]))
+            start = None
+    return roots, labels, branches
+
+
+def _cylinder_family(s_lo, s_hi, r):
+    from hmin.cli import ruled_from_spec
+    return ruled_from_spec({"kind": "ruled",
+                            "ruled": {"seed": {"kind": "expression", "x": "s", "y": "0"},
+                                      "h0": "sqrt(1 - s^2)",
+                                      "s_range": [s_lo, s_hi], "r_range": [-r, r]}})
+
+
+LOCUS_CASES = ([(name, 201) for name in RULED_ENTRIES] + [("optreg2", 41)]
+               + [(f"cylinder-family-{i}", 201) for i in range(3)])
+
+
+@pytest.mark.parametrize("name,n_s", LOCUS_CASES)
+def test_characteristic_locus_matches_the_scalar_loop(name, n_s):
+    family = {"cylinder-family-0": (-0.9, 0.85, 0.9), "cylinder-family-1": (-0.8, 0.95, 1.0),
+              "cylinder-family-2": (-0.93, 0.81, 0.8)}
+    patch = _cylinder_family(*family[name]) if name in family else gallery_get(name).ruled()
+    rep = characteristic_locus(patch, n_s)
+    roots, labels, branches = _scalar_locus(patch, n_s)
+    assert repr(rep.labels) == repr(labels)
+    assert [repr(root) for root in rep.roots] == [repr(root) for root in roots]
+    assert ([(s.tobytes(), r.tobytes()) for s, r in rep.singular.branches]
+            == [(s.tobytes(), r.tobytes()) for s, r in branches])

@@ -448,3 +448,74 @@ def test_tracing_costs_at_most_four_gradients_per_step(monkeypatch):
     # per step: four RK4 stages (gamma' and gamma'' are read by array code);
     # once per seed: the check at z0
     assert gradients[0] <= 4 * steps[0] + 3
+
+
+# -- lookups over arrays of s against the scalar lookups -----------------------
+
+
+def _lookup_curves():
+    catenoid = gallery_get("catenoid")
+    one = (np.zeros(1), np.zeros((1, 2)), np.zeros((1, 2)), np.zeros((1, 2)))
+    return [catenoid.ruled().seed, optreg2_seed(), extract_seed(FLAT, (1.0, 0.0), 1.0),
+            extract_seed(CATENOID, (2.0, 0.0), 1.0),
+            circle_seed((0.0, 0.0), (1.0, 0.0), (-2.0, 2.0)),
+            line_seed((0.0, 1.0), (-1.0, 0.0), (-2.0, 2.0)),
+            SeedCurve(*one), SeedCurve(*one, gamma_fn=lambda s: (s, 0.0))]
+
+
+def _scalar_loop(fn, values):
+    """fn at each value in turn: the reprs of the results, or the first error."""
+    out = []
+    for v in values:
+        try:
+            out.append(repr(fn(v)))
+        except Exception as err:
+            return (type(err), str(err))
+    return out
+
+
+def _array_call(fn, values):
+    """fn over the array of values: the reprs of its elements, or its error."""
+    try:
+        x, y = fn(np.array(values, dtype=float))
+    except Exception as err:
+        return (type(err), str(err))
+    assert isinstance(x, np.ndarray) and isinstance(y, np.ndarray)
+    return [repr(pair) for pair in zip(x.tolist(), y.tolist())]
+
+
+def test_array_lookups_match_the_scalar_lookups():
+    for c in _lookup_curves():
+        if len(c.s) >= 2:
+            lo, hi = c.s_min, c.s_max
+            inside = (c.s.tolist() + (0.5 * (c.s[1:] + c.s[:-1])).tolist()
+                      + [lo - _RANGE_SLOP, lo + _RANGE_SLOP, hi - _RANGE_SLOP, hi + _RANGE_SLOP,
+                         math.nan])
+            queries = [inside, inside[::-1], [], [hi + 4 * _RANGE_SLOP],
+                       inside[:5] + [lo - 4 * _RANGE_SLOP, hi + 4 * _RANGE_SLOP],
+                       [math.nan, math.inf, -math.inf]]
+        else:
+            queries = [[], [0.0], [math.nan, 1.0]]
+        for which in ("point", "tangent", "second"):
+            lookup = getattr(c, which)
+            for values in queries:
+                want = _scalar_loop(lookup, values)
+                assert _array_call(lookup, values) == want, (c.provenance, which, values)
+
+
+def test_array_lookup_names_the_first_s_out_of_range():
+    c = extract_seed(FLAT, (1.0, 0.0), 1.0)
+    for which in ("point", "tangent", "second"):
+        with pytest.raises(OutOfRange, match=r"^s=2\.5 outside sampled range"):
+            getattr(c, which)(np.array([0.0, 2.5, -3.0, 0.5]))
+
+
+def test_closed_form_array_lookup_raises_what_the_scalar_loop_raises_first():
+    # gamma_fn raises ValueError below s = -0.5, inside the range; s = 2 is out of it
+    c = SeedCurve(np.linspace(-1.0, 1.0, 5), np.zeros((5, 2)), np.zeros((5, 2)),
+                  np.zeros((5, 2)), gamma_fn=lambda s: (math.sqrt(s + 0.5), 0.0))
+    for values, error in (([0.5, -0.75, 2.0], ValueError), ([0.5, 2.0, -0.75], OutOfRange),
+                          ([0.25, 1.0], None)):
+        got = _array_call(c.point, values)
+        assert got == _scalar_loop(c.point, values), values
+        assert got[0] is error if error else len(got) == 2
