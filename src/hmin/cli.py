@@ -25,6 +25,7 @@ parameter (including one that no named entry takes).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -38,7 +39,8 @@ import numpy as np
 from . import gallery as gal
 from .errors import (CharacteristicStart, HminError, OutOfRange, ParseError,
                      SpecError, UnknownName)
-from .fields import FD_STEP, HESS_STEP, RK4_STEP, Grid2, PlanarDomain, Profile
+from .expr import pointwise
+from .fields import FD_STEP, HESS_STEP, RK4_STEP, Grid2, PlanarDomain, Profile, chunks
 from .heis import HPoint
 from .meshes import lint_obj, mesh_graph, mesh_ruled, write_obj
 from .report import Report, check_flag, check_leq, digest_of, worst_abs
@@ -80,15 +82,26 @@ def load_spec(path: str) -> dict:
     except json.JSONDecodeError as err:
         raise SpecError(f"invalid JSON in {path}: {err}") from None
     import jsonschema
-    schema = json.loads(resources.files("hmin").joinpath("spec.schema.json").read_text())
-    try:
-        jsonschema.validate(spec, schema)
-    except jsonschema.ValidationError as err:
-        raise SpecError(f"spec validation failed: {err.message}") from None
+    # the error jsonschema.validate raises
+    err = jsonschema.exceptions.best_match(spec_validator().iter_errors(spec))
+    if err is not None:
+        raise SpecError(f"spec validation failed: {err.message}")
     kind = spec["kind"]
     if kind not in spec:
         raise SpecError(f"spec kind is {kind!r} but no {kind!r} section is present")
     return spec
+
+
+@functools.cache
+def spec_validator():
+    """The validator of the shipped schema, built once per process.
+
+    ``jsonschema.validate`` would check the schema against its metaschema
+    and build a validator on every call; the tests check the schema.
+    """
+    import jsonschema
+    schema = json.loads(resources.files("hmin").joinpath("spec.schema.json").read_text())
+    return jsonschema.validators.validator_for(schema)(schema)
 
 
 def _interval(name: str, lo: float, hi: float, *, strict: bool) -> tuple[float, float]:
@@ -291,28 +304,26 @@ def cmd_seed(args, spec: dict, report: Report) -> None:
     if not patch.domain.contains(*z0):
         raise OutOfRange(f"--z0 {z0} is outside the patch domain")
     curve = extract_seed(patch, z0, args.span)
-    rows = []
-    for i, s in enumerate(curve.s):
-        x, y = float(curve.g[i, 0]), float(curve.g[i, 1])
-        rows.append({
-            "s": float(s), "r": 0.0, "x": x, "y": y,
-            "t": patch.h.value(x, y),
-            "kappa": curvature(curve, float(s)),
-            "W": horizontal_data(patch, (x, y)).w,
-            "branch": "seed",
-            "dx": float(curve.dg[i, 0]), "dy": float(curve.dg[i, 1]),
-        })
+    t, w = [], []
+    for x, y in chunks(*curve.g.T):
+        jet = patch.h.jet(x, y)
+        t.append(jet[0])
+        w.append(horizontal_data(patch, (x, y), jet=jet).w)
+    columns = (curve.s, *curve.g.T, np.concatenate(t), curvature(curve, curve.s),
+               np.concatenate(w), *curve.dg.T)
+    rows = [dict(zip(("s", "x", "y", "t", "kappa", "W", "dx", "dy"), values), r=0.0, branch="seed")
+            for values in zip(*(c.tolist() for c in columns))]
     _write_csv(_output_path(report, args.out, "seed.csv"), rows, extra_columns=("dx", "dy"))
 
-    unit_dev = worst_abs(math.hypot(*curve.tangent(float(s))) - 1.0 for s in curve.s)
+    unit_dev = worst_abs(pointwise(math.hypot, *curve.tangent(curve.s)) - 1.0)
     report.add(check_leq("arclength_unit_tangent", unit_dev, 1e-8))
     if entry is not None and entry.known_seed is not None:
         dev = gal.known_seed_deviation(curve, entry.known_seed(z0))
         report.add(check_leq("closed_form_seed", dev, 1e-6))
     if entry is not None and entry.radius_law is not None:
-        dev = worst_abs(curve.point(float(s))[0] ** 2 + curve.point(float(s))[1] ** 2
-                        - entry.radius_law(z0, float(s))
-                        for s in np.linspace(curve.s_min, curve.s_max, 101))
+        s = np.linspace(curve.s_min, curve.s_max, 101)
+        dev = worst_abs(pointwise(lambda x, y, sv: x ** 2 + y ** 2 - entry.radius_law(z0, sv),
+                                  *curve.point(s), s))
         report.add(check_leq("radius_law", dev, 1e-6))
 
 

@@ -26,6 +26,16 @@ the zero set of the numerator, solved per s:
 Every reported root is re-verified against the angle function computed
 directly from the reconstructed graph, which is also the oracle that
 pins down the sign conventions above.
+
+``RuledPatch.w0``, ``w``, ``w_ode_residual``, ``height`` and ``embed``,
+``chart_height_gradient``, ``w_direct`` (its chain route) and
+``curvature_on_patch`` take floats s, r or 1-d arrays of them, with the
+rules of ``seed``: each element is the float of the scalar call, h0 and
+math.hypot are called element by element, and an array call raises what
+the first failing scalar call would.  The chart samples are arrays, and
+the locus is solved and verified over all sampled s at once.
+``invert_chart``, ``w_direct(method="invert")`` and ``rule`` stay scalar,
+as the independent oracles.
 """
 
 from __future__ import annotations
@@ -77,13 +87,8 @@ class RuledPatch:
     r_range: object = (-1.0, 1.0)
 
     def _check_s(self, s):
-        lo, hi = self.s_range[0] - 1e-9, self.s_range[1] + 1e-9
-        if isinstance(s, np.ndarray):
-            s = s[(s < lo) | (s > hi)]
-            if not s.size:
-                return
-            s = float(s[0])  # the first element the scalar check rejects
-        if s < lo or s > hi:
+        # over arrays, the replay of ``takes_arrays`` names the first s rejected
+        if np.any((s < self.s_range[0] - 1e-9) | (s > self.s_range[1] + 1e-9)):
             raise OutOfRange(f"s={s} outside {self.s_range}")
 
     def r_at(self, s: float) -> tuple[float, float]:
@@ -332,11 +337,10 @@ class LociReport:
         return not self.roots
 
 
-def _roots(patch: RuledPatch, s: np.ndarray) -> tuple[list[str], np.ndarray, np.ndarray,
-                                                        np.ndarray]:
-    """The case label of the characteristic quadratic at each s, its number
-    of roots (0, 1 or 2) and the roots r1, r2, in increasing order
-    (sorted as floats, so a NaN pair stays as it is)."""
+def _roots(patch: RuledPatch, s: np.ndarray) -> tuple:
+    """The characteristic quadratic at each s: its case label, its number of
+    roots (0, 1 or 2), the roots r1 <= r2 (sorted as floats, so a NaN pair
+    stays as it is), and the kappa and W0 it was solved with."""
     kap = curvature(patch.seed, s)
     w0 = patch.w0(s)
     with np.errstate(all="ignore"):
@@ -352,7 +356,7 @@ def _roots(patch: RuledPatch, s: np.ndarray) -> tuple[list[str], np.ndarray, np.
     labels = np.select([flat, double, none], [LABEL_KAPPA_ZERO, LABEL_DOUBLE, LABEL_NONE],
                        LABEL_TWO).tolist()
     count = np.select([flat | double, none], [1, 0], 2)
-    return labels, count, r1, r2
+    return labels, count, r1, r2, kap, w0
 
 
 def characteristic_locus(patch: RuledPatch, n_s: int = 201) -> LociReport:
@@ -365,43 +369,37 @@ def characteristic_locus(patch: RuledPatch, n_s: int = 201) -> LociReport:
     Every stage runs over the arrays of all s, or of all roots.
     """
     ss = np.linspace(*patch.s_range, n_s)
-    labels, count, r1, r2 = _roots(patch, ss)
+    labels, count, r1, r2, kap, w0 = _roots(patch, ss)
     # the roots in the order of s, and at one s in increasing order
     pick = np.column_stack([count >= 1, count >= 2]).ravel()
-    s = np.repeat(ss, 2)[pick]
-    r = np.column_stack([r1, r2]).ravel()[pick]
-    kap = np.repeat(curvature(patch.seed, ss), 2)[pick]
+    at = np.flatnonzero(pick) // 2
+    s, r, kap = ss[at], np.column_stack([r1, r2]).ravel()[pick], kap[at]
     with np.errstate(all="ignore"):
-        num = patch.w0(s) + r - 0.5 * r * r * kap
+        num = w0[at] + r - 0.5 * r * r * kap
         den = 1.0 - r * kap
         wf = np.where(abs(den) < 1e-12, num, num / den)  # W itself is undefined on the fold
     det = rule_jacobian_det(patch.seed, s, r)
     image = patch.embed(s, r)
-    wd = np.full(len(s), math.nan)
     ok = abs(wf) <= 1e-8
+    wd = np.full(len(s), math.nan)
     direct = ok & (abs(det) > DET_GUARD)
     wd[direct] = w_direct(patch, s[direct], r[direct])
     ok[direct] = wd[direct] <= 1e-6
     # probe the rule on the invertible side of the fold, then at r +- 0.25
-    near = ok & ~direct
-    sp, rp = s[near], r[near]
-    probes = [rp + np.where(det[near] < 0, 0.5, -0.5) * 0.5, rp + 0.25, rp - 0.25]
-    cand, found = rp, np.zeros(len(rp), dtype=bool)
-    for c in probes:
-        fresh = ~found & (abs(rule_jacobian_det(patch.seed, sp, c)) > DET_GUARD)
+    near = np.flatnonzero(ok & ~direct)
+    cand, found = r[near], np.zeros(len(near), dtype=bool)
+    for c in (r[near] + np.where(det[near] < 0, 0.5, -0.5) * 0.5, r[near] + 0.25, r[near] - 0.25):
+        fresh = ~found & (abs(rule_jacobian_det(patch.seed, s[near], c)) > DET_GUARD)
         cand, found = np.where(fresh, c, cand), found | fresh
-    sp, cand = sp[found], cand[found]
-    wp = w_direct(patch, sp, cand)
-    probed = np.flatnonzero(near)[found]
-    wd[probed] = wp
-    ok[probed] = abs(wp - abs(patch.w(sp, cand))) <= 1e-6
+    probed, cand = near[found], cand[found]
+    wd[probed] = w_direct(patch, s[probed], cand)
+    ok[probed] = abs(wd[probed] - abs(patch.w(s[probed], cand))) <= 1e-6
     checked = direct.copy()
     checked[probed] = True
-    roots = [LocusRoot(si, ri, labels[i], HPoint(x, y, t), wfi, wdi if c else None, di, oki)
-             for si, ri, i, x, y, t, wfi, wdi, c, di, oki in zip(
-                 s.tolist(), r.tolist(), (np.flatnonzero(pick) // 2).tolist(),
-                 *(a.tolist() for a in image), wf.tolist(), wd.tolist(), checked.tolist(),
-                 det.tolist(), ok.tolist())]
+    wd = [v if c else None for v, c in zip(wd.tolist(), checked.tolist())]
+    images = [HPoint(*g) for g in zip(*(a.tolist() for a in image))]
+    roots = [LocusRoot(*row) for row in zip(s.tolist(), r.tolist(), [labels[i] for i in at],
+                                            images, wf.tolist(), wd, det.tolist(), ok.tolist())]
     return LociReport(roots, list(zip(ss.tolist(), labels)), singular_locus(patch.seed))
 
 
@@ -414,7 +412,7 @@ def locus_branch_slope(patch: RuledPatch, s: float, side: int,
     """
 
     def branch(sv: float) -> float:
-        _, count, r1, r2 = _roots(patch, np.array([sv]))
+        _, count, r1, r2, _, _ = _roots(patch, np.array([sv]))
         if not count[0]:
             raise FieldUndefined(f"no characteristic root at s={sv}")
         lo, hi = float(r1[0]), float(r2[0])

@@ -14,6 +14,15 @@ curve and the straight rules through it parameterize the plane by
             = (gamma1 + r gamma2', gamma2 - r gamma1'),   det DF = -1 + r kappa(s),
 
 which degenerates exactly on the singular locus {r = 1/kappa(s)}.
+
+The ``SeedCurve`` lookups (``point``, ``tangent``, ``second``),
+``curvature``, ``rule_point``, ``rule_jacobian`` and ``rule_jacobian_det``
+take a float s or a 1-d array of s (and r, a float or an equally long
+array).  Over arrays every element is the float of the scalar call there;
+numpy is used only for + - * /, comparisons and ``where``.  An array call
+raises what the scalar calls over its elements, in order, raise first
+(``takes_arrays``).  ``rule_jacobian_det_fd`` stays scalar, as the oracle
+of ``rule_jacobian_det``.
 """
 
 from __future__ import annotations
@@ -87,7 +96,6 @@ class SeedCurve:
 
     def __post_init__(self):
         self._s = self.s.tolist()
-        self._nodes = np.asarray(self.s, dtype=float)
         self._g, self._dg, self._ddg = (array("d", np.asarray(a, dtype=float).tobytes())
                                         for a in (self.g, self.dg, self.ddg))
 
@@ -124,7 +132,7 @@ class SeedCurve:
         """Cubic Hermite through values ``p`` with slopes ``m`` (flat x, y pairs)."""
         self._check_range(sq)
         if isinstance(sq, np.ndarray):
-            s = self._nodes
+            s = self.s
             i = np.clip(np.searchsorted(s, sq) - 1, 0, len(s) - 2)
             s0 = s[i]
             dt = s[i + 1] - s0
@@ -294,6 +302,7 @@ def rule_point(curve: SeedCurve, s, r) -> tuple:
     return (g[0] + r * d[1], g[1] - r * d[0])
 
 
+@takes_arrays
 def rule_jacobian_det(curve: SeedCurve, s, r):
     """det DF(s, r) = -1 + r * kappa(s)."""
     return -1.0 + r * curvature(curve, s)

@@ -503,6 +503,9 @@ def _mutations(spec: dict):
     yield {**spec, "unknown": 1}
     section = spec.get(spec.get("kind"))
     if isinstance(section, dict):
+        # several errors at once, where jsonschema picks the best match
+        yield {**spec, "unknown": 1, spec["kind"]: {k: "x" for k in section}}
+        yield {**spec, spec["kind"]: {k: None for k in section}}
         for key in section:
             yield {**spec, spec["kind"]: {k: v for k, v in section.items() if k != key}}
             for bad in ("x", -1.5, None, [], {"unknown": 1}):

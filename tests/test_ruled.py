@@ -804,11 +804,16 @@ def _element_reprs(value) -> list[str]:
 
 
 def _outcomes(fn, patch, s, r):
-    """(scalar loop, array call) of fn: the element reprs, or the error raised first."""
+    """(scalar loop, array call) of fn: the element reprs, or the error raised first.
+
+    The scalar loop runs without numpy warnings, which rule_jacobian's
+    numpy scalars give at r = inf; the array call must raise none itself.
+    """
     scalar = []
     for sv, rv in zip(s.tolist(), r.tolist()):
         try:
-            scalar.append(_scalar_repr(fn(patch, sv, rv)))
+            with np.errstate(all="ignore"):
+                scalar.append(_scalar_repr(fn(patch, sv, rv)))
         except Exception as err:
             scalar = (type(err), str(err))
             break
@@ -829,7 +834,7 @@ def _chart_cases(patch):
     fold = (mid, 1.0 / kap if kap else 0.0)
     outside = (hi + 1.0, 0.0)
     yield s, r
-    yield np.append(s, [math.nan, mid]), np.append(r, [0.1, math.nan])
+    yield np.append(s, [math.nan, mid, mid]), np.append(r, [0.1, math.nan, math.inf])
     yield np.insert(s, 4, [fold[0], outside[0]]), np.insert(r, 4, [fold[1], outside[1]])
     yield np.insert(s, 4, [outside[0], fold[0]]), np.insert(r, 4, [outside[1], fold[1]])
     yield s[:0], r[:0]
