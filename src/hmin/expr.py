@@ -337,14 +337,17 @@ def substitute(e: Expr, env: dict[str, Expr]) -> Expr:
     return e  # a number
 
 
-def pointwise(fn: Callable[..., float], *args) -> np.ndarray:
+def pointwise(fn: Callable[..., float], *args):
     """``fn`` at each element of equally long 1-d arrays (a float argument
-    is the same at every element), as a float array.
+    is the same at every element), as a float array; with no array among
+    ``args``, the float ``fn(*args)``.
 
     Each element is the very float ``fn`` returns there, so an array path
     built from this agrees bit for bit with the scalar path.
     """
-    n = next(len(a) for a in args if isinstance(a, np.ndarray))
+    n = next((len(a) for a in args if isinstance(a, np.ndarray)), None)
+    if n is None:
+        return fn(*args)
     cols = (a.tolist() if isinstance(a, np.ndarray) else [a] * n for a in args)
     return np.fromiter(map(fn, *cols), dtype=float, count=n)
 

@@ -6,10 +6,13 @@ derivatives: exact ones when it has the six trees of an analytic field,
 central finite differences when it has f alone.  Its ``jet`` takes one
 point or a chunk of points (1-d arrays of at most ``CHUNK`` nodes, from
 ``chunks``); the other evaluators take one point.  The module also
-provides the fixed-step RK4 integrator used for seed-curve tracing and an
-adaptive Simpson rule used for integral-defined curves.  The integrator
-returns the traced points alone, and ends a trace at the start of a step
-whose k2 turns back from its k1 (k1 . k2 <= 0).
+provides the fixed-step RK4 integrator used for seed-curve tracing, and
+adaptive Simpson quadrature for integral-defined curves and heights.  The
+integrator returns the traced points alone, and ends a trace at the start
+of a step whose k2 turns back from its k1 (k1 . k2 <= 0).  The quadrature
+``cumulative_integral`` runs the recursion of ``adaptive_simpson`` level
+by level over arrays, and gives its sums bit for bit; a function marked
+by ``over_arrays`` is evaluated once per level.
 
 Numerical defaults (fixed):
 
@@ -47,18 +50,27 @@ TURN_BACK = "field turns back: k1 . k2 <= 0"  # rk4_integrate's own stop reason
 CHUNK = 1024
 
 
-def over_arrays(predicate: Callable) -> Callable:
-    """Mark a membership predicate as valid over arrays.
+def over_arrays(fn: Callable) -> Callable:
+    """Mark a float function as valid over arrays.
 
-    A marked predicate takes equally long 1-d float arrays x and y as well
-    as floats, and returns a boolean array whose element i is the bool of
-    the float call at (x[i], y[i]).  Written with ``+ - *``, ``abs``,
-    comparisons and ``&`` (not ``and``/``or``, nor chained comparisons),
-    and with any other float function applied through ``expr.pointwise``,
-    it does so by construction.
+    A marked function takes equally long 1-d float arrays wherever it takes
+    floats, and returns an array (or a tuple of arrays) whose element i is
+    the float, or bool, of its call at element i; a call with floats still
+    returns floats.  Written with ``+ - * /``, ``abs``, comparisons and
+    ``&`` (not ``and``/``or``, nor chained comparisons), and with any other
+    float function applied through ``expr.pointwise``, it does so by
+    construction.  ``PlanarDomain.contains_all``, ``cumulative_integral``,
+    ``Profile`` and the ``SeedCurve`` lookups call a marked function once
+    with an array, and map any other one over its elements.
     """
-    predicate.over_arrays = True
-    return predicate
+    fn.over_arrays = True
+    return fn
+
+
+def _at(f: Callable, t: np.ndarray) -> np.ndarray:
+    """f at every element of t: one call of an ``over_arrays`` f, else f
+    mapped by ``expr.pointwise``."""
+    return f(t) if getattr(f, "over_arrays", False) else ex.pointwise(f, t)
 
 
 @dataclass(frozen=True)
@@ -304,8 +316,9 @@ def chunks(*arrays: np.ndarray) -> Iterator[tuple[np.ndarray, ...]]:
 class Profile:
     """A scalar function of one variable with optional analytic derivatives.
 
-    The profile and ``d`` take a float s, or a 1-d array of s, at whose
-    elements they are called one by one (``expr.pointwise``).
+    The profile and ``d`` take a float s, or a 1-d array of s, with which
+    f and d1 are called once if marked by ``over_arrays``, and at whose
+    elements they are called one by one (``expr.pointwise``) if not.
     """
 
     f: Callable[[float], float]
@@ -313,13 +326,13 @@ class Profile:
     d2: Optional[Callable[[float], float]] = None
 
     def __call__(self, s):
-        return ex.pointwise(self.f, s) if isinstance(s, np.ndarray) else self.f(s)
+        return _at(self.f, s) if isinstance(s, np.ndarray) else self.f(s)
 
     def d(self, s):
+        if self.d1 is not None:
+            return _at(self.d1, s) if isinstance(s, np.ndarray) else self.d1(s)
         if isinstance(s, np.ndarray):
             return ex.pointwise(self.d, s)
-        if self.d1 is not None:
-            return self.d1(s)
         h = PROFILE_STEP
         return (self.f(s + h) - self.f(s - h)) / (2.0 * h)
 
@@ -408,7 +421,7 @@ def rk4_integrate(v: Callable[[float, float], Sequence[float]],
 
 
 # ---------------------------------------------------------------------------
-# Quadrature (composite Simpson with adaptive halving)
+# Quadrature (adaptive Simpson, halved level by level over arrays)
 # ---------------------------------------------------------------------------
 
 
@@ -420,7 +433,11 @@ def _simpson(f: Callable[[float], float], a: float, fa: float, b: float, fb: flo
 
 def adaptive_simpson(f: Callable[[float], float], a: float, b: float,
                      tol: float = SIMPSON_TOL) -> float:
-    """Integral of f over [a, b] to absolute tolerance ``tol``."""
+    """Integral of f over [a, b] to absolute tolerance ``tol``.
+
+    An interval stops halving at depth 50, or where its error estimate is
+    not finite; its value is then NaN or inf.
+    """
     if a == b:
         return 0.0
     fa, fb = f(a), f(b)
@@ -429,18 +446,57 @@ def adaptive_simpson(f: Callable[[float], float], a: float, b: float,
     def rec(a, fa, b, fb, m, fm, whole, tol, depth):
         lm, flm, left = _simpson(f, a, fa, m, fm)
         rm, frm, right = _simpson(f, m, fm, b, fb)
-        if depth >= 50 or abs(left + right - whole) <= 15.0 * tol:
-            return left + right + (left + right - whole) / 15.0
+        err = left + right - whole
+        if depth >= 50 or not math.isfinite(err) or abs(err) <= 15.0 * tol:
+            return left + right + err / 15.0
         return (rec(a, fa, m, fm, lm, flm, left, tol / 2.0, depth + 1)
                 + rec(m, fm, b, fb, rm, frm, right, tol / 2.0, depth + 1))
 
     return rec(a, fa, b, fb, m, fm, whole, tol, 0)
 
 
+@np.errstate(all="ignore")  # IEEE results such as inf - inf = NaN are the recursion's too
 def cumulative_integral(f: Callable[[float], float], grid: np.ndarray,
                         tol: float = SIMPSON_TOL) -> np.ndarray:
-    """Antiderivative values of f at the (sorted) grid points, zero at grid[0]."""
+    """Antiderivative values of f at the (sorted) grid points, zero at grid[0].
+
+    Each value is the running sum of ``adaptive_simpson`` over the grid
+    intervals before it, bit for bit.  The recursion runs level by level
+    over arrays, with its own arithmetic: f is evaluated once at the grid
+    nodes, once at the interval midpoints, and once per depth at the
+    quarter points of every interval still halving.  f is called with
+    arrays if it is marked by ``over_arrays``, and mapped by
+    ``expr.pointwise`` if not.
+    """
     out = np.zeros(len(grid))
-    for i in range(1, len(grid)):
-        out[i] = out[i - 1] + adaptive_simpson(f, float(grid[i - 1]), float(grid[i]), tol)
-    return out
+    grid = np.asarray(grid, dtype=float)
+    live = np.flatnonzero(~(grid[:-1] == grid[1:]))  # a zero-width interval adds 0.0
+    if not len(live):
+        return out
+    fg = _at(f, grid)
+    a, b, fa, fb = grid[:-1][live], grid[1:][live], fg[:-1][live], fg[1:][live]
+    m = 0.5 * (a + b)
+    fm = _at(f, m)
+    whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
+    levels = []  # per depth: each interval's leaf value, and whether it halves
+    while len(a):
+        lm, rm = 0.5 * (a + m), 0.5 * (m + b)
+        fq = _at(f, np.concatenate((lm, rm)))
+        flm, frm = fq[:len(a)], fq[len(a):]
+        left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
+        right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
+        err = left + right - whole
+        k = np.isfinite(err) & (abs(err) > 15.0 * tol) & (len(levels) < 50)
+        levels.append((left + right + err / 15.0, k))
+        # the halves of interval k go to 2k (left) and 2k + 1 (right)
+        a, fa, b, fb, m, fm, whole = (np.column_stack(pair).ravel() for pair in (
+            (a[k], m[k]), (fa[k], fm[k]), (m[k], b[k]), (fm[k], fb[k]),
+            (lm[k], rm[k]), (flm[k], frm[k]), (left[k], right[k])))
+        tol = tol / 2.0
+    # a halved interval's value is its left half's plus its right half's
+    value = np.empty(0)
+    for leaf, halved in reversed(levels):
+        leaf[halved] = value[0::2] + value[1::2]
+        value = leaf
+    out[1 + live] = value
+    return np.cumsum(out)

@@ -102,12 +102,10 @@ def catenoid_seed(a: float, z0: tuple[float, float], s_range: tuple[float, float
     th0 = math.atan2(z0[1], z0[0])
     rate = 4.0 / math.sqrt(a)
 
-    def rho(s: float) -> float:
-        return math.sqrt(rho0 * rho0 - sheet * rate * s)
-
-    def theta_rate(s: float) -> float:
+    @over_arrays
+    def theta_rate(s):
         r2 = rho0 * rho0 - sheet * rate * s
-        return math.sqrt(max(r2 - 4.0 / a, 0.0)) / r2
+        return ex.pointwise(math.sqrt, ex.pointwise(max, r2 - 4.0 / a, 0.0)) / r2
 
     # sample grid containing s = 0 exactly, so theta(0) = th0 needs no offset
     n = 801
@@ -123,16 +121,11 @@ def catenoid_seed(a: float, z0: tuple[float, float], s_range: tuple[float, float
     i0 = int(np.argmin(np.abs(s)))
     theta = cumulative_integral(theta_rate, s)
     theta += th0 - theta[i0]
-    g = np.empty((len(s), 2))
-    dg = np.empty((len(s), 2))
-    for i, sv in enumerate(s):
-        r = rho(float(sv))
-        th = theta[i]
-        c, sn = math.cos(th), math.sin(th)
-        g[i] = (r * c, r * sn)
-        drho = -sheet * rate / (2.0 * r)
-        dth = theta_rate(float(sv))
-        dg[i] = (drho * c - r * dth * sn, drho * sn + r * dth * c)
+    r = ex.pointwise(math.sqrt, rho0 * rho0 - sheet * rate * s)
+    c, sn = ex.pointwise(math.cos, theta), ex.pointwise(math.sin, theta)
+    g = np.column_stack((r * c, r * sn))
+    drho, dth = -sheet * rate / (2.0 * r), theta_rate(s)
+    dg = np.column_stack((drho * c - r * dth * sn, drho * sn + r * dth * c))
     ddg = np.gradient(dg, s, axis=0)
     # arclength forces gamma'' _|_ gamma'; drop the differencing error's
     # tangential component
@@ -144,32 +137,39 @@ def optreg2_seed() -> SeedCurve:
     """Seed with signed curvature -|s|: gamma' = (cos Psi, sin Psi),
     Psi(s) = (1 + sign(s) s^2)/2, positions by quadrature from gamma(-1) = 0."""
 
-    def psi_int(s: float) -> float:
-        return 0.5 * (1.0 + math.copysign(s * s, s))
+    def psi(s):
+        # s |s| is copysign(s * s, s): rounding is symmetric about 0
+        return 0.5 * (1.0 + s * abs(s))
 
-    def dgamma(s: float):
-        p = psi_int(s)
-        return (math.cos(p), math.sin(p))
+    @over_arrays
+    def cos_psi(s):
+        return ex.pointwise(math.cos, psi(s))
 
-    def ddgamma(s: float):
-        p = psi_int(s)
-        return (-abs(s) * math.sin(p), abs(s) * math.cos(p))
+    @over_arrays
+    def sin_psi(s):
+        return ex.pointwise(math.sin, psi(s))
+
+    @over_arrays
+    def dgamma(s) -> tuple:
+        return (cos_psi(s), sin_psi(s))
+
+    @over_arrays
+    def ddgamma(s) -> tuple:
+        return (-abs(s) * sin_psi(s), abs(s) * cos_psi(s))
 
     s = np.linspace(-1.0, 1.0, 801)
-    gx = cumulative_integral(lambda v: dgamma(v)[0], s)
-    gy = cumulative_integral(lambda v: dgamma(v)[1], s)
-    g = np.column_stack([gx, gy])
-    dg = np.array([dgamma(float(v)) for v in s])
-    ddg = np.array([ddgamma(float(v)) for v in s])
+    g = np.column_stack((cumulative_integral(cos_psi, s), cumulative_integral(sin_psi, s)))
+    dg, ddg = np.column_stack(dgamma(s)), np.column_stack(ddgamma(s))
     return SeedCurve(s, g, dg, ddg, provenance="closed-form",
                      dgamma_fn=dgamma, ddgamma_fn=ddgamma)
 
 
 def _profile_from_samples(s: np.ndarray, values: np.ndarray,
                           d1: Callable[[float], float]) -> Profile:
-    """Cubic Hermite profile through (s, values) with exact slope callable."""
+    """Cubic Hermite profile through (s, values) with the exact slope d1, a
+    function marked by ``over_arrays``; the node slopes are read in one call."""
 
-    nodes, vals = s.tolist(), values.tolist()
+    nodes, vals, slopes = s.tolist(), values.tolist(), d1(s).tolist()
 
     def f(sq: float) -> float:
         i = min(max(bisect_left(nodes, sq) - 1, 0), len(nodes) - 2)
@@ -177,8 +177,8 @@ def _profile_from_samples(s: np.ndarray, values: np.ndarray,
         dt = s1 - s0
         t = (sq - s0) / dt
         t2, t3 = t * t, t * t * t
-        return float((2 * t3 - 3 * t2 + 1) * vals[i] + (t3 - 2 * t2 + t) * dt * d1(s0)
-                     + (-2 * t3 + 3 * t2) * vals[i + 1] + (t3 - t2) * dt * d1(s1))
+        return float((2 * t3 - 3 * t2 + 1) * vals[i] + (t3 - 2 * t2 + t) * dt * slopes[i]
+                     + (-2 * t3 + 3 * t2) * vals[i + 1] + (t3 - t2) * dt * slopes[i + 1])
 
     return Profile(f=f, d1=d1)
 
@@ -539,7 +539,8 @@ def _gencurve(n: int = 3) -> GalleryEntry:
 def _optreg2() -> GalleryEntry:
     seed_c = optreg2_seed()
 
-    def h0_rate(s: float) -> float:
+    @over_arrays
+    def h0_rate(s):
         g = seed_c.point(s)
         d = seed_c.tangent(s)
         # chosen so that the angle function along the seed is identically -1

@@ -62,11 +62,6 @@ DET_GUARD = 0.1
 FOLD_GUARD = 0.15   # chart samples keep |-1 + r kappa| above this
 
 
-def _hypot(p, q):
-    """math.hypot, at each element over arrays (numpy's differs in the last bit)."""
-    return ex.pointwise(math.hypot, p, q) if isinstance(p, np.ndarray) else math.hypot(p, q)
-
-
 @takes_arrays
 def _inner(curve: SeedCurve, s):
     g, d = curve.point(s), curve.tangent(s)
@@ -86,9 +81,13 @@ class RuledPatch:
     s_range: tuple[float, float]
     r_range: object = (-1.0, 1.0)
 
+    def _off_range(self, s):
+        """Whether s is outside ``s_range`` by more than 1e-9, at each element over arrays."""
+        return (s < self.s_range[0] - 1e-9) | (s > self.s_range[1] + 1e-9)
+
     def _check_s(self, s):
         # over arrays, the replay of ``takes_arrays`` names the first s rejected
-        if np.any((s < self.s_range[0] - 1e-9) | (s > self.s_range[1] + 1e-9)):
+        if np.any(self._off_range(s)):
             raise OutOfRange(f"s={s} outside {self.s_range}")
 
     def r_at(self, s: float) -> tuple[float, float]:
@@ -160,7 +159,8 @@ def _rule_den(s, r, kap):
 
 def validate_arclength(curve: SeedCurve, s_range: tuple[float, float]) -> float:
     """Max deviation of |gamma'| from 1 over the range; raises beyond 1e-6."""
-    worst = worst_abs(_hypot(*curve.tangent(np.linspace(s_range[0], s_range[1], 64))) - 1.0)
+    tangent = curve.tangent(np.linspace(s_range[0], s_range[1], 64))
+    worst = worst_abs(ex.pointwise(math.hypot, *tangent) - 1.0)
     if not worst <= 1e-6:
         raise HminError(f"seed is not arclength-parameterized: max ||gamma'|-1| = {worst}")
     return worst
@@ -188,11 +188,11 @@ def invert_chart(patch: RuledPatch, z: tuple[float, float],
         if math.hypot(rx, ry) < 1e-13:
             return (s, r)
         j = rule_jacobian(patch.seed, s, r)
-        det = j[0, 0] * j[1, 1] - j[0, 1] * j[1, 0]
+        det = j[0][0] * j[1][1] - j[0][1] * j[1][0]
         if abs(det) < 1e-14:
             raise FieldUndefined(f"chart Jacobian singular near (s={s}, r={r})")
-        ds = (rx * j[1, 1] - ry * j[0, 1]) / det
-        dr = (ry * j[0, 0] - rx * j[1, 0]) / det
+        ds = (rx * j[1][1] - ry * j[0][1]) / det
+        dr = (ry * j[0][0] - rx * j[1][0]) / det
         s, r = s - ds, r - dr
     raise FieldUndefined(f"chart inversion did not converge at z={z}")
 
@@ -204,12 +204,12 @@ def chart_height_gradient(patch: RuledPatch, s, r) -> tuple:
     dh_ds = patch.h0.d(s) - 0.5 * r * (1.0 + g[0] * d2[0] + g[1] * d2[1])
     dh_dr = -0.5 * (g[0] * d1[0] + g[1] * d1[1])
     j = rule_jacobian(patch.seed, s, r)
-    det = j[0, 0] * j[1, 1] - j[0, 1] * j[1, 0]
+    det = j[0][0] * j[1][1] - j[0][1] * j[1][0]
     if np.any(abs(det) < 1e-14):
         raise FieldUndefined(f"chart Jacobian singular at (s={s}, r={r})")
     # grad h = J^{-T} (dh_ds, dh_dr)
-    hx = (j[1, 1] * dh_ds - j[1, 0] * dh_dr) / det
-    hy = (-j[0, 1] * dh_ds + j[0, 0] * dh_dr) / det
+    hx = (j[1][1] * dh_ds - j[1][0] * dh_dr) / det
+    hy = (-j[0][1] * dh_ds + j[0][0] * dh_dr) / det
     return (hx, hy)
 
 
@@ -238,7 +238,7 @@ def w_direct(patch: RuledPatch, s, r, method: str = "chain"):
         raise ValueError(f"unknown method {method!r}")
     p = -(hx + 0.5 * y)
     q = -(hy - 0.5 * x)
-    return _hypot(p, q)
+    return ex.pointwise(math.hypot, p, q)
 
 
 def chart_samples(patch: RuledPatch, n: int,
@@ -277,7 +277,7 @@ def _chart_nu(patch: RuledPatch, s, r) -> tuple:
     x, y = rule_point(patch.seed, s, r)
     hx, hy = chart_height_gradient(patch, s, r)
     p, q = -(hx + 0.5 * y), -(hy - 0.5 * x)
-    w = _hypot(p, q)
+    w = ex.pointwise(math.hypot, p, q)
     if np.any(w <= EPS_CHAR):
         raise CharacteristicPoint(f"W={w} at ({x}, {y})")
     return (p / w, q / w)
@@ -298,10 +298,10 @@ def curvature_on_patch(patch: RuledPatch, s, r):
     (sp1, sp2), (sm1, sm2) = _chart_nu(patch, s + h, r), _chart_nu(patch, s - h, r)
     (rp1, rp2), (rm1, rm2) = _chart_nu(patch, s, r + h), _chart_nu(patch, s, r - h)
     j = rule_jacobian(patch.seed, s, r)
-    det_j = j[0, 0] * j[1, 1] - j[0, 1] * j[1, 0]
+    det_j = j[0][0] * j[1][1] - j[0][1] * j[1][0]
     # trace of [[nu1_s, nu1_r], [nu2_s, nu2_r]] [[j11, -j01], [-j10, j00]] / det_j
-    return ((sp1 - sm1) * j[1, 1] - (rp1 - rm1) * j[1, 0]
-            - (sp2 - sm2) * j[0, 1] + (rp2 - rm2) * j[0, 0]) / (2.0 * h * det_j)
+    return ((sp1 - sm1) * j[1][1] - (rp1 - rm1) * j[1][0]
+            - (sp2 - sm2) * j[0][1] + (rp2 - rm2) * j[0][0]) / (2.0 * h * det_j)
 
 
 # ---------------------------------------------------------------------------
@@ -366,7 +366,8 @@ def characteristic_locus(patch: RuledPatch, n_s: int = 201) -> LociReport:
     and where the chart is invertible (|det DF| > 0.1) the angle function
     of the reconstructed graph must vanish too; near-singular roots are
     instead probed at nearby r, comparing |W| against the direct value.
-    Every stage runs over the arrays of all s, or of all roots.
+    Every stage runs over the arrays of all s, or of all roots.  The
+    singular locus reported is the seed's, over ``s_range``.
     """
     ss = np.linspace(*patch.s_range, n_s)
     labels, count, r1, r2, kap, w0 = _roots(patch, ss)
@@ -400,7 +401,17 @@ def characteristic_locus(patch: RuledPatch, n_s: int = 201) -> LociReport:
     images = [HPoint(*g) for g in zip(*(a.tolist() for a in image))]
     roots = [LocusRoot(*row) for row in zip(s.tolist(), r.tolist(), [labels[i] for i in at],
                                             images, wf.tolist(), wd, det.tolist(), ok.tolist())]
-    return LociReport(roots, list(zip(ss.tolist(), labels)), singular_locus(patch.seed))
+    return LociReport(roots, list(zip(ss.tolist(), labels)), _singular_on(patch))
+
+
+def _singular_on(patch: RuledPatch) -> SingularLocus:
+    """The seed's singular locus, cut to the patch's ``s_range``."""
+    branches = []
+    for s, r in singular_locus(patch.seed).branches:
+        keep = ~patch._off_range(s)
+        if keep.any():
+            branches.append((s[keep], r[keep]))
+    return SingularLocus(branches)
 
 
 def locus_branch_slope(patch: RuledPatch, s: float, side: int,

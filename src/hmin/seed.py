@@ -79,8 +79,9 @@ class SeedCurve:
     ``point``, ``tangent`` and ``second`` take a float s or a 1-d array of
     s.  An array lookup makes one range check and one ``np.searchsorted``
     and returns a pair of arrays, each element the float of the scalar
-    lookup (closed-form callables are called element by element); it
-    raises the OutOfRange of the first element a scalar lookup rejects.
+    lookup (a closed-form callable is called once with the array if it is
+    marked by ``fields.over_arrays``, else element by element); it raises
+    the OutOfRange of the first element a scalar lookup rejects.
     """
 
     s: np.ndarray
@@ -166,9 +167,12 @@ class SeedCurve:
         # the call at each element before the first one out of range, then
         # the range check that rejects it, as in a loop of scalar lookups
         k = self._first_rejected(sq)
-        rows = np.array([fn(v) for v in sq[:k].tolist()], dtype=float).reshape(-1, 2)
+        if getattr(fn, "over_arrays", False):
+            cols = tuple(fn(sq[:k]))
+        else:
+            cols = tuple(np.array([fn(v) for v in sq[:k].tolist()], dtype=float).reshape(-1, 2).T)
         self._check_range(sq[k:])
-        return tuple(rows.T)
+        return cols
 
     def point(self, sq) -> tuple:
         if self.gamma_fn is not None:
@@ -321,11 +325,12 @@ def rule_jacobian_det_fd(curve: SeedCurve, s: float, r: float) -> float:
 
 
 @takes_arrays
-def rule_jacobian(curve: SeedCurve, s, r) -> np.ndarray:
-    """DF(s, r); over arrays of s (and r), a (2, 2, n) array."""
+def rule_jacobian(curve: SeedCurve, s, r) -> tuple:
+    """DF(s, r) as rows ((a, b), (c, d)); over arrays of s (and r), each
+    entry is an array."""
     d1, d2 = curve.tangent(s), curve.second(s)
-    return np.array([[d1[0] + r * d2[1], d1[1]],
-                     [d1[1] - r * d2[0], -d1[0]]])
+    return ((d1[0] + r * d2[1], d1[1]),
+            (d1[1] - r * d2[0], -d1[0]))
 
 
 @dataclass

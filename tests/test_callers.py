@@ -10,6 +10,7 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "hmin"
 KEPT = {
     "expr.evaluate": "oracle: walks a tree; compile_fn's generated code is tested against it",
     "expr.to_str": "oracle: prints a tree back for the parse round trip",
+    "fields.adaptive_simpson": "oracle: the scalar recursion that cumulative_integral matches bit for bit",
     "fields.square": "public convenience: the square domain [-half, half]^2",
     "ruled.rule": "oracle: RuledPatch.embed in group form",
     "seed.rule_jacobian_det_fd": "oracle: finite differences of rule_jacobian_det (criterion 05)",

@@ -3,6 +3,7 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from hmin import cli, fields, gallery, surface
@@ -233,6 +234,23 @@ def test_loci_smooth_branch_has_no_corner_flag(tmp_path):
     rep = json.loads((out / "report.json").read_text())
     corner = [c for c in rep["checks"] if c["name"] == "branch_corners"][0]
     assert corner["note"] == "none detected"
+
+
+def test_loci_keeps_to_the_patch_s_range(tmp_path):
+    # a unit-circle seed sampled over s in [-2, 2], used over s_range [-1, 1]
+    samples = tmp_path / "circle.csv"
+    nodes = np.linspace(-2.0, 2.0, 401).tolist()
+    samples.write_text("s,x,y,dx,dy\n" + "".join(
+        f"{s!r},{math.cos(s)!r},{math.sin(s)!r},{-math.sin(s)!r},{math.cos(s)!r}\n" for s in nodes))
+    spec = write_spec(tmp_path, "circle.json", {"kind": "ruled", "ruled": {
+        "seed": {"kind": "samples", "path": str(samples)}, "h0": "0",
+        "s_range": [-1, 1], "r_range": [-0.5, 0.5]}})
+    assert main(["verify", "--spec", spec, "--out", str(tmp_path / "v")]) == 0
+    out = tmp_path / "loci"
+    assert main(["loci", "--spec", spec, "--out", str(out)]) == 0
+    rows = [l.split(",") for l in (out / "loci.csv").read_text().splitlines()[1:]]
+    assert [r for r in rows if r[7] == "singular"]
+    assert all(-1.0 <= float(r[0]) <= 1.0 for r in rows)
 
 
 def test_classify_examples(specs, tmp_path):

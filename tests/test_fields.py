@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from hmin import expr as ex
+from hmin import gallery
 from hmin.errors import FieldUndefined, StencilOutOfDomain
-from hmin.fields import (FD_STEP, TURN_BACK, Grid2, PlanarDomain, Profile, ScalarField2,
-                         adaptive_simpson, cumulative_integral, rk4_integrate, square)
+from hmin.fields import (FD_STEP, SIMPSON_TOL, TURN_BACK, Grid2, PlanarDomain, Profile,
+                         ScalarField2, adaptive_simpson, cumulative_integral, over_arrays,
+                         rk4_integrate, square)
 
 
 def fd_field(src, domain=None):
@@ -244,6 +246,119 @@ def test_cumulative_integral_matches_antiderivative():
     grid = np.linspace(0.0, 2.0, 41)
     vals = cumulative_integral(math.cos, grid)
     assert np.max(np.abs(vals - np.sin(grid))) <= 1e-10
+
+
+def _running_simpson(f, grid, tol=SIMPSON_TOL) -> list[float]:
+    """The oracle of cumulative_integral: adaptive_simpson per interval, summed in order."""
+    nodes, out = grid.tolist(), [0.0] * len(grid)
+    for i in range(1, len(nodes)):
+        out[i] = out[i - 1] + adaptive_simpson(f, nodes[i - 1], nodes[i], tol)
+    return out
+
+
+def _counted(f, calls: list):
+    """f marked by over_arrays, recording the length of each array it is called with."""
+    @over_arrays
+    def g(t):
+        assert isinstance(t, np.ndarray)
+        calls.append(len(t))
+        return f(t)
+    return g
+
+
+@over_arrays
+def _root_abs(t):
+    return ex.pointwise(math.sqrt, abs(t))
+
+
+@over_arrays
+def _sin_inverse(t):
+    return ex.pointwise(math.sin, 1.0 / t)
+
+
+QUADRATURE_CASES = {
+    "float-lambda": (lambda t: math.exp(-t * t) * math.cos(3.0 * t), np.linspace(-2.0, 2.0, 17), 1e-10),
+    "float-lambda-tight": (lambda t: 1.0 / (1.0 + t * t), np.linspace(0.0, 3.0, 7), 1e-13),
+    "zero-widths": (math.cos, np.array([0.0, 0.0, 0.5, 0.5, 0.5, 1.25, 2.0, 2.0]), 1e-10),
+    "depth-capped": (_root_abs, np.array([-1.0, 0.3, 1.0]), 1e-10),
+    "depth-capped-float": (lambda t: math.sqrt(abs(t)), np.array([-0.7, 0.2]), 1e-10),
+    "sin-inverse-near-0": (_sin_inverse, np.linspace(0.01, 0.1, 5), 1e-10),
+    "one-interval": (math.sin, np.array([0.25, 2.0]), 1e-11),
+    "one-point": (math.sin, np.array([0.25]), 1e-10),
+    "no-point": (math.sin, np.array([]), 1e-10),
+}
+
+
+@pytest.mark.parametrize("case", QUADRATURE_CASES)
+def test_cumulative_integral_is_the_running_adaptive_simpson_sum(case):
+    f, grid, tol = QUADRATURE_CASES[case]
+    assert repr(cumulative_integral(f, grid, tol).tolist()) == repr(_running_simpson(f, grid, tol))
+
+
+def test_quadrature_calls_a_marked_integrand_once_per_depth():
+    # the nodes, the midpoints, then the quarter points of each depth
+    calls = []
+    cumulative_integral(_counted(lambda t: t * t * t - 2.0 * t, calls), np.linspace(0.0, 1.0, 11))
+    assert calls == [11, 10, 20]           # Simpson is exact on a cubic: depth 0 only
+    calls = []
+    cumulative_integral(_counted(_root_abs, calls), np.array([-1.0, 0.3, 1.0]))
+    assert len(calls) == 2 + 51            # the interval at 0 halves to the depth cap, 50
+    calls = []
+    cumulative_integral(_counted(math.cos, calls), np.array([1.0]))
+    assert calls == []
+
+
+def _gallery_integrals(monkeypatch) -> list[tuple]:
+    """(f, grid, tol) of every cumulative_integral call made while the
+    catenoid (at two values of a, both sheets) and optreg2 are built."""
+    seen = []
+
+    def spy(f, grid, tol=SIMPSON_TOL):
+        seen.append((f, grid, tol))
+        return cumulative_integral(f, grid, tol)
+
+    monkeypatch.setattr(gallery, "cumulative_integral", spy)
+    for a in (2.0, 3.0):
+        entry = gallery.gallery_get("catenoid", a=a)
+        entry.ruled()
+        entry.gsc()
+    gallery.gallery_get("optreg2")
+    return seen
+
+
+def test_gallery_integrals_are_the_running_adaptive_simpson_sums(monkeypatch):
+    seen = _gallery_integrals(monkeypatch)
+    # six catenoid seeds' theta', optreg2's cos Psi, sin Psi and h0'
+    assert len(seen) == 9
+    for f, grid, tol in seen:
+        assert getattr(f, "over_arrays", False)
+        calls = []
+        out = cumulative_integral(_counted(f, calls), grid, tol)
+        assert repr(out.tolist()) == repr(_running_simpson(f, grid, tol))
+        # the nodes, the midpoints, and one call per depth reached
+        assert calls[:2] == [len(grid), len(grid) - 1] and len(calls) <= 2 + 51
+
+
+def test_gallery_integrands_over_arrays_are_their_scalar_calls(monkeypatch):
+    for f, grid, _ in _gallery_integrals(monkeypatch):
+        t = np.concatenate([grid, 0.5 * (grid[:-1] + grid[1:]), 0.75 * grid[:-1] + 0.25 * grid[1:]])
+        scalar = [f(v) for v in t.tolist()]
+        assert all(type(v) is float for v in scalar)
+        assert repr(f(t).tolist()) == repr(scalar)
+
+
+@pytest.mark.parametrize("f,expected", [
+    (lambda t: math.sqrt(t) if t >= 0.5 else math.nan, "nan"),
+    (lambda t: math.inf if t == 0.0 else 1.0, "nan"),       # inf - inf in the error estimate
+    (lambda t: math.inf if t == 0.25 else 1.0, "inf"),      # inf at a quarter point alone
+], ids=["nan-below-half", "inf-at-0", "inf-at-a-quarter-point"])
+def test_quadrature_ends_on_a_non_finite_integrand(f, expected):
+    # a non-finite error estimate stops the halving: before, the first case
+    # recursed 2^50 times
+    assert repr(adaptive_simpson(f, 0.0, 1.0)) == expected
+    calls = []
+    out = cumulative_integral(_counted(lambda t: ex.pointwise(f, t), calls), np.array([0.0, 1.0]))
+    assert repr(out.tolist()[1]) == expected and len(calls) <= 55
 
 
 def test_profile_derivatives():
