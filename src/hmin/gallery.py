@@ -394,9 +394,7 @@ def _sector(x_min: float, half_angle: float) -> Callable:
     or over arrays (math.atan2 at each element: numpy's differs in the last bit)."""
     @over_arrays
     def inside(x, y):
-        if isinstance(x, np.ndarray):
-            return (x >= x_min) & (abs(ex.pointwise(math.atan2, y, x)) <= half_angle)
-        return x >= x_min and abs(math.atan2(y, x)) <= half_angle
+        return (x >= x_min) & (abs(ex.pointwise(math.atan2, y, x)) <= half_angle)
 
     return inside
 
