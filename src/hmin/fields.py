@@ -488,7 +488,7 @@ def cumulative_integral(f: Callable[[float], float], grid: np.ndarray,
         err = left + right - whole
         k = np.isfinite(err) & (abs(err) > 15.0 * tol) & (len(levels) < 50)
         levels.append((left + right + err / 15.0, k))
-        # the halves of interval k go to 2k (left) and 2k + 1 (right)
+        # the halves of the i-th interval that halves go to 2i (left) and 2i + 1 (right)
         a, fa, b, fb, m, fm, whole = (np.column_stack(pair).ravel() for pair in (
             (a[k], m[k]), (fa[k], fm[k]), (m[k], b[k]), (fm[k], fb[k]),
             (lm[k], rm[k]), (flm[k], frm[k]), (left[k], right[k])))
