@@ -6,9 +6,8 @@ surfaces via the seed-curve / height-function representation: a library
 `hmin.ruled`, `hmin.gallery`) plus a command-line tool (`hmin`).
 """
 
-from .errors import (CharacteristicPoint, CharacteristicStart,
-                     DegenerateDenominator, FieldUndefined, HminError,
-                     NotAGraphAfterTransform, OutOfRange, ParseError,
+from .errors import (CharacteristicPoint, CharacteristicStart, FieldUndefined,
+                     HminError, NotAGraphAfterTransform, OutOfRange, ParseError,
                      SingularRule, SpecError, StencilOutOfDomain, UnknownName)
 from .heis import HPoint, ORIGIN, dilate, group_mul
 from .fields import (Grid2, PlanarDomain, Profile, ScalarField2,
@@ -19,10 +18,9 @@ from .surface import (GraphPatch, HorizontalData, ImplicitSurface,
 from .seed import (SeedCurve, curvature, extract_seed, rule_jacobian_det,
                    rule_point, singular_locus)
 from .ruled import (GeneralizedSeedCurve, GSCJoin, GSCPiece, LociReport,
-                    RuledPatch, bernstein_quotient, build_surface,
-                    characteristic_locus, classify_entire_graph,
-                    constant_curvature_test, roundtrip, rule, validate_gsc,
-                    w_direct)
+                    RuledPatch, build_surface, characteristic_locus,
+                    classify_entire_graph, constant_curvature_test, roundtrip,
+                    rule, validate_gsc, w_direct)
 from .gallery import GalleryEntry, gallery_get, gallery_names, gallery_verify
 
 __version__ = "0.1.0"

@@ -50,8 +50,6 @@ from .seed import SeedCurve, curvature, extract_seed
 from .surface import (EPS_CHAR, GraphPatch, ImplicitSurface, characteristic_scan,
                       horizontal_data)
 
-CSV_COLUMNS = ["s", "r", "x", "y", "t", "kappa", "W", "branch"]
-
 # gallery command options; each entry takes the ones gallery.gallery_params names
 GALLERY_OPTIONS = {"a": float, "u0": float, "b": float, "c": float, "d": float,
                    "n": int, "R": float}
@@ -212,16 +210,13 @@ def _ruled_of(spec: dict, entry: Optional[gal.GalleryEntry]) -> Optional[RuledPa
 # ---------------------------------------------------------------------------
 
 
-def _write_csv(path: str, rows: list[dict], extra_columns: tuple[str, ...] = ()):
-    cols = CSV_COLUMNS + list(extra_columns)
+def _write_csv(path: str, columns: dict):
+    """A CSV file of ``columns``, in their order: name -> equally long float
+    arrays, written with ``repr``, or lists of strings."""
+    cells = [c if isinstance(c, list) else list(map(repr, c.tolist())) for c in columns.values()]
     with open(path, "w") as fh:
-        fh.write(",".join(cols) + "\n")
-        for row in rows:
-            out = []
-            for c in cols:
-                v = row.get(c, "")
-                out.append(v if isinstance(v, str) else repr(float(v)))
-            fh.write(",".join(out) + "\n")
+        fh.write(",".join(columns) + "\n")
+        fh.writelines(",".join(row) + "\n" for row in zip(*cells))
 
 
 def _output_path(report: Report, out_dir: str, name: str) -> str:
@@ -309,11 +304,11 @@ def cmd_seed(args, spec: dict, report: Report) -> None:
         jet = patch.h.jet(x, y)
         t.append(jet[0])
         w.append(horizontal_data(patch, (x, y), jet=jet).w)
-    columns = (curve.s, *curve.g.T, np.concatenate(t), curvature(curve, curve.s),
-               np.concatenate(w), *curve.dg.T)
-    rows = [dict(zip(("s", "x", "y", "t", "kappa", "W", "dx", "dy"), values), r=0.0, branch="seed")
-            for values in zip(*(c.tolist() for c in columns))]
-    _write_csv(_output_path(report, args.out, "seed.csv"), rows, extra_columns=("dx", "dy"))
+    n = len(curve.s)
+    _write_csv(_output_path(report, args.out, "seed.csv"), {
+        "s": curve.s, "r": np.zeros(n), "x": curve.g[:, 0], "y": curve.g[:, 1],
+        "t": np.concatenate(t), "kappa": curvature(curve, curve.s), "W": np.concatenate(w),
+        "branch": ["seed"] * n, "dx": curve.dg[:, 0], "dy": curve.dg[:, 1]})
 
     unit_dev = worst_abs(pointwise(math.hypot, *curve.tangent(curve.s)) - 1.0)
     report.add(check_leq("arclength_unit_tangent", unit_dev, 1e-8))
@@ -357,18 +352,18 @@ def cmd_loci(args, spec: dict, report: Report) -> None:
     if patch is None:
         raise SpecError("loci needs a ruled spec or a gallery entry with a ruled construction")
     rep = characteristic_locus(patch)
-    kappa = curvature(patch.seed, np.array([root.s for root in rep.roots], dtype=float))
-    rows = [{"s": root.s, "r": root.r,
-             "x": root.image.x, "y": root.image.y, "t": root.image.t,
-             "kappa": k, "W": root.w_formula, "branch": root.label}
-            for root, k in zip(rep.roots, kappa.tolist())]
     branches = rep.singular.branches
     s = np.concatenate([np.empty(0)] + [b for b, _ in branches])
     r = np.concatenate([np.empty(0)] + [b for _, b in branches])
-    columns = (s, r, *patch.embed(s, r), curvature(patch.seed, s))
-    rows += [dict(zip(("s", "r", "x", "y", "t", "kappa"), values), W=math.nan, branch="singular")
-             for values in zip(*(c.tolist() for c in columns))]
-    _write_csv(_output_path(report, args.out, "loci.csv"), rows)
+    singular = (s, r, *patch.embed(s, r), np.full(len(s), math.nan))
+    roots = np.array([(root.s, root.r, *root.image.as_tuple(), root.w_formula)
+                      for root in rep.roots]).reshape(-1, 6).T
+    # the rows of the roots, then those of the singular branches
+    s, r, x, y, t, w = (np.concatenate(pair) for pair in zip(roots, singular))
+    labels = [root.label for root in rep.roots] + ["singular"] * len(singular[0])
+    _write_csv(_output_path(report, args.out, "loci.csv"), {
+        "s": s, "r": r, "x": x, "y": y, "t": t, "kappa": curvature(patch.seed, s), "W": w,
+        "branch": labels})
     report.add(check_flag("roots_verified",
                           all(r.verified for r in rep.roots),
                           note=f"{len(rep.roots)} root(s)"))

@@ -42,10 +42,6 @@ class SingularRule(HminError):
     """The (s, r) chart is evaluated on (or too close to) the singular locus."""
 
 
-class DegenerateDenominator(HminError):
-    """A quotient with vanishing denominator (e.g. <gamma, gamma'> = 0)."""
-
-
 class UnknownName(HminError):
     """An unknown catalog entry name."""
 

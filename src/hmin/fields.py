@@ -276,7 +276,13 @@ class ScalarField2:
 
 @dataclass(frozen=True)
 class Grid2:
-    """Inclusive nx-by-ny lattice over a domain, filtered by membership."""
+    """Inclusive nx-by-ny lattice over a domain, filtered by membership.
+
+    Every 2-d sample set of the package comes from here: the domain's x and
+    y may also be the (s, r) of a ruled chart or the (x, t) of a graph over
+    the xt-plane.  ``mesh`` gives every lattice node; ``points`` and
+    ``nodes`` the ones inside the domain, x-major.
+    """
 
     domain: PlanarDomain
     nx: int

@@ -32,8 +32,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import expr as ex
-from .errors import StencilOutOfDomain, UnknownName
-from .fields import Grid2, PlanarDomain, Profile, chunks, cumulative_integral, over_arrays
+from .errors import NotAGraphAfterTransform, StencilOutOfDomain, UnknownName
+from .fields import Grid2, PlanarDomain, Profile, chunks, cumulative_integral, over_arrays, square
 from .heis import HPoint
 from .report import Check, check_flag, check_leq, worst_abs
 from .ruled import (GeneralizedSeedCurve, GSCJoin, GSCPiece, RuledPatch,
@@ -42,7 +42,8 @@ from .ruled import (GeneralizedSeedCurve, GSCJoin, GSCPiece, RuledPatch,
                     worst_on_chart)
 from .seed import SeedCurve, curvature, extract_seed
 from .surface import (EPS_CHAR, W_MARGIN, GraphPatch, ImplicitSurface,
-                      characteristic_scan, h_mean_curvature, horizontal_data)
+                      characteristic_scan, h_mean_curvature, horizontal_data,
+                      points_to_graph_samples)
 
 TOL_H_ANALYTIC = 1e-8
 TOL_H_FD = 1e-4
@@ -456,8 +457,7 @@ def _cylinder() -> GalleryEntry:
         pieces = [GSCPiece(s1.seed, s1.h0, -0.98, 0.98, name="upper"),
                   GSCPiece(s2.seed, s2.h0, -0.98, 0.98, name="lower")]
         # the sheets close up along the vertical tangent lines x = +-1
-        joins = [GSCJoin("b", "b", plane_normal=(1.0, 0.0)),
-                 GSCJoin("a", "a", plane_normal=(1.0, 0.0))]
+        joins = [GSCJoin("b", "b"), GSCJoin("a", "a")]
         return GeneralizedSeedCurve(pieces, joins)
 
     entry = GalleryEntry(
@@ -505,13 +505,13 @@ def _gencurve(n: int = 3) -> GalleryEntry:
             p2 = GSCPiece(line_seed((0.0, 0.0), (1.0, 0.0), (0.0, 2.0)),
                           Profile(f=lambda s: math.copysign(abs(s) ** (1.0 / n), s)),
                           0.0, 2.0, name="x>0")
-            joins = [GSCJoin("b", "a", plane_normal=(1.0, 0.0))]
+            joins = [GSCJoin("b", "a")]
         else:
             p1 = GSCPiece(line_seed((0.0, 0.0), (1.0, 0.0), (0.0, 2.0)),
                           Profile(f=lambda s: s ** (1.0 / n)), 0.0, 2.0, name="upper")
             p2 = GSCPiece(line_seed((0.0, 0.0), (1.0, 0.0), (0.0, 2.0)),
                           Profile(f=lambda s: -(s ** (1.0 / n))), 0.0, 2.0, name="lower")
-            joins = [GSCJoin("a", "a", plane_normal=(1.0, 0.0))]
+            joins = [GSCJoin("a", "a")]
         return GeneralizedSeedCurve([p1, p2], joins)
 
     entry = GalleryEntry(
@@ -700,14 +700,13 @@ def _seed_deviation(entry: GalleryEntry) -> tuple[float, SeedCurve]:
     return worst, extracted
 
 
-def _check_locus(entry: GalleryEntry, report_checks: list[Check]):
-    patch = entry.ruled()
+def _check_locus(entry: GalleryEntry, patch: RuledPatch, report_checks: list[Check]):
     rep = characteristic_locus(patch)
     if entry.expected_chart_label is None:
-        return rep
+        return
     if entry.expected_chart_label == "none":
         report_checks.append(check_flag("locus_empty", rep.empty))
-        return rep
+        return
     labels = {lab for _, lab in rep.labels}
     report_checks.append(check_flag(
         f"locus_label_{entry.expected_chart_label}",
@@ -718,7 +717,6 @@ def _check_locus(entry: GalleryEntry, report_checks: list[Check]):
         report_checks.append(check_leq("locus_root_value", worst, 1e-6))
     report_checks.append(check_flag("locus_verified",
                                     all(r.verified for r in rep.roots)))
-    return rep
 
 
 def gallery_verify(name: str, **params) -> list[Check]:
@@ -750,9 +748,9 @@ def gallery_verify(name: str, **params) -> list[Check]:
             kdev = worst_abs(curvature(extracted, np.linspace(-span, span, 41)) - kk)
             checks.append(check_leq("seed_kappa", kdev, 1e-5))
 
-    if entry.ruled is not None:
-        _check_locus(entry, checks)
-        patch = entry.ruled()
+    patch = entry.ruled() if entry.ruled is not None else None
+    if patch is not None:
+        _check_locus(entry, patch, checks)
         checks.append(check_leq("built_patch_minimal", worst_on_chart(
             patch, 9, lambda s, r: curvature_on_patch(patch, s, r)), 1e-6))
         checks.append(check_leq("w_ode_residual", worst_on_chart(
@@ -776,7 +774,7 @@ def gallery_verify(name: str, **params) -> list[Check]:
     if entry.name == "counterexample":
         checks.extend(_counterexample_triple(entry))
     if entry.name == "optreg2":
-        checks.extend(_optreg2_corner(entry))
+        checks.extend(_optreg2_corner(entry, patch))
     if entry.name == "cylinder":
         checks.extend(_cylinder_checks(entry))
     if entry.name == "gencurve-n" and entry.params["n"] % 2 == 0:
@@ -813,26 +811,17 @@ def _check_scan(entry: GalleryEntry) -> Check:
 def _counterexample_triple(entry: GalleryEntry) -> list[Check]:
     checks = []
     # entire graph over the xt-plane: y(x, t) finite on a window
-    ok = True
-    for x in np.linspace(-3.0, 3.0, 31):
-        for t in np.linspace(-3.0, 3.0, 31):
-            if not math.isfinite(entry.xt_graph(float(x), float(t))):
-                ok = False
-    checks.append(check_flag("entire_xt_graph", ok))
+    window = Grid2(square(3.0), 31, 31).nodes  # (x, t) nodes
+    ys = [entry.xt_graph(x, t) for x, t in window]
+    checks.append(check_flag("entire_xt_graph", all(map(math.isfinite, ys))))
     # empty characteristic locus: W > 0 on the surface sample; np.min keeps
     # a NaN W, so a sample where W is undefined fails the check
-    wmin = float(np.min([
-        entry.implicit.horizontal_data(HPoint(float(x), entry.xt_graph(float(x), float(t)),
-                                              float(t))).w
-        for x in np.linspace(-3.0, 3.0, 31) for t in np.linspace(-3.0, 3.0, 31)]))
+    wmin = float(np.min([entry.implicit.horizontal_data(HPoint(x, y, t)).w
+                         for (x, t), y in zip(window, ys)]))
     checks.append(check_flag("empty_characteristic_locus", wmin > 1e-6,
                              note=f"min W = {wmin:.3e}"))
     # not a vertical plane: fit a x + b y = c to surface points, residual large
-    pts = []
-    for x in np.linspace(-3.0, 3.0, 13):
-        for t in np.linspace(-3.0, 3.0, 13):
-            pts.append((float(x), entry.xt_graph(float(x), float(t))))
-    arr = np.array(pts)
+    arr = np.array([(x, entry.xt_graph(x, t)) for x, t in Grid2(square(3.0), 13, 13).nodes])
     arr -= arr.mean(axis=0)
     _, sv, _ = np.linalg.svd(arr, full_matrices=False)
     checks.append(check_flag("not_vertical_plane", float(sv[-1]) > 1e-2,
@@ -840,8 +829,7 @@ def _counterexample_triple(entry: GalleryEntry) -> list[Check]:
     return checks
 
 
-def _optreg2_corner(entry: GalleryEntry) -> list[Check]:
-    patch = entry.ruled()
+def _optreg2_corner(entry: GalleryEntry, patch: RuledPatch) -> list[Check]:
     checks = []
     rep = characteristic_locus(patch, n_s=41)
     branch = entry.extra["branch"]
@@ -860,8 +848,8 @@ def _optreg2_corner(entry: GalleryEntry) -> list[Check]:
 def _cylinder_checks(entry: GalleryEntry) -> list[Check]:
     checks = []
     s1, s2 = entry.ruled_pair()
-    r = np.tile(np.linspace(-2.0, 2.0, 25), 25)
-    images = (patch.embed(np.repeat(np.linspace(*patch.s_range, 25), 25), r) for patch in (s1, s2))
+    images = (patch.embed(*Grid2(PlanarDomain(*patch.s_range, -2.0, 2.0), 25, 25).points())
+              for patch in (s1, s2))
     worst = worst_abs(np.concatenate([ex.pointwise(entry.implicit.phi, *g) for g in images]))
     checks.append(check_leq("cylinder_implicit_residual", worst, 1e-9))
     # piecewise-constant Gauss map (+-1, 0) off the characteristic locus
@@ -873,9 +861,9 @@ def _cylinder_checks(entry: GalleryEntry) -> list[Check]:
 def _cylinder_gauss_errors(*patches: RuledPatch) -> np.ndarray:
     """|nu_1| - 1 and nu_2 of the horizontal Gauss map off the characteristic locus."""
     errors = []
+    grid = Grid2(PlanarDomain(-0.9, 0.9, -1.5, 1.5), 13, 13)  # (s, r) nodes
     for patch in patches:
-        s = np.repeat(np.linspace(-0.9, 0.9, 13), 13)
-        r = np.tile(np.linspace(-1.5, 1.5, 13), 13)
+        s, r = grid.points()
         keep = ~(abs(patch.w(s, r)) < 1e-2)
         s, r = s[keep], r[keep]
         x, y = patch.seed.point(s)[0], -r
@@ -889,13 +877,8 @@ def _cylinder_gauss_errors(*patches: RuledPatch) -> np.ndarray:
 
 def _gencurve_even_checks(entry: GalleryEntry) -> list[Check]:
     # two sheets over the same planar points: not globally a graph
-    from .errors import NotAGraphAfterTransform
-    from .surface import points_to_graph_samples
-    pts = []
-    for x in np.linspace(0.2, 1.8, 9):
-        for y in np.linspace(-1.0, 1.0, 9):
-            pts.append(entry.graph.point(float(x), float(y)))
-            pts.append(entry.graph_lower.point(float(x), float(y)))
+    pts = [sheet.point(x, y) for x, y in Grid2(PlanarDomain(0.2, 1.8, -1.0, 1.0), 9, 9).nodes
+           for sheet in (entry.graph, entry.graph_lower)]
     try:
         points_to_graph_samples(pts, tol=1e-6)
         two_sheets = False

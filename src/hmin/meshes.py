@@ -16,6 +16,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import FieldUndefined
+from .fields import Grid2, PlanarDomain
 from .ruled import RuledPatch
 from .seed import curvature, rule_point
 from .surface import GraphPatch
@@ -38,20 +39,20 @@ def _grid_faces(nu: int, nv: int) -> np.ndarray:
 
 def mesh_ruled(patch: RuledPatch, ns: int, nr: int,
                r_range: Optional[tuple[float, float]] = None) -> Mesh:
-    """Sample the (s, r) chart; r is nudged off the singular fold.
+    """Sample the (s, r) chart over ``s_range`` by ``r_range`` (by default
+    the patch's ``r_interval()``); r is nudged off the singular fold.
 
     Samples with |det DF| < DET_CLAMP slide along their rule to the nearest
     admissible r (the fold r = 1/kappa is a parameterization artifact, not
     a feature of the surface); the number of moved samples is recorded.
     Each s row is embedded at once, with the arithmetic of ``RuledPatch.embed``.
     """
-    ss = np.linspace(patch.s_range[0], patch.s_range[1], ns)
+    ss, r_lattice = Grid2(PlanarDomain(*patch.s_range, *(r_range or patch.r_interval())),
+                          ns, nr).lattice()
     verts = np.empty((ns, nr, 3))
     clamped = 0
     for i, s in enumerate(ss.tolist()):
-        lo, hi = r_range if r_range is not None else patch.r_at(s)
-        rs = np.linspace(lo, hi, nr)
-        kap = curvature(patch.seed, s)
+        rs, kap = r_lattice, curvature(patch.seed, s)
         if abs(kap) > 1e-12:
             fold = 1.0 / kap
             near = np.abs(-1.0 + rs * kap) < DET_CLAMP
@@ -67,10 +68,8 @@ def mesh_ruled(patch: RuledPatch, ns: int, nr: int,
 
 
 def mesh_graph(patch: GraphPatch, nx: int, ny: int) -> Mesh:
-    dom = patch.domain
-    xs = np.linspace(dom.xmin, dom.xmax, nx)
-    ys = np.linspace(dom.ymin, dom.ymax, ny)
-    verts = [patch.point(float(x), float(y)).as_tuple() for x in xs for y in ys]
+    x, y = Grid2(patch.domain, nx, ny).mesh()  # every node, x-major
+    verts = [patch.point(*z).as_tuple() for z in zip(x.ravel().tolist(), y.ravel().tolist())]
     return Mesh(np.array(verts, dtype=float).reshape(-1, 3), _grid_faces(nx, ny),
                 comments=[f"graph patch mesh {nx}x{ny}"])
 

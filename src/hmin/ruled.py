@@ -47,9 +47,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import expr as ex
-from .errors import (CharacteristicPoint, DegenerateDenominator, FieldUndefined, HminError,
-                     OutOfRange, SingularRule)
-from .fields import FD_STEP, Profile
+from .errors import CharacteristicPoint, FieldUndefined, HminError, OutOfRange, SingularRule
+from .fields import FD_STEP, Grid2, PlanarDomain, Profile, over_arrays
 from .heis import HPoint, dilate, group_mul
 from .report import worst_abs
 from .seed import (SeedCurve, curvature, extract_seed, rule_jacobian,
@@ -72,14 +71,14 @@ def _inner(curve: SeedCurve, s):
 class RuledPatch:
     """A seed-and-height surface patch.
 
-    ``r_range`` is a fixed interval, a per-s interval function, or None
-    for all of R (an extended graph).
+    ``r_range`` is the rule-parameter interval shared by every rule, or
+    None for all of R (an extended graph).
     """
 
     seed: SeedCurve
     h0: Profile
     s_range: tuple[float, float]
-    r_range: object = (-1.0, 1.0)
+    r_range: Optional[tuple[float, float]] = (-1.0, 1.0)
 
     def _off_range(self, s):
         """Whether s is outside ``s_range`` by more than 1e-9, at each element over arrays."""
@@ -89,13 +88,6 @@ class RuledPatch:
         # over arrays, the replay of ``takes_arrays`` names the first s rejected
         if np.any(self._off_range(s)):
             raise OutOfRange(f"s={s} outside {self.s_range}")
-
-    def r_at(self, s: float) -> tuple[float, float]:
-        """The rule-parameter interval over the rule through gamma(s)."""
-        if callable(self.r_range):
-            lo, hi = self.r_range(s)
-            return (float(lo), float(hi))
-        return self.r_interval()
 
     @takes_arrays
     def height(self, s, r):
@@ -139,14 +131,8 @@ class RuledPatch:
         return abs(dw - 1.0 - kap * self.w(s, r) / den)
 
     def r_interval(self, fallback: float = 1.0) -> tuple[float, float]:
-        """A global r interval: the hull over s for per-s ranges."""
-        if self.r_range is None:
-            return (-fallback, fallback)
-        if callable(self.r_range):
-            samples = [self.r_range(float(s))
-                       for s in np.linspace(*self.s_range, 9)]
-            return (min(lo for lo, _ in samples), max(hi for _, hi in samples))
-        return self.r_range
+        """``r_range``, or (-fallback, fallback) for an extended patch."""
+        return (-fallback, fallback) if self.r_range is None else self.r_range
 
 
 def _rule_den(s, r, kap):
@@ -245,16 +231,14 @@ def chart_samples(patch: RuledPatch, n: int,
                   w_min: Optional[float] = W_MARGIN) -> tuple[np.ndarray, np.ndarray]:
     """(s, r) samples of the chart for the built-patch checks, as two arrays.
 
-    Interior s of an n-point grid over ``s_range`` crossed with an n-point
-    grid over ``r_interval()``, s-major, skipping samples near the fold
+    The interior s rows of the n-by-n grid over ``s_range`` by
+    ``r_interval()``, s-major, skipping samples near the fold
     (|-1 + r kappa| <= FOLD_GUARD, which also keeps 1 - r kappa away from 0)
     and, unless ``w_min`` is None, near the characteristic locus
     (|W| < w_min).
     """
-    rs = np.linspace(*patch.r_interval(), n)
-    ss = np.linspace(*patch.s_range, n)[1:-1]
-    s, r = np.repeat(ss, n), np.tile(rs, len(ss))
-    keep = ~(abs(-1.0 + r * np.repeat(curvature(patch.seed, ss), n)) <= FOLD_GUARD)
+    s, r = (a[1:-1] for a in Grid2(PlanarDomain(*patch.s_range, *patch.r_interval()), n, n).mesh())
+    keep = ~(abs(-1.0 + r * curvature(patch.seed, s[:, 0])[:, None]) <= FOLD_GUARD)
     s, r = s[keep], r[keep]
     if w_min is not None:
         keep = ~(abs(patch.w(s, r)) < w_min)
@@ -485,11 +469,10 @@ class GSCPiece:
 
 @dataclass
 class GSCJoin:
-    """How consecutive pieces meet; may carry a vertical-plane normal."""
+    """How consecutive pieces meet: the end ("a" or "b") of each that joins."""
 
     end_left: str = "b"
     end_right: str = "a"
-    plane_normal: Optional[tuple[float, float]] = None
 
 
 @dataclass
@@ -562,28 +545,15 @@ def constant_curvature_test(gsc: GeneralizedSeedCurve, tol: float) -> tuple[bool
     return ok, summary
 
 
-def bernstein_quotient(curve: SeedCurve, s: float) -> float:
-    """gamma1'(s) / <gamma(s), gamma'(s)> for a seed normalized to
-    gamma(0) = 0, gamma'(0) = (0, 1); constant = kappa(0) for graphs over a plane."""
-    den = _inner(curve, s)
-    if abs(den) < 1e-12:
-        raise DegenerateDenominator(f"<gamma, gamma'> = {den} at s={s}")
-    return curve.tangent(s)[0] / den
-
-
 # ---------------------------------------------------------------------------
 # Representation round-trip and the entire-graph classifier
 # ---------------------------------------------------------------------------
 
 
 def lifted_height(patch: GraphPatch, curve: SeedCurve) -> Profile:
-    """h0(s) = h(gamma(s)) along an extracted seed."""
-
-    def f(s: float) -> float:
-        x, y = curve.point(s)
-        return patch.h.value(x, y)
-
-    return Profile(f=f)
+    """h0(s) = h(gamma(s)) along an extracted seed; over arrays, one seed
+    lookup and the height's value at each point."""
+    return Profile(f=over_arrays(lambda s: ex.pointwise(patch.h.value, *curve.point(s))))
 
 
 def roundtrip(patch: GraphPatch, curve: SeedCurve, arc_span: float, r_span: float) -> float:
@@ -596,8 +566,7 @@ def roundtrip(patch: GraphPatch, curve: SeedCurve, arc_span: float, r_span: floa
     h0 = lifted_height(patch, curve)
     span = min(arc_span, -curve.s_min, curve.s_max)
     built = RuledPatch(curve, h0, (-span, span), (-r_span, r_span))
-    s = np.repeat(np.linspace(-span, span, 21), 21)
-    r = np.tile(np.linspace(-r_span, r_span, 21), 21)
+    s, r = Grid2(PlanarDomain(-span, span, -r_span, r_span), 21, 21).points()
     keep = ~(abs(rule_jacobian_det(curve, s, r)) <= DET_GUARD)
     s, r = s[keep], r[keep]
     x, y = rule_point(curve, s, r)
@@ -659,8 +628,6 @@ def classify_entire_graph(patch: GraphPatch) -> Classification:
     tol = 1e-6          # on |H| and on the residual of the plane fit
     tol_kappa = 1e-4    # on the seed curvature
     dom = patch.domain
-    xs = np.linspace(dom.xmin, dom.xmax, 21)
-    ys = np.linspace(dom.ymin, dom.ymax, 21)
 
     best = (0.0, (0.0, 0.0))
     worst_h = (0.0, (0.0, 0.0))
@@ -669,29 +636,28 @@ def classify_entire_graph(patch: GraphPatch) -> Classification:
     # away from the window boundary
     margin_x = 0.25 * (dom.xmax - dom.xmin)
     margin_y = 0.25 * (dom.ymax - dom.ymin)
-    for x in xs:
-        for y in ys:
-            x, y = float(x), float(y)
-            if not dom.contains(x, y):
-                return NotEntire(f"window point ({x}, {y}) outside patch domain")
-            jet = patch.h.jet(x, y)
-            v = jet[0]
-            if not math.isfinite(v):
-                return NotEntire(f"height not finite at ({x}, {y})")
-            samples.append((x, y, v))
-            hd = horizontal_data(patch, (x, y), jet=jet)
-            if not math.isfinite(hd.w):
-                return NotEntire(f"angle function W not finite at ({x}, {y})")
-            interior = (dom.xmin + margin_x <= x <= dom.xmax - margin_x
-                        and dom.ymin + margin_y <= y <= dom.ymax - margin_y)
-            if interior and hd.w > best[0]:
-                best = (hd.w, (x, y))
-            if hd.w > W_MARGIN:
-                hcur = abs(h_mean_curvature(patch, (x, y), jet=jet))
-                if not math.isfinite(hcur):
-                    return NotEntire(f"mean curvature not finite at ({x}, {y})")
-                if hcur > worst_h[0]:
-                    worst_h = (hcur, (x, y))
+    # every node of the 21x21 window, the ones outside dom too, in x-major order
+    for x, y in zip(*(a.ravel().tolist() for a in Grid2(dom, 21, 21).mesh())):
+        if not dom.contains(x, y):
+            return NotEntire(f"window point ({x}, {y}) outside patch domain")
+        jet = patch.h.jet(x, y)
+        v = jet[0]
+        if not math.isfinite(v):
+            return NotEntire(f"height not finite at ({x}, {y})")
+        samples.append((x, y, v))
+        hd = horizontal_data(patch, (x, y), jet=jet)
+        if not math.isfinite(hd.w):
+            return NotEntire(f"angle function W not finite at ({x}, {y})")
+        interior = (dom.xmin + margin_x <= x <= dom.xmax - margin_x
+                    and dom.ymin + margin_y <= y <= dom.ymax - margin_y)
+        if interior and hd.w > best[0]:
+            best = (hd.w, (x, y))
+        if hd.w > W_MARGIN:
+            hcur = abs(h_mean_curvature(patch, (x, y), jet=jet))
+            if not math.isfinite(hcur):
+                return NotEntire(f"mean curvature not finite at ({x}, {y})")
+            if hcur > worst_h[0]:
+                worst_h = (hcur, (x, y))
     if worst_h[0] > tol:
         return NotMinimal(worst_h[0], worst_h[1])
     if best[0] <= 1e-6:

@@ -11,13 +11,11 @@ KEPT = {
     "expr.evaluate": "oracle: walks a tree; compile_fn's generated code is tested against it",
     "expr.to_str": "oracle: prints a tree back for the parse round trip",
     "fields.adaptive_simpson": "oracle: the scalar recursion that cumulative_integral matches bit for bit",
-    "fields.square": "public convenience: the square domain [-half, half]^2",
     "ruled.rule": "oracle: RuledPatch.embed in group form",
     "seed.rule_jacobian_det_fd": "oracle: finite differences of rule_jacobian_det (criterion 05)",
     "surface.translate_graph": "acceptance criterion 11: left translation of a graph",
     "surface.rotate_graph": "acceptance criterion 11: rotation of a graph about the t-axis",
     "ruled.constant_curvature_test": "left for ROADMAP item 6 (generalized seed curves)",
-    "ruled.bernstein_quotient": "left for ROADMAP item 6 (generalized seed curves)",
 }
 
 

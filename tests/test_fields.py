@@ -143,6 +143,27 @@ def test_grid_points_are_its_nodes_in_lattice_order():
     assert list(zip(*(a.tolist() for a in grid.points()))) == want
 
 
+@pytest.mark.parametrize("box, n, m", [
+    ((-3.0, 3.0, -3.0, 3.0), 31, 31),
+    ((-0.9, 0.9, -1.5, 1.5), 13, 13),
+    ((0.2, 1.8, -1.0, 1.0), 9, 9),
+    ((-math.pi, 0.7 * math.pi, -0.3, 2.0), 17, 5),
+    ((-0.98, 0.6, -6.0, 0.25), 3, 11),
+])
+def test_grid_of_a_plain_box_is_the_repeat_and_tile_product(box, n, m):
+    # the (s, r) and (x, t) sample sets of ruled, meshes and gallery rely on this
+    a, b, c, d = box
+    grid = Grid2(PlanarDomain(*box), n, m)
+    xs, ys = np.linspace(a, b, n), np.linspace(c, d, m)
+    x, y = grid.points()
+    assert x.tobytes() == np.repeat(xs, m).tobytes()
+    assert y.tobytes() == np.tile(ys, n).tobytes()
+    # the interior rows, s-major, as the chart samples take them
+    s, r = (v[1:-1] for v in grid.mesh())
+    assert s.ravel().tobytes() == np.repeat(xs[1:-1], m).tobytes()
+    assert r.ravel().tobytes() == np.tile(ys, n - 2).tobytes()
+
+
 def test_jet_of_a_chunk_is_the_scalar_jet_at_each_node():
     dom = PlanarDomain(-1.0, 1.0, -1.0, 1.0, membership=lambda x, y: x * x + y * y <= 0.9)
     # NaN for x < 0 and a division by zero at x = 0

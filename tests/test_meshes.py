@@ -16,7 +16,7 @@ def scalar_mesh_vertices(patch, ns, nr, r_range, det_clamp=0.02):
     verts, clamped = [], 0
     for s in np.linspace(patch.s_range[0], patch.s_range[1], ns):
         s = float(s)
-        lo, hi = r_range if r_range is not None else patch.r_at(s)
+        lo, hi = r_range if r_range is not None else patch.r_interval()
         kap = curvature(patch.seed, s)
         for r in np.linspace(lo, hi, nr):
             r = float(r)

@@ -7,14 +7,13 @@ import pytest
 from hmin import gallery as gallery_module
 from hmin import ruled as ruled_module
 from hmin import seed as seed_module
-from hmin.errors import (DegenerateDenominator, FieldUndefined, OutOfRange,
-                         SingularRule)
+from hmin.errors import FieldUndefined, OutOfRange, SingularRule
 from hmin.fields import PlanarDomain, Profile, square
 from hmin.gallery import (circle_seed, gallery_get, gallery_names, gallery_verify, line_seed,
                           optreg2_seed)
 from hmin.heis import HPoint, group_mul
 from hmin.ruled import (GeneralizedSeedCurve, GSCJoin, GSCPiece, GSCValidation,
-                        JoinCheck, RuledPatch, bernstein_quotient, build_surface,
+                        JoinCheck, RuledPatch, build_surface,
                         characteristic_locus, chart_samples, classify_entire_graph,
                         constant_curvature_test, curvature_on_patch,
                         invert_chart, roundtrip, rule, validate_gsc, w_direct)
@@ -367,19 +366,6 @@ def test_extend_cylinder_keeps_the_closed_form():
             assert (g.t - g.x * g.y / 2) ** 2 == pytest.approx(1 - g.x ** 2, abs=1e-9)
 
 
-def test_per_s_r_range():
-    import numpy as np
-    patch = cylinder_patch()
-    shaped = RuledPatch(patch.seed, patch.h0, patch.s_range,
-                        r_range=lambda s: (-1.0 - abs(s), 1.0 + abs(s)))
-    assert shaped.r_at(0.5) == (-1.5, 1.5)
-    lo, hi = shaped.r_interval()
-    assert lo <= -1.9 and hi >= 1.9
-    from hmin.meshes import mesh_ruled
-    mesh = mesh_ruled(shaped, 9, 9)
-    assert len(mesh.vertices) == 81
-
-
 def test_extend_flat_plane_across_the_fold():
     ext = replace(flat_patch(), r_range=None)
     for r in (-3.0, -1.5, 2.0):
@@ -463,47 +449,6 @@ def test_pieces_may_have_different_constants():
     assert ok
     assert summary[0]["kappa"] == pytest.approx(-1.0)
     assert summary[1]["kappa"] == pytest.approx(0.0, abs=1e-12)
-
-
-# -- Bernstein quotient -------------------------------------------------------
-
-
-def normalized_circle(kappa0):
-    def gamma(s):
-        return ((1 - math.cos(kappa0 * s)) / kappa0, math.sin(kappa0 * s) / kappa0)
-
-    def dgamma(s):
-        return (math.sin(kappa0 * s), math.cos(kappa0 * s))
-
-    def ddgamma(s):
-        return (kappa0 * math.cos(kappa0 * s), -kappa0 * math.sin(kappa0 * s))
-
-    from hmin.seed import SeedCurve
-    return SeedCurve.from_callables(gamma, dgamma, ddgamma, (-1.0, 1.0))
-
-
-def test_bernstein_quotient_circle():
-    c = normalized_circle(2.0)
-    assert curvature(c, 0.0) == pytest.approx(2.0)
-    for s in (0.1, 0.3, -0.2):
-        assert bernstein_quotient(c, s) == pytest.approx(2.0, abs=1e-8)
-
-
-def test_bernstein_quotient_negative_curvature():
-    c = normalized_circle(-1.0)
-    assert bernstein_quotient(c, 0.2) == pytest.approx(-1.0, abs=1e-8)
-
-
-def test_bernstein_quotient_limit_is_kappa0():
-    c = normalized_circle(0.7)
-    vals = [bernstein_quotient(c, s) for s in (0.2, 0.1, 0.05, 0.01)]
-    assert abs(vals[-1] - 0.7) <= 1e-6
-
-
-def test_bernstein_quotient_degenerate_denominator():
-    c = normalized_circle(1.0)
-    with pytest.raises(DegenerateDenominator):
-        bernstein_quotient(c, 0.0)
 
 
 # -- round-trip and classification --------------------------------------------
