@@ -5,7 +5,10 @@ seed curve, curvature, height function, expected loci) together with the
 domains on which the numerical checks run.  ``gallery_verify`` replays
 the standard battery against an entry: curvature scans in analytic and
 pure-FD mode, seed extraction against the closed form, curvature values,
-characteristic loci, and the representation round-trip.
+characteristic loci, and the representation round-trip.  The checks that
+only one entry has live next to it: its builder sets
+``GalleryEntry.own_checks``, and the battery runs that hook after the GSC
+joins.
 
 Catalog names:
 
@@ -24,9 +27,8 @@ from __future__ import annotations
 
 import inspect
 import math
-from bisect import bisect_left
-from dataclasses import dataclass, field as dc_field
-from functools import partial
+from dataclasses import dataclass
+from functools import cache, partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -165,25 +167,6 @@ def optreg2_seed() -> SeedCurve:
                      dgamma_fn=dgamma, ddgamma_fn=ddgamma)
 
 
-def _profile_from_samples(s: np.ndarray, values: np.ndarray,
-                          d1: Callable[[float], float]) -> Profile:
-    """Cubic Hermite profile through (s, values) with the exact slope d1, a
-    function marked by ``over_arrays``; the node slopes are read in one call."""
-
-    nodes, vals, slopes = s.tolist(), values.tolist(), d1(s).tolist()
-
-    def f(sq: float) -> float:
-        i = min(max(bisect_left(nodes, sq) - 1, 0), len(nodes) - 2)
-        s0, s1 = nodes[i], nodes[i + 1]
-        dt = s1 - s0
-        t = (sq - s0) / dt
-        t2, t3 = t * t, t * t * t
-        return float((2 * t3 - 3 * t2 + 1) * vals[i] + (t3 - 2 * t2 + t) * dt * slopes[i]
-                     + (-2 * t3 + 3 * t2) * vals[i + 1] + (t3 - t2) * dt * slopes[i + 1])
-
-    return Profile(f=f, d1=d1)
-
-
 # ---------------------------------------------------------------------------
 # Entries
 # ---------------------------------------------------------------------------
@@ -191,6 +174,13 @@ def _profile_from_samples(s: np.ndarray, values: np.ndarray,
 
 @dataclass
 class GalleryEntry:
+    """One catalog entry: its closed forms, domains and expected results.
+
+    The standard battery reads the fields below.  A check that only this
+    entry has is made by ``own_checks(entry, patch)``, which its builder
+    sets; ``patch`` is the battery's ``ruled()`` patch, or None.
+    """
+
     name: str
     params: dict
     notes: str = ""
@@ -214,11 +204,21 @@ class GalleryEntry:
     expected_chart_label: Optional[str] = None
     expected_chart_root: Optional[Callable[[float], float]] = None
     check_roundtrip: bool = False  # rebuild the graph from the seed through seed_base
-    xt_graph: Optional[Callable[[float, float], float]] = None
-    extra: dict = dc_field(default_factory=dict)
+    own_checks: Optional[Callable[["GalleryEntry", Optional[RuledPatch]], list[Check]]] = None
+
+
+def _finite(v: float) -> bool:
+    """Whether v is a finite float, or an int that converts to one."""
+    try:
+        return math.isfinite(v)
+    except OverflowError:
+        return False
 
 
 def _num(v: float) -> str:
+    """v as expression text; a coefficient that is no finite float is a bad parameter."""
+    if not _finite(v):
+        raise UnknownName(f"bad gallery parameter: coefficient {v!r} is not finite")
     return f"({v!r})"
 
 
@@ -432,7 +432,7 @@ def _counterexample() -> GalleryEntry:
         expected_scan={"kind": "empty"},
         expected_chart_label="none",
         check_roundtrip=True,
-        xt_graph=lambda x, t: -x * math.tan(math.tanh(t)),
+        own_checks=_counterexample_triple,
     )
     entry.ruled = lambda: RuledPatch(
         circle_seed((0.0, 0.0), (1.0, 0.0), (-0.9, 0.9)),
@@ -444,6 +444,7 @@ def _cylinder() -> GalleryEntry:
     dom = PlanarDomain(-0.99, 0.99, -2.2, 2.2)
     vdom = PlanarDomain(-0.95, 0.95, -2.0, 2.0)
 
+    @cache   # one pair per entry, shared by ruled, ruled_pair and gsc
     def make_pair():
         s_range = (-0.98, 0.98)
         s1 = RuledPatch(line_seed((0.0, 0.0), (1.0, 0.0), s_range),
@@ -474,6 +475,7 @@ def _cylinder() -> GalleryEntry:
         known_kappa=lambda z0: 0.0,
         expected_chart_label="kappa-zero",
         expected_chart_root=lambda s: -s / math.sqrt(1.0 - s * s),
+        own_checks=_cylinder_checks,
     )
     entry.ruled_pair = make_pair
     entry.ruled = lambda: make_pair()[0]
@@ -525,6 +527,7 @@ def _gencurve(n: int = 3) -> GalleryEntry:
         seed_base=(1.0, 0.5),
         arc_span=0.7,
         known_kappa=lambda z0: 0.0,
+        own_checks=None if odd else _gencurve_even_checks,
     )
     entry.gsc = gsc
     s_range = (0.05, 2.0)
@@ -544,9 +547,13 @@ def _optreg2() -> GalleryEntry:
         # chosen so that the angle function along the seed is identically -1
         return -0.5 * (d[0] * g[1] - d[1] * g[0]) + 1.0
 
+    # h0 is the cubic Hermite through its samples and exact slopes, read
+    # as the x of a SeedCurve lookup
     grid = np.linspace(-1.0, 1.0, 801)
-    h0_vals = cumulative_integral(h0_rate, grid, tol=1e-11)
-    h0 = _profile_from_samples(grid, h0_vals, h0_rate)
+    h0_vals, zeros = cumulative_integral(h0_rate, grid, tol=1e-11), np.zeros_like(grid)
+    samples = SeedCurve(grid, np.column_stack((h0_vals, zeros)),
+                        np.column_stack((h0_rate(grid), zeros)), np.zeros((len(grid), 2)))
+    h0 = Profile(f=over_arrays(lambda s: samples.point(s)[0]), d1=h0_rate)
 
     def make_patch():
         return RuledPatch(seed_c, h0, (-1.0, 1.0), (-6.0, 6.0))
@@ -556,8 +563,7 @@ def _optreg2() -> GalleryEntry:
         params={},
         notes="seed curvature -|s|; characteristic branch with a corner at s=0",
         seed_base=None,
-        extra={"branch": lambda s: (math.sqrt(1.0 + 2.0 * abs(s)) - 1.0) / abs(s)
-               if s != 0.0 else 1.0},
+        own_checks=_optreg2_corner,
     )
     entry.ruled = make_patch
     return entry
@@ -632,8 +638,8 @@ def gallery_get(name: str, **params) -> GalleryEntry:
     if key not in _BUILDERS:
         raise UnknownName(f"unknown gallery entry {name!r}; known: {gallery_names()}")
     for k, v in params.items():
-        if isinstance(v, float) and not math.isfinite(v):
-            raise UnknownName(f"bad parameters for {name!r}: {k} = {v!r} is not finite")
+        if isinstance(v, (int, float)) and not _finite(v):
+            raise UnknownName(f"bad parameters for {name!r}: {k} is not a finite float")
     try:
         return _BUILDERS[key](**params)
     except TypeError as err:
@@ -701,9 +707,9 @@ def _seed_deviation(entry: GalleryEntry) -> tuple[float, SeedCurve]:
 
 
 def _check_locus(entry: GalleryEntry, patch: RuledPatch, report_checks: list[Check]):
-    rep = characteristic_locus(patch)
     if entry.expected_chart_label is None:
         return
+    rep = characteristic_locus(patch)
     if entry.expected_chart_label == "none":
         report_checks.append(check_flag("locus_empty", rep.empty))
         return
@@ -771,14 +777,8 @@ def gallery_verify(name: str, **params) -> list[Check]:
         checks.append(check_flag("gsc_joins", validation.valid,
                                  note=f"max gap {validation.max_gap:.2e}"))
 
-    if entry.name == "counterexample":
-        checks.extend(_counterexample_triple(entry))
-    if entry.name == "optreg2":
-        checks.extend(_optreg2_corner(entry, patch))
-    if entry.name == "cylinder":
-        checks.extend(_cylinder_checks(entry))
-    if entry.name == "gencurve-n" and entry.params["n"] % 2 == 0:
-        checks.extend(_gencurve_even_checks(entry))
+    if entry.own_checks is not None:
+        checks.extend(entry.own_checks(entry, patch))
     if entry.graph is not None and entry.implicit is not None:
         worst = worst_abs(entry.implicit.phi(x, y, entry.graph.h.value(x, y))
                           for x, y in Grid2(entry.verify_domain, 11, 11).nodes)
@@ -808,54 +808,51 @@ def _check_scan(entry: GalleryEntry) -> Check:
         abs(y) <= 1e-9 for comp in scan.components for _, y in comp.nodes))
 
 
-def _counterexample_triple(entry: GalleryEntry) -> list[Check]:
-    checks = []
+def _counterexample_triple(entry: GalleryEntry,
+                           patch: Optional[RuledPatch] = None) -> list[Check]:
+    def xt_graph(x: float, t: float) -> float:   # y over the xt-plane
+        return -x * math.tan(math.tanh(t))
+
     # entire graph over the xt-plane: y(x, t) finite on a window
     window = Grid2(square(3.0), 31, 31).nodes  # (x, t) nodes
-    ys = [entry.xt_graph(x, t) for x, t in window]
-    checks.append(check_flag("entire_xt_graph", all(map(math.isfinite, ys))))
+    ys = [xt_graph(x, t) for x, t in window]
     # empty characteristic locus: W > 0 on the surface sample; np.min keeps
     # a NaN W, so a sample where W is undefined fails the check
     wmin = float(np.min([entry.implicit.horizontal_data(HPoint(x, y, t)).w
                          for (x, t), y in zip(window, ys)]))
-    checks.append(check_flag("empty_characteristic_locus", wmin > 1e-6,
-                             note=f"min W = {wmin:.3e}"))
     # not a vertical plane: fit a x + b y = c to surface points, residual large
-    arr = np.array([(x, entry.xt_graph(x, t)) for x, t in Grid2(square(3.0), 13, 13).nodes])
+    arr = np.array([(x, xt_graph(x, t)) for x, t in Grid2(square(3.0), 13, 13).nodes])
     arr -= arr.mean(axis=0)
-    _, sv, _ = np.linalg.svd(arr, full_matrices=False)
-    checks.append(check_flag("not_vertical_plane", float(sv[-1]) > 1e-2,
-                             note=f"planar residual {float(sv[-1]):.3e}"))
-    return checks
+    residual = float(np.linalg.svd(arr, full_matrices=False)[1][-1])
+    return [check_flag("entire_xt_graph", all(map(math.isfinite, ys))),
+            check_flag("empty_characteristic_locus", wmin > 1e-6, note=f"min W = {wmin:.3e}"),
+            check_flag("not_vertical_plane", residual > 1e-2,
+                       note=f"planar residual {residual:.3e}")]
 
 
 def _optreg2_corner(entry: GalleryEntry, patch: RuledPatch) -> list[Check]:
-    checks = []
-    rep = characteristic_locus(patch, n_s=41)
-    branch = entry.extra["branch"]
+    def branch(s: float) -> float:   # the bounded root r of the locus at s
+        return (math.sqrt(1.0 + 2.0 * abs(s)) - 1.0) / abs(s) if s != 0.0 else 1.0
+
     # r > 0 picks the bounded branch
-    worst = worst_abs(root.r - branch(root.s) for root in rep.roots if root.r > 0)
-    checks.append(check_leq("optreg2_branch_values", worst, 1e-8))
-    val0 = branch(0.0)
-    checks.append(check_leq("optreg2_branch_at_0", abs(val0 - 1.0), 1e-12))
+    worst = worst_abs(root.r - branch(root.s)
+                      for root in characteristic_locus(patch, n_s=41).roots if root.r > 0)
     sp = locus_branch_slope(patch, 0.0, +1, which="max")
     sm = locus_branch_slope(patch, 0.0, -1, which="max")
-    checks.append(check_leq("optreg2_slope_jump", abs(abs(sp - sm) - 1.0), 1e-3,
-                            note=f"slopes {sp:.6f} / {sm:.6f}"))
-    return checks
+    return [check_leq("optreg2_branch_values", worst, 1e-8),
+            check_leq("optreg2_branch_at_0", abs(branch(0.0) - 1.0), 1e-12),
+            check_leq("optreg2_slope_jump", abs(abs(sp - sm) - 1.0), 1e-3,
+                      note=f"slopes {sp:.6f} / {sm:.6f}")]
 
 
-def _cylinder_checks(entry: GalleryEntry) -> list[Check]:
-    checks = []
+def _cylinder_checks(entry: GalleryEntry, patch: RuledPatch) -> list[Check]:
     s1, s2 = entry.ruled_pair()
-    images = (patch.embed(*Grid2(PlanarDomain(*patch.s_range, -2.0, 2.0), 25, 25).points())
-              for patch in (s1, s2))
+    images = (half.embed(*Grid2(PlanarDomain(*half.s_range, -2.0, 2.0), 25, 25).points())
+              for half in (s1, s2))
     worst = worst_abs(np.concatenate([ex.pointwise(entry.implicit.phi, *g) for g in images]))
-    checks.append(check_leq("cylinder_implicit_residual", worst, 1e-9))
     # piecewise-constant Gauss map (+-1, 0) off the characteristic locus
-    checks.append(check_leq("cylinder_gauss_piecewise",
-                            worst_abs(_cylinder_gauss_errors(s1, s2)), 1e-9))
-    return checks
+    return [check_leq("cylinder_implicit_residual", worst, 1e-9),
+            check_leq("cylinder_gauss_piecewise", worst_abs(_cylinder_gauss_errors(s1, s2)), 1e-9)]
 
 
 def _cylinder_gauss_errors(*patches: RuledPatch) -> np.ndarray:
@@ -875,7 +872,7 @@ def _cylinder_gauss_errors(*patches: RuledPatch) -> np.ndarray:
     return np.concatenate(errors)
 
 
-def _gencurve_even_checks(entry: GalleryEntry) -> list[Check]:
+def _gencurve_even_checks(entry: GalleryEntry, patch: RuledPatch) -> list[Check]:
     # two sheets over the same planar points: not globally a graph
     pts = [sheet.point(x, y) for x, y in Grid2(PlanarDomain(0.2, 1.8, -1.0, 1.0), 9, 9).nodes
            for sheet in (entry.graph, entry.graph_lower)]

@@ -15,7 +15,7 @@ KEPT = {
     "seed.rule_jacobian_det_fd": "oracle: finite differences of rule_jacobian_det (criterion 05)",
     "surface.translate_graph": "acceptance criterion 11: left translation of a graph",
     "surface.rotate_graph": "acceptance criterion 11: rotation of a graph about the t-axis",
-    "ruled.constant_curvature_test": "left for ROADMAP item 6 (generalized seed curves)",
+    "ruled.constant_curvature_test": "left for ROADMAP item 3 (generalized seed curves)",
 }
 
 

@@ -474,6 +474,21 @@ def test_bad_gallery_parameter_exit_4(tmp_path, capsys, name, param, value):
     assert len(err) == 1 and err[0].startswith("error: ")
 
 
+BIG_INT = "9" * 401   # an int beyond the float range
+
+
+@pytest.mark.parametrize("args", [
+    ["gencurve-n", "--n", BIG_INT],
+    [f"gencurve-{BIG_INT}"],
+    ["catenoid", "--a", "1e300"],      # a*a overflows in the implicit form
+    ["iso-profile", "--R", "1e300"],   # R*R overflows in the height
+], ids=["n", "gencurve-suffix", "catenoid-a-squared", "iso-profile-R-squared"])
+def test_gallery_parameter_beyond_the_float_range_exit_4(tmp_path, capsys, args):
+    assert main(["gallery", *args, "--out", str(tmp_path / "g")]) == 4
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+
+
 def test_report_defaults_are_module_constants(tmp_path):
     spec = write_spec(tmp_path, "hyp.json", {"kind": "graph", "graph": {"h": "x*y/2"}})
     assert main(["verify", "--spec", spec, "--grid", "5", "5",

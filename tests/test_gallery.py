@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from hmin import expr as ex
+from hmin import expr as ex, gallery
 from hmin.errors import UnknownName
-from hmin.fields import Grid2, PlanarDomain
+from hmin.fields import Grid2, PlanarDomain, Profile
 from hmin.gallery import (_check_scan, _counterexample_triple, gallery_get, gallery_names,
                           gallery_verify, max_curvature_deviation)
 from hmin.seed import curvature
@@ -96,6 +96,89 @@ def test_every_entry_passes_its_battery():
         assert not bad, f"{name}: {bad}"
         scans = {c.name: repr(c.measured) for c in checks if c.name.startswith("h_scan_")}
         assert scans == {k: repr(v) for k, v in H_SCANS[name].items()}, name
+
+
+# the names of each entry's checks, in report order: the standard battery,
+# then the entry's own checks before graph_vs_implicit
+CHECK_NAMES = {
+    "char-plane": ["h_scan_analytic", "h_scan_fd", "seed_extraction", "seed_kappa",
+                   "locus_label_double-root", "locus_root_value", "locus_verified",
+                   "built_patch_minimal", "w_ode_residual", "w_formula_vs_direct", "scan_point",
+                   "roundtrip", "graph_vs_implicit"],
+    "general-plane": ["h_scan_analytic", "h_scan_fd", "seed_extraction", "seed_kappa",
+                      "scan_point", "graph_vs_implicit"],
+    "hyperbolic": ["h_scan_analytic", "h_scan_fd", "seed_extraction", "seed_kappa",
+                   "locus_label_kappa-zero", "locus_root_value", "locus_verified",
+                   "built_patch_minimal", "w_ode_residual", "w_formula_vs_direct",
+                   "scan_on_x_axis", "roundtrip", "graph_vs_implicit"],
+    "catenoid": ["h_scan_analytic", "h_scan_fd", "h_scan_lower", "seed_extraction",
+                 "locus_empty", "built_patch_minimal", "w_ode_residual", "w_formula_vs_direct",
+                 "scan_empty", "gsc_joins", "graph_vs_implicit"],
+    "counterexample": ["h_scan_analytic", "h_scan_fd", "seed_extraction", "seed_kappa",
+                       "locus_empty", "built_patch_minimal", "w_ode_residual",
+                       "w_formula_vs_direct", "scan_empty", "roundtrip", "entire_xt_graph",
+                       "empty_characteristic_locus", "not_vertical_plane", "graph_vs_implicit"],
+    "cylinder": ["h_scan_analytic", "h_scan_fd", "h_scan_lower", "seed_kappa",
+                 "locus_label_kappa-zero", "locus_root_value", "locus_verified",
+                 "built_patch_minimal", "w_ode_residual", "w_formula_vs_direct", "gsc_joins",
+                 "cylinder_implicit_residual", "cylinder_gauss_piecewise", "graph_vs_implicit"],
+    "gencurve-n": ["h_scan_analytic", "h_scan_fd", "seed_kappa", "built_patch_minimal",
+                   "w_ode_residual", "w_formula_vs_direct", "gsc_joins", "graph_vs_implicit"],
+    "gencurve-2": ["h_scan_analytic", "h_scan_fd", "h_scan_lower", "seed_kappa",
+                   "built_patch_minimal", "w_ode_residual", "w_formula_vs_direct", "gsc_joins",
+                   "gencurve_even_two_sheets", "graph_vs_implicit"],
+    "optreg2": ["built_patch_minimal", "w_ode_residual", "w_formula_vs_direct",
+                "optreg2_branch_values", "optreg2_branch_at_0", "optreg2_slope_jump"],
+    "iso-profile": ["h_scan_analytic", "h_scan_fd"],
+}
+
+
+@pytest.mark.parametrize("name", list(CHECK_NAMES))
+def test_battery_check_names_in_report_order(name):
+    assert [c.name for c in gallery_verify(name)] == CHECK_NAMES[name]
+
+
+def test_cylinder_battery_builds_its_ruled_pair_once(monkeypatch):
+    sources = []
+    from_expr = Profile.from_expr
+
+    def counting(src):
+        sources.append(src)
+        return from_expr(src)
+
+    monkeypatch.setattr(Profile, "from_expr", staticmethod(counting))
+    gallery_verify("cylinder")
+    # the two heights of the pair that ruled, ruled_pair and gsc share
+    assert sources == ["sqrt(1 - s^2)", "-sqrt(1 - s^2)"]
+
+
+def test_battery_solves_the_locus_only_where_a_check_reads_it(monkeypatch):
+    n_s = []
+    locus = gallery.characteristic_locus
+
+    def counting(patch, **kwargs):
+        n_s.append(kwargs.get("n_s"))
+        return locus(patch, **kwargs)
+
+    monkeypatch.setattr(gallery, "characteristic_locus", counting)
+    gallery_verify("optreg2")
+    assert n_s == [41]   # the corner checks' own solve; no locus label is expected
+    n_s.clear()
+    gallery_verify("gencurve-n")
+    assert n_s == []
+
+
+def test_optreg2_h0_is_its_sampled_hermite_over_floats_and_arrays():
+    h0 = gallery_get("optreg2").ruled().h0
+    # the values of the earlier float-only Hermite, at nodes, between them
+    # and within the range slop past the ends
+    want = {-1.0000000005: "-5.000000413701855e-10", -0.7654321: "0.23551525369968968",
+            -0.0012: "1.03977719324223", 0.0: "1.0410754215301987",
+            0.3337: "1.4056186454405848", 1.0000000005: "2.2418191385851567"}
+    assert {s: repr(h0(s)) for s in want} == want
+    assert getattr(h0.f, "over_arrays", False)
+    s = np.linspace(-1.0, 1.0, 1201)
+    assert [repr(v) for v in h0(s).tolist()] == [repr(h0(v)) for v in s.tolist()]
 
 
 def test_char_plane_singular_image_is_the_origin():
