@@ -188,8 +188,8 @@ class ScalarField2:
         return self._array
 
     def _values(self, x) -> Callable:
-        """The evaluator of f at a point, or at a chunk of nodes."""
-        return self._compiled() if isinstance(x, np.ndarray) else self.f
+        """The code of ``exprs`` (f alone for a stencil field) at a point, or at a chunk of nodes."""
+        return self._compiled() if isinstance(x, np.ndarray) else self._jet or self.f
 
     def _fd_gradient(self, x, y) -> tuple:
         f, h = self._values(x), FD_STEP
@@ -227,28 +227,19 @@ class ScalarField2:
         it.  An analytic field returns the 2-jet at once, and passes it back
         as is.
 
-        x and y may also be a non-empty chunk of nodes; the jet is then a
+        x and y may also be a chunk of nodes; the jet is then a
         tuple of arrays, evaluated by array code, whose elements are the
         floats of the scalar jet at each node.  A stencil check that fails
         raises for the first failing node of the chunk, and the error
         records its index in the chunk as ``node``.
         """
-        if isinstance(x, np.ndarray):
-            # IEEE results such as inf - inf = NaN are the point, not a warning
-            with np.errstate(all="ignore"):
-                return self._chunk_jet(x, y, first)
-        if self._jet is not None:
-            return first if first is not None else self._jet(x, y)
-        if first is not None:
-            return first + self._stencil_hessian(x, y, first[0])
-        return (self.f(x, y), *self._fd_gradient(x, y))
-
-    def _chunk_jet(self, x: np.ndarray, y: np.ndarray, first: Optional[tuple]) -> tuple:
-        if self._jet is not None:
-            return first if first is not None else self._compiled()(x, y)
-        if first is not None:
-            return first + self._stencil_hessian(x, y, first[0])
-        return (self._compiled()(x, y), *self._fd_gradient(x, y))
+        # on a chunk, IEEE results such as inf - inf = NaN are the point, not a warning
+        with np.errstate(all="ignore"):
+            if self._jet is not None:
+                return first if first is not None else self._values(x)(x, y)
+            if first is not None:
+                return first + self._stencil_hessian(x, y, first[0])
+            return (self._values(x)(x, y), *self._fd_gradient(x, y))
 
     # -- construction -------------------------------------------------------
 

@@ -34,7 +34,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import expr as ex
-from .errors import NotAGraphAfterTransform, StencilOutOfDomain, UnknownName
+from .errors import NotAGraphAfterTransform, UnknownName
 from .fields import Grid2, PlanarDomain, Profile, chunks, cumulative_integral, over_arrays, square
 from .heis import HPoint
 from .report import Check, check_flag, check_leq, worst_abs
@@ -44,8 +44,7 @@ from .ruled import (GeneralizedSeedCurve, GSCJoin, GSCPiece, RuledPatch,
                     worst_on_chart)
 from .seed import SeedCurve, curvature, extract_seed
 from .surface import (EPS_CHAR, W_MARGIN, GraphPatch, ImplicitSurface,
-                      characteristic_scan, h_mean_curvature, horizontal_data,
-                      points_to_graph_samples)
+                      characteristic_scan, points_to_graph_samples, read_nodes)
 
 TOL_H_ANALYTIC = 1e-8
 TOL_H_FD = 1e-4
@@ -657,32 +656,17 @@ def max_curvature_deviation(patch: GraphPatch, domain: PlanarDomain,
 
     A node whose W is NaN is not skipped, and a node where the height is
     not finite counts as NaN, so either makes the result NaN.  So does a
-    scan that evaluates no node at all.  The nodes are read through the
-    height field's jet one chunk at a time, and every float, and the first
-    StencilOutOfDomain, is the one a node-by-node scan gives.
+    scan that evaluates no node at all.  The nodes are read by
+    ``surface.read_nodes`` one chunk at a time, and every float, and the
+    first StencilOutOfDomain, is the one a node-by-node scan gives.
     """
-    worst = [worst_abs(dev) for x, y in chunks(*Grid2(domain, nx, ny).points())
-             if (dev := _deviations(patch, x, y, expect)).size]
-    return worst_abs(worst)
-
-
-def _deviations(patch: GraphPatch, x: np.ndarray, y: np.ndarray, expect: float) -> np.ndarray:
-    """H - expect at the nodes of a chunk with W > W_MARGIN."""
-    try:
-        jet = patch.h.jet(x, y)
-    except StencilOutOfDomain as err:
-        # node by node, the nodes before this one come first, and one of
-        # them may fail its Hessian stencil
-        if err.node:
-            _deviations(patch, x[:err.node], y[:err.node], expect)
-        raise
-    keep = ~(horizontal_data(patch, (x, y), jet=jet).w <= W_MARGIN)
-    if not keep.any():
-        return np.empty(0)
-    x, y, jet = x[keep], y[keep], tuple(a[keep] for a in jet)
-    h = h_mean_curvature(patch, (x, y), jet=jet)
-    # the derivatives can be finite where the height is not (see expr)
-    return np.where(np.isfinite(jet[0]), h - expect, math.nan)
+    deviations = [np.empty(0)]
+    for x, y in chunks(*Grid2(domain, nx, ny).points()):
+        _, w, h, error = read_nodes(patch, x, y)
+        if error is not None:
+            raise error
+        deviations.append(h[~(w <= W_MARGIN)] - expect)
+    return worst_abs(np.concatenate(deviations))
 
 
 def known_seed_deviation(extracted: SeedCurve, known: SeedCurve) -> float:
@@ -728,20 +712,22 @@ def _check_locus(entry: GalleryEntry, patch: RuledPatch, report_checks: list[Che
 def gallery_verify(name: str, **params) -> list[Check]:
     """Run the standard checks for one entry; returns labeled pass/fail records."""
     entry = gallery_get(name, **params)
+    # the battery traces a seed from seed_base; contains() alone accepts an
+    # infinite point of an infinite box
+    z0 = entry.seed_base
+    if z0 is not None and not (all(map(math.isfinite, z0)) and entry.graph.domain.contains(*z0)):
+        raise UnknownName(f"bad parameters for {name!r}: seed base point {z0} is not a "
+                          "finite point of the graph's domain")
     checks: list[Check] = []
 
     if entry.graph is not None:
-        ta = entry.tol_h_analytic
-        dev = max_curvature_deviation(entry.graph, entry.verify_domain,
-                                      expect=entry.expected_curvature)
-        checks.append(check_leq("h_scan_analytic", dev, ta))
-        dev_fd = max_curvature_deviation(entry.graph.fd_only(), entry.verify_domain,
-                                         expect=entry.expected_curvature)
-        checks.append(check_leq("h_scan_fd", dev_fd, TOL_H_FD))
+        ta, expect = entry.tol_h_analytic, entry.expected_curvature
+        scans = [("analytic", entry.graph, expect, ta), ("fd", entry.graph.fd_only(), expect, TOL_H_FD)]
         if entry.graph_lower is not None:
-            dev2 = max_curvature_deviation(entry.graph_lower, entry.verify_domain,
-                                           expect=-entry.expected_curvature)
-            checks.append(check_leq("h_scan_lower", dev2, ta))
+            scans.append(("lower", entry.graph_lower, -expect, ta))
+        for label, graph, value, tol in scans:
+            dev = max_curvature_deviation(graph, entry.verify_domain, expect=value)
+            checks.append(check_leq(f"h_scan_{label}", dev, tol))
 
     extracted = None
     if entry.graph is not None and entry.seed_base is not None:

@@ -54,7 +54,7 @@ from .report import worst_abs
 from .seed import (SeedCurve, curvature, extract_seed, rule_jacobian,
                    rule_jacobian_det, rule_point, singular_locus, takes_arrays, SingularLocus,
                    EPS_KAPPA)
-from .surface import EPS_CHAR, W_MARGIN, GraphPatch, h_mean_curvature, horizontal_data
+from .surface import EPS_CHAR, W_MARGIN, GraphPatch, read_nodes
 
 EPS_DELTA = 1e-9
 DET_GUARD = 0.1
@@ -629,41 +629,42 @@ def classify_entire_graph(patch: GraphPatch) -> Classification:
     tol_kappa = 1e-4    # on the seed curvature
     dom = patch.domain
 
-    best = (0.0, (0.0, 0.0))
-    worst_h = (0.0, (0.0, 0.0))
-    samples = []
-    # seed extraction needs room around its base point; keep candidates
-    # away from the window boundary
-    margin_x = 0.25 * (dom.xmax - dom.xmin)
-    margin_y = 0.25 * (dom.ymax - dom.ymin)
-    # every node of the 21x21 window, the ones outside dom too, in x-major order
-    for x, y in zip(*(a.ravel().tolist() for a in Grid2(dom, 21, 21).mesh())):
-        if not dom.contains(x, y):
-            return NotEntire(f"window point ({x}, {y}) outside patch domain")
-        jet = patch.h.jet(x, y)
-        v = jet[0]
-        if not math.isfinite(v):
-            return NotEntire(f"height not finite at ({x}, {y})")
-        samples.append((x, y, v))
-        hd = horizontal_data(patch, (x, y), jet=jet)
-        if not math.isfinite(hd.w):
-            return NotEntire(f"angle function W not finite at ({x}, {y})")
-        interior = (dom.xmin + margin_x <= x <= dom.xmax - margin_x
-                    and dom.ymin + margin_y <= y <= dom.ymax - margin_y)
-        if interior and hd.w > best[0]:
-            best = (hd.w, (x, y))
-        if hd.w > W_MARGIN:
-            hcur = abs(h_mean_curvature(patch, (x, y), jet=jet))
-            if not math.isfinite(hcur):
-                return NotEntire(f"mean curvature not finite at ({x}, {y})")
-            if hcur > worst_h[0]:
-                worst_h = (hcur, (x, y))
-    if worst_h[0] > tol:
-        return NotMinimal(worst_h[0], worst_h[1])
-    if best[0] <= 1e-6:
+    # every node of the 21x21 window in x-major order, read up to the
+    # first one outside dom
+    x, y = (a.ravel() for a in Grid2(dom, 21, 21).mesh())
+    inside = dom.contains_all(x, y)
+    n = x.size if inside.all() else int(np.argmin(inside))
+    t, w, h, error = read_nodes(patch, x[:n], y[:n])
+    k = len(h)  # the nodes read in full; a stencil failed at node k < n
+    t, w = t[:k + 1], w[:k + 1]
+    # at each node, the height, then W, then H where W > W_MARGIN must be finite
+    bad = np.zeros((len(w), 3), dtype=bool)
+    bad[:, 0], bad[:, 1] = ~np.isfinite(t), ~np.isfinite(w)
+    bad[:k, 2] = (w[:k] > W_MARGIN) & ~np.isfinite(h)
+    if bad.any():
+        i, what = divmod(int(np.argmax(bad)), 3)
+        return NotEntire(f"{('height', 'angle function W', 'mean curvature')[what]} not finite "
+                         f"at ({float(x[i])}, {float(y[i])})")
+    if error is not None:
+        raise error
+    if n < x.size:
+        return NotEntire(f"window point ({float(x[n])}, {float(y[n])}) outside patch domain")
+
+    # the first node of largest |H| where W > W_MARGIN
+    hcur = np.where(w > W_MARGIN, abs(h), 0.0)
+    i = int(np.argmax(hcur))
+    if hcur[i] > tol:
+        return NotMinimal(float(hcur[i]), (float(x[i]), float(y[i])))
+    # the first interior node (the middle half of each axis) of largest W:
+    # seed extraction needs room around its base point
+    mx, my = 0.25 * (dom.xmax - dom.xmin), 0.25 * (dom.ymax - dom.ymin)
+    interior = PlanarDomain(dom.xmin + mx, dom.xmax - mx, dom.ymin + my, dom.ymax - my)
+    w_in = np.where(interior.contains_all(x, y), w, 0.0)
+    i = int(np.argmax(w_in))
+    if w_in[i] <= 1e-6:
         return NotEntire("no usable non-characteristic base point in the window")
 
-    z0 = best[1]
+    z0 = (float(x[i]), float(y[i]))
     window = min(dom.xmax - dom.xmin, dom.ymax - dom.ymin)
     span = min(1.5, window / 4.0)
     curve = extract_seed(patch, z0, span)
@@ -687,11 +688,10 @@ def classify_entire_graph(patch: GraphPatch) -> Classification:
 
     if np.abs(kappas - kappas.mean()).max() <= tol_kappa * max(1.0, abs(kappas.mean())):
         # circular seed: the graph must be a plane; fit a x + b y + c t = d
-        arr = np.array(samples)
-        design = np.column_stack([arr[:, 0], arr[:, 1], np.ones(len(arr))])
-        coef, *_ = np.linalg.lstsq(design, arr[:, 2], rcond=None)
+        design = np.column_stack([x, y, np.ones(len(x))])
+        coef, *_ = np.linalg.lstsq(design, t, rcond=None)
         alpha_c, beta_c, delta_c = map(float, coef)
-        residual = float(np.abs(design @ coef - arr[:, 2]).max())
+        residual = float(np.abs(design @ coef - t).max())
         if residual > tol:
             return NotEntire(f"circular seed but non-planar heights (residual {residual})")
         # t = alpha x + beta y + delta  <=>  (-alpha) x + (-beta) y + t = delta

@@ -22,7 +22,9 @@ deliberately left undefined: the scan reports the locus instead.
 nodes, as 1-d arrays x and y together with the height field's jet there
 (``ScalarField2.jet``); every element is the float the same call gives
 at that node.  W = hypot(p, q) and W^3
-are taken per element, as numpy's differ in the last bit.
+are taken per element, as numpy's differ in the last bit.  ``read_nodes``
+is the one pass over a chunk that the curvature scan and the classifier
+share: the height's jet, then W, then H where W is not <= W_MARGIN.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 import numpy as np
 
 from . import expr as ex
-from .errors import CharacteristicPoint, FieldUndefined, NotAGraphAfterTransform
+from .errors import CharacteristicPoint, FieldUndefined, NotAGraphAfterTransform, StencilOutOfDomain
 from .fields import Grid2, PlanarDomain, ScalarField2, chunks, over_arrays
 from .heis import HPoint
 
@@ -130,20 +132,12 @@ def unit_horizontal_field(patch: GraphPatch,
 
 
 def _cube(w):
-    """w ** 3, or inf where a float power would raise OverflowError.
-
-    Over an array, math.pow(w, 3.0) at each element: the same C pow, and
-    ``_cube`` at each element on a chunk where it overflows.
-    """
-    if isinstance(w, np.ndarray):
-        try:
-            return ex.pointwise(math.pow, w, 3.0)
-        except OverflowError:
-            return ex.pointwise(_cube, w)
+    """math.pow(w, 3.0) (the C pow of w ** 3), or inf where it would raise
+    OverflowError; over an array, at each element."""
     try:
-        return w ** 3
+        return ex.pointwise(math.pow, w, 3.0)
     except OverflowError:
-        return math.inf
+        return ex.pointwise(_cube, w) if isinstance(w, np.ndarray) else math.inf
 
 
 def _curvature_terms(patch: GraphPatch, x, y, jet: Optional[tuple]):
@@ -183,12 +177,39 @@ def h_mean_curvature(patch: GraphPatch, z: tuple, jet: Optional[tuple] = None):
     when given.  z may also be a chunk of nodes (x, y), given with its
     jet; the result is then an array.
     """
-    x, y = z
-    terms = _curvature_terms(patch, x, y, jet)
-    if isinstance(x, np.ndarray):
-        with np.errstate(all="ignore"):
-            return _pq_form(*terms)
-    return _pq_form(*terms)
+    # on a chunk, IEEE results such as inf - inf = NaN are the point, not a warning
+    with np.errstate(all="ignore"):
+        return _pq_form(*_curvature_terms(patch, *z, jet))
+
+
+def read_nodes(patch: GraphPatch, x: np.ndarray, y: np.ndarray) -> tuple:
+    """The height's jet, then W, then H where the height is finite and W is
+    not <= W_MARGIN (a NaN W included), at a chunk of graph nodes.
+
+    Returns (height, W, H, error), read node by node.  A stencil check that
+    fails ends the reads at its node, and is returned as ``error`` (None
+    if none fails) after every earlier node has been read: height and W
+    run up to the first failed gradient stencil, H (NaN where it is not
+    read) up to the failed node, ``len(H)``.  Every float is the one of the
+    scalar calls at that node.
+    """
+    try:
+        jet = patch.h.jet(x, y)
+    except StencilOutOfDomain as err:
+        # the nodes before it are read first, and one of them may fail its Hessian stencil
+        t, w, h, error = read_nodes(patch, x[:err.node], y[:err.node])
+        return t, w, h, error or err
+    w = horizontal_data(patch, (x, y), jet=jet).w
+    h = np.full(len(x), math.nan)
+    keep = ~(w <= W_MARGIN) & np.isfinite(jet[0])
+    if keep.any():
+        try:
+            h[keep] = h_mean_curvature(patch, (x[keep], y[keep]), jet=tuple(a[keep] for a in jet))
+        except StencilOutOfDomain as err:
+            err.node = int(np.flatnonzero(keep)[err.node])
+            _, _, h, _ = read_nodes(patch, x[:err.node], y[:err.node])
+            return jet[0], w, h, err
+    return jet[0], w, h, None
 
 
 # ---------------------------------------------------------------------------

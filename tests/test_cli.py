@@ -482,11 +482,30 @@ BIG_INT = "9" * 401   # an int beyond the float range
     [f"gencurve-{BIG_INT}"],
     ["catenoid", "--a", "1e300"],      # a*a overflows in the implicit form
     ["iso-profile", "--R", "1e300"],   # R*R overflows in the height
-], ids=["n", "gencurve-suffix", "catenoid-a-squared", "iso-profile-R-squared"])
+    # the seed base point is not finite, or not in the graph's domain
+    ["general-plane", "--c", "1e-320"],
+    ["general-plane", "--a", "1e308", "--c", "1e-10"],
+    ["catenoid", "--a", "1e150"],
+    ["catenoid", "--a", "1e-320"],     # an infinite base point in an infinite box
+], ids=["n", "gencurve-suffix", "catenoid-a-squared", "iso-profile-R-squared",
+        "general-plane-c-tiny", "general-plane-a-huge", "catenoid-a-huge", "catenoid-a-tiny"])
 def test_gallery_parameter_beyond_the_float_range_exit_4(tmp_path, capsys, args):
     assert main(["gallery", *args, "--out", str(tmp_path / "g")]) == 4
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
+
+
+def test_classify_of_a_gallery_plane_does_not_need_its_seed_base(tmp_path, capsys):
+    # the battery's seed base (-3, 10) lies off the plane's domain, so
+    # `gallery` rejects these parameters, but the plane itself classifies
+    params = {"a": 5.0, "c": 1.0}
+    assert main(["gallery", "general-plane", "--a", "5", "--c", "1",
+                 "--out", str(tmp_path / "g")]) == 4
+    spec = write_spec(tmp_path, "gp.json", {"kind": "gallery",
+                                            "gallery": {"name": "general-plane", "params": params}})
+    assert main(["classify", "--spec", spec, "--out", str(tmp_path / "c")]) == 0
+    report = json.loads((tmp_path / "c" / "report.json").read_text())
+    assert report["result"]["kind"] == "class1"
 
 
 def test_report_defaults_are_module_constants(tmp_path):

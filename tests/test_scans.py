@@ -18,6 +18,8 @@ from hmin.fields import CHUNK, Grid2, PlanarDomain, ScalarField2
 from hmin.gallery import gallery_get, gallery_names, max_curvature_deviation
 from hmin.heis import HPoint
 from hmin.report import worst_abs
+from hmin.ruled import (Class1, Class2, NotEntire, NotMinimal, classify_entire_graph, roundtrip)
+from hmin.seed import curvature, extract_seed
 from hmin.surface import (EPS_CHAR, W_MARGIN, GraphPatch, ScanComponent, _edge_min, _pq,
                           characteristic_scan, h_mean_curvature, horizontal_data,
                           rotate_graph, translate_graph)
@@ -253,3 +255,190 @@ def test_fd_scan_calls_no_float_function_per_node(monkeypatch):
     # a chunk where math.pow raises is redone with safe_pow at each element
     ex.compile_fn(ex.parse("x^(-1)"), ("x",), array=True)(np.array([2.0, 0.0, 4.0]))
     assert len(pow_calls) == 3
+
+
+# -- classify: the window read in one pass ------------------------------------------
+
+
+def classify_by_node(patch):
+    """``classify_entire_graph`` as it read its window, one node at a time."""
+    tol, tol_kappa = 1e-6, 1e-4
+    dom = patch.domain
+    best = (0.0, (0.0, 0.0))
+    worst_h = (0.0, (0.0, 0.0))
+    samples = []
+    margin_x = 0.25 * (dom.xmax - dom.xmin)
+    margin_y = 0.25 * (dom.ymax - dom.ymin)
+    for x, y in zip(*(a.ravel().tolist() for a in Grid2(dom, 21, 21).mesh())):
+        if not dom.contains(x, y):
+            return NotEntire(f"window point ({x}, {y}) outside patch domain")
+        jet = patch.h.jet(x, y)
+        v = jet[0]
+        if not math.isfinite(v):
+            return NotEntire(f"height not finite at ({x}, {y})")
+        samples.append((x, y, v))
+        hd = horizontal_data(patch, (x, y), jet=jet)
+        if not math.isfinite(hd.w):
+            return NotEntire(f"angle function W not finite at ({x}, {y})")
+        interior = (dom.xmin + margin_x <= x <= dom.xmax - margin_x
+                    and dom.ymin + margin_y <= y <= dom.ymax - margin_y)
+        if interior and hd.w > best[0]:
+            best = (hd.w, (x, y))
+        if hd.w > W_MARGIN:
+            hcur = abs(h_mean_curvature(patch, (x, y), jet=jet))
+            if not math.isfinite(hcur):
+                return NotEntire(f"mean curvature not finite at ({x}, {y})")
+            if hcur > worst_h[0]:
+                worst_h = (hcur, (x, y))
+    if worst_h[0] > tol:
+        return NotMinimal(worst_h[0], worst_h[1])
+    if best[0] <= 1e-6:
+        return NotEntire("no usable non-characteristic base point in the window")
+
+    z0 = best[1]
+    window = min(dom.xmax - dom.xmin, dom.ymax - dom.ymin)
+    span = min(1.5, window / 4.0)
+    curve = extract_seed(patch, z0, span)
+    lo, hi = max(curve.s_min, -span / 2), min(curve.s_max, span / 2)
+    kappas = curvature(curve, np.linspace(lo, hi, 41))
+    if np.abs(kappas).max() <= tol_kappa:
+        d = curve.tangent(0.0)
+        g0 = curve.point(0.0)
+        base = (g0[0], g0[1], patch.h.value(*g0))
+        s21 = np.linspace(lo, hi, 21)
+        h0s = list(zip(s21.tolist(), ex.pointwise(patch.h.value, *curve.point(s21)).tolist()))
+        alpha = -d[0] / (2.0 * d[1]) if abs(d[1]) > 1e-9 else None
+        err = roundtrip(patch, curve, span, min(1.0, window / 6.0))
+        return Class2(direction=d, base=base, h0_samples=h0s, alpha=alpha, rebuild_error=err)
+    if np.abs(kappas - kappas.mean()).max() <= tol_kappa * max(1.0, abs(kappas.mean())):
+        arr = np.array(samples)
+        design = np.column_stack([arr[:, 0], arr[:, 1], np.ones(len(arr))])
+        coef, *_ = np.linalg.lstsq(design, arr[:, 2], rcond=None)
+        alpha_c, beta_c, delta_c = map(float, coef)
+        residual = float(np.abs(design @ coef - arr[:, 2]).max())
+        if residual > tol:
+            return NotEntire(f"circular seed but non-planar heights (residual {residual})")
+        a, b, c, d0 = -alpha_c, -beta_c, 1.0, delta_c
+        scale = math.sqrt(a * a + b * b + c * c)
+        sigma = (-2.0 * b / c, 2.0 * a / c, d0 / c)
+        return Class1(a / scale, b / scale, c / scale, d0 / scale, sigma, residual)
+    return NotEntire("seed curve is neither a line nor a circle at tolerance")
+
+
+def _outcome(fn, patch):
+    """The repr of fn's verdict, or the type and message of what it raised."""
+    try:
+        return repr(fn(patch))
+    except Exception as err:  # noqa: BLE001 - the oracle's errors are compared too
+        return f"{type(err).__name__}: {err}"
+
+
+def _classify_heights():
+    """Height trees: the gallery graphs, the cli-mix kinds and adversarial ones."""
+    trees = [gallery_get(n).graph.h.exprs[0] for n in gallery_names()
+             if gallery_get(n).graph is not None]
+    srcs = [f"({c0!r} + {b!r}*x + {c!r}*y)/2"
+            for c0, b, c in ((0.5, 0.2, 0.3), (-1.7, -0.3, 0.2), (1.2, 0.3, -0.2))]
+    srcs += [f"x*y/2 + {a!r}*x + {c!r}" for a, c in ((-0.5, 0.3), (0.55, -0.9), (0.0, 0.0))]
+    srcs += [f"x*y/2 + {a!r}*y + {c!r}" for a, c in ((0.25, 0.1), (-0.8, -0.6))]
+    srcs += ["x^2 - x*y/2", "(x^2+y^2)/4", "x*y/2 + 1e-300*sqrt(x^2 + y^2)^3",
+             "log(x)", "1/x", "exp(1000*x)"]
+    return trees + [ex.parse(src) for src in srcs]
+
+
+# the window domains, with the outcomes their graphs reach: a box, a cut
+# whose first window node is outside, and one that leaves the first node
+# inside and cuts nodes further on; each height field lives on a larger
+# domain, so only the cut fails a stencil
+_CLASSIFY_DOMAINS = {
+    "box": (None, {"Class1", "Class2", "NotMinimal", "NotEntire"}),
+    "first-node-outside": (lambda x, y: x + y > -3.5, {"NotEntire"}),
+    "cut-later": (lambda x, y: x < 1.0 or y <= 1.0, {"NotEntire", "StencilOutOfDomain"}),
+}
+
+
+@pytest.mark.parametrize("cut", list(_CLASSIFY_DOMAINS))
+def test_classify_equals_the_node_loop(cut):
+    member, kinds = _CLASSIFY_DOMAINS[cut]
+    window, field = PlanarDomain(-2, 2, -2, 2, member), PlanarDomain(-3, 3, -3, 3, member)
+    seen = set()
+    for tree in _classify_heights():
+        analytic = GraphPatch(window, ScalarField2.from_tree(tree, field))
+        for patch in (analytic, analytic.fd_only()):
+            want = _outcome(classify_by_node, patch)
+            assert _outcome(classify_entire_graph, patch) == want
+            seen.add(want.split("(")[0].split(":")[0])
+    assert seen == kinds
+
+
+def test_classify_equals_the_node_loop_on_the_gallery_graph_domains():
+    for name in gallery_names():
+        graph = gallery_get(name).graph
+        if graph is None:
+            continue
+        for patch in (graph, graph.fd_only()):
+            assert _outcome(classify_entire_graph, patch) == _outcome(classify_by_node, patch)
+
+
+def test_classify_reports_a_bad_node_before_a_later_failed_stencil():
+    # the height is NaN at the first window node; the gradient stencils of
+    # the nodes on y = 0 with x > 0.5 leave the field's domain
+    field = PlanarDomain(-2, 2, -2, 2, lambda x, y: not (x > 0.5 and abs(y) < 1e-5))
+    patch = GraphPatch(PlanarDomain(-1, 1, -1, 1),
+                       ScalarField2.from_expr("log(x + 0.95)", field).fd_only())
+    want = "NotEntire(reason='height not finite at (-1.0, -1.0)', kind='not-entire')"
+    assert _outcome(classify_by_node, patch) == want
+    assert _outcome(classify_entire_graph, patch) == want
+
+
+def _hessian_fails_on_the_first_row(src):
+    # the field's domain ends 3e-5 below the window: on the window's first
+    # row the gradient stencils (step 1e-5) stay inside and the Hessian
+    # stencils (step 5e-5) leave it
+    field = PlanarDomain(-2, 2, -1 - 3e-5, 2)
+    return GraphPatch(PlanarDomain(-1, 1, -1, 1), ScalarField2.from_expr(src, field).fd_only())
+
+
+def test_classify_reports_a_bad_node_before_its_own_failed_hessian_stencil():
+    # the height is inf at (-1, -1) while its differences, and so W, are finite
+    patch = _hessian_fails_on_the_first_row("1/((x + 1)^2 + (y + 1)^2)")
+    want = "NotEntire(reason='height not finite at (-1.0, -1.0)', kind='not-entire')"
+    assert _outcome(classify_by_node, patch) == want
+    assert _outcome(classify_entire_graph, patch) == want
+
+
+def test_classify_reports_a_nan_w_before_its_own_failed_hessian_stencil():
+    # sqrt(x + 1) is 0 at (-1, -1) and NaN just left of it, so W is NaN there
+    patch = _hessian_fails_on_the_first_row("sqrt(x + 1)")
+    want = "NotEntire(reason='angle function W not finite at (-1.0, -1.0)', kind='not-entire')"
+    assert _outcome(classify_by_node, patch) == want
+    assert _outcome(classify_entire_graph, patch) == want
+
+
+@pytest.mark.parametrize("src,x0", [("sqrt(x + 1)", -1.0), ("1/(x + 1)", -0.9)])
+def test_scan_reads_the_hessian_where_w_is_nan_and_the_height_finite(src, x0):
+    # on x = -1, W is NaN; the height is finite for sqrt(x + 1), so the node
+    # loop reads the Hessian there, and inf for 1/(x + 1), so it reads on
+    patch = _hessian_fails_on_the_first_row(src)
+    want = f"stencil point ({x0}, -1.00005) outside domain"
+    assert _message(deviation_by_node, patch, patch.domain, 21, 21) == want
+    assert _message(max_curvature_deviation, patch, patch.domain, 21, 21) == want
+
+
+def test_classify_reads_its_window_in_one_pass(monkeypatch):
+    import hmin.ruled
+    import hmin.surface
+    calls = {"horizontal_data": 0, "h_mean_curvature": 0}
+    for name in calls:
+        fn = getattr(hmin.surface, name)
+
+        def spy(*args, _fn=fn, _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        # every alias, as the benchmark's trace hooks do
+        for module in (hmin.surface, hmin.ruled):
+            if getattr(module, name, None) is fn:
+                monkeypatch.setattr(module, name, spy)
+    patch = GraphPatch.from_expr("x*y/2 + 0.5*y + 0.3", PlanarDomain(-2, 2, -2, 2))
+    assert classify_entire_graph(patch).kind == "not-minimal"
+    assert calls == {"horizontal_data": 1, "h_mean_curvature": 1}

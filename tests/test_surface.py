@@ -57,6 +57,15 @@ def test_horizontal_data_and_curvature_of_a_chunk_are_the_scalar_ones():
         h_mean_curvature(PARAB, (x, y), jet=jet)
 
 
+def test_curvature_where_w_cubed_overflows_is_the_same_on_floats_and_chunks():
+    # W is about 1e120: W^3 overflows to inf while p^2 stays finite
+    patch = GraphPatch.from_expr("1e120*x + y^2/2", square(2.0))
+    x, y = np.array([1.0, -0.5]), np.array([1.0, 0.25])
+    chunk = h_mean_curvature(patch, (x, y), jet=patch.h.jet(x, y)).tolist()
+    scalar = [h_mean_curvature(patch, z) for z in zip(x.tolist(), y.tolist())]
+    assert list(map(repr, chunk)) == list(map(repr, scalar)) == ["-0.0", "-0.0"]
+
+
 def test_h_curvature_plane_zero():
     assert abs(h_mean_curvature(FLAT, (1.0, 1.0))) <= 1e-12
 
