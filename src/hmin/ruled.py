@@ -25,7 +25,8 @@ the zero set of the numerator, solved per s:
 
 Every reported root is re-verified against the angle function computed
 directly from the reconstructed graph, which is also the oracle that
-pins down the sign conventions above.
+pins down the sign conventions above; its p and q are ``surface.graph_pq``
+of the chain-rule gradient, as are those of the unit field ``_chart_nu``.
 
 ``RuledPatch.w0``, ``w``, ``w_ode_residual``, ``height`` and ``embed``,
 ``chart_height_gradient``, ``w_direct`` (its chain route) and
@@ -54,7 +55,7 @@ from .report import worst_abs
 from .seed import (SeedCurve, curvature, extract_seed, rule_jacobian,
                    rule_jacobian_det, rule_point, singular_locus, takes_arrays, SingularLocus,
                    EPS_KAPPA)
-from .surface import EPS_CHAR, W_MARGIN, GraphPatch, read_nodes
+from .surface import EPS_CHAR, W_MARGIN, GraphPatch, graph_pq, read_nodes
 
 EPS_DELTA = 1e-9
 DET_GUARD = 0.1
@@ -222,9 +223,7 @@ def w_direct(patch: RuledPatch, s, r, method: str = "chain"):
         hy = (h_at(x, y + step) - h_at(x, y - step)) / (2.0 * step)
     else:
         raise ValueError(f"unknown method {method!r}")
-    p = -(hx + 0.5 * y)
-    q = -(hy - 0.5 * x)
-    return ex.pointwise(math.hypot, p, q)
+    return ex.pointwise(math.hypot, *graph_pq(hx, hy, x, y))
 
 
 def chart_samples(patch: RuledPatch, n: int,
@@ -259,8 +258,7 @@ def _chart_nu(patch: RuledPatch, s, r) -> tuple:
     """The built graph's unit field nu = (p, q)/W at F(s, r), from the
     chain-rule gradient; raises CharacteristicPoint where W <= EPS_CHAR."""
     x, y = rule_point(patch.seed, s, r)
-    hx, hy = chart_height_gradient(patch, s, r)
-    p, q = -(hx + 0.5 * y), -(hy - 0.5 * x)
+    p, q = graph_pq(*chart_height_gradient(patch, s, r), x, y)
     w = ex.pointwise(math.hypot, p, q)
     if np.any(w <= EPS_CHAR):
         raise CharacteristicPoint(f"W={w} at ({x}, {y})")

@@ -13,7 +13,8 @@ curve and the straight rules through it parameterize the plane by
     F(s, r) = gamma(s) + r gamma'(s)_perp
             = (gamma1 + r gamma2', gamma2 - r gamma1'),   det DF = -1 + r kappa(s),
 
-which degenerates exactly on the singular locus {r = 1/kappa(s)}.
+which degenerates exactly on the singular locus {r = 1/kappa(s)}.  The
+tracer reads nu, W and D(p, q) of the graph from ``surface``.
 
 The ``SeedCurve`` lookups (``point``, ``tangent``, ``second``),
 ``curvature``, ``rule_point``, ``rule_jacobian`` and ``rule_jacobian_det``
@@ -37,7 +38,7 @@ import numpy as np
 
 from .errors import CharacteristicStart, FieldUndefined, OutOfRange, StencilOutOfDomain
 from .fields import FD_STEP, RK4_STEP, chunks, rk4_integrate
-from .surface import EPS_CHAR, GraphPatch, horizontal_data, unit_horizontal_field
+from .surface import EPS_CHAR, GraphPatch, graph_dpq, horizontal_data, unit_horizontal_field
 
 EPS_KAPPA = 1e-8
 _RANGE_SLOP = 1e-9
@@ -65,6 +66,13 @@ def takes_arrays(fn: Callable) -> Callable:
                 fn(*(a if c is None else c[i] for a, c in zip(args, cols)), **kwargs)
             raise
     return over
+
+
+def _columns(fn: Callable, s: np.ndarray) -> tuple:
+    """x and y of ``fn`` over an array s: one call if ``over_arrays``, else one per element."""
+    if getattr(fn, "over_arrays", False):
+        return tuple(fn(s))
+    return tuple(np.array([fn(v) for v in s.tolist()], dtype=float).reshape(-1, 2).T)
 
 
 @dataclass
@@ -167,10 +175,7 @@ class SeedCurve:
         # the call at each element before the first one out of range, then
         # the range check that rejects it, as in a loop of scalar lookups
         k = self._first_rejected(sq)
-        if getattr(fn, "over_arrays", False):
-            cols = tuple(fn(sq[:k]))
-        else:
-            cols = tuple(np.array([fn(v) for v in sq[:k].tolist()], dtype=float).reshape(-1, 2).T)
+        cols = _columns(fn, sq[:k])
         self._check_range(sq[k:])
         return cols
 
@@ -196,9 +201,7 @@ class SeedCurve:
                        s_range: tuple[float, float],
                        n_samples: int = 257) -> "SeedCurve":
         s = np.linspace(s_range[0], s_range[1], n_samples)
-        g = np.array([gamma(float(v)) for v in s], dtype=float)
-        dg = np.array([dgamma(float(v)) for v in s], dtype=float)
-        ddg = np.array([ddgamma(float(v)) for v in s], dtype=float)
+        g, dg, ddg = (np.column_stack(_columns(fn, s)) for fn in (gamma, dgamma, ddgamma))
         return SeedCurve(s, g, dg, ddg, provenance="closed-form",
                          gamma_fn=gamma, dgamma_fn=dgamma, ddgamma_fn=ddgamma)
 
@@ -224,10 +227,10 @@ def extract_seed(patch: GraphPatch, z0: tuple[float, float], arc_span: float,
         gamma'' = (I - nu nu^T) d(p, q)/d(x, y) nu / W
 
     are read from the height's 2-jet, one chunk of points at a time
-    (``_seed_jet``); d(p, q)/d(x, y) is minus the Hessian plus
-    (0, -1/2; 1/2, 0).  A branch is cut before its first point where that
-    jet does not define them; if the RK4 stop reason is not already set,
-    it becomes "trimmed boundary sample".
+    (``_seed_jet``), with d(p, q)/d(x, y) from ``surface.graph_dpq``.  A
+    branch is cut before its first point where that jet does not define
+    them; if the RK4 stop reason is not already set, it becomes "trimmed
+    boundary sample".
     """
     if not patch.domain.contains(*z0):
         raise FieldUndefined(f"z0={z0} outside the patch domain")
@@ -275,13 +278,11 @@ def _seed_jet(patch: GraphPatch, pts: np.ndarray) -> tuple[np.ndarray, np.ndarra
                 k = err.node  # the points before it pass the stencil checks
         if not k:
             break
-        data = horizontal_data(patch, (cx[:k], cy[:k]), jet=jet)
-        w, (nx, ny) = data.w, data.nu
-        _, _, _, hxx, hxy, hyy = jet
+        _, _, w, (nx, ny) = horizontal_data(patch, (cx[:k], cy[:k]), jet=jet)
+        p_x, p_y, q_x, q_y = graph_dpq(*jet[3:])
         with np.errstate(all="ignore"):
             # d(p, q)/d(x, y) nu, then its part normal to nu, over W
-            ax = -hxx * nx - (hxy + 0.5) * ny
-            ay = -(hxy - 0.5) * nx - hyy * ny
+            ax, ay = p_x * nx + p_y * ny, q_x * nx + q_y * ny
             dot = nx * ax + ny * ay
             sx, sy = (ax - dot * nx) / w, (ay - dot * ny) / w
             ok = np.isfinite(w) & (w > EPS_CHAR) & np.isfinite(sx) & np.isfinite(sy)

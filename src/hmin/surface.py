@@ -12,17 +12,20 @@ of nu, evaluated in the equivalent p/q form
     H = (q^2 p_x + p^2 q_y - p q (q_x + p_y)) / W^3
 
 from the height's 2-jet.  The tests hold it against the divergence form,
-which differences the unit field.
+which differences the unit field.  The convention has its one home here:
+``graph_pq`` gives (p, q) from the gradient, ``graph_dpq`` gives D(p, q)
+= (p_x, p_y, q_x, q_y) from the Hessian and ``_horizontal`` W and nu from
+(p, q); no other module writes them out.
 
 Implicit surfaces phi(x, y, t) = 0 carry an orientation flag; negating the
 orientation negates the curvature.  Curvature at characteristic points is
 deliberately left undefined: the scan reports the locus instead.
 
-``horizontal_data`` and ``h_mean_curvature`` also take a chunk of graph
-nodes, as 1-d arrays x and y together with the height field's jet there
-(``ScalarField2.jet``); every element is the float the same call gives
-at that node.  W = hypot(p, q) and W^3
-are taken per element, as numpy's differ in the last bit.  ``read_nodes``
+Those three take floats or equally long arrays.  So do ``horizontal_data``
+and ``h_mean_curvature``, given a chunk of graph nodes as 1-d arrays x
+and y together with the height field's jet there (``ScalarField2.jet``);
+every element is the float the same call gives at that node.  W =
+hypot(p, q) and W^3 are taken per element, as numpy's differ in the last bit.  ``read_nodes``
 is the one pass over a chunk that the curvature scan and the classifier
 share: the height's jet, then W, then H where W is not <= W_MARGIN.
 """
@@ -81,15 +84,28 @@ class HorizontalData(NamedTuple):
     nu: Optional[tuple[float, float]]
 
 
-def _pq(patch: GraphPatch, x, y, jet: Optional[tuple] = None) -> tuple:
-    hx, hy = patch.h.gradient(x, y) if jet is None else (jet[1], jet[2])
+def graph_pq(hx, hy, x, y) -> tuple:
+    """(p, q) of a graph from its gradient (hx, hy) at (x, y)."""
     return (-(hx + 0.5 * y), -(hy - 0.5 * x))
 
 
-def _horizontal(p: float, q: float) -> HorizontalData:
-    """W and nu from the scalars p, q of a graph or a level set."""
-    w = math.hypot(p, q)
-    return HorizontalData(p, q, w, (p / w, q / w) if w > EPS_CHAR else None)
+def graph_dpq(hxx, hxy, hyy) -> tuple:
+    """D(p, q) of a graph, (p_x, p_y, q_x, q_y), from its Hessian."""
+    return (-hxx, -(hxy + 0.5), -(hxy - 0.5), -hyy)
+
+
+def _pq(patch: GraphPatch, x, y, jet: Optional[tuple] = None) -> tuple:
+    hx, hy = patch.h.gradient(x, y) if jet is None else (jet[1], jet[2])
+    return graph_pq(hx, hy, x, y)
+
+
+def _horizontal(p, q) -> HorizontalData:
+    """W and nu from p, q of a graph or a level set; nu on arrays is NaN where floats give None."""
+    w = ex.pointwise(math.hypot, p, q)
+    if not isinstance(w, np.ndarray):
+        return HorizontalData(p, q, w, (p / w, q / w) if w > EPS_CHAR else None)
+    with np.errstate(all="ignore"):
+        return HorizontalData(p, q, w, tuple(np.where(w > EPS_CHAR, v / w, np.nan) for v in (p, q)))
 
 
 def horizontal_data(patch: GraphPatch, z: tuple, jet: Optional[tuple] = None) -> HorizontalData:
@@ -97,13 +113,7 @@ def horizontal_data(patch: GraphPatch, z: tuple, jet: Optional[tuple] = None) ->
 
     z may be a chunk of nodes (x, y), given with its jet.
     """
-    p, q = _pq(patch, z[0], z[1], jet)
-    if not isinstance(p, np.ndarray):
-        return _horizontal(p, q)
-    w = ex.pointwise(math.hypot, p, q)
-    with np.errstate(all="ignore"):
-        nu = tuple(np.where(w > EPS_CHAR, v / w, math.nan) for v in (p, q))
-    return HorizontalData(p, q, w, nu)
+    return _horizontal(*_pq(patch, z[0], z[1], jet))
 
 
 def unit_horizontal_field(patch: GraphPatch,
@@ -147,21 +157,16 @@ def _curvature_terms(patch: GraphPatch, x, y, jet: Optional[tuple]):
     W is tested before the Hessian is read (a 1-jet is completed only then).
     """
     p, q = _pq(patch, x, y, jet)
-    if isinstance(p, np.ndarray):
-        w = ex.pointwise(math.hypot, p, q)
-        at = np.flatnonzero(w <= EPS_CHAR)
-        if at.size:
-            i = at[0]
-            raise CharacteristicPoint(f"W={float(w[i])} at ({float(x[i])}, {float(y[i])})")
-    else:
-        w = math.hypot(p, q)
-        if w <= EPS_CHAR:
-            raise CharacteristicPoint(f"W={w} at ({x}, {y})")
+    w = ex.pointwise(math.hypot, p, q)
+    at = np.flatnonzero(np.atleast_1d(w <= EPS_CHAR))
+    if at.size:
+        wi, xi, yi = (np.atleast_1d(v)[at[0]].item() for v in (w, x, y))
+        raise CharacteristicPoint(f"W={wi} at ({xi}, {yi})")
     if jet is None:
         (hxx, hxy), (_, hyy) = patch.h.hessian(x, y)
     else:
         _, _, _, hxx, hxy, hyy = patch.h.jet(x, y, jet)
-    return p, q, w, -hxx, -(hxy + 0.5), -(hxy - 0.5), -hyy
+    return (p, q, w) + graph_dpq(hxx, hxy, hyy)
 
 
 def _pq_form(p, q, w, p_x, p_y, q_x, q_y):
@@ -351,8 +356,7 @@ def characteristic_scan(patch: GraphPatch, grid: Grid2, eps: float) -> Character
     W is read through the height field's jet, one chunk of nodes at a time.
     """
     def wfun(x: float, y: float) -> float:
-        p, q = _pq(patch, x, y)
-        return math.hypot(p, q)
+        return math.hypot(*_pq(patch, x, y))
 
     xs, ys = grid.lattice()
     ni, nj = len(xs), len(ys)

@@ -584,3 +584,20 @@ def test_cached_validator_agrees_with_jsonschema_validate(tmp_path):
             got = str(err) if str(err).startswith("spec validation failed") else None
         assert got == want, spec
     assert valid >= 10 and len(cases) - valid >= 100
+
+
+@pytest.mark.parametrize("R", ["1e-320", "0.004"])
+def test_gallery_domain_too_small_for_the_difference_stencils_exit_4(tmp_path, capsys, R):
+    # iso-profile's scan domain is about 2R wide; below ~0.005 the 1e-5
+    # stencils of its difference scan leave it
+    assert main(["gallery", "iso-profile", "--R", R, "--out", str(tmp_path / "g")]) == 4
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: bad parameters for 'iso-profile': ")
+
+
+def test_gallery_domain_that_fits_the_stencils_still_runs_its_checks(tmp_path, capsys):
+    # at R = 0.01 the stencils fit and the difference scan's check fails
+    assert main(["gallery", "iso-profile", "--R", "0.01", "--out", str(tmp_path / "g")]) == 1
+    report = json.loads((tmp_path / "g" / "report.json").read_text())
+    failed = [c["name"] for c in report["checks"] if not c["pass"]]
+    assert failed == ["iso-profile.h_scan_fd"]

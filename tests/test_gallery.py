@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ from hmin.errors import UnknownName
 from hmin.fields import Grid2, PlanarDomain, Profile
 from hmin.gallery import (_check_scan, _counterexample_triple, gallery_get, gallery_names,
                           gallery_verify, max_curvature_deviation)
+from hmin.report import worst_abs
 from hmin.seed import curvature
 from hmin.surface import GraphPatch, ImplicitSurface
 
@@ -283,3 +285,48 @@ def test_counterexample_locus_check_fails_where_w_is_undefined():
     check = next(c for c in _counterexample_triple(entry)
                  if c.name == "empty_characteristic_locus")
     assert check.passed is False and check.note == "min W = nan"
+
+
+_CLOSED_FORM_SEEDS = {
+    "line-hyperbolic": lambda: gallery.line_seed((0.0, 1.0), (-1.0, 0.0), (-1.5, 1.5)),
+    "line-slanted": lambda: gallery.line_seed((0.3, -1.2), (3.0, -4.0), (-2.0, 0.5)),
+    "circle-counterexample": lambda: gallery.circle_seed((0.0, 0.0), (1.0, 0.0), (-0.9, 0.9)),
+    "circle-clockwise": lambda: gallery.circle_seed((0.4, -0.2), (1.1, 0.7), (-2.5, 1.0), sense=-1.0),
+}
+
+
+def _spy_on_closed_forms(curve) -> list:
+    """Record each call of the curve's closed forms; the spies keep the
+    ``over_arrays`` mark of what they wrap."""
+    calls = []
+    for name in ("gamma_fn", "dgamma_fn", "ddgamma_fn"):
+        fn = getattr(curve, name)
+
+        @functools.wraps(fn)
+        def spy(s, fn=fn, name=name):
+            calls.append(name)
+            return fn(s)
+        setattr(curve, name, spy)
+    return calls
+
+
+@pytest.mark.parametrize("name", sorted(_CLOSED_FORM_SEEDS))
+def test_line_and_circle_seed_array_lookups_are_their_scalar_lookups(name):
+    curve = _CLOSED_FORM_SEEDS[name]()
+    rng = np.random.default_rng(11)
+    s = np.concatenate([[curve.s_min, curve.s_max], rng.uniform(curve.s_min, curve.s_max, 300)])
+    calls = _spy_on_closed_forms(curve)
+    for lookup, fn in ((curve.point, "gamma_fn"), (curve.tangent, "dgamma_fn"),
+                       (curve.second, "ddgamma_fn")):
+        calls.clear()
+        cols = lookup(s)
+        assert calls == [fn]   # one call for the whole array
+        assert all(isinstance(c, np.ndarray) and c.shape == s.shape for c in cols)
+        for i, v in enumerate(s.tolist()):
+            assert repr(lookup(v)) == repr((float(cols[0][i]), float(cols[1][i])))
+
+
+def test_cylinder_gauss_map_errors_are_pinned():
+    errors = gallery._cylinder_gauss_errors(*gallery_get("cylinder").ruled_pair())
+    assert len(errors) == 656
+    assert repr(worst_abs(errors)) == "0.0"

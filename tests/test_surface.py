@@ -11,6 +11,7 @@ from hmin.heis import HPoint, group_mul
 from hmin.surface import (W_MARGIN, GraphPatch, ImplicitSurface, characteristic_scan,
                           h_mean_curvature, horizontal_data, rotate_graph,
                           translate_graph, unit_horizontal_field)
+from hmin.surface import _horizontal, graph_dpq, graph_pq
 
 HYP = GraphPatch.from_expr("x*y/2", square(3.0))
 FLAT = GraphPatch.from_expr("0", square(3.0))
@@ -315,3 +316,51 @@ def test_scan_counterexample_patch_is_empty():
     patch = GraphPatch.from_expr("-atanh(atan(y/x))", dom)
     scan = characteristic_scan(patch, Grid2(dom, 41, 41), 1e-9)
     assert scan.empty
+
+
+# W <= EPS_CHAR (zero, tiny, -0.0), W = NaN, W = inf (one or both infinite, and
+# overflowing hypot), and ordinary values
+_P = [0.0, 1e-10, -0.0, math.nan, 1.0, math.inf, math.inf, 1.5e308, 3.0, -0.7, 1e-300]
+_Q = [0.0, 0.0, 0.0, 1.0, math.nan, 2.0, -math.inf, 1.5e308, -4.0, 0.25, 5e-301]
+
+
+def test_horizontal_on_a_chunk_is_the_float_call_at_each_node():
+    p, q = np.array(_P), np.array(_Q)
+    chunk = _horizontal(p, q)
+    for i, (pi, qi) in enumerate(zip(_P, _Q)):
+        one = _horizontal(pi, qi)
+        assert repr(one.w) == repr(float(chunk.w[i]))
+        nu = tuple(float(v[i]) for v in chunk.nu)
+        assert (math.isnan(nu[0]) and math.isnan(nu[1])) if one.nu is None else \
+            repr(one.nu) == repr(nu)
+    # at least one node of each kind
+    assert {one is None for one in (_horizontal(a, b).nu for a, b in zip(_P, _Q))} == {True, False}
+
+
+def test_graph_pq_and_dpq_on_a_chunk_are_the_float_calls_at_each_node():
+    rng = np.random.default_rng(7)
+    special = [0.0, -0.0, math.nan, math.inf, -math.inf, 1e308, 5e-324]
+    cols = [np.concatenate([rng.permutation(special), rng.normal(0, 3, 40)]) for _ in range(4)]
+    for fn, args in ((graph_pq, cols), (graph_dpq, cols[:3])):
+        chunk = fn(*args)
+        for i in range(len(args[0])):
+            one = fn(*(float(a[i]) for a in args))
+            assert repr(one) == repr(tuple(float(v[i]) for v in chunk))
+
+
+def test_graph_pq_and_dpq_are_the_paper_convention():
+    # p = -(h_x + y/2), q = -(h_y - x/2) and their derivatives
+    assert graph_pq(1.0, 2.0, 4.0, 6.0) == (-4.0, 0.0)
+    assert graph_dpq(1.0, 2.0, 3.0) == (-1.0, -2.5, -1.5, -3.0)
+    hd = horizontal_data(PARAB, (1.0, 2.0))
+    hx, hy = PARAB.h.gradient(1.0, 2.0)
+    assert (hd.p, hd.q) == graph_pq(hx, hy, 1.0, 2.0)
+
+
+def test_curvature_on_a_chunk_raises_the_float_call_at_its_first_characteristic_node():
+    x, y = np.array([1.0, 2.0, 0.5]), np.array([1.0, 0.0, 0.0])   # W = |y| on x*y/2
+    with pytest.raises(CharacteristicPoint) as one:
+        h_mean_curvature(HYP, (2.0, 0.0))
+    with pytest.raises(CharacteristicPoint) as chunk:
+        h_mean_curvature(HYP, (x, y), jet=HYP.h.jet(x, y))
+    assert str(chunk.value) == str(one.value) == "W=0.0 at (2.0, 0.0)"
