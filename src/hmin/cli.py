@@ -16,8 +16,8 @@ Exit codes: 0 all checks pass, 1 a check failed, 2 spec or input error
 (including a surface undefined on its domain, a domain, window, s_range
 or r_range that is not finite and ordered, an expression using a
 variable its field does not take, --z0 outside it, a --span that is not
-finite and positive, a --grid value below 2, or seed samples whose s is
-not strictly increasing), 3
+finite and positive or whose count of RK4 steps is not finite, a --grid
+value below 2, or seed samples whose s is not strictly increasing), 3
 characteristic start point, 4 unknown gallery name or bad gallery
 parameter (including one that no named entry takes).
 """
@@ -40,7 +40,7 @@ from . import gallery as gal
 from .errors import (CharacteristicStart, HminError, OutOfRange, ParseError,
                      SpecError, UnknownName)
 from .expr import pointwise
-from .fields import FD_STEP, HESS_STEP, RK4_STEP, Grid2, PlanarDomain, Profile, chunks
+from .fields import FD_STEP, HESS_STEP, RK4_STEP, Grid2, PlanarDomain, Profile, chunks, over_arrays
 from .heis import HPoint
 from .meshes import lint_obj, mesh_graph, mesh_ruled, write_obj
 from .report import Report, check_flag, check_leq, digest_of, worst_abs
@@ -152,9 +152,9 @@ def ruled_from_spec(spec: dict) -> RuledPatch:
         if seed_spec["kind"] == "expression":
             px, py = Profile.from_expr(seed_spec["x"]), Profile.from_expr(seed_spec["y"])
             curve = SeedCurve.from_callables(
-                lambda s: (px.f(s), py.f(s)),
-                lambda s: (px.d1(s), py.d1(s)),
-                lambda s: (px.d2(s), py.d2(s)),
+                over_arrays(lambda s: (px(s), py(s))),
+                over_arrays(lambda s: (px.d(s), py.d(s))),
+                over_arrays(lambda s: (pointwise(px.d2, s), pointwise(py.d2, s))),
                 s_range)
         else:
             curve = _seed_from_csv(seed_spec["path"], s_range)
@@ -292,7 +292,8 @@ def cmd_seed(args, spec: dict, report: Report) -> None:
     patch = _graph_of(spec, entry)
     if patch is None:
         raise SpecError("seed needs a graph spec or a gallery entry with a graph form")
-    if not (math.isfinite(args.span) and args.span > 0.0):
+    # a span whose step count overflows is rejected too: the tracer rounds it to an int
+    if not (math.isfinite(args.span / RK4_STEP) and args.span > 0.0):
         raise OutOfRange(f"--span {args.span!r}: the arclength half-span must be "
                          "finite and positive")
     z0 = tuple(args.z0)

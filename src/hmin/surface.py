@@ -20,6 +20,9 @@ which differences the unit field.  The convention has its one home here:
 Implicit surfaces phi(x, y, t) = 0 carry an orientation flag; negating the
 orientation negates the curvature.  Curvature at characteristic points is
 deliberately left undefined: the scan reports the locus instead.
+``characteristic_scan`` flags the lattice nodes of a grid where W < eps
+and groups them into 8-connected components.  It reports nodes only; a
+component's representative is the mean of its nodes.
 
 Those three take floats or equally long arrays.  So do ``horizontal_data``
 and ``h_mean_curvature``, given a chunk of graph nodes as 1-d arrays x
@@ -304,14 +307,12 @@ def points_to_graph_samples(points: Sequence[HPoint], tol: float = 1e-9) -> dict
 @dataclass
 class ScanComponent:
     nodes: list[tuple[float, float]]          # grid nodes with W < eps
-    refined: list[tuple[float, float]]        # sub-grid points from edge bisection
     images: list[HPoint]                      # lifted representatives on the surface
 
     @property
     def representative(self) -> tuple[float, float]:
-        pts = self.refined or self.nodes
-        arr = np.array(pts)
-        c = arr.mean(axis=0)
+        """The mean of the component's nodes."""
+        c = np.array(self.nodes).mean(axis=0)
         return (float(c[0]), float(c[1]))
 
 
@@ -325,39 +326,11 @@ class CharacteristicScan:
         return not self.components
 
 
-def _edge_min(wfun: Callable[[float, float], float], a: tuple[float, float],
-              b: tuple[float, float]) -> tuple[tuple[float, float], float]:
-    """Golden-section minimum of W along the segment [a, b]."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    lo, hi = 0.0, 1.0
-
-    def at(t: float) -> tuple[float, float]:
-        return (a[0] + t * (b[0] - a[0]), a[1] + t * (b[1] - a[1]))
-
-    c = hi - invphi * (hi - lo)
-    d = lo + invphi * (hi - lo)
-    fc, fd = wfun(*at(c)), wfun(*at(d))
-    for _ in range(60):
-        if fc < fd:
-            hi, d, fd = d, c, fc
-            c = hi - invphi * (hi - lo)
-            fc = wfun(*at(c))
-        else:
-            lo, c, fc = c, d, fd
-            d = lo + invphi * (hi - lo)
-            fd = wfun(*at(d))
-    t = 0.5 * (lo + hi)
-    return at(t), wfun(*at(t))
-
-
 def characteristic_scan(patch: GraphPatch, grid: Grid2, eps: float) -> CharacteristicScan:
-    """Grid nodes with W < eps, clustered, with sub-grid edge refinement.
+    """Grid nodes with W < eps, grouped into 8-connected components.
 
     W is read through the height field's jet, one chunk of nodes at a time.
     """
-    def wfun(x: float, y: float) -> float:
-        return math.hypot(*_pq(patch, x, y))
-
     xs, ys = grid.lattice()
     ni, nj = len(xs), len(ys)
     gx, gy = grid.mesh()
@@ -390,17 +363,7 @@ def characteristic_scan(patch: GraphPatch, grid: Grid2, eps: float) -> Character
     out = []
     for members in comps:
         nodes = [(float(xs[i]), float(ys[j])) for i, j in members]
-        refined = []
-        for i, j in members:
-            for di, dj in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-                ai, aj = i + di, j + dj
-                if 0 <= ai < ni and 0 <= aj < nj and inside[ai, aj] and not flagged[ai, aj]:
-                    pt, wmin = _edge_min(wfun, (float(xs[i]), float(ys[j])),
-                                         (float(xs[ai]), float(ys[aj])))
-                    if wmin < eps:
-                        refined.append(pt)
-        images = [patch.point(x, y) for x, y in nodes[:8]]
-        out.append(ScanComponent(nodes, refined, images))
+        out.append(ScanComponent(nodes, [patch.point(x, y) for x, y in nodes[:8]]))
     return CharacteristicScan(out, int(np.count_nonzero(inside & ~np.isfinite(w))))
 
 

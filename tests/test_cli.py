@@ -389,6 +389,8 @@ ZERO_SQRT = {"kind": "graph",
     ("classify", {"kind": "graph", "graph": {"h": "x*y/2", "domain": {
         "xmin": -1e308, "xmax": 1e308, "ymin": -1e308, "ymax": 1e308}}}, []),
     ("build", {"kind": "ruled", "ruled": {**CYLINDER["ruled"], "r_range": [1, -1]}}, []),
+    # a finite span whose count of RK4 steps overflows
+    ("seed", {"kind": "graph", "graph": {"h": "x*y/2"}}, ["--z0", "0", "1", "--span", "1e308"]),
 ])
 def test_undefined_input_exit_2(tmp_path, capsys, command, payload, extra):
     spec = write_spec(tmp_path, "in.json", payload)

@@ -13,14 +13,15 @@ import numpy as np
 import pytest
 
 from hmin import expr as ex
+from hmin.cli import ruled_from_spec
 from hmin.errors import StencilOutOfDomain
 from hmin.fields import CHUNK, Grid2, PlanarDomain, ScalarField2
 from hmin.gallery import gallery_get, gallery_names, max_curvature_deviation
 from hmin.heis import HPoint
 from hmin.report import worst_abs
 from hmin.ruled import (Class1, Class2, NotEntire, NotMinimal, classify_entire_graph, roundtrip)
-from hmin.seed import curvature, extract_seed
-from hmin.surface import (EPS_CHAR, W_MARGIN, GraphPatch, ScanComponent, _edge_min, _pq,
+from hmin.seed import SeedCurve, curvature, extract_seed
+from hmin.surface import (EPS_CHAR, W_MARGIN, GraphPatch, ScanComponent, _pq,
                           characteristic_scan, h_mean_curvature, horizontal_data,
                           rotate_graph, translate_graph)
 
@@ -82,16 +83,7 @@ def scan_by_node(patch, grid, eps):
     out = []
     for members in comps:
         nodes = [(float(xs[i]), float(ys[j])) for i, j in members]
-        refined = []
-        for i, j in members:
-            for di, dj in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-                ai, aj = i + di, j + dj
-                if 0 <= ai < ni and 0 <= aj < nj and inside[ai, aj] and not flagged[ai, aj]:
-                    pt, wmin = _edge_min(wfun, (float(xs[i]), float(ys[j])),
-                                         (float(xs[ai]), float(ys[aj])))
-                    if wmin < eps:
-                        refined.append(pt)
-        out.append(ScanComponent(nodes, refined, [patch.point(x, y) for x, y in nodes[:8]]))
+        out.append(ScanComponent(nodes, [patch.point(x, y) for x, y in nodes[:8]]))
     return out
 
 
@@ -212,8 +204,8 @@ def test_characteristic_scan_equals_the_node_loop_on_gallery_scan_domains(name):
     got = characteristic_scan(entry.graph, grid, EPS_CHAR)
     want = scan_by_node(entry.graph, grid, EPS_CHAR)
     assert got.undefined_w == 0
-    assert repr([(c.nodes, c.refined, c.images) for c in got.components]) == repr(
-        [(c.nodes, c.refined, c.images) for c in want])
+    assert repr([(c.nodes, c.images) for c in got.components]) == repr(
+        [(c.nodes, c.images) for c in want])
     assert [repr(c.representative) for c in got.components] == [
         repr(c.representative) for c in want]
 
@@ -255,6 +247,41 @@ def test_fd_scan_calls_no_float_function_per_node(monkeypatch):
     # a chunk where math.pow raises is redone with safe_pow at each element
     ex.compile_fn(ex.parse("x^(-1)"), ("x",), array=True)(np.array([2.0, 0.0, 4.0]))
     assert len(pow_calls) == 3
+
+
+def test_characteristic_scan_calls_no_scalar_gradient(monkeypatch):
+    entry = gallery_get("hyperbolic")
+    calls = []
+    monkeypatch.setattr(ScalarField2, "gradient", _counted(calls, ScalarField2.gradient))
+    scan = characteristic_scan(entry.graph, Grid2(entry.verify_domain, 101, 101), EPS_CHAR)
+    assert calls == []
+    assert [len(c.nodes) for c in scan.components] == [101]
+
+
+@pytest.mark.parametrize("x,y,r_range", [("cos(s)", "sin(s)", [-0.5, 0.5]), ("s", "0", [-1, 1])])
+def test_expression_seed_calls_each_closed_form_once_per_array(monkeypatch, x, y, r_range):
+    calls = {name: [] for name in ("gamma", "dgamma", "ddgamma")}
+    sampled = []
+    from_callables = SeedCurve.from_callables
+
+    def spied(*args):
+        fns = [_counted(calls[name], fn) for name, fn in zip(calls, args)]
+        curve = from_callables(*fns, *args[3:])
+        sampled.extend(len(c) for c in calls.values())
+        return curve
+    monkeypatch.setattr(SeedCurve, "from_callables", staticmethod(spied))
+    curve = ruled_from_spec({"ruled": {"seed": {"kind": "expression", "x": x, "y": y},
+                                       "h0": "s", "s_range": [-0.9, 0.9], "r_range": r_range}}).seed
+    # one call each for the 257 samples
+    assert sampled == [1, 1, 1]
+    s = np.linspace(-0.5, 0.5, 33)
+    for name, lookup in zip(calls, (curve.point, curve.tangent, curve.second)):
+        before = len(calls[name])
+        xs, ys = lookup(s)
+        # one call for the 33 elements, where a call per element makes 33
+        assert len(calls[name]) == before + 1
+        assert [repr(v) for v in zip(xs.tolist(), ys.tolist())] == [
+            repr(lookup(v)) for v in s.tolist()]
 
 
 # -- classify: the window read in one pass ------------------------------------------
