@@ -7,7 +7,7 @@
     hmin classify --spec FILE [--out DIR]
     hmin gallery  NAME... | all [--a A] [--u0 U0] [--n N] [--R R] [--out DIR]
 
-Specs are JSON files validated against the shipped schema
+Specs are JSON files validated by hmin.schema against the shipped schema
 (src/hmin/spec.schema.json); field-valued entries use the expression
 language of docs/grammar.md.  Outputs (report.json plus seed.csv,
 loci.csv or mesh.obj depending on the command) are deterministic.
@@ -16,8 +16,8 @@ Exit codes: 0 all checks pass, 1 a check failed, 2 spec or input error
 (including a surface undefined on its domain, a domain, window, s_range
 or r_range that is not finite and ordered, an expression using a
 variable its field does not take, --z0 outside it, a --span that is not
-finite and positive or whose count of RK4 steps is not finite, a --grid
-value below 2, or seed samples whose s is not strictly increasing), 3
+positive or is longer than MAX_SEED_STEPS RK4 steps (a span of 1000), a
+--grid value below 2, or seed samples whose s is not strictly increasing), 3
 characteristic start point, 4 unknown gallery name or bad gallery
 parameter (including one that no named entry takes).
 """
@@ -25,13 +25,11 @@ parameter (including one that no named entry takes).
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import math
 import os
 import sys
 import time
-from importlib import resources
 from typing import Optional
 
 import numpy as np
@@ -53,6 +51,9 @@ from .surface import (EPS_CHAR, GraphPatch, ImplicitSurface, characteristic_scan
 # gallery command options; each entry takes the ones gallery.gallery_params names
 GALLERY_OPTIONS = {"a": float, "u0": float, "b": float, "c": float, "d": float,
                    "n": int, "R": float}
+
+# the most RK4 steps seed traces in each direction: --span / rk4_step
+MAX_SEED_STEPS = 100_000
 
 # The fixed numerical settings, echoed into every report.
 DEFAULTS = {
@@ -79,27 +80,14 @@ def load_spec(path: str) -> dict:
         raise SpecError(f"cannot read spec file: {err}") from None
     except json.JSONDecodeError as err:
         raise SpecError(f"invalid JSON in {path}: {err}") from None
-    import jsonschema
-    # the error jsonschema.validate raises
-    err = jsonschema.exceptions.best_match(spec_validator().iter_errors(spec))
-    if err is not None:
-        raise SpecError(f"spec validation failed: {err.message}")
+    from .schema import spec_error
+    message = spec_error(spec)
+    if message is not None:
+        raise SpecError(f"spec validation failed: {message}")
     kind = spec["kind"]
     if kind not in spec:
         raise SpecError(f"spec kind is {kind!r} but no {kind!r} section is present")
     return spec
-
-
-@functools.cache
-def spec_validator():
-    """The validator of the shipped schema, built once per process.
-
-    ``jsonschema.validate`` would check the schema against its metaschema
-    and build a validator on every call; the tests check the schema.
-    """
-    import jsonschema
-    schema = json.loads(resources.files("hmin").joinpath("spec.schema.json").read_text())
-    return jsonschema.validators.validator_for(schema)(schema)
 
 
 def _interval(name: str, lo: float, hi: float, *, strict: bool) -> tuple[float, float]:
@@ -292,10 +280,11 @@ def cmd_seed(args, spec: dict, report: Report) -> None:
     patch = _graph_of(spec, entry)
     if patch is None:
         raise SpecError("seed needs a graph spec or a gallery entry with a graph form")
-    # a span whose step count overflows is rejected too: the tracer rounds it to an int
-    if not (math.isfinite(args.span / RK4_STEP) and args.span > 0.0):
-        raise OutOfRange(f"--span {args.span!r}: the arclength half-span must be "
-                         "finite and positive")
+    # NaN, inf and a span too long to trace (a closed seed is traced round and round) fail it
+    if not (0.0 < args.span and args.span / RK4_STEP <= MAX_SEED_STEPS):
+        raise OutOfRange(f"--span {args.span!r}: the arclength half-span must be positive and "
+                         f"at most {MAX_SEED_STEPS * RK4_STEP:g} ({MAX_SEED_STEPS} RK4 steps "
+                         f"of {RK4_STEP:g})")
     z0 = tuple(args.z0)
     if not patch.domain.contains(*z0):
         raise OutOfRange(f"--z0 {z0} is outside the patch domain")

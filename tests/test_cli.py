@@ -391,6 +391,8 @@ ZERO_SQRT = {"kind": "graph",
     ("build", {"kind": "ruled", "ruled": {**CYLINDER["ruled"], "r_range": [1, -1]}}, []),
     # a finite span whose count of RK4 steps overflows
     ("seed", {"kind": "graph", "graph": {"h": "x*y/2"}}, ["--z0", "0", "1", "--span", "1e308"]),
+    # a finite span of more RK4 steps than the tracer is allowed
+    ("seed", {"kind": "graph", "graph": {"h": "x*y/2"}}, ["--z0", "0", "1", "--span", "1e300"]),
 ])
 def test_undefined_input_exit_2(tmp_path, capsys, command, payload, extra):
     spec = write_spec(tmp_path, "in.json", payload)
