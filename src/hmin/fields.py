@@ -3,16 +3,17 @@
 A ScalarField2 (fields ``exprs, domain``) evaluates a function given by
 expression trees on a planar domain, with its first and second
 derivatives: exact ones when it has the six trees of an analytic field,
-central finite differences when it has f alone.  Its ``jet`` takes one
-point or a chunk of points (1-d arrays of at most ``CHUNK`` nodes, from
-``chunks``); the other evaluators take one point.  The module also
-provides the fixed-step RK4 integrator used for seed-curve tracing, and
-adaptive Simpson quadrature for integral-defined curves and heights.  The
-integrator returns the traced points alone, and ends a trace at the start
-of a step whose k2 turns back from its k1 (k1 . k2 <= 0).  The quadrature
-``cumulative_integral`` runs the recursion of ``adaptive_simpson`` level
-by level over arrays, and gives its sums bit for bit; a function marked
-by ``over_arrays`` is evaluated once per level.
+central finite differences when it has f alone.  Its ``value`` and
+``jet`` take one point or a chunk of points (1-d arrays of at most
+``CHUNK`` nodes, from ``chunks``); the other evaluators take one point.
+The module also provides the fixed-step RK4 integrator used for
+seed-curve tracing, and adaptive Simpson quadrature for integral-defined
+curves and heights.  The integrator returns the traced points alone, and
+ends a trace at the start of a step whose k2 turns back from its k1
+(k1 . k2 <= 0).  The quadrature ``cumulative_integral`` runs the
+recursion of ``adaptive_simpson`` level by level over arrays, and gives
+its sums bit for bit; a function marked by ``over_arrays`` is evaluated
+once per level.
 
 Numerical defaults (fixed):
 
@@ -145,8 +146,14 @@ class ScalarField2:
 
     # -- evaluation ---------------------------------------------------------
 
-    def value(self, x: float, y: float) -> float:
-        return self.f(x, y)
+    def value(self, x, y):
+        """f at (x, y), or at a chunk of nodes as ``jet`` takes them: an array,
+        each element the float of the scalar f there."""
+        if not isinstance(x, np.ndarray):
+            return self.f(x, y)
+        with np.errstate(all="ignore"):
+            values = self._compiled()(x, y)
+        return values if len(self.exprs) == 1 else values[0]
 
     def _check_stencil(self, x, y, h: float):
         dom = self.domain

@@ -9,6 +9,7 @@ form) so identical inputs produce byte-identical files.
 from __future__ import annotations
 
 import math
+import re
 from array import array
 from dataclasses import dataclass, field
 from typing import Optional
@@ -16,12 +17,17 @@ from typing import Optional
 import numpy as np
 
 from .errors import FieldUndefined
-from .fields import Grid2, PlanarDomain
+from .fields import Grid2, PlanarDomain, chunks
 from .ruled import RuledPatch
 from .seed import curvature, rule_point
 from .surface import GraphPatch
 
 DET_CLAMP = 0.02    # chart samples keep |det DF| at or above this
+BLOCK = 1 << 16     # characters per block of lines that lint_obj parses at once
+# write_obj's layout: comment lines, then vertex lines, then face lines; the
+# tokens of a record (what str.split gives) are joined by single spaces
+_SECTIONS = tuple(re.compile(p) for p in (r"(?:#[^\n]*\n)*", r"(?:v \S+ \S+ \S+\n)*",
+                                          r"(?:f \S+ \S+ \S+\n)*"))
 
 
 @dataclass
@@ -68,10 +74,15 @@ def mesh_ruled(patch: RuledPatch, ns: int, nr: int,
 
 
 def mesh_graph(patch: GraphPatch, nx: int, ny: int) -> Mesh:
-    x, y = Grid2(patch.domain, nx, ny).mesh()  # every node, x-major
-    verts = [patch.point(*z).as_tuple() for z in zip(x.ravel().tolist(), y.ravel().tolist())]
-    return Mesh(np.array(verts, dtype=float).reshape(-1, 3), _grid_faces(nx, ny),
-                comments=[f"graph patch mesh {nx}x{ny}"])
+    """Every lattice node, x-major, at the height ``patch.point`` gives, read
+    a chunk at a time; raises what ``patch.point`` raises at the first node
+    it rejects."""
+    x, y = (a.ravel() for a in Grid2(patch.domain, nx, ny).mesh())
+    verts = np.column_stack((x, y, np.concatenate([patch.h.value(*c) for c in chunks(x, y)])))
+    bad = np.flatnonzero(~np.isfinite(verts).all(axis=1))
+    if bad.size:   # the scalar call raises there, as the per-node loop did
+        patch.point(*verts[bad[0], :2].tolist())
+    return Mesh(verts, _grid_faces(nx, ny), comments=[f"graph patch mesh {nx}x{ny}"])
 
 
 def write_obj(mesh: Mesh, path: str):
@@ -83,8 +94,9 @@ def write_obj(mesh: Mesh, path: str):
                 fh.write(f"{tag} %r %r %r\n" * (len(block) // 3) % tuple(block))
 
 
-def lint_obj(path: str) -> list[str]:
-    """Structural check: parseable finite records, indices in range, non-degenerate faces."""
+def _read_lines(path: str) -> tuple[list[str], array, array]:
+    """The problems of each record, read one line at a time, and the
+    vertex and face columns of the records that parse."""
     problems = []
     verts, faces = array("d"), array("q")
     with open(path) as fh:
@@ -109,6 +121,53 @@ def lint_obj(path: str) -> list[str]:
                     faces.fromlist([0, 0, 0])
             else:
                 problems.append(f"line {ln}: unsupported record {parts[0]!r}")
+    return problems, verts, faces
+
+
+def _tokens(records: str) -> list[str]:
+    """The three values of each record, in order."""
+    tokens = records.split()
+    del tokens[::4]
+    return tokens
+
+
+def _read_layout(path: str) -> Optional[tuple[array, array]]:
+    """The vertex and face columns of a file in the writer's layout, read a
+    block of whole lines at a time; None for any other file, and for one
+    with a record that ``_read_lines`` would report."""
+    columns = {1: (array("d"), float), 2: (array("q"), int)}
+    section = 0                 # where the last block ended, an index of _SECTIONS
+    with open(path) as fh:
+        for lines in iter(lambda: fh.readlines(BLOCK), []):
+            text, pos = "".join(lines), 0
+            for k in range(section, 3):
+                end = _SECTIONS[k].match(text, pos).end()
+                if end > pos:
+                    section = k
+                    if k in columns:
+                        column, parse = columns[k]
+                        try:
+                            column.extend(map(parse, _tokens(text[pos:end])))
+                        except (ValueError, OverflowError):
+                            return None
+                pos = end
+            if pos < len(text):
+                return None
+    verts, faces = columns[1][0], columns[2][0]
+    return (verts, faces) if np.isfinite(np.frombuffer(verts)).all() else None
+
+
+def lint_obj(path: str) -> list[str]:
+    """Structural check: parseable finite records, indices in range, non-degenerate faces.
+
+    A file in the writer's layout is parsed a block at a time; any other
+    file, and one with a record to report, is read by the line loop, which
+    writes the record messages.
+    """
+    problems, columns = [], _read_layout(path)
+    if columns is None:
+        problems, *columns = _read_lines(path)
+    verts, faces = columns
     v = np.frombuffer(verts).reshape(-1, 3)
     f = np.frombuffer(faces, dtype=np.int64).reshape(-1, 3)
     out_of_range = ((f < 1) | (f > len(v))).any(axis=1)

@@ -184,20 +184,30 @@ def invert_chart(patch: RuledPatch, z: tuple[float, float],
     raise FieldUndefined(f"chart inversion did not converge at z={z}")
 
 
-@takes_arrays
-def chart_height_gradient(patch: RuledPatch, s, r) -> tuple:
-    """Planar gradient of the reconstructed height at F(s, r) by the chain rule."""
+def _chart_point_gradient(patch: RuledPatch, s, r) -> tuple:
+    """F(s, r) and the chain-rule gradient of the reconstructed height there,
+    ((x, y), (hx, hy)), from one lookup each of gamma, gamma' and gamma''.
+
+    F and DF are formed with the arithmetic of ``rule_point`` and
+    ``rule_jacobian``.
+    """
     g, d1, d2 = patch.seed.point(s), patch.seed.tangent(s), patch.seed.second(s)
     dh_ds = patch.h0.d(s) - 0.5 * r * (1.0 + g[0] * d2[0] + g[1] * d2[1])
     dh_dr = -0.5 * (g[0] * d1[0] + g[1] * d1[1])
-    j = rule_jacobian(patch.seed, s, r)
+    j = ((d1[0] + r * d2[1], d1[1]), (d1[1] - r * d2[0], -d1[0]))
     det = j[0][0] * j[1][1] - j[0][1] * j[1][0]
     if np.any(abs(det) < 1e-14):
         raise FieldUndefined(f"chart Jacobian singular at (s={s}, r={r})")
     # grad h = J^{-T} (dh_ds, dh_dr)
     hx = (j[1][1] * dh_ds - j[1][0] * dh_dr) / det
     hy = (-j[0][1] * dh_ds + j[0][0] * dh_dr) / det
-    return (hx, hy)
+    return (g[0] + r * d1[1], g[1] - r * d1[0]), (hx, hy)
+
+
+@takes_arrays
+def chart_height_gradient(patch: RuledPatch, s, r) -> tuple:
+    """Planar gradient of the reconstructed height at F(s, r) by the chain rule."""
+    return _chart_point_gradient(patch, s, r)[1]
 
 
 @takes_arrays
@@ -209,10 +219,10 @@ def w_direct(patch: RuledPatch, s, r, method: str = "chain"):
     ``invert`` finite-differences the height obtained by Newton-inverting
     F, a fully independent route, at one (s, r).
     """
-    x, y = rule_point(patch.seed, s, r)
     if method == "chain":
-        hx, hy = chart_height_gradient(patch, s, r)
+        (x, y), (hx, hy) = _chart_point_gradient(patch, s, r)
     elif method == "invert":
+        x, y = rule_point(patch.seed, s, r)
         step = 1e-5
 
         def h_at(zx: float, zy: float) -> float:

@@ -1,14 +1,21 @@
+import contextlib
+import io
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from hmin import meshes
+from hmin.cli import main
 from hmin.errors import FieldUndefined
-from hmin.fields import Profile
+from hmin.fields import CHUNK, Grid2, PlanarDomain, Profile, ScalarField2
 from hmin.gallery import gallery_get, gallery_names, line_seed
-from hmin.meshes import lint_obj, mesh_ruled
+from hmin.meshes import Mesh, lint_obj, mesh_graph, mesh_ruled, write_obj
 from hmin.ruled import RuledPatch
 from hmin.seed import curvature
+from hmin.surface import GraphPatch
 
 
 def scalar_mesh_vertices(patch, ns, nr, r_range, det_clamp=0.02):
@@ -104,3 +111,189 @@ def test_lint_reports_non_finite_vertices(tmp_path):
     path.write_text("v nan 1 0\nv 0 1 inf\nv 0 0 0\nv 1 0 0\nf 1 2 3\nf 2 3 4\n")
     assert lint_obj(str(path)) == ["line 1: non-finite vertex record",
                                    "line 2: non-finite vertex record"]
+
+
+# -- mesh_graph over arrays against the per-vertex patch.point ------------------
+
+
+def gallery_graph_patches():
+    for name in gallery_names():
+        entry = gallery_get(name)
+        for side, patch in (("upper", entry.graph), ("lower", entry.graph_lower)):
+            if patch is not None:
+                yield f"{name}-{side}", patch
+                yield f"{name}-{side}-fd", patch.fd_only()
+
+
+def scalar_graph_mesh(patch, nx, ny):
+    """The vertices of mesh_graph, one patch.point call per node, x-major; or
+    the message of the error the first rejected node raises."""
+    x, y = Grid2(patch.domain, nx, ny).mesh()
+    try:
+        return [list(patch.point(a, b).as_tuple())
+                for a, b in zip(x.ravel().tolist(), y.ravel().tolist())]
+    except FieldUndefined as err:
+        return str(err)
+
+
+def test_mesh_graph_matches_the_per_vertex_point():
+    meshed = 0
+    for name, patch in gallery_graph_patches():
+        expected = scalar_graph_mesh(patch, 60, 47)
+        try:
+            mesh = mesh_graph(patch, 60, 47)
+        except FieldUndefined as err:
+            assert str(err) == expected, name
+            continue
+        assert repr(mesh.vertices.tolist()) == repr(expected), name
+        meshed += 1
+    assert meshed == 12   # catenoid's, counterexample's and iso-profile's boxes hold undefined nodes
+
+
+def test_mesh_graph_reads_heights_a_chunk_at_a_time(monkeypatch):
+    patch = GraphPatch.from_expr("x*y/2 + 0.437*x - 0.2", PlanarDomain(-2, 2, -2, 2))
+    calls = []
+    value = ScalarField2.value
+    monkeypatch.setattr(ScalarField2, "value", lambda self, x, y: calls.append(len(x)) or value(self, x, y))
+    mesh_graph(patch, 60, 47)
+    assert calls == [CHUNK, CHUNK, 60 * 47 - 2 * CHUNK]
+
+
+def test_build_of_an_undefined_height_names_the_first_node(tmp_path, capsys):
+    spec = tmp_path / "sqrt.json"
+    spec.write_text(json.dumps({"kind": "graph", "graph": {
+        "h": "sqrt(x)", "domain": {"xmin": -2, "xmax": 2, "ymin": -2, "ymax": 2}}}))
+    assert main(["build", "--spec", str(spec), "--grid", "60", "47", "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == "error: height not finite at (-2.0, -2.0)\n"
+
+
+# -- lint_obj: the block-wise fast path against the line loop -------------------
+
+# the three builds of a mesh-build pass: (spec, grid)
+WORKLOAD_BUILDS = {
+    "cylinder": ({"kind": "ruled", "ruled": {
+        "seed": {"kind": "expression", "x": "s", "y": "0"}, "h0": "sqrt(1 - s^2)",
+        "s_range": [-0.84, 0.81], "r_range": [-0.883, 0.883]}}, (200, 200)),
+    "catenoid": ({"kind": "gallery", "gallery": {"name": "catenoid"}}, (100, 100)),
+    "shear": ({"kind": "graph", "graph": {"h": "x*y/2 + (-0.543)*x + (0.486)"}}, (100, 100)),
+}
+
+
+def build_obj(tmp_path, name, grid) -> Path:
+    spec = tmp_path / f"{name}.json"
+    spec.write_text(json.dumps(WORKLOAD_BUILDS[name][0]))
+    out = tmp_path / f"{name}-{grid[0]}x{grid[1]}"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["build", "--spec", str(spec), "--grid", *map(str, grid), "--out", str(out)]) == 0
+    return out / "mesh.obj"
+
+
+def lint_paths(path):
+    """(lint_obj's problems, the line loop's problems, whether the fast path parsed the file)."""
+    fast = meshes._read_layout(str(path)) is not None
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(meshes, "_read_layout", lambda p: None)
+        loop = lint_obj(str(path))
+    return lint_obj(str(path)), loop, fast
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOAD_BUILDS))
+def test_lint_paths_agree_on_the_workload_meshes(tmp_path, name):
+    path = build_obj(tmp_path, name, WORKLOAD_BUILDS[name][1])
+    assert lint_paths(path) == ([], [], True)
+
+
+def _nth(lines, tag, index):
+    """The line number of the index-th record with this tag (-1: the last)."""
+    return [k for k, line in enumerate(lines) if line.startswith(tag + " ")][index]
+
+
+def _edit_line(tag, index, edit):
+    def mutate(lines):
+        k = _nth(lines, tag, index)
+        lines[k] = edit(lines[k])
+    return mutate
+
+
+def _replace_token(tag, index, token):
+    """Replace the record's second value."""
+    def edit(line):
+        parts = line.split(" ")
+        parts[2] = token
+        return " ".join(parts)
+    return _edit_line(tag, index, edit)
+
+
+def _face(i, j, k):
+    return _edit_line("f", -1, lambda line: f"f {i} {j} {k}\n")
+
+
+def _whole(edit):
+    def mutate(lines):
+        lines[:] = [edit("".join(lines))]
+    return mutate
+
+
+# each mutation: (edit of the file's lines, whether the fast path still
+# parses the file, whether lint_obj reports a problem)
+MUTATIONS = {
+    **{f"{tag}-token-{token}": (_replace_token(tag, 300, token), parses, not parses)
+       for token, parses in (("nan", False), ("1e999", False), ("inf", False), ("x", False),
+                             ("1_0", True), ("+1", True), ("١", True))
+       for tag in ("v", "f")},
+    "v-dropped-token": (_edit_line("v", 300, lambda line: line.rsplit(" ", 1)[0] + "\n"), False, True),
+    "f-dropped-token": (_edit_line("f", 300, lambda line: line.rsplit(" ", 1)[0] + "\n"), False, True),
+    "v-doubled-space": (_edit_line("v", 300, lambda line: line.replace(" ", "  ", 1)), False, False),
+    "f-doubled-space": (_edit_line("f", -1, lambda line: line.replace(" ", "  ", 1)), False, False),
+    "v-tab": (_edit_line("v", 300, lambda line: line.replace(" ", "\t", 1)), False, False),
+    "f-unit-separator": (_edit_line("f", 300, lambda line: line.replace(" ", "\x1c", 1)), False, False),
+    "crlf": (_whole(lambda text: text.replace("\n", "\r\n")), True, False),
+    "no-final-newline": (_whole(lambda text: text[:-1]), False, False),
+    "comment-between-faces": (lambda lines: lines.insert(_nth(lines, "f", 300), "# note\n"),
+                              False, False),
+    "face-index-0": (_face(1, 0, 2), True, True),
+    "face-index-past-the-end": (lambda lines: _face(1, 2, sum(
+        line.startswith("v ") for line in lines) + 1)(lines), True, True),
+    "face-index-beyond-int64": (_face(1, 2, 2 ** 63), False, True),
+    "face-index-repeated": (_face(1, 2, 1), True, True),
+    "empty": (_whole(lambda text: ""), True, False),
+}
+
+
+@pytest.fixture(scope="module")
+def small_workload_objs(tmp_path_factory):
+    """The OBJ text of the workload's three surfaces on a smaller grid, so the line loop stays quick."""
+    tmp_path = tmp_path_factory.mktemp("objs")
+    return {name: build_obj(tmp_path, name, (23, 19)).read_text() for name in sorted(WORKLOAD_BUILDS)}
+
+
+@pytest.mark.parametrize("block", [meshes.BLOCK, 300, 1])
+@pytest.mark.parametrize("mutation", sorted(MUTATIONS))
+def test_lint_paths_agree_on_mutated_workload_meshes(small_workload_objs, tmp_path, monkeypatch,
+                                                     block, mutation):
+    # with small blocks the mutation lands in a later block than the first,
+    # and with 1 every line is a block of its own
+    monkeypatch.setattr(meshes, "BLOCK", block)
+    mutate, parses, reported = MUTATIONS[mutation]
+    for name, text in small_workload_objs.items():
+        lines = text.splitlines(keepends=True)
+        mutate(lines)
+        path = tmp_path / f"{name}.obj"
+        path.write_bytes("".join(lines).encode())
+        problems, loop, fast = lint_paths(path)
+        assert problems == loop, name
+        assert (fast, bool(problems)) == (parses, reported), name
+
+
+def test_lint_reads_every_written_layout_a_block_at_a_time(tmp_path, monkeypatch):
+    loops = []
+    monkeypatch.setattr(meshes, "_read_lines", lambda path: loops.append(path))
+    monkeypatch.setattr(meshes, "BLOCK", 1000)   # several blocks, and sections that start mid-block
+    graph = mesh_graph(GraphPatch.from_expr("x*y/2", PlanarDomain(-1, 1, -1, 1)), 30, 20)
+    ruled = mesh_ruled(gallery_get("cylinder").ruled(), 25, 30)
+    commented = Mesh(graph.vertices, graph.faces, comments=["first", "#second", "", "x " * 600])
+    for i, mesh in enumerate((graph, ruled, commented)):
+        path = str(tmp_path / f"{i}.obj")
+        write_obj(mesh, path)
+        assert lint_obj(path) == []
+    assert loops == []

@@ -889,3 +889,20 @@ def test_characteristic_locus_matches_the_scalar_loop(name, n_s):
     assert [repr(root) for root in rep.roots] == [repr(root) for root in roots]
     assert ([(s.tobytes(), r.tobytes()) for s, r in rep.singular.branches]
             == [(s.tobytes(), r.tobytes()) for s, r in branches])
+
+
+def test_chart_gradient_reads_each_seed_lookup_once(monkeypatch):
+    # gamma, gamma' and gamma'' once per call; _chart_nu adds rule_point's
+    # gamma and gamma', as its gradient is read through chart_height_gradient
+    lookups = []
+    for name in ("point", "tangent", "second"):
+        original = getattr(SeedCurve, name)
+        monkeypatch.setattr(SeedCurve, name, lambda self, s, _f=original, _n=name:
+                            lookups.append(_n) or _f(self, s))
+    patch = gallery_get("cylinder").ruled()
+    s, r = np.array([-0.3, 0.1, 0.4]), np.array([0.2, -0.5, 0.3])
+    for fn, count in ((ruled_module.chart_height_gradient, 3), (w_direct, 3),
+                      (ruled_module._chart_nu, 5)):
+        lookups.clear()
+        fn(patch, s, r)
+        assert len(lookups) == count, fn.__name__
