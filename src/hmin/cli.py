@@ -168,7 +168,7 @@ def _seed_from_csv(path: str, s_range: tuple[float, float]) -> SeedCurve:
     g = rows[:, 1:3]
     dg = rows[:, 3:5]
     ddg = np.gradient(dg, s, axis=0)
-    return SeedCurve(s, g, dg, ddg, provenance="extracted")
+    return SeedCurve(s, g, dg, ddg)
 
 
 def _gallery_entry(spec: dict) -> Optional[gal.GalleryEntry]:

@@ -6,6 +6,10 @@ derivatives: exact ones when it has the six trees of an analytic field,
 central finite differences when it has f alone.  Its ``value`` and
 ``jet`` take one point or a chunk of points (1-d arrays of at most
 ``CHUNK`` nodes, from ``chunks``); the other evaluators take one point.
+The compile rule: f is compiled when the field is built, since that
+compile reports an unknown variable; every other evaluator is compiled
+the first time it is called (a ``functools.cached_property``), so a
+command compiles only the code it runs.
 The module also provides the fixed-step RK4 integrator used for
 seed-curve tracing, and adaptive Simpson quadrature for integral-defined
 curves and heights.  The integrator returns the traced points alone, and
@@ -30,9 +34,9 @@ Numerical defaults (fixed):
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -123,26 +127,37 @@ class ScalarField2:
     """A real function on a planar domain with derivative evaluators.
 
     ``exprs`` holds the trees of the field in x, y: f, then, when analytic,
-    (fx, fy, fxx, fxy, fyy).  On construction f is compiled, and so are
-    the gradient and the 2-jet of an analytic field.  A field with f alone
-    is a *stencil field*: its gradient is central differences at
-    ``FD_STEP`` and its Hessian second differences of the values at
-    ``HESS_STEP``, read around (x, y), inside ``domain``.  ``jet`` compiles
-    ``exprs`` for arrays on the first chunk it is given.
+    (fx, fy, fxx, fxy, fyy).  f is compiled on construction, which is where
+    an unknown variable is reported; every other evaluator (the gradient
+    code, the scalar 2-jet and the array code of ``exprs``) is compiled the
+    first time it is called, and kept.  A field with f alone is a *stencil
+    field*: its gradient is central differences at ``FD_STEP`` and its
+    Hessian second differences of the values at ``HESS_STEP``, read around
+    (x, y), inside ``domain``.
     """
 
     exprs: tuple[ex.Expr, ...]
     domain: Optional[PlanarDomain] = None
-    f: Optional[Callable] = field(default=None, init=False, repr=False, compare=False)
-    _grad: Optional[Callable] = field(default=None, init=False, repr=False, compare=False)
-    _jet: Optional[Callable] = field(default=None, init=False, repr=False, compare=False)
-    _array: Optional[Callable] = field(default=None, init=False, repr=False, compare=False)
+    f: Callable = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.f = ex.compile_fn(self.exprs[0], ("x", "y"))
-        if len(self.exprs) == 6:
-            self._grad = ex.compile_fn(self.exprs[1:3], ("x", "y"))
-            self._jet = ex.compile_fn(self.exprs, ("x", "y"))
+
+    @property
+    def analytic(self) -> bool:
+        return len(self.exprs) == 6
+
+    @cached_property
+    def _grad(self) -> Callable:
+        return ex.compile_fn(self.exprs[1:3], ("x", "y"))
+
+    @cached_property
+    def _jet(self) -> Callable:
+        return ex.compile_fn(self.exprs, ("x", "y"))
+
+    @cached_property
+    def _array(self) -> Callable:
+        return ex.compile_fn(self.exprs if self.analytic else self.exprs[0], ("x", "y"), array=True)
 
     # -- evaluation ---------------------------------------------------------
 
@@ -152,8 +167,8 @@ class ScalarField2:
         if not isinstance(x, np.ndarray):
             return self.f(x, y)
         with np.errstate(all="ignore"):
-            values = self._compiled()(x, y)
-        return values if len(self.exprs) == 1 else values[0]
+            values = self._array(x, y)
+        return values[0] if self.analytic else values
 
     def _check_stencil(self, x, y, h: float):
         dom = self.domain
@@ -187,16 +202,11 @@ class ScalarField2:
                 err.node = i
                 raise
 
-    def _compiled(self) -> Callable:
-        """The array code of ``exprs``, compiled on the first chunk."""
-        if self._array is None:
-            trees = self.exprs if len(self.exprs) > 1 else self.exprs[0]
-            self._array = ex.compile_fn(trees, ("x", "y"), array=True)
-        return self._array
-
     def _values(self, x) -> Callable:
         """The code of ``exprs`` (f alone for a stencil field) at a point, or at a chunk of nodes."""
-        return self._compiled() if isinstance(x, np.ndarray) else self._jet or self.f
+        if isinstance(x, np.ndarray):
+            return self._array
+        return self._jet if self.analytic else self.f
 
     def _fd_gradient(self, x, y) -> tuple:
         f, h = self._values(x), FD_STEP
@@ -216,10 +226,10 @@ class ScalarField2:
         return (fxx, fxy, fyy)
 
     def gradient(self, x: float, y: float) -> tuple[float, float]:
-        return self._fd_gradient(x, y) if self._grad is None else tuple(self._grad(x, y))
+        return tuple(self._grad(x, y)) if self.analytic else self._fd_gradient(x, y)
 
     def hessian(self, x: float, y: float) -> tuple[tuple[float, float], tuple[float, float]]:
-        if self._jet is not None:
+        if self.analytic:
             _, _, _, fxx, fxy, fyy = self._jet(x, y)
         else:
             fxx, fxy, fyy = self._stencil_hessian(x, y)
@@ -242,7 +252,7 @@ class ScalarField2:
         """
         # on a chunk, IEEE results such as inf - inf = NaN are the point, not a warning
         with np.errstate(all="ignore"):
-            if self._jet is not None:
+            if self.analytic:
                 return first if first is not None else self._values(x)(x, y)
             if first is not None:
                 return first + self._stencil_hessian(x, y, first[0])
@@ -265,10 +275,10 @@ class ScalarField2:
         return ScalarField2(trees, domain)
 
     def fd_only(self) -> "ScalarField2":
-        """The field of the same height with f alone (pure FD mode); it keeps
+        """The field of the same height with f alone (pure FD mode); it shares
         this field's compiled f."""
-        out = copy.copy(self)  # no __post_init__, so f is not compiled again
-        out.exprs, out._grad, out._jet, out._array = self.exprs[:1], None, None, None
+        out = object.__new__(ScalarField2)  # no __post_init__, so f is not compiled again
+        out.exprs, out.domain, out.f = self.exprs[:1], self.domain, self.f
         return out
 
 

@@ -143,7 +143,7 @@ def catenoid_seed(a: float, z0: tuple[float, float], s_range: tuple[float, float
     # arclength forces gamma'' _|_ gamma'; drop the differencing error's
     # tangential component
     ddg -= np.einsum("ij,ij->i", ddg, dg)[:, None] * dg
-    return SeedCurve(s, g, dg, ddg, provenance="closed-form")
+    return SeedCurve(s, g, dg, ddg)
 
 
 def optreg2_seed() -> SeedCurve:
@@ -173,8 +173,7 @@ def optreg2_seed() -> SeedCurve:
     s = np.linspace(-1.0, 1.0, 801)
     g = np.column_stack((cumulative_integral(cos_psi, s), cumulative_integral(sin_psi, s)))
     dg, ddg = np.column_stack(dgamma(s)), np.column_stack(ddgamma(s))
-    return SeedCurve(s, g, dg, ddg, provenance="closed-form",
-                     dgamma_fn=dgamma, ddgamma_fn=ddgamma)
+    return SeedCurve(s, g, dg, ddg, dgamma_fn=dgamma, ddgamma_fn=ddgamma)
 
 
 # ---------------------------------------------------------------------------
@@ -193,7 +192,6 @@ class GalleryEntry:
 
     name: str
     params: dict
-    notes: str = ""
     graph: Optional[GraphPatch] = None
     graph_lower: Optional[GraphPatch] = None
     implicit: Optional[ImplicitSurface] = None
@@ -204,7 +202,6 @@ class GalleryEntry:
     arc_span: float = 1.0
     known_seed: Optional[Callable[[tuple[float, float]], SeedCurve]] = None
     known_kappa: Optional[Callable[[tuple[float, float]], float]] = None
-    known_h0: Optional[Callable[[tuple[float, float]], Profile]] = None
     scan_domain: Optional[PlanarDomain] = None
     radius_law: Optional[Callable[[tuple[float, float], float], float]] = None
     ruled: Optional[Callable[[], RuledPatch]] = None
@@ -237,7 +234,6 @@ def _char_plane() -> GalleryEntry:
     entry = GalleryEntry(
         name="char-plane",
         params={},
-        notes="the plane t = 0; one characteristic point at the origin",
         graph=GraphPatch.from_expr("0", dom),
         implicit=ImplicitSurface.from_expr("t"),
         verify_domain=PlanarDomain(-2.0, 2.0, -2.0, 2.0),
@@ -245,7 +241,6 @@ def _char_plane() -> GalleryEntry:
         arc_span=math.pi,
         known_seed=lambda z0: circle_seed((0.0, 0.0), z0, (-math.pi, math.pi)),
         known_kappa=lambda z0: -1.0 / math.hypot(*z0),
-        known_h0=lambda z0: Profile.constant(0.0),
         expected_scan={"kind": "point", "at": (0.0, 0.0)},
         expected_chart_label="double-root",
         expected_chart_root=lambda s: -1.0,
@@ -273,7 +268,6 @@ def _general_plane(a: float = 1.0, b: float = 2.0, c: float = 2.0,
     return GalleryEntry(
         name="general-plane",
         params={"a": a, "b": b, "c": c, "d": d},
-        notes="plane a x + b y + c t = d; characteristic point (-2b/c, 2a/c, d/c)",
         graph=GraphPatch.from_expr(src, dom),
         implicit=ImplicitSurface.from_expr(
             f"{_num(a)}*x + {_num(b)}*y + {_num(c)}*t - {_num(d)}"),
@@ -296,15 +290,9 @@ def _hyperbolic() -> GalleryEntry:
         sgn = 1.0 if z0[1] > 0 else -1.0
         return line_seed(z0, (-sgn, 0.0), (-1.5, 1.5))
 
-    def known_h0(z0):
-        x, y = z0
-        sgn = 1.0 if y > 0 else -1.0
-        return Profile.from_expr(f"{_num(y)}*({_num(x)} - {_num(sgn)}*s)/2")
-
     entry = GalleryEntry(
         name="hyperbolic",
         params={},
-        notes="t = x y/2; straight seeds, characteristic locus on the x-axis",
         graph=GraphPatch.from_expr("x*y/2", dom),
         implicit=ImplicitSurface.from_expr("t - x*y/2"),
         verify_domain=PlanarDomain(-2.0, 2.0, -2.0, 2.0),
@@ -312,7 +300,6 @@ def _hyperbolic() -> GalleryEntry:
         arc_span=1.5,
         known_seed=known_seed,
         known_kappa=lambda z0: 0.0,
-        known_h0=known_h0,
         expected_scan={"kind": "line-y0"},
         expected_chart_label="kappa-zero",
         expected_chart_root=lambda s: -1.0,   # r = -y with y = 1 along the seed
@@ -352,7 +339,6 @@ def _catenoid(a: float = 2.0, u0: float = 0.0) -> GalleryEntry:
     entry = GalleryEntry(
         name="catenoid",
         params={"a": a, "u0": u0},
-        notes="catenoid-type surface; empty characteristic locus, two sheets",
         graph=GraphPatch.from_expr(upper, dom),
         graph_lower=GraphPatch.from_expr(lower, dom),
         implicit=ImplicitSurface.from_expr(
@@ -380,12 +366,8 @@ def _catenoid(a: float = 2.0, u0: float = 0.0) -> GalleryEntry:
     def gsc():
         up = catenoid_seed(a, base, (-0.5, s_rim), sheet=1.0)
         low = catenoid_seed(a, up.point(s_rim), (0.0, s_rim + 0.5), sheet=-1.0)
-
-        def h0_low(s: float) -> float:
-            return u0 - (2.0 / a) * math.sqrt(max(a * (rim2 + rate * s) / 4.0 - 1.0, 0.0))
-
-        pieces = [GSCPiece(up, Profile(f=h0_up), -0.5, s_rim, name="upper"),
-                  GSCPiece(low, Profile(f=h0_low), 0.0, s_rim + 0.5, name="lower")]
+        pieces = [GSCPiece(up, -0.5, s_rim, name="upper"),
+                  GSCPiece(low, 0.0, s_rim + 0.5, name="lower")]
         return GeneralizedSeedCurve(pieces, [GSCJoin("b", "a")])
 
     entry.gsc = gsc
@@ -413,16 +395,9 @@ def _counterexample() -> GalleryEntry:
         hi = (1.0 - th) * rho * 0.93
         return circle_seed((0.0, 0.0), z0, (lo, hi))
 
-    def known_h0(z0):
-        rho = math.hypot(*z0)
-        th = math.atan2(z0[1], z0[0])
-        return Profile.from_expr(f"-atanh({_num(th)} + s/{_num(rho)})")
-
     entry = GalleryEntry(
         name="counterexample",
         params={},
-        notes="y = -x tan(tanh t): entire graph over the xt-plane with empty "
-              "characteristic locus that is not a vertical plane",
         graph=GraphPatch.from_expr("-atanh(atan(y/x))", dom),
         implicit=ImplicitSurface.from_expr("y + x*tan(tanh(t))"),
         verify_domain=vdom,
@@ -430,7 +405,6 @@ def _counterexample() -> GalleryEntry:
         arc_span=0.85,
         known_seed=known_seed,
         known_kappa=lambda z0: -1.0 / math.hypot(*z0),
-        known_h0=known_h0,
         expected_scan={"kind": "empty"},
         expected_chart_label="none",
         check_roundtrip=True,
@@ -457,8 +431,8 @@ def _cylinder() -> GalleryEntry:
 
     def gsc():
         s1, s2 = make_pair()
-        pieces = [GSCPiece(s1.seed, s1.h0, -0.98, 0.98, name="upper"),
-                  GSCPiece(s2.seed, s2.h0, -0.98, 0.98, name="lower")]
+        pieces = [GSCPiece(s1.seed, -0.98, 0.98, name="upper"),
+                  GSCPiece(s2.seed, -0.98, 0.98, name="lower")]
         # the sheets close up along the vertical tangent lines x = +-1
         joins = [GSCJoin("b", "b"), GSCJoin("a", "a")]
         return GeneralizedSeedCurve(pieces, joins)
@@ -466,8 +440,6 @@ def _cylinder() -> GalleryEntry:
     entry = GalleryEntry(
         name="cylinder",
         params={},
-        notes="(t - xy/2)^2 = 1 - x^2: topological cylinder with piecewise "
-              "constant horizontal Gauss map (+-1, 0)",
         graph=GraphPatch.from_expr("sqrt(1 - x^2) + x*y/2", dom),
         graph_lower=GraphPatch.from_expr("-sqrt(1 - x^2) + x*y/2", dom),
         implicit=ImplicitSurface.from_expr("(t - x*y/2)^2 - (1 - x^2)"),
@@ -504,20 +476,19 @@ def _gencurve(n: int = 3) -> GalleryEntry:
     # the height x^(1/n) along the seed (s, 0); an odd root is odd in s
     root = (lambda s: math.copysign(abs(s) ** (1.0 / n), s)) if odd else (lambda s: s ** (1.0 / n))
 
-    def piece(a: float, b: float, h0: Callable[[float], float], name: str) -> GSCPiece:
-        return GSCPiece(line_seed((0.0, 0.0), (1.0, 0.0), (a, b)), Profile(f=h0), a, b, name=name)
+    def piece(a: float, b: float, name: str) -> GSCPiece:
+        return GSCPiece(line_seed((0.0, 0.0), (1.0, 0.0), (a, b)), a, b, name=name)
 
     def gsc():
         if odd:
-            pieces = [piece(-2.0, 0.0, root, "x<0"), piece(0.0, 2.0, root, "x>0")]
+            pieces = [piece(-2.0, 0.0, "x<0"), piece(0.0, 2.0, "x>0")]
             return GeneralizedSeedCurve(pieces, [GSCJoin("b", "a")])
-        pieces = [piece(0.0, 2.0, root, "upper"), piece(0.0, 2.0, lambda s: -root(s), "lower")]
+        pieces = [piece(0.0, 2.0, "upper"), piece(0.0, 2.0, "lower")]
         return GeneralizedSeedCurve(pieces, [GSCJoin("a", "a")])
 
     entry = GalleryEntry(
         name="gencurve-n",
         params={"n": n},
-        notes="(t - xy/2)^n = x; needs a generalized seed curve (two pieces)",
         graph=graph,
         graph_lower=graph_lower,
         implicit=ImplicitSurface.from_expr(f"(t - x*y/2)^{_num(float(n))} - x"),
@@ -558,7 +529,6 @@ def _optreg2() -> GalleryEntry:
     entry = GalleryEntry(
         name="optreg2",
         params={},
-        notes="seed curvature -|s|; characteristic branch with a corner at s=0",
         seed_base=None,
         own_checks=_optreg2_corner,
     )
@@ -587,8 +557,6 @@ def _iso_profile(R: float = 1.0) -> GalleryEntry:
     return GalleryEntry(
         name="iso-profile",
         params={"R": R},
-        notes="isoperimetric-type profile: constant H-mean curvature 2/R "
-              "(upper sheet, graph orientation)",
         graph=GraphPatch.from_expr(src, dom),
         verify_domain=vdom,
         expected_curvature=2.0 / R,

@@ -29,14 +29,20 @@ pins down the sign conventions above; its p and q are ``surface.graph_pq``
 of the chain-rule gradient, as are those of the unit field ``_chart_nu``.
 
 ``RuledPatch.w0``, ``w``, ``w_ode_residual``, ``height`` and ``embed``,
-``chart_height_gradient``, ``w_direct`` (its chain route) and
-``curvature_on_patch`` take floats s, r or 1-d arrays of them, with the
-rules of ``seed``: each element is the float of the scalar call, h0 and
-math.hypot are called element by element, and an array call raises what
-the first failing scalar call would.  The chart samples are arrays, and
-the locus is solved and verified over all sampled s at once.
-``invert_chart``, ``w_direct(method="invert")`` and ``rule`` stay scalar,
-as the independent oracles.
+``chart_height_gradient``, ``w_direct`` and ``curvature_on_patch`` take
+floats s, r or 1-d arrays of them, with the rules of ``seed``: each
+element is the float of the scalar call, h0 and math.hypot are called
+element by element, and an array call raises what the first failing
+scalar call would.  The chart samples are arrays, and the locus is
+solved and verified over all sampled s at once.
+``invert_chart``, ``w_direct_invert`` (``w_direct`` by Newton inversion of
+F) and ``rule`` stay scalar, as the independent oracles.
+
+The graphs that ``roundtrip`` and ``classify_entire_graph`` read follow
+the compile rule of ``fields.ScalarField2``: the height's gradient, 2-jet
+and array code are compiled the first time they are called.
+``classify_entire_graph`` tells a straight seed from a circular one by
+``constant_curvature_test`` on its extracted seed, as a one-piece GSC.
 """
 
 from __future__ import annotations
@@ -60,6 +66,7 @@ from .surface import EPS_CHAR, W_MARGIN, GraphPatch, graph_pq, read_nodes
 EPS_DELTA = 1e-9
 DET_GUARD = 0.1
 FOLD_GUARD = 0.15   # chart samples keep |-1 + r kappa| above this
+KAPPA_SAMPLES = 41  # curvature samples per GSC piece (constant_curvature_test)
 
 
 @takes_arrays
@@ -211,29 +218,27 @@ def chart_height_gradient(patch: RuledPatch, s, r) -> tuple:
 
 
 @takes_arrays
-def w_direct(patch: RuledPatch, s, r, method: str = "chain"):
-    """Angle function of the reconstructed graph at F(s, r), from first principles.
-
-    ``chain`` differentiates the reconstructed height through the chart
-    (exact up to interpolation error), and takes arrays of s and r;
-    ``invert`` finite-differences the height obtained by Newton-inverting
-    F, a fully independent route, at one (s, r).
-    """
-    if method == "chain":
-        (x, y), (hx, hy) = _chart_point_gradient(patch, s, r)
-    elif method == "invert":
-        x, y = rule_point(patch.seed, s, r)
-        step = 1e-5
-
-        def h_at(zx: float, zy: float) -> float:
-            si, ri = invert_chart(patch, (zx, zy), (s, r))
-            return patch.height(si, ri)
-
-        hx = (h_at(x + step, y) - h_at(x - step, y)) / (2.0 * step)
-        hy = (h_at(x, y + step) - h_at(x, y - step)) / (2.0 * step)
-    else:
-        raise ValueError(f"unknown method {method!r}")
+def w_direct(patch: RuledPatch, s, r):
+    """Angle function of the reconstructed graph at F(s, r), from first
+    principles: the reconstructed height differentiated through the chart
+    (exact up to interpolation error)."""
+    (x, y), (hx, hy) = _chart_point_gradient(patch, s, r)
     return ex.pointwise(math.hypot, *graph_pq(hx, hy, x, y))
+
+
+def w_direct_invert(patch: RuledPatch, s: float, r: float) -> float:
+    """The oracle of ``w_direct`` at one (s, r), by a fully independent
+    route: central differences of the height found by Newton-inverting F."""
+    x, y = rule_point(patch.seed, s, r)
+    step = 1e-5
+
+    def h_at(zx: float, zy: float) -> float:
+        si, ri = invert_chart(patch, (zx, zy), (s, r))
+        return patch.height(si, ri)
+
+    hx = (h_at(x + step, y) - h_at(x - step, y)) / (2.0 * step)
+    hy = (h_at(x, y + step) - h_at(x, y - step)) / (2.0 * step)
+    return math.hypot(*graph_pq(hx, hy, x, y))
 
 
 def chart_samples(patch: RuledPatch, n: int,
@@ -313,8 +318,6 @@ class LocusRoot:
     label: str
     image: HPoint
     w_formula: float              # signed W at the root (should vanish)
-    w_direct: Optional[float]     # direct W on the reconstructed graph, if checkable
-    det: float                    # det DF at the root
     verified: bool = False
 
 
@@ -374,10 +377,8 @@ def characteristic_locus(patch: RuledPatch, n_s: int = 201) -> LociReport:
     det = rule_jacobian_det(patch.seed, s, r)
     image = patch.embed(s, r)
     ok = abs(wf) <= 1e-8
-    wd = np.full(len(s), math.nan)
     direct = ok & (abs(det) > DET_GUARD)
-    wd[direct] = w_direct(patch, s[direct], r[direct])
-    ok[direct] = wd[direct] <= 1e-6
+    ok[direct] = w_direct(patch, s[direct], r[direct]) <= 1e-6
     # probe the rule on the invertible side of the fold, then at r +- 0.25
     near = np.flatnonzero(ok & ~direct)
     cand, found = r[near], np.zeros(len(near), dtype=bool)
@@ -385,14 +386,10 @@ def characteristic_locus(patch: RuledPatch, n_s: int = 201) -> LociReport:
         fresh = ~found & (abs(rule_jacobian_det(patch.seed, s[near], c)) > DET_GUARD)
         cand, found = np.where(fresh, c, cand), found | fresh
     probed, cand = near[found], cand[found]
-    wd[probed] = w_direct(patch, s[probed], cand)
-    ok[probed] = abs(wd[probed] - abs(patch.w(s[probed], cand))) <= 1e-6
-    checked = direct.copy()
-    checked[probed] = True
-    wd = [v if c else None for v, c in zip(wd.tolist(), checked.tolist())]
+    ok[probed] = abs(w_direct(patch, s[probed], cand) - abs(patch.w(s[probed], cand))) <= 1e-6
     images = [HPoint(*g) for g in zip(*(a.tolist() for a in image))]
     roots = [LocusRoot(*row) for row in zip(s.tolist(), r.tolist(), [labels[i] for i in at],
-                                            images, wf.tolist(), wd, det.tolist(), ok.tolist())]
+                                            images, wf.tolist(), ok.tolist())]
     return LociReport(roots, list(zip(ss.tolist(), labels)), _singular_on(patch))
 
 
@@ -463,7 +460,6 @@ def rule(patch: RuledPatch, s: float) -> Rule:
 @dataclass
 class GSCPiece:
     curve: SeedCurve
-    h0: Profile
     a: float
     b: float
     name: str = ""
@@ -495,7 +491,6 @@ class GeneralizedSeedCurve:
 
 @dataclass
 class JoinCheck:
-    index: int
     gap: Optional[float]
     ok: bool
     note: str = ""
@@ -526,17 +521,19 @@ def validate_gsc(gsc: GeneralizedSeedCurve, tol: float) -> GSCValidation:
         left = gsc.pieces[i % n].endpoint(join.end_left)
         right = gsc.pieces[(i + 1) % n].endpoint(join.end_right)
         if left is None or right is None:
-            checks.append(JoinCheck(i, None, False, "join at an infinite endpoint"))
+            checks.append(JoinCheck(None, False, "join at an infinite endpoint"))
             continue
         gap = math.hypot(left[0] - right[0], left[1] - right[1])
-        checks.append(JoinCheck(i, gap, gap <= tol))
+        checks.append(JoinCheck(gap, gap <= tol))
     return GSCValidation(checks)
 
 
 def constant_curvature_test(gsc: GeneralizedSeedCurve, tol: float) -> tuple[bool, list[dict]]:
     """True iff each piece's signed curvature is constant to tol.
 
-    The constants may differ from piece to piece.
+    The constants may differ from piece to piece.  Each piece is sampled at
+    KAPPA_SAMPLES points of its range, cut to its curve's; its summary has
+    the mean kappa, the largest deviation from it and the peak |kappa|.
     """
     summary = []
     ok = True
@@ -545,10 +542,11 @@ def constant_curvature_test(gsc: GeneralizedSeedCurve, tol: float) -> tuple[bool
         hi = piece.b if math.isfinite(piece.b) else piece.curve.s_max
         lo = max(lo, piece.curve.s_min)
         hi = min(hi, piece.curve.s_max)
-        kappas = curvature(piece.curve, np.linspace(lo, hi, 101))
+        kappas = curvature(piece.curve, np.linspace(lo, hi, KAPPA_SAMPLES))
         mean = float(kappas.mean())
         dev = float(np.abs(kappas - mean).max())
-        summary.append({"name": piece.name, "kappa": mean, "max_dev": dev})
+        summary.append({"name": piece.name, "kappa": mean, "max_dev": dev,
+                        "peak": float(np.abs(kappas).max())})
         ok = ok and dev <= tol
     return ok, summary
 
@@ -676,11 +674,12 @@ def classify_entire_graph(patch: GraphPatch) -> Classification:
     window = min(dom.xmax - dom.xmin, dom.ymax - dom.ymin)
     span = min(1.5, window / 4.0)
     curve = extract_seed(patch, z0, span)
-    lo = max(curve.s_min, -span / 2)
-    hi = min(curve.s_max, span / 2)
-    kappas = curvature(curve, np.linspace(lo, hi, 41))
+    lo, hi = max(curve.s_min, -span / 2), min(curve.s_max, span / 2)
+    # the seed over [-span/2, span/2], cut to its traced range, as a one-piece GSC
+    _, (kappa,) = constant_curvature_test(GeneralizedSeedCurve([GSCPiece(curve, lo, hi)]),
+                                          tol_kappa)
 
-    if np.abs(kappas).max() <= tol_kappa:
+    if kappa["peak"] <= tol_kappa:
         # straight seed: report direction, lifted base point and heights
         d = curve.tangent(0.0)
         g0 = curve.point(0.0)
@@ -694,7 +693,7 @@ def classify_entire_graph(patch: GraphPatch) -> Classification:
         return Class2(direction=d, base=base, h0_samples=h0s, alpha=alpha,
                       rebuild_error=err)
 
-    if np.abs(kappas - kappas.mean()).max() <= tol_kappa * max(1.0, abs(kappas.mean())):
+    if kappa["max_dev"] <= tol_kappa * max(1.0, abs(kappa["kappa"])):
         # circular seed: the graph must be a plane; fit a x + b y + c t = d
         design = np.column_stack([x, y, np.ones(len(x))])
         coef, *_ = np.linalg.lstsq(design, t, rcond=None)

@@ -96,7 +96,6 @@ class SeedCurve:
     g: np.ndarray          # (n, 2) positions
     dg: np.ndarray         # (n, 2) unit tangents
     ddg: np.ndarray        # (n, 2) second derivatives
-    provenance: str = "extracted"
     stop_lo: Optional[str] = None
     stop_hi: Optional[str] = None
     gamma_fn: Optional[Callable[[float], tuple[float, float]]] = None
@@ -202,8 +201,7 @@ class SeedCurve:
                        n_samples: int = 257) -> "SeedCurve":
         s = np.linspace(s_range[0], s_range[1], n_samples)
         g, dg, ddg = (np.column_stack(_columns(fn, s)) for fn in (gamma, dgamma, ddgamma))
-        return SeedCurve(s, g, dg, ddg, provenance="closed-form",
-                         gamma_fn=gamma, dgamma_fn=dgamma, ddgamma_fn=ddgamma)
+        return SeedCurve(s, g, dg, ddg, gamma_fn=gamma, dgamma_fn=dgamma, ddgamma_fn=ddgamma)
 
 
 @takes_arrays
@@ -252,7 +250,7 @@ def extract_seed(patch: GraphPatch, z0: tuple[float, float], arc_span: float,
     # the backward branch reversed, without its copy of z0
     s = np.arange(1 - len(g_b), len(g_f)) * step
     g, dg, ddg = (np.vstack([b[:0:-1], f]) for b, f in ((g_b, g_f), (dg_b, dg_f), (ddg_b, ddg_f)))
-    return SeedCurve(s, g, dg, ddg, provenance="extracted", stop_lo=stop_lo, stop_hi=stop_hi)
+    return SeedCurve(s, g, dg, ddg, stop_lo=stop_lo, stop_hi=stop_hi)
 
 
 def _seed_jet(patch: GraphPatch, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -18,8 +18,11 @@ which differences the unit field.  The convention has its one home here:
 (p, q); no other module writes them out.
 
 Implicit surfaces phi(x, y, t) = 0 carry an orientation flag; negating the
-orientation negates the curvature.  Curvature at characteristic points is
-deliberately left undefined: the scan reports the locus instead.
+orientation negates the curvature.  They follow the compile rule of
+``fields.ScalarField2``: phi is compiled when the surface is built, and
+the (p, q), phi_t and curvature-term code the first time each is called.
+Curvature at characteristic points is deliberately left undefined: the
+scan reports the locus instead.
 ``characteristic_scan`` flags the lattice nodes of a grid where W < eps
 and groups them into 8-connected components.  It reports nodes only; a
 component's representative is the mean of its nodes.
@@ -36,7 +39,8 @@ share: the height's jet, then W, then H where W is not <= W_MARGIN.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -70,7 +74,7 @@ class GraphPatch:
 
     @property
     def analytic(self) -> bool:
-        return len(self.h.exprs) == 6
+        return self.h.analytic
 
     def point(self, x: float, y: float) -> HPoint:
         t = self.h.value(x, y)
@@ -372,45 +376,58 @@ def characteristic_scan(patch: GraphPatch, grid: Grid2, eps: float) -> Character
 # ---------------------------------------------------------------------------
 
 
-class _Compiled(NamedTuple):
-    """The evaluators ``ImplicitSurface.from_expr`` compiles, in (x, y, t)."""
-
-    pq: Callable     # (p, q)
-    dt: Callable     # phi_t
-    curv: Callable   # (p, q, p_x, p_y, p_t, q_x, q_y, q_t)
+_XYT = ("x", "y", "t")
 
 
 @dataclass
 class ImplicitSurface:
-    """Level set phi = 0 with an orientation flag (+1 keeps phi, -1 negates it)."""
+    """Level set phi = 0 with an orientation flag (+1 keeps phi, -1 negates it).
 
-    phi: Callable[[float, float, float], float]
+    ``trees`` holds phi, phi_t, p = X1 phi and q = X2 phi, then the partials
+    of p and q in x, y and t.  phi is compiled on construction, which is
+    where an unknown variable is reported; the (p, q), phi_t and
+    curvature-term code are each compiled the first time they are called.
+    """
+
+    trees: tuple[ex.Expr, ...]
     orientation: int
-    _sym: _Compiled
+    phi: Callable[[float, float, float], float] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.phi = ex.compile_fn(self.trees[0], _XYT)
+
+    @cached_property
+    def _pq(self) -> Callable:
+        return ex.compile_fn(self.trees[2:4], _XYT)
+
+    @cached_property
+    def _dt(self) -> Callable:
+        return ex.compile_fn(self.trees[1], _XYT)
+
+    @cached_property
+    def _curv(self) -> Callable:
+        return ex.compile_fn(self.trees[2:], _XYT)
 
     @staticmethod
     def from_expr(src: str, orientation: int = 1) -> "ImplicitSurface":
         tree = ex.parse(src)
-        xyt = ("x", "y", "t")
         dt = ex.differentiate(tree, "t")
         half_y = ex.div(ex.Var("y"), ex.Num(2.0))
         half_x = ex.div(ex.Var("x"), ex.Num(2.0))
         p = ex.sub(ex.differentiate(tree, "x"), ex.mul(half_y, dt))   # X1 phi
         q = ex.add(ex.differentiate(tree, "y"), ex.mul(half_x, dt))   # X2 phi
-        curv = [p, q] + [ex.differentiate(f, v) for f in (p, q) for v in xyt]
-        compiled = _Compiled(ex.compile_fn([p, q], xyt), ex.compile_fn(dt, xyt),
-                             ex.compile_fn(curv, xyt))
-        return ImplicitSurface(ex.compile_fn(tree, xyt), orientation, compiled)
+        partials = [ex.differentiate(f, v) for f in (p, q) for v in _XYT]
+        return ImplicitSurface((tree, dt, p, q, *partials), orientation)
 
     def horizontal_data(self, g: HPoint) -> HorizontalData:
         o = float(self.orientation)
-        p, q = self._sym.pq(g.x, g.y, g.t)
+        p, q = self._pq(g.x, g.y, g.t)
         return _horizontal(o * p, o * q)
 
     def h_mean_curvature(self, g: HPoint) -> float:
         x, y, t = g.x, g.y, g.t
         o = float(self.orientation)
-        p, q, p_x, p_y, p_t, q_x, q_y, q_t = self._sym.curv(x, y, t)
+        p, q, p_x, p_y, p_t, q_x, q_y, q_t = self._curv(x, y, t)
         p, q = o * p, o * q
         # the derivatives of p and q along X1 and X2
         x1p, x2p = o * (p_x - 0.5 * y * p_t), o * (p_y + 0.5 * x * p_t)
@@ -427,7 +444,7 @@ class ImplicitSurface:
             val = self.phi(x, y, t)
             if abs(val) < 1e-12:
                 return t
-            dt = self._sym.dt(x, y, t)
+            dt = self._dt(x, y, t)
             if dt == 0.0 or not math.isfinite(dt):
                 break
             t -= val / dt

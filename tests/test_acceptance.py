@@ -14,7 +14,7 @@ from hmin.gallery import gallery_get, max_curvature_deviation
 from hmin.heis import HPoint
 from hmin.ruled import (RuledPatch, characteristic_locus, classify_entire_graph,
                         curvature_on_patch, chart_height_gradient,
-                        locus_branch_slope, roundtrip, w_direct)
+                        locus_branch_slope, roundtrip, w_direct, w_direct_invert)
 from hmin.seed import (SeedCurve, extract_seed, rule_jacobian_det,
                        rule_jacobian_det_fd, rule_point)
 from hmin.surface import GraphPatch, rotate_graph, translate_graph
@@ -139,7 +139,7 @@ def test_criterion_06_w_formula_oracle():
     report(6, "W formula vs direct angle function", worst, 1e-6)
     # sanity: the fully independent inversion route agrees too
     patch = gallery_get("char-plane").ruled()
-    dev = max(abs(abs(patch.w(s, r)) - w_direct(patch, s, r, method="invert"))
+    dev = max(abs(abs(patch.w(s, r)) - w_direct_invert(patch, s, r))
               for s, r in list(chart_samples(patch, 5, 5))[:10])
     report(6, "W formula vs Newton-inverted heights", dev, 1e-6)
 
@@ -205,8 +205,7 @@ def random_trig_seed(rng) -> tuple[SeedCurve, Profile]:
     g = np.column_stack([gx, gy])
     dg = np.array([dgamma(float(s)) for s in grid])
     ddg = np.array([ddgamma(float(s)) for s in grid])
-    curve = SeedCurve(grid, g, dg, ddg, provenance="closed-form",
-                      dgamma_fn=dgamma, ddgamma_fn=ddgamma)
+    curve = SeedCurve(grid, g, dg, ddg, dgamma_fn=dgamma, ddgamma_fn=ddgamma)
 
     c = rng.uniform(-0.8, 0.8, size=3)
 

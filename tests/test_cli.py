@@ -499,6 +499,52 @@ def test_gallery_parameter_beyond_the_float_range_exit_4(tmp_path, capsys, args)
     assert len(err) == 1 and err[0].startswith("error: ")
 
 
+GRAPH = {"kind": "graph", "graph": {"h": "x*y/2"}}
+IMPLICIT = {"kind": "implicit", "implicit": {"phi": "t - x*y/2"}}
+
+
+@pytest.mark.parametrize("command,payload,extra,message", [
+    ("verify", None, [], "invalid JSON in "),
+    ("verify", {"kind": "implicit", "implicit": {"phi": "t - x*"}}, [],
+     "bad level-set expression: syntax error at position 6"),
+    ("verify", {"kind": "ruled", "ruled": {**CYLINDER["ruled"], "h0": "sqrt(1 - s^2"}}, [],
+     "bad ruled-spec expression: syntax error at position 12"),
+    ("verify", {"kind": "ruled", "ruled": {**CYLINDER["ruled"], "seed": {
+        "kind": "expression", "x": "2*s", "y": "0"}}}, [],
+     "seed is not arclength-parameterized: max ||gamma'|-1| = 1.0"),
+    ("verify", {"kind": "ruled", "ruled": {**CYLINDER["ruled"], "seed": {
+        "kind": "samples", "path": "missing.csv"}}}, [], "cannot read seed samples: "),
+    ("verify", {"kind": "ruled", "ruled": {**CYLINDER["ruled"], "seed": {
+        "kind": "samples", "path": "four.csv"}}}, [],
+     "seed sample file needs columns s,x,y,dx,dy"),
+    ("seed", CYLINDER, ["--z0", "0", "1"],
+     "seed needs a graph spec or a gallery entry with a graph form"),
+    ("build", IMPLICIT, [], "build needs a ruled or graph spec, or a gallery entry with either"),
+    ("loci", GRAPH, [], "loci needs a ruled spec or a gallery entry with a ruled construction"),
+    ("classify", IMPLICIT, [], "classify needs a graph spec or a gallery entry with a graph form"),
+], ids=["invalid-json", "implicit-phi", "ruled-h0", "seed-not-arclength", "seed-csv-missing",
+        "seed-csv-four-columns", "seed-of-ruled", "build-of-implicit", "loci-of-graph",
+        "classify-of-implicit"])
+def test_input_error_exit_2(tmp_path, capsys, monkeypatch, command, payload, extra, message):
+    monkeypatch.chdir(tmp_path)   # the seed sample paths are relative
+    (tmp_path / "four.csv").write_text("s,x,y,dx\n0,0,0,1\n1,1,0,1\n")
+    spec = tmp_path / "in.json"
+    spec.write_text('{"kind": "graph", ' if payload is None else json.dumps(payload))
+    assert main([command, "--spec", str(spec), *extra, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: " + message)
+
+
+@pytest.mark.parametrize("args,message", [
+    (["general-plane", "--c", "0"], "general-plane requires c != 0"),
+    (["gencurve-0"], "gencurve requires a nonzero integer n"),
+])
+def test_gallery_entry_without_a_surface_exit_4(tmp_path, capsys, args, message):
+    assert main(["gallery", *args, "--out", str(tmp_path / "g")]) == 4
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: " + message)
+
+
 def test_classify_of_a_gallery_plane_does_not_need_its_seed_base(tmp_path, capsys):
     # the battery's seed base (-3, 10) lies off the plane's domain, so
     # `gallery` rejects these parameters, but the plane itself classifies

@@ -42,16 +42,11 @@ def test_hyperbolic_entry_data():
     seed = entry.known_seed((0.0, 1.0))
     assert seed.point(1.0) == pytest.approx((-1.0, 1.0))
     assert entry.known_kappa((0.0, 1.0)) == 0.0
-    h0 = entry.known_h0((0.0, 1.0))
-    assert h0(0.4) == pytest.approx(-0.2)
 
 
 def test_counterexample_entry_data():
     entry = gallery_get("counterexample")
     assert entry.known_kappa((1.0, 0.0)) == -1.0
-    h0 = entry.known_h0((1.0, 0.0))
-    assert h0(0.5) == pytest.approx(-math.atanh(0.5))
-    assert h0.d(0.0) == pytest.approx(-1.0)
 
 
 def test_catenoid_radius_law_constant():

@@ -1,0 +1,94 @@
+"""A field or surface compiles f or phi when it is built, and every other
+evaluator the first time it is called."""
+
+import json
+
+import numpy as np
+import pytest
+
+from hmin import expr as ex
+from hmin.cli import main
+from hmin.fields import ScalarField2, square
+from hmin.heis import HPoint
+from hmin.surface import GraphPatch, ImplicitSurface
+
+
+@pytest.fixture
+def compiled(monkeypatch):
+    """The trees of every ``expr.compile_fn`` call, with its ``array`` flag."""
+    calls = []
+    original = ex.compile_fn
+
+    def spy(e, var_order, array=False):
+        calls.append((e, array))
+        return original(e, var_order, array)
+
+    monkeypatch.setattr(ex, "compile_fn", spy)
+    return calls
+
+
+def test_building_compiles_only_f_or_phi(compiled):
+    patch = GraphPatch.from_expr("x*y/2 + sin(x)", square(2.0))
+    assert compiled == [(patch.h.exprs[0], False)]
+    compiled.clear()
+    surf = ImplicitSurface.from_expr("t - x*y/2")
+    assert compiled == [(surf.trees[0], False)]
+
+
+def test_fd_only_compiles_nothing_and_shares_f(compiled):
+    field = ScalarField2.from_expr("x*y/2 + sin(x)", square(2.0))
+    compiled.clear()
+    fd = field.fd_only()
+    assert compiled == [] and fd.f is field.f
+    assert fd.exprs == field.exprs[:1] and fd.domain is field.domain
+    # its gradient differences the shared f
+    assert fd.gradient(0.5, 0.5) == pytest.approx(field.gradient(0.5, 0.5), abs=1e-8)
+
+
+def _compiles_once(compiled, call) -> int:
+    compiled.clear()
+    first = call()
+    n = len(compiled)
+    assert repr(call()) == repr(first) and len(compiled) == n
+    return n
+
+
+def test_first_array_gradient_or_hessian_call_compiles_once(compiled):
+    field = ScalarField2.from_expr("x*y/2 + sin(x)", square(2.0))
+    x, y = np.array([0.1, 0.2]), np.array([0.3, -0.4])
+    assert _compiles_once(compiled, lambda: field.gradient(0.1, 0.3)) == 1
+    assert _compiles_once(compiled, lambda: field.hessian(0.1, 0.3)) == 1
+    assert _compiles_once(compiled, lambda: field.value(x, y)) == 1
+    assert compiled[0][1] is True
+    # the array code serves every chunk call: the jet compiles nothing more
+    assert _compiles_once(compiled, lambda: field.jet(x, y)) == 0
+    # a stencil field differences its f on floats
+    fd = field.fd_only()
+    assert _compiles_once(compiled, lambda: fd.gradient(0.1, 0.3)) == 0
+    assert _compiles_once(compiled, lambda: fd.hessian(0.1, 0.3)) == 0
+    assert _compiles_once(compiled, lambda: fd.jet(x, y)) == 1
+
+    surf = ImplicitSurface.from_expr("t - x*y/2")
+    g = HPoint(1.0, 0.5, 0.25)
+    assert _compiles_once(compiled, lambda: surf.horizontal_data(g)) == 1
+    assert _compiles_once(compiled, lambda: surf.h_mean_curvature(g)) == 1
+    assert _compiles_once(compiled, lambda: surf.solve_height(1.0, 0.5, 0.0)) == 1
+
+
+IN_GRAPH = "unknown variable 't': this field takes x, y"
+
+
+@pytest.mark.parametrize("command,payload,message", [
+    ("verify", {"kind": "graph", "graph": {"h": "x*t"}}, IN_GRAPH),
+    ("classify", {"kind": "graph", "graph": {"h": "x*t"}}, IN_GRAPH),
+    ("verify", {"kind": "graph", "graph": {"h": "x*t", "fd_only": True}}, IN_GRAPH),
+    # the implicit loop catches HminError per node: phi is compiled before it
+    ("verify", {"kind": "implicit", "implicit": {"phi": "t - s*x"}},
+     "unknown variable 's': this field takes x, y, t"),
+])
+def test_unknown_variable_exits_2_when_the_field_is_built(tmp_path, capsys, command, payload,
+                                                          message):
+    spec = tmp_path / "in.json"
+    spec.write_text(json.dumps(payload))
+    assert main([command, "--spec", str(spec), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.splitlines() == ["error: " + message]

@@ -16,7 +16,8 @@ from hmin.ruled import (GeneralizedSeedCurve, GSCJoin, GSCPiece, GSCValidation,
                         JoinCheck, RuledPatch, build_surface,
                         characteristic_locus, chart_samples, classify_entire_graph,
                         constant_curvature_test, curvature_on_patch,
-                        invert_chart, roundtrip, rule, validate_gsc, w_direct)
+                        invert_chart, roundtrip, rule, validate_gsc, w_direct,
+                        w_direct_invert)
 from hmin.seed import SeedCurve, curvature, extract_seed
 from hmin.surface import GraphPatch
 
@@ -218,8 +219,7 @@ def test_w_field_singular_rule():
 def test_w_direct_invert_agrees_with_chain():
     patch = cylinder_patch()
     for s, r in [(0.2, 0.5), (-0.4, -1.2)]:
-        assert w_direct(patch, s, r, "chain") == pytest.approx(
-            w_direct(patch, s, r, "invert"), abs=1e-6)
+        assert w_direct(patch, s, r) == pytest.approx(w_direct_invert(patch, s, r), abs=1e-6)
 
 
 def test_w_ode_residual():
@@ -388,41 +388,36 @@ def test_validate_catenoid_two_sheet_gsc():
 
 
 def test_validate_gsc_detects_gap():
-    p1 = GSCPiece(line_seed((0.0, 0.0), (1.0, 0.0), (-1.0, 0.0)),
-                  Profile.constant(0.0), -1.0, 0.0)
-    p2 = GSCPiece(line_seed((0.5, 0.0), (1.0, 0.0), (0.0, 1.0)),
-                  Profile.constant(0.0), 0.0, 1.0)
+    p1 = GSCPiece(line_seed((0.0, 0.0), (1.0, 0.0), (-1.0, 0.0)), -1.0, 0.0)
+    p2 = GSCPiece(line_seed((0.5, 0.0), (1.0, 0.0), (0.0, 1.0)), 0.0, 1.0)
     out = validate_gsc(GeneralizedSeedCurve([p1, p2]), 1e-6)
     assert not out.valid
     assert out.checks[0].gap == pytest.approx(0.5)
 
 
 def test_validate_gsc_infinite_end_is_flagged():
-    p1 = GSCPiece(line_seed((0.0, 0.0), (1.0, 0.0), (-2.0, 0.0)),
-                  Profile.constant(0.0), -math.inf, 0.0)
-    p2 = GSCPiece(line_seed((0.0, 0.0), (1.0, 0.0), (0.0, 2.0)),
-                  Profile.constant(0.0), 0.0, 2.0)
+    p1 = GSCPiece(line_seed((0.0, 0.0), (1.0, 0.0), (-2.0, 0.0)), -math.inf, 0.0)
+    p2 = GSCPiece(line_seed((0.0, 0.0), (1.0, 0.0), (0.0, 2.0)), 0.0, 2.0)
     out = validate_gsc(GeneralizedSeedCurve([p1, p2], [GSCJoin("a", "a")]), 1e-6)
     assert not out.valid and "infinite" in out.checks[0].note
 
 
 @pytest.mark.parametrize("gaps", [(1e-9, math.nan), (math.nan, 1e-9)])
 def test_max_gap_keeps_a_nan_gap(gaps):
-    out = GSCValidation([JoinCheck(i, g, g <= 1e-6) for i, g in enumerate(gaps)])
+    out = GSCValidation([JoinCheck(g, g <= 1e-6) for g in gaps])
     assert not out.valid and math.isnan(out.max_gap)
 
 
 def test_constant_curvature_gencurve_and_flat():
     ok, summary = constant_curvature_test(gallery_get("gencurve-3").gsc(), 1e-9)
     assert ok and all(abs(p["kappa"]) <= 1e-12 for p in summary)
-    piece = GSCPiece(circle_seed((0.0, 0.0), (1.0, 0.0), (-2.0, 2.0)),
-                     Profile.constant(0.0), -2.0, 2.0)
+    piece = GSCPiece(circle_seed((0.0, 0.0), (1.0, 0.0), (-2.0, 2.0)), -2.0, 2.0)
     ok, summary = constant_curvature_test(GeneralizedSeedCurve([piece]), 1e-9)
     assert ok and summary[0]["kappa"] == pytest.approx(-1.0)
 
 
 def test_constant_curvature_rejects_optreg_seed():
-    piece = GSCPiece(optreg2_seed(), Profile.constant(0.0), -1.0, 1.0)
+    piece = GSCPiece(optreg2_seed(), -1.0, 1.0)
     ok, summary = constant_curvature_test(GeneralizedSeedCurve([piece]), 1e-3)
     assert not ok
     assert summary[0]["max_dev"] > 0.3
@@ -433,16 +428,14 @@ def test_constant_curvature_nan_sample_fails():
     curve = SeedCurve.from_callables(
         lambda s: (s, 0.0), lambda s: (1.0, 0.0),
         lambda s: (math.nan, math.nan) if s > 0.5 else (0.0, 0.0), (-1.0, 1.0))
-    piece = GSCPiece(curve, Profile.constant(0.0), -1.0, 1.0)
+    piece = GSCPiece(curve, -1.0, 1.0)
     ok, summary = constant_curvature_test(GeneralizedSeedCurve([piece]), 1e-6)
     assert ok is False and math.isnan(summary[0]["max_dev"])
 
 
 def test_pieces_may_have_different_constants():
-    line = GSCPiece(line_seed((1.0, 0.0), (0.0, 1.0), (0.0, 1.0)),
-                    Profile.constant(0.0), 0.0, 1.0)
-    circ = GSCPiece(circle_seed((0.0, 0.0), (1.0, 0.0), (-1.0, 0.0)),
-                    Profile.constant(0.0), -1.0, 0.0, name="arc")
+    line = GSCPiece(line_seed((1.0, 0.0), (0.0, 1.0), (0.0, 1.0)), 0.0, 1.0)
+    circ = GSCPiece(circle_seed((0.0, 0.0), (1.0, 0.0), (-1.0, 0.0)), -1.0, 0.0, name="arc")
     gsc = GeneralizedSeedCurve([circ, line], [GSCJoin("b", "a")])
     assert validate_gsc(gsc, 1e-9).valid
     ok, summary = constant_curvature_test(gsc, 1e-6)
@@ -558,6 +551,20 @@ def test_classify_not_entire():
     assert out.kind == "not-entire"
 
 
+@pytest.mark.parametrize("src,box,reason", [
+    # every node of the window lies within 1e-7 of the characteristic line y = 0
+    ("x*y/2", (-1.0, 1.0, -1e-7, 1e-7), "no usable non-characteristic base point"),
+    # the counterexample: its t-graph seeds are circles, but it is no plane
+    ("-atanh(atan(y/x))", (1.0, 2.0, -0.5, 0.5), "circular seed but non-planar heights"),
+    # a catenoid sheet: its spiral seeds bend by a varying curvature
+    ("(2/(2.0))*sqrt((2.0)*(x^2+y^2)/4 - 1)", (2.5, 3.5, -0.5, 0.5),
+     "seed curve is neither a line nor a circle"),
+], ids=["characteristic-window", "counterexample", "catenoid"])
+def test_classify_not_entire_branches(src, box, reason):
+    out = classify_entire_graph(GraphPatch.from_expr(src, PlanarDomain(*box)))
+    assert out.kind == "not-entire" and out.reason.startswith(reason)
+
+
 # -- symmetry of the construction ----------------------------------------------
 
 
@@ -629,7 +636,6 @@ def test_w_oracle_on_random_patches():
             _np.array([(-math.sin(theta(float(s))) * dtheta(float(s)),
                         math.cos(theta(float(s))) * dtheta(float(s)))
                        for s in grid]),
-            provenance="closed-form",
             dgamma_fn=lambda s: (math.cos(theta(s)), math.sin(theta(s))),
             ddgamma_fn=lambda s: (-math.sin(theta(s)) * dtheta(s),
                                   math.cos(theta(s)) * dtheta(s)))
@@ -853,7 +859,7 @@ def _scalar_locus(patch, n_s):
                         wd = w_direct(patch, s, cand)
                         ok = abs(wd - abs(patch.w(s, cand))) <= 1e-6
                         break
-            roots.append(ruled_module.LocusRoot(s, r, label, image, wf, wd, det, ok))
+            roots.append(ruled_module.LocusRoot(s, r, label, image, wf, ok))
     kap = np.array([curvature(patch.seed, float(v)) for v in patch.seed.s])
     mask = list(np.abs(kap) > seed_module.EPS_KAPPA) + [False]
     branches, start = [], None

@@ -275,7 +275,7 @@ def test_lookups_match_numpy_hermite():
         for which in ("point", "tangent", "second"):
             for sq in queries:
                 assert (_outcome(getattr(c, which), sq)
-                        == _outcome(_numpy_lookup, c, which, sq)), (c.provenance, which, sq)
+                        == _outcome(_numpy_lookup, c, which, sq)), (which, sq)
 
 
 # (first and last s in steps, stop_lo, stop_hi) of each trace; the cylinder
@@ -500,7 +500,7 @@ def test_array_lookups_match_the_scalar_lookups():
             lookup = getattr(c, which)
             for values in queries:
                 want = _scalar_loop(lookup, values)
-                assert _array_call(lookup, values) == want, (c.provenance, which, values)
+                assert _array_call(lookup, values) == want, (which, values)
 
 
 def test_array_lookup_names_the_first_s_out_of_range():
