@@ -120,7 +120,9 @@ def graph_from_spec(spec: dict) -> GraphPatch:
     # one step alone would leave the outermost stencil points to rounding
     field = patch.h.fd_only()
     m = 2.0 * max(FD_STEP, HESS_STEP)
-    return GraphPatch(PlanarDomain(dom.xmin + m, dom.xmax - m, dom.ymin + m, dom.ymax - m), field)
+    xs = _interval("fd_only inset x range", dom.xmin + m, dom.xmax - m, strict=False)
+    ys = _interval("fd_only inset y range", dom.ymin + m, dom.ymax - m, strict=False)
+    return GraphPatch(PlanarDomain(*xs, *ys), field)
 
 
 def implicit_from_spec(spec: dict) -> ImplicitSurface:

@@ -29,12 +29,12 @@ pins down the sign conventions above; its p and q are ``surface.graph_pq``
 of the chain-rule gradient, as are those of the unit field ``_chart_nu``.
 
 ``RuledPatch.w0``, ``w``, ``w_ode_residual``, ``height`` and ``embed``,
-``chart_height_gradient``, ``w_direct`` and ``curvature_on_patch`` take
-floats s, r or 1-d arrays of them, with the rules of ``seed``: each
-element is the float of the scalar call, h0 and math.hypot are called
-element by element, and an array call raises what the first failing
-scalar call would.  The chart samples are arrays, and the locus is
-solved and verified over all sampled s at once.
+``w_direct``, ``_chart_nu`` and ``curvature_on_patch`` take floats s, r
+or 1-d arrays of them, with the rules of ``seed``: each element is the
+float of the scalar call, h0 and math.hypot are called element by
+element, and an array call raises what the first failing scalar call
+would.  The chart samples are arrays, and the locus is solved and
+verified over all sampled s at once.
 ``invert_chart``, ``w_direct_invert`` (``w_direct`` by Newton inversion of
 F) and ``rule`` stay scalar, as the independent oracles.
 
@@ -212,12 +212,6 @@ def _chart_point_gradient(patch: RuledPatch, s, r) -> tuple:
 
 
 @takes_arrays
-def chart_height_gradient(patch: RuledPatch, s, r) -> tuple:
-    """Planar gradient of the reconstructed height at F(s, r) by the chain rule."""
-    return _chart_point_gradient(patch, s, r)[1]
-
-
-@takes_arrays
 def w_direct(patch: RuledPatch, s, r):
     """Angle function of the reconstructed graph at F(s, r), from first
     principles: the reconstructed height differentiated through the chart
@@ -251,8 +245,9 @@ def chart_samples(patch: RuledPatch, n: int,
     and, unless ``w_min`` is None, near the characteristic locus
     (|W| < w_min).
     """
-    s, r = (a[1:-1] for a in Grid2(PlanarDomain(*patch.s_range, *patch.r_interval()), n, n).mesh())
-    keep = ~(abs(-1.0 + r * curvature(patch.seed, s[:, 0])[:, None]) <= FOLD_GUARD)
+    grid = Grid2(PlanarDomain(*patch.s_range, *patch.r_interval()), n, n)
+    s, r = (a[1:-1].ravel() for a in grid.mesh())
+    keep = ~(abs(rule_jacobian_det(patch.seed, s, r)) <= FOLD_GUARD)
     s, r = s[keep], r[keep]
     if w_min is not None:
         keep = ~(abs(patch.w(s, r)) < w_min)
@@ -272,8 +267,8 @@ def worst_on_chart(patch: RuledPatch, n: int, value: Callable[[np.ndarray, np.nd
 def _chart_nu(patch: RuledPatch, s, r) -> tuple:
     """The built graph's unit field nu = (p, q)/W at F(s, r), from the
     chain-rule gradient; raises CharacteristicPoint where W <= EPS_CHAR."""
-    x, y = rule_point(patch.seed, s, r)
-    p, q = graph_pq(*chart_height_gradient(patch, s, r), x, y)
+    (x, y), (hx, hy) = _chart_point_gradient(patch, s, r)
+    p, q = graph_pq(hx, hy, x, y)
     w = ex.pointwise(math.hypot, p, q)
     if np.any(w <= EPS_CHAR):
         raise CharacteristicPoint(f"W={w} at ({x}, {y})")
@@ -288,14 +283,13 @@ def curvature_on_patch(patch: RuledPatch, s, r):
     differences of ``_chart_nu`` at FD_STEP, and d nu/d(x, y) =
     d nu/d(s, r) J^-1 with J = DF(s, r) (``rule_jacobian``); H is the trace.
     """
-    det = rule_jacobian_det(patch.seed, s, r)
-    if np.any(abs(det) <= DET_GUARD):
-        raise FieldUndefined(f"|det DF| = {abs(det)} <= {DET_GUARD} at (s={s}, r={r})")
+    j = rule_jacobian(patch.seed, s, r)
+    det_j = j[0][0] * j[1][1] - j[0][1] * j[1][0]
+    if np.any(abs(det_j) <= DET_GUARD):
+        raise FieldUndefined(f"|det DF| = {abs(det_j)} <= {DET_GUARD} at (s={s}, r={r})")
     h = FD_STEP
     (sp1, sp2), (sm1, sm2) = _chart_nu(patch, s + h, r), _chart_nu(patch, s - h, r)
     (rp1, rp2), (rm1, rm2) = _chart_nu(patch, s, r + h), _chart_nu(patch, s, r - h)
-    j = rule_jacobian(patch.seed, s, r)
-    det_j = j[0][0] * j[1][1] - j[0][1] * j[1][0]
     # trace of [[nu1_s, nu1_r], [nu2_s, nu2_r]] [[j11, -j01], [-j10, j00]] / det_j
     return ((sp1 - sm1) * j[1][1] - (rp1 - rm1) * j[1][0]
             - (sp2 - sm2) * j[0][1] + (rp2 - rm2) * j[0][0]) / (2.0 * h * det_j)

@@ -19,8 +19,8 @@ which differences the unit field.  The convention has its one home here:
 
 Implicit surfaces phi(x, y, t) = 0 carry an orientation flag; negating the
 orientation negates the curvature.  They follow the compile rule of
-``fields.ScalarField2``: phi is compiled when the surface is built, and
-the (p, q), phi_t and curvature-term code the first time each is called.
+``fields.ScalarField2``: phi is compiled when the surface is built; phi_t,
+p, q and their partials are derived and compiled on the first call.
 Curvature at characteristic points is deliberately left undefined: the
 scan reports the locus instead.
 ``characteristic_scan`` flags the lattice nodes of a grid where W < eps
@@ -383,18 +383,28 @@ _XYT = ("x", "y", "t")
 class ImplicitSurface:
     """Level set phi = 0 with an orientation flag (+1 keeps phi, -1 negates it).
 
-    ``trees`` holds phi, phi_t, p = X1 phi and q = X2 phi, then the partials
-    of p and q in x, y and t.  phi is compiled on construction, which is
-    where an unknown variable is reported; the (p, q), phi_t and
-    curvature-term code are each compiled the first time they are called.
+    ``tree`` is phi, compiled on construction, which is where an unknown
+    variable is reported.  ``trees`` (phi, phi_t, p = X1 phi, q = X2 phi,
+    then the partials of p and q in x, y and t) is derived the first time
+    the (p, q), phi_t or curvature-term code is called and compiled.
     """
 
-    trees: tuple[ex.Expr, ...]
+    tree: ex.Expr
     orientation: int
     phi: Callable[[float, float, float], float] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.phi = ex.compile_fn(self.trees[0], _XYT)
+        self.phi = ex.compile_fn(self.tree, _XYT)
+
+    @cached_property
+    def trees(self) -> tuple[ex.Expr, ...]:
+        dt = ex.differentiate(self.tree, "t")
+        half_y = ex.div(ex.Var("y"), ex.Num(2.0))
+        half_x = ex.div(ex.Var("x"), ex.Num(2.0))
+        p = ex.sub(ex.differentiate(self.tree, "x"), ex.mul(half_y, dt))   # X1 phi
+        q = ex.add(ex.differentiate(self.tree, "y"), ex.mul(half_x, dt))   # X2 phi
+        partials = [ex.differentiate(f, v) for f in (p, q) for v in _XYT]
+        return (self.tree, dt, p, q, *partials)
 
     @cached_property
     def _pq(self) -> Callable:
@@ -410,14 +420,7 @@ class ImplicitSurface:
 
     @staticmethod
     def from_expr(src: str, orientation: int = 1) -> "ImplicitSurface":
-        tree = ex.parse(src)
-        dt = ex.differentiate(tree, "t")
-        half_y = ex.div(ex.Var("y"), ex.Num(2.0))
-        half_x = ex.div(ex.Var("x"), ex.Num(2.0))
-        p = ex.sub(ex.differentiate(tree, "x"), ex.mul(half_y, dt))   # X1 phi
-        q = ex.add(ex.differentiate(tree, "y"), ex.mul(half_x, dt))   # X2 phi
-        partials = [ex.differentiate(f, v) for f in (p, q) for v in _XYT]
-        return ImplicitSurface((tree, dt, p, q, *partials), orientation)
+        return ImplicitSurface(ex.parse(src), orientation)
 
     def horizontal_data(self, g: HPoint) -> HorizontalData:
         o = float(self.orientation)

@@ -12,11 +12,10 @@ import numpy as np
 from hmin.fields import Profile, cumulative_integral, square
 from hmin.gallery import gallery_get, max_curvature_deviation
 from hmin.heis import HPoint
-from hmin.ruled import (RuledPatch, characteristic_locus, classify_entire_graph,
-                        curvature_on_patch, chart_height_gradient,
-                        locus_branch_slope, roundtrip, w_direct, w_direct_invert)
-from hmin.seed import (SeedCurve, extract_seed, rule_jacobian_det,
-                       rule_jacobian_det_fd, rule_point)
+from hmin.ruled import (RuledPatch, _chart_nu, characteristic_locus, classify_entire_graph,
+                        curvature_on_patch, locus_branch_slope, roundtrip, w_direct,
+                        w_direct_invert)
+from hmin.seed import SeedCurve, extract_seed, rule_jacobian_det, rule_jacobian_det_fd
 from hmin.surface import GraphPatch, rotate_graph, translate_graph
 
 MINIMAL_ENTRIES = ["char-plane", "general-plane", "hyperbolic", "catenoid",
@@ -290,9 +289,6 @@ def test_criterion_12_cylinder_gluing():
                 s, r = float(s), float(r)
                 if abs(patch.w(s, r)) < 1e-2:   # skip near the characteristic set
                     continue
-                x, y = rule_point(patch.seed, s, r)
-                hx, hy = chart_height_gradient(patch, s, r)
-                p, q = -(hx + 0.5 * y), -(hy - 0.5 * x)
-                w = math.hypot(p, q)
-                worst = max(worst, abs(abs(p / w) - 1.0), abs(q / w))
+                nu1, nu2 = _chart_nu(patch, s, r)
+                worst = max(worst, abs(abs(nu1) - 1.0), abs(nu2))
     report(12, "cylinder Gauss map piecewise (+-1, 0)", worst, 1e-9)

@@ -302,6 +302,12 @@ def test_fd_only_graph_spec_runs(tmp_path):
     assert verdict["kind"] == "class2"
 
 
+def test_fd_only_inset_of_a_domain_2e_4_wide_is_one_line():
+    graph = {**FD_ONLY["graph"], "domain": {"xmin": 0.0, "xmax": 2e-4, "ymin": -1.0, "ymax": 1.0}}
+    dom = cli.graph_from_spec({"kind": "graph", "graph": graph}).domain
+    assert (dom.xmin, dom.xmax, dom.ymin, dom.ymax) == (1e-4, 1e-4, -1.0 + 1e-4, 1.0 - 1e-4)
+
+
 def test_gallery_command(tmp_path):
     assert main(["gallery", "nope", "--out", str(tmp_path / "g0")]) == 4
     assert main(["gallery", "catenoid", "--a", "2",
@@ -522,9 +528,13 @@ IMPLICIT = {"kind": "implicit", "implicit": {"phi": "t - x*y/2"}}
     ("build", IMPLICIT, [], "build needs a ruled or graph spec, or a gallery entry with either"),
     ("loci", GRAPH, [], "loci needs a ruled spec or a gallery entry with a ruled construction"),
     ("classify", IMPLICIT, [], "classify needs a graph spec or a gallery entry with a graph form"),
+    # the inset by 2*max(fd_step, hess_step) = 1e-4 per side inverts a thinner range
+    ("verify", {"kind": "graph", "graph": {"h": "x*y/2", "fd_only": True, "domain": {
+        "xmin": 0, "xmax": 0, "ymin": -1, "ymax": 1}}}, [],
+     "fd_only inset x range [0.0001, -0.0001] needs min <= max"),
 ], ids=["invalid-json", "implicit-phi", "ruled-h0", "seed-not-arclength", "seed-csv-missing",
         "seed-csv-four-columns", "seed-of-ruled", "build-of-implicit", "loci-of-graph",
-        "classify-of-implicit"])
+        "classify-of-implicit", "fd-only-thin-domain"])
 def test_input_error_exit_2(tmp_path, capsys, monkeypatch, command, payload, extra, message):
     monkeypatch.chdir(tmp_path)   # the seed sample paths are relative
     (tmp_path / "four.csv").write_text("s,x,y,dx\n0,0,0,1\n1,1,0,1\n")

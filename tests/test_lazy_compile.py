@@ -75,6 +75,21 @@ def test_first_array_gradient_or_hessian_call_compiles_once(compiled):
     assert _compiles_once(compiled, lambda: surf.solve_height(1.0, 0.5, 0.0)) == 1
 
 
+def test_implicit_surface_derives_its_trees_on_first_use(monkeypatch):
+    derived = []
+    original = ex.differentiate
+    monkeypatch.setattr(ex, "differentiate", lambda e, var: derived.append(var) or original(e, var))
+    surf = ImplicitSurface.from_expr("t - x*y/2")
+    assert derived == []
+    g = HPoint(1.0, 0.5, 0.25)
+    surf.horizontal_data(g)
+    n = len(derived)
+    assert n > 0 and surf.trees[0] is surf.tree
+    surf.h_mean_curvature(g)
+    surf.solve_height(1.0, 0.5, 0.0)
+    assert len(derived) == n
+
+
 IN_GRAPH = "unknown variable 't': this field takes x, y"
 
 

@@ -118,7 +118,7 @@ def _newton_curvature(patch, s, r):
     step = 1e-6
 
     def grad(px, py):
-        return ruled_module.chart_height_gradient(patch, *invert_chart(patch, (px, py), (s, r)))
+        return ruled_module._chart_point_gradient(patch, *invert_chart(patch, (px, py), (s, r)))[1]
 
     gxp, gxm, gyp, gym = (grad(x + step, y), grad(x - step, y),
                           grad(x, y + step), grad(x, y - step))
@@ -151,15 +151,15 @@ def test_chart_curvature_agrees_with_the_newton_route(name):
 @pytest.mark.parametrize("name", RULED_ENTRIES)
 def test_chart_curvature_sees_a_perturbed_height(monkeypatch, name):
     # dh/dr raised by 1e-3 r: grad h = J^-T (dh/ds, dh/dr) moves by J^-T (0, 1e-3 r)
-    exact = ruled_module.chart_height_gradient
+    exact = ruled_module._chart_point_gradient
 
     def perturbed(patch, s, r):
-        hx, hy = exact(patch, s, r)
+        point, (hx, hy) = exact(patch, s, r)
         j = seed_module.rule_jacobian(patch.seed, s, r)
         det = j[0][0] * j[1][1] - j[0][1] * j[1][0]
-        return (hx - j[1][0] * 1e-3 * r / det, hy + j[0][0] * 1e-3 * r / det)
+        return point, (hx - j[1][0] * 1e-3 * r / det, hy + j[0][0] * 1e-3 * r / det)
 
-    monkeypatch.setattr(ruled_module, "chart_height_gradient", perturbed)
+    monkeypatch.setattr(ruled_module, "_chart_point_gradient", perturbed)
     patch = gallery_get(name).ruled()
     samples = _chart_pairs(patch, 9)
     chart = max(abs(curvature_on_patch(patch, s, r)) for s, r in samples)
@@ -728,7 +728,6 @@ CHART_FUNCTIONS = {
     "w0": lambda p, s, r: p.w0(s),
     "w": lambda p, s, r: p.w(s, r),
     "w_ode_residual": lambda p, s, r: p.w_ode_residual(s, r),
-    "chart_height_gradient": lambda p, s, r: ruled_module.chart_height_gradient(p, s, r),
     "_chart_nu": lambda p, s, r: ruled_module._chart_nu(p, s, r),
     "w_direct": lambda p, s, r: w_direct(p, s, r),
     "curvature_on_patch": lambda p, s, r: curvature_on_patch(p, s, r),
@@ -898,8 +897,8 @@ def test_characteristic_locus_matches_the_scalar_loop(name, n_s):
 
 
 def test_chart_gradient_reads_each_seed_lookup_once(monkeypatch):
-    # gamma, gamma' and gamma'' once per call; _chart_nu adds rule_point's
-    # gamma and gamma', as its gradient is read through chart_height_gradient
+    # gamma, gamma' and gamma'' once per chart point; curvature_on_patch
+    # reads gamma' and gamma'' at s for J, then calls _chart_nu four times
     lookups = []
     for name in ("point", "tangent", "second"):
         original = getattr(SeedCurve, name)
@@ -907,8 +906,7 @@ def test_chart_gradient_reads_each_seed_lookup_once(monkeypatch):
                             lookups.append(_n) or _f(self, s))
     patch = gallery_get("cylinder").ruled()
     s, r = np.array([-0.3, 0.1, 0.4]), np.array([0.2, -0.5, 0.3])
-    for fn, count in ((ruled_module.chart_height_gradient, 3), (w_direct, 3),
-                      (ruled_module._chart_nu, 5)):
+    for fn, count in ((w_direct, 3), (ruled_module._chart_nu, 3), (curvature_on_patch, 14)):
         lookups.clear()
         fn(patch, s, r)
         assert len(lookups) == count, fn.__name__
