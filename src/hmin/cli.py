@@ -17,7 +17,8 @@ Exit codes: 0 all checks pass, 1 a check failed, 2 spec or input error
 or r_range that is not finite and ordered, an expression using a
 variable its field does not take, --z0 outside it, a --span that is not
 positive or is longer than MAX_SEED_STEPS RK4 steps (a span of 1000), a
---grid value below 2, or seed samples whose s is not strictly increasing), 3
+--grid value below 2 or a --grid of more than MAX_GRID_NODES nodes (a
+2000x2000 lattice), or seed samples whose s is not strictly increasing), 3
 characteristic start point, 4 unknown gallery name or bad gallery
 parameter (including one that no named entry takes).
 """
@@ -54,6 +55,8 @@ GALLERY_OPTIONS = {"a": float, "u0": float, "b": float, "c": float, "d": float,
 
 # the most RK4 steps seed traces in each direction: --span / rk4_step
 MAX_SEED_STEPS = 100_000
+# the most lattice nodes a --grid may ask for: NX * NY (a 2000x2000 mesh)
+MAX_GRID_NODES = 4_000_000
 
 # The fixed numerical settings, echoed into every report.
 DEFAULTS = {
@@ -477,8 +480,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         grid = getattr(args, "grid", None)
-        if grid is not None and min(grid) < 2:
-            raise OutOfRange(f"--grid {grid[0]} {grid[1]}: every value must be at least 2")
+        if grid is not None and (min(grid) < 2 or grid[0] * grid[1] > MAX_GRID_NODES):
+            raise OutOfRange(f"--grid {grid[0]} {grid[1]}: every value must be at least 2 "
+                             f"and their product at most {MAX_GRID_NODES}")
         spec = _gallery_request(args) if args.command == "gallery" else load_spec(args.spec)
         report = Report(args.command, digest_of(spec), defaults=dict(DEFAULTS))
         t0 = time.time()

@@ -3,7 +3,9 @@
 The OBJ subset written here is: comment lines starting with ``#``,
 vertex records ``v x y t`` and 1-based triangular face records
 ``f i j k``.  Floats are printed with ``repr`` (shortest round-trip
-form) so identical inputs produce byte-identical files.
+form) so identical inputs produce byte-identical files.  The writer
+formats the vertices in blocks of rows and, since lattice meshes repeat
+their coordinates, each distinct float of a block's column only once.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ import math
 import re
 from array import array
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Optional
 
 import numpy as np
@@ -28,6 +31,8 @@ BLOCK = 1 << 16     # characters per block of lines that lint_obj parses at once
 # tokens of a record (what str.split gives) are joined by single spaces
 _SECTIONS = tuple(re.compile(p) for p in (r"(?:#[^\n]*\n)*", r"(?:v \S+ \S+ \S+\n)*",
                                           r"(?:f \S+ \S+ \S+\n)*"))
+# face records that numpy's int64 parse reads exactly as int() does
+_DIGIT_FACES = re.compile(r"(?:f [0-9]{1,18} [0-9]{1,18} [0-9]{1,18}\n)*")
 
 
 @dataclass
@@ -85,13 +90,31 @@ def mesh_graph(patch: GraphPatch, nx: int, ny: int) -> Mesh:
     return Mesh(verts, _grid_faces(nx, ny), comments=[f"graph patch mesh {nx}x{ny}"])
 
 
+def _vertex_text(block: np.ndarray) -> str:
+    """The ``v`` lines of a block of rows.  A column's floats are grouped by
+    bit pattern (so 0.0 and -0.0 stay apart) and each group is formatted
+    once; a column with no repeats is left to the format's %r (repr), which
+    keeps no string per value alive."""
+    fmt, columns = "v", []
+    for column in block.T:
+        bits, where = np.unique(column.view(np.int64), return_inverse=True)
+        if len(bits) == len(column):
+            fmt, values = fmt + " %r", column.tolist()
+        else:
+            text = np.array(list(map(repr, bits.view(np.float64).tolist())), dtype=object)
+            fmt, values = fmt + " %s", text[where].tolist()
+        columns.append(values)
+    return (fmt + "\n") * len(block) % tuple(chain.from_iterable(zip(*columns)))
+
+
 def write_obj(mesh: Mesh, path: str):
     with open(path, "w") as fh:
         fh.writelines(f"# {line}\n" for line in mesh.comments)
-        for tag, rows in (("v", mesh.vertices), ("f", mesh.faces + 1)):
-            for i in range(0, len(rows), 4096):    # one %-format (%r is repr) per block
-                block = rows[i:i + 4096].ravel().tolist()
-                fh.write(f"{tag} %r %r %r\n" * (len(block) // 3) % tuple(block))
+        for i in range(0, len(mesh.vertices), 4096):   # one %-format per block
+            fh.write(_vertex_text(mesh.vertices[i:i + 4096]))
+        for i in range(0, len(mesh.faces), 4096):
+            block = (mesh.faces[i:i + 4096] + 1).ravel().tolist()
+            fh.write("f %r %r %r\n" * (len(block) // 3) % tuple(block))
 
 
 def _read_lines(path: str) -> tuple[list[str], array, array]:
@@ -135,7 +158,8 @@ def _read_layout(path: str) -> Optional[tuple[array, array]]:
     """The vertex and face columns of a file in the writer's layout, read a
     block of whole lines at a time; None for any other file, and for one
     with a record that ``_read_lines`` would report."""
-    columns = {1: (array("d"), float), 2: (array("q"), int)}
+    verts, faces = array("d"), array("q")
+    columns = {1: (verts, float), 2: (faces, int)}
     section = 0                 # where the last block ended, an index of _SECTIONS
     with open(path) as fh:
         for lines in iter(lambda: fh.readlines(BLOCK), []):
@@ -144,7 +168,11 @@ def _read_layout(path: str) -> Optional[tuple[array, array]]:
                 end = _SECTIONS[k].match(text, pos).end()
                 if end > pos:
                     section = k
-                    if k in columns:
+                    if k == 2 and _DIGIT_FACES.fullmatch(text, pos, end):
+                        # base-10 strtoll of at most 18 ASCII digits is int()'s value
+                        faces.frombytes(np.fromstring(text[pos:end].replace("f", " "),
+                                                      np.int64, sep=" ").tobytes())
+                    elif k in columns:
                         column, parse = columns[k]
                         try:
                             column.extend(map(parse, _tokens(text[pos:end])))
@@ -153,7 +181,6 @@ def _read_layout(path: str) -> Optional[tuple[array, array]]:
                 pos = end
             if pos < len(text):
                 return None
-    verts, faces = columns[1][0], columns[2][0]
     return (verts, faces) if np.isfinite(np.frombuffer(verts)).all() else None
 
 

@@ -532,9 +532,15 @@ IMPLICIT = {"kind": "implicit", "implicit": {"phi": "t - x*y/2"}}
     ("verify", {"kind": "graph", "graph": {"h": "x*y/2", "fd_only": True, "domain": {
         "xmin": 0, "xmax": 0, "ymin": -1, "ymax": 1}}}, [],
      "fd_only inset x range [0.0001, -0.0001] needs min <= max"),
+    # a grid too large to build is refused before any lattice is formed
+    ("build", GRAPH, ["--grid", "2", "99999999999999999999"], "--grid 2 99999999999999999999: "),
+    ("build", GRAPH, ["--grid", "2", "9223372036854775807"], "--grid 2 9223372036854775807: "),
+    ("build", GRAPH, ["--grid", "2000", "2001"],
+     "--grid 2000 2001: every value must be at least 2 and their product at most 4000000"),
 ], ids=["invalid-json", "implicit-phi", "ruled-h0", "seed-not-arclength", "seed-csv-missing",
         "seed-csv-four-columns", "seed-of-ruled", "build-of-implicit", "loci-of-graph",
-        "classify-of-implicit", "fd-only-thin-domain"])
+        "classify-of-implicit", "fd-only-thin-domain", "grid-beyond-numpy", "grid-int64-max",
+        "grid-past-the-cap"])
 def test_input_error_exit_2(tmp_path, capsys, monkeypatch, command, payload, extra, message):
     monkeypatch.chdir(tmp_path)   # the seed sample paths are relative
     (tmp_path / "four.csv").write_text("s,x,y,dx\n0,0,0,1\n1,1,0,1\n")

@@ -167,6 +167,35 @@ def test_build_of_an_undefined_height_names_the_first_node(tmp_path, capsys):
     assert capsys.readouterr().err == "error: height not finite at (-2.0, -2.0)\n"
 
 
+# -- write_obj: formatting each distinct float once gives the per-value text ---
+
+
+def per_value_obj_text(mesh):
+    """The OBJ text of a mesh with every value formatted by its own %r."""
+    return "".join([*(f"# {line}\n" for line in mesh.comments),
+                    *("v %r %r %r\n" % tuple(row) for row in mesh.vertices.tolist()),
+                    *("f %r %r %r\n" % tuple(row) for row in (mesh.faces + 1).tolist())])
+
+
+# both zeros, subnormals down to 5e-324, and values on both sides of repr's
+# switch to exponent form
+EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308, 1e16, -1e16,
+               9999999999999998.0, 1e-4, 1e-5, -1e-5, 0.1, 1.0 / 3.0]
+
+
+@pytest.mark.parametrize("n", [4095, 4096, 4097])   # the writer's blocks are 4096 rows
+def test_writer_matches_the_per_value_repr(tmp_path, n):
+    rng = np.random.default_rng(n)
+    repeats = rng.choice(EDGE_FLOATS, n)
+    distinct = rng.standard_normal(n) * 10.0 ** rng.integers(-30, 30, n)
+    zero_signs = np.signbit(repeats[:4095][repeats[:4095] == 0.0])   # in the first block
+    assert len(np.unique(distinct)) == n and zero_signs.any() and not zero_signs.all()
+    for columns in ((repeats, distinct, np.full(n, 1e16)), (np.full(n, -0.0), repeats, distinct)):
+        mesh = Mesh(np.column_stack(columns), rng.integers(0, n, (5, 3)), comments=["edges"])
+        write_obj(mesh, str(tmp_path / "m.obj"))
+        assert (tmp_path / "m.obj").read_text() == per_value_obj_text(mesh)
+
+
 # -- lint_obj: the block-wise fast path against the line loop -------------------
 
 # the three builds of a mesh-build pass: (spec, grid)
@@ -256,6 +285,12 @@ MUTATIONS = {
         line.startswith("v ") for line in lines) + 1)(lines), True, True),
     "face-index-beyond-int64": (_face(1, 2, 2 ** 63), False, True),
     "face-index-repeated": (_face(1, 2, 1), True, True),
+    # digit-only face blocks go through numpy's int64 parse: leading zeros,
+    # and an index of 18 digits; one of 19 digits goes through int
+    "face-index-leading-zeros": (_edit_line("f", 300, lambda line: line.replace(" ", " 00", 1)),
+                                 True, False),
+    "face-index-18-digits": (_face(1, 2, "9" * 18), True, True),
+    "face-index-19-digits": (_face(1, 2, 10 ** 18), True, True),
     "empty": (_whole(lambda text: ""), True, False),
 }
 
@@ -283,6 +318,12 @@ def test_lint_paths_agree_on_mutated_workload_meshes(small_workload_objs, tmp_pa
         problems, loop, fast = lint_paths(path)
         assert problems == loop, name
         assert (fast, bool(problems)) == (parses, reported), name
+
+
+def test_only_faces_of_up_to_18_ascii_digits_take_the_int64_parse():
+    assert meshes._DIGIT_FACES.fullmatch("f 007 1 999999999999999999\nf 1 2 3\n")
+    for record in ("f 1 2 1000000000000000000\n", "f +1 2 3\n", "f 1_0 2 3\n", "f ١ 2 3\n"):
+        assert not meshes._DIGIT_FACES.fullmatch(record), record
 
 
 def test_lint_reads_every_written_layout_a_block_at_a_time(tmp_path, monkeypatch):
