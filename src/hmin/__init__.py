@@ -7,7 +7,7 @@ surfaces via the seed-curve / height-function representation: a library
 """
 
 from .errors import (CharacteristicPoint, CharacteristicStart, FieldUndefined,
-                     HminError, NotAGraphAfterTransform, OutOfRange, ParseError,
+                     HminError, OutOfRange, ParseError,
                      SingularRule, SpecError, StencilOutOfDomain, UnknownName)
 from .heis import HPoint, ORIGIN, dilate, group_mul
 from .fields import (Grid2, PlanarDomain, Profile, ScalarField2,

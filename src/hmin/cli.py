@@ -40,7 +40,6 @@ from .errors import (CharacteristicStart, HminError, OutOfRange, ParseError,
                      SpecError, UnknownName)
 from .expr import pointwise
 from .fields import FD_STEP, HESS_STEP, RK4_STEP, Grid2, PlanarDomain, Profile, chunks, over_arrays
-from .heis import HPoint
 from .meshes import lint_obj, mesh_graph, mesh_ruled, write_obj
 from .report import Report, check_flag, check_leq, digest_of, worst_abs
 from .ruled import (RuledPatch, build_surface, characteristic_locus, classify_entire_graph,
@@ -259,20 +258,18 @@ def cmd_verify(args, spec: dict, report: Report) -> None:
     elif spec["kind"] == "implicit":
         surf = implicit_from_spec(spec)
         imp = spec["implicit"]
-        t_guess = imp.get("t0", 0.0)
         values, near, no_height = [], 0, 0
-        for x, y in Grid2(_domain_of(imp.get("window")), nx, ny).nodes:
-            try:
-                g = HPoint(x, y, surf.solve_height(x, y, t_guess))
-            except HminError:
-                no_height += 1
-                continue
-            if surf.horizontal_data(g).w <= gal.W_MARGIN:
-                near += 1
-                continue
-            values.append(surf.h_mean_curvature(g))
-        report.add(check_leq("max_abs_h_curvature", worst_abs(values), gal.TOL_H_ANALYTIC,
-                             note=f"{len(values)} nodes evaluated, {near} near the "
+        for x, y in chunks(*Grid2(_domain_of(imp.get("window")), nx, ny).points()):
+            t = surf.solve_height(x, y, imp.get("t0", 0.0))
+            solved = np.isfinite(t)
+            no_height += len(t) - int(solved.sum())
+            x, y, t = x[solved], y[solved], t[solved]
+            far = ~(surf.horizontal_data(x, y, t).w <= gal.W_MARGIN)
+            near += len(t) - int(far.sum())
+            values.append(surf.h_mean_curvature(x[far], y[far], t[far]))
+        report.add(check_leq("max_abs_h_curvature", worst_abs(np.concatenate(values)),
+                             gal.TOL_H_ANALYTIC,
+                             note=f"{sum(map(len, values))} nodes evaluated, {near} near the "
                                   f"characteristic set, {no_height} without a height"))
     else:
         patch = ruled_from_spec(spec)

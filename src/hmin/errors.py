@@ -30,10 +30,6 @@ class CharacteristicStart(HminError):
     """Seed extraction was started at a characteristic point."""
 
 
-class NotAGraphAfterTransform(HminError):
-    """The image of a surface under a transform fails the vertical-line test."""
-
-
 class OutOfRange(HminError):
     """A curve/patch query outside the sampled parameter range."""
 

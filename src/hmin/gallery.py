@@ -34,16 +34,15 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import expr as ex
-from .errors import NotAGraphAfterTransform, StencilOutOfDomain, UnknownName
+from .errors import StencilOutOfDomain, UnknownName
 from .fields import Grid2, PlanarDomain, Profile, chunks, cumulative_integral, over_arrays, square
-from .heis import HPoint
 from .report import Check, check_flag, check_leq, worst_abs
 from .ruled import (GeneralizedSeedCurve, GSCJoin, GSCPiece, RuledPatch, _chart_nu,
                     characteristic_locus, curvature_on_patch, locus_branch_slope, roundtrip,
                     validate_gsc, w_direct, worst_on_chart)
 from .seed import SeedCurve, curvature, extract_seed
 from .surface import (EPS_CHAR, W_MARGIN, GraphPatch, ImplicitSurface,
-                      characteristic_scan, points_to_graph_samples, read_nodes)
+                      characteristic_scan, read_nodes)
 
 TOL_H_ANALYTIC = 1e-8
 TOL_H_FD = 1e-4
@@ -736,8 +735,8 @@ def gallery_verify(name: str, **params) -> list[Check]:
     if entry.own_checks is not None:
         checks.extend(entry.own_checks(entry, patch))
     if entry.graph is not None and entry.implicit is not None:
-        worst = worst_abs(entry.implicit.phi(x, y, entry.graph.h.value(x, y))
-                          for x, y in Grid2(entry.verify_domain, 11, 11).nodes)
+        x, y = Grid2(entry.verify_domain, 11, 11).points()
+        worst = worst_abs(entry.implicit.phi(x, y, entry.graph.h.value(x, y)))
         checks.append(check_leq("graph_vs_implicit", worst, 1e-10))
     return checks
 
@@ -766,21 +765,21 @@ def _check_scan(entry: GalleryEntry) -> Check:
 
 def _counterexample_triple(entry: GalleryEntry,
                            patch: Optional[RuledPatch] = None) -> list[Check]:
-    def xt_graph(x: float, t: float) -> float:   # y over the xt-plane
-        return -x * math.tan(math.tanh(t))
+    def xt_graph(x: np.ndarray, t: np.ndarray) -> np.ndarray:   # y over the xt-plane
+        return -x * ex.pointwise(math.tan, ex.pointwise(math.tanh, t))
 
     # entire graph over the xt-plane: y(x, t) finite on a window
-    window = Grid2(square(3.0), 31, 31).nodes  # (x, t) nodes
-    ys = [xt_graph(x, t) for x, t in window]
+    x, t = Grid2(square(3.0), 31, 31).points()  # (x, t) nodes
+    y = xt_graph(x, t)
     # empty characteristic locus: W > 0 on the surface sample; np.min keeps
     # a NaN W, so a sample where W is undefined fails the check
-    wmin = float(np.min([entry.implicit.horizontal_data(HPoint(x, y, t)).w
-                         for (x, t), y in zip(window, ys)]))
+    wmin = float(np.min(entry.implicit.horizontal_data(x, y, t).w))
     # not a vertical plane: fit a x + b y = c to surface points, residual large
-    arr = np.array([(x, xt_graph(x, t)) for x, t in Grid2(square(3.0), 13, 13).nodes])
+    x, t = Grid2(square(3.0), 13, 13).points()
+    arr = np.column_stack((x, xt_graph(x, t)))
     arr -= arr.mean(axis=0)
     residual = float(np.linalg.svd(arr, full_matrices=False)[1][-1])
-    return [check_flag("entire_xt_graph", all(map(math.isfinite, ys))),
+    return [check_flag("entire_xt_graph", bool(np.isfinite(y).all())),
             check_flag("empty_characteristic_locus", wmin > 1e-6, note=f"min W = {wmin:.3e}"),
             check_flag("not_vertical_plane", residual > 1e-2,
                        note=f"planar residual {residual:.3e}")]
@@ -805,7 +804,7 @@ def _cylinder_checks(entry: GalleryEntry, patch: RuledPatch) -> list[Check]:
     s1, s2 = entry.ruled_pair()
     images = (half.embed(*Grid2(PlanarDomain(*half.s_range, -2.0, 2.0), 25, 25).points())
               for half in (s1, s2))
-    worst = worst_abs(np.concatenate([ex.pointwise(entry.implicit.phi, *g) for g in images]))
+    worst = worst_abs(np.concatenate([entry.implicit.phi(*g) for g in images]))
     # piecewise-constant Gauss map (+-1, 0) off the characteristic locus
     return [check_leq("cylinder_implicit_residual", worst, 1e-9),
             check_leq("cylinder_gauss_piecewise", worst_abs(_cylinder_gauss_errors(s1, s2)), 1e-9)]
@@ -824,11 +823,6 @@ def _cylinder_gauss_errors(*patches: RuledPatch) -> np.ndarray:
 
 def _gencurve_even_checks(entry: GalleryEntry, patch: RuledPatch) -> list[Check]:
     # two sheets over the same planar points: not globally a graph
-    pts = [sheet.point(x, y) for x, y in Grid2(PlanarDomain(0.2, 1.8, -1.0, 1.0), 9, 9).nodes
-           for sheet in (entry.graph, entry.graph_lower)]
-    try:
-        points_to_graph_samples(pts, tol=1e-6)
-        two_sheets = False
-    except NotAGraphAfterTransform:
-        two_sheets = True
-    return [check_flag("gencurve_even_two_sheets", two_sheets)]
+    x, y = Grid2(PlanarDomain(0.2, 1.8, -1.0, 1.0), 9, 9).points()
+    gap = entry.graph.h.value(x, y) - entry.graph_lower.h.value(x, y)
+    return [check_flag("gencurve_even_two_sheets", bool((abs(gap) > 1e-6).any()))]

@@ -27,12 +27,12 @@ from .surface import GraphPatch
 
 DET_CLAMP = 0.02    # chart samples keep |det DF| at or above this
 BLOCK = 1 << 16     # characters per block of lines that lint_obj parses at once
-# write_obj's layout: comment lines, then vertex lines, then face lines; the
-# tokens of a record (what str.split gives) are joined by single spaces
-_SECTIONS = tuple(re.compile(p) for p in (r"(?:#[^\n]*\n)*", r"(?:v \S+ \S+ \S+\n)*",
-                                          r"(?:f \S+ \S+ \S+\n)*"))
+ROWS = 4096         # rows per block that write_obj formats and lint_obj checks
 # face records that numpy's int64 parse reads exactly as int() does
 _DIGIT_FACES = re.compile(r"(?:f [0-9]{1,18} [0-9]{1,18} [0-9]{1,18}\n)*")
+# write_obj's layout: comment lines, then vertex lines, then face lines; the
+# tokens of a record (what str.split gives) are joined by single spaces
+_SECTIONS = (re.compile(r"(?:#[^\n]*\n)*"), re.compile(r"(?:v \S+ \S+ \S+\n)*"), _DIGIT_FACES)
 
 
 @dataclass
@@ -110,10 +110,10 @@ def _vertex_text(block: np.ndarray) -> str:
 def write_obj(mesh: Mesh, path: str):
     with open(path, "w") as fh:
         fh.writelines(f"# {line}\n" for line in mesh.comments)
-        for i in range(0, len(mesh.vertices), 4096):   # one %-format per block
-            fh.write(_vertex_text(mesh.vertices[i:i + 4096]))
-        for i in range(0, len(mesh.faces), 4096):
-            block = (mesh.faces[i:i + 4096] + 1).ravel().tolist()
+        for i in range(0, len(mesh.vertices), ROWS):   # one %-format per block
+            fh.write(_vertex_text(mesh.vertices[i:i + ROWS]))
+        for i in range(0, len(mesh.faces), ROWS):
+            block = (mesh.faces[i:i + ROWS] + 1).ravel().tolist()
             fh.write("f %r %r %r\n" * (len(block) // 3) % tuple(block))
 
 
@@ -156,10 +156,10 @@ def _tokens(records: str) -> list[str]:
 
 def _read_layout(path: str) -> Optional[tuple[array, array]]:
     """The vertex and face columns of a file in the writer's layout, read a
-    block of whole lines at a time; None for any other file, and for one
-    with a record that ``_read_lines`` would report."""
+    block of whole lines at a time; None for any other file, for one with a
+    face index that is not 1 to 18 ASCII digits, and for one with a record
+    that ``_read_lines`` would report."""
     verts, faces = array("d"), array("q")
-    columns = {1: (verts, float), 2: (faces, int)}
     section = 0                 # where the last block ended, an index of _SECTIONS
     with open(path) as fh:
         for lines in iter(lambda: fh.readlines(BLOCK), []):
@@ -168,16 +168,15 @@ def _read_layout(path: str) -> Optional[tuple[array, array]]:
                 end = _SECTIONS[k].match(text, pos).end()
                 if end > pos:
                     section = k
-                    if k == 2 and _DIGIT_FACES.fullmatch(text, pos, end):
+                    if k == 1:
+                        try:
+                            verts.extend(map(float, _tokens(text[pos:end])))
+                        except ValueError:
+                            return None
+                    elif k == 2:
                         # base-10 strtoll of at most 18 ASCII digits is int()'s value
                         faces.frombytes(np.fromstring(text[pos:end].replace("f", " "),
                                                       np.int64, sep=" ").tobytes())
-                    elif k in columns:
-                        column, parse = columns[k]
-                        try:
-                            column.extend(map(parse, _tokens(text[pos:end])))
-                        except (ValueError, OverflowError):
-                            return None
                 pos = end
             if pos < len(text):
                 return None
@@ -189,24 +188,26 @@ def lint_obj(path: str) -> list[str]:
 
     A file in the writer's layout is parsed a block at a time; any other
     file, and one with a record to report, is read by the line loop, which
-    writes the record messages.
+    writes the record messages.  The faces are checked ``ROWS`` at a time.
     """
     problems, columns = [], _read_layout(path)
     if columns is None:
         problems, *columns = _read_lines(path)
     verts, faces = columns
     v = np.frombuffer(verts).reshape(-1, 3)
-    f = np.frombuffer(faces, dtype=np.int64).reshape(-1, 3)
-    out_of_range = ((f < 1) | (f > len(v))).any(axis=1)
-    repeated = (f[:, 0] == f[:, 1]) | (f[:, 1] == f[:, 2]) | (f[:, 0] == f[:, 2])
-    good = ~(out_of_range | repeated)
-    a, b, c = v[f[good] - 1].transpose(1, 0, 2)
-    area = np.full(len(f), np.inf)
-    with np.errstate(invalid="ignore", over="ignore"):  # a NaN or inf area is not degenerate
-        cross = np.cross(b - a, c - a)
-        area[good] = 0.5 * np.sqrt(np.vecdot(cross, cross))  # rounds as norm() of one face
-    for i in np.flatnonzero(~good | (area <= 1e-12)).tolist():
-        problems.append(f"face {i}: vertex index out of range" if out_of_range[i] else
-                        f"face {i}: repeated vertex index" if repeated[i] else
-                        f"face {i}: degenerate (area {area[i]:.3e})")
+    faces = np.frombuffer(faces, dtype=np.int64).reshape(-1, 3)
+    for start in range(0, len(faces), ROWS):
+        f = faces[start:start + ROWS]
+        out_of_range = ((f < 1) | (f > len(v))).any(axis=1)
+        repeated = (f[:, 0] == f[:, 1]) | (f[:, 1] == f[:, 2]) | (f[:, 0] == f[:, 2])
+        good = ~(out_of_range | repeated)
+        a, b, c = v[f[good] - 1].transpose(1, 0, 2)
+        area = np.full(len(f), np.inf)
+        with np.errstate(invalid="ignore", over="ignore"):  # a NaN or inf area is not degenerate
+            cross = np.cross(b - a, c - a)
+            area[good] = 0.5 * np.sqrt(np.vecdot(cross, cross))  # rounds as norm() of one face
+        for i in np.flatnonzero(~good | (area <= 1e-12)).tolist():
+            problems.append(f"face {start + i}: vertex index out of range" if out_of_range[i] else
+                            f"face {start + i}: repeated vertex index" if repeated[i] else
+                            f"face {start + i}: degenerate (area {area[i]:.3e})")
     return problems

@@ -20,7 +20,9 @@ which differences the unit field.  The convention has its one home here:
 Implicit surfaces phi(x, y, t) = 0 carry an orientation flag; negating the
 orientation negates the curvature.  They follow the compile rule of
 ``fields.ScalarField2``: phi is compiled when the surface is built; phi_t,
-p, q and their partials are derived and compiled on the first call.
+p, q and their partials are derived and compiled on the first call.  All
+of it is array code: phi, ``horizontal_data``, ``h_mean_curvature`` and
+the Newton ``solve_height`` take nodes (x, y, t) as 1-d arrays.
 Curvature at characteristic points is deliberately left undefined: the
 scan reports the locus instead.
 ``characteristic_scan`` flags the lattice nodes of a grid where W < eps
@@ -41,12 +43,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
 from . import expr as ex
-from .errors import CharacteristicPoint, FieldUndefined, NotAGraphAfterTransform, StencilOutOfDomain
+from .errors import CharacteristicPoint, FieldUndefined, StencilOutOfDomain
 from .fields import Grid2, PlanarDomain, ScalarField2, chunks, over_arrays
 from .heis import HPoint
 
@@ -157,6 +159,14 @@ def _cube(w):
         return ex.pointwise(_cube, w) if isinstance(w, np.ndarray) else math.inf
 
 
+def _refuse_characteristic(w, *z):
+    """Raise CharacteristicPoint at the first of the nodes z where W <= EPS_CHAR."""
+    at = np.flatnonzero(np.atleast_1d(w <= EPS_CHAR))
+    if at.size:
+        w, *z = (np.atleast_1d(v)[at[0]].item() for v in (w, *z))
+        raise CharacteristicPoint(f"W={w} at ({', '.join(map(str, z))})")
+
+
 def _curvature_terms(patch: GraphPatch, x, y, jet: Optional[tuple]):
     """p, q, W and (p_x, p_y, q_x, q_y) at a non-characteristic point, or
     at a chunk of them (given with its jet).
@@ -165,10 +175,7 @@ def _curvature_terms(patch: GraphPatch, x, y, jet: Optional[tuple]):
     """
     p, q = _pq(patch, x, y, jet)
     w = ex.pointwise(math.hypot, p, q)
-    at = np.flatnonzero(np.atleast_1d(w <= EPS_CHAR))
-    if at.size:
-        wi, xi, yi = (np.atleast_1d(v)[at[0]].item() for v in (w, x, y))
-        raise CharacteristicPoint(f"W={wi} at ({xi}, {yi})")
+    _refuse_characteristic(w, x, y)
     if jet is None:
         (hxx, hxy), (_, hyy) = patch.h.hessian(x, y)
     else:
@@ -287,22 +294,6 @@ def rotate_graph(patch: GraphPatch, theta: float) -> GraphPatch:
     return _moved(patch, ex.substitute(patch.h.exprs[0], back), new_dom)
 
 
-def points_to_graph_samples(points: Sequence[HPoint], tol: float = 1e-9) -> dict:
-    """Vertical-line test for a transformed point set.
-
-    Raises NotAGraphAfterTransform when two points share a planar position
-    (within tol) but have different heights.
-    """
-    seen: dict[tuple[float, float], float] = {}
-    for g in points:
-        key = (round(g.x / tol) * tol, round(g.y / tol) * tol)
-        if key in seen and abs(seen[key] - g.t) > tol:
-            raise NotAGraphAfterTransform(
-                f"two heights {seen[key]} and {g.t} over planar point {key}")
-        seen[key] = g.t
-    return seen
-
-
 # ---------------------------------------------------------------------------
 # Characteristic-locus scan on a planar grid
 # ---------------------------------------------------------------------------
@@ -386,15 +377,16 @@ class ImplicitSurface:
     ``tree`` is phi, compiled on construction, which is where an unknown
     variable is reported.  ``trees`` (phi, phi_t, p = X1 phi, q = X2 phi,
     then the partials of p and q in x, y and t) is derived the first time
-    the (p, q), phi_t or curvature-term code is called and compiled.
+    the (p, q), phi_t or curvature-term code is called and compiled.  It
+    is array code: phi and the methods take nodes (x, y, t) as arrays.
     """
 
     tree: ex.Expr
     orientation: int
-    phi: Callable[[float, float, float], float] = field(init=False, repr=False, compare=False)
+    phi: Callable = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.phi = ex.compile_fn(self.tree, _XYT)
+        self.phi = ex.compile_fn(self.tree, _XYT, array=True)
 
     @cached_property
     def trees(self) -> tuple[ex.Expr, ...]:
@@ -408,49 +400,63 @@ class ImplicitSurface:
 
     @cached_property
     def _pq(self) -> Callable:
-        return ex.compile_fn(self.trees[2:4], _XYT)
+        return ex.compile_fn(self.trees[2:4], _XYT, array=True)
 
     @cached_property
     def _dt(self) -> Callable:
-        return ex.compile_fn(self.trees[1], _XYT)
+        return ex.compile_fn(self.trees[1], _XYT, array=True)
 
     @cached_property
     def _curv(self) -> Callable:
-        return ex.compile_fn(self.trees[2:], _XYT)
+        return ex.compile_fn(self.trees[2:], _XYT, array=True)
 
     @staticmethod
     def from_expr(src: str, orientation: int = 1) -> "ImplicitSurface":
         return ImplicitSurface(ex.parse(src), orientation)
 
-    def horizontal_data(self, g: HPoint) -> HorizontalData:
+    def horizontal_data(self, x, y, t) -> HorizontalData:
         o = float(self.orientation)
-        p, q = self._pq(g.x, g.y, g.t)
+        p, q = self._pq(x, y, t)
         return _horizontal(o * p, o * q)
 
-    def h_mean_curvature(self, g: HPoint) -> float:
-        x, y, t = g.x, g.y, g.t
+    def h_mean_curvature(self, x, y, t) -> np.ndarray:
+        """The p/q-form curvature at non-characteristic nodes; raises
+        CharacteristicPoint for the first node where W <= EPS_CHAR."""
         o = float(self.orientation)
         p, q, p_x, p_y, p_t, q_x, q_y, q_t = self._curv(x, y, t)
-        p, q = o * p, o * q
-        # the derivatives of p and q along X1 and X2
-        x1p, x2p = o * (p_x - 0.5 * y * p_t), o * (p_y + 0.5 * x * p_t)
-        x1q, x2q = o * (q_x - 0.5 * y * q_t), o * (q_y + 0.5 * x * q_t)
-        w = math.hypot(p, q)
-        if w <= EPS_CHAR:
-            raise CharacteristicPoint(f"W={w} at {g}")
-        return _pq_form(p, q, w, x1p, x2p, x1q, x2q)
+        # IEEE results such as inf - inf = NaN are the point, not a warning
+        with np.errstate(all="ignore"):
+            p, q = o * p, o * q
+            # the derivatives of p and q along X1 and X2
+            x1p, x2p = o * (p_x - 0.5 * y * p_t), o * (p_y + 0.5 * x * p_t)
+            x1q, x2q = o * (q_x - 0.5 * y * q_t), o * (q_y + 0.5 * x * q_t)
+            w = ex.pointwise(math.hypot, p, q)
+            _refuse_characteristic(w, x, y, t)
+            return _pq_form(p, q, w, x1p, x2p, x1q, x2q)
 
-    def solve_height(self, x: float, y: float, t0: float) -> float:
-        """1-D Newton for t with phi(x, y, t) = 0, starting from t0."""
-        t = t0
-        for _ in range(60):
-            val = self.phi(x, y, t)
-            if abs(val) < 1e-12:
-                return t
-            dt = self._dt(x, y, t)
-            if dt == 0.0 or not math.isfinite(dt):
-                break
-            t -= val / dt
-        if abs(self.phi(x, y, t)) < 1e-9:
-            return t
-        raise FieldUndefined(f"could not solve phi({x}, {y}, t) = 0 near t0={t0}")
+    def solve_height(self, x, y, t0) -> np.ndarray:
+        """t with phi(x, y, t) = 0 at each node by 1-D Newton from t0, NaN
+        where it fails: at most 60 steps, over the nodes still iterating; a
+        node stops at |phi| < 1e-12, or where phi_t is 0 or not finite, and
+        is accepted if |phi| < 1e-9 where it stops."""
+        t = np.full(len(x), t0, dtype=float)
+        live = np.arange(len(x))               # the nodes still iterating
+        unsolved = np.ones(len(x), dtype=bool)  # no |phi| < 1e-12 yet
+        with np.errstate(all="ignore"):
+            for _ in range(60):
+                if not live.size:
+                    break
+                val = self.phi(x[live], y[live], t[live])
+                going = ~(abs(val) < 1e-12)
+                unsolved[live[~going]] = False
+                live, val = live[going], val[going]
+                if not live.size:
+                    break
+                dt = self._dt(x[live], y[live], t[live])
+                step = (dt != 0.0) & np.isfinite(dt)
+                live = live[step]
+                t[live] -= val[step] / dt[step]
+            rest = np.flatnonzero(unsolved)
+            if rest.size:
+                t[rest[~(abs(self.phi(x[rest], y[rest], t[rest])) < 1e-9)]] = math.nan
+        return t

@@ -9,7 +9,6 @@ import pytest
 from hmin import expr as ex
 from hmin.cli import main
 from hmin.fields import ScalarField2, square
-from hmin.heis import HPoint
 from hmin.surface import GraphPatch, ImplicitSurface
 
 
@@ -32,7 +31,7 @@ def test_building_compiles_only_f_or_phi(compiled):
     assert compiled == [(patch.h.exprs[0], False)]
     compiled.clear()
     surf = ImplicitSurface.from_expr("t - x*y/2")
-    assert compiled == [(surf.trees[0], False)]
+    assert compiled == [(surf.trees[0], True)]
 
 
 def test_fd_only_compiles_nothing_and_shares_f(compiled):
@@ -68,11 +67,13 @@ def test_first_array_gradient_or_hessian_call_compiles_once(compiled):
     assert _compiles_once(compiled, lambda: fd.hessian(0.1, 0.3)) == 0
     assert _compiles_once(compiled, lambda: fd.jet(x, y)) == 1
 
+    # an implicit surface's evaluators are array code
     surf = ImplicitSurface.from_expr("t - x*y/2")
-    g = HPoint(1.0, 0.5, 0.25)
-    assert _compiles_once(compiled, lambda: surf.horizontal_data(g)) == 1
-    assert _compiles_once(compiled, lambda: surf.h_mean_curvature(g)) == 1
-    assert _compiles_once(compiled, lambda: surf.solve_height(1.0, 0.5, 0.0)) == 1
+    t = np.array([0.25, -0.03])
+    assert _compiles_once(compiled, lambda: surf.horizontal_data(x, y, t)) == 1
+    assert _compiles_once(compiled, lambda: surf.h_mean_curvature(x, y, t)) == 1
+    assert _compiles_once(compiled, lambda: surf.solve_height(x, y, 0.0)) == 1
+    assert compiled[0][1] is True
 
 
 def test_implicit_surface_derives_its_trees_on_first_use(monkeypatch):
@@ -81,12 +82,12 @@ def test_implicit_surface_derives_its_trees_on_first_use(monkeypatch):
     monkeypatch.setattr(ex, "differentiate", lambda e, var: derived.append(var) or original(e, var))
     surf = ImplicitSurface.from_expr("t - x*y/2")
     assert derived == []
-    g = HPoint(1.0, 0.5, 0.25)
-    surf.horizontal_data(g)
+    x, y, t = np.array([1.0]), np.array([0.5]), np.array([0.25])
+    surf.horizontal_data(x, y, t)
     n = len(derived)
     assert n > 0 and surf.trees[0] is surf.tree
-    surf.h_mean_curvature(g)
-    surf.solve_height(1.0, 0.5, 0.0)
+    surf.h_mean_curvature(x, y, t)
+    surf.solve_height(x, y, 0.0)
     assert len(derived) == n
 
 

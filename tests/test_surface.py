@@ -1,17 +1,23 @@
+import json
 import math
+import re
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from hmin import expr as ex
+from hmin.cli import main
 from hmin.errors import CharacteristicPoint
 from hmin.fields import FD_STEP, Grid2, PlanarDomain, ScalarField2, over_arrays, square
 from hmin.gallery import gallery_get
-from hmin.heis import HPoint, group_mul
+from hmin.heis import HPoint
 from hmin.surface import (W_MARGIN, GraphPatch, ImplicitSurface, characteristic_scan,
                           h_mean_curvature, horizontal_data, rotate_graph,
                           translate_graph, unit_horizontal_field)
-from hmin.surface import _horizontal, graph_dpq, graph_pq
+from hmin.report import worst_abs
+from hmin.surface import _horizontal, _pq_form, graph_dpq, graph_pq
 
 HYP = GraphPatch.from_expr("x*y/2", square(3.0))
 FLAT = GraphPatch.from_expr("0", square(3.0))
@@ -236,26 +242,12 @@ def test_moved_membership_takes_arrays_when_it_can():
                 dom.contains(a, b) for a, b in zip(x.tolist(), y.tolist())]
 
 
-def test_point_set_translation_and_vertical_line_test():
-    from hmin.errors import NotAGraphAfterTransform
-    from hmin.surface import points_to_graph_samples
-    pts = [HYP.point(x, y) for x in np.linspace(-1, 1, 5)
-           for y in np.linspace(0.5, 1.5, 5)]
-    moved = [group_mul(HPoint(0.3, -0.2, 0.7), g) for g in pts]
-    heights = points_to_graph_samples(moved, tol=1e-9)   # still a graph
-    assert len(heights) == len(pts)
-    # two sheets over the same planar points fail the vertical-line test
-    two = pts + [HPoint(g.x, g.y, g.t + 1.0) for g in pts]
-    with pytest.raises(NotAGraphAfterTransform):
-        points_to_graph_samples(two, tol=1e-9)
-
-
 def test_orientation_flip_negates_curvature():
     surf = ImplicitSurface.from_expr("t - (x^2+y^2)/4")
-    g = HPoint(1.0, 0.0, 0.25)
-    val = surf.h_mean_curvature(g)
+    g = (np.array([1.0]), np.array([0.0]), np.array([0.25]))
+    val = surf.h_mean_curvature(*g)[0]
     flipped = ImplicitSurface.from_expr("t - (x^2+y^2)/4", orientation=-1)
-    assert flipped.h_mean_curvature(g) == pytest.approx(-val, abs=1e-12)
+    assert flipped.h_mean_curvature(*g)[0] == pytest.approx(-val, abs=1e-12)
     assert val == pytest.approx(-math.sqrt(2) / 2, abs=1e-10)
 
 
@@ -273,24 +265,125 @@ LEVEL_SETS = {
 
 def test_implicit_matches_graph_curvature():
     surf = ImplicitSurface.from_expr("t - x*y/2")
-    assert abs(surf.h_mean_curvature(HPoint(1.0, 2.0, 1.0))) <= 1e-12
+    assert abs(surf.h_mean_curvature(np.array([1.0]), np.array([2.0]), np.array([1.0]))[0]) <= 1e-12
     # each entry's level set against its graph, one independent formula
     # against the other; orientation -1 negates the value exactly
     for name, src in LEVEL_SETS.items():
         entry = gallery_get(name)
         flipped = ImplicitSurface.from_expr(src, orientation=-1)
-        evaluated = 0
-        for x, y in Grid2(entry.verify_domain, 11, 11).nodes:
-            if horizontal_data(entry.graph, (x, y)).w <= W_MARGIN:
-                continue
-            g = entry.graph.point(x, y)
-            assert flipped.phi(g.x, g.y, g.t) == entry.implicit.phi(g.x, g.y, g.t)
-            value = entry.implicit.h_mean_curvature(g)
-            want = h_mean_curvature(entry.graph, (x, y))
-            assert abs(value - want) <= 1e-12, (name, x, y)
-            assert flipped.h_mean_curvature(g) == -value
-            evaluated += 1
-        assert evaluated > 0, name
+        nodes = [z for z in Grid2(entry.verify_domain, 11, 11).nodes
+                 if not horizontal_data(entry.graph, z).w <= W_MARGIN]
+        assert nodes, name
+        x, y = (np.array(c) for c in zip(*nodes))
+        t = np.array([entry.graph.point(*z).t for z in nodes])
+        assert flipped.phi(x, y, t).tolist() == entry.implicit.phi(x, y, t).tolist()
+        value = entry.implicit.h_mean_curvature(x, y, t)
+        want = np.array([h_mean_curvature(entry.graph, z) for z in nodes])
+        off = np.flatnonzero(~(abs(value - want) <= 1e-12))
+        assert not off.size, (name, [nodes[i] for i in off])
+        assert flipped.h_mean_curvature(x, y, t).tolist() == (-value).tolist()
+
+
+def _node_loop_verify(phi, n, window=(-2.0, 2.0, -2.0, 2.0), t0=0.0, orientation=1):
+    """Implicit ``verify``'s measured value (its repr) and three counts, one
+    node at a time on ``expr.evaluate`` over the surface's trees: the
+    oracle of the array route."""
+    trees = ImplicitSurface.from_expr(phi, orientation).trees
+    o = float(orientation)
+
+    def at(k, x, y, t):
+        return ex.evaluate(trees[k], {"x": x, "y": y, "t": t})
+
+    def solve(x, y):   # 1-D Newton from t0; None where it fails
+        t = t0
+        for _ in range(60):
+            val = at(0, x, y, t)
+            if abs(val) < 1e-12:
+                return t
+            dt = at(1, x, y, t)
+            if dt == 0.0 or not math.isfinite(dt):
+                break
+            t -= val / dt
+        return t if abs(at(0, x, y, t)) < 1e-9 else None
+
+    values, near, no_height = [], 0, 0
+    for x, y in Grid2(PlanarDomain(*window), n, n).nodes:
+        t = solve(x, y)
+        if t is None or not math.isfinite(t):
+            no_height += 1
+            continue
+        p, q, p_x, p_y, p_t, q_x, q_y, q_t = (at(k, x, y, t) for k in range(2, 10))
+        p, q = o * p, o * q
+        w = math.hypot(p, q)
+        if w <= W_MARGIN:
+            near += 1
+            continue
+        # the derivatives of p and q along X1 and X2
+        values.append(_pq_form(p, q, w, o * (p_x - 0.5 * y * p_t), o * (p_y + 0.5 * x * p_t),
+                               o * (q_x - 0.5 * y * q_t), o * (q_y + 0.5 * x * q_t)))
+    return repr(worst_abs(values)), len(values), near, no_height
+
+
+def _verify_implicit(tmp_path, implicit: dict, n: int) -> tuple:
+    """``hmin verify`` of an implicit spec on an n-by-n grid: the repr of
+    its measured value and the three counts of its note."""
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"kind": "implicit", "implicit": implicit}))
+    main(["verify", "--spec", str(spec), "--grid", str(n), str(n), "--out", str(tmp_path)])
+    check = json.loads((tmp_path / "report.json").read_text())["checks"][0]
+    counts = re.fullmatch(r"(\d+) nodes evaluated, (\d+) near the characteristic set, "
+                          r"(\d+) without a height", check["note"])
+    return (repr(check["measured"]), *map(int, counts.groups()))
+
+
+# level sets with no height anywhere, with phi_t = 0 everywhere (a vertical
+# plane) and with Newton runs of about 55 steps
+EDGE_LEVEL_SETS = {"no-height": "t^2 + 1", "vertical": "x - 2*y",
+                   "long-newton": "atan(t) - 1.5707963267948966"}
+
+
+@pytest.mark.parametrize("options", [{}, {"t0": 0.7}, {"orientation": -1}],
+                         ids=["default", "t0", "flipped"])
+@pytest.mark.parametrize("phi", [*LEVEL_SETS.values(), *EDGE_LEVEL_SETS.values()],
+                         ids=[*LEVEL_SETS, *EDGE_LEVEL_SETS])
+def test_implicit_verify_matches_the_node_loop(tmp_path, phi, options):
+    want = _node_loop_verify(phi, 11, **options)
+    assert _verify_implicit(tmp_path, {"phi": phi, **options}, 11) == want
+
+
+def test_implicit_verify_matches_the_node_loop_across_chunks_and_the_margin(tmp_path):
+    # 33 x 33 nodes are two chunks; the cylinder has heights on one part of the window
+    phi = LEVEL_SETS["cylinder"]
+    assert _verify_implicit(tmp_path, {"phi": phi, "t0": 0.5}, 33) == \
+        _node_loop_verify(phi, 33, t0=0.5)
+    # W = |y| on t = x y / 2: the window's rows lie on both sides of W_MARGIN
+    window = (0.5, 2.0, -0.003, 0.003)
+    want = _node_loop_verify("t - x*y/2", 11, window)
+    assert want[1] > 0 and want[2] > 0
+    spec = {"phi": "t - x*y/2", "window": dict(zip(("xmin", "xmax", "ymin", "ymax"), window))}
+    assert _verify_implicit(tmp_path, spec, 11) == want
+
+
+def test_implicit_verify_calls_each_evaluator_once_per_chunk_and_newton_step(tmp_path,
+                                                                              monkeypatch):
+    calls = []   # (evaluator, nodes) of each call
+    names = iter(("phi", "phi_t", "pq", "curvature"))   # in the order verify compiles them
+    original = ex.compile_fn
+
+    def spy(e, var_order, array=False):
+        fn, name = original(e, var_order, array), next(names)
+        return lambda *args: calls.append((name, np.size(args[0]))) or fn(*args)
+
+    monkeypatch.setattr(ex, "compile_fn", spy)
+    assert _verify_implicit(tmp_path, {"phi": "t - x*y/2 - (0.25)*x - (0.5)"}, 101)[1:] == \
+        (10201, 0, 0)
+    # 10 chunks of at most 1024 nodes; Newton takes at most one step at a
+    # node, and reads phi again after it
+    assert Counter(name for name, _ in calls) == {"phi": 20, "phi_t": 10, "pq": 10, "curvature": 10}
+    points = Counter()
+    for name, n in calls:
+        points[name] += n
+    assert points["phi"] == 10201 + points["phi_t"] and points["pq"] == points["curvature"] == 10201
 
 
 # -- characteristic scan ------------------------------------------------------
@@ -364,3 +457,6 @@ def test_curvature_on_a_chunk_raises_the_float_call_at_its_first_characteristic_
     with pytest.raises(CharacteristicPoint) as chunk:
         h_mean_curvature(HYP, (x, y), jet=HYP.h.jet(x, y))
     assert str(chunk.value) == str(one.value) == "W=0.0 at (2.0, 0.0)"
+    # the level set of the same graph names its first characteristic node too
+    with pytest.raises(CharacteristicPoint, match=r"^W=0.0 at \(2.0, 0.0, 0.0\)$"):
+        ImplicitSurface.from_expr(LEVEL_SETS["hyperbolic"]).h_mean_curvature(x, y, x * y / 2)
