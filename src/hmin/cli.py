@@ -14,13 +14,14 @@ loci.csv or mesh.obj depending on the command) are deterministic.
 
 Exit codes: 0 all checks pass, 1 a check failed, 2 spec or input error
 (including a surface undefined on its domain, a domain, window, s_range
-or r_range that is not finite and ordered, an expression using a
-variable its field does not take, --z0 outside it, a --span that is not
-positive or is longer than MAX_SEED_STEPS RK4 steps (a span of 1000), a
---grid value below 2 or a --grid of more than MAX_GRID_NODES nodes (a
-2000x2000 lattice), or seed samples whose s is not strictly increasing), 3
-characteristic start point, 4 unknown gallery name or bad gallery
-parameter (including one that no named entry takes).
+or r_range that is not finite and ordered, an implicit t0 that is not
+finite, an expression using a variable its field does not take, --z0
+outside it, a --span that is not positive or is longer than
+MAX_SEED_STEPS RK4 steps (a span of 1000), a --grid value below 2 or a
+--grid of more than MAX_GRID_NODES nodes (a 2000x2000 lattice), or seed
+samples whose s is not strictly increasing), 3 characteristic start
+point, 4 unknown gallery name or bad gallery parameter (including one
+that no named entry takes).
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from . import gallery as gal
 from .errors import (CharacteristicStart, HminError, OutOfRange, ParseError,
                      SpecError, UnknownName)
 from .expr import pointwise
-from .fields import FD_STEP, HESS_STEP, RK4_STEP, Grid2, PlanarDomain, Profile, chunks, over_arrays
+from .fields import FD_STEP, HESS_STEP, RK4_STEP, Grid2, PlanarDomain, Profile, chunks, finite
 from .meshes import lint_obj, mesh_graph, mesh_ruled, write_obj
 from .report import Report, check_flag, check_leq, digest_of, worst_abs
 from .ruled import (RuledPatch, build_surface, characteristic_locus, classify_entire_graph,
@@ -94,7 +95,7 @@ def load_spec(path: str) -> dict:
 
 def _interval(name: str, lo: float, hi: float, *, strict: bool) -> tuple[float, float]:
     """A spec interval: finite bounds and width, lo <= hi (lo < hi when strict)."""
-    if not (math.isfinite(lo) and math.isfinite(hi) and math.isfinite(hi - lo)):
+    if not (finite(lo) and finite(hi) and finite(hi - lo)):
         raise SpecError(f"{name} [{lo!r}, {hi!r}] needs finite bounds and a finite width")
     if not (lo < hi if strict else lo <= hi):
         raise SpecError(f"{name} [{lo!r}, {hi!r}] needs min {'<' if strict else '<='} max")
@@ -144,9 +145,9 @@ def ruled_from_spec(spec: dict) -> RuledPatch:
         if seed_spec["kind"] == "expression":
             px, py = Profile.from_expr(seed_spec["x"]), Profile.from_expr(seed_spec["y"])
             curve = SeedCurve.from_callables(
-                over_arrays(lambda s: (px(s), py(s))),
-                over_arrays(lambda s: (px.d(s), py.d(s))),
-                over_arrays(lambda s: (pointwise(px.d2, s), pointwise(py.d2, s))),
+                lambda s: (px(s), py(s)),
+                lambda s: (px.d(s), py.d(s)),
+                lambda s: (px.d2(s), py.d2(s)),
                 s_range)
         else:
             curve = _seed_from_csv(seed_spec["path"], s_range)
@@ -258,9 +259,12 @@ def cmd_verify(args, spec: dict, report: Report) -> None:
     elif spec["kind"] == "implicit":
         surf = implicit_from_spec(spec)
         imp = spec["implicit"]
+        window, t0 = _domain_of(imp.get("window")), imp.get("t0", 0.0)
+        if not finite(t0):
+            raise SpecError(f"implicit t0 {t0!r} needs to be finite")
         values, near, no_height = [], 0, 0
-        for x, y in chunks(*Grid2(_domain_of(imp.get("window")), nx, ny).points()):
-            t = surf.solve_height(x, y, imp.get("t0", 0.0))
+        for x, y in chunks(*Grid2(window, nx, ny).points()):
+            t = surf.solve_height(x, y, t0)
             solved = np.isfinite(t)
             no_height += len(t) - int(solved.sum())
             x, y, t = x[solved], y[solved], t[solved]
@@ -309,8 +313,10 @@ def cmd_seed(args, spec: dict, report: Report) -> None:
         report.add(check_leq("closed_form_seed", dev, 1e-6))
     if entry is not None and entry.radius_law is not None:
         s = np.linspace(curve.s_min, curve.s_max, 101)
-        dev = worst_abs(pointwise(lambda x, y, sv: x ** 2 + y ** 2 - entry.radius_law(z0, sv),
-                                  *curve.point(s), s))
+        x, y = curve.point(s)
+        # math.pow is the C pow of float **
+        dev = worst_abs(pointwise(math.pow, x, 2.0) + pointwise(math.pow, y, 2.0)
+                        - entry.radius_law(z0, s))
         report.add(check_leq("radius_law", dev, 1e-6))
 
 

@@ -16,8 +16,17 @@ curves and heights.  The integrator returns the traced points alone, and
 ends a trace at the start of a step whose k2 turns back from its k1
 (k1 . k2 <= 0).  The quadrature ``cumulative_integral`` runs the
 recursion of ``adaptive_simpson`` level by level over arrays, and gives
-its sums bit for bit; a function marked by ``over_arrays`` is evaluated
-once per level.
+its sums bit for bit, with one call of the integrand per level.
+
+Every callable the package stores has one contract: a domain's
+membership predicate, a ``Profile``'s f, d1 and d2, a ``seed.SeedCurve``'s
+closed forms, a quadrature integrand and a gallery radius law.  It takes
+floats, or equally long 1-d float arrays where it takes floats, and
+element i of its result (an array, or a tuple of arrays) is the float, or
+bool, of its call at element i.  Written with ``+ - * /``, ``abs``,
+comparisons and ``&`` (not ``and``/``or``, nor chained comparisons), with
+``full`` for a constant and any other float function applied through
+``expr.pointwise``, a callable keeps it by construction.
 
 Numerical defaults (fixed):
 
@@ -55,27 +64,17 @@ TURN_BACK = "field turns back: k1 . k2 <= 0"  # rk4_integrate's own stop reason
 CHUNK = 1024
 
 
-def over_arrays(fn: Callable) -> Callable:
-    """Mark a float function as valid over arrays.
-
-    A marked function takes equally long 1-d float arrays wherever it takes
-    floats, and returns an array (or a tuple of arrays) whose element i is
-    the float, or bool, of its call at element i; a call with floats still
-    returns floats.  Written with ``+ - * /``, ``abs``, comparisons and
-    ``&`` (not ``and``/``or``, nor chained comparisons), and with any other
-    float function applied through ``expr.pointwise``, it does so by
-    construction.  ``PlanarDomain.contains_all``, ``cumulative_integral``,
-    ``Profile`` and the ``SeedCurve`` lookups call a marked function once
-    with an array, and map any other one over its elements.
-    """
-    fn.over_arrays = True
-    return fn
+def finite(v: float) -> bool:
+    """Whether v is a finite float, or an int that converts to one."""
+    try:
+        return math.isfinite(v)
+    except OverflowError:
+        return False
 
 
-def _at(f: Callable, t: np.ndarray) -> np.ndarray:
-    """f at every element of t: one call of an ``over_arrays`` f, else f
-    mapped by ``expr.pointwise``."""
-    return f(t) if getattr(f, "over_arrays", False) else ex.pointwise(f, t)
+def full(s, v: float):
+    """v at every element of an array s, or v for a float s."""
+    return np.full(len(s), v) if isinstance(s, np.ndarray) else v
 
 
 @dataclass(frozen=True)
@@ -83,9 +82,8 @@ class PlanarDomain:
     """Axis-aligned bounds plus an optional membership predicate.
 
     ``membership(x, y)`` decides a point within the bounds; ``contains``
-    calls it with floats.  ``contains_all`` calls a predicate marked by
-    ``over_arrays`` once with the in-bounds points of its arrays, and any
-    other predicate once per in-bounds point.
+    calls it with floats, and ``contains_all`` once with the in-bounds
+    points of its arrays.
     """
 
     xmin: float
@@ -102,13 +100,8 @@ class PlanarDomain:
     def contains_all(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """``contains`` at every point (x[i], y[i]), as a boolean array."""
         inside = (self.xmin <= x) & (x <= self.xmax) & (self.ymin <= y) & (y <= self.ymax)
-        member = self.membership
-        if member is not None:
-            x, y = x[inside], y[inside]
-            if getattr(member, "over_arrays", False):
-                inside[inside] = member(x, y)
-            else:
-                inside[inside] = [bool(member(a, b)) for a, b in zip(x.tolist(), y.tolist())]
+        if self.membership is not None:
+            inside[inside] = self.membership(x[inside], y[inside])
         return inside
 
 
@@ -326,13 +319,40 @@ def chunks(*arrays: np.ndarray) -> Iterator[tuple[np.ndarray, ...]]:
 # ---------------------------------------------------------------------------
 
 
+class _ProfileCode:
+    """A tree in s, given or derived on first use, called with a float s or
+    an array of s: its float code and its array code are each compiled on
+    their first call."""
+
+    def __init__(self, make_tree: Callable[[], ex.Expr]):
+        self._make_tree = make_tree
+
+    @cached_property
+    def tree(self) -> ex.Expr:
+        return self._make_tree()
+
+    @cached_property
+    def _float(self) -> Callable:
+        return ex.compile_fn(self.tree, ("s",))
+
+    @cached_property
+    def _array(self) -> Callable:
+        return ex.compile_fn(self.tree, ("s",), array=True)
+
+    def __call__(self, s):
+        return self._array(s) if isinstance(s, np.ndarray) else self._float(s)
+
+    def derivative(self) -> "_ProfileCode":
+        return _ProfileCode(lambda: ex.differentiate(self.tree, "s"))
+
+
 @dataclass
 class Profile:
     """A scalar function of one variable with optional analytic derivatives.
 
-    The profile and ``d`` take a float s, or a 1-d array of s, with which
-    f and d1 are called once if marked by ``over_arrays``, and at whose
-    elements they are called one by one (``expr.pointwise``) if not.
+    f, d1 and d2 take a float s or a 1-d array of s, as every stored
+    callable does (see the module docstring), and so do the profile and
+    ``d``.  ``from_expr`` follows the compile rule of ``ScalarField2``.
     """
 
     f: Callable[[float], float]
@@ -340,31 +360,31 @@ class Profile:
     d2: Optional[Callable[[float], float]] = None
 
     def __call__(self, s):
-        return _at(self.f, s) if isinstance(s, np.ndarray) else self.f(s)
+        return self.f(s)
 
     def d(self, s):
         if self.d1 is not None:
-            return _at(self.d1, s) if isinstance(s, np.ndarray) else self.d1(s)
-        if isinstance(s, np.ndarray):
-            return ex.pointwise(self.d, s)
+            return self.d1(s)
         h = PROFILE_STEP
         return (self.f(s + h) - self.f(s - h)) / (2.0 * h)
 
     @staticmethod
     def from_expr(src: str) -> "Profile":
-        """A profile from an expression in s with symbolic derivatives."""
+        """A profile from an expression in s with symbolic derivatives.
+
+        f's float code is compiled here, since that compile reports an
+        unknown variable; f' and f'' are derived and compiled on their
+        first call, and each array code on its first array call.
+        """
         tree = ex.parse(src)
-        d1 = ex.differentiate(tree, "s")
-        d2 = ex.differentiate(d1, "s")
-        return Profile(
-            f=ex.compile_fn(tree, ("s",)),
-            d1=ex.compile_fn(d1, ("s",)),
-            d2=ex.compile_fn(d2, ("s",)),
-        )
+        f = _ProfileCode(lambda: tree)
+        f._float = ex.compile_fn(tree, ("s",))
+        d1 = f.derivative()
+        return Profile(f, d1, d1.derivative())
 
     @staticmethod
     def constant(c: float) -> "Profile":
-        return Profile(f=lambda s: c, d1=lambda s: 0.0, d2=lambda s: 0.0)
+        return Profile(f=lambda s: full(s, c), d1=lambda s: full(s, 0.0), d2=lambda s: full(s, 0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -478,24 +498,23 @@ def cumulative_integral(f: Callable[[float], float], grid: np.ndarray,
     intervals before it, bit for bit.  The recursion runs level by level
     over arrays, with its own arithmetic: f is evaluated once at the grid
     nodes, once at the interval midpoints, and once per depth at the
-    quarter points of every interval still halving.  f is called with
-    arrays if it is marked by ``over_arrays``, and mapped by
-    ``expr.pointwise`` if not.
+    quarter points of every interval still halving, each time with one
+    array.
     """
     out = np.zeros(len(grid))
     grid = np.asarray(grid, dtype=float)
     live = np.flatnonzero(~(grid[:-1] == grid[1:]))  # a zero-width interval adds 0.0
     if not len(live):
         return out
-    fg = _at(f, grid)
+    fg = f(grid)
     a, b, fa, fb = grid[:-1][live], grid[1:][live], fg[:-1][live], fg[1:][live]
     m = 0.5 * (a + b)
-    fm = _at(f, m)
+    fm = f(m)
     whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
     levels = []  # per depth: each interval's leaf value, and whether it halves
     while len(a):
         lm, rm = 0.5 * (a + m), 0.5 * (m + b)
-        fq = _at(f, np.concatenate((lm, rm)))
+        fq = f(np.concatenate((lm, rm)))
         flm, frm = fq[:len(a)], fq[len(a):]
         left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
         right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)

@@ -28,14 +28,15 @@ from __future__ import annotations
 import inspect
 import math
 from dataclasses import dataclass
-from functools import cache, partial
+from functools import cache
 from typing import Callable, Optional
 
 import numpy as np
 
 from . import expr as ex
 from .errors import StencilOutOfDomain, UnknownName
-from .fields import Grid2, PlanarDomain, Profile, chunks, cumulative_integral, over_arrays, square
+from .fields import (Grid2, PlanarDomain, Profile, chunks, cumulative_integral, finite, full,
+                     square)
 from .report import Check, check_flag, check_leq, worst_abs
 from .ruled import (GeneralizedSeedCurve, GSCJoin, GSCPiece, RuledPatch, _chart_nu,
                     characteristic_locus, curvature_on_patch, locus_branch_slope, roundtrip,
@@ -65,17 +66,14 @@ def circle_seed(center: tuple[float, float], z0: tuple[float, float],
         th = phi0 + sense * s / rho
         return ex.pointwise(math.cos, th), ex.pointwise(math.sin, th)
 
-    @over_arrays
     def gamma(s):
         c, sn = cos_sin(s)
         return (cx + rho * c, cy + rho * sn)
 
-    @over_arrays
     def dgamma(s):
         c, sn = cos_sin(s)
         return (-sense * sn, sense * c)
 
-    @over_arrays
     def ddgamma(s):
         c, sn = cos_sin(s)
         return (-c / rho, -sn / rho)
@@ -83,19 +81,14 @@ def circle_seed(center: tuple[float, float], z0: tuple[float, float],
     return SeedCurve.from_callables(gamma, dgamma, ddgamma, s_range)
 
 
-def _full(s, v: float):
-    """v at every element of an array s, or v for a float s."""
-    return np.full(len(s), v) if isinstance(s, np.ndarray) else v
-
-
 def line_seed(z0: tuple[float, float], direction: tuple[float, float],
               s_range: tuple[float, float]) -> SeedCurve:
     norm = math.hypot(*direction)
     dx, dy = direction[0] / norm, direction[1] / norm
     return SeedCurve.from_callables(
-        over_arrays(lambda s: (z0[0] + s * dx, z0[1] + s * dy)),
-        over_arrays(lambda s: (_full(s, dx), _full(s, dy))),
-        over_arrays(lambda s: (_full(s, 0.0), _full(s, 0.0))),
+        lambda s: (z0[0] + s * dx, z0[1] + s * dy),
+        lambda s: (full(s, dx), full(s, dy)),
+        lambda s: (full(s, 0.0), full(s, 0.0)),
         s_range,
     )
 
@@ -114,7 +107,6 @@ def catenoid_seed(a: float, z0: tuple[float, float], s_range: tuple[float, float
     th0 = math.atan2(z0[1], z0[0])
     rate = 4.0 / math.sqrt(a)
 
-    @over_arrays
     def theta_rate(s):
         r2 = rho0 * rho0 - sheet * rate * s
         return ex.pointwise(math.sqrt, ex.pointwise(max, r2 - 4.0 / a, 0.0)) / r2
@@ -153,19 +145,15 @@ def optreg2_seed() -> SeedCurve:
         # s |s| is copysign(s * s, s): rounding is symmetric about 0
         return 0.5 * (1.0 + s * abs(s))
 
-    @over_arrays
     def cos_psi(s):
         return ex.pointwise(math.cos, psi(s))
 
-    @over_arrays
     def sin_psi(s):
         return ex.pointwise(math.sin, psi(s))
 
-    @over_arrays
     def dgamma(s) -> tuple:
         return (cos_psi(s), sin_psi(s))
 
-    @over_arrays
     def ddgamma(s) -> tuple:
         return (-abs(s) * sin_psi(s), abs(s) * cos_psi(s))
 
@@ -213,17 +201,9 @@ class GalleryEntry:
     own_checks: Optional[Callable[["GalleryEntry", Optional[RuledPatch]], list[Check]]] = None
 
 
-def _finite(v: float) -> bool:
-    """Whether v is a finite float, or an int that converts to one."""
-    try:
-        return math.isfinite(v)
-    except OverflowError:
-        return False
-
-
 def _num(v: float) -> str:
     """v as expression text; a coefficient that is no finite float is a bad parameter."""
-    if not _finite(v):
+    if not finite(v):
         raise UnknownName(f"bad gallery parameter: coefficient {v!r} is not finite")
     return f"({v!r})"
 
@@ -319,7 +299,7 @@ def _catenoid(a: float = 2.0, u0: float = 0.0) -> GalleryEntry:
     half = max(3.6, 2.2 * math.sqrt(rim2))
 
     def member(margin):
-        return over_arrays(lambda x, y: x * x + y * y >= rim2 + margin)
+        return lambda x, y: x * x + y * y >= rim2 + margin
 
     dom = PlanarDomain(-half, half, -half, half, member(0.08))
     vdom = PlanarDomain(-half + 0.2, half - 0.2, -half + 0.2, half - 0.2, member(0.15))
@@ -329,8 +309,9 @@ def _catenoid(a: float = 2.0, u0: float = 0.0) -> GalleryEntry:
     rho0sq = rho0 * rho0
     s_rim = (rho0sq - rim2) / rate   # where the seed from base meets the rim
 
-    def h0_up(s: float) -> float:   # the upper sheet along that seed
-        return u0 + (2.0 / a) * math.sqrt(max(a * (rho0sq - rate * s) / 4.0 - 1.0, 0.0))
+    def h0_up(s):   # the upper sheet along that seed
+        return u0 + (2.0 / a) * ex.pointwise(
+            math.sqrt, ex.pointwise(max, a * (rho0sq - rate * s) / 4.0 - 1.0, 0.0))
 
     def radius_law(z0, s):
         return math.hypot(*z0) ** 2 - rate * s
@@ -355,8 +336,9 @@ def _catenoid(a: float = 2.0, u0: float = 0.0) -> GalleryEntry:
         s_range = (-1.0, 0.6 * s_rim)
         seed_c = catenoid_seed(a, base, s_range, sheet=1.0)
 
-        def h0d(s: float) -> float:
-            return -(1.0 / math.sqrt(a)) / math.sqrt(a * (rho0sq - rate * s) / 4.0 - 1.0)
+        def h0d(s):
+            return (-(1.0 / math.sqrt(a))
+                    / ex.pointwise(math.sqrt, a * (rho0sq - rate * s) / 4.0 - 1.0))
 
         return RuledPatch(seed_c, Profile(f=h0_up, d1=h0d), s_range, (-0.3, 0.3))
 
@@ -376,7 +358,6 @@ def _catenoid(a: float = 2.0, u0: float = 0.0) -> GalleryEntry:
 def _sector(x_min: float, half_angle: float) -> Callable:
     """The membership x >= x_min and |atan2(y, x)| <= half_angle, at a point
     or over arrays (math.atan2 at each element: numpy's differs in the last bit)."""
-    @over_arrays
     def inside(x, y):
         return (x >= x_min) & (abs(ex.pointwise(math.atan2, y, x)) <= half_angle)
 
@@ -462,8 +443,8 @@ def _gencurve(n: int = 3) -> GalleryEntry:
     odd = n % 2 == 1
     if odd:
         src = f"sign(x)*abs(x)^(1/{_num(float(n))}) + x*y/2"
-        dom = PlanarDomain(-2.1, 2.1, -2.1, 2.1, over_arrays(lambda x, y: abs(x) >= 0.05))
-        vdom = PlanarDomain(-2.0, 2.0, -2.0, 2.0, over_arrays(lambda x, y: abs(x) >= 0.1))
+        dom = PlanarDomain(-2.1, 2.1, -2.1, 2.1, lambda x, y: abs(x) >= 0.05)
+        vdom = PlanarDomain(-2.0, 2.0, -2.0, 2.0, lambda x, y: abs(x) >= 0.1)
         graph = GraphPatch.from_expr(src, dom)
         graph_lower = None
     else:
@@ -473,7 +454,9 @@ def _gencurve(n: int = 3) -> GalleryEntry:
         graph_lower = GraphPatch.from_expr(f"-(x^(1/{_num(float(n))})) + x*y/2", dom)
 
     # the height x^(1/n) along the seed (s, 0); an odd root is odd in s
-    root = (lambda s: math.copysign(abs(s) ** (1.0 / n), s)) if odd else (lambda s: s ** (1.0 / n))
+    # (math.pow is the C pow of float **)
+    root = ((lambda s: ex.pointwise(math.copysign, ex.pointwise(math.pow, abs(s), 1.0 / n), s))
+            if odd else (lambda s: ex.pointwise(math.pow, s, 1.0 / n)))
 
     def piece(a: float, b: float, name: str) -> GSCPiece:
         return GSCPiece(line_seed((0.0, 0.0), (1.0, 0.0), (a, b)), a, b, name=name)
@@ -507,7 +490,6 @@ def _gencurve(n: int = 3) -> GalleryEntry:
 def _optreg2() -> GalleryEntry:
     seed_c = optreg2_seed()
 
-    @over_arrays
     def h0_rate(s):
         g = seed_c.point(s)
         d = seed_c.tangent(s)
@@ -520,7 +502,7 @@ def _optreg2() -> GalleryEntry:
     h0_vals, zeros = cumulative_integral(h0_rate, grid, tol=1e-11), np.zeros_like(grid)
     samples = SeedCurve(grid, np.column_stack((h0_vals, zeros)),
                         np.column_stack((h0_rate(grid), zeros)), np.zeros((len(grid), 2)))
-    h0 = Profile(f=over_arrays(lambda s: samples.point(s)[0]), d1=h0_rate)
+    h0 = Profile(f=lambda s: samples.point(s)[0], d1=h0_rate)
 
     def make_patch():
         return RuledPatch(seed_c, h0, (-1.0, 1.0), (-6.0, 6.0))
@@ -547,7 +529,7 @@ def _iso_profile(R: float = 1.0) -> GalleryEntry:
         def inside(x, y):
             r2 = x * x + y * y
             return (lo * lo <= r2) & (r2 <= hi * hi)
-        return over_arrays(inside)
+        return inside
 
     dom = PlanarDomain(-0.97 * R, 0.97 * R, -0.97 * R, 0.97 * R,
                        member(0.04 * R, 0.96 * R))
@@ -602,7 +584,7 @@ def gallery_get(name: str, **params) -> GalleryEntry:
     if key not in _BUILDERS:
         raise UnknownName(f"unknown gallery entry {name!r}; known: {gallery_names()}")
     for k, v in params.items():
-        if isinstance(v, (int, float)) and not _finite(v):
+        if isinstance(v, (int, float)) and not finite(v):
             raise UnknownName(f"bad parameters for {name!r}: {k} is not a finite float")
     try:
         return _BUILDERS[key](**params)
@@ -650,8 +632,7 @@ def _seed_deviation(entry: GalleryEntry) -> tuple[float, SeedCurve]:
     elif entry.radius_law is not None:
         s = np.linspace(max(extracted.s_min, -1.0), min(extracted.s_max, 0.0), 101)
         gx, gy = extracted.point(s)
-        worst = worst_abs(gx * gx + gy * gy
-                          - ex.pointwise(partial(entry.radius_law, entry.seed_base), s))
+        worst = worst_abs(gx * gx + gy * gy - entry.radius_law(entry.seed_base, s))
     return worst, extracted
 
 

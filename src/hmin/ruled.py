@@ -31,10 +31,10 @@ of the chain-rule gradient, as are those of the unit field ``_chart_nu``.
 ``RuledPatch.w0``, ``w``, ``w_ode_residual``, ``height`` and ``embed``,
 ``w_direct``, ``_chart_nu`` and ``curvature_on_patch`` take floats s, r
 or 1-d arrays of them, with the rules of ``seed``: each element is the
-float of the scalar call, h0 and math.hypot are called element by
-element, and an array call raises what the first failing scalar call
-would.  The chart samples are arrays, and the locus is solved and
-verified over all sampled s at once.
+float of the scalar call, h0 is called once with the array and
+math.hypot element by element, and an array call raises what the first
+failing scalar call would.  The chart samples are arrays, and the locus
+is solved and verified over all sampled s at once.
 ``invert_chart``, ``w_direct_invert`` (``w_direct`` by Newton inversion of
 F) and ``rule`` stay scalar, as the independent oracles.
 
@@ -55,7 +55,7 @@ import numpy as np
 
 from . import expr as ex
 from .errors import CharacteristicPoint, FieldUndefined, HminError, OutOfRange, SingularRule
-from .fields import FD_STEP, Grid2, PlanarDomain, Profile, over_arrays
+from .fields import FD_STEP, Grid2, PlanarDomain, Profile
 from .heis import HPoint, dilate, group_mul
 from .report import worst_abs
 from .seed import (SeedCurve, curvature, extract_seed, rule_jacobian,
@@ -552,8 +552,8 @@ def constant_curvature_test(gsc: GeneralizedSeedCurve, tol: float) -> tuple[bool
 
 def lifted_height(patch: GraphPatch, curve: SeedCurve) -> Profile:
     """h0(s) = h(gamma(s)) along an extracted seed; over arrays, one seed
-    lookup and the height's value at each point."""
-    return Profile(f=over_arrays(lambda s: ex.pointwise(patch.h.value, *curve.point(s))))
+    lookup and one call of the height's array code."""
+    return Profile(f=lambda s: patch.h.value(*curve.point(s)))
 
 
 def roundtrip(patch: GraphPatch, curve: SeedCurve, arc_span: float, r_span: float) -> float:
@@ -574,7 +574,7 @@ def roundtrip(patch: GraphPatch, curve: SeedCurve, arc_span: float, r_span: floa
     if not inside.any():
         raise FieldUndefined("no graph-valid chart samples landed in the patch domain")
     s, r, x, y = s[inside], r[inside], x[inside], y[inside]
-    return worst_abs(built.height(s, r) - ex.pointwise(patch.h.value, x, y))
+    return worst_abs(built.height(s, r) - patch.h.value(x, y))
 
 
 @dataclass
@@ -679,7 +679,7 @@ def classify_entire_graph(patch: GraphPatch) -> Classification:
         g0 = curve.point(0.0)
         base = (g0[0], g0[1], patch.h.value(*g0))
         s21 = np.linspace(lo, hi, 21)
-        h0s = list(zip(s21.tolist(), ex.pointwise(patch.h.value, *curve.point(s21)).tolist()))
+        h0s = list(zip(s21.tolist(), patch.h.value(*curve.point(s21)).tolist()))
         alpha = None
         if abs(d[1]) > 1e-9:
             alpha = -d[0] / (2.0 * d[1])

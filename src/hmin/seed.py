@@ -68,13 +68,6 @@ def takes_arrays(fn: Callable) -> Callable:
     return over
 
 
-def _columns(fn: Callable, s: np.ndarray) -> tuple:
-    """x and y of ``fn`` over an array s: one call if ``over_arrays``, else one per element."""
-    if getattr(fn, "over_arrays", False):
-        return tuple(fn(s))
-    return tuple(np.array([fn(v) for v in s.tolist()], dtype=float).reshape(-1, 2).T)
-
-
 @dataclass
 class SeedCurve:
     """Sampled arclength curve with tangents and second derivatives.
@@ -87,9 +80,9 @@ class SeedCurve:
     ``point``, ``tangent`` and ``second`` take a float s or a 1-d array of
     s.  An array lookup makes one range check and one ``np.searchsorted``
     and returns a pair of arrays, each element the float of the scalar
-    lookup (a closed-form callable is called once with the array if it is
-    marked by ``fields.over_arrays``, else element by element); it raises
-    the OutOfRange of the first element a scalar lookup rejects.
+    lookup (a closed-form callable takes the array, as every stored
+    callable does: see ``fields``); it raises the OutOfRange of the first
+    element a scalar lookup rejects.
     """
 
     s: np.ndarray
@@ -174,7 +167,7 @@ class SeedCurve:
         # the call at each element before the first one out of range, then
         # the range check that rejects it, as in a loop of scalar lookups
         k = self._first_rejected(sq)
-        cols = _columns(fn, sq[:k])
+        cols = tuple(fn(sq[:k]))
         self._check_range(sq[k:])
         return cols
 
@@ -200,7 +193,7 @@ class SeedCurve:
                        s_range: tuple[float, float],
                        n_samples: int = 257) -> "SeedCurve":
         s = np.linspace(s_range[0], s_range[1], n_samples)
-        g, dg, ddg = (np.column_stack(_columns(fn, s)) for fn in (gamma, dgamma, ddgamma))
+        g, dg, ddg = (np.column_stack(fn(s)) for fn in (gamma, dgamma, ddgamma))
         return SeedCurve(s, g, dg, ddg, gamma_fn=gamma, dgamma_fn=dgamma, ddgamma_fn=ddgamma)
 
 

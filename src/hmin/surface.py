@@ -49,7 +49,7 @@ import numpy as np
 
 from . import expr as ex
 from .errors import CharacteristicPoint, FieldUndefined, StencilOutOfDomain
-from .fields import Grid2, PlanarDomain, ScalarField2, chunks, over_arrays
+from .fields import Grid2, PlanarDomain, ScalarField2, chunks
 from .heis import HPoint
 
 EPS_CHAR = 1e-9
@@ -258,8 +258,6 @@ def translate_graph(patch: GraphPatch, g0: HPoint) -> GraphPatch:
     dom = patch.domain
     m = dom.membership
     membership = None if m is None else lambda x, y: m(x - x0, y - y0)  # noqa: E731
-    if getattr(m, "over_arrays", False):
-        over_arrays(membership)
     new_dom = PlanarDomain(dom.xmin + x0, dom.xmax + x0, dom.ymin + y0, dom.ymax + y0,
                            membership)
     u, v = ex.sub(ex.Var("x"), ex.Num(x0)), ex.sub(ex.Var("y"), ex.Num(y0))
@@ -281,7 +279,6 @@ def rotate_graph(patch: GraphPatch, theta: float) -> GraphPatch:
     xs, ys = zip(*((c * px - s * py, s * px + c * py)
                    for px in (dom.xmin, dom.xmax) for py in (dom.ymin, dom.ymax)))
 
-    @over_arrays
     def membership(x, y):
         # the point rotated back, in the old domain
         bx, by = c * x + s * y, -s * x + c * y

@@ -9,6 +9,7 @@ import math
 
 import numpy as np
 
+from hmin import expr as ex
 from hmin.fields import Profile, cumulative_integral, square
 from hmin.gallery import gallery_get, max_curvature_deviation
 from hmin.heis import HPoint
@@ -184,23 +185,30 @@ def random_trig_seed(rng) -> tuple[SeedCurve, Profile]:
     b = rng.uniform(-0.7, 0.7, size=3)
     a0 = rng.uniform(-1.0, 1.0)
 
-    def theta(s: float) -> float:
-        return a0 * s + sum(a[k] * math.cos((k + 1) * s) + b[k] * math.sin((k + 1) * s)
+    # a float s or an array of s, as every callable the package stores
+    def cos(s):
+        return ex.pointwise(math.cos, s)
+
+    def sin(s):
+        return ex.pointwise(math.sin, s)
+
+    def theta(s):
+        return a0 * s + sum(a[k] * cos((k + 1) * s) + b[k] * sin((k + 1) * s)
                             for k in range(3))
 
-    def dtheta(s: float) -> float:
-        return a0 + sum(-(k + 1) * a[k] * math.sin((k + 1) * s)
-                        + (k + 1) * b[k] * math.cos((k + 1) * s) for k in range(3))
+    def dtheta(s):
+        return a0 + sum(-(k + 1) * a[k] * sin((k + 1) * s)
+                        + (k + 1) * b[k] * cos((k + 1) * s) for k in range(3))
 
-    def dgamma(s: float):
-        return (math.cos(theta(s)), math.sin(theta(s)))
+    def dgamma(s):
+        return (cos(theta(s)), sin(theta(s)))
 
-    def ddgamma(s: float):
-        return (-math.sin(theta(s)) * dtheta(s), math.cos(theta(s)) * dtheta(s))
+    def ddgamma(s):
+        return (-sin(theta(s)) * dtheta(s), cos(theta(s)) * dtheta(s))
 
     grid = np.linspace(-1.0, 1.0, 201)
-    gx = cumulative_integral(lambda v: math.cos(theta(v)), grid, tol=1e-11)
-    gy = cumulative_integral(lambda v: math.sin(theta(v)), grid, tol=1e-11)
+    gx = cumulative_integral(lambda v: cos(theta(v)), grid, tol=1e-11)
+    gy = cumulative_integral(lambda v: sin(theta(v)), grid, tol=1e-11)
     g = np.column_stack([gx, gy])
     dg = np.array([dgamma(float(s)) for s in grid])
     ddg = np.array([ddgamma(float(s)) for s in grid])
@@ -208,11 +216,11 @@ def random_trig_seed(rng) -> tuple[SeedCurve, Profile]:
 
     c = rng.uniform(-0.8, 0.8, size=3)
 
-    def h0f(s: float) -> float:
-        return c[0] * s + c[1] * math.sin(s) + c[2] * math.cos(2 * s)
+    def h0f(s):
+        return c[0] * s + c[1] * sin(s) + c[2] * cos(2 * s)
 
-    def h0d(s: float) -> float:
-        return c[0] + c[1] * math.cos(s) - 2 * c[2] * math.sin(2 * s)
+    def h0d(s):
+        return c[0] + c[1] * cos(s) - 2 * c[2] * sin(2 * s)
 
     return curve, Profile(f=h0f, d1=h0d)
 

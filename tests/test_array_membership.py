@@ -1,23 +1,33 @@
-"""Membership predicates marked as valid over arrays give, at every point,
-the bool of their float call."""
+"""Every callable a gallery entry stores takes arrays: one call with an
+array gives, element by element, the repr of its float call there.
+
+That covers the membership predicates of the gallery's domains, the h0
+profiles of its ruled patches, the closed forms of its seeds and the
+catenoid's radius law, each on its 101x101 lattice or 101-point s grid
+and at its boundary points.
+"""
 
 import math
 
 import numpy as np
 
-from hmin.fields import FD_STEP, HESS_STEP, Grid2, _stencil_points
+from hmin.fields import FD_STEP, HESS_STEP, Grid2, Profile, _stencil_points
 from hmin.gallery import gallery_get, gallery_names
 
 
-def _marked_domains():
-    """Every gallery domain (graph, lower graph, verify, scan) whose predicate is marked."""
+def _entries():
+    """Every gallery entry at its default parameters, and gencurve's even root."""
+    return [(name, gallery_get(name)) for name in gallery_names() + ["gencurve-2"]]
+
+
+def _gallery_domains():
+    """Every gallery domain (graph, lower graph, verify, scan) with a predicate."""
     found = {}
-    for name in gallery_names():
-        entry = gallery_get(name)
+    for name, entry in _entries():
         for dom in (entry.graph and entry.graph.domain,
                     entry.graph_lower and entry.graph_lower.domain,
                     entry.verify_domain, entry.scan_domain):
-            if dom is not None and getattr(dom.membership, "over_arrays", False):
+            if dom is not None and dom.membership is not None:
                 found.setdefault(id(dom.membership), (name, dom))
     return list(found.values())
 
@@ -72,14 +82,12 @@ def test_edge_points_lie_on_every_boundary():
     assert {b for b in _CIRCLES if any(x * x + y * y == b for x, y in zip(xs, ys))} == set(_CIRCLES)
 
 
-def test_marked_predicates_are_those_of_the_gallery_domains():
-    assert sorted({name for name, _ in _marked_domains()}) == [
-        "catenoid", "counterexample", "gencurve-n", "iso-profile"]
-
-
 def test_marked_predicates_give_the_float_bools_on_lattices_stencils_and_edges():
     ex, ey = _edge_points()
-    for name, dom in _marked_domains():
+    domains = _gallery_domains()
+    assert sorted({name for name, _ in domains}) == [
+        "catenoid", "counterexample", "gencurve-n", "iso-profile"]
+    for name, dom in domains:
         gx, gy = (a.ravel() for a in Grid2(dom, 101, 101).mesh())
         xs, ys = [gx, np.array(ex)], [gy, np.array(ey)]
         for h in (FD_STEP, HESS_STEP):
@@ -89,6 +97,72 @@ def test_marked_predicates_give_the_float_bools_on_lattices_stencils_and_edges()
         x, y = np.concatenate(xs), np.concatenate(ys)
         got = dom.membership(x, y)
         assert isinstance(got, np.ndarray) and got.dtype == bool, name
-        want = [bool(dom.membership(a, b)) for a, b in zip(x.tolist(), y.tolist())]
-        assert got.tolist() == want, name
+        want = [repr(dom.membership(a, b)) for a, b in zip(x.tolist(), y.tolist())]
+        assert [repr(v) for v in got.tolist()] == want, name
         assert got.any() and not got.all(), name
+
+
+def _s_grid(lo: float, hi: float) -> np.ndarray:
+    """101 points over [lo, hi], and each end with its nearest floats."""
+    return np.concatenate([np.linspace(lo, hi, 101), _near(lo), _near(hi)])
+
+
+def _assert_takes_arrays(label: str, fn, s: np.ndarray):
+    """One call of fn with s gives arrays as long as s, whose elements are
+    the reprs of its float calls; fn returns a float or a tuple of floats."""
+    got = fn(s)
+    cols = got if isinstance(got, tuple) else (got,)
+    assert all(isinstance(c, np.ndarray) and c.shape == s.shape for c in cols), label
+    scalar = [fn(v) for v in s.tolist()]
+    want = list(zip(*scalar)) if isinstance(got, tuple) else [scalar]
+    assert ([[repr(v) for v in c.tolist()] for c in cols]
+            == [list(map(repr, w)) for w in want]), label
+
+
+def _stored_callables():
+    """(label, callable, s) of every profile, seed closed form and radius
+    law the gallery entries store."""
+    out = []
+    for name, entry in _entries():
+        curves = []
+        if entry.ruled is not None:
+            patch = entry.ruled()
+            curves.append(("ruled seed", patch.seed))
+            s = _s_grid(*patch.s_range)
+            for which in ("f", "d1", "d2"):
+                fn = getattr(patch.h0, which)
+                if fn is not None:
+                    out.append((f"{name} h0.{which}", fn, s))
+        if entry.known_seed is not None:
+            curves.append(("known seed", entry.known_seed(entry.seed_base)))
+        if entry.gsc is not None:
+            curves += [(f"gsc {piece.name}", piece.curve) for piece in entry.gsc().pieces]
+        for label, curve in curves:
+            for which in ("gamma_fn", "dgamma_fn", "ddgamma_fn"):
+                fn = getattr(curve, which)
+                if fn is not None:
+                    out.append((f"{name} {label} {which}", fn, _s_grid(curve.s_min, curve.s_max)))
+        if entry.radius_law is not None:
+            out.append((f"{name} radius_law",
+                        lambda s, entry=entry: entry.radius_law(entry.seed_base, s),
+                        _s_grid(-1.0, 0.0)))
+    return out
+
+
+def test_stored_profiles_seeds_and_radius_laws_give_their_float_calls_over_arrays():
+    stored = _stored_callables()
+    labels = {label.split()[0] + " " + label.split()[-1] for label, _, _ in stored}
+    # constant, closed-form and sampled heights, seed closed forms and the radius law
+    assert {"catenoid h0.f", "catenoid h0.d1", "gencurve-n h0.f", "gencurve-2 h0.f",
+            "char-plane h0.f", "catenoid radius_law", "optreg2 ddgamma_fn"} <= labels
+    for label, fn, s in stored:
+        _assert_takes_arrays(label, fn, s)
+
+
+def test_expression_and_constant_profiles_take_arrays():
+    s = _s_grid(-0.9, 0.9)
+    for profile in (Profile.from_expr("sqrt(1 - s^2)"), Profile.from_expr("-s/2"),
+                    Profile.from_expr("2.5"), Profile.constant(0.0), Profile.constant(-1.5),
+                    Profile(f=Profile.from_expr("-atanh(s)").f)):
+        for fn in (profile, profile.d, profile.d2 or profile.d):
+            _assert_takes_arrays(repr(profile), fn, s)

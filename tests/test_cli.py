@@ -537,10 +537,24 @@ IMPLICIT = {"kind": "implicit", "implicit": {"phi": "t - x*y/2"}}
     ("build", GRAPH, ["--grid", "2", "9223372036854775807"], "--grid 2 9223372036854775807: "),
     ("build", GRAPH, ["--grid", "2000", "2001"],
      "--grid 2000 2001: every value must be at least 2 and their product at most 4000000"),
+    # a Newton start that is not finite is refused before any node is solved
+    ("verify", {"kind": "implicit", "implicit": {**IMPLICIT["implicit"], "t0": math.nan}},
+     ["--grid", "11", "11"], "implicit t0 nan needs to be finite"),
+    ("verify", {"kind": "implicit", "implicit": {**IMPLICIT["implicit"], "t0": math.inf}},
+     ["--grid", "11", "11"], "implicit t0 inf needs to be finite"),
+    ("verify", {"kind": "implicit", "implicit": {**IMPLICIT["implicit"], "t0": -math.inf}},
+     ["--grid", "11", "11"], "implicit t0 -inf needs to be finite"),
+    # JSON integers beyond the float range
+    ("verify", {"kind": "implicit", "implicit": {**IMPLICIT["implicit"], "t0": int(BIG_INT)}},
+     ["--grid", "11", "11"], f"implicit t0 {BIG_INT} needs to be finite"),
+    ("verify", {"kind": "graph", "graph": {"h": "x*y/2", "domain": {
+        "xmin": -int(BIG_INT), "xmax": 1, "ymin": -1, "ymax": 1}}}, [],
+     f"domain x range [-{BIG_INT}, 1] needs finite bounds and a finite width"),
 ], ids=["invalid-json", "implicit-phi", "ruled-h0", "seed-not-arclength", "seed-csv-missing",
         "seed-csv-four-columns", "seed-of-ruled", "build-of-implicit", "loci-of-graph",
         "classify-of-implicit", "fd-only-thin-domain", "grid-beyond-numpy", "grid-int64-max",
-        "grid-past-the-cap"])
+        "grid-past-the-cap", "implicit-t0-nan", "implicit-t0-inf", "implicit-t0-minus-inf",
+        "implicit-t0-beyond-float", "domain-bound-beyond-float"])
 def test_input_error_exit_2(tmp_path, capsys, monkeypatch, command, payload, extra, message):
     monkeypatch.chdir(tmp_path)   # the seed sample paths are relative
     (tmp_path / "four.csv").write_text("s,x,y,dx\n0,0,0,1\n1,1,0,1\n")

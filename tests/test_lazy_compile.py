@@ -1,5 +1,5 @@
-"""A field or surface compiles f or phi when it is built, and every other
-evaluator the first time it is called."""
+"""A field, surface or expression profile compiles f or phi when it is
+built, and every other evaluator the first time it is called."""
 
 import json
 
@@ -8,7 +8,7 @@ import pytest
 
 from hmin import expr as ex
 from hmin.cli import main
-from hmin.fields import ScalarField2, square
+from hmin.fields import Profile, ScalarField2, square
 from hmin.surface import GraphPatch, ImplicitSurface
 
 
@@ -89,6 +89,37 @@ def test_implicit_surface_derives_its_trees_on_first_use(monkeypatch):
     surf.h_mean_curvature(x, y, t)
     surf.solve_height(x, y, 0.0)
     assert len(derived) == n
+
+
+def test_expression_profile_compiles_f_when_built_and_the_rest_on_first_call(compiled,
+                                                                            monkeypatch):
+    derived = []
+    original = ex.differentiate
+    monkeypatch.setattr(ex, "differentiate", lambda e, var: derived.append(var) or original(e, var))
+    h0 = Profile.from_expr("sqrt(1 - s^2)")
+    assert compiled == [(ex.parse("sqrt(1 - s^2)"), False)] and derived == []
+    s = np.array([0.1, -0.5])
+    assert _compiles_once(compiled, lambda: h0(0.3)) == 0
+    assert _compiles_once(compiled, lambda: h0(s)) == 1 and compiled[0][1] is True
+    # f' is derived on its first call, and its float and array code compiled apart
+    assert _compiles_once(compiled, lambda: h0.d(0.3)) == 1 and derived
+    n = len(derived)
+    assert _compiles_once(compiled, lambda: h0.d(s)) == 1 and compiled[0][1] is True
+    assert len(derived) == n
+    assert _compiles_once(compiled, lambda: h0.d2(s)) == 1 and len(derived) > n
+
+
+def test_verify_of_a_ruled_spec_compiles_no_second_derivative_of_h0(tmp_path, compiled):
+    # the expression seed reads gamma'' from its profiles' f''; nothing reads h0's
+    spec = tmp_path / "in.json"
+    spec.write_text(json.dumps({"kind": "ruled", "ruled": {
+        "seed": {"kind": "expression", "x": "s", "y": "0"}, "h0": "sqrt(1 - s^2)",
+        "s_range": [-0.9, 0.9], "r_range": [-1, 1]}}))
+    assert main(["verify", "--spec", str(spec), "--out", str(tmp_path / "o")]) == 0
+    h0 = ex.parse("sqrt(1 - s^2)")
+    d1 = ex.differentiate(h0, "s")
+    trees = [e for e, _ in compiled]
+    assert h0 in trees and d1 in trees and ex.differentiate(d1, "s") not in trees
 
 
 IN_GRAPH = "unknown variable 't': this field takes x, y"

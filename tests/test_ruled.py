@@ -4,11 +4,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from hmin import expr as ex
 from hmin import gallery as gallery_module
 from hmin import ruled as ruled_module
 from hmin import seed as seed_module
 from hmin.errors import FieldUndefined, OutOfRange, SingularRule
-from hmin.fields import PlanarDomain, Profile, square
+from hmin.fields import PlanarDomain, Profile, full, square
 from hmin.gallery import (circle_seed, gallery_get, gallery_names, gallery_verify, line_seed,
                           optreg2_seed)
 from hmin.heis import HPoint, group_mul
@@ -24,8 +25,8 @@ from hmin.surface import GraphPatch
 
 def cylinder_patch(sign=1.0, r_range=(-2.0, 2.0)):
     s_range = (-0.95, 0.95)
-    h0 = Profile(f=lambda s: sign * math.sqrt(1 - s * s),
-                 d1=lambda s: -sign * s / math.sqrt(1 - s * s))
+    h0 = Profile(f=lambda s: sign * ex.pointwise(math.sqrt, 1 - s * s),
+                 d1=lambda s: -sign * s / ex.pointwise(math.sqrt, 1 - s * s))
     return RuledPatch(line_seed((0.0, 0.0), (1.0, 0.0), s_range), h0, s_range, r_range)
 
 
@@ -70,7 +71,7 @@ def test_r_zero_is_the_lifted_seed():
 
 def test_build_surface_rejects_non_arclength_seed():
     bad = line_seed((0.0, 0.0), (1.0, 0.0), (-1.0, 1.0))
-    bad.dgamma_fn = lambda s: (2.0, 0.0)   # deliberately not unit
+    bad.dgamma_fn = lambda s: (full(s, 2.0), full(s, 0.0))   # deliberately not unit
     from hmin.errors import HminError
     with pytest.raises(HminError):
         build_surface(bad, Profile.constant(0.0), (-1.0, 1.0), (-1.0, 1.0))
@@ -83,20 +84,24 @@ def test_representation_sufficiency_for_arbitrary_data():
         coef = rng.uniform(-0.5, 0.5, size=4)
 
         def theta(s):
-            return (coef[0] * math.sin(s) + coef[1] * math.cos(2 * s)
+            return (coef[0] * ex.pointwise(math.sin, s) + coef[1] * ex.pointwise(math.cos, 2 * s)
                     + coef[2] * s)
 
-        def gamma(s, n=201):
+        def cos_sin(s):
+            th = theta(s)
+            return ex.pointwise(math.cos, th), ex.pointwise(math.sin, th)
+
+        def gamma(s):
             from hmin.fields import adaptive_simpson
-            return (adaptive_simpson(lambda v: math.cos(theta(v)), 0.0, s, 1e-11),
-                    adaptive_simpson(lambda v: math.sin(theta(v)), 0.0, s, 1e-11))
+            # each coordinate an adaptive Simpson integral from 0, one per s
+            return tuple(ex.pointwise(lambda v, i=i: adaptive_simpson(
+                lambda u: cos_sin(u)[i], 0.0, v, 1e-11), s) for i in (0, 1))
 
         from hmin.seed import SeedCurve
         curve = SeedCurve.from_callables(
             gamma,
-            lambda s: (math.cos(theta(s)), math.sin(theta(s))),
-            lambda s: (-math.sin(theta(s)) * _dtheta(coef, s),
-                       math.cos(theta(s)) * _dtheta(coef, s)),
+            cos_sin,
+            lambda s: (-cos_sin(s)[1] * _dtheta(coef, s), cos_sin(s)[0] * _dtheta(coef, s)),
             (-1.0, 1.0), n_samples=101)
         h0 = Profile.from_expr(f"({float(coef[3])!r})*sin(s) + s/3")
         patch = build_surface(curve, h0, (-1.0, 1.0), (-0.8, 0.8))
@@ -168,7 +173,8 @@ def test_chart_curvature_sees_a_perturbed_height(monkeypatch, name):
 
 
 def _dtheta(coef, s):
-    return coef[0] * math.cos(s) - 2 * coef[1] * math.sin(2 * s) + coef[2]
+    return (coef[0] * ex.pointwise(math.cos, s) - 2 * coef[1] * ex.pointwise(math.sin, 2 * s)
+            + coef[2])
 
 
 # -- angle function -----------------------------------------------------------
@@ -425,9 +431,12 @@ def test_constant_curvature_rejects_optreg_seed():
 
 def test_constant_curvature_nan_sample_fails():
     # a straight seed whose second derivative is undefined past s = 0.5
+    def second(s):
+        v = ex.pointwise(lambda t: math.nan if t > 0.5 else 0.0, s)
+        return (v, v)
+
     curve = SeedCurve.from_callables(
-        lambda s: (s, 0.0), lambda s: (1.0, 0.0),
-        lambda s: (math.nan, math.nan) if s > 0.5 else (0.0, 0.0), (-1.0, 1.0))
+        lambda s: (s, full(s, 0.0)), lambda s: (full(s, 1.0), full(s, 0.0)), second, (-1.0, 1.0))
     piece = GSCPiece(curve, -1.0, 1.0)
     ok, summary = constant_curvature_test(GeneralizedSeedCurve([piece]), 1e-6)
     assert ok is False and math.isnan(summary[0]["max_dev"])
@@ -618,16 +627,22 @@ def test_w_oracle_on_random_patches():
         coef = [float(v) for v in rng.uniform(-0.5, 0.5, size=3)]
 
         def theta(s):
-            return coef[0] * s + coef[1] * math.sin(2 * s) + coef[2] * math.cos(s)
+            return (coef[0] * s + coef[1] * ex.pointwise(math.sin, 2 * s)
+                    + coef[2] * ex.pointwise(math.cos, s))
 
         def dtheta(s):
-            return coef[0] + 2 * coef[1] * math.cos(2 * s) - coef[2] * math.sin(s)
+            return (coef[0] + 2 * coef[1] * ex.pointwise(math.cos, 2 * s)
+                    - coef[2] * ex.pointwise(math.sin, s))
+
+        def cos_sin(s):
+            th = theta(s)
+            return ex.pointwise(math.cos, th), ex.pointwise(math.sin, th)
 
         from hmin.fields import cumulative_integral
         import numpy as _np
         grid = _np.linspace(-1.0, 1.0, 161)
-        gx = cumulative_integral(lambda v: math.cos(theta(v)), grid, tol=1e-11)
-        gy = cumulative_integral(lambda v: math.sin(theta(v)), grid, tol=1e-11)
+        gx = cumulative_integral(lambda v: cos_sin(v)[0], grid, tol=1e-11)
+        gy = cumulative_integral(lambda v: cos_sin(v)[1], grid, tol=1e-11)
         from hmin.seed import SeedCurve
         curve = SeedCurve(
             grid, _np.column_stack([gx, gy]),
@@ -636,11 +651,10 @@ def test_w_oracle_on_random_patches():
             _np.array([(-math.sin(theta(float(s))) * dtheta(float(s)),
                         math.cos(theta(float(s))) * dtheta(float(s)))
                        for s in grid]),
-            dgamma_fn=lambda s: (math.cos(theta(s)), math.sin(theta(s))),
-            ddgamma_fn=lambda s: (-math.sin(theta(s)) * dtheta(s),
-                                  math.cos(theta(s)) * dtheta(s)))
-        h0 = Profile(f=lambda s, c=coef: c[0] * math.cos(s) + 0.4 * s,
-                     d1=lambda s, c=coef: -c[0] * math.sin(s) + 0.4)
+            dgamma_fn=cos_sin,
+            ddgamma_fn=lambda s: (-cos_sin(s)[1] * dtheta(s), cos_sin(s)[0] * dtheta(s)))
+        h0 = Profile(f=lambda s, c=coef: c[0] * ex.pointwise(math.cos, s) + 0.4 * s,
+                     d1=lambda s, c=coef: -c[0] * ex.pointwise(math.sin, s) + 0.4)
         patch = RuledPatch(curve, h0, (-1.0, 1.0), (-0.9, 0.9))
         signs = set()
         for s in np.linspace(-0.8, 0.8, 7):

@@ -137,7 +137,7 @@ def test_chunks_without_an_evaluated_node_do_not_make_the_scan_nan():
     # W = |y| sqrt(1 + y^2): the first 2251 nodes lie on y = 0, so whole
     # chunks are skipped
     patch = GraphPatch.from_expr("x*y/2 + y^3/3", PlanarDomain(-1, 1, -1, 1))
-    domain = PlanarDomain(-1, 1, -1, 1, lambda x, y: y == 0.0 or x > 0.5)
+    domain = PlanarDomain(-1, 1, -1, 1, lambda x, y: (y == 0.0) | (x > 0.5))
     grid = Grid2(domain, 3001, 11)
     assert sum(1 for _, y in grid.nodes[:3 * CHUNK] if y == 0.0) > 2 * CHUNK
     got = max_curvature_deviation(patch, domain, 3001, 11)
@@ -166,7 +166,7 @@ def _stencil_cases():
     # 100 nodes in each column: the column at x = 1 - 2e-5 is nodes 1900-1999,
     # in the second chunk, and the next column starts at node 2000
     wide = PlanarDomain(1 - 2e-5 - 19 * 1e-4, 1 - 2e-5 + 1e-4, 0.1, 0.9,
-                        lambda x, y: x < 1 - 1e-5 or y > 0.5)
+                        lambda x, y: (x < 1 - 1e-5) | (y > 0.5))
     yield pytest.param(fd, hess_first, 2, 1, id="expr-hessian-first")
     yield pytest.param(fd, wide, 21, 100, id="expr-second-chunk")
     # only the gradient stencil leaves the domain: at x = 1 - 5e-6
@@ -380,7 +380,7 @@ def _classify_heights():
 _CLASSIFY_DOMAINS = {
     "box": (None, {"Class1", "Class2", "NotMinimal", "NotEntire"}),
     "first-node-outside": (lambda x, y: x + y > -3.5, {"NotEntire"}),
-    "cut-later": (lambda x, y: x < 1.0 or y <= 1.0, {"NotEntire", "StencilOutOfDomain"}),
+    "cut-later": (lambda x, y: (x < 1.0) | (y <= 1.0), {"NotEntire", "StencilOutOfDomain"}),
 }
 
 
@@ -410,7 +410,7 @@ def test_classify_equals_the_node_loop_on_the_gallery_graph_domains():
 def test_classify_reports_a_bad_node_before_a_later_failed_stencil():
     # the height is NaN at the first window node; the gradient stencils of
     # the nodes on y = 0 with x > 0.5 leave the field's domain
-    field = PlanarDomain(-2, 2, -2, 2, lambda x, y: not (x > 0.5 and abs(y) < 1e-5))
+    field = PlanarDomain(-2, 2, -2, 2, lambda x, y: (x <= 0.5) | (abs(y) >= 1e-5))
     patch = GraphPatch(PlanarDomain(-1, 1, -1, 1),
                        ScalarField2.from_expr("log(x + 0.95)", field).fd_only())
     want = "NotEntire(reason='height not finite at (-1.0, -1.0)', kind='not-entire')"

@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from hmin import expr as ex
 from hmin import seed as seed_module
 from hmin.errors import CharacteristicStart, FieldUndefined, OutOfRange, StencilOutOfDomain
-from hmin.fields import RK4_STEP, TURN_BACK, PlanarDomain, ScalarField2, rk4_integrate, square
+from hmin.fields import RK4_STEP, TURN_BACK, PlanarDomain, ScalarField2, full, rk4_integrate, square
 from hmin.gallery import circle_seed, gallery_get, gallery_names, line_seed, optreg2_seed
 from hmin.seed import (_RANGE_SLOP, SeedCurve, curvature, extract_seed, rule_jacobian_det,
                        rule_jacobian_det_fd, rule_point, singular_locus)
@@ -266,7 +267,7 @@ def test_lookups_match_numpy_hermite():
               extract_seed(FLAT, (1.0, 0.0), 1.0), extract_seed(CATENOID, (2.0, 0.0), 1.0),
               circle_seed((0.0, 0.0), (1.0, 0.0), (-2.0, 2.0)),
               line_seed((0.0, 1.0), (-1.0, 0.0), (-2.0, 2.0)),
-              SeedCurve(*one), SeedCurve(*one, gamma_fn=lambda s: (s, 0.0))]
+              SeedCurve(*one), SeedCurve(*one, gamma_fn=lambda s: (s, full(s, 0.0)))]
     for c in curves:
         lo, hi = c.s_min, c.s_max
         edges = [lo - _RANGE_SLOP, lo + _RANGE_SLOP, hi - _RANGE_SLOP, hi + _RANGE_SLOP,
@@ -460,7 +461,7 @@ def _lookup_curves():
             extract_seed(CATENOID, (2.0, 0.0), 1.0),
             circle_seed((0.0, 0.0), (1.0, 0.0), (-2.0, 2.0)),
             line_seed((0.0, 1.0), (-1.0, 0.0), (-2.0, 2.0)),
-            SeedCurve(*one), SeedCurve(*one, gamma_fn=lambda s: (s, 0.0))]
+            SeedCurve(*one), SeedCurve(*one, gamma_fn=lambda s: (s, full(s, 0.0)))]
 
 
 def _scalar_loop(fn, values):
@@ -513,7 +514,8 @@ def test_array_lookup_names_the_first_s_out_of_range():
 def test_closed_form_array_lookup_raises_what_the_scalar_loop_raises_first():
     # gamma_fn raises ValueError below s = -0.5, inside the range; s = 2 is out of it
     c = SeedCurve(np.linspace(-1.0, 1.0, 5), np.zeros((5, 2)), np.zeros((5, 2)),
-                  np.zeros((5, 2)), gamma_fn=lambda s: (math.sqrt(s + 0.5), 0.0))
+                  np.zeros((5, 2)),
+                  gamma_fn=lambda s: (ex.pointwise(math.sqrt, s + 0.5), full(s, 0.0)))
     for values, error in (([0.5, -0.75, 2.0], ValueError), ([0.5, 2.0, -0.75], OutOfRange),
                           ([0.25, 1.0], None)):
         got = _array_call(c.point, values)

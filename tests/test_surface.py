@@ -2,7 +2,6 @@ import json
 import math
 import re
 from collections import Counter
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,7 +9,7 @@ import pytest
 from hmin import expr as ex
 from hmin.cli import main
 from hmin.errors import CharacteristicPoint
-from hmin.fields import FD_STEP, Grid2, PlanarDomain, ScalarField2, over_arrays, square
+from hmin.fields import FD_STEP, Grid2, PlanarDomain, ScalarField2, square
 from hmin.gallery import gallery_get
 from hmin.heis import HPoint
 from hmin.surface import (W_MARGIN, GraphPatch, ImplicitSurface, characteristic_scan,
@@ -227,21 +226,6 @@ def test_rotated_graph_has_the_rotated_derivatives():
         assert moved.h.gradient(x, y) == pytest.approx(r @ WAVY.h.gradient(*at), abs=1e-12)
 
 
-def test_moved_membership_takes_arrays_when_it_can():
-    marked = GraphPatch(replace(CATENOID.domain,
-                                membership=over_arrays(lambda x, y: x * x + y * y > 2.05)),
-                        CATENOID.h)
-    x, y = Grid2(PlanarDomain(-3.0, 3.0, -3.0, 3.0), 41, 41).points()
-    for patch in (CATENOID, marked):
-        # a rotation maps through contains_all, which takes any membership
-        for moved, over in ((translate_graph(patch, G0), patch is marked),
-                            (rotate_graph(patch, THETA), True)):
-            dom = moved.domain
-            assert getattr(dom.membership, "over_arrays", False) == over
-            assert dom.contains_all(x, y).tolist() == [
-                dom.contains(a, b) for a, b in zip(x.tolist(), y.tolist())]
-
-
 def test_orientation_flip_negates_curvature():
     surf = ImplicitSurface.from_expr("t - (x^2+y^2)/4")
     g = (np.array([1.0]), np.array([0.0]), np.array([0.25]))
@@ -405,7 +389,7 @@ def test_scan_flat_plane_single_point():
 
 def test_scan_counterexample_patch_is_empty():
     dom = PlanarDomain(0.25, 3.0, -3.0, 3.0,
-                       lambda x, y: abs(math.atan2(y, x)) <= 0.9)
+                       lambda x, y: abs(ex.pointwise(math.atan2, y, x)) <= 0.9)
     patch = GraphPatch.from_expr("-atanh(atan(y/x))", dom)
     scan = characteristic_scan(patch, Grid2(dom, 41, 41), 1e-9)
     assert scan.empty
