@@ -21,12 +21,14 @@ MAX_SEED_STEPS RK4 steps (a span of 1000), a --grid value below 2 or a
 --grid of more than MAX_GRID_NODES nodes (a 2000x2000 lattice), or seed
 samples whose s is not strictly increasing), 3 characteristic start
 point, 4 unknown gallery name or bad gallery parameter (including one
-that no named entry takes).
+that no named entry takes, and a gencurve-<k> suffix that differs from
+--n), a gallery name given twice, or all next to another name.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -414,7 +416,16 @@ def cmd_classify(args, spec: dict, report: Report) -> None:
 
 
 def _gallery_request(args) -> dict:
-    """The gallery command's input: entry names and the parameters given."""
+    """The gallery command's input: entry names and the parameters given.
+
+    ``all`` stands alone, and no name is given twice.
+    """
+    if "all" in args.names and args.names != ["all"]:
+        raise UnknownName(f"'all' names every entry, so it takes no other name: {args.names}")
+    repeated = sorted({n for n in args.names if args.names.count(n) > 1})
+    if repeated:
+        raise UnknownName(f"a gallery entry is named once; named more than once: "
+                          f"{', '.join(map(repr, repeated))}")
     names = gal.gallery_names() if args.names == ["all"] else args.names
     params = {k: getattr(args, k) for k in GALLERY_OPTIONS if getattr(args, k) is not None}
     return {"names": names, "params": params}
@@ -436,7 +447,11 @@ def cmd_gallery(args, request: dict, report: Report) -> None:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared by every later
+    one.  It holds no mutable default and no command function, so one parse
+    carries nothing into the next."""
     parser = argparse.ArgumentParser(prog="hmin", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -449,33 +464,27 @@ def _build_parser() -> argparse.ArgumentParser:
                            metavar=("NX", "NY"))
 
     p = sub.add_parser("verify", help="curvature and characteristic scans")
-    common(p, grid_default=[101, 101])
-    p.set_defaults(fn=cmd_verify)
+    common(p, grid_default=(101, 101))
 
     p = sub.add_parser("seed", help="extract a seed curve to CSV")
     common(p)
     p.add_argument("--z0", nargs=2, type=float, required=True, metavar=("X", "Y"))
     p.add_argument("--span", type=float, default=1.0, help="arclength half-span")
-    p.set_defaults(fn=cmd_seed)
 
     p = sub.add_parser("build", help="mesh a surface to OBJ")
-    common(p, grid_default=[50, 50])
-    p.set_defaults(fn=cmd_build)
+    common(p, grid_default=(50, 50))
 
     p = sub.add_parser("loci", help="characteristic and singular loci to CSV")
     common(p)
-    p.set_defaults(fn=cmd_loci)
 
     p = sub.add_parser("classify", help="classify an entire minimal graph")
     common(p)
-    p.set_defaults(fn=cmd_classify)
 
     p = sub.add_parser("gallery", help="verify built-in gallery entries")
     p.add_argument("names", nargs="+", help="entry names or 'all'")
     p.add_argument("--out", default=".")
     for key, kind in GALLERY_OPTIONS.items():
         p.add_argument(f"--{key}", type=kind, default=None)
-    p.set_defaults(fn=cmd_gallery)
     return parser
 
 
@@ -488,8 +497,10 @@ def main(argv: Optional[list[str]] = None) -> int:
                              f"and their product at most {MAX_GRID_NODES}")
         spec = _gallery_request(args) if args.command == "gallery" else load_spec(args.spec)
         report = Report(args.command, digest_of(spec), defaults=dict(DEFAULTS))
+        command = {"verify": cmd_verify, "seed": cmd_seed, "build": cmd_build, "loci": cmd_loci,
+                   "classify": cmd_classify, "gallery": cmd_gallery}[args.command]
         t0 = time.time()
-        args.fn(args, spec, report)
+        command(args, spec, report)
         report.wall_time_s = time.time() - t0
         return _emit(report, args.out, quiet=args.command == "classify")
     except CharacteristicStart as err:

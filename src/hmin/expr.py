@@ -400,6 +400,37 @@ _BINARY: dict[type, tuple[str, Callable[[float, float], float]]] = {
 }
 
 
+def _unknown_variable(name: str, var_order: Iterable[str]) -> SpecError:
+    return SpecError(f"unknown variable {name!r}: this field takes "
+                     f"{', '.join(var_order) or 'no variables'}")
+
+
+def check_variables(e: Expr, var_order: Iterable[str]) -> None:
+    """Raise the SpecError ``compile_fn(e, var_order)`` raises for a variable
+    it does not take, without compiling anything.
+
+    The walk visits the nodes in ``compile_fn``'s order, so the variable
+    named is the one it names.
+    """
+    names = tuple(var_order)
+    seen: set[int] = set()
+
+    def visit(node: Expr) -> None:
+        if id(node) in seen:
+            return
+        seen.add(id(node))
+        if isinstance(node, Var):
+            if node.name not in names and node.name not in CONSTANTS:
+                raise _unknown_variable(node.name, names)
+        elif isinstance(node, (Neg, Call)):
+            visit(node.arg)
+        elif type(node) in _BINARY:
+            visit(node.left)
+            visit(node.right)
+
+    visit(e)
+
+
 def compile_fn(e: Union[Expr, Sequence[Expr]], var_order: Iterable[str],
                array: bool = False) -> Callable:
     """Compile one tree, or a list of trees, into a positional-argument function.
@@ -441,8 +472,7 @@ def compile_fn(e: Union[Expr, Sequence[Expr]], var_order: Iterable[str],
         elif isinstance(node, Var):
             out = params.get(node.name, CONSTANTS.get(node.name))
             if out is None:
-                raise SpecError(f"unknown variable {node.name!r}: this field takes "
-                                f"{', '.join(params) or 'no variables'}")
+                raise _unknown_variable(node.name, params)
         else:
             if isinstance(node, Neg):
                 template, fold, args = "-{}", operator.neg, (visit(node.arg),)

@@ -6,10 +6,11 @@ derivatives: exact ones when it has the six trees of an analytic field,
 central finite differences when it has f alone.  Its ``value`` and
 ``jet`` take one point or a chunk of points (1-d arrays of at most
 ``CHUNK`` nodes, from ``chunks``); the other evaluators take one point.
-The compile rule: f is compiled when the field is built, since that
-compile reports an unknown variable; every other evaluator is compiled
-the first time it is called (a ``functools.cached_property``), so a
-command compiles only the code it runs.
+The compile rule: every evaluator, f included, is compiled the first
+time it is called (a ``functools.cached_property``), so a command
+compiles only the code it runs.  Building a field compiles nothing: it
+checks the variables of f (``expr.check_variables``), which is where an
+unknown variable is reported.
 The module also provides the fixed-step RK4 integrator used for
 seed-curve tracing, and adaptive Simpson quadrature for integral-defined
 curves and heights.  The integrator returns the traced points alone, and
@@ -44,7 +45,7 @@ Numerical defaults (fixed):
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterator, Optional, Sequence
 
@@ -120,25 +121,28 @@ class ScalarField2:
     """A real function on a planar domain with derivative evaluators.
 
     ``exprs`` holds the trees of the field in x, y: f, then, when analytic,
-    (fx, fy, fxx, fxy, fyy).  f is compiled on construction, which is where
-    an unknown variable is reported; every other evaluator (the gradient
-    code, the scalar 2-jet and the array code of ``exprs``) is compiled the
-    first time it is called, and kept.  A field with f alone is a *stencil
-    field*: its gradient is central differences at ``FD_STEP`` and its
-    Hessian second differences of the values at ``HESS_STEP``, read around
-    (x, y), inside ``domain``.
+    (fx, fy, fxx, fxy, fyy).  Construction checks the variables of f, which
+    is where an unknown variable is reported, and compiles nothing; each
+    evaluator (f, the gradient code, the scalar 2-jet and the array code of
+    ``exprs``) is compiled the first time it is called, and kept.  A field
+    with f alone is a *stencil field*: its gradient is central differences
+    at ``FD_STEP`` and its Hessian second differences of the values at
+    ``HESS_STEP``, read around (x, y), inside ``domain``.
     """
 
     exprs: tuple[ex.Expr, ...]
     domain: Optional[PlanarDomain] = None
-    f: Callable = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.f = ex.compile_fn(self.exprs[0], ("x", "y"))
+        ex.check_variables(self.exprs[0], ("x", "y"))
 
     @property
     def analytic(self) -> bool:
         return len(self.exprs) == 6
+
+    @cached_property
+    def f(self) -> Callable:
+        return ex.compile_fn(self.exprs[0], ("x", "y"))
 
     @cached_property
     def _grad(self) -> Callable:
@@ -268,10 +272,11 @@ class ScalarField2:
         return ScalarField2(trees, domain)
 
     def fd_only(self) -> "ScalarField2":
-        """The field of the same height with f alone (pure FD mode); it shares
-        this field's compiled f."""
-        out = object.__new__(ScalarField2)  # no __post_init__, so f is not compiled again
-        out.exprs, out.domain, out.f = self.exprs[:1], self.domain, self.f
+        """The field of the same height with f alone (pure FD mode); it takes
+        over this field's f if that is compiled already."""
+        out = ScalarField2(self.exprs[:1], self.domain)
+        if "f" in self.__dict__:
+            out.f = self.f
         return out
 
 
@@ -372,13 +377,14 @@ class Profile:
     def from_expr(src: str) -> "Profile":
         """A profile from an expression in s with symbolic derivatives.
 
-        f's float code is compiled here, since that compile reports an
-        unknown variable; f' and f'' are derived and compiled on their
-        first call, and each array code on its first array call.
+        Building it checks the variables of f, which is where an unknown
+        variable is reported, and compiles nothing: f's float and array
+        code are each compiled on their first call, and f' and f'' are
+        derived and compiled on theirs.
         """
         tree = ex.parse(src)
+        ex.check_variables(tree, ("s",))
         f = _ProfileCode(lambda: tree)
-        f._float = ex.compile_fn(tree, ("s",))
         d1 = f.derivative()
         return Profile(f, d1, d1.derivative())
 

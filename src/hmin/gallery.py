@@ -578,9 +578,11 @@ def gallery_get(name: str, **params) -> GalleryEntry:
         suffix = name.split("-", 1)[1]
         if suffix != "n":
             try:
-                params.setdefault("n", int(suffix))
+                n = int(suffix)
             except ValueError:
                 raise UnknownName(f"bad gencurve suffix in {name!r}") from None
+            if params.setdefault("n", n) != n:
+                raise UnknownName(f"{name!r} has n = {n} but n = {params['n']!r} is given")
     if key not in _BUILDERS:
         raise UnknownName(f"unknown gallery entry {name!r}; known: {gallery_names()}")
     for k, v in params.items():

@@ -19,8 +19,9 @@ which differences the unit field.  The convention has its one home here:
 
 Implicit surfaces phi(x, y, t) = 0 carry an orientation flag; negating the
 orientation negates the curvature.  They follow the compile rule of
-``fields.ScalarField2``: phi is compiled when the surface is built; phi_t,
-p, q and their partials are derived and compiled on the first call.  All
+``fields.ScalarField2``: building a surface checks the variables of phi
+and compiles nothing; phi is compiled on its first call, and phi_t, p, q
+and their partials are derived and compiled on theirs.  All
 of it is array code: phi, ``horizontal_data``, ``h_mean_curvature`` and
 the Newton ``solve_height`` take nodes (x, y, t) as 1-d arrays.
 Curvature at characteristic points is deliberately left undefined: the
@@ -41,7 +42,7 @@ share: the height's jet, then W, then H where W is not <= W_MARGIN.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, NamedTuple, Optional
 
@@ -371,8 +372,9 @@ _XYT = ("x", "y", "t")
 class ImplicitSurface:
     """Level set phi = 0 with an orientation flag (+1 keeps phi, -1 negates it).
 
-    ``tree`` is phi, compiled on construction, which is where an unknown
-    variable is reported.  ``trees`` (phi, phi_t, p = X1 phi, q = X2 phi,
+    ``tree`` is phi; construction checks its variables, which is where an
+    unknown variable is reported, and compiles nothing.  phi is compiled
+    on its first call.  ``trees`` (phi, phi_t, p = X1 phi, q = X2 phi,
     then the partials of p and q in x, y and t) is derived the first time
     the (p, q), phi_t or curvature-term code is called and compiled.  It
     is array code: phi and the methods take nodes (x, y, t) as arrays.
@@ -380,10 +382,13 @@ class ImplicitSurface:
 
     tree: ex.Expr
     orientation: int
-    phi: Callable = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.phi = ex.compile_fn(self.tree, _XYT, array=True)
+        ex.check_variables(self.tree, _XYT)
+
+    @cached_property
+    def phi(self) -> Callable:
+        return ex.compile_fn(self.tree, _XYT, array=True)
 
     @cached_property
     def trees(self) -> tuple[ex.Expr, ...]:

@@ -1,3 +1,4 @@
+import argparse
 import ast
 import json
 import math
@@ -336,6 +337,42 @@ def test_gallery_all_takes_a_parameter_of_one_entry(tmp_path):
     assert main(["gallery", "all", "--R", "2", "--out", str(out)]) == 0
     rep = json.loads((out / "report.json").read_text())
     assert len({c["name"].split(".")[0] for c in rep["checks"]}) == 9
+
+
+@pytest.mark.parametrize("args,message", [
+    (["gencurve-2", "--n", "4"], "'gencurve-2' has n = 2 but n = 4 is given"),
+    (["gencurve-3", "--n", "-3"], "'gencurve-3' has n = 3 but n = -3 is given"),
+    (["hyperbolic", "hyperbolic"], "a gallery entry is named once; named more than once: "
+                                   "'hyperbolic'"),
+    (["char-plane", "hyperbolic", "char-plane"], "a gallery entry is named once; named more "
+                                                 "than once: 'char-plane'"),
+    (["all", "hyperbolic"], "'all' names every entry, so it takes no other name"),
+    (["hyperbolic", "all"], "'all' names every entry, so it takes no other name"),
+    (["all", "all"], "'all' names every entry, so it takes no other name"),
+], ids=["suffix-2-n-4", "suffix-3-n-minus-3", "repeated", "repeated-among-others",
+        "all-first", "all-last", "all-twice"])
+def test_gallery_names_that_disagree_or_repeat_exit_4(tmp_path, capsys, args, message):
+    assert main(["gallery", *args, "--out", str(tmp_path / "g")]) == 4
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: " + message)
+    assert not (tmp_path / "g").exists()
+
+
+def test_gallery_spec_holds_params_n_to_its_gencurve_suffix(tmp_path, capsys):
+    spec = write_spec(tmp_path, "gc.json", {"kind": "gallery", "gallery": {
+        "name": "gencurve-2", "params": {"n": 4}}})
+    assert main(["loci", "--spec", spec, "--out", str(tmp_path / "o")]) == 4
+    assert capsys.readouterr().err.splitlines() == [
+        "error: 'gencurve-2' has n = 2 but n = 4 is given"]
+
+
+def test_gencurve_suffix_agrees_with_an_equal_or_absent_n(tmp_path):
+    reports = []
+    for i, args in enumerate([["gencurve-4"], ["gencurve-4", "--n", "4"], ["gencurve-n", "--n", "4"]]):
+        assert main(["gallery", *args, "--out", str(tmp_path / str(i))]) == 0
+        report = json.loads((tmp_path / str(i) / "report.json").read_text())
+        reports.append([{**c, "name": c["name"].split(".", 1)[1]} for c in report["checks"]])
+    assert reports[0] == reports[1] == reports[2]
 
 
 # the README's ruled cylinder spec
@@ -681,3 +718,59 @@ def test_gallery_domain_that_fits_the_stencils_still_runs_its_checks(tmp_path, c
     report = json.loads((tmp_path / "g" / "report.json").read_text())
     failed = [c["name"] for c in report["checks"] if not c["pass"]]
     assert failed == ["iso-profile.h_scan_fd"]
+
+
+def _stripped_report(out: Path) -> dict:
+    report = json.loads((out / "report.json").read_text())
+    del report["wall_time_s"], report["outputs"]
+    return report
+
+
+def test_the_shared_parser_carries_nothing_from_one_call_into_the_next(tmp_path, monkeypatch):
+    spec = write_spec(tmp_path, "imp.json", IMPLICIT)
+    calls = [["verify", "--spec", spec, "--grid", "11", "11"],
+             ["verify", "--spec", spec],
+             ["gallery", "iso-profile", "--R", "2"],
+             ["gallery", "iso-profile"],
+             ["verify", "--spec", spec, "--grid", "11", "eleven"],
+             ["verify", "--spec", spec, "--grid", "5", "7"]]
+    grids = []
+    verify = cli.cmd_verify
+    # a command function rebound after the parser is built still runs
+    monkeypatch.setattr(cli, "cmd_verify", lambda args, *rest: grids.append(tuple(args.grid))
+                        or verify(args, *rest))
+    shared, fresh = [], []
+    for i, argv in enumerate(calls):
+        for reports, build in ((shared, False), (fresh, True)):
+            if build:
+                cli._build_parser.cache_clear()
+            out = tmp_path / f"{'fresh' if build else 'shared'}{i}"
+            if "eleven" in argv:
+                with pytest.raises(SystemExit) as exit_:
+                    main([*argv, "--out", str(out)])
+                assert exit_.value.code == 2 and not out.exists()
+                continue
+            assert main([*argv, "--out", str(out)]) == 0
+            reports.append(_stripped_report(out))
+    assert shared == fresh
+    assert grids == [(11, 11), (11, 11), (101, 101), (101, 101), (5, 7), (5, 7)]
+    # the default grid is the 101x101 lattice, whatever grid the call before it asked for
+    assert shared[1]["checks"][0]["note"].endswith(", 0 without a height")
+    assert sum(int(w) for w in shared[1]["checks"][0]["note"].split()
+               if w.isdigit()) == 101 * 101
+    assert shared[3]["checks"] != shared[2]["checks"]
+
+
+def test_main_constructs_no_parser_after_its_first_call(tmp_path, monkeypatch):
+    spec = write_spec(tmp_path, "graph.json", GRAPH)
+    built = []
+    init = argparse.ArgumentParser.__init__
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__",
+                        lambda self, *a, **k: built.append(k.get("prog")) or init(self, *a, **k))
+    cli._build_parser.cache_clear()
+    for i in range(4):
+        argv = (["verify", "--spec", spec, "--grid", "5", "5"] if i % 2
+                else ["classify", "--spec", spec])
+        assert main([*argv, "--out", str(tmp_path / str(i))]) == 0
+        # the first call builds the parser and its six subparsers
+        assert len(built) == 7

@@ -122,8 +122,9 @@ def test_expr_backed_field_has_exact_derivatives():
     (hxx, hxy), (_, hyy) = f.hessian(1.5, 2.0)
     assert (hxx, hxy, hyy) == pytest.approx((4.0, 3.0, -4.0))
     fd = f.fd_only()
-    assert fd.exprs == f.exprs[:1] and fd.domain is f.domain
-    assert fd.f is f.f and len(f.jet(1.5, 2.0)) == 6  # f taken over, not compiled again
+    assert fd.exprs == f.exprs[:1] and fd.domain is f.domain and len(f.jet(1.5, 2.0)) == 6
+    # f was not compiled when fd was made, so fd compiles its own; once it is, fd_only takes it over
+    assert fd.f(1.5, 2.0) == f.f(1.5, 2.0) and fd.f is not f.f and f.fd_only().f is f.f
     assert fd.gradient(1.5, 2.0) == pytest.approx((6.0, 1.5 ** 2 - 4.0), abs=1e-8)
 
 

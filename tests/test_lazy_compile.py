@@ -1,5 +1,5 @@
-"""A field, surface or expression profile compiles f or phi when it is
-built, and every other evaluator the first time it is called."""
+"""A field, surface or expression profile compiles nothing when it is
+built, and each evaluator the first time it is called."""
 
 import json
 
@@ -8,6 +8,7 @@ import pytest
 
 from hmin import expr as ex
 from hmin.cli import main
+from hmin.errors import SpecError
 from hmin.fields import Profile, ScalarField2, square
 from hmin.surface import GraphPatch, ImplicitSurface
 
@@ -26,22 +27,38 @@ def compiled(monkeypatch):
     return calls
 
 
-def test_building_compiles_only_f_or_phi(compiled):
+def test_building_compiles_nothing(compiled):
     patch = GraphPatch.from_expr("x*y/2 + sin(x)", square(2.0))
+    surf = ImplicitSurface.from_expr("t - x*y/2")
+    # h0 of the README's ruled cylinder, and its seed's x and y
+    profiles = [Profile.from_expr(src) for src in ("sqrt(1 - s^2)", "s", "0")]
+    assert compiled == []
+    assert patch.h.value(0.5, 0.5) == 0.125 + np.sin(0.5)
     assert compiled == [(patch.h.exprs[0], False)]
     compiled.clear()
-    surf = ImplicitSurface.from_expr("t - x*y/2")
-    assert compiled == [(surf.trees[0], True)]
+    assert surf.phi(*(np.array([v]) for v in (1.0, 0.5, 0.25))).tolist() == [0.0]
+    assert compiled == [(surf.tree, True)]
+    compiled.clear()
+    assert [p(0.6) for p in profiles] == [0.8, 0.6, 0.0]
+    assert [array for _, array in compiled] == [False] * 3
 
 
 def test_fd_only_compiles_nothing_and_shares_f(compiled):
     field = ScalarField2.from_expr("x*y/2 + sin(x)", square(2.0))
+    fresh = field.fd_only()
+    assert compiled == [] and "f" not in vars(fresh)
+    # once the field's f is compiled, fd_only takes it over
+    field.value(0.5, 0.5)
     compiled.clear()
     fd = field.fd_only()
     assert compiled == [] and fd.f is field.f
     assert fd.exprs == field.exprs[:1] and fd.domain is field.domain
     # its gradient differences the shared f
     assert fd.gradient(0.5, 0.5) == pytest.approx(field.gradient(0.5, 0.5), abs=1e-8)
+    # the one made before compiles its own f on its first call
+    compiled.clear()
+    assert fresh.gradient(0.5, 0.5) == fd.gradient(0.5, 0.5)
+    assert compiled == [(field.exprs[0], False)] and fresh.f is not field.f
 
 
 def _compiles_once(compiled, call) -> int:
@@ -61,9 +78,10 @@ def test_first_array_gradient_or_hessian_call_compiles_once(compiled):
     assert compiled[0][1] is True
     # the array code serves every chunk call: the jet compiles nothing more
     assert _compiles_once(compiled, lambda: field.jet(x, y)) == 0
-    # a stencil field differences its f on floats
+    # a stencil field differences its f on floats: the field's f was never
+    # called, so this one compiles its own on the first call
     fd = field.fd_only()
-    assert _compiles_once(compiled, lambda: fd.gradient(0.1, 0.3)) == 0
+    assert _compiles_once(compiled, lambda: fd.gradient(0.1, 0.3)) == 1
     assert _compiles_once(compiled, lambda: fd.hessian(0.1, 0.3)) == 0
     assert _compiles_once(compiled, lambda: fd.jet(x, y)) == 1
 
@@ -72,8 +90,9 @@ def test_first_array_gradient_or_hessian_call_compiles_once(compiled):
     t = np.array([0.25, -0.03])
     assert _compiles_once(compiled, lambda: surf.horizontal_data(x, y, t)) == 1
     assert _compiles_once(compiled, lambda: surf.h_mean_curvature(x, y, t)) == 1
-    assert _compiles_once(compiled, lambda: surf.solve_height(x, y, 0.0)) == 1
-    assert compiled[0][1] is True
+    # Newton reads phi and phi_t
+    assert _compiles_once(compiled, lambda: surf.solve_height(x, y, 0.0)) == 2
+    assert compiled == [(surf.tree, True), (surf.trees[1], True)]
 
 
 def test_implicit_surface_derives_its_trees_on_first_use(monkeypatch):
@@ -91,15 +110,15 @@ def test_implicit_surface_derives_its_trees_on_first_use(monkeypatch):
     assert len(derived) == n
 
 
-def test_expression_profile_compiles_f_when_built_and_the_rest_on_first_call(compiled,
-                                                                            monkeypatch):
+def test_expression_profile_compiles_each_code_on_its_first_call(compiled, monkeypatch):
     derived = []
     original = ex.differentiate
     monkeypatch.setattr(ex, "differentiate", lambda e, var: derived.append(var) or original(e, var))
     h0 = Profile.from_expr("sqrt(1 - s^2)")
-    assert compiled == [(ex.parse("sqrt(1 - s^2)"), False)] and derived == []
+    assert compiled == [] and derived == []
     s = np.array([0.1, -0.5])
-    assert _compiles_once(compiled, lambda: h0(0.3)) == 0
+    assert _compiles_once(compiled, lambda: h0(0.3)) == 1
+    assert compiled == [(ex.parse("sqrt(1 - s^2)"), False)]
     assert _compiles_once(compiled, lambda: h0(s)) == 1 and compiled[0][1] is True
     # f' is derived on its first call, and its float and array code compiled apart
     assert _compiles_once(compiled, lambda: h0.d(0.3)) == 1 and derived
@@ -110,7 +129,8 @@ def test_expression_profile_compiles_f_when_built_and_the_rest_on_first_call(com
 
 
 def test_verify_of_a_ruled_spec_compiles_no_second_derivative_of_h0(tmp_path, compiled):
-    # the expression seed reads gamma'' from its profiles' f''; nothing reads h0's
+    # the expression seed reads gamma'' from its profiles' f''; the curvature
+    # reads h0' alone, so neither h0 nor h0'' is compiled
     spec = tmp_path / "in.json"
     spec.write_text(json.dumps({"kind": "ruled", "ruled": {
         "seed": {"kind": "expression", "x": "s", "y": "0"}, "h0": "sqrt(1 - s^2)",
@@ -119,19 +139,49 @@ def test_verify_of_a_ruled_spec_compiles_no_second_derivative_of_h0(tmp_path, co
     h0 = ex.parse("sqrt(1 - s^2)")
     d1 = ex.differentiate(h0, "s")
     trees = [e for e, _ in compiled]
-    assert h0 in trees and d1 in trees and ex.differentiate(d1, "s") not in trees
+    assert d1 in trees and h0 not in trees and ex.differentiate(d1, "s") not in trees
+
+
+@pytest.mark.parametrize("src", ["sin(x*r) + t", "t*s - x", "pi*e*x", "exp(r)^y / s"])
+@pytest.mark.parametrize("var_order", [("x", "y"), ("x", "y", "t"), ("s",), ()])
+def test_check_variables_raises_what_compile_fn_raises(src, var_order):
+    tree = ex.parse(src)
+    # derivative trees share subtrees, as compile_fn's memo expects
+    for e in (tree, ex.differentiate(tree, "x")):
+        try:
+            ex.compile_fn(e, var_order)
+            want = None
+        except SpecError as err:
+            want = str(err)
+        try:
+            ex.check_variables(e, var_order)
+            got = None
+        except SpecError as err:
+            got = str(err)
+        assert got == want
 
 
 IN_GRAPH = "unknown variable 't': this field takes x, y"
+IN_PROFILE = "unknown variable %r: this field takes s"
+CYLINDER = {"seed": {"kind": "expression", "x": "s", "y": "0"}, "h0": "sqrt(1 - s^2)",
+            "s_range": [-0.9, 0.9], "r_range": [-1, 1]}
 
 
 @pytest.mark.parametrize("command,payload,message", [
     ("verify", {"kind": "graph", "graph": {"h": "x*t"}}, IN_GRAPH),
     ("classify", {"kind": "graph", "graph": {"h": "x*t"}}, IN_GRAPH),
     ("verify", {"kind": "graph", "graph": {"h": "x*t", "fd_only": True}}, IN_GRAPH),
-    # the implicit loop catches HminError per node: phi is compiled before it
+    # phi is checked when the surface is built, before any node is solved
     ("verify", {"kind": "implicit", "implicit": {"phi": "t - s*x"}},
      "unknown variable 's': this field takes x, y, t"),
+    ("verify", {"kind": "ruled", "ruled": {**CYLINDER, "h0": "sqrt(1 - x^2)"}}, IN_PROFILE % "x"),
+    ("loci", {"kind": "ruled", "ruled": {**CYLINDER, "seed": {
+        "kind": "expression", "x": "t", "y": "0"}}}, IN_PROFILE % "t"),
+    ("verify", {"kind": "ruled", "ruled": {**CYLINDER, "seed": {
+        "kind": "expression", "x": "s", "y": "r*0"}}}, IN_PROFILE % "r"),
+    # the first unknown variable in compile_fn's order is the one named
+    ("verify", {"kind": "graph", "graph": {"h": "sin(x*r) + t"}},
+     "unknown variable 'r': this field takes x, y"),
 ])
 def test_unknown_variable_exits_2_when_the_field_is_built(tmp_path, capsys, command, payload,
                                                           message):
