@@ -415,10 +415,18 @@ def cmd_classify(args, spec: dict, report: Report) -> None:
     print(f"classification: {verdict.kind}  {detail}")
 
 
+def _entry_params(name: str, params: dict) -> dict:
+    """The parameters of a gallery request that entry ``name`` takes."""
+    accepted = gal.gallery_params(name)
+    return {k: v for k, v in params.items() if k in accepted}
+
+
 def _gallery_request(args) -> dict:
     """The gallery command's input: entry names and the parameters given.
 
-    ``all`` stands alone, and no name is given twice.
+    ``all`` stands alone, no name is given twice, some entry takes each
+    parameter, and no two names spell one entry (``gencurve-n`` and
+    ``gencurve-3``).
     """
     if "all" in args.names and args.names != ["all"]:
         raise UnknownName(f"'all' names every entry, so it takes no other name: {args.names}")
@@ -428,18 +436,28 @@ def _gallery_request(args) -> dict:
                           f"{', '.join(map(repr, repeated))}")
     names = gal.gallery_names() if args.names == ["all"] else args.names
     params = {k: getattr(args, k) for k in GALLERY_OPTIONS if getattr(args, k) is not None}
+    accepted_by_any = set().union(*map(gal.gallery_params, names))
+    for k in params:
+        if k not in accepted_by_any:
+            raise UnknownName(f"--{k}: no entry of {names} takes this parameter")
+    spelled: dict[tuple, str] = {}
+    for name in names:
+        try:
+            key = gal.gallery_key(name, **_entry_params(name, params))
+        except UnknownName:
+            continue  # reported when the entry is built, after the entries before it
+        if key in spelled:
+            builder, arguments = key
+            given = ", ".join(f"{k} = {v!r}" for k, v in arguments) or "no parameters"
+            raise UnknownName(f"a gallery entry is named once; {spelled[key]!r} and {name!r} "
+                              f"both name {builder} with {given}")
+        spelled[key] = name
     return {"names": names, "params": params}
 
 
 def cmd_gallery(args, request: dict, report: Report) -> None:
-    accepted_by_any = set().union(*map(gal.gallery_params, request["names"]))
-    for k in request["params"]:
-        if k not in accepted_by_any:
-            raise UnknownName(f"--{k}: no entry of {request['names']} takes this parameter")
     for name in request["names"]:
-        accepted = gal.gallery_params(name)
-        params = {k: v for k, v in request["params"].items() if k in accepted}
-        for c in gal.gallery_verify(name, **params):
+        for c in gal.gallery_verify(name, **_entry_params(name, request["params"])):
             c.name = f"{name}.{c.name}"
             report.add(c)
 

@@ -20,7 +20,9 @@ values become NaN and propagate.
 
 ``evaluate`` walks a tree and is the oracle; ``compile_fn`` generates one
 straight-line function for a list of trees, over floats or over arrays,
-that returns the same floats.
+that returns the same floats.  Array code may also be given the lattice
+axes of its nodes; it then computes each subexpression in one variable
+once per axis entry, and gathers it to the nodes.
 The simplifications used by ``differentiate`` include ``mul(0, u) -> 0``,
 which keeps derivative trees small but drops u's NaN domain:
 ``0*sqrt(x)`` is NaN at x = -1, while its x-derivative there is 0.  A
@@ -405,14 +407,10 @@ def _unknown_variable(name: str, var_order: Iterable[str]) -> SpecError:
                      f"{', '.join(var_order) or 'no variables'}")
 
 
-def check_variables(e: Expr, var_order: Iterable[str]) -> None:
-    """Raise the SpecError ``compile_fn(e, var_order)`` raises for a variable
-    it does not take, without compiling anything.
-
-    The walk visits the nodes in ``compile_fn``'s order, so the variable
-    named is the one it names.
-    """
-    names = tuple(var_order)
+def variables(e: Expr) -> list[str]:
+    """The variables of e (``pi`` and ``e`` are constants), in the order
+    ``compile_fn`` first visits them."""
+    found: dict[str, None] = {}
     seen: set[int] = set()
 
     def visit(node: Expr) -> None:
@@ -420,8 +418,8 @@ def check_variables(e: Expr, var_order: Iterable[str]) -> None:
             return
         seen.add(id(node))
         if isinstance(node, Var):
-            if node.name not in names and node.name not in CONSTANTS:
-                raise _unknown_variable(node.name, names)
+            if node.name not in CONSTANTS:
+                found[node.name] = None
         elif isinstance(node, (Neg, Call)):
             visit(node.arg)
         elif type(node) in _BINARY:
@@ -429,6 +427,16 @@ def check_variables(e: Expr, var_order: Iterable[str]) -> None:
             visit(node.right)
 
     visit(e)
+    return list(found)
+
+
+def check_variables(e: Expr, var_order: Iterable[str]) -> None:
+    """Raise the SpecError ``compile_fn(e, var_order)`` raises for a variable
+    it does not take, without compiling anything: the first one it visits."""
+    names = tuple(var_order)
+    unknown = [v for v in variables(e) if v not in names]
+    if unknown:
+        raise _unknown_variable(unknown[0], names)
 
 
 def compile_fn(e: Union[Expr, Sequence[Expr]], var_order: Iterable[str],
@@ -441,8 +449,15 @@ def compile_fn(e: Union[Expr, Sequence[Expr]], var_order: Iterable[str],
     variables are folded at compile time.  The operations and their order
     are those of ``evaluate``, so every result is the float it returns, NaN
     included (see docs/grammar.md).  With ``array`` the arguments are
-    equally long 1-d float arrays and every result is an array of their
-    length, each element the float of the scalar code at that point.
+    equally long 1-d float arrays (the nodes) and every result is an array
+    of their length, each element the float of the scalar code at that node.
+
+    Array code takes one more, optional argument, ``axes``: for each
+    variable, a float axis u and an int index array i with nodes == u[i].
+    A subexpression in one variable is then computed once per axis entry,
+    and read at the nodes through one gather v[i]; one in several variables
+    is computed at the nodes.  Without ``axes``, each axis is its node array
+    and a gather reads it as it is.
     """
     many = isinstance(e, (list, tuple))
     params = {name: f"a{i}" for i, name in enumerate(var_order)}
@@ -450,6 +465,21 @@ def compile_fn(e: Union[Expr, Sequence[Expr]], var_order: Iterable[str],
     lines: list[str] = []
     numbered: dict[str, str] = {}              # code of an operation -> its local name
     seen: dict[int, Union[str, float]] = {}    # id(node) -> local name or constant
+    # array code: the variable (its index) a local in one variable runs over,
+    # and that local read at the nodes; an axis u{k} is a{k} at the nodes
+    over: dict[str, int] = {}
+    at_nodes: dict[str, str] = {}
+    if array:
+        over.update((f"u{k}", k) for k in range(len(params)))
+        at_nodes.update((f"u{k}", f"a{k}") for k in range(len(params)))
+
+    def nodes(operand: Union[str, float]) -> Union[str, float]:
+        if not isinstance(operand, str) or operand not in over:
+            return operand
+        if operand not in at_nodes:
+            at_nodes[operand] = f"g{len(at_nodes)}"
+            lines.append(f"{at_nodes[operand]} = {operand}[i{over[operand]}]")
+        return at_nodes[operand]
 
     def text(operand: Union[str, float]) -> str:
         if isinstance(operand, str):
@@ -473,6 +503,8 @@ def compile_fn(e: Union[Expr, Sequence[Expr]], var_order: Iterable[str],
             out = params.get(node.name, CONSTANTS.get(node.name))
             if out is None:
                 raise _unknown_variable(node.name, params)
+            if array and isinstance(out, str):
+                out = "u" + out[1:]  # array code reads a variable over its axis
         else:
             if isinstance(node, Neg):
                 template, fold, args = "-{}", operator.neg, (visit(node.arg),)
@@ -485,17 +517,27 @@ def compile_fn(e: Union[Expr, Sequence[Expr]], var_order: Iterable[str],
             if not any(isinstance(a, str) for a in args):
                 out = fold(*args)
             else:
+                var = None
+                if array:
+                    # in one variable: over its axis; in several: at the nodes
+                    var = {over.get(a) for a in args if isinstance(a, str)}
+                    var = var.pop() if len(var) == 1 else None
+                    if var is None:
+                        args = tuple(map(nodes, args))
                 code = template.format(*map(text, args))
                 out = numbered.get(code)
                 if out is None:
                     out = numbered[code] = f"v{len(numbered)}"
                     lines.append(f"{out} = {code}")
+                    if var is not None:
+                        over[out] = var
         seen[id(node)] = out
         return out
 
-    results = [visit(t) for t in (e if many else [e])]
+    results = [nodes(visit(t)) for t in (e if many else [e])]
     outs = [text(r) for r in results]
     args = list(params.values())
+    signature = args
     if array:
         # a result that is a constant or an argument gets an array of its own
         namespace["full"] = np.full
@@ -504,8 +546,14 @@ def compile_fn(e: Union[Expr, Sequence[Expr]], var_order: Iterable[str],
         # IEEE results such as inf - inf = NaN are the point, not a warning
         namespace["errstate"] = np.errstate
         lines = ['with errstate(all="ignore"):', *(f"    {line}" for line in lines or ["pass"])]
+        signature = [*args, "axes=None"]
+        if len(at_nodes) > len(args):
+            # code that gathers runs over the axes; without axes, each axis is its nodes
+            axes = ", ".join(f"(u{k}, i{k})" for k in range(len(args)))
+            own = ", ".join(f"({a}, ...)" for a in args)
+            lines.insert(0, f"{axes}, = axes or ({own},)")
     ret = f"({', '.join(outs)},)" if many else outs[0]
-    src = "\n    ".join([f"def compiled({', '.join(args)}):", *lines, f"return {ret}"])
+    src = "\n    ".join([f"def compiled({', '.join(signature)}):", *lines, f"return {ret}"])
     exec(compile(src, "<hmin.expr.compile_fn>", "exec"), namespace)
     return namespace["compiled"]
 

@@ -6,6 +6,10 @@ derivatives: exact ones when it has the six trees of an analytic field,
 central finite differences when it has f alone.  Its ``value`` and
 ``jet`` take one point or a chunk of points (1-d arrays of at most
 ``CHUNK`` nodes, from ``chunks``); the other evaluators take one point.
+A chunk of lattice nodes (``Grid2.node_chunks``) may come with its
+lattice axes (``lattice_axes``), which ``jet`` hands to the array code,
+moved with the nodes for each difference stencil: the work changes, the
+floats do not.
 The compile rule: every evaluator, f included, is compiled the first
 time it is called (a ``functools.cached_property``), so a command
 compiles only the code it runs.  Building a field compiles nothing: it
@@ -199,27 +203,41 @@ class ScalarField2:
                 err.node = i
                 raise
 
-    def _values(self, x) -> Callable:
-        """The code of ``exprs`` (f alone for a stencil field) at a point, or at a chunk of nodes."""
-        if isinstance(x, np.ndarray):
-            return self._array
-        return self._jet if self.analytic else self.f
+    def _values(self, x, y, axes=None) -> Callable:
+        """The code of ``exprs`` (f alone for a stencil field) at (x, y) moved
+        by (dx, dy), a function of the move: at a point, or at a chunk of
+        nodes with its lattice ``axes`` (see ``lattice_axes``), moved alike.
 
-    def _fd_gradient(self, x, y) -> tuple:
-        f, h = self._values(x), FD_STEP
+        A coordinate moved by 0 is the one given, -0.0 included, and
+        x - h is read as x + (-h), the same float.
+        """
+        def at(v, d):
+            return v + d if d else v
+
+        if not isinstance(x, np.ndarray):
+            code = self._jet if self.analytic else self.f
+            return lambda dx, dy: code(at(x, dx), at(y, dy))
+        if axes is None:
+            return lambda dx, dy: self._array(at(x, dx), at(y, dy))
+        (xs, i), (ys, j) = axes
+        return lambda dx, dy: self._array(at(x, dx), at(y, dy),
+                                          axes=((at(xs, dx), i), (at(ys, dy), j)))
+
+    def _fd_gradient(self, x, y, axes=None) -> tuple:
+        f, h = self._values(x, y, axes), FD_STEP
         self._check_stencil(x, y, h)
-        return ((f(x + h, y) - f(x - h, y)) / (2.0 * h),
-                (f(x, y + h) - f(x, y - h)) / (2.0 * h))
+        return ((f(h, 0.0) - f(-h, 0.0)) / (2.0 * h),
+                (f(0.0, h) - f(0.0, -h)) / (2.0 * h))
 
-    def _stencil_hessian(self, x, y, f00=None):
+    def _stencil_hessian(self, x, y, f00=None, axes=None):
         """(fxx, fxy, fyy) of a stencil field by the 9-point symmetric stencil
         on values; ``f00`` is f(x, y) if known."""
-        f, h = self._values(x), HESS_STEP
+        f, h = self._values(x, y, axes), HESS_STEP
         self._check_stencil(x, y, h)
-        f00 = f(x, y) if f00 is None else f00
-        fxx = (f(x + h, y) - 2.0 * f00 + f(x - h, y)) / (h * h)
-        fyy = (f(x, y + h) - 2.0 * f00 + f(x, y - h)) / (h * h)
-        fxy = (f(x + h, y + h) - f(x + h, y - h) - f(x - h, y + h) + f(x - h, y - h)) / (4.0 * h * h)
+        f00 = f(0.0, 0.0) if f00 is None else f00
+        fxx = (f(h, 0.0) - 2.0 * f00 + f(-h, 0.0)) / (h * h)
+        fyy = (f(0.0, h) - 2.0 * f00 + f(0.0, -h)) / (h * h)
+        fxy = (f(h, h) - f(h, -h) - f(-h, h) + f(-h, -h)) / (4.0 * h * h)
         return (fxx, fxy, fyy)
 
     def gradient(self, x: float, y: float) -> tuple[float, float]:
@@ -232,7 +250,7 @@ class ScalarField2:
             fxx, fxy, fyy = self._stencil_hessian(x, y)
         return ((fxx, fxy), (fxy, fyy))
 
-    def jet(self, x, y, first: Optional[tuple] = None) -> tuple:
+    def jet(self, x, y, first: Optional[tuple] = None, axes: Optional[tuple] = None) -> tuple:
         """The 2-jet ``(f, fx, fy, fxx, fxy, fyy)`` at (x, y), each read once.
 
         A stencil field builds it in two steps, so that a scan can filter on
@@ -245,15 +263,17 @@ class ScalarField2:
         tuple of arrays, evaluated by array code, whose elements are the
         floats of the scalar jet at each node.  A stencil check that fails
         raises for the first failing node of the chunk, and the error
-        records its index in the chunk as ``node``.
+        records its index in the chunk as ``node``.  ``axes`` are the
+        chunk's lattice axes, if the caller has them (see ``lattice_axes``);
+        they change the work, not the floats.
         """
         # on a chunk, IEEE results such as inf - inf = NaN are the point, not a warning
         with np.errstate(all="ignore"):
             if self.analytic:
-                return first if first is not None else self._values(x)(x, y)
+                return first if first is not None else self._values(x, y, axes)(0.0, 0.0)
             if first is not None:
-                return first + self._stencil_hessian(x, y, first[0])
-            return (self._values(x)(x, y), *self._fd_gradient(x, y))
+                return first + self._stencil_hessian(x, y, first[0], axes)
+            return (self._values(x, y, axes)(0.0, 0.0), *self._fd_gradient(x, y, axes))
 
     # -- construction -------------------------------------------------------
 
@@ -312,6 +332,34 @@ class Grid2:
         inside = self.domain.contains_all(x, y)
         return x[inside], y[inside]
 
+    def node_chunks(self) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, tuple]]:
+        """The nodes of ``points``, at most CHUNK at a time: each chunk's flat
+        indices into ``mesh``, its x and y, and its lattice axes."""
+        xs, ys = self.lattice()
+        x, y = np.meshgrid(xs, ys, indexing="ij")
+        for (k,) in chunks(np.flatnonzero(self.domain.contains_all(x, y))):
+            i, j = np.divmod(k, self.ny)
+            yield k, x.flat[k], y.flat[k], (lattice_axes(xs, i), lattice_axes(ys, j))
+
+
+def lattice_axes(axis: np.ndarray, index: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The axis of a coordinate that a chunk of lattice nodes reads, and each
+    node's index into it, so that ``u[i]`` is the nodes' coordinate: the
+    slice of the lattice ``axis`` between the chunk's smallest and largest
+    index ``index``.  The array code of ``expr.compile_fn`` takes these as
+    its ``axes``, one per variable, and computes a subexpression in one
+    variable once per entry of u.  A slice longer than the chunk is the
+    chunk's own coordinates, so no axis is longer than its chunk."""
+    lo, hi = int(index.min()), int(index.max())
+    if hi - lo < len(index):
+        return axis[lo:hi + 1], index - lo
+    return axis[index], np.arange(len(index))
+
+
+def select_axes(axes: Optional[tuple], keep) -> Optional[tuple]:
+    """The axes of the nodes ``keep`` (a mask or a slice) of a chunk with ``axes``."""
+    return None if axes is None else tuple((u, i[keep]) for u, i in axes)
+
 
 def chunks(*arrays: np.ndarray) -> Iterator[tuple[np.ndarray, ...]]:
     """Consecutive slices of at most CHUNK points of equally long arrays."""
@@ -327,7 +375,8 @@ def chunks(*arrays: np.ndarray) -> Iterator[tuple[np.ndarray, ...]]:
 class _ProfileCode:
     """A tree in s, given or derived on first use, called with a float s or
     an array of s: its float code and its array code are each compiled on
-    their first call."""
+    their first call.  A tree without variables compiles nothing: it is
+    its value, folded as ``compile_fn`` folds it, at every s."""
 
     def __init__(self, make_tree: Callable[[], ex.Expr]):
         self._make_tree = make_tree
@@ -344,7 +393,13 @@ class _ProfileCode:
     def _array(self) -> Callable:
         return ex.compile_fn(self.tree, ("s",), array=True)
 
+    @cached_property
+    def _constant(self) -> Optional[float]:
+        return None if ex.variables(self.tree) else ex.evaluate(self.tree, {})
+
     def __call__(self, s):
+        if self._constant is not None:
+            return full(s, self._constant)
         return self._array(s) if isinstance(s, np.ndarray) else self._float(s)
 
     def derivative(self) -> "_ProfileCode":

@@ -35,8 +35,7 @@ import numpy as np
 
 from . import expr as ex
 from .errors import StencilOutOfDomain, UnknownName
-from .fields import (Grid2, PlanarDomain, Profile, chunks, cumulative_integral, finite, full,
-                     square)
+from .fields import Grid2, PlanarDomain, Profile, cumulative_integral, finite, full, square
 from .report import Check, check_flag, check_leq, worst_abs
 from .ruled import (GeneralizedSeedCurve, GSCJoin, GSCPiece, RuledPatch, _chart_nu,
                     characteristic_locus, curvature_on_patch, locus_branch_slope, roundtrip,
@@ -572,7 +571,8 @@ def gallery_params(name: str) -> set[str]:
     return set(inspect.signature(builder).parameters) if builder else set()
 
 
-def gallery_get(name: str, **params) -> GalleryEntry:
+def _resolve(name: str, params: dict) -> tuple[str, dict]:
+    """The builder of entry ``name`` and its parameters, n taken from a gencurve suffix."""
     key = _builder_key(name)
     if key == "gencurve-n":
         suffix = name.split("-", 1)[1]
@@ -585,6 +585,22 @@ def gallery_get(name: str, **params) -> GalleryEntry:
                 raise UnknownName(f"{name!r} has n = {n} but n = {params['n']!r} is given")
     if key not in _BUILDERS:
         raise UnknownName(f"unknown gallery entry {name!r}; known: {gallery_names()}")
+    return key, params
+
+
+def gallery_key(name: str, **params) -> tuple[str, tuple]:
+    """What ``gallery_get(name, **params)`` builds: its builder, and the
+    builder's arguments with their defaults filled in.  Two spellings of
+    one entry, such as ``gencurve-n`` and ``gencurve-3``, have one key.
+    ``params`` are ones the entry takes (``gallery_params``)."""
+    key, params = _resolve(name, dict(params))
+    bound = inspect.signature(_BUILDERS[key]).bind(**params)
+    bound.apply_defaults()
+    return key, tuple(bound.arguments.items())
+
+
+def gallery_get(name: str, **params) -> GalleryEntry:
+    key, params = _resolve(name, params)
     for k, v in params.items():
         if isinstance(v, (int, float)) and not finite(v):
             raise UnknownName(f"bad parameters for {name!r}: {k} is not a finite float")
@@ -610,8 +626,8 @@ def max_curvature_deviation(patch: GraphPatch, domain: PlanarDomain,
     first StencilOutOfDomain, is the one a node-by-node scan gives.
     """
     deviations = [np.empty(0)]
-    for x, y in chunks(*Grid2(domain, nx, ny).points()):
-        _, w, h, error = read_nodes(patch, x, y)
+    for _, x, y, axes in Grid2(domain, nx, ny).node_chunks():
+        _, w, h, error = read_nodes(patch, x, y, axes)
         if error is not None:
             raise error
         deviations.append(h[~(w <= W_MARGIN)] - expect)

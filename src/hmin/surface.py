@@ -36,7 +36,11 @@ and y together with the height field's jet there (``ScalarField2.jet``);
 every element is the float the same call gives at that node.  W =
 hypot(p, q) and W^3 are taken per element, as numpy's differ in the last bit.  ``read_nodes``
 is the one pass over a chunk that the curvature scan and the classifier
-share: the height's jet, then W, then H where W is not <= W_MARGIN.
+share: the height's jet, then W, then H where W is not <= W_MARGIN, W
+read once per node.  The curvature scan and ``characteristic_scan`` read
+the chunks of a ``Grid2`` lattice with their axes (``Grid2.node_chunks``),
+so the height's subexpressions in x alone or y alone are computed once
+per lattice coordinate.
 """
 
 from __future__ import annotations
@@ -50,7 +54,7 @@ import numpy as np
 
 from . import expr as ex
 from .errors import CharacteristicPoint, FieldUndefined, StencilOutOfDomain
-from .fields import Grid2, PlanarDomain, ScalarField2, chunks
+from .fields import Grid2, PlanarDomain, ScalarField2, select_axes
 from .heis import HPoint
 
 EPS_CHAR = 1e-9
@@ -168,19 +172,21 @@ def _refuse_characteristic(w, *z):
         raise CharacteristicPoint(f"W={w} at ({', '.join(map(str, z))})")
 
 
-def _curvature_terms(patch: GraphPatch, x, y, jet: Optional[tuple]):
+def _curvature_terms(patch: GraphPatch, x, y, jet: Optional[tuple], axes: Optional[tuple] = None,
+                     w=None):
     """p, q, W and (p_x, p_y, q_x, q_y) at a non-characteristic point, or
-    at a chunk of them (given with its jet).
+    at a chunk of them (given with its jet, and its lattice axes and W if
+    the caller has them).
 
     W is tested before the Hessian is read (a 1-jet is completed only then).
     """
     p, q = _pq(patch, x, y, jet)
-    w = ex.pointwise(math.hypot, p, q)
+    w = ex.pointwise(math.hypot, p, q) if w is None else w
     _refuse_characteristic(w, x, y)
     if jet is None:
         (hxx, hxy), (_, hyy) = patch.h.hessian(x, y)
     else:
-        _, _, _, hxx, hxy, hyy = patch.h.jet(x, y, jet)
+        _, _, _, hxx, hxy, hyy = patch.h.jet(x, y, jet, axes)
     return (p, q, w) + graph_dpq(hxx, hxy, hyy)
 
 
@@ -190,21 +196,26 @@ def _pq_form(p, q, w, p_x, p_y, q_x, q_y):
     return (q * q * p_x + p * p * q_y - p * q * (q_x + p_y)) / _cube(w)
 
 
-def h_mean_curvature(patch: GraphPatch, z: tuple, jet: Optional[tuple] = None):
+def h_mean_curvature(patch: GraphPatch, z: tuple, jet: Optional[tuple] = None,
+                     axes: Optional[tuple] = None, w=None):
     """H-mean curvature at a non-characteristic point of the patch.
 
     Returns the p/q-form value, read from ``jet`` (the field's jet at z)
     when given.  z may also be a chunk of nodes (x, y), given with its
-    jet; the result is then an array.
+    jet, and with its lattice axes (``fields.lattice_axes``) and W
+    (``horizontal_data``'s) where the caller has them; the result is then
+    an array.
     """
     # on a chunk, IEEE results such as inf - inf = NaN are the point, not a warning
     with np.errstate(all="ignore"):
-        return _pq_form(*_curvature_terms(patch, *z, jet))
+        return _pq_form(*_curvature_terms(patch, *z, jet, axes, w))
 
 
-def read_nodes(patch: GraphPatch, x: np.ndarray, y: np.ndarray) -> tuple:
+def read_nodes(patch: GraphPatch, x: np.ndarray, y: np.ndarray,
+               axes: Optional[tuple] = None) -> tuple:
     """The height's jet, then W, then H where the height is finite and W is
-    not <= W_MARGIN (a NaN W included), at a chunk of graph nodes.
+    not <= W_MARGIN (a NaN W included), at a chunk of graph nodes, given
+    with its lattice axes (``fields.lattice_axes``) if the caller has them.
 
     Returns (height, W, H, error), read node by node.  A stencil check that
     fails ends the reads at its node, and is returned as ``error`` (None
@@ -214,20 +225,23 @@ def read_nodes(patch: GraphPatch, x: np.ndarray, y: np.ndarray) -> tuple:
     scalar calls at that node.
     """
     try:
-        jet = patch.h.jet(x, y)
+        jet = patch.h.jet(x, y, axes=axes)
     except StencilOutOfDomain as err:
         # the nodes before it are read first, and one of them may fail its Hessian stencil
-        t, w, h, error = read_nodes(patch, x[:err.node], y[:err.node])
+        head = slice(err.node)
+        t, w, h, error = read_nodes(patch, x[head], y[head], select_axes(axes, head))
         return t, w, h, error or err
     w = horizontal_data(patch, (x, y), jet=jet).w
     h = np.full(len(x), math.nan)
     keep = ~(w <= W_MARGIN) & np.isfinite(jet[0])
     if keep.any():
         try:
-            h[keep] = h_mean_curvature(patch, (x[keep], y[keep]), jet=tuple(a[keep] for a in jet))
+            h[keep] = h_mean_curvature(patch, (x[keep], y[keep]), jet=tuple(a[keep] for a in jet),
+                                       axes=select_axes(axes, keep), w=w[keep])
         except StencilOutOfDomain as err:
             err.node = int(np.flatnonzero(keep)[err.node])
-            _, _, h, _ = read_nodes(patch, x[:err.node], y[:err.node])
+            head = slice(err.node)
+            _, _, h, _ = read_nodes(patch, x[head], y[head], select_axes(axes, head))
             return jet[0], w, h, err
     return jet[0], w, h, None
 
@@ -326,12 +340,11 @@ def characteristic_scan(patch: GraphPatch, grid: Grid2, eps: float) -> Character
     """
     xs, ys = grid.lattice()
     ni, nj = len(xs), len(ys)
-    gx, gy = grid.mesh()
-    inside = grid.domain.contains_all(gx, gy)
+    inside = np.zeros((ni, nj), dtype=bool)
     w = np.full((ni, nj), np.inf)
-    for (nodes,) in chunks(np.flatnonzero(inside)):
-        x, y = gx.flat[nodes], gy.flat[nodes]
-        w.flat[nodes] = horizontal_data(patch, (x, y), jet=patch.h.jet(x, y)).w
+    for nodes, x, y, axes in grid.node_chunks():
+        inside.flat[nodes] = True
+        w.flat[nodes] = horizontal_data(patch, (x, y), jet=patch.h.jet(x, y, axes=axes)).w
     flagged = inside & (w < eps)
 
     # cluster flagged nodes into 8-connected components

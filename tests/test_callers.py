@@ -10,7 +10,6 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "hmin"
 # the definitions kept without a caller, and the record fields kept without a
 # reader, in src/hmin, each with its reason
 KEPT = {
-    "expr.evaluate": "oracle: walks a tree; compile_fn's generated code is tested against it",
     "expr.to_str": "oracle: prints a tree back for the parse round trip",
     "fields.adaptive_simpson": "oracle: the scalar recursion that cumulative_integral matches bit for bit",
     "ruled.rule": "oracle: RuledPatch.embed in group form",

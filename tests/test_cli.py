@@ -349,8 +349,15 @@ def test_gallery_all_takes_a_parameter_of_one_entry(tmp_path):
     (["all", "hyperbolic"], "'all' names every entry, so it takes no other name"),
     (["hyperbolic", "all"], "'all' names every entry, so it takes no other name"),
     (["all", "all"], "'all' names every entry, so it takes no other name"),
+    (["gencurve-n", "gencurve-3"], "a gallery entry is named once; 'gencurve-n' and 'gencurve-3' "
+                                   "both name gencurve-n with n = 3"),
+    (["gencurve-3", "gencurve-03"], "a gallery entry is named once; 'gencurve-3' and "
+                                    "'gencurve-03' both name gencurve-n with n = 3"),
+    (["gencurve-n", "gencurve-4", "--n", "4"], "a gallery entry is named once; 'gencurve-n' and "
+                                               "'gencurve-4' both name gencurve-n with n = 4"),
 ], ids=["suffix-2-n-4", "suffix-3-n-minus-3", "repeated", "repeated-among-others",
-        "all-first", "all-last", "all-twice"])
+        "all-first", "all-last", "all-twice", "suffix-and-default", "two-suffixes",
+        "suffix-and-n"])
 def test_gallery_names_that_disagree_or_repeat_exit_4(tmp_path, capsys, args, message):
     assert main(["gallery", *args, "--out", str(tmp_path / "g")]) == 4
     err = capsys.readouterr().err.splitlines()
@@ -364,6 +371,13 @@ def test_gallery_spec_holds_params_n_to_its_gencurve_suffix(tmp_path, capsys):
     assert main(["loci", "--spec", spec, "--out", str(tmp_path / "o")]) == 4
     assert capsys.readouterr().err.splitlines() == [
         "error: 'gencurve-2' has n = 2 but n = 4 is given"]
+
+
+def test_two_gencurve_entries_run_both(tmp_path):
+    out = tmp_path / "g"
+    assert main(["gallery", "gencurve-2", "gencurve-3", "--out", str(out)]) == 0
+    rep = json.loads((out / "report.json").read_text())
+    assert {c["name"].split(".")[0] for c in rep["checks"]} == {"gencurve-2", "gencurve-3"}
 
 
 def test_gencurve_suffix_agrees_with_an_equal_or_absent_n(tmp_path):

@@ -262,6 +262,45 @@ def test_substitution_evaluates_the_tree_at_the_substituted_values(tree, env):
         assert repr(ex.evaluate(ex.substitute(tree, env), point)) == repr(ex.evaluate(tree, at))
 
 
+# axis values: repeats are drawn, and values where pow and exp overflow
+_AXIS_VALUES = [0.0, -0.0, math.nan, math.inf, -math.inf, 1.0, -1.0, 0.5, -2.5, 3.0,
+                710.0, -710.0, 1e200, -1e200, 1e-300]
+_IN_X_AND_Y = {"t": ex.Var("x"), "s": ex.Var("y"), "r": ex.Var("x")}
+
+
+@st.composite
+def _lattice(draw):
+    """Per variable, an axis u and an index array i (entries of u that no i
+    uses, and a single node, included); the nodes are u[i]."""
+    n = draw(st.integers(1, 12))
+    axes = []
+    for _ in "xy":
+        u = np.array(draw(st.lists(st.sampled_from(_AXIS_VALUES), min_size=1, max_size=8)))
+        i = np.array(draw(st.lists(st.integers(0, len(u) - 1), min_size=n, max_size=n)))
+        axes.append((u, i))
+    return tuple(axes)
+
+
+def _same_bits(a, b):
+    """a and b hold the same floats bit for bit, NaN where NaN."""
+    nan = np.isnan(a)
+    return (nan == np.isnan(b)).all() and (a.view(np.int64)[~nan] == b.view(np.int64)[~nan]).all()
+
+
+@given(_trees, _lattice())
+@settings(max_examples=200, deadline=None)
+@pytest.mark.filterwarnings("error")
+def test_array_code_over_lattice_axes_gives_the_floats_at_the_nodes(tree, axes):
+    tree = ex.substitute(tree, _IN_X_AND_Y)
+    compiled = ex.compile_fn(tree, ("x", "y"), array=True)
+    x, y = (u[i] for u, i in axes)
+    got = compiled(x, y, axes=axes)
+    assert isinstance(got, np.ndarray) and got.shape == x.shape
+    assert _same_bits(got, compiled(x, y))
+    assert [repr(float(v)) for v in got] == [repr(ex.evaluate(tree, {"x": a, "y": b}))
+                                             for a, b in zip(x.tolist(), y.tolist())]
+
+
 def test_compiled_array_results_are_arrays_of_their_own():
     x, y = np.array([1.0, 2.0]), np.array([3.0, 4.0])
     const, same, both = ex.compile_fn([ex.parse("2*pi"), ex.parse("x"), ex.parse("x*y")],

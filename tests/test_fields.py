@@ -6,7 +6,7 @@ import pytest
 from hmin import expr as ex
 from hmin import gallery
 from hmin.errors import FieldUndefined, StencilOutOfDomain
-from hmin.fields import (FD_STEP, SIMPSON_TOL, TURN_BACK, Grid2, PlanarDomain, Profile,
+from hmin.fields import (CHUNK, FD_STEP, SIMPSON_TOL, TURN_BACK, Grid2, PlanarDomain, Profile,
                          ScalarField2, adaptive_simpson, cumulative_integral,
                          rk4_integrate, square)
 
@@ -142,6 +142,28 @@ def test_grid_points_are_its_nodes_in_lattice_order():
     want = [(x, y) for x in xs for y in ys if dom.contains(x, y)]
     assert grid.nodes == want
     assert list(zip(*(a.tolist() for a in grid.points()))) == want
+
+
+@pytest.mark.parametrize("n, m", [(101, 101), (3, 2000), (40, 7)])
+def test_node_chunks_are_the_points_with_axes_that_read_them(n, m):
+    dom = PlanarDomain(-1, 1, -1, 1, membership=lambda x, y: x * x + y * y <= 1)
+    grid = Grid2(dom, n, m)
+    chunks = list(grid.node_chunks())
+    gx, gy = grid.mesh()
+    k, x, y = (np.concatenate([c[i] for c in chunks]) for i in range(3))
+    assert k.tolist() == np.flatnonzero(dom.contains_all(gx, gy)).tolist()
+    assert [x.tobytes(), y.tobytes()] == [a.tobytes() for a in grid.points()]
+    # NaN for x < 0 and a division by zero at x = 0
+    analytic = ScalarField2.from_expr("sqrt(x) + x^2*y - atanh(y/2) + 1/x")
+    for _, cx, cy, axes in chunks:
+        assert len(cx) <= CHUNK
+        # an axis reads the chunk's coordinates, and is no longer than the chunk
+        for nodes, (u, i) in zip((cx, cy), axes):
+            assert u[i].tobytes() == nodes.tobytes() and len(u) <= len(nodes)
+        for field in (analytic, analytic.fd_only()):
+            first, on_axes = field.jet(cx, cy), field.jet(cx, cy, axes=axes)
+            want, got = field.jet(cx, cy, first), field.jet(cx, cy, on_axes, axes)
+            assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
 
 
 @pytest.mark.parametrize("box, n, m", [

@@ -40,7 +40,8 @@ def test_building_compiles_nothing(compiled):
     assert compiled == [(surf.tree, True)]
     compiled.clear()
     assert [p(0.6) for p in profiles] == [0.8, 0.6, 0.0]
-    assert [array for _, array in compiled] == [False] * 3
+    # the constant "0" compiles nothing
+    assert compiled == [(ex.parse(src), False) for src in ("sqrt(1 - s^2)", "s")]
 
 
 def test_fd_only_compiles_nothing_and_shares_f(compiled):
@@ -126,6 +127,31 @@ def test_expression_profile_compiles_each_code_on_its_first_call(compiled, monke
     assert _compiles_once(compiled, lambda: h0.d(s)) == 1 and compiled[0][1] is True
     assert len(derived) == n
     assert _compiles_once(compiled, lambda: h0.d2(s)) == 1 and len(derived) > n
+
+
+@pytest.mark.parametrize("src", ["0", "1", "-2.5", "pi/2", "log(-1)", "2^2000", "1/0", "-0*0"])
+def test_a_constant_profile_compiles_nothing_and_gives_the_compiled_floats(compiled, src):
+    tree = ex.parse(src)
+    want_float = ex.compile_fn(tree, ("s",))(0.3)
+    want_array = ex.compile_fn(tree, ("s",), array=True)(np.array([0.3, -1.0]))
+    compiled.clear()
+    f = Profile.from_expr(src)
+    got_float, got_array = f(0.3), f(np.array([0.3, -1.0]))
+    assert compiled == []
+    assert repr(got_float) == repr(want_float)
+    assert isinstance(got_array, np.ndarray) and got_array.tobytes() == want_array.tobytes()
+    # f' and f'' of a constant are 0.0, and compile nothing either
+    assert (f.d(0.3), f.d2(0.3)) == (0.0, 0.0) and compiled == []
+
+
+def test_verify_of_the_readme_cylinder_compiles_no_constant_tree(tmp_path, compiled):
+    # the seed's x = s and the curvature's h0' are compiled; x' = 1, and y = 0
+    # with its derivatives, are constants
+    spec = tmp_path / "in.json"
+    spec.write_text(json.dumps({"kind": "ruled", "ruled": CYLINDER}))
+    assert main(["verify", "--spec", str(spec), "--out", str(tmp_path / "o")]) == 0
+    d1 = ex.differentiate(ex.parse("sqrt(1 - s^2)"), "s")
+    assert [e for e, _ in compiled] == [ex.parse("s"), d1]
 
 
 def test_verify_of_a_ruled_spec_compiles_no_second_derivative_of_h0(tmp_path, compiled):

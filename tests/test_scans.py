@@ -258,6 +258,62 @@ def test_characteristic_scan_calls_no_scalar_gradient(monkeypatch):
     assert [len(c.nodes) for c in scan.components] == [101]
 
 
+def test_fd_scan_maps_each_one_variable_subexpression_once_per_lattice_coordinate(monkeypatch):
+    # the catenoid's FD scan reads x^2, y^2 and their powers on the lattice
+    # axes: 253,344 elements mapped when they were read at every node
+    entry = gallery_get("catenoid")
+    mapped = []
+    pointwise = ex.pointwise
+
+    def spy(fn, *args):
+        mapped.append(next((len(a) for a in args if isinstance(a, np.ndarray)), 0))
+        return pointwise(fn, *args)
+    monkeypatch.setattr(ex, "pointwise", spy)
+    assert math.isfinite(max_curvature_deviation(entry.graph.fd_only(), entry.verify_domain))
+    assert 0 < sum(mapped) <= 60_000
+
+
+def _evaluator_calls(monkeypatch, drop_axes: bool) -> list:
+    """Wraps every evaluator compile_fn returns, as the benchmark's trace
+    hooks do; returns the list each array call appends (nodes, axes) to,
+    nodes being the size of its first argument.  With ``drop_axes`` the
+    array code runs without the axes it is given."""
+    calls = []
+    compile_fn = ex.compile_fn
+
+    def spy(e, var_order, array=False):
+        fn = compile_fn(e, var_order, array)
+        if not array:
+            return fn
+
+        def evaluator(*args, axes=None):
+            calls.append((args[0].size, axes))
+            return fn(*args, axes=None if drop_axes else axes)
+        return evaluator
+    monkeypatch.setattr(ex, "compile_fn", spy)
+    return calls
+
+
+@pytest.mark.parametrize("name,fd", [("catenoid", True), ("catenoid", False),
+                                     ("hyperbolic", False)])
+def test_evaluators_take_the_nodes_first_and_the_axes_apart(monkeypatch, name, fd):
+    def scan():
+        entry = gallery_get(name)
+        patch = entry.graph.fd_only() if fd else entry.graph
+        grid = Grid2(entry.verify_domain, 101, 101)
+        return (max_curvature_deviation(patch, entry.verify_domain),
+                characteristic_scan(patch, grid, EPS_CHAR).undefined_w)
+
+    calls = _evaluator_calls(monkeypatch, drop_axes=False)
+    got = scan()
+    lattice = [(n, axes) for n, axes in calls if axes is not None]
+    assert lattice and all(len(i) == n and len(u) <= n for n, axes in lattice for u, i in axes)
+    monkeypatch.undo()
+    flat = _evaluator_calls(monkeypatch, drop_axes=True)
+    # the same nodes in the same calls, and the same floats
+    assert scan() == got and [n for n, _ in flat] == [n for n, _ in calls]
+
+
 @pytest.mark.parametrize("x,y,r_range", [("cos(s)", "sin(s)", [-0.5, 0.5]), ("s", "0", [-1, 1])])
 def test_expression_seed_calls_each_closed_form_once_per_array(monkeypatch, x, y, r_range):
     calls = {name: [] for name in ("gamma", "dgamma", "ddgamma")}
