@@ -342,6 +342,7 @@ def cmd_build(args, spec: dict, report: Report) -> None:
 
     obj_path = _output_path(report, args.out, "mesh.obj")
     write_obj(mesh, obj_path)
+    del mesh    # the lint reads only the file, so the mesh need not outlive the write
     problems = lint_obj(obj_path)
     report.add(check_flag("obj_lint", not problems,
                           note="; ".join(problems[:3]) if problems else "clean"))
@@ -425,8 +426,8 @@ def _gallery_request(args) -> dict:
     """The gallery command's input: entry names and the parameters given.
 
     ``all`` stands alone, no name is given twice, some entry takes each
-    parameter, and no two names spell one entry (``gencurve-n`` and
-    ``gencurve-3``).
+    parameter, every name resolves to an entry, and no two names spell one
+    entry (``gencurve-n`` and ``gencurve-3``).
     """
     if "all" in args.names and args.names != ["all"]:
         raise UnknownName(f"'all' names every entry, so it takes no other name: {args.names}")
@@ -441,11 +442,8 @@ def _gallery_request(args) -> dict:
         if k not in accepted_by_any:
             raise UnknownName(f"--{k}: no entry of {names} takes this parameter")
     spelled: dict[tuple, str] = {}
-    for name in names:
-        try:
-            key = gal.gallery_key(name, **_entry_params(name, params))
-        except UnknownName:
-            continue  # reported when the entry is built, after the entries before it
+    for name in names:   # a name that does not resolve is reported before any battery runs
+        key = gal.gallery_key(name, **_entry_params(name, params))
         if key in spelled:
             builder, arguments = key
             given = ", ".join(f"{k} = {v!r}" for k, v in arguments) or "no parameters"

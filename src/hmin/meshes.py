@@ -6,6 +6,9 @@ vertex records ``v x y t`` and 1-based triangular face records
 form) so identical inputs produce byte-identical files.  The writer
 formats the vertices in blocks of rows and, since lattice meshes repeat
 their coordinates, each distinct float of a block's column only once.
+On a file in the writer's layout the linter keeps the vertex column and
+one block of text: it checks each block of face records as it parses it,
+so the file's faces are never held.  Lattice faces are int32.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import FieldUndefined
-from .fields import Grid2, PlanarDomain, chunks
+from .fields import CHUNK, Grid2, PlanarDomain
 from .ruled import RuledPatch
 from .seed import curvature, rule_point
 from .surface import GraphPatch
@@ -38,14 +41,22 @@ _SECTIONS = (re.compile(r"(?:#[^\n]*\n)*"), re.compile(r"(?:v \S+ \S+ \S+\n)*"),
 @dataclass
 class Mesh:
     vertices: np.ndarray                       # (n, 3) float rows x, y, t
-    faces: np.ndarray                          # (m, 3) 0-based int triples
+    faces: np.ndarray                          # (m, 3) 0-based int triples; int32 on a lattice
     comments: list[str] = field(default_factory=list)
     clamped: int = 0                           # chart samples moved off the fold
 
 
 def _grid_faces(nu: int, nv: int) -> np.ndarray:
-    a = (np.arange(nu - 1)[:, None] * nv + np.arange(nv - 1)).ravel()
-    return np.stack([a, a + nv, a + 1, a + 1, a + nv, a + nv + 1], axis=1).reshape(-1, 3)
+    """The two triangles of each cell of an nu by nv lattice, row-major, as
+    int32 rows filled in place.  The CLI's grid cap of 4,000,000 nodes keeps
+    every index far inside int32."""
+    faces = np.empty((nu - 1, nv - 1, 2, 3), dtype=np.int32)
+    a = faces[:, :, 0, 0]
+    rows = np.arange(nu - 1, dtype=np.int32)[:, None] * nv
+    np.add(rows, np.arange(nv - 1, dtype=np.int32), out=a)
+    for k, j, d in ((0, 1, nv), (0, 2, 1), (1, 0, 1), (1, 1, nv), (1, 2, nv + 1)):
+        np.add(a, d, out=faces[:, :, k, j])
+    return faces.reshape(-1, 3)
 
 
 def mesh_ruled(patch: RuledPatch, ns: int, nr: int,
@@ -82,8 +93,13 @@ def mesh_graph(patch: GraphPatch, nx: int, ny: int) -> Mesh:
     """Every lattice node, x-major, at the height ``patch.point`` gives, read
     a chunk at a time; raises what ``patch.point`` raises at the first node
     it rejects."""
-    x, y = (a.ravel() for a in Grid2(patch.domain, nx, ny).mesh())
-    verts = np.column_stack((x, y, np.concatenate([patch.h.value(*c) for c in chunks(x, y)])))
+    xs, ys = Grid2(patch.domain, nx, ny).lattice()
+    verts = np.empty((nx, ny, 3))
+    verts[:, :, 0], verts[:, :, 1] = xs[:, None], ys
+    verts = verts.reshape(-1, 3)
+    for i in range(0, len(verts), CHUNK):
+        x, y, t = verts[i:i + CHUNK].T
+        t[:] = patch.h.value(x, y)
     bad = np.flatnonzero(~np.isfinite(verts).all(axis=1))
     if bad.size:   # the scalar call raises there, as the per-node loop did
         patch.point(*verts[bad[0], :2].tolist())
@@ -147,55 +163,10 @@ def _read_lines(path: str) -> tuple[list[str], array, array]:
     return problems, verts, faces
 
 
-def _tokens(records: str) -> list[str]:
-    """The three values of each record, in order."""
-    tokens = records.split()
-    del tokens[::4]
-    return tokens
-
-
-def _read_layout(path: str) -> Optional[tuple[array, array]]:
-    """The vertex and face columns of a file in the writer's layout, read a
-    block of whole lines at a time; None for any other file, for one with a
-    face index that is not 1 to 18 ASCII digits, and for one with a record
-    that ``_read_lines`` would report."""
-    verts, faces = array("d"), array("q")
-    section = 0                 # where the last block ended, an index of _SECTIONS
-    with open(path) as fh:
-        for lines in iter(lambda: fh.readlines(BLOCK), []):
-            text, pos = "".join(lines), 0
-            for k in range(section, 3):
-                end = _SECTIONS[k].match(text, pos).end()
-                if end > pos:
-                    section = k
-                    if k == 1:
-                        try:
-                            verts.extend(map(float, _tokens(text[pos:end])))
-                        except ValueError:
-                            return None
-                    elif k == 2:
-                        # base-10 strtoll of at most 18 ASCII digits is int()'s value
-                        faces.frombytes(np.fromstring(text[pos:end].replace("f", " "),
-                                                      np.int64, sep=" ").tobytes())
-                pos = end
-            if pos < len(text):
-                return None
-    return (verts, faces) if np.isfinite(np.frombuffer(verts)).all() else None
-
-
-def lint_obj(path: str) -> list[str]:
-    """Structural check: parseable finite records, indices in range, non-degenerate faces.
-
-    A file in the writer's layout is parsed a block at a time; any other
-    file, and one with a record to report, is read by the line loop, which
-    writes the record messages.  The faces are checked ``ROWS`` at a time.
-    """
-    problems, columns = [], _read_layout(path)
-    if columns is None:
-        problems, *columns = _read_lines(path)
-    verts, faces = columns
-    v = np.frombuffer(verts).reshape(-1, 3)
-    faces = np.frombuffer(faces, dtype=np.int64).reshape(-1, 3)
+def _face_problems(v: np.ndarray, faces: np.ndarray, first: int = 0) -> list[str]:
+    """The problems of the 1-based face rows ``faces`` over the vertex rows
+    ``v``, ``ROWS`` at a time; the faces are numbered from ``first``."""
+    problems = []
     for start in range(0, len(faces), ROWS):
         f = faces[start:start + ROWS]
         out_of_range = ((f < 1) | (f > len(v))).any(axis=1)
@@ -207,7 +178,70 @@ def lint_obj(path: str) -> list[str]:
             cross = np.cross(b - a, c - a)
             area[good] = 0.5 * np.sqrt(np.vecdot(cross, cross))  # rounds as norm() of one face
         for i in np.flatnonzero(~good | (area <= 1e-12)).tolist():
-            problems.append(f"face {start + i}: vertex index out of range" if out_of_range[i] else
-                            f"face {start + i}: repeated vertex index" if repeated[i] else
-                            f"face {start + i}: degenerate (area {area[i]:.3e})")
+            k = first + start + i
+            problems.append(f"face {k}: vertex index out of range" if out_of_range[i] else
+                            f"face {k}: repeated vertex index" if repeated[i] else
+                            f"face {k}: degenerate (area {area[i]:.3e})")
+    return problems
+
+
+def _tokens(records: str) -> list[str]:
+    """The three values of each record, in order."""
+    tokens = records.split()
+    del tokens[::4]
+    return tokens
+
+
+def _read_layout(path: str) -> Optional[list[str]]:
+    """The face problems of a file in the writer's layout, read a block of
+    whole lines at a time; None for any other file, for one with a face
+    index that is not 1 to 18 ASCII digits, and for one with a record that
+    ``_read_lines`` would report.  Each block's vertices are checked finite
+    and its faces checked as they are parsed; no face is kept.
+    """
+    verts, v, problems, first = array("d"), None, [], 0
+    section = 0                 # where the last block ended, an index of _SECTIONS
+    with open(path) as fh:
+        for lines in iter(lambda: fh.readlines(BLOCK), []):
+            text, pos = "".join(lines), 0
+            for k in range(section, 3):
+                end = _SECTIONS[k].match(text, pos).end()
+                if end > pos:
+                    section = k
+                    if k == 1:
+                        n = len(verts)
+                        try:
+                            verts.extend(map(float, _tokens(text[pos:end])))
+                        except ValueError:
+                            return None
+                        if not np.isfinite(np.frombuffer(verts)[n:]).all():
+                            return None
+                    elif k == 2:
+                        if v is None:   # no vertex follows a face, so the column is final
+                            v = np.frombuffer(verts).reshape(-1, 3)
+                        # base-10 strtoll of at most 18 ASCII digits is int()'s value
+                        faces = np.fromstring(text[pos:end].replace("f", " "),
+                                              np.int64, sep=" ").reshape(-1, 3)
+                        problems += _face_problems(v, faces, first)
+                        first += len(faces)
+                pos = end
+            if pos < len(text):
+                return None
+    return problems
+
+
+def lint_obj(path: str) -> list[str]:
+    """Structural check: parseable finite records, indices in range, non-degenerate faces.
+
+    A file in the writer's layout is parsed a block at a time and each
+    block's faces are checked as soon as they are parsed, so only the vertex
+    column and one block of text are held.  Any other file, and one with a
+    record to report, is read by the line loop, which writes the record
+    messages and then checks the faces it collected.
+    """
+    problems = _read_layout(path)
+    if problems is None:
+        problems, verts, faces = _read_lines(path)
+        problems += _face_problems(np.frombuffer(verts).reshape(-1, 3),
+                                   np.frombuffer(faces, dtype=np.int64).reshape(-1, 3))
     return problems

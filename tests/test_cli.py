@@ -355,14 +355,20 @@ def test_gallery_all_takes_a_parameter_of_one_entry(tmp_path):
                                     "'gencurve-03' both name gencurve-n with n = 3"),
     (["gencurve-n", "gencurve-4", "--n", "4"], "a gallery entry is named once; 'gencurve-n' and "
                                                "'gencurve-4' both name gencurve-n with n = 4"),
+    (["catenoid", "optreg2", "nope"], "unknown gallery entry 'nope'"),
 ], ids=["suffix-2-n-4", "suffix-3-n-minus-3", "repeated", "repeated-among-others",
         "all-first", "all-last", "all-twice", "suffix-and-default", "two-suffixes",
-        "suffix-and-n"])
-def test_gallery_names_that_disagree_or_repeat_exit_4(tmp_path, capsys, args, message):
+        "suffix-and-n", "unknown-after-known"])
+def test_gallery_names_that_disagree_or_repeat_exit_4(tmp_path, capsys, monkeypatch, args,
+                                                      message):
+    # the request is rejected before any entry's battery runs
+    batteries = []
+    monkeypatch.setattr(gallery, "gallery_verify", lambda name, **params: batteries.append(name))
     assert main(["gallery", *args, "--out", str(tmp_path / "g")]) == 4
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: " + message)
     assert not (tmp_path / "g").exists()
+    assert batteries == []
 
 
 def test_gallery_spec_holds_params_n_to_its_gencurve_suffix(tmp_path, capsys):

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -226,6 +227,21 @@ def lint_paths(path):
     return lint_obj(str(path)), loop, fast
 
 
+def test_a_build_holds_memory_proportional_to_its_vertices(tmp_path):
+    # the lattice faces are int32 filled in place, the lint checks each block
+    # of faces as it parses it, and the mesh is let go before the lint runs;
+    # the first build compiles and imports what the traced one needs
+    grid = WORKLOAD_BUILDS["cylinder"][1]
+    build_obj(tmp_path, "cylinder", (20, 20))
+    tracemalloc.start()
+    try:
+        build_obj(tmp_path, "cylinder", grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 24 * grid[0] * grid[1]    # 4 times the float64 vertex rows
+
+
 @pytest.mark.parametrize("name", sorted(WORKLOAD_BUILDS))
 def test_lint_paths_agree_on_the_workload_meshes(tmp_path, name):
     path = build_obj(tmp_path, name, WORKLOAD_BUILDS[name][1])
@@ -328,11 +344,16 @@ def test_only_faces_of_up_to_18_ascii_digits_take_the_int64_parse():
         assert not meshes._DIGIT_FACES.fullmatch(record), record
 
 
-@pytest.mark.parametrize("rows", [meshes.ROWS, 1000, 1])
-def test_lint_checks_faces_a_block_at_a_time_in_face_order(tmp_path, monkeypatch, rows):
+@pytest.mark.parametrize("rows,block", [
+    pytest.param(rows, block, id=str(rows) if block == meshes.BLOCK else f"{rows}-block{block}")
+    for block in (meshes.BLOCK, 1000, 1) for rows in (meshes.ROWS, 1000, 1)])
+def test_lint_checks_faces_a_block_at_a_time_in_face_order(tmp_path, monkeypatch, rows, block):
     # 2 * 47 * 37 = 3478 faces: with rows = 1000 the bad faces lie in three
-    # blocks, and with 1 each face is a block of its own
+    # blocks, and with 1 each face is a block of its own; with a parse block
+    # of 1000 characters they are parsed in different blocks, and with 1
+    # each line is parsed alone, so face numbers carry across parse blocks
     monkeypatch.setattr(meshes, "ROWS", rows)
+    monkeypatch.setattr(meshes, "BLOCK", block)
     mesh = mesh_graph(GraphPatch.from_expr("x*y/2", PlanarDomain(-1, 1, -1, 1)), 48, 38)
     mesh.faces[[5, 1500, 3477]] = [[0, 0, 1], [0, 1, 48 * 38], [0, 1, 2]]
     path = str(tmp_path / "bad.obj")
