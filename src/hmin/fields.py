@@ -443,10 +443,6 @@ class Profile:
         d1 = f.derivative()
         return Profile(f, d1, d1.derivative())
 
-    @staticmethod
-    def constant(c: float) -> "Profile":
-        return Profile(f=lambda s: full(s, c), d1=lambda s: full(s, 0.0), d2=lambda s: full(s, 0.0))
-
 
 # ---------------------------------------------------------------------------
 # ODE integration (classical fixed-step RK4)

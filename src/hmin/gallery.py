@@ -176,8 +176,6 @@ class GalleryEntry:
     sets; ``patch`` is the battery's ``ruled()`` patch, or None.
     """
 
-    name: str
-    params: dict
     graph: Optional[GraphPatch] = None
     graph_lower: Optional[GraphPatch] = None
     implicit: Optional[ImplicitSurface] = None
@@ -210,8 +208,6 @@ def _num(v: float) -> str:
 def _char_plane() -> GalleryEntry:
     dom = PlanarDomain(-2.2, 2.2, -2.2, 2.2)
     entry = GalleryEntry(
-        name="char-plane",
-        params={},
         graph=GraphPatch.from_expr("0", dom),
         implicit=ImplicitSurface.from_expr("t"),
         verify_domain=PlanarDomain(-2.0, 2.0, -2.0, 2.0),
@@ -226,7 +222,7 @@ def _char_plane() -> GalleryEntry:
     )
     entry.ruled = lambda: RuledPatch(
         circle_seed((0.0, 0.0), (1.0, 0.0), (-math.pi, math.pi)),
-        Profile.constant(0.0), (-math.pi, math.pi), (-0.5, 0.5))
+        Profile.from_expr("0"), (-math.pi, math.pi), (-0.5, 0.5))
     return entry
 
 
@@ -244,8 +240,6 @@ def _general_plane(a: float = 1.0, b: float = 2.0, c: float = 2.0,
         return circle_seed(center, z0, (-math.pi, math.pi), sense=sense)
 
     return GalleryEntry(
-        name="general-plane",
-        params={"a": a, "b": b, "c": c, "d": d},
         graph=GraphPatch.from_expr(src, dom),
         implicit=ImplicitSurface.from_expr(
             f"{_num(a)}*x + {_num(b)}*y + {_num(c)}*t - {_num(d)}"),
@@ -269,8 +263,6 @@ def _hyperbolic() -> GalleryEntry:
         return line_seed(z0, (-sgn, 0.0), (-1.5, 1.5))
 
     entry = GalleryEntry(
-        name="hyperbolic",
-        params={},
         graph=GraphPatch.from_expr("x*y/2", dom),
         implicit=ImplicitSurface.from_expr("t - x*y/2"),
         verify_domain=PlanarDomain(-2.0, 2.0, -2.0, 2.0),
@@ -316,8 +308,6 @@ def _catenoid(a: float = 2.0, u0: float = 0.0) -> GalleryEntry:
         return math.hypot(*z0) ** 2 - rate * s
 
     entry = GalleryEntry(
-        name="catenoid",
-        params={"a": a, "u0": u0},
         graph=GraphPatch.from_expr(upper, dom),
         graph_lower=GraphPatch.from_expr(lower, dom),
         implicit=ImplicitSurface.from_expr(
@@ -375,8 +365,6 @@ def _counterexample() -> GalleryEntry:
         return circle_seed((0.0, 0.0), z0, (lo, hi))
 
     entry = GalleryEntry(
-        name="counterexample",
-        params={},
         graph=GraphPatch.from_expr("-atanh(atan(y/x))", dom),
         implicit=ImplicitSurface.from_expr("y + x*tan(tanh(t))"),
         verify_domain=vdom,
@@ -417,8 +405,6 @@ def _cylinder() -> GalleryEntry:
         return GeneralizedSeedCurve(pieces, joins)
 
     entry = GalleryEntry(
-        name="cylinder",
-        params={},
         graph=GraphPatch.from_expr("sqrt(1 - x^2) + x*y/2", dom),
         graph_lower=GraphPatch.from_expr("-sqrt(1 - x^2) + x*y/2", dom),
         implicit=ImplicitSurface.from_expr("(t - x*y/2)^2 - (1 - x^2)"),
@@ -468,8 +454,6 @@ def _gencurve(n: int = 3) -> GalleryEntry:
         return GeneralizedSeedCurve(pieces, [GSCJoin("a", "a")])
 
     entry = GalleryEntry(
-        name="gencurve-n",
-        params={"n": n},
         graph=graph,
         graph_lower=graph_lower,
         implicit=ImplicitSurface.from_expr(f"(t - x*y/2)^{_num(float(n))} - x"),
@@ -502,18 +486,8 @@ def _optreg2() -> GalleryEntry:
     samples = SeedCurve(grid, np.column_stack((h0_vals, zeros)),
                         np.column_stack((h0_rate(grid), zeros)), np.zeros((len(grid), 2)))
     h0 = Profile(f=lambda s: samples.point(s)[0], d1=h0_rate)
-
-    def make_patch():
-        return RuledPatch(seed_c, h0, (-1.0, 1.0), (-6.0, 6.0))
-
-    entry = GalleryEntry(
-        name="optreg2",
-        params={},
-        seed_base=None,
-        own_checks=_optreg2_corner,
-    )
-    entry.ruled = make_patch
-    return entry
+    return GalleryEntry(ruled=lambda: RuledPatch(seed_c, h0, (-1.0, 1.0), (-6.0, 6.0)),
+                        own_checks=_optreg2_corner)
 
 
 def _iso_profile(R: float = 1.0) -> GalleryEntry:
@@ -535,8 +509,6 @@ def _iso_profile(R: float = 1.0) -> GalleryEntry:
     vdom = PlanarDomain(-0.96 * R, 0.96 * R, -0.96 * R, 0.96 * R,
                         member(0.05 * R, 0.95 * R))
     return GalleryEntry(
-        name="iso-profile",
-        params={"R": R},
         graph=GraphPatch.from_expr(src, dom),
         verify_domain=vdom,
         expected_curvature=2.0 / R,
@@ -600,10 +572,15 @@ def gallery_key(name: str, **params) -> tuple[str, tuple]:
 
 
 def gallery_get(name: str, **params) -> GalleryEntry:
+    """Entry ``name``; each parameter is a finite number, not a bool, and ``n`` a whole one."""
     key, params = _resolve(name, params)
     for k, v in params.items():
-        if isinstance(v, (int, float)) and not finite(v):
+        if isinstance(v, bool) or not isinstance(v, (int, float)):
+            raise UnknownName(f"bad parameters for {name!r}: {k} = {v!r} is not a number")
+        if not finite(v):
             raise UnknownName(f"bad parameters for {name!r}: {k} is not a finite float")
+        if k == "n" and not float(v).is_integer():
+            raise UnknownName(f"bad parameters for {name!r}: n = {v!r} is not a whole number")
     try:
         return _BUILDERS[key](**params)
     except TypeError as err:
@@ -791,8 +768,8 @@ def _optreg2_corner(entry: GalleryEntry, patch: RuledPatch) -> list[Check]:
     # r > 0 picks the bounded branch
     worst = worst_abs(root.r - branch(root.s)
                       for root in characteristic_locus(patch, n_s=41).roots if root.r > 0)
-    sp = locus_branch_slope(patch, 0.0, +1, which="max")
-    sm = locus_branch_slope(patch, 0.0, -1, which="max")
+    sp = locus_branch_slope(patch, 0.0, +1)
+    sm = locus_branch_slope(patch, 0.0, -1)
     return [check_leq("optreg2_branch_values", worst, 1e-8),
             check_leq("optreg2_branch_at_0", abs(branch(0.0) - 1.0), 1e-12),
             check_leq("optreg2_slope_jump", abs(abs(sp - sm) - 1.0), 1e-3,

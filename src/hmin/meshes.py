@@ -59,18 +59,16 @@ def _grid_faces(nu: int, nv: int) -> np.ndarray:
     return faces.reshape(-1, 3)
 
 
-def mesh_ruled(patch: RuledPatch, ns: int, nr: int,
-               r_range: Optional[tuple[float, float]] = None) -> Mesh:
-    """Sample the (s, r) chart over ``s_range`` by ``r_range`` (by default
-    the patch's ``r_interval()``); r is nudged off the singular fold.
+def mesh_ruled(patch: RuledPatch, ns: int, nr: int) -> Mesh:
+    """Sample the (s, r) chart over the patch's ``s_range`` by its
+    ``r_interval()``; r is nudged off the singular fold.
 
     Samples with |det DF| < DET_CLAMP slide along their rule to the nearest
     admissible r (the fold r = 1/kappa is a parameterization artifact, not
     a feature of the surface); the number of moved samples is recorded.
     Each s row is embedded at once, with the arithmetic of ``RuledPatch.embed``.
     """
-    ss, r_lattice = Grid2(PlanarDomain(*patch.s_range, *(r_range or patch.r_interval())),
-                          ns, nr).lattice()
+    ss, r_lattice = Grid2(PlanarDomain(*patch.s_range, *patch.r_interval()), ns, nr).lattice()
     verts = np.empty((ns, nr, 3))
     clamped = 0
     for i, s in enumerate(ss.tolist()):

@@ -138,9 +138,9 @@ class RuledPatch:
         dw = (self.w(s, r + step) - self.w(s, r - step)) / (2.0 * step)
         return abs(dw - 1.0 - kap * self.w(s, r) / den)
 
-    def r_interval(self, fallback: float = 1.0) -> tuple[float, float]:
-        """``r_range``, or (-fallback, fallback) for an extended patch."""
-        return (-fallback, fallback) if self.r_range is None else self.r_range
+    def r_interval(self) -> tuple[float, float]:
+        """``r_range``, or (-1, 1) for an extended patch."""
+        return (-1.0, 1.0) if self.r_range is None else self.r_range
 
 
 def _rule_den(s, r, kap):
@@ -397,12 +397,12 @@ def _singular_on(patch: RuledPatch) -> SingularLocus:
     return SingularLocus(branches)
 
 
-def locus_branch_slope(patch: RuledPatch, s: float, side: int,
-                       which: str = "min") -> float:
-    """One-sided ds-slope of a characteristic branch at s, second order.
+def locus_branch_slope(patch: RuledPatch, s: float, side: int) -> float:
+    """One-sided ds-slope of the larger characteristic root at s, second order.
 
-    ``side`` is +1 (limit from above) or -1 (from below); ``which`` picks
-    the branch by root ordering ("min"/"max").
+    ``side`` is +1 (limit from above) or -1 (from below).  Where the
+    quadratic has one root, or its two roots are not ordered, that is the
+    smaller one.
     """
 
     def branch(sv: float) -> float:
@@ -410,7 +410,7 @@ def locus_branch_slope(patch: RuledPatch, s: float, side: int,
         if not count[0]:
             raise FieldUndefined(f"no characteristic root at s={sv}")
         lo, hi = float(r1[0]), float(r2[0])
-        return lo if which == "min" or count[0] == 1 or not hi > lo else hi
+        return hi if count[0] == 2 and hi > lo else lo
 
     h = 1e-3
     c0 = branch(s)
@@ -668,6 +668,8 @@ def classify_entire_graph(patch: GraphPatch) -> Classification:
     window = min(dom.xmax - dom.xmin, dom.ymax - dom.ymin)
     span = min(1.5, window / 4.0)
     curve = extract_seed(patch, z0, span)
+    if len(curve.s) < 2:
+        return NotEntire(f"the seed traced from {z0} has fewer than two samples")
     lo, hi = max(curve.s_min, -span / 2), min(curve.s_max, span / 2)
     # the seed over [-span/2, span/2], cut to its traced range, as a one-piece GSC
     _, (kappa,) = constant_curvature_test(GeneralizedSeedCurve([GSCPiece(curve, lo, hi)]),

@@ -331,10 +331,6 @@ class SingularLocus:
 
     branches: list[tuple[np.ndarray, np.ndarray]] = field(default_factory=list)
 
-    @property
-    def empty(self) -> bool:
-        return not self.branches
-
 
 def singular_locus(curve: SeedCurve) -> SingularLocus:
     kap = curvature(curve, curve.s)

@@ -313,8 +313,7 @@ def rotate_graph(patch: GraphPatch, theta: float) -> GraphPatch:
 
 @dataclass
 class ScanComponent:
-    nodes: list[tuple[float, float]]          # grid nodes with W < eps
-    images: list[HPoint]                      # lifted representatives on the surface
+    nodes: list[tuple[float, float]]          # grid nodes (x, y) with W < eps
 
     @property
     def representative(self) -> tuple[float, float]:
@@ -336,15 +335,21 @@ class CharacteristicScan:
 def characteristic_scan(patch: GraphPatch, grid: Grid2, eps: float) -> CharacteristicScan:
     """Grid nodes with W < eps, grouped into 8-connected components.
 
-    W is read through the height field's jet, one chunk of nodes at a time.
+    W and the height are read through the height field's jet, one chunk of
+    nodes at a time; that array code is all the scan compiles.  The height
+    of a component's first eight nodes must be finite: where it is not, the
+    surface is undefined at a flagged node, and FieldUndefined names it.
     """
     xs, ys = grid.lattice()
     ni, nj = len(xs), len(ys)
     inside = np.zeros((ni, nj), dtype=bool)
+    no_height = np.zeros((ni, nj), dtype=bool)
     w = np.full((ni, nj), np.inf)
     for nodes, x, y, axes in grid.node_chunks():
+        jet = patch.h.jet(x, y, axes=axes)
         inside.flat[nodes] = True
-        w.flat[nodes] = horizontal_data(patch, (x, y), jet=patch.h.jet(x, y, axes=axes)).w
+        no_height.flat[nodes] = ~np.isfinite(jet[0])
+        w.flat[nodes] = horizontal_data(patch, (x, y), jet=jet).w
     flagged = inside & (w < eps)
 
     # cluster flagged nodes into 8-connected components
@@ -366,10 +371,11 @@ def characteristic_scan(patch: GraphPatch, grid: Grid2, eps: float) -> Character
                             stack.append((ai, aj))
             comps.append(members)
 
-    out = []
     for members in comps:
-        nodes = [(float(xs[i]), float(ys[j])) for i, j in members]
-        out.append(ScanComponent(nodes, [patch.point(x, y) for x, y in nodes[:8]]))
+        for i, j in members[:8]:
+            if no_height[i, j]:
+                raise FieldUndefined(f"height not finite at ({float(xs[i])}, {float(ys[j])})")
+    out = [ScanComponent([(float(xs[i]), float(ys[j])) for i, j in members]) for members in comps]
     return CharacteristicScan(out, int(np.count_nonzero(inside & ~np.isfinite(w))))
 
 

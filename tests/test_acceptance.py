@@ -6,6 +6,7 @@ to see the lines; the asserts carry the same numbers either way.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 
@@ -42,7 +43,7 @@ def gallery_ruled_patches():
 
 
 def chart_samples(patch, n_s=9, n_r=9, r_fallback=1.5):
-    r_lo, r_hi = patch.r_interval(r_fallback)
+    r_lo, r_hi = (-r_fallback, r_fallback) if patch.r_range is None else patch.r_range
     for s in np.linspace(*patch.s_range, n_s)[1:-1]:
         for r in np.linspace(r_lo, r_hi, n_r):
             s, r = float(s), float(r)
@@ -167,8 +168,8 @@ def test_criterion_07_characteristic_loci():
     rep = characteristic_locus(patch, n_s=41)
     at0 = [root.r for root in rep.roots if root.s == 0.0]
     report(7, "optreg2 branch value at s=0", abs(at0[0] - 1.0), 1e-9)
-    sp = locus_branch_slope(patch, 0.0, +1, which="max")
-    sm = locus_branch_slope(patch, 0.0, -1, which="max")
+    sp = locus_branch_slope(patch, 0.0, +1)
+    sm = locus_branch_slope(patch, 0.0, -1)
     report(7, "optreg2 one-sided slope jump = 1.0", abs(abs(sp - sm) - 1.0), 1e-3)
 
 
@@ -285,7 +286,7 @@ def test_criterion_12_cylinder_gluing():
     from hmin.meshes import mesh_ruled
     worst = 0.0
     for patch in (s1, s2):
-        mesh = mesh_ruled(patch, 50, 50, r_range=(-2.0, 2.0))
+        mesh = mesh_ruled(replace(patch, r_range=(-2.0, 2.0)), 50, 50)
         for x, y, t in mesh.vertices:
             worst = max(worst, abs((t - x * y / 2) ** 2 - (1 - x * x)))
     report(12, "cylinder union satisfies (t - xy/2)^2 = 1 - x^2", worst, 1e-9)

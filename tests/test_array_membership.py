@@ -162,7 +162,7 @@ def test_stored_profiles_seeds_and_radius_laws_give_their_float_calls_over_array
 def test_expression_and_constant_profiles_take_arrays():
     s = _s_grid(-0.9, 0.9)
     for profile in (Profile.from_expr("sqrt(1 - s^2)"), Profile.from_expr("-s/2"),
-                    Profile.from_expr("2.5"), Profile.constant(0.0), Profile.constant(-1.5),
+                    Profile.from_expr("2.5"), Profile.from_expr("0"), Profile.from_expr("-1.5"),
                     Profile(f=Profile.from_expr("-atanh(s)").f)):
         for fn in (profile, profile.d, profile.d2 or profile.d):
             _assert_takes_arrays(repr(profile), fn, s)

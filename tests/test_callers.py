@@ -20,8 +20,6 @@ KEPT = {
     "seed.SeedCurve.stop_lo": "why a traced seed's backward branch ended; the seed tests pin it",
     "seed.SeedCurve.stop_hi": "why a traced seed's forward branch ended; the seed tests pin it",
     "ruled.Class2.h0_samples": "the height along a straight seed, the h0 of the shear family",
-    "gallery.GalleryEntry.params": "the parameters an entry was built with",
-    "surface.ScanComponent.images": "a component's first nodes lifted to the surface",
     "surface.HorizontalData.p": "read by position: callers unpack (p, q, W, nu)",
     "surface.HorizontalData.q": "read by position: callers unpack (p, q, W, nu)",
 }

@@ -379,6 +379,23 @@ def test_gallery_spec_holds_params_n_to_its_gencurve_suffix(tmp_path, capsys):
         "error: 'gencurve-2' has n = 2 but n = 4 is given"]
 
 
+@pytest.mark.parametrize("command,name,params,message", [
+    ("verify", "gencurve-n", {"n": 2.5}, "n = 2.5 is not a whole number"),
+    ("verify", "gencurve-n", {"n": True}, "n = True is not a number"),
+    ("classify", "catenoid", {"a": True}, "a = True is not a number"),
+    ("classify", "catenoid", {"a": "2"}, "a = '2' is not a number"),
+    ("classify", "catenoid", {"a": None}, "a = None is not a number"),
+    ("classify", "catenoid", {"a": [1]}, "a = [1] is not a number"),
+], ids=["n-fraction", "n-bool", "a-bool", "a-string", "a-null", "a-list"])
+def test_gallery_spec_parameter_that_is_no_number_exit_4(tmp_path, capsys, command, name,
+                                                         params, message):
+    spec = write_spec(tmp_path, "g.json", {"kind": "gallery",
+                                           "gallery": {"name": name, "params": params}})
+    assert main([command, "--spec", spec, "--out", str(tmp_path / "o")]) == 4
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: bad parameters for {name!r}: {message}"]
+
+
 def test_two_gencurve_entries_run_both(tmp_path):
     out = tmp_path / "g"
     assert main(["gallery", "gencurve-2", "gencurve-3", "--out", str(out)]) == 0

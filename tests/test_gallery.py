@@ -6,8 +6,8 @@ import pytest
 from hmin import expr as ex, gallery
 from hmin.errors import UnknownName
 from hmin.fields import Grid2, PlanarDomain, Profile
-from hmin.gallery import (_check_scan, _counterexample_triple, gallery_get, gallery_names,
-                          gallery_verify, max_curvature_deviation)
+from hmin.gallery import (_check_scan, _counterexample_triple, gallery_get, gallery_key,
+                          gallery_names, gallery_verify, max_curvature_deviation)
 from hmin.report import worst_abs
 from hmin.seed import curvature
 from hmin.surface import GraphPatch, ImplicitSurface
@@ -29,9 +29,11 @@ def test_unknown_name():
 
 
 def test_gencurve_suffix_parsing():
-    assert gallery_get("gencurve-3").params["n"] == 3
-    assert gallery_get("gencurve-4").params["n"] == 4
-    assert gallery_get("gencurve-n").params["n"] == 3
+    assert gallery_key("gencurve-3") == ("gencurve-n", (("n", 3),))
+    assert gallery_key("gencurve-4") == ("gencurve-n", (("n", 4),))
+    assert gallery_key("gencurve-n") == ("gencurve-n", (("n", 3),))
+    # n may be a float that is a whole number
+    assert gallery_get("gencurve-n", n=4.0).graph_lower is not None
     with pytest.raises(UnknownName):
         gallery_get("gencurve-x")
 
@@ -204,8 +206,8 @@ def test_optreg2_branch_jump_numbers():
     entry = gallery_get("optreg2")
     from hmin.ruled import locus_branch_slope
     patch = entry.ruled()
-    sp = locus_branch_slope(patch, 0.0, +1, which="max")
-    sm = locus_branch_slope(patch, 0.0, -1, which="max")
+    sp = locus_branch_slope(patch, 0.0, +1)
+    sm = locus_branch_slope(patch, 0.0, -1)
     assert sp == pytest.approx(-0.5, abs=1e-5)
     assert sm == pytest.approx(+0.5, abs=1e-5)
     assert abs(sp - sm) == pytest.approx(1.0, abs=1e-3)

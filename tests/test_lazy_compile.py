@@ -9,8 +9,9 @@ import pytest
 from hmin import expr as ex
 from hmin.cli import main
 from hmin.errors import SpecError
-from hmin.fields import Profile, ScalarField2, square
-from hmin.surface import GraphPatch, ImplicitSurface
+from hmin.fields import Grid2, Profile, ScalarField2, square
+from hmin.gallery import gallery_get
+from hmin.surface import EPS_CHAR, GraphPatch, ImplicitSurface, characteristic_scan
 
 
 @pytest.fixture
@@ -94,6 +95,14 @@ def test_first_array_gradient_or_hessian_call_compiles_once(compiled):
     # Newton reads phi and phi_t
     assert _compiles_once(compiled, lambda: surf.solve_height(x, y, 0.0)) == 2
     assert compiled == [(surf.tree, True), (surf.trees[1], True)]
+
+
+def test_a_characteristic_scan_compiles_only_the_height_array_code(compiled):
+    # the jet's array code reads W; no flagged node is lifted by float code
+    entry = gallery_get("hyperbolic")
+    scan = characteristic_scan(entry.graph, Grid2(entry.verify_domain, 101, 101), EPS_CHAR)
+    assert len(scan.components) == 1
+    assert compiled == [(entry.graph.h.exprs, True)]
 
 
 def test_implicit_surface_derives_its_trees_on_first_use(monkeypatch):

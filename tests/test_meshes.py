@@ -3,6 +3,7 @@ import io
 import json
 import math
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -51,7 +52,7 @@ def gallery_ruled_patches():
 def test_row_embedding_matches_scalar_embed(r_range):
     clamped = {}
     for name, patch in gallery_ruled_patches():
-        mesh = mesh_ruled(patch, 37, 41, r_range=r_range)
+        mesh = mesh_ruled(patch if r_range is None else replace(patch, r_range=r_range), 37, 41)
         verts, clamped[name] = scalar_mesh_vertices(patch, 37, 41, r_range)
         assert np.asarray(mesh.vertices).tolist() == verts, name
         assert mesh.clamped == clamped[name], name

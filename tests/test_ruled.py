@@ -32,7 +32,7 @@ def cylinder_patch(sign=1.0, r_range=(-2.0, 2.0)):
 
 def flat_patch():
     return RuledPatch(circle_seed((0.0, 0.0), (1.0, 0.0), (-math.pi, math.pi)),
-                      Profile.constant(0.0), (-math.pi, math.pi), (-0.5, 0.5))
+                      Profile.from_expr("0"), (-math.pi, math.pi), (-0.5, 0.5))
 
 
 def hyperbolic_patch():
@@ -74,7 +74,7 @@ def test_build_surface_rejects_non_arclength_seed():
     bad.dgamma_fn = lambda s: (full(s, 2.0), full(s, 0.0))   # deliberately not unit
     from hmin.errors import HminError
     with pytest.raises(HminError):
-        build_surface(bad, Profile.constant(0.0), (-1.0, 1.0), (-1.0, 1.0))
+        build_surface(bad, Profile.from_expr("0"), (-1.0, 1.0), (-1.0, 1.0))
 
 
 def test_representation_sufficiency_for_arbitrary_data():
@@ -568,7 +568,9 @@ def test_classify_not_entire():
     # a catenoid sheet: its spiral seeds bend by a varying curvature
     ("(2/(2.0))*sqrt((2.0)*(x^2+y^2)/4 - 1)", (2.5, 3.5, -0.5, 0.5),
      "seed curve is neither a line nor a circle"),
-], ids=["characteristic-window", "counterexample", "catenoid"])
+    # a window narrower than one RK4 step: the seed is its base point alone
+    ("x*y/2 + 0.3*x", (0.5, 0.51, 0.5, 0.51), "the seed traced from (0.5025, "),
+], ids=["characteristic-window", "counterexample", "catenoid", "narrower-than-an-rk4-step"])
 def test_classify_not_entire_branches(src, box, reason):
     out = classify_entire_graph(GraphPatch.from_expr(src, PlanarDomain(*box)))
     assert out.kind == "not-entire" and out.reason.startswith(reason)
@@ -699,7 +701,7 @@ def test_chart_samples_match_the_old_loop_on_the_readme_cylinder():
 def test_chart_samples_skip_the_fold():
     # kappa = -1, so the fold -1 + r kappa = 0 sits at r = -1
     patch = RuledPatch(circle_seed((0.0, 0.0), (1.0, 0.0), (-math.pi, math.pi)),
-                       Profile.constant(0.0), (-math.pi, math.pi), (-2.0, 0.0))
+                       Profile.from_expr("0"), (-math.pi, math.pi), (-2.0, 0.0))
     samples = _chart_pairs(patch, 9, w_min=None)
     assert len(samples) == 7 * 8
     assert all(abs(-1.0 + r * curvature(patch.seed, s)) > 0.15 for s, r in samples)
@@ -728,7 +730,7 @@ def test_embed_undefined_height_raises():
 def _extracted_ruled_patch():
     # the unit circle as an interpolated seed: kappa = -1, so the fold is r = -1
     seed = extract_seed(GraphPatch.from_expr("0", square(3.0)), (1.0, 0.0), 1.0)
-    return RuledPatch(seed, Profile.constant(0.0), (-1.0, 1.0), (-0.5, 0.5))
+    return RuledPatch(seed, Profile.from_expr("0"), (-1.0, 1.0), (-0.5, 0.5))
 
 
 CHART_FUNCTIONS = {

@@ -161,11 +161,11 @@ def test_singular_locus_circle_line_and_corner():
     assert np.allclose(rvals, -1.0, atol=1e-12)
 
     line = line_seed((0.0, 1.0), (-1.0, 0.0), (-2.0, 2.0))
-    assert singular_locus(line).empty
+    assert singular_locus(line).branches == []
 
     corner = optreg2_seed()
     loc = singular_locus(corner)
-    assert not loc.empty
+    assert loc.branches
     for s_arr, r_arr in loc.branches:
         mask = np.abs(s_arr) > 1e-3
         assert np.allclose(r_arr[mask], -1.0 / np.abs(s_arr[mask]), atol=1e-9)

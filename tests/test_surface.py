@@ -383,8 +383,6 @@ def test_scan_flat_plane_single_point():
     scan = characteristic_scan(FLAT, Grid2(square(1.0), 41, 41), 1e-9)
     assert len(scan.components) == 1
     assert scan.components[0].representative == pytest.approx((0.0, 0.0), abs=1e-9)
-    img = scan.components[0].images[0]
-    assert (img.x, img.y, img.t) == (0.0, 0.0, 0.0)
 
 
 def test_scan_counterexample_patch_is_empty():
