@@ -1,14 +1,27 @@
-"""Machine-readable check records shared by the gallery and the CLI."""
+"""Machine-readable check records shared by the gallery and the CLI.
+
+A report's ``inputs_digest`` is the first 16 hex digits of SHA-256 over
+``json.dumps(spec, sort_keys=True, default=str)``.
+"""
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
 import numpy as np
+
+# CPython's own SHA-256 gives hashlib's digest without loading OpenSSL's
+# libcrypto, which is 3.6 MB resident in every process that imports it.
+try:
+    from _sha2 import sha256            # CPython 3.12 and later
+except ImportError:
+    try:
+        from _sha256 import sha256      # CPython 3.10 and 3.11
+    except ImportError:
+        from hashlib import sha256
 
 
 @dataclass
@@ -83,4 +96,4 @@ class Report:
 
 
 def digest_of(obj) -> str:
-    return hashlib.sha256(json.dumps(obj, sort_keys=True, default=str).encode()).hexdigest()[:16]
+    return sha256(json.dumps(obj, sort_keys=True, default=str).encode()).hexdigest()[:16]

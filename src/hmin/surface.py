@@ -337,8 +337,9 @@ def characteristic_scan(patch: GraphPatch, grid: Grid2, eps: float) -> Character
 
     W and the height are read through the height field's jet, one chunk of
     nodes at a time; that array code is all the scan compiles.  The height
-    of a component's first eight nodes must be finite: where it is not, the
-    surface is undefined at a flagged node, and FieldUndefined names it.
+    must be finite at every flagged node: where it is not, the surface is
+    undefined there, and FieldUndefined names the first such node in
+    lattice order.
     """
     xs, ys = grid.lattice()
     ni, nj = len(xs), len(ys)
@@ -351,6 +352,10 @@ def characteristic_scan(patch: GraphPatch, grid: Grid2, eps: float) -> Character
         no_height.flat[nodes] = ~np.isfinite(jet[0])
         w.flat[nodes] = horizontal_data(patch, (x, y), jet=jet).w
     flagged = inside & (w < eps)
+    undefined = np.argwhere(flagged & no_height)
+    if len(undefined):
+        i, j = undefined[0]
+        raise FieldUndefined(f"height not finite at ({float(xs[i])}, {float(ys[j])})")
 
     # cluster flagged nodes into 8-connected components
     comp = -np.ones((ni, nj), dtype=int)
@@ -371,10 +376,6 @@ def characteristic_scan(patch: GraphPatch, grid: Grid2, eps: float) -> Character
                             stack.append((ai, aj))
             comps.append(members)
 
-    for members in comps:
-        for i, j in members[:8]:
-            if no_height[i, j]:
-                raise FieldUndefined(f"height not finite at ({float(xs[i])}, {float(ys[j])})")
     out = [ScanComponent([(float(xs[i]), float(ys[j])) for i, j in members]) for members in comps]
     return CharacteristicScan(out, int(np.count_nonzero(inside & ~np.isfinite(w))))
 

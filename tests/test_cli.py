@@ -473,6 +473,8 @@ ZERO_SQRT = {"kind": "graph",
     ("seed", {"kind": "graph", "graph": {"h": "x*y/2"}}, ["--z0", "0", "1", "--span", "1e308"]),
     # a finite span of more RK4 steps than the tracer is allowed
     ("seed", {"kind": "graph", "graph": {"h": "x*y/2"}}, ["--z0", "0", "1", "--span", "1e300"]),
+    # undefined on the other half of the characteristic line y = 0
+    ("verify", {"kind": "graph", "graph": {**ZERO_SQRT["graph"], "h": "x*y/2 + 0*sqrt(-x)"}}, []),
 ])
 def test_undefined_input_exit_2(tmp_path, capsys, command, payload, extra):
     spec = write_spec(tmp_path, "in.json", payload)

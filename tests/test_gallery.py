@@ -5,7 +5,7 @@ import pytest
 
 from hmin import expr as ex, gallery
 from hmin.errors import UnknownName
-from hmin.fields import Grid2, PlanarDomain, Profile
+from hmin.fields import Grid2, PlanarDomain, Profile, square
 from hmin.gallery import (_check_scan, _counterexample_triple, gallery_get, gallery_key,
                           gallery_names, gallery_verify, max_curvature_deviation)
 from hmin.report import worst_abs
@@ -322,3 +322,43 @@ def test_cylinder_gauss_map_errors_are_pinned():
     errors = gallery._cylinder_gauss_errors(*gallery_get("cylinder").ruled_pair())
     assert len(errors) == 656
     assert repr(worst_abs(errors)) == "0.0"
+
+
+def _smallest_singular_value(points: np.ndarray) -> float:
+    return float(np.linalg.svd(points, full_matrices=False)[1][-1])
+
+
+@pytest.mark.parametrize("seed,n", [(1, 3), (2, 20), (3, 169), (4, 1000)])
+def test_planar_residual_is_the_smallest_singular_value(seed, n):
+    rng = np.random.default_rng(seed)
+    arr = rng.normal(size=(n, 2)) @ rng.normal(size=(2, 2))
+    arr -= arr.mean(axis=0)
+    assert gallery._planar_residual(arr) == pytest.approx(_smallest_singular_value(arr), rel=1e-12)
+
+
+def test_planar_residual_of_the_counterexample_sample():
+    x, t = Grid2(square(3.0), 13, 13).points()
+    arr = np.column_stack((x, -x * ex.pointwise(math.tan, ex.pointwise(math.tanh, t))))
+    arr -= arr.mean(axis=0)
+    residual = gallery._planar_residual(arr)
+    assert residual == pytest.approx(_smallest_singular_value(arr), rel=1e-12)
+    assert f"{residual:.3e}" == "2.432e+01"
+
+
+def test_planar_residual_of_collinear_points_is_finite_and_not_negative():
+    # on a line the radicand is zero, and rounding can take it below zero
+    t = np.random.default_rng(4).normal(size=50)
+    arr = np.column_stack((0.3 * t, -1.7 * t))
+    arr -= arr.mean(axis=0)
+    residual = gallery._planar_residual(arr)
+    assert math.isfinite(residual) and 0.0 <= residual <= 1e-6 * np.linalg.norm(arr)
+
+
+def test_counterexample_battery_runs_no_svd(monkeypatch):
+    def svd(*args, **kwargs):
+        raise AssertionError("np.linalg.svd called")
+
+    monkeypatch.setattr(np.linalg, "svd", svd)
+    checks = {c.name: c for c in gallery_verify("counterexample")}
+    assert all(c.passed for c in checks.values())
+    assert checks["not_vertical_plane"].note == "planar residual 2.432e+01"

@@ -8,7 +8,7 @@ import pytest
 
 from hmin import expr as ex
 from hmin.cli import main
-from hmin.errors import CharacteristicPoint
+from hmin.errors import CharacteristicPoint, FieldUndefined
 from hmin.fields import FD_STEP, Grid2, PlanarDomain, ScalarField2, square
 from hmin.gallery import gallery_get
 from hmin.heis import HPoint
@@ -383,6 +383,17 @@ def test_scan_flat_plane_single_point():
     scan = characteristic_scan(FLAT, Grid2(square(1.0), 41, 41), 1e-9)
     assert len(scan.components) == 1
     assert scan.components[0].representative == pytest.approx((0.0, 0.0), abs=1e-9)
+
+
+@pytest.mark.parametrize("f,at", [("sqrt(x)", "(-1.0, 0.0)"),
+                                   ("sqrt(-x)", "(0.020000000000000018, 0.0)")])
+def test_scan_names_the_first_flagged_node_without_a_height(f, at):
+    # 0*f leaves W that of x*y/2, whose flagged nodes are the line y = 0;
+    # f is undefined on one half of it, and the first such node in lattice
+    # order is named, wherever it sits in its component
+    patch = GraphPatch.from_expr(f"x*y/2 + 0*{f}", square(1.0))
+    with pytest.raises(FieldUndefined, match=f"^height not finite at {re.escape(at)}$"):
+        characteristic_scan(patch, Grid2(square(1.0), 101, 101), 1e-9)
 
 
 def test_scan_counterexample_patch_is_empty():
