@@ -12,17 +12,19 @@ Specs are JSON files validated by hmin.schema against the shipped schema
 language of docs/grammar.md.  Outputs (report.json plus seed.csv,
 loci.csv or mesh.obj depending on the command) are deterministic.
 
-Exit codes: 0 all checks pass, 1 a check failed, 2 spec or input error
-(including a surface undefined on its domain, a domain, window, s_range
-or r_range that is not finite and ordered, an implicit t0 that is not
-finite, an expression using a variable its field does not take, --z0
-outside it, a --span that is not positive or is longer than
-MAX_SEED_STEPS RK4 steps (a span of 1000), a --grid value below 2 or a
---grid of more than MAX_GRID_NODES nodes (a 2000x2000 lattice), or seed
-samples whose s is not strictly increasing), 3 characteristic start
-point, 4 unknown gallery name or bad gallery parameter (including one
-that no named entry takes, and a gencurve-<k> suffix that differs from
---n), a gallery name given twice, or all next to another name.
+Exit codes: 0 all checks pass, 1 a check failed (a height that is not
+finite fails the check that reads it), 2 spec or input error (including
+a flagged characteristic-scan node, mesh vertex or loci row whose height
+is not finite, a domain, window, s_range or r_range that is not finite
+and ordered, an implicit t0 that is not finite, an expression using a
+variable its field does not take, --z0 outside it, a --span that is not
+positive or is longer than MAX_SEED_STEPS RK4 steps (a span of 1000), a
+--grid value below 2 or a --grid of more than MAX_GRID_NODES nodes (a
+2000x2000 lattice), or seed samples whose s is not strictly increasing),
+3 characteristic start point, 4 unknown gallery name or bad gallery
+parameter (including one that no named entry takes, and a gencurve-<k>
+suffix that differs from --n), a gallery name given twice, or all next
+to another name.
 """
 
 from __future__ import annotations
@@ -45,8 +47,8 @@ from .expr import pointwise
 from .fields import FD_STEP, HESS_STEP, RK4_STEP, Grid2, PlanarDomain, Profile, chunks, finite
 from .meshes import lint_obj, mesh_graph, mesh_ruled, write_obj
 from .report import Report, check_flag, check_leq, digest_of, worst_abs
-from .ruled import (RuledPatch, build_surface, characteristic_locus, classify_entire_graph,
-                    curvature_on_patch, worst_on_chart)
+from .ruled import (RuledPatch, build_surface, characteristic_locus, chart_samples,
+                    classify_entire_graph, curvature_on_patch)
 from .seed import SeedCurve, curvature, extract_seed
 from .surface import (EPS_CHAR, GraphPatch, ImplicitSurface, characteristic_scan,
                       horizontal_data)
@@ -279,7 +281,7 @@ def cmd_verify(args, spec: dict, report: Report) -> None:
                                   f"characteristic set, {no_height} without a height"))
     else:
         patch = ruled_from_spec(spec)
-        worst = worst_on_chart(patch, 9, lambda s, r: curvature_on_patch(patch, s, r))
+        worst = worst_abs(curvature_on_patch(patch, *chart_samples(patch, 9)))
         report.add(check_leq("built_patch_minimal", worst, 1e-6))
 
 
@@ -314,11 +316,8 @@ def cmd_seed(args, spec: dict, report: Report) -> None:
         dev = gal.known_seed_deviation(curve, entry.known_seed(z0))
         report.add(check_leq("closed_form_seed", dev, 1e-6))
     if entry is not None and entry.radius_law is not None:
-        s = np.linspace(curve.s_min, curve.s_max, 101)
-        x, y = curve.point(s)
-        # math.pow is the C pow of float **
-        dev = worst_abs(pointwise(math.pow, x, 2.0) + pointwise(math.pow, y, 2.0)
-                        - entry.radius_law(z0, s))
+        dev = gal.radius_law_deviation(curve, entry.radius_law, z0,
+                                       np.linspace(curve.s_min, curve.s_max, 101))
         report.add(check_leq("radius_law", dev, 1e-6))
 
 
@@ -328,7 +327,7 @@ def cmd_build(args, spec: dict, report: Report) -> None:
     patch = _ruled_of(spec, entry)
     if patch is not None:
         mesh = mesh_ruled(patch, ns, nr)
-        worst = worst_on_chart(patch, 7, lambda s, r: curvature_on_patch(patch, s, r))
+        worst = worst_abs(curvature_on_patch(patch, *chart_samples(patch, 7)))
         report.add(check_leq("post_build_minimal", worst, 1e-6))
         report.add(check_flag("clamped_samples", True, note=f"{mesh.clamped} moved"))
     else:

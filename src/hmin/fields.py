@@ -306,17 +306,13 @@ class Grid2:
 
     Every 2-d sample set of the package comes from here: the domain's x and
     y may also be the (s, r) of a ruled chart or the (x, t) of a graph over
-    the xt-plane.  ``mesh`` gives every lattice node; ``points`` and
-    ``nodes`` the ones inside the domain, x-major.
+    the xt-plane.  ``mesh`` gives every lattice node, ``points`` the ones
+    inside the domain, x-major, and ``node_chunks`` those a chunk at a time.
     """
 
     domain: PlanarDomain
     nx: int
     ny: int
-
-    @property
-    def nodes(self) -> list[tuple[float, float]]:
-        return list(zip(*(a.tolist() for a in self.points())))
 
     def lattice(self) -> tuple[np.ndarray, np.ndarray]:
         return (np.linspace(self.domain.xmin, self.domain.xmax, self.nx),
@@ -327,7 +323,7 @@ class Grid2:
         return np.meshgrid(*self.lattice(), indexing="ij")
 
     def points(self) -> tuple[np.ndarray, np.ndarray]:
-        """x and y of the nodes inside the domain, x-major as in ``nodes``."""
+        """x and y of the nodes inside the domain, x-major."""
         x, y = self.mesh()
         inside = self.domain.contains_all(x, y)
         return x[inside], y[inside]

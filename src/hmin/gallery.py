@@ -5,10 +5,13 @@ seed curve, curvature, height function, expected loci) together with the
 domains on which the numerical checks run.  ``gallery_verify`` replays
 the standard battery against an entry: curvature scans in analytic and
 pure-FD mode, seed extraction against the closed form, curvature values,
-characteristic loci, and the representation round-trip.  The checks that
-only one entry has live next to it: its builder sets
-``GalleryEntry.own_checks``, and the battery runs that hook after the GSC
-joins.
+characteristic loci, and the representation round-trip.  A traced seed
+is held to its closed form by ``known_seed_deviation`` or
+``radius_law_deviation``, which ``hmin seed`` calls as well, and a ruled
+patch's chart checks reduce over ``ruled.chart_samples``, one sample set
+per size.  The checks that only one entry has live next to it: its
+builder sets ``GalleryEntry.own_checks``, and the battery runs that hook
+after the GSC joins.
 
 Catalog names:
 
@@ -38,8 +41,8 @@ from .errors import StencilOutOfDomain, UnknownName
 from .fields import Grid2, PlanarDomain, Profile, cumulative_integral, finite, full, square
 from .report import Check, check_flag, check_leq, worst_abs
 from .ruled import (GeneralizedSeedCurve, GSCJoin, GSCPiece, RuledPatch, _chart_nu,
-                    characteristic_locus, curvature_on_patch, locus_branch_slope, roundtrip,
-                    validate_gsc, w_direct, worst_on_chart)
+                    characteristic_locus, chart_samples, curvature_on_patch, locus_branch_slope,
+                    roundtrip, validate_gsc, w_direct)
 from .seed import SeedCurve, curvature, extract_seed
 from .surface import (EPS_CHAR, W_MARGIN, GraphPatch, ImplicitSurface,
                       characteristic_scan, read_nodes)
@@ -619,15 +622,24 @@ def known_seed_deviation(extracted: SeedCurve, known: SeedCurve) -> float:
                      / np.where(abs(s) > 1.0, abs(s), 1.0))
 
 
+def radius_law_deviation(curve: SeedCurve, law: Callable, z0: tuple[float, float],
+                         s: np.ndarray) -> float:
+    """max |x(s)^2 + y(s)^2 - law(z0, s)| over the samples s of ``curve``,
+    a seed traced from z0, against its entry's ``radius_law``."""
+    x, y = curve.point(s)
+    # math.pow is the C pow of float **
+    return worst_abs(ex.pointwise(math.pow, x, 2.0) + ex.pointwise(math.pow, y, 2.0) - law(z0, s))
+
+
 def _seed_deviation(entry: GalleryEntry) -> tuple[float, SeedCurve]:
     extracted = extract_seed(entry.graph, entry.seed_base, entry.arc_span)
     worst = 0.0
     if entry.known_seed is not None:
         worst = known_seed_deviation(extracted, entry.known_seed(entry.seed_base))
     elif entry.radius_law is not None:
-        s = np.linspace(max(extracted.s_min, -1.0), min(extracted.s_max, 0.0), 101)
-        gx, gy = extracted.point(s)
-        worst = worst_abs(gx * gx + gy * gy - entry.radius_law(entry.seed_base, s))
+        worst = radius_law_deviation(
+            extracted, entry.radius_law, entry.seed_base,
+            np.linspace(max(extracted.s_min, -1.0), min(extracted.s_max, 0.0), 101))
     return worst, extracted
 
 
@@ -688,13 +700,13 @@ def gallery_verify(name: str, **params) -> list[Check]:
     patch = entry.ruled() if entry.ruled is not None else None
     if patch is not None:
         _check_locus(entry, patch, checks)
-        checks.append(check_leq("built_patch_minimal", worst_on_chart(
-            patch, 9, lambda s, r: curvature_on_patch(patch, s, r)), 1e-6))
-        checks.append(check_leq("w_ode_residual", worst_on_chart(
-            patch, 9, patch.w_ode_residual), 1e-6))
-        checks.append(check_leq("w_formula_vs_direct", worst_on_chart(
-            patch, 7, lambda s, r: abs(patch.w(s, r)) - w_direct(patch, s, r),
-            w_min=None), 1e-6))
+        s, r = chart_samples(patch, 9)
+        checks.append(check_leq("built_patch_minimal",
+                                worst_abs(curvature_on_patch(patch, s, r)), 1e-6))
+        checks.append(check_leq("w_ode_residual", worst_abs(patch.w_ode_residual(s, r)), 1e-6))
+        s, r = chart_samples(patch, 7, w_min=None)
+        checks.append(check_leq("w_formula_vs_direct",
+                                worst_abs(abs(patch.w(s, r)) - w_direct(patch, s, r)), 1e-6))
 
     if entry.expected_scan is not None and entry.graph is not None:
         checks.append(_check_scan(entry))

@@ -49,7 +49,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -243,7 +243,8 @@ def chart_samples(patch: RuledPatch, n: int,
     ``r_interval()``, s-major, skipping samples near the fold
     (|-1 + r kappa| <= FOLD_GUARD, which also keeps 1 - r kappa away from 0)
     and, unless ``w_min`` is None, near the characteristic locus
-    (|W| < w_min).
+    (|W| < w_min).  A check reduces a chart function over them with
+    ``worst_abs``, which is NaN, so the check fails, when no sample is left.
     """
     grid = Grid2(PlanarDomain(*patch.s_range, *patch.r_interval()), n, n)
     s, r = (a[1:-1].ravel() for a in grid.mesh())
@@ -253,14 +254,6 @@ def chart_samples(patch: RuledPatch, n: int,
         keep = ~(abs(patch.w(s, r)) < w_min)
         s, r = s[keep], r[keep]
     return s, r
-
-
-def worst_on_chart(patch: RuledPatch, n: int, value: Callable[[np.ndarray, np.ndarray], np.ndarray],
-                   w_min: Optional[float] = W_MARGIN) -> float:
-    """``worst_abs`` of value(s, r), which takes the arrays of
-    ``chart_samples(patch, n, w_min)``: NaN, so a check on it fails, when no
-    sample is left."""
-    return worst_abs(value(*chart_samples(patch, n, w_min)))
 
 
 @takes_arrays
@@ -550,20 +543,14 @@ def constant_curvature_test(gsc: GeneralizedSeedCurve, tol: float) -> tuple[bool
 # ---------------------------------------------------------------------------
 
 
-def lifted_height(patch: GraphPatch, curve: SeedCurve) -> Profile:
-    """h0(s) = h(gamma(s)) along an extracted seed; over arrays, one seed
-    lookup and one call of the height's array code."""
-    return Profile(f=lambda s: patch.h.value(*curve.point(s)))
-
-
 def roundtrip(patch: GraphPatch, curve: SeedCurve, arc_span: float, r_span: float) -> float:
-    """Rebuild the graph from its seed ``curve`` and h0, compare heights.
+    """Rebuild the graph from its seed ``curve`` and h0(s) = h(gamma(s)), compare heights.
 
     ``curve`` is the seed ``extract_seed(patch, z0, arc_span)`` through a base
     point z0.  Returns the max |h_rebuilt - h| over chart samples that are
     graph-valid (|det DF| > 0.1) and land inside the patch domain.
     """
-    h0 = lifted_height(patch, curve)
+    h0 = Profile(f=lambda s: patch.h.value(*curve.point(s)))
     span = min(arc_span, -curve.s_min, curve.s_max)
     built = RuledPatch(curve, h0, (-span, span), (-r_span, r_span))
     s, r = Grid2(PlanarDomain(-span, span, -r_span, r_span), 21, 21).points()

@@ -153,6 +153,19 @@ def test_seed_hyperbolic_row(specs, tmp_path):
     assert float(by_s[1.0][3]) == pytest.approx(1.0, abs=1e-9)
 
 
+def test_seed_and_battery_report_the_one_radius_law_deviation(tmp_path, monkeypatch):
+    monkeypatch.setattr(gallery, "radius_law_deviation", lambda curve, law, z0, s: 0.125)
+    spec = write_spec(tmp_path, "in.json", {"kind": "gallery", "gallery": {"name": "catenoid"}})
+    assert main(["seed", "--spec", spec, "--z0", "2", "0", "--span", "0.95",
+                 "--out", str(tmp_path / "s")]) == 1
+    assert main(["gallery", "catenoid", "--out", str(tmp_path / "g")]) == 1
+    measured = {}
+    for out in ("s", "g"):
+        report = json.loads((tmp_path / out / "report.json").read_text())
+        measured.update((c["name"], c["measured"]) for c in report["checks"])
+    assert (measured["radius_law"], measured["catenoid.seed_extraction"]) == (0.125, 0.125)
+
+
 def test_build_mesh_combinatorics_and_form(specs, tmp_path):
     out = tmp_path / "mesh_out"
     assert main(["build", "--spec", specs["cylinder"], "--grid", "50", "50",
@@ -491,7 +504,11 @@ def test_undefined_input_exit_2(tmp_path, capsys, command, payload, extra):
         "xmin": 0, "xmax": 0, "ymin": 0, "ymax": 0}}},
     {"kind": "graph", "graph": {"h": "x*y/2", "domain": {
         "xmin": -1, "xmax": 1, "ymin": 0, "ymax": 0}}},
-], ids=["implicit-no-height", "graph-point", "graph-x-axis"])
+    # no height off the characteristic line y = 0, whose flagged nodes have
+    # one: only a flagged node without a height is an input error (exit 2)
+    {"kind": "graph", "graph": {**ZERO_SQRT["graph"], "h": "x*y/2 + 0*sqrt(y)"}},
+    {"kind": "graph", "graph": {**ZERO_SQRT["graph"], "h": "0*sqrt(-y)"}},
+], ids=["implicit-no-height", "graph-point", "graph-x-axis", "graph-sqrt-y", "graph-sqrt-minus-y"])
 def test_curvature_scan_without_samples_fails(tmp_path, payload):
     spec = write_spec(tmp_path, "in.json", payload)
     assert main(["verify", "--spec", spec, "--grid", "11", "11",

@@ -130,7 +130,7 @@ def test_expr_backed_field_has_exact_derivatives():
 
 def test_grid_respects_membership():
     dom = PlanarDomain(-1, 1, -1, 1, membership=lambda x, y: x * x + y * y <= 1)
-    nodes = Grid2(dom, 21, 21).nodes
+    nodes = list(zip(*(a.tolist() for a in Grid2(dom, 21, 21).points())))
     assert all(x * x + y * y <= 1 for x, y in nodes)
     assert (0.0, 0.0) in nodes
 
@@ -140,7 +140,6 @@ def test_grid_points_are_its_nodes_in_lattice_order():
     grid = Grid2(dom, 21, 17)
     xs, ys = (a.tolist() for a in grid.lattice())
     want = [(x, y) for x in xs for y in ys if dom.contains(x, y)]
-    assert grid.nodes == want
     assert list(zip(*(a.tolist() for a in grid.points()))) == want
 
 

@@ -9,6 +9,7 @@ from hmin.fields import Grid2, PlanarDomain, Profile, square
 from hmin.gallery import (_check_scan, _counterexample_triple, gallery_get, gallery_key,
                           gallery_names, gallery_verify, max_curvature_deviation)
 from hmin.report import worst_abs
+from hmin.ruled import chart_samples
 from hmin.seed import curvature
 from hmin.surface import GraphPatch, ImplicitSurface
 
@@ -62,9 +63,9 @@ def test_closed_forms_are_mutually_consistent():
         if entry.implicit is None or entry.graph is None:
             continue
         from hmin.fields import Grid2
-        nodes = Grid2(entry.verify_domain, 9, 9).nodes
-        t = [entry.graph.h.value(x, y) for x, y in nodes]
-        residual = entry.implicit.phi(*map(np.array, zip(*nodes)), np.array(t))
+        x, y = Grid2(entry.verify_domain, 9, 9).points()
+        t = [entry.graph.h.value(u, v) for u, v in zip(x.tolist(), y.tolist())]
+        residual = entry.implicit.phi(x, y, np.array(t))
         assert np.abs(residual).max() <= 1e-10, name
 
 
@@ -230,7 +231,7 @@ def test_generated_derivatives_equal_evaluate_on_gallery_graphs(patch, domain):
     dx, dy = ex.differentiate(tree, "x"), ex.differentiate(tree, "y")
     trees = (tree, dx, dy, ex.differentiate(dx, "x"), ex.differentiate(dx, "y"),
              ex.differentiate(dy, "y"))
-    for x, y in Grid2(domain, 21, 21).nodes:
+    for x, y in zip(*(a.tolist() for a in Grid2(domain, 21, 21).points())):
         want = [repr(ex.evaluate(t, {"x": x, "y": y})) for t in trees]
         (fxx, fxy), (_, fyy) = patch.h.hessian(x, y)
         got = (patch.h.value(x, y), *patch.h.gradient(x, y), fxx, fxy, fyy)
@@ -362,3 +363,21 @@ def test_counterexample_battery_runs_no_svd(monkeypatch):
     checks = {c.name: c for c in gallery_verify("counterexample")}
     assert all(c.passed for c in checks.values())
     assert checks["not_vertical_plane"].note == "planar residual 2.432e+01"
+
+
+def test_ruled_battery_samples_each_chart_once_per_size(monkeypatch):
+    # built_patch_minimal and w_ode_residual reduce over one 9x9 sample set
+    sizes = []
+
+    def spy(patch, n, **kwargs):
+        sizes.append(n)
+        return chart_samples(patch, n, **kwargs)
+
+    monkeypatch.setattr(gallery, "chart_samples", spy)
+    ruled = [name for name in gallery_names() if gallery_get(name).ruled is not None]
+    assert len(ruled) == 7
+    for name in ruled:
+        sizes.clear()
+        gallery_verify(name)
+        assert sizes == [9, 7], name
+

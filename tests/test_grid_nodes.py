@@ -1,10 +1,11 @@
 """No module of ``src/hmin`` iterates a grid node by node.
 
 ``Grid2.points()`` gives a grid's nodes as arrays, which the array
-evaluators take a chunk at a time; ``Grid2.nodes`` (a list of float
-pairs) stays for the tests that loop over nodes as an oracle.
-``tests/test_callers.py`` cannot flag a library read of it, because it
-matches names by spelling and ``ScanComponent.nodes`` is spelled the same.
+evaluators take a chunk at a time.  ``Grid2`` keeps no list of float
+pairs: the tests that loop over nodes as an oracle build one from
+``points()``.  This test keeps a ``.nodes`` read of a grid out of the
+library; ``tests/test_callers.py`` cannot flag one, because it matches
+names by spelling and ``ScanComponent.nodes`` is spelled the same.
 """
 
 import ast

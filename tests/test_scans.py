@@ -123,7 +123,7 @@ def test_chunked_scan_equals_the_node_loop_on_closure_graphs():
 @pytest.mark.parametrize("nx,ny", [(41, 25), (33, 31), (101, 101)])
 def test_chunked_scan_on_grids_that_do_not_fill_their_last_chunk(nx, ny):
     entry = gallery_get("iso-profile")
-    assert len(Grid2(entry.verify_domain, nx, ny).nodes) % CHUNK
+    assert len(Grid2(entry.verify_domain, nx, ny).points()[0]) % CHUNK
     for patch in (entry.graph, entry.graph.fd_only()):
         assert (repr(max_curvature_deviation(patch, entry.verify_domain, nx, ny, 2.0))
                 == repr(deviation_by_node(patch, entry.verify_domain, nx, ny, 2.0)))
@@ -135,7 +135,7 @@ def test_chunks_without_an_evaluated_node_do_not_make_the_scan_nan():
     patch = GraphPatch.from_expr("x*y/2 + y^3/3", PlanarDomain(-1, 1, -1, 1))
     domain = PlanarDomain(-1, 1, -1, 1, lambda x, y: (y == 0.0) | (x > 0.5))
     grid = Grid2(domain, 3001, 11)
-    assert sum(1 for _, y in grid.nodes[:3 * CHUNK] if y == 0.0) > 2 * CHUNK
+    assert int((grid.points()[1][:3 * CHUNK] == 0.0).sum()) > 2 * CHUNK
     got = max_curvature_deviation(patch, domain, 3001, 11)
     assert math.isfinite(got) and got > 0.0
     assert repr(got) == repr(deviation_by_node(patch, domain, 3001, 11))

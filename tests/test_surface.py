@@ -255,7 +255,7 @@ def test_implicit_matches_graph_curvature():
     for name, src in LEVEL_SETS.items():
         entry = gallery_get(name)
         flipped = ImplicitSurface.from_expr(src, orientation=-1)
-        nodes = [z for z in Grid2(entry.verify_domain, 11, 11).nodes
+        nodes = [z for z in zip(*(a.tolist() for a in Grid2(entry.verify_domain, 11, 11).points()))
                  if not horizontal_data(entry.graph, z).w <= W_MARGIN]
         assert nodes, name
         x, y = (np.array(c) for c in zip(*nodes))
@@ -291,7 +291,7 @@ def _node_loop_verify(phi, n, window=(-2.0, 2.0, -2.0, 2.0), t0=0.0, orientation
         return t if abs(at(0, x, y, t)) < 1e-9 else None
 
     values, near, no_height = [], 0, 0
-    for x, y in Grid2(PlanarDomain(*window), n, n).nodes:
+    for x, y in zip(*(a.tolist() for a in Grid2(PlanarDomain(*window), n, n).points())):
         t = solve(x, y)
         if t is None or not math.isfinite(t):
             no_height += 1
