@@ -15,12 +15,13 @@ loci.csv or mesh.obj depending on the command) are deterministic.
 Exit codes: 0 all checks pass, 1 a check failed (a height that is not
 finite fails the check that reads it), 2 spec or input error (including
 a flagged characteristic-scan node, mesh vertex or loci row whose height
-is not finite, a domain, window, s_range or r_range that is not finite
-and ordered, an implicit t0 that is not finite, an expression using a
-variable its field does not take, --z0 outside it, a --span that is not
-positive or is longer than MAX_SEED_STEPS RK4 steps (a span of 1000), a
---grid value below 2 or a --grid of more than MAX_GRID_NODES nodes (a
-2000x2000 lattice), or seed samples whose s is not strictly increasing),
+is not finite, a loci s where W0 or kappa is not finite, a domain,
+window, s_range or r_range that is not finite and ordered, an implicit
+t0 that is not finite, an expression using a variable its field does not
+take, --z0 outside it, a --span that is not positive or is longer than
+MAX_SEED_STEPS RK4 steps (a span of 1000), a --grid value below 2 or a
+--grid of more than MAX_GRID_NODES nodes (a 2000x2000 lattice), or seed
+samples whose s is not strictly increasing),
 3 characteristic start point, 4 unknown gallery name or bad gallery
 parameter (including one that no named entry takes, and a gencurve-<k>
 suffix that differs from --n), a gallery name given twice, or all next
@@ -47,8 +48,8 @@ from .expr import pointwise
 from .fields import FD_STEP, HESS_STEP, RK4_STEP, Grid2, PlanarDomain, Profile, chunks, finite
 from .meshes import lint_obj, mesh_graph, mesh_ruled, write_obj
 from .report import Report, check_flag, check_leq, digest_of, worst_abs
-from .ruled import (RuledPatch, build_surface, characteristic_locus, chart_samples,
-                    classify_entire_graph, curvature_on_patch)
+from .ruled import (LociReport, RuledPatch, build_surface, characteristic_locus,
+                    chart_samples, classify_entire_graph, curvature_on_patch)
 from .seed import SeedCurve, curvature, extract_seed
 from .surface import (EPS_CHAR, GraphPatch, ImplicitSurface, characteristic_scan,
                       horizontal_data)
@@ -356,63 +357,43 @@ def cmd_loci(args, spec: dict, report: Report) -> None:
     s = np.concatenate([np.empty(0)] + [b for b, _ in branches])
     r = np.concatenate([np.empty(0)] + [b for _, b in branches])
     singular = (s, r, *patch.embed(s, r), np.full(len(s), math.nan))
-    roots = np.array([(root.s, root.r, *root.image.as_tuple(), root.w_formula)
-                      for root in rep.roots]).reshape(-1, 6).T
+    roots = (rep.s, rep.r, rep.x, rep.y, rep.t, rep.w)
     # the rows of the roots, then those of the singular branches
     s, r, x, y, t, w = (np.concatenate(pair) for pair in zip(roots, singular))
-    labels = [root.label for root in rep.roots] + ["singular"] * len(singular[0])
     _write_csv(_output_path(report, args.out, "loci.csv"), {
         "s": s, "r": r, "x": x, "y": y, "t": t, "kappa": curvature(patch.seed, s), "W": w,
-        "branch": labels})
-    report.add(check_flag("roots_verified",
-                          all(r.verified for r in rep.roots),
-                          note=f"{len(rep.roots)} root(s)"))
+        "branch": rep.label + ["singular"] * len(singular[0])})
+    report.add(check_flag("roots_verified", rep.verified.all(),
+                          note=f"{len(rep.s)} root(s)"))
     corners = _branch_corners(rep)
     report.add(check_flag("branch_corners", True,
                           note=("slope jump at s = " + ", ".join(f"{s:.6g}" for s in corners))
                           if corners else "none detected"))
 
 
-def _branch_corners(rep) -> list[float]:
-    """s-locations where a characteristic branch has a slope jump.
+def _branch_corners(rep: LociReport) -> list[float]:
+    """s-locations where the bounded characteristic branch has a corner.
 
-    The bounded branch (largest root per sampled s) is differenced; a
-    second-difference of the slopes beyond 0.5 marks a corner.
+    The branch is the largest root at each sampled s.  Its slope between
+    neighbouring samples is differenced, and s is a corner where that jump
+    is above 0.5 and more than 4 times the jump at each neighbouring s: a
+    steep but smooth branch changes its slope gradually.
     """
-    by_s: dict[float, float] = {}
-    for root in rep.roots:
-        if root.s not in by_s or root.r > by_s[root.s]:
-            by_s[root.s] = root.r
-    svals = sorted(by_s)
-    corners = []
-    for i in range(1, len(svals) - 1):
-        s0, s1, s2 = svals[i - 1], svals[i], svals[i + 1]
-        left = (by_s[s1] - by_s[s0]) / (s1 - s0)
-        right = (by_s[s2] - by_s[s1]) / (s2 - s1)
-        if abs(right - left) > 0.5:
-            corners.append(s1)
-    return corners
+    last = np.diff(rep.s, append=np.inf) != 0.0
+    s, r = rep.s[last], rep.r[last]
+    jump = abs(np.diff(np.diff(r) / np.diff(s)))
+    beside = np.pad(jump, 1)
+    corner = (jump > 0.5) & (jump > 4.0 * beside[:-2]) & (jump > 4.0 * beside[2:])
+    return s[1:-1][corner].tolist()
 
 
 def cmd_classify(args, spec: dict, report: Report) -> None:
     patch = _graph_of(spec, _gallery_entry(spec))
     if patch is None:
         raise SpecError("classify needs a graph spec or a gallery entry with a graph form")
-    verdict = classify_entire_graph(patch)
-    detail: dict = {"kind": verdict.kind}
-    if verdict.kind == "class1":
-        detail.update(plane=[verdict.a, verdict.b, verdict.c, verdict.d],
-                      sigma=list(verdict.sigma), residual=verdict.residual)
-    elif verdict.kind == "class2":
-        detail.update(direction=list(verdict.direction), base=list(verdict.base),
-                      alpha=verdict.alpha, rebuild_error=verdict.rebuild_error)
-    elif verdict.kind == "not-minimal":
-        detail.update(max_curvature=verdict.max_curvature, at=list(verdict.at))
-    else:
-        detail.update(reason=verdict.reason)
-    report.result = detail
-    report.add(check_flag(f"classified_{verdict.kind}", True, note=json.dumps(detail)))
-    print(f"classification: {verdict.kind}  {detail}")
+    report.result = verdict = classify_entire_graph(patch)
+    report.add(check_flag(f"classified_{verdict['kind']}", True, note=json.dumps(verdict)))
+    print(f"classification: {verdict['kind']}  {verdict}")
 
 
 def _entry_params(name: str, params: dict) -> dict:

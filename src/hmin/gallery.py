@@ -44,11 +44,8 @@ from .ruled import (GeneralizedSeedCurve, GSCJoin, GSCPiece, RuledPatch, _chart_
                     characteristic_locus, chart_samples, curvature_on_patch, locus_branch_slope,
                     roundtrip, validate_gsc, w_direct)
 from .seed import SeedCurve, curvature, extract_seed
-from .surface import (EPS_CHAR, W_MARGIN, GraphPatch, ImplicitSurface,
-                      characteristic_scan, read_nodes)
-
-TOL_H_ANALYTIC = 1e-8
-TOL_H_FD = 1e-4
+from .surface import (EPS_CHAR, TOL_H_ANALYTIC, TOL_H_FD, W_MARGIN, GraphPatch,
+                      ImplicitSurface, characteristic_scan, read_nodes)
 
 
 # ---------------------------------------------------------------------------
@@ -196,7 +193,7 @@ class GalleryEntry:
     gsc: Optional[Callable[[], GeneralizedSeedCurve]] = None
     expected_scan: Optional[dict] = None
     expected_chart_label: Optional[str] = None
-    expected_chart_root: Optional[Callable[[float], float]] = None
+    expected_chart_root: Optional[Callable[[np.ndarray], np.ndarray]] = None
     check_roundtrip: bool = False  # rebuild the graph from the seed through seed_base
     own_checks: Optional[Callable[["GalleryEntry", Optional[RuledPatch]], list[Check]]] = None
 
@@ -416,7 +413,7 @@ def _cylinder() -> GalleryEntry:
         arc_span=0.9,
         known_kappa=lambda z0: 0.0,
         expected_chart_label="kappa-zero",
-        expected_chart_root=lambda s: -s / math.sqrt(1.0 - s * s),
+        expected_chart_root=lambda s: -s / np.sqrt(1.0 - s * s),
         own_checks=_cylinder_checks,
     )
     entry.ruled_pair = make_pair
@@ -656,10 +653,9 @@ def _check_locus(entry: GalleryEntry, patch: RuledPatch, report_checks: list[Che
         labels == {entry.expected_chart_label},
         note=f"labels seen: {sorted(labels)}"))
     if entry.expected_chart_root is not None:
-        worst = worst_abs(r.r - entry.expected_chart_root(r.s) for r in rep.roots)
+        worst = worst_abs(rep.r - entry.expected_chart_root(rep.s))
         report_checks.append(check_leq("locus_root_value", worst, 1e-6))
-    report_checks.append(check_flag("locus_verified",
-                                    all(r.verified for r in rep.roots)))
+    report_checks.append(check_flag("locus_verified", rep.verified.all()))
 
 
 def gallery_verify(name: str, **params) -> list[Check]:
@@ -786,12 +782,13 @@ def _planar_residual(points: np.ndarray) -> float:
 
 
 def _optreg2_corner(entry: GalleryEntry, patch: RuledPatch) -> list[Check]:
-    def branch(s: float) -> float:   # the bounded root r of the locus at s
-        return (math.sqrt(1.0 + 2.0 * abs(s)) - 1.0) / abs(s) if s != 0.0 else 1.0
+    def branch(s):   # the bounded root r of the locus at s, over arrays
+        with np.errstate(all="ignore"):
+            return np.where(s != 0.0, (np.sqrt(1.0 + 2.0 * abs(s)) - 1.0) / abs(s), 1.0)
 
-    # r > 0 picks the bounded branch
-    worst = worst_abs(root.r - branch(root.s)
-                      for root in characteristic_locus(patch, n_s=41).roots if root.r > 0)
+    rep = characteristic_locus(patch, n_s=41)
+    bounded = rep.r > 0   # r > 0 picks the bounded branch
+    worst = worst_abs(rep.r[bounded] - branch(rep.s[bounded]))
     sp = locus_branch_slope(patch, 0.0, +1)
     sm = locus_branch_slope(patch, 0.0, -1)
     return [check_leq("optreg2_branch_values", worst, 1e-8),

@@ -28,9 +28,6 @@ class HPoint:
         if not (math.isfinite(self.x) and math.isfinite(self.y) and math.isfinite(self.t)):
             raise ValueError(f"HPoint components must be finite, got {(self.x, self.y, self.t)}")
 
-    def as_tuple(self) -> tuple[float, float, float]:
-        return (self.x, self.y, self.t)
-
 
 ORIGIN = HPoint(0.0, 0.0, 0.0)
 

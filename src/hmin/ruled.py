@@ -61,7 +61,7 @@ from .report import worst_abs
 from .seed import (SeedCurve, curvature, extract_seed, rule_jacobian,
                    rule_jacobian_det, rule_point, singular_locus, takes_arrays, SingularLocus,
                    EPS_KAPPA)
-from .surface import EPS_CHAR, W_MARGIN, GraphPatch, graph_pq, read_nodes
+from .surface import EPS_CHAR, TOL_H_FD, W_MARGIN, GraphPatch, graph_pq, read_nodes
 
 EPS_DELTA = 1e-9
 DET_GUARD = 0.1
@@ -299,24 +299,26 @@ LABEL_KAPPA_ZERO = "kappa-zero"
 
 
 @dataclass
-class LocusRoot:
-    s: float
-    r: float
-    label: str
-    image: HPoint
-    w_formula: float              # signed W at the root (should vanish)
-    verified: bool = False
-
-
-@dataclass
 class LociReport:
-    roots: list[LocusRoot]
+    """The roots of the characteristic quadratic, as equally long columns in
+    the order of s and, at one s, in increasing r: the chart point (s, r),
+    the case label, the embedded point (x, y, t), the signed formula W there
+    (which should vanish) and whether the root verified."""
+
+    s: np.ndarray
+    r: np.ndarray
+    label: list[str]
+    x: np.ndarray
+    y: np.ndarray
+    t: np.ndarray
+    w: np.ndarray
+    verified: np.ndarray
     labels: list[tuple[float, str]]           # (s, case label) for every sampled s
     singular: SingularLocus
 
     @property
     def empty(self) -> bool:
-        return not self.roots
+        return not len(self.s)
 
 
 def _roots(patch: RuledPatch, s: np.ndarray) -> tuple:
@@ -344,6 +346,8 @@ def _roots(patch: RuledPatch, s: np.ndarray) -> tuple:
 def characteristic_locus(patch: RuledPatch, n_s: int = 201) -> LociReport:
     """Solve the characteristic quadratic at n_s sampled s and verify each root.
 
+    Raises FieldUndefined at the first sampled s where W0 or kappa is not
+    finite (h0 or the seed undefined there), before any root is embedded.
     Verification is two-sided: the closed-form W must vanish at the root,
     and where the chart is invertible (|det DF| > 0.1) the angle function
     of the reconstructed graph must vanish too; near-singular roots are
@@ -353,6 +357,11 @@ def characteristic_locus(patch: RuledPatch, n_s: int = 201) -> LociReport:
     """
     ss = np.linspace(*patch.s_range, n_s)
     labels, count, r1, r2, kap, w0 = _roots(patch, ss)
+    bad = ~(np.isfinite(w0) & np.isfinite(kap))
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise FieldUndefined(f"W0 or kappa not finite at s={float(ss[i])} "
+                             f"(W0 = {float(w0[i])}, kappa = {float(kap[i])})")
     # the roots in the order of s, and at one s in increasing order
     pick = np.column_stack([count >= 1, count >= 2]).ravel()
     at = np.flatnonzero(pick) // 2
@@ -362,7 +371,7 @@ def characteristic_locus(patch: RuledPatch, n_s: int = 201) -> LociReport:
         den = 1.0 - r * kap
         wf = np.where(abs(den) < 1e-12, num, num / den)  # W itself is undefined on the fold
     det = rule_jacobian_det(patch.seed, s, r)
-    image = patch.embed(s, r)
+    x, y, t = patch.embed(s, r)
     ok = abs(wf) <= 1e-8
     direct = ok & (abs(det) > DET_GUARD)
     ok[direct] = w_direct(patch, s[direct], r[direct]) <= 1e-6
@@ -374,10 +383,8 @@ def characteristic_locus(patch: RuledPatch, n_s: int = 201) -> LociReport:
         cand, found = np.where(fresh, c, cand), found | fresh
     probed, cand = near[found], cand[found]
     ok[probed] = abs(w_direct(patch, s[probed], cand) - abs(patch.w(s[probed], cand))) <= 1e-6
-    images = [HPoint(*g) for g in zip(*(a.tolist() for a in image))]
-    roots = [LocusRoot(*row) for row in zip(s.tolist(), r.tolist(), [labels[i] for i in at],
-                                            images, wf.tolist(), ok.tolist())]
-    return LociReport(roots, list(zip(ss.tolist(), labels)), _singular_on(patch))
+    return LociReport(s, r, [labels[i] for i in at], x, y, t, wf, ok,
+                      list(zip(ss.tolist(), labels)), _singular_on(patch))
 
 
 def _singular_on(patch: RuledPatch) -> SingularLocus:
@@ -564,55 +571,23 @@ def roundtrip(patch: GraphPatch, curve: SeedCurve, arc_span: float, r_span: floa
     return worst_abs(built.height(s, r) - patch.h.value(x, y))
 
 
-@dataclass
-class Class1:
-    """Entire minimal graph with circular seed: the plane a x + b y + c t = d."""
-
-    a: float
-    b: float
-    c: float
-    d: float
-    sigma: tuple[float, float, float]
-    residual: float
-
-    kind: str = "class1"
+def _not_entire(reason: str) -> dict:
+    return {"kind": "not-entire", "reason": reason}
 
 
-@dataclass
-class Class2:
-    """Entire minimal graph with straight seed: direction, base point, heights."""
-
-    direction: tuple[float, float]
-    base: tuple[float, float, float]
-    h0_samples: list[tuple[float, float]]
-    alpha: Optional[float]
-    rebuild_error: float
-
-    kind: str = "class2"
-
-
-@dataclass
-class NotMinimal:
-    max_curvature: float
-    at: tuple[float, float]
-
-    kind: str = "not-minimal"
-
-
-@dataclass
-class NotEntire:
-    reason: str
-
-    kind: str = "not-entire"
-
-
-Classification = Class1 | Class2 | NotMinimal | NotEntire
-
-
-def classify_entire_graph(patch: GraphPatch) -> Classification:
+def classify_entire_graph(patch: GraphPatch) -> dict:
     """Classify an entire minimal graph: circular seed means a plane,
-    straight seed means the shear family t = h0(ax+by) - (ax+by)(bx-ay)/2."""
-    tol = 1e-6          # on |H| and on the residual of the plane fit
+    straight seed means the shear family t = h0(ax+by) - (ax+by)(bx-ay)/2.
+
+    Returns the verdict as the report's ``result``: ``kind`` first, then
+    ``plane`` (a, b, c, d of the unit normal form a x + b y + c t = d),
+    ``sigma`` and ``residual`` for ``class1``; ``direction``, ``base``,
+    ``alpha`` and ``rebuild_error`` for ``class2``; ``max_curvature`` and
+    ``at`` for ``not-minimal``; ``reason`` for ``not-entire``.  |H| is held
+    to 1e-6 on analytic derivatives and to TOL_H_FD on difference stencils.
+    """
+    tol = 1e-6          # on the residual of the plane fit
+    tol_h = tol if patch.analytic else TOL_H_FD
     tol_kappa = 1e-4    # on the seed curvature
     dom = patch.domain
 
@@ -630,18 +605,19 @@ def classify_entire_graph(patch: GraphPatch) -> Classification:
     bad[:k, 2] = (w[:k] > W_MARGIN) & ~np.isfinite(h)
     if bad.any():
         i, what = divmod(int(np.argmax(bad)), 3)
-        return NotEntire(f"{('height', 'angle function W', 'mean curvature')[what]} not finite "
-                         f"at ({float(x[i])}, {float(y[i])})")
+        return _not_entire(f"{('height', 'angle function W', 'mean curvature')[what]} not "
+                           f"finite at ({float(x[i])}, {float(y[i])})")
     if error is not None:
         raise error
     if n < x.size:
-        return NotEntire(f"window point ({float(x[n])}, {float(y[n])}) outside patch domain")
+        return _not_entire(f"window point ({float(x[n])}, {float(y[n])}) outside patch domain")
 
     # the first node of largest |H| where W > W_MARGIN
     hcur = np.where(w > W_MARGIN, abs(h), 0.0)
     i = int(np.argmax(hcur))
-    if hcur[i] > tol:
-        return NotMinimal(float(hcur[i]), (float(x[i]), float(y[i])))
+    if hcur[i] > tol_h:
+        return {"kind": "not-minimal", "max_curvature": float(hcur[i]),
+                "at": [float(x[i]), float(y[i])]}
     # the first interior node (the middle half of each axis) of largest W:
     # seed extraction needs room around its base point
     mx, my = 0.25 * (dom.xmax - dom.xmin), 0.25 * (dom.ymax - dom.ymin)
@@ -649,32 +625,30 @@ def classify_entire_graph(patch: GraphPatch) -> Classification:
     w_in = np.where(interior.contains_all(x, y), w, 0.0)
     i = int(np.argmax(w_in))
     if w_in[i] <= 1e-6:
-        return NotEntire("no usable non-characteristic base point in the window")
+        return _not_entire("no usable non-characteristic base point in the window")
 
     z0 = (float(x[i]), float(y[i]))
     window = min(dom.xmax - dom.xmin, dom.ymax - dom.ymin)
     span = min(1.5, window / 4.0)
     curve = extract_seed(patch, z0, span)
     if len(curve.s) < 2:
-        return NotEntire(f"the seed traced from {z0} has fewer than two samples")
+        return _not_entire(f"the seed traced from {z0} has fewer than two samples")
     lo, hi = max(curve.s_min, -span / 2), min(curve.s_max, span / 2)
     # the seed over [-span/2, span/2], cut to its traced range, as a one-piece GSC
     _, (kappa,) = constant_curvature_test(GeneralizedSeedCurve([GSCPiece(curve, lo, hi)]),
                                           tol_kappa)
 
     if kappa["peak"] <= tol_kappa:
-        # straight seed: report direction, lifted base point and heights
+        # straight seed: report direction, lifted base point and rebuild error
         d = curve.tangent(0.0)
         g0 = curve.point(0.0)
-        base = (g0[0], g0[1], patch.h.value(*g0))
-        s21 = np.linspace(lo, hi, 21)
-        h0s = list(zip(s21.tolist(), patch.h.value(*curve.point(s21)).tolist()))
+        base = [g0[0], g0[1], patch.h.value(*g0)]
         alpha = None
         if abs(d[1]) > 1e-9:
             alpha = -d[0] / (2.0 * d[1])
         err = roundtrip(patch, curve, span, min(1.0, window / 6.0))
-        return Class2(direction=d, base=base, h0_samples=h0s, alpha=alpha,
-                      rebuild_error=err)
+        return {"kind": "class2", "direction": list(d), "base": base, "alpha": alpha,
+                "rebuild_error": err}
 
     if kappa["max_dev"] <= tol_kappa * max(1.0, abs(kappa["kappa"])):
         # circular seed: the graph must be a plane; fit a x + b y + c t = d
@@ -683,11 +657,12 @@ def classify_entire_graph(patch: GraphPatch) -> Classification:
         alpha_c, beta_c, delta_c = map(float, coef)
         residual = float(np.abs(design @ coef - t).max())
         if residual > tol:
-            return NotEntire(f"circular seed but non-planar heights (residual {residual})")
+            return _not_entire(f"circular seed but non-planar heights (residual {residual})")
         # t = alpha x + beta y + delta  <=>  (-alpha) x + (-beta) y + t = delta
         a, b, c, d0 = -alpha_c, -beta_c, 1.0, delta_c
         scale = math.sqrt(a * a + b * b + c * c)
-        sigma = (-2.0 * b / c, 2.0 * a / c, d0 / c)
-        return Class1(a / scale, b / scale, c / scale, d0 / scale, sigma, residual)
+        sigma = [-2.0 * b / c, 2.0 * a / c, d0 / c]
+        return {"kind": "class1", "plane": [a / scale, b / scale, c / scale, d0 / scale],
+                "sigma": sigma, "residual": residual}
 
-    return NotEntire("seed curve is neither a line nor a circle at tolerance")
+    return _not_entire("seed curve is neither a line nor a circle at tolerance")

@@ -59,6 +59,8 @@ from .heis import HPoint
 
 EPS_CHAR = 1e-9
 W_MARGIN = 1e-3  # curvature is read only where W exceeds this
+TOL_H_ANALYTIC = 1e-8   # on |H| of a graph with analytic derivatives
+TOL_H_FD = 1e-4         # on |H| of a graph whose derivatives are difference stencils
 
 
 @dataclass

@@ -148,25 +148,24 @@ def test_criterion_06_w_formula_oracle():
 def test_criterion_07_characteristic_loci():
     rep = characteristic_locus(gallery_get("char-plane").ruled(), n_s=101)
     assert {lab for _, lab in rep.labels} == {"double-root"}
-    worst_r = max(abs(root.r + 1.0) for root in rep.roots)
-    worst_img = max(math.hypot(root.image.x, root.image.y) + abs(root.image.t)
-                    for root in rep.roots)
+    worst_r = max(abs(rep.r + 1.0))
+    worst_img = max(np.hypot(rep.x, rep.y) + abs(rep.t))
     report(7, "char-plane double root r = -|z|", worst_r, 1e-9)
     report(7, "char-plane locus image = origin", worst_img, 1e-9)
 
     rep = characteristic_locus(gallery_get("hyperbolic").ruled(), n_s=101)
     assert {lab for _, lab in rep.labels} == {"kappa-zero"}
-    worst_r = max(abs(root.r + 1.0) for root in rep.roots)   # r = -y, y = 1
-    worst_img = max(abs(root.image.y) + abs(root.image.t) for root in rep.roots)
+    worst_r = max(abs(rep.r + 1.0))   # r = -y, y = 1
+    worst_img = max(abs(rep.y) + abs(rep.t))
     report(7, "hyperbolic root r = -y", worst_r, 1e-9)
     report(7, "hyperbolic locus image on x-axis", worst_img, 1e-9)
 
     rep = characteristic_locus(gallery_get("counterexample").ruled(), n_s=101)
-    report(7, "counterexample locus empty", float(len(rep.roots)), 0.0)
+    report(7, "counterexample locus empty", float(len(rep.s)), 0.0)
 
     patch = gallery_get("optreg2").ruled()
     rep = characteristic_locus(patch, n_s=41)
-    at0 = [root.r for root in rep.roots if root.s == 0.0]
+    at0 = rep.r[rep.s == 0.0]
     report(7, "optreg2 branch value at s=0", abs(at0[0] - 1.0), 1e-9)
     sp = locus_branch_slope(patch, 0.0, +1)
     sm = locus_branch_slope(patch, 0.0, -1)
@@ -239,20 +238,21 @@ def test_criterion_09_representation_sufficiency_randomized():
 
 def test_criterion_10_classifier():
     out = classify_entire_graph(GraphPatch.from_expr("(4 - x - 2*y)/2", square(3.0)))
-    assert out.kind == "class1"
-    scale = 1.0 / out.a
-    plane_dev = max(abs(out.a * scale - 1), abs(out.b * scale - 2),
-                    abs(out.c * scale - 2), abs(out.d * scale - 4))
-    sigma_dev = max(abs(out.sigma[0] + 2), abs(out.sigma[1] - 1), abs(out.sigma[2] - 2))
+    assert out["kind"] == "class1"
+    a, b, c, d = out["plane"]
+    scale = 1.0 / a
+    plane_dev = max(abs(a * scale - 1), abs(b * scale - 2), abs(c * scale - 2), abs(d * scale - 4))
+    sigma = out["sigma"]
+    sigma_dev = max(abs(sigma[0] + 2), abs(sigma[1] - 1), abs(sigma[2] - 2))
     report(10, "classify plane -> Class1(1,2,2,4)", plane_dev, 1e-7)
     report(10, "classify plane Sigma = (-2,1,2)", sigma_dev, 1e-7)
 
     out = classify_entire_graph(GraphPatch.from_expr("x*y/2", square(3.0)))
-    report(10, "classify t=xy/2 -> Class2", 0.0 if out.kind == "class2" else 1.0, 0.0)
+    report(10, "classify t=xy/2 -> Class2", 0.0 if out["kind"] == "class2" else 1.0, 0.0)
 
     out = classify_entire_graph(GraphPatch.from_expr("(x^2+y^2)/4", square(3.0)))
     report(10, "classify paraboloid -> NotMinimal",
-           0.0 if out.kind == "not-minimal" else 1.0, 0.0)
+           0.0 if out["kind"] == "not-minimal" else 1.0, 0.0)
 
 
 def test_criterion_11_symmetry_invariance():

@@ -19,7 +19,6 @@ KEPT = {
     "surface.rotate_graph": "acceptance criterion 11: rotation of a graph about the t-axis",
     "seed.SeedCurve.stop_lo": "why a traced seed's backward branch ended; the seed tests pin it",
     "seed.SeedCurve.stop_hi": "why a traced seed's forward branch ended; the seed tests pin it",
-    "ruled.Class2.h0_samples": "the height along a straight seed, the h0 of the shear family",
     "surface.HorizontalData.p": "read by position: callers unpack (p, q, W, nu)",
     "surface.HorizontalData.q": "read by position: callers unpack (p, q, W, nu)",
 }

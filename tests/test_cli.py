@@ -11,6 +11,7 @@ from hmin import cli, fields, gallery, surface
 from hmin.cli import main
 from hmin.errors import SpecError
 from hmin.meshes import lint_obj
+from hmin.ruled import classify_entire_graph
 
 
 def write_spec(tmp_path, name, payload):
@@ -237,7 +238,7 @@ def test_loci_optreg2_corner_flagged(tmp_path):
     assert at0[0][7] == "kappa-zero"
     rep = json.loads((out / "report.json").read_text())
     corner = [c for c in rep["checks"] if c["name"] == "branch_corners"][0]
-    assert "s = 0" in corner["note"]
+    assert corner["note"] == "slope jump at s = 0"   # the one corner of the branch
 
 
 def test_loci_smooth_branch_has_no_corner_flag(tmp_path):
@@ -248,6 +249,25 @@ def test_loci_smooth_branch_has_no_corner_flag(tmp_path):
     rep = json.loads((out / "report.json").read_text())
     corner = [c for c in rep["checks"] if c["name"] == "branch_corners"][0]
     assert corner["note"] == "none detected"
+
+
+# steep, smooth branches: their slopes change by more than 0.5 between
+# neighbouring samples, but gradually
+@pytest.mark.parametrize("name", ["cylinder", "gencurve-n", "gencurve-2", "gencurve-4"])
+def test_loci_steep_smooth_branch_has_no_corner_flag(tmp_path, name):
+    spec = write_spec(tmp_path, "g.json", {"kind": "gallery", "gallery": {"name": name}})
+    assert main(["loci", "--spec", spec, "--out", str(tmp_path / "l")]) == 0
+    rep = json.loads((tmp_path / "l" / "report.json").read_text())
+    notes = [c["note"] for c in rep["checks"] if c["name"] == "branch_corners"]
+    assert notes == ["none detected"]
+
+
+def test_loci_names_the_s_where_w0_is_not_finite(tmp_path, capsys):
+    spec = write_spec(tmp_path, "in.json",
+                      {"kind": "ruled", "ruled": {**NAN_RULED["ruled"], "r_range": [-0.9, 0.9]}})
+    assert main(["loci", "--spec", spec, "--out", str(tmp_path / "l")]) == 2
+    assert capsys.readouterr().err == (
+        "error: W0 or kappa not finite at s=-1.5 (W0 = nan, kappa = 0.0)\n")
 
 
 def test_loci_keeps_to_the_patch_s_range(tmp_path):
@@ -314,6 +334,49 @@ def test_fd_only_graph_spec_runs(tmp_path):
     assert 0.0 < check["measured"] <= 1e-6
     verdict = json.loads((tmp_path / "classify" / "report.json").read_text())["result"]
     assert verdict["kind"] == "class2"
+    # classify holds |H| of difference stencils to tol_h_fd, as verify does
+    for i, (h, kind) in enumerate([("(4 - x - 2*y)/2", "class1"),
+                                   ("(0.3 + 0.2*x - 0.3*y)/2", "class1"),
+                                   ("x*y/2 + 0.437*x - 0.2", "class2"),
+                                   ("x*y/2 - 0.5*x + 0.3", "class2"),
+                                   ("x*y/2 + 0.5*y + 1", "not-minimal"),
+                                   ("x*y/2 + 0.25*y", "not-minimal")]):
+        spec = write_spec(tmp_path, f"fd{i}.json", {"kind": "graph",
+                                                    "graph": {"h": h, "fd_only": True}})
+        assert main(["classify", "--spec", spec, "--out", str(tmp_path / f"c{i}")]) == 0
+        verdict = json.loads((tmp_path / f"c{i}" / "report.json").read_text())["result"]
+        assert verdict["kind"] == kind
+
+
+# one spec of each verdict kind, with the payload's keys in order and the types of their values
+CLASSIFY_PAYLOADS = {
+    "class1": ("(4 - x - 2*y)/2", {"plane": [float] * 4, "sigma": [float] * 3, "residual": float}),
+    "class2": ("x*y/2 + 0.3*x + 0.1", {"direction": [float] * 2, "base": [float] * 3,
+                                       "alpha": (float, type(None)), "rebuild_error": float}),
+    "not-minimal": ("(x^2+y^2)/4", {"max_curvature": float, "at": [float] * 2}),
+    "not-entire": ("x*y/2 + 1e-300*sqrt(x^2 + y^2)^3", {"reason": str}),
+}
+
+
+@pytest.mark.parametrize("kind", list(CLASSIFY_PAYLOADS))
+def test_classify_reports_its_payload(tmp_path, capsys, kind):
+    h, types = CLASSIFY_PAYLOADS[kind]
+    payload = {"kind": "graph", "graph": {"h": h}}
+    result = classify_entire_graph(cli.graph_from_spec(payload))
+    assert main(["classify", "--spec", write_spec(tmp_path, "g.json", payload),
+                 "--out", str(tmp_path / "c")]) == 0
+    report = json.loads((tmp_path / "c" / "report.json").read_text())
+    assert report["result"] == result   # report.json sorts its keys
+    assert list(result) == ["kind", *types]
+    assert result["kind"] == kind
+    for key, want in types.items():
+        if isinstance(want, list):
+            assert [type(v) for v in result[key]] == want
+        else:
+            assert isinstance(result[key], want)
+    assert capsys.readouterr().out == f"classification: {kind}  {result!r}\n"
+    assert [(c["name"], c["note"]) for c in report["checks"]] == [
+        (f"classified_{kind}", json.dumps(result))]
 
 
 def test_fd_only_inset_of_a_domain_2e_4_wide_is_one_line():
@@ -488,6 +551,8 @@ ZERO_SQRT = {"kind": "graph",
     ("seed", {"kind": "graph", "graph": {"h": "x*y/2"}}, ["--z0", "0", "1", "--span", "1e300"]),
     # undefined on the other half of the characteristic line y = 0
     ("verify", {"kind": "graph", "graph": {**ZERO_SQRT["graph"], "h": "x*y/2 + 0*sqrt(-x)"}}, []),
+    # W0 is NaN for |s| > 1: no characteristic root is solved there
+    ("loci", {"kind": "ruled", "ruled": {**NAN_RULED["ruled"], "r_range": [-0.9, 0.9]}}, []),
 ])
 def test_undefined_input_exit_2(tmp_path, capsys, command, payload, extra):
     spec = write_spec(tmp_path, "in.json", payload)

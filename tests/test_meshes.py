@@ -3,7 +3,7 @@ import io
 import json
 import math
 import tracemalloc
-from dataclasses import replace
+from dataclasses import astuple, replace
 from pathlib import Path
 
 import numpy as np
@@ -132,7 +132,7 @@ def scalar_graph_mesh(patch, nx, ny):
     the message of the error the first rejected node raises."""
     x, y = Grid2(patch.domain, nx, ny).mesh()
     try:
-        return [list(patch.point(a, b).as_tuple())
+        return [list(astuple(patch.point(a, b)))
                 for a, b in zip(x.ravel().tolist(), y.ravel().tolist())]
     except FieldUndefined as err:
         return str(err)

@@ -1,5 +1,5 @@
 import math
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -243,19 +243,19 @@ def test_w_ode_residual():
 def test_locus_flat_plane_double_root():
     rep = characteristic_locus(flat_patch(), n_s=31)
     assert {lab for _, lab in rep.labels} == {"double-root"}
-    for root in rep.roots:
-        assert root.r == pytest.approx(-1.0, abs=1e-12)
-        assert math.hypot(root.image.x, root.image.y) <= 1e-9
-        assert root.verified
+    for r, x, y, verified in zip(rep.r, rep.x, rep.y, rep.verified):
+        assert r == pytest.approx(-1.0, abs=1e-12)
+        assert math.hypot(x, y) <= 1e-9
+        assert verified
 
 
 def test_locus_hyperbolic_single_root():
     rep = characteristic_locus(hyperbolic_patch(), n_s=31)
     assert {lab for _, lab in rep.labels} == {"kappa-zero"}
-    for root in rep.roots:
-        assert root.r == pytest.approx(-1.0, abs=1e-12)   # r = -y with y = 1
-        assert abs(root.image.y) <= 1e-12 and abs(root.image.t) <= 1e-12
-        assert root.verified
+    for r, y, t, verified in zip(rep.r, rep.y, rep.t, rep.verified):
+        assert r == pytest.approx(-1.0, abs=1e-12)   # r = -y with y = 1
+        assert abs(y) <= 1e-12 and abs(t) <= 1e-12
+        assert verified
 
 
 def test_locus_counterexample_empty():
@@ -271,12 +271,12 @@ def test_locus_optreg2_case_split_and_corner():
     labels = dict(rep.labels)
     assert labels[0.0] == "kappa-zero"
     assert labels[1.0] == "two-roots"
-    at0 = [r for r in rep.roots if r.s == 0.0]
-    assert len(at0) == 1 and at0[0].r == pytest.approx(1.0, abs=1e-12)
-    for root in rep.roots:
-        if root.s != 0.0 and root.r > 0:
-            want = (math.sqrt(1 + 2 * abs(root.s)) - 1) / abs(root.s)
-            assert root.r == pytest.approx(want, abs=1e-10)
+    at0 = rep.r[rep.s == 0.0]
+    assert len(at0) == 1 and at0[0] == pytest.approx(1.0, abs=1e-12)
+    for s, r in zip(rep.s.tolist(), rep.r.tolist()):
+        if s != 0.0 and r > 0:
+            want = (math.sqrt(1 + 2 * abs(s)) - 1) / abs(s)
+            assert r == pytest.approx(want, abs=1e-10)
 
 
 def test_locus_double_root_case():
@@ -287,8 +287,8 @@ def test_locus_double_root_case():
     assert patch.w0(0.1) == pytest.approx(1.0)
     rep = characteristic_locus(patch, n_s=11)
     assert {lab for _, lab in rep.labels} == {"double-root"}
-    for root in rep.roots:
-        assert root.r == pytest.approx(-2.0, abs=1e-10)
+    for r in rep.r:
+        assert r == pytest.approx(-2.0, abs=1e-10)
 
 
 def test_locus_no_root_case():
@@ -309,9 +309,9 @@ def test_locus_two_root_case_verified():
     assert {lab for _, lab in rep.labels} == {"two-roots"}
     disc = math.sqrt(1 + 2 * 0.75 * (-0.5))
     want = sorted([(1 - disc) / -0.5, (1 + disc) / -0.5])
-    for root in rep.roots:
-        assert root.verified
-        assert min(abs(root.r - want[0]), abs(root.r - want[1])) <= 1e-10
+    for r, verified in zip(rep.r, rep.verified):
+        assert verified
+        assert min(abs(r - want[0]), abs(r - want[1])) <= 1e-10
 
 
 # -- rules as geodesics -------------------------------------------------------
@@ -503,7 +503,7 @@ def test_roundtrip_entries_are_the_ones_that_check_it():
 def test_classify_traces_the_seed_once(monkeypatch):
     calls = count_seed_traces(monkeypatch)
     out = classify_entire_graph(GraphPatch.from_expr("x*y/2 + 0.3*x + 0.1", square(3.0)))
-    assert out.kind == "class2" and out.rebuild_error <= 1e-6
+    assert out["kind"] == "class2" and out["rebuild_error"] <= 1e-6
     assert len(calls) == 1
 
 
@@ -518,22 +518,25 @@ def test_invert_chart_roundtrip():
 def test_classify_plane():
     patch = GraphPatch.from_expr("(4 - 1*x - 2*y)/2", square(3.0))
     out = classify_entire_graph(patch)
-    assert out.kind == "class1"
-    assert out.sigma == pytest.approx((-2.0, 1.0, 2.0), abs=1e-8)
-    scale = 1.0 / out.a
-    assert (out.a * scale, out.b * scale, out.c * scale, out.d * scale) == pytest.approx(
+    assert out["kind"] == "class1"
+    assert out["sigma"] == pytest.approx([-2.0, 1.0, 2.0], abs=1e-8)
+    a, b, c, d = out["plane"]
+    scale = 1.0 / a
+    assert (a * scale, b * scale, c * scale, d * scale) == pytest.approx(
         (1.0, 2.0, 2.0, 4.0), abs=1e-8)
 
 
 def test_classify_hyperbolic_is_class2():
     patch = GraphPatch.from_expr("x*y/2", square(3.0))
     out = classify_entire_graph(patch)
-    assert out.kind == "class2"
-    assert abs(out.direction[0]) == pytest.approx(1.0, abs=1e-9)
-    assert out.direction[1] == pytest.approx(0.0, abs=1e-9)
-    # h0 along a straight seed of t = xy/2 is linear in s
-    svals = np.array([s for s, _ in out.h0_samples])
-    hvals = np.array([h for _, h in out.h0_samples])
+    assert out["kind"] == "class2"
+    assert abs(out["direction"][0]) == pytest.approx(1.0, abs=1e-9)
+    assert out["direction"][1] == pytest.approx(0.0, abs=1e-9)
+    # h0 along a straight seed of t = xy/2, the line through the base point
+    # in the reported direction, is linear in s
+    (bx, by, _), (dx, dy) = out["base"], out["direction"]
+    svals = np.linspace(-0.75, 0.75, 21)
+    hvals = patch.h.value(bx + svals * dx, by + svals * dy)
     coef = np.polyfit(svals, hvals, 1)
     assert np.max(np.abs(np.polyval(coef, svals) - hvals)) <= 1e-9
 
@@ -541,23 +544,23 @@ def test_classify_hyperbolic_is_class2():
 def test_classify_quadratic_family_member():
     patch = GraphPatch.from_expr("x^2 - x*y/2", square(3.0))
     out = classify_entire_graph(patch)
-    assert out.kind == "class2"
-    assert out.alpha == pytest.approx(1.0, abs=1e-6)
-    assert out.rebuild_error <= 1e-6
+    assert out["kind"] == "class2"
+    assert out["alpha"] == pytest.approx(1.0, abs=1e-6)
+    assert out["rebuild_error"] <= 1e-6
 
 
 def test_classify_not_minimal():
     patch = GraphPatch.from_expr("(x^2+y^2)/4", square(3.0))
     out = classify_entire_graph(patch)
-    assert out.kind == "not-minimal"
-    assert out.max_curvature > 0.5
+    assert out["kind"] == "not-minimal"
+    assert out["max_curvature"] > 0.5
 
 
 def test_classify_not_entire():
     dom = PlanarDomain(-3, 3, -3, 3, membership=lambda x, y: x > 0)
     patch = GraphPatch.from_expr("x*y/2", dom)
     out = classify_entire_graph(patch)
-    assert out.kind == "not-entire"
+    assert out["kind"] == "not-entire"
 
 
 @pytest.mark.parametrize("src,box,reason", [
@@ -573,7 +576,7 @@ def test_classify_not_entire():
 ], ids=["characteristic-window", "counterexample", "catenoid", "narrower-than-an-rk4-step"])
 def test_classify_not_entire_branches(src, box, reason):
     out = classify_entire_graph(GraphPatch.from_expr(src, PlanarDomain(*box)))
-    assert out.kind == "not-entire" and out.reason.startswith(reason)
+    assert out["kind"] == "not-entire" and out["reason"].startswith(reason)
 
 
 # -- symmetry of the construction ----------------------------------------------
@@ -752,7 +755,7 @@ CHART_FUNCTIONS = {
 
 def _scalar_repr(value) -> str:
     if isinstance(value, HPoint):
-        value = value.as_tuple()
+        value = astuple(value)
     if isinstance(value, tuple) and isinstance(value[0], tuple):   # rule_jacobian's rows
         return repr(tuple(tuple(map(float, row)) for row in value))
     if isinstance(value, tuple):
@@ -861,7 +864,7 @@ def _scalar_locus(patch, n_s):
             except SingularRule:
                 wf = patch.w0(s) + r - 0.5 * r * r * curvature(patch.seed, s)
             det = seed_module.rule_jacobian_det(patch.seed, s, r)
-            image = patch.embed(s, r)
+            x, y, t = astuple(patch.embed(s, r))
             wd = None
             ok = abs(wf) <= 1e-8
             if ok and abs(det) > guard:
@@ -874,7 +877,7 @@ def _scalar_locus(patch, n_s):
                         wd = w_direct(patch, s, cand)
                         ok = abs(wd - abs(patch.w(s, cand))) <= 1e-6
                         break
-            roots.append(ruled_module.LocusRoot(s, r, label, image, wf, ok))
+            roots.append((s, r, label, x, y, t, wf, ok))
     kap = np.array([curvature(patch.seed, float(v)) for v in patch.seed.s])
     mask = list(np.abs(kap) > seed_module.EPS_KAPPA) + [False]
     branches, start = [], None
@@ -907,7 +910,9 @@ def test_characteristic_locus_matches_the_scalar_loop(name, n_s):
     rep = characteristic_locus(patch, n_s)
     roots, labels, branches = _scalar_locus(patch, n_s)
     assert repr(rep.labels) == repr(labels)
-    assert [repr(root) for root in rep.roots] == [repr(root) for root in roots]
+    columns = (rep.s.tolist(), rep.r.tolist(), rep.label, rep.x.tolist(), rep.y.tolist(),
+               rep.t.tolist(), rep.w.tolist(), rep.verified.tolist())
+    assert [repr(row) for row in zip(*columns)] == [repr(row) for row in roots]
     assert ([(s.tobytes(), r.tobytes()) for s, r in rep.singular.branches]
             == [(s.tobytes(), r.tobytes()) for s, r in branches])
 

@@ -19,9 +19,9 @@ from hmin.fields import CHUNK, Grid2, PlanarDomain, ScalarField2
 from hmin.gallery import gallery_get, gallery_names, max_curvature_deviation
 from hmin.heis import HPoint
 from hmin.report import worst_abs
-from hmin.ruled import (Class1, Class2, NotEntire, NotMinimal, classify_entire_graph, roundtrip)
+from hmin.ruled import classify_entire_graph, roundtrip
 from hmin.seed import SeedCurve, curvature, extract_seed
-from hmin.surface import (EPS_CHAR, W_MARGIN, GraphPatch, ScanComponent, _pq,
+from hmin.surface import (EPS_CHAR, TOL_H_FD, W_MARGIN, GraphPatch, ScanComponent, _pq,
                           characteristic_scan, h_mean_curvature, horizontal_data,
                           rotate_graph, translate_graph)
 
@@ -341,6 +341,7 @@ def test_expression_seed_calls_each_closed_form_once_per_array(monkeypatch, x, y
 def classify_by_node(patch):
     """``classify_entire_graph`` as it read its window, one node at a time."""
     tol, tol_kappa = 1e-6, 1e-4
+    tol_h = tol if patch.analytic else TOL_H_FD
     dom = patch.domain
     best = (0.0, (0.0, 0.0))
     worst_h = (0.0, (0.0, 0.0))
@@ -349,15 +350,15 @@ def classify_by_node(patch):
     margin_y = 0.25 * (dom.ymax - dom.ymin)
     for x, y in zip(*(a.ravel().tolist() for a in Grid2(dom, 21, 21).mesh())):
         if not dom.contains(x, y):
-            return NotEntire(f"window point ({x}, {y}) outside patch domain")
+            return _not_entire(f"window point ({x}, {y}) outside patch domain")
         jet = patch.h.jet(x, y)
         v = jet[0]
         if not math.isfinite(v):
-            return NotEntire(f"height not finite at ({x}, {y})")
+            return _not_entire(f"height not finite at ({x}, {y})")
         samples.append((x, y, v))
         hd = horizontal_data(patch, (x, y), jet=jet)
         if not math.isfinite(hd.w):
-            return NotEntire(f"angle function W not finite at ({x}, {y})")
+            return _not_entire(f"angle function W not finite at ({x}, {y})")
         interior = (dom.xmin + margin_x <= x <= dom.xmax - margin_x
                     and dom.ymin + margin_y <= y <= dom.ymax - margin_y)
         if interior and hd.w > best[0]:
@@ -365,13 +366,13 @@ def classify_by_node(patch):
         if hd.w > W_MARGIN:
             hcur = abs(h_mean_curvature(patch, (x, y), jet=jet))
             if not math.isfinite(hcur):
-                return NotEntire(f"mean curvature not finite at ({x}, {y})")
+                return _not_entire(f"mean curvature not finite at ({x}, {y})")
             if hcur > worst_h[0]:
                 worst_h = (hcur, (x, y))
-    if worst_h[0] > tol:
-        return NotMinimal(worst_h[0], worst_h[1])
+    if worst_h[0] > tol_h:
+        return {"kind": "not-minimal", "max_curvature": worst_h[0], "at": list(worst_h[1])}
     if best[0] <= 1e-6:
-        return NotEntire("no usable non-characteristic base point in the window")
+        return _not_entire("no usable non-characteristic base point in the window")
 
     z0 = best[1]
     window = min(dom.xmax - dom.xmin, dom.ymax - dom.ymin)
@@ -382,12 +383,11 @@ def classify_by_node(patch):
     if np.abs(kappas).max() <= tol_kappa:
         d = curve.tangent(0.0)
         g0 = curve.point(0.0)
-        base = (g0[0], g0[1], patch.h.value(*g0))
-        s21 = np.linspace(lo, hi, 21)
-        h0s = list(zip(s21.tolist(), ex.pointwise(patch.h.value, *curve.point(s21)).tolist()))
+        base = [g0[0], g0[1], patch.h.value(*g0)]
         alpha = -d[0] / (2.0 * d[1]) if abs(d[1]) > 1e-9 else None
         err = roundtrip(patch, curve, span, min(1.0, window / 6.0))
-        return Class2(direction=d, base=base, h0_samples=h0s, alpha=alpha, rebuild_error=err)
+        return {"kind": "class2", "direction": list(d), "base": base, "alpha": alpha,
+                "rebuild_error": err}
     if np.abs(kappas - kappas.mean()).max() <= tol_kappa * max(1.0, abs(kappas.mean())):
         arr = np.array(samples)
         design = np.column_stack([arr[:, 0], arr[:, 1], np.ones(len(arr))])
@@ -395,12 +395,17 @@ def classify_by_node(patch):
         alpha_c, beta_c, delta_c = map(float, coef)
         residual = float(np.abs(design @ coef - arr[:, 2]).max())
         if residual > tol:
-            return NotEntire(f"circular seed but non-planar heights (residual {residual})")
+            return _not_entire(f"circular seed but non-planar heights (residual {residual})")
         a, b, c, d0 = -alpha_c, -beta_c, 1.0, delta_c
         scale = math.sqrt(a * a + b * b + c * c)
-        sigma = (-2.0 * b / c, 2.0 * a / c, d0 / c)
-        return Class1(a / scale, b / scale, c / scale, d0 / scale, sigma, residual)
-    return NotEntire("seed curve is neither a line nor a circle at tolerance")
+        sigma = [-2.0 * b / c, 2.0 * a / c, d0 / c]
+        return {"kind": "class1", "plane": [a / scale, b / scale, c / scale, d0 / scale],
+                "sigma": sigma, "residual": residual}
+    return _not_entire("seed curve is neither a line nor a circle at tolerance")
+
+
+def _not_entire(reason):
+    return {"kind": "not-entire", "reason": reason}
 
 
 def _outcome(fn, patch):
@@ -429,9 +434,9 @@ def _classify_heights():
 # inside and cuts nodes further on; each height field lives on a larger
 # domain, so only the cut fails a stencil
 _CLASSIFY_DOMAINS = {
-    "box": (None, {"Class1", "Class2", "NotMinimal", "NotEntire"}),
-    "first-node-outside": (lambda x, y: x + y > -3.5, {"NotEntire"}),
-    "cut-later": (lambda x, y: (x < 1.0) | (y <= 1.0), {"NotEntire", "StencilOutOfDomain"}),
+    "box": (None, {"class1", "class2", "not-minimal", "not-entire"}),
+    "first-node-outside": (lambda x, y: x + y > -3.5, {"not-entire"}),
+    "cut-later": (lambda x, y: (x < 1.0) | (y <= 1.0), {"not-entire", "StencilOutOfDomain"}),
 }
 
 
@@ -445,7 +450,8 @@ def test_classify_equals_the_node_loop(cut):
         for patch in (analytic, analytic.fd_only()):
             want = _outcome(classify_by_node, patch)
             assert _outcome(classify_entire_graph, patch) == want
-            seen.add(want.split("(")[0].split(":")[0])
+            # the verdict's kind, or the name of the error raised
+            seen.add(want.split("'")[3] if want.startswith("{") else want.split(":")[0])
     assert seen == kinds
 
 
@@ -464,7 +470,7 @@ def test_classify_reports_a_bad_node_before_a_later_failed_stencil():
     field = PlanarDomain(-2, 2, -2, 2, lambda x, y: (x <= 0.5) | (abs(y) >= 1e-5))
     patch = GraphPatch(PlanarDomain(-1, 1, -1, 1),
                        ScalarField2.from_expr("log(x + 0.95)", field).fd_only())
-    want = "NotEntire(reason='height not finite at (-1.0, -1.0)', kind='not-entire')"
+    want = "{'kind': 'not-entire', 'reason': 'height not finite at (-1.0, -1.0)'}"
     assert _outcome(classify_by_node, patch) == want
     assert _outcome(classify_entire_graph, patch) == want
 
@@ -480,7 +486,7 @@ def _hessian_fails_on_the_first_row(src):
 def test_classify_reports_a_bad_node_before_its_own_failed_hessian_stencil():
     # the height is inf at (-1, -1) while its differences, and so W, are finite
     patch = _hessian_fails_on_the_first_row("1/((x + 1)^2 + (y + 1)^2)")
-    want = "NotEntire(reason='height not finite at (-1.0, -1.0)', kind='not-entire')"
+    want = "{'kind': 'not-entire', 'reason': 'height not finite at (-1.0, -1.0)'}"
     assert _outcome(classify_by_node, patch) == want
     assert _outcome(classify_entire_graph, patch) == want
 
@@ -488,7 +494,7 @@ def test_classify_reports_a_bad_node_before_its_own_failed_hessian_stencil():
 def test_classify_reports_a_nan_w_before_its_own_failed_hessian_stencil():
     # sqrt(x + 1) is 0 at (-1, -1) and NaN just left of it, so W is NaN there
     patch = _hessian_fails_on_the_first_row("sqrt(x + 1)")
-    want = "NotEntire(reason='angle function W not finite at (-1.0, -1.0)', kind='not-entire')"
+    want = "{'kind': 'not-entire', 'reason': 'angle function W not finite at (-1.0, -1.0)'}"
     assert _outcome(classify_by_node, patch) == want
     assert _outcome(classify_entire_graph, patch) == want
 
@@ -518,5 +524,5 @@ def test_classify_reads_its_window_in_one_pass(monkeypatch):
             if getattr(module, name, None) is fn:
                 monkeypatch.setattr(module, name, spy)
     patch = GraphPatch.from_expr("x*y/2 + 0.5*y + 0.3", PlanarDomain(-2, 2, -2, 2))
-    assert classify_entire_graph(patch).kind == "not-minimal"
+    assert classify_entire_graph(patch)["kind"] == "not-minimal"
     assert calls == {"horizontal_data": 1, "h_mean_curvature": 1}
