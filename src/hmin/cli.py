@@ -37,22 +37,24 @@ import math
 import os
 import sys
 import time
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
-from . import gallery as gal
+# What every command runs; the gallery, the ruled chart, the seed tracer and
+# the mesh writer are imported by the code that runs them.
 from .errors import (CharacteristicStart, HminError, OutOfRange, ParseError,
                      SpecError, UnknownName)
 from .expr import pointwise
 from .fields import FD_STEP, HESS_STEP, RK4_STEP, Grid2, PlanarDomain, Profile, chunks, finite
-from .meshes import lint_obj, mesh_graph, mesh_ruled, write_obj
 from .report import Report, check_flag, check_leq, digest_of, worst_abs
-from .ruled import (LociReport, RuledPatch, build_surface, characteristic_locus,
-                    chart_samples, classify_entire_graph, curvature_on_patch)
-from .seed import SeedCurve, curvature, extract_seed
-from .surface import (EPS_CHAR, GraphPatch, ImplicitSurface, characteristic_scan,
-                      horizontal_data)
+from .surface import (EPS_CHAR, TOL_H_ANALYTIC, TOL_H_FD, W_MARGIN, GraphPatch, ImplicitSurface,
+                      characteristic_scan, horizontal_data, max_curvature_deviation)
+
+if TYPE_CHECKING:
+    from .gallery import GalleryEntry
+    from .ruled import LociReport, RuledPatch
+    from .seed import SeedCurve
 
 # gallery command options; each entry takes the ones gallery.gallery_params names
 GALLERY_OPTIONS = {"a": float, "u0": float, "b": float, "c": float, "d": float,
@@ -69,9 +71,9 @@ DEFAULTS = {
     "hess_step": HESS_STEP,
     "rk4_step": RK4_STEP,
     "eps_char": EPS_CHAR,
-    "tol_h_analytic": gal.TOL_H_ANALYTIC,
-    "tol_h_fd": gal.TOL_H_FD,
-    "w_margin": gal.W_MARGIN,
+    "tol_h_analytic": TOL_H_ANALYTIC,
+    "tol_h_fd": TOL_H_FD,
+    "w_margin": W_MARGIN,
 }
 
 
@@ -142,6 +144,8 @@ def implicit_from_spec(spec: dict) -> ImplicitSurface:
 
 
 def ruled_from_spec(spec: dict) -> RuledPatch:
+    from .ruled import build_surface
+    from .seed import SeedCurve
     ru = spec["ruled"]
     s_range = _interval("s_range", *ru["s_range"], strict=True)
     r_range = _interval("r_range", *ru["r_range"], strict=False) if "r_range" in ru else (-1.0, 1.0)
@@ -166,6 +170,7 @@ def ruled_from_spec(spec: dict) -> RuledPatch:
 
 
 def _seed_from_csv(path: str, s_range: tuple[float, float]) -> SeedCurve:
+    from .seed import SeedCurve
     try:
         rows = np.loadtxt(path, delimiter=",", skiprows=1)
     except OSError as err:
@@ -181,22 +186,23 @@ def _seed_from_csv(path: str, s_range: tuple[float, float]) -> SeedCurve:
     return SeedCurve(s, g, dg, ddg)
 
 
-def _gallery_entry(spec: dict) -> Optional[gal.GalleryEntry]:
+def _gallery_entry(spec: dict) -> Optional[GalleryEntry]:
     """The entry a gallery spec names; None for the other kinds."""
     if spec["kind"] != "gallery":
         return None
+    from .gallery import gallery_get
     gs = spec["gallery"]
-    return gal.gallery_get(gs["name"], **gs.get("params", {}))
+    return gallery_get(gs["name"], **gs.get("params", {}))
 
 
-def _graph_of(spec: dict, entry: Optional[gal.GalleryEntry]) -> Optional[GraphPatch]:
+def _graph_of(spec: dict, entry: Optional[GalleryEntry]) -> Optional[GraphPatch]:
     """A graph spec's patch, or the graph form of the spec's gallery entry."""
     if spec["kind"] == "graph":
         return graph_from_spec(spec)
     return entry.graph if entry is not None else None
 
 
-def _ruled_of(spec: dict, entry: Optional[gal.GalleryEntry]) -> Optional[RuledPatch]:
+def _ruled_of(spec: dict, entry: Optional[GalleryEntry]) -> Optional[RuledPatch]:
     """A ruled spec's patch, or the ruled construction of the spec's gallery entry."""
     if spec["kind"] == "ruled":
         return ruled_from_spec(spec)
@@ -247,13 +253,14 @@ def _emit(report: Report, out_dir: str, quiet: bool = False) -> int:
 def cmd_verify(args, spec: dict, report: Report) -> None:
     nx, ny = args.grid
     if spec["kind"] == "gallery":
+        from .gallery import gallery_verify
         gs = spec["gallery"]
-        for c in gal.gallery_verify(gs["name"], **gs.get("params", {})):
+        for c in gallery_verify(gs["name"], **gs.get("params", {})):
             report.add(c)
     elif spec["kind"] == "graph":
         patch = graph_from_spec(spec)
-        tol = gal.TOL_H_ANALYTIC if patch.analytic else gal.TOL_H_FD
-        dev = gal.max_curvature_deviation(patch, patch.domain, nx, ny)
+        tol = TOL_H_ANALYTIC if patch.analytic else TOL_H_FD
+        dev = max_curvature_deviation(patch, patch.domain, nx, ny)
         report.add(check_leq("max_abs_h_curvature", dev, tol))
         scan = characteristic_scan(patch, Grid2(patch.domain, nx, ny), EPS_CHAR)
         note = f"{len(scan.components)} component(s)"
@@ -273,25 +280,27 @@ def cmd_verify(args, spec: dict, report: Report) -> None:
             solved = np.isfinite(t)
             no_height += len(t) - int(solved.sum())
             x, y, t = x[solved], y[solved], t[solved]
-            far = ~(surf.horizontal_data(x, y, t).w <= gal.W_MARGIN)
+            far = ~(surf.horizontal_data(x, y, t).w <= W_MARGIN)
             near += len(t) - int(far.sum())
             values.append(surf.h_mean_curvature(x[far], y[far], t[far]))
         report.add(check_leq("max_abs_h_curvature", worst_abs(np.concatenate(values)),
-                             gal.TOL_H_ANALYTIC,
+                             TOL_H_ANALYTIC,
                              note=f"{sum(map(len, values))} nodes evaluated, {near} near the "
                                   f"characteristic set, {no_height} without a height"))
     else:
+        from .ruled import chart_samples, curvature_on_patch
         patch = ruled_from_spec(spec)
         worst = worst_abs(curvature_on_patch(patch, *chart_samples(patch, 9)))
         report.add(check_leq("built_patch_minimal", worst, 1e-6))
 
 
 def cmd_seed(args, spec: dict, report: Report) -> None:
+    from .seed import curvature, extract_seed
     entry = _gallery_entry(spec)
     patch = _graph_of(spec, entry)
     if patch is None:
         raise SpecError("seed needs a graph spec or a gallery entry with a graph form")
-    # NaN, inf and a span too long to trace (a closed seed is traced round and round) fail it
+    # NaN, inf and a span too long to trace fail it
     if not (0.0 < args.span and args.span / RK4_STEP <= MAX_SEED_STEPS):
         raise OutOfRange(f"--span {args.span!r}: the arclength half-span must be positive and "
                          f"at most {MAX_SEED_STEPS * RK4_STEP:g} ({MAX_SEED_STEPS} RK4 steps "
@@ -313,20 +322,25 @@ def cmd_seed(args, spec: dict, report: Report) -> None:
 
     unit_dev = worst_abs(pointwise(math.hypot, *curve.tangent(curve.s)) - 1.0)
     report.add(check_leq("arclength_unit_tangent", unit_dev, 1e-8))
-    if entry is not None and entry.known_seed is not None:
-        dev = gal.known_seed_deviation(curve, entry.known_seed(z0))
+    if entry is None:
+        return
+    from .gallery import known_seed_deviation, radius_law_deviation
+    if entry.known_seed is not None:
+        dev = known_seed_deviation(curve, entry.known_seed(z0))
         report.add(check_leq("closed_form_seed", dev, 1e-6))
-    if entry is not None and entry.radius_law is not None:
-        dev = gal.radius_law_deviation(curve, entry.radius_law, z0,
-                                       np.linspace(curve.s_min, curve.s_max, 101))
+    if entry.radius_law is not None:
+        dev = radius_law_deviation(curve, entry.radius_law, z0,
+                                   np.linspace(curve.s_min, curve.s_max, 101))
         report.add(check_leq("radius_law", dev, 1e-6))
 
 
 def cmd_build(args, spec: dict, report: Report) -> None:
+    from .meshes import lint_obj, mesh_graph, mesh_ruled, write_obj
     ns, nr = args.grid
     entry = _gallery_entry(spec)
     patch = _ruled_of(spec, entry)
     if patch is not None:
+        from .ruled import chart_samples, curvature_on_patch
         mesh = mesh_ruled(patch, ns, nr)
         worst = worst_abs(curvature_on_patch(patch, *chart_samples(patch, 7)))
         report.add(check_leq("post_build_minimal", worst, 1e-6))
@@ -336,8 +350,8 @@ def cmd_build(args, spec: dict, report: Report) -> None:
         if graph is None:
             raise SpecError("build needs a ruled or graph spec, or a gallery entry with either")
         mesh = mesh_graph(graph, ns, nr)
-        dev = gal.max_curvature_deviation(graph, graph.domain, min(ns, 41), min(nr, 41))
-        tol = gal.TOL_H_ANALYTIC if graph.analytic else gal.TOL_H_FD
+        dev = max_curvature_deviation(graph, graph.domain, min(ns, 41), min(nr, 41))
+        tol = TOL_H_ANALYTIC if graph.analytic else TOL_H_FD
         report.add(check_leq("post_build_minimal", dev, tol))
 
     obj_path = _output_path(report, args.out, "mesh.obj")
@@ -349,6 +363,8 @@ def cmd_build(args, spec: dict, report: Report) -> None:
 
 
 def cmd_loci(args, spec: dict, report: Report) -> None:
+    from .ruled import characteristic_locus
+    from .seed import curvature
     patch = _ruled_of(spec, _gallery_entry(spec))
     if patch is None:
         raise SpecError("loci needs a ruled spec or a gallery entry with a ruled construction")
@@ -388,6 +404,7 @@ def _branch_corners(rep: LociReport) -> list[float]:
 
 
 def cmd_classify(args, spec: dict, report: Report) -> None:
+    from .ruled import classify_entire_graph
     patch = _graph_of(spec, _gallery_entry(spec))
     if patch is None:
         raise SpecError("classify needs a graph spec or a gallery entry with a graph form")
@@ -398,7 +415,8 @@ def cmd_classify(args, spec: dict, report: Report) -> None:
 
 def _entry_params(name: str, params: dict) -> dict:
     """The parameters of a gallery request that entry ``name`` takes."""
-    accepted = gal.gallery_params(name)
+    from .gallery import gallery_params
+    accepted = gallery_params(name)
     return {k: v for k, v in params.items() if k in accepted}
 
 
@@ -409,21 +427,22 @@ def _gallery_request(args) -> dict:
     parameter, every name resolves to an entry, and no two names spell one
     entry (``gencurve-n`` and ``gencurve-3``).
     """
+    from .gallery import gallery_key, gallery_names, gallery_params
     if "all" in args.names and args.names != ["all"]:
         raise UnknownName(f"'all' names every entry, so it takes no other name: {args.names}")
     repeated = sorted({n for n in args.names if args.names.count(n) > 1})
     if repeated:
         raise UnknownName(f"a gallery entry is named once; named more than once: "
                           f"{', '.join(map(repr, repeated))}")
-    names = gal.gallery_names() if args.names == ["all"] else args.names
+    names = gallery_names() if args.names == ["all"] else args.names
     params = {k: getattr(args, k) for k in GALLERY_OPTIONS if getattr(args, k) is not None}
-    accepted_by_any = set().union(*map(gal.gallery_params, names))
+    accepted_by_any = set().union(*map(gallery_params, names))
     for k in params:
         if k not in accepted_by_any:
             raise UnknownName(f"--{k}: no entry of {names} takes this parameter")
     spelled: dict[tuple, str] = {}
     for name in names:   # a name that does not resolve is reported before any battery runs
-        key = gal.gallery_key(name, **_entry_params(name, params))
+        key = gallery_key(name, **_entry_params(name, params))
         if key in spelled:
             builder, arguments = key
             given = ", ".join(f"{k} = {v!r}" for k, v in arguments) or "no parameters"
@@ -434,8 +453,9 @@ def _gallery_request(args) -> dict:
 
 
 def cmd_gallery(args, request: dict, report: Report) -> None:
+    from .gallery import gallery_verify
     for name in request["names"]:
-        for c in gal.gallery_verify(name, **_entry_params(name, request["params"])):
+        for c in gallery_verify(name, **_entry_params(name, request["params"])):
             c.name = f"{name}.{c.name}"
             report.add(c)
 

@@ -19,9 +19,11 @@ The module also provides the fixed-step RK4 integrator used for
 seed-curve tracing, and adaptive Simpson quadrature for integral-defined
 curves and heights.  The integrator returns the traced points alone, and
 ends a trace at the start of a step whose k2 turns back from its k1
-(k1 . k2 <= 0).  The quadrature ``cumulative_integral`` runs the
-recursion of ``adaptive_simpson`` level by level over arrays, and gives
-its sums bit for bit, with one call of the integrand per level.
+(k1 . k2 <= 0), or after a step, not the first, that passes within
+``CLOSE_TOL`` of the start point: a closed curve is traced once.  The
+quadrature ``cumulative_integral`` runs the recursion of
+``adaptive_simpson`` level by level over arrays, and gives its sums bit
+for bit, with one call of the integrand per level.
 
 Every callable the package stores has one contract: a domain's
 membership predicate, a ``Profile``'s f, d1 and d2, a ``seed.SeedCurve``'s
@@ -63,7 +65,15 @@ HESS_STEP = 5e-5
 PROFILE_STEP = 1e-6
 RK4_STEP = 1e-2
 SIMPSON_TOL = 1e-10
-TURN_BACK = "field turns back: k1 . k2 <= 0"  # rk4_integrate's own stop reason
+# A trace of the unit circle at RK4_STEP passes within 1.1e-5 of its start
+# after one turn: the sagitta of the step's chord, as the traced points stay
+# within 3e-12 of the circle.  CLOSE_TOL is about ten times that, and a
+# hundred times below RK4_STEP, so a curve that only passes near its start
+# goes on.
+CLOSE_TOL = 1e-4
+# rk4_integrate's own stop reasons
+TURN_BACK = "field turns back: k1 . k2 <= 0"
+CLOSED = f"curve closed: a step passed within {CLOSE_TOL:g} of the start point"
 # nodes per array evaluation: bounds the temporaries generated array code
 # keeps alive at once
 CHUNK = 1024
@@ -468,17 +478,20 @@ def rk4_integrate(v: Callable[[float, float], Sequence[float]],
     at the start of a step whose second stage slope turns back from its
     first (``k1 . k2 <= 0``, read before k3 and k4).  For a unit field the
     latter happens only across a point where the field flips direction, or
-    where the curve bends by more than pi/step.  ``v`` is called once per
-    stage point, straight from the loop.
+    where the curve bends by more than pi/step.  It also ends after a step,
+    other than the first, whose segment passes within ``CLOSE_TOL`` of z0
+    (``CLOSED``).  ``v`` is called once per stage point, straight from the
+    loop.
     """
     if step <= 0.0:
         raise ValueError("step must be positive")
     pts = [(float(z0[0]), float(z0[1]))]
     reason = None
-    x, y = pts[0]
+    x, y = x0, y0 = pts[0]
     half = 0.5 * step  # 0.5 * step * k parses as (0.5 * step) * k
+    near = 2.0 * CLOSE_TOL * CLOSE_TOL
     finite = math.isfinite
-    for _ in range(n_steps):
+    for i in range(n_steps):
         try:
             k1x, k1y = v(x, y)
             if not (finite(k1x) and finite(k1y)):
@@ -501,10 +514,27 @@ def rk4_integrate(v: Callable[[float, float], Sequence[float]],
         except (FieldUndefined, StencilOutOfDomain) as err:
             reason = f"{type(err).__name__}: {err}"
             break
+        px, py = x, y
         x += step * (k1x + 2.0 * k2x + 2.0 * k3x + k4x) / 6.0
         y += step * (k1y + 2.0 * k2y + 2.0 * k3y + k4y) / 6.0
         pts.append((x, y))
+        # a step of length L that passes within CLOSE_TOL of z0 ends within
+        # L + CLOSE_TOL of it, so (L + CLOSE_TOL)^2 <= 2 L^2 + near bounds
+        # the steps worth the exact test
+        ux, uy, wx, wy = x - px, y - py, x - x0, y - y0
+        if (i and wx * wx + wy * wy <= 2.0 * (ux * ux + uy * uy) + near
+                and _gap(px, py, x, y, x0, y0) <= CLOSE_TOL):
+            reason = CLOSED
+            break
     return IntegratedCurve(np.array(pts), reason)
+
+
+def _gap(ax: float, ay: float, bx: float, by: float, x0: float, y0: float) -> float:
+    """The distance from (x0, y0) to the segment from (ax, ay) to (bx, by)."""
+    ux, uy, wx, wy = bx - ax, by - ay, x0 - ax, y0 - ay
+    length2 = ux * ux + uy * uy
+    t = min(1.0, max(0.0, (wx * ux + wy * uy) / length2)) if length2 > 0.0 else 0.0
+    return math.hypot(wx - t * ux, wy - t * uy)
 
 
 # ---------------------------------------------------------------------------

@@ -44,8 +44,8 @@ from .ruled import (GeneralizedSeedCurve, GSCJoin, GSCPiece, RuledPatch, _chart_
                     characteristic_locus, chart_samples, curvature_on_patch, locus_branch_slope,
                     roundtrip, validate_gsc, w_direct)
 from .seed import SeedCurve, curvature, extract_seed
-from .surface import (EPS_CHAR, TOL_H_ANALYTIC, TOL_H_FD, W_MARGIN, GraphPatch,
-                      ImplicitSurface, characteristic_scan, read_nodes)
+from .surface import (EPS_CHAR, TOL_H_ANALYTIC, TOL_H_FD, GraphPatch, ImplicitSurface,
+                      characteristic_scan, max_curvature_deviation)
 
 
 # ---------------------------------------------------------------------------
@@ -592,25 +592,6 @@ def gallery_get(name: str, **params) -> GalleryEntry:
 # ---------------------------------------------------------------------------
 
 
-def max_curvature_deviation(patch: GraphPatch, domain: PlanarDomain,
-                            nx: int = 101, ny: int = 101, expect: float = 0.0) -> float:
-    """max |H - expect| over non-characteristic grid nodes (W > W_MARGIN).
-
-    A node whose W is NaN is not skipped, and a node where the height is
-    not finite counts as NaN, so either makes the result NaN.  So does a
-    scan that evaluates no node at all.  The nodes are read by
-    ``surface.read_nodes`` one chunk at a time, and every float, and the
-    first StencilOutOfDomain, is the one a node-by-node scan gives.
-    """
-    deviations = [np.empty(0)]
-    for _, x, y, axes in Grid2(domain, nx, ny).node_chunks():
-        _, w, h, error = read_nodes(patch, x, y, axes)
-        if error is not None:
-            raise error
-        deviations.append(h[~(w <= W_MARGIN)] - expect)
-    return worst_abs(np.concatenate(deviations))
-
-
 def known_seed_deviation(extracted: SeedCurve, known: SeedCurve) -> float:
     """max |gamma_extracted(s) - gamma_known(s)| / max(1, |s|) over the common s range."""
     s = np.linspace(max(extracted.s_min, known.s_min), min(extracted.s_max, known.s_max), 101)
@@ -792,7 +773,8 @@ def _optreg2_corner(entry: GalleryEntry, patch: RuledPatch) -> list[Check]:
     sp = locus_branch_slope(patch, 0.0, +1)
     sm = locus_branch_slope(patch, 0.0, -1)
     return [check_leq("optreg2_branch_values", worst, 1e-8),
-            check_leq("optreg2_branch_at_0", abs(branch(0.0) - 1.0), 1e-12),
+            # the locus's own root at the corner s = 0, where the branch is 1
+            check_leq("optreg2_branch_at_0", worst_abs(rep.r[rep.s == 0.0] - 1.0), 1e-12),
             check_leq("optreg2_slope_jump", abs(abs(sp - sm) - 1.0), 1e-3,
                       note=f"slopes {sp:.6f} / {sm:.6f}")]
 

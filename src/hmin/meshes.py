@@ -18,15 +18,16 @@ import re
 from array import array
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
 from .errors import FieldUndefined
 from .fields import CHUNK, Grid2, PlanarDomain
-from .ruled import RuledPatch
-from .seed import curvature, rule_point
 from .surface import GraphPatch
+
+if TYPE_CHECKING:
+    from .ruled import RuledPatch
 
 DET_CLAMP = 0.02    # chart samples keep |det DF| at or above this
 BLOCK = 1 << 16     # characters per block of lines that lint_obj parses at once
@@ -68,6 +69,7 @@ def mesh_ruled(patch: RuledPatch, ns: int, nr: int) -> Mesh:
     a feature of the surface); the number of moved samples is recorded.
     Each s row is embedded at once, with the arithmetic of ``RuledPatch.embed``.
     """
+    from .seed import curvature, rule_point   # a graph build loads no seed code
     ss, r_lattice = Grid2(PlanarDomain(*patch.s_range, *patch.r_interval()), ns, nr).lattice()
     verts = np.empty((ns, nr, 3))
     clamped = 0

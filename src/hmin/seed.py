@@ -210,10 +210,11 @@ def extract_seed(patch: GraphPatch, z0: tuple[float, float], arc_span: float,
 
     Each branch is traced by RK4 on the unit field (the backward one on the
     reversed field, -nu), so its samples are one step apart in arclength.
-    It ends where the field is undefined (off the domain, or W <= EPS_CHAR)
-    or where it turns back, as it does across a characteristic point (the
-    tracer's stop rule, recorded as the stop reason).  At every traced
-    point the tangent gamma' = nu and the second derivative
+    It ends where the field is undefined (off the domain, or W <= EPS_CHAR),
+    where it turns back, as it does across a characteristic point, or one
+    step past z0 once it has closed (the tracer's stop rules, recorded as
+    the stop reason).  At every traced point the tangent gamma' = nu and
+    the second derivative
 
         gamma'' = (I - nu nu^T) d(p, q)/d(x, y) nu / W
 

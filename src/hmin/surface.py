@@ -34,13 +34,14 @@ Those three take floats or equally long arrays.  So do ``horizontal_data``
 and ``h_mean_curvature``, given a chunk of graph nodes as 1-d arrays x
 and y together with the height field's jet there (``ScalarField2.jet``);
 every element is the float the same call gives at that node.  W =
-hypot(p, q) and W^3 are taken per element, as numpy's differ in the last bit.  ``read_nodes``
-is the one pass over a chunk that the curvature scan and the classifier
-share: the height's jet, then W, then H where W is not <= W_MARGIN, W
-read once per node.  The curvature scan and ``characteristic_scan`` read
-the chunks of a ``Grid2`` lattice with their axes (``Grid2.node_chunks``),
-so the height's subexpressions in x alone or y alone are computed once
-per lattice coordinate.
+hypot(p, q) and W^3 are taken per element, as numpy's differ in the last
+bit.  ``read_nodes`` is the one pass over a chunk that the curvature scan
+(``max_curvature_deviation``) and the classifier share: the height's jet,
+then W, then H where W is not <= W_MARGIN, W read once per node.  The
+curvature scan and ``characteristic_scan`` read the chunks of a ``Grid2``
+lattice with their axes (``Grid2.node_chunks``), so the height's
+subexpressions in x alone or y alone are computed once per lattice
+coordinate.
 """
 
 from __future__ import annotations
@@ -56,6 +57,7 @@ from . import expr as ex
 from .errors import CharacteristicPoint, FieldUndefined, StencilOutOfDomain
 from .fields import Grid2, PlanarDomain, ScalarField2, select_axes
 from .heis import HPoint
+from .report import worst_abs
 
 EPS_CHAR = 1e-9
 W_MARGIN = 1e-3  # curvature is read only where W exceeds this
@@ -246,6 +248,25 @@ def read_nodes(patch: GraphPatch, x: np.ndarray, y: np.ndarray,
             _, _, h, _ = read_nodes(patch, x[head], y[head], select_axes(axes, head))
             return jet[0], w, h, err
     return jet[0], w, h, None
+
+
+def max_curvature_deviation(patch: GraphPatch, domain: PlanarDomain,
+                            nx: int = 101, ny: int = 101, expect: float = 0.0) -> float:
+    """max |H - expect| over non-characteristic grid nodes (W > W_MARGIN).
+
+    A node whose W is NaN is not skipped, and a node where the height is
+    not finite counts as NaN, so either makes the result NaN.  So does a
+    scan that evaluates no node at all.  The nodes are read by
+    ``read_nodes`` one chunk at a time, and every float, and the
+    first StencilOutOfDomain, is the one a node-by-node scan gives.
+    """
+    deviations = [np.empty(0)]
+    for _, x, y, axes in Grid2(domain, nx, ny).node_chunks():
+        _, w, h, error = read_nodes(patch, x, y, axes)
+        if error is not None:
+            raise error
+        deviations.append(h[~(w <= W_MARGIN)] - expect)
+    return worst_abs(np.concatenate(deviations))
 
 
 # ---------------------------------------------------------------------------

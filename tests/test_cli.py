@@ -330,7 +330,7 @@ def test_fd_only_graph_spec_runs(tmp_path):
         assert main([command, "--spec", spec, "--out", str(tmp_path / command)]) == 0
     report = json.loads((tmp_path / "verify" / "report.json").read_text())
     check = report["checks"][0]
-    assert check["name"] == "max_abs_h_curvature" and check["threshold"] == gallery.TOL_H_FD
+    assert check["name"] == "max_abs_h_curvature" and check["threshold"] == surface.TOL_H_FD
     assert 0.0 < check["measured"] <= 1e-6
     verdict = json.loads((tmp_path / "classify" / "report.json").read_text())["result"]
     assert verdict["kind"] == "class2"
@@ -754,8 +754,8 @@ def test_report_defaults_are_module_constants(tmp_path):
     assert report["defaults"] == {
         "fd_step": fields.FD_STEP, "hess_step": fields.HESS_STEP,
         "rk4_step": fields.RK4_STEP, "eps_char": surface.EPS_CHAR,
-        "tol_h_analytic": gallery.TOL_H_ANALYTIC, "tol_h_fd": gallery.TOL_H_FD,
-        "w_margin": gallery.W_MARGIN,
+        "tol_h_analytic": surface.TOL_H_ANALYTIC, "tol_h_fd": surface.TOL_H_FD,
+        "w_margin": surface.W_MARGIN,
     }
 
 

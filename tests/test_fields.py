@@ -6,9 +6,9 @@ import pytest
 from hmin import expr as ex
 from hmin import gallery
 from hmin.errors import FieldUndefined, StencilOutOfDomain
-from hmin.fields import (CHUNK, FD_STEP, SIMPSON_TOL, TURN_BACK, Grid2, PlanarDomain, Profile,
-                         ScalarField2, adaptive_simpson, cumulative_integral,
-                         rk4_integrate, square)
+from hmin.fields import (CHUNK, CLOSE_TOL, CLOSED, FD_STEP, RK4_STEP, SIMPSON_TOL, TURN_BACK,
+                         Grid2, PlanarDomain, Profile, ScalarField2, adaptive_simpson,
+                         cumulative_integral, rk4_integrate, square)
 
 
 def fd_field(src, domain=None):
@@ -267,6 +267,29 @@ def test_rk4_ends_where_the_field_turns_back():
     assert out.stop_reason == TURN_BACK
     assert len(out.points) == 4
     assert out.points[-1].tolist() == [pytest.approx(0.3), 0.0]
+
+
+def test_rk4_ends_a_closed_curve_after_one_turn():
+    # 2 pi / RK4_STEP = 628.3 steps: step 629 passes the start point, within
+    # the chord's sagitta (1.1e-5) of it
+    out = rk4_integrate(circle_field, (1.0, 0.0), RK4_STEP, 1000)
+    assert out.stop_reason == CLOSED
+    assert len(out.points) == 630
+    assert 2 * math.pi < 629 * RK4_STEP < 2 * math.pi + RK4_STEP
+
+
+def test_rk4_goes_on_past_a_start_point_it_only_passes_near():
+    # a slowly opening spiral comes back 6e-3 from its start after a turn:
+    # closer than one step, but not within CLOSE_TOL
+    def spiral_field(x, y):
+        vx, vy = -y + 1e-3 * x, x + 1e-3 * y
+        n = math.hypot(vx, vy)
+        return (vx / n, vy / n)
+
+    out = rk4_integrate(spiral_field, (1.0, 0.0), RK4_STEP, 1000)
+    assert out.stop_reason is None and len(out.points) == 1001
+    gaps = np.hypot(out.points[600:, 0] - 1.0, out.points[600:, 1])
+    assert CLOSE_TOL < gaps.min() < RK4_STEP
 
 
 def test_rk4_rejects_bad_step():

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -164,6 +165,30 @@ def test_battery_solves_the_locus_only_where_a_check_reads_it(monkeypatch):
     n_s.clear()
     gallery_verify("gencurve-n")
     assert n_s == []
+
+
+@pytest.mark.parametrize("damage", ["shifted", "missing"])
+def test_optreg2_branch_at_0_reads_the_locus_root_there(monkeypatch, damage):
+    # the kappa-zero root at s = 0 is r = 1 exactly; moved by 1e-9 (inside
+    # optreg2_branch_values' 1e-8) or gone, it fails the 1e-12 check
+    locus = gallery.characteristic_locus
+
+    def damaged(patch, **kwargs):
+        rep = locus(patch, **kwargs)
+        at0 = rep.s == 0.0
+        assert rep.r[at0].tolist() == [1.0]
+        if damage == "shifted":
+            return dataclasses.replace(rep, r=np.where(at0, rep.r + 1e-9, rep.r))
+        return dataclasses.replace(rep, s=rep.s[~at0], r=rep.r[~at0])
+
+    checks = {c.name: c for c in gallery_verify("optreg2")}
+    assert checks["optreg2_branch_at_0"].passed and checks["optreg2_branch_at_0"].measured == 0.0
+    monkeypatch.setattr(gallery, "characteristic_locus", damaged)
+    checks = {c.name: c for c in gallery_verify("optreg2")}
+    assert checks["optreg2_branch_values"].passed
+    assert not checks["optreg2_branch_at_0"].passed
+    assert (checks["optreg2_branch_at_0"].measured == pytest.approx(1e-9, rel=1e-6)
+            if damage == "shifted" else math.isnan(checks["optreg2_branch_at_0"].measured))
 
 
 def test_optreg2_h0_is_its_sampled_hermite_over_floats_and_arrays():

@@ -6,7 +6,9 @@ import pytest
 from hmin import expr as ex
 from hmin import seed as seed_module
 from hmin.errors import CharacteristicStart, FieldUndefined, OutOfRange, StencilOutOfDomain
-from hmin.fields import RK4_STEP, TURN_BACK, PlanarDomain, ScalarField2, full, rk4_integrate, square
+from hmin.cli import main
+from hmin.fields import (CLOSED, RK4_STEP, TURN_BACK, PlanarDomain, ScalarField2, full,
+                         rk4_integrate, square)
 from hmin.gallery import circle_seed, gallery_get, gallery_names, line_seed, optreg2_seed
 from hmin.seed import (_RANGE_SLOP, SeedCurve, curvature, extract_seed, rule_jacobian_det,
                        rule_jacobian_det_fd, rule_point, singular_locus)
@@ -18,6 +20,19 @@ PARAB = GraphPatch.from_expr("(x^2+y^2)/4", square(3.0))  # characteristic at th
 CATENOID = GraphPatch.from_expr(
     "sqrt((x^2+y^2)/2 - 1)",
     PlanarDomain(-4, 4, -4, 4, lambda x, y: x * x + y * y > 2.05))
+
+
+def test_a_closed_seed_is_traced_once_each_way(tmp_path):
+    # the longest span the CLI takes; each branch ends one step past z0
+    spec = tmp_path / "spec.json"
+    spec.write_text('{"kind": "gallery", "gallery": {"name": "char-plane"}}')
+    assert main(["seed", "--spec", str(spec), "--z0", "1", "0", "--span", "1000",
+                 "--out", str(tmp_path)]) == 0
+    rows = (tmp_path / "seed.csv").read_text().splitlines()[1:]
+    assert len(rows) == 2 * 629 + 1
+    c = extract_seed(gallery_get("char-plane").graph, (1.0, 0.0), 1000.0)
+    assert (c.stop_lo, c.stop_hi) == (CLOSED, CLOSED)
+    assert c.s_min == -c.s_max == -629 * RK4_STEP
 
 
 def test_flat_seed_is_the_unit_circle():
