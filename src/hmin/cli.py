@@ -49,7 +49,7 @@ from .expr import pointwise
 from .fields import FD_STEP, HESS_STEP, RK4_STEP, Grid2, PlanarDomain, Profile, chunks, finite
 from .report import Report, check_flag, check_leq, digest_of, worst_abs
 from .surface import (EPS_CHAR, TOL_H_ANALYTIC, TOL_H_FD, W_MARGIN, GraphPatch, ImplicitSurface,
-                      characteristic_scan, horizontal_data, max_curvature_deviation)
+                      ScanLattice, characteristic_scan, horizontal_data, max_curvature_deviation)
 
 if TYPE_CHECKING:
     from .gallery import GalleryEntry
@@ -260,9 +260,11 @@ def cmd_verify(args, spec: dict, report: Report) -> None:
     elif spec["kind"] == "graph":
         patch = graph_from_spec(spec)
         tol = TOL_H_ANALYTIC if patch.analytic else TOL_H_FD
-        dev = max_curvature_deviation(patch, patch.domain, nx, ny)
+        # one read of the lattice for both checks
+        lattice = ScanLattice(Grid2(patch.domain, nx, ny))
+        dev = max_curvature_deviation(patch, patch.domain, nx, ny, lattice=lattice)
         report.add(check_leq("max_abs_h_curvature", dev, tol))
-        scan = characteristic_scan(patch, Grid2(patch.domain, nx, ny), EPS_CHAR)
+        scan = characteristic_scan(patch, lattice.grid, EPS_CHAR, lattice)
         note = f"{len(scan.components)} component(s)"
         if scan.undefined_w:
             note += f", {scan.undefined_w} node(s) where W is not finite"

@@ -202,9 +202,13 @@ class ScalarField2:
     def _check_stencils(self, x: np.ndarray, y: np.ndarray, h: float):
         """``_check_stencil`` at each node of a chunk: raises for the first
         failing node, and the error records its index as ``node``."""
-        # the 8 stencil points of every node in one membership call
-        px, py = (np.concatenate(c) for c in zip(*_stencil_points(x, y, h)))
-        ok = self.domain.contains_all(px, py).reshape(8, -1).all(axis=0)
+        dom = self.domain
+        # the bounds of a node's 8 points at once, as ``_check_stencil`` takes them
+        ok = (dom.xmin <= x - h) & (x + h <= dom.xmax) & (dom.ymin <= y - h) & (y + h <= dom.ymax)
+        if dom.membership is not None and ok.any():
+            # the 8 stencil points of every node in bounds in one membership call
+            px, py = (np.concatenate(c) for c in zip(*_stencil_points(x[ok], y[ok], h)))
+            ok[ok] = dom.contains_all(px, py).reshape(8, -1).all(axis=0)
         if not ok.all():
             i = int(np.argmin(ok))
             try:

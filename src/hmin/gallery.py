@@ -45,7 +45,7 @@ from .ruled import (GeneralizedSeedCurve, GSCJoin, GSCPiece, RuledPatch, _chart_
                     roundtrip, validate_gsc, w_direct)
 from .seed import SeedCurve, curvature, extract_seed
 from .surface import (EPS_CHAR, TOL_H_ANALYTIC, TOL_H_FD, GraphPatch, ImplicitSurface,
-                      characteristic_scan, max_curvature_deviation)
+                      ScanLattice, characteristic_scan, max_curvature_deviation)
 
 
 # ---------------------------------------------------------------------------
@@ -345,10 +345,13 @@ def _catenoid(a: float = 2.0, u0: float = 0.0) -> GalleryEntry:
 
 
 def _sector(x_min: float, half_angle: float) -> Callable:
-    """The membership x >= x_min and |atan2(y, x)| <= half_angle, at a point
-    or over arrays (math.atan2 at each element: numpy's differs in the last bit)."""
+    """The membership x >= x_min and |y| <= x tan(half_angle): the sector
+    |atan2(y, x)| <= half_angle of the half-plane x >= x_min > 0, up to
+    rounding at its edge rays.  One expression serves floats and arrays."""
+    slope = math.tan(half_angle)
+
     def inside(x, y):
-        return (x >= x_min) & (abs(ex.pointwise(math.atan2, y, x)) <= half_angle)
+        return (x >= x_min) & (abs(y) <= x * slope)
 
     return inside
 
@@ -650,14 +653,19 @@ def gallery_verify(name: str, **params) -> list[Check]:
                           "finite point of the graph's domain")
     checks: list[Check] = []
 
+    lattice = None
     if entry.graph is not None:
         ta, expect = entry.tol_h_analytic, entry.expected_curvature
         scans = [("analytic", entry.graph, expect, ta), ("fd", entry.graph.fd_only(), expect, TOL_H_FD)]
         if entry.graph_lower is not None:
             scans.append(("lower", entry.graph_lower, -expect, ta))
+        if entry.expected_scan is not None and entry.scan_domain is None:
+            # the characteristic scan clusters what the analytic scan reads
+            lattice = ScanLattice(Grid2(entry.verify_domain, 101, 101))
         for label, graph, value, tol in scans:
             try:
-                dev = max_curvature_deviation(graph, entry.verify_domain, expect=value)
+                dev = max_curvature_deviation(graph, entry.verify_domain, expect=value,
+                                              lattice=lattice if label == "analytic" else None)
             except StencilOutOfDomain as err:
                 # the domains come from the parameters alone: too small for the stencils
                 raise UnknownName(f"bad parameters for {name!r}: {err} in h_scan_{label}") from None
@@ -686,7 +694,7 @@ def gallery_verify(name: str, **params) -> list[Check]:
                                 worst_abs(abs(patch.w(s, r)) - w_direct(patch, s, r)), 1e-6))
 
     if entry.expected_scan is not None and entry.graph is not None:
-        checks.append(_check_scan(entry))
+        checks.append(_check_scan(entry, lattice))
 
     if entry.check_roundtrip:
         err = roundtrip(entry.graph, extracted, entry.arc_span, 0.4)
@@ -706,11 +714,13 @@ def gallery_verify(name: str, **params) -> list[Check]:
     return checks
 
 
-def _check_scan(entry: GalleryEntry) -> Check:
-    """The characteristic scan of the graph against ``expected_scan``."""
-    scan = characteristic_scan(entry.graph,
-                               Grid2(entry.scan_domain or entry.verify_domain, 101, 101),
-                               EPS_CHAR)
+def _check_scan(entry: GalleryEntry, lattice: Optional[ScanLattice] = None) -> Check:
+    """The characteristic scan of the graph against ``expected_scan``, over
+    ``lattice`` (the verify lattice, as the analytic curvature scan read
+    it), or else over the entry's scan or verify domain."""
+    grid = lattice.grid if lattice is not None else Grid2(entry.scan_domain or entry.verify_domain,
+                                                          101, 101)
+    scan = characteristic_scan(entry.graph, grid, EPS_CHAR, lattice)
     kind = entry.expected_scan["kind"]
     if kind == "empty":
         # a node where W is not finite may hide a characteristic point

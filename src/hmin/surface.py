@@ -41,7 +41,9 @@ then W, then H where W is not <= W_MARGIN, W read once per node.  The
 curvature scan and ``characteristic_scan`` read the chunks of a ``Grid2``
 lattice with their axes (``Grid2.node_chunks``), so the height's
 subexpressions in x alone or y alone are computed once per lattice
-coordinate.
+coordinate.  The curvature scan can keep the height and W it reads in a
+``ScanLattice``, and ``characteristic_scan`` clusters that record, so
+checking both halves of a graph over one lattice reads each node once.
 """
 
 from __future__ import annotations
@@ -250,8 +252,40 @@ def read_nodes(patch: GraphPatch, x: np.ndarray, y: np.ndarray,
     return jet[0], w, h, None
 
 
+class ScanLattice:
+    """W and the height's finiteness at the nodes of a ``Grid2``, as
+    (nx, ny) arrays over its lattice: what ``characteristic_scan``
+    clusters.  A node outside the domain is not ``inside``, and its W is
+    inf.
+
+    ``max_curvature_deviation`` fills one as it reads the nodes, so a scan
+    of the same grid reads no node again.
+    """
+
+    def __init__(self, grid: Grid2):
+        self.grid = grid
+        self.xs, self.ys = grid.lattice()
+        shape = (len(self.xs), len(self.ys))
+        self.inside = np.zeros(shape, dtype=bool)
+        self.no_height = np.zeros(shape, dtype=bool)
+        self.w = np.full(shape, np.inf)
+
+    def add(self, nodes: np.ndarray, t: np.ndarray, w: np.ndarray) -> None:
+        """The height t and W at the nodes of a chunk (flat lattice indices)."""
+        # the arrays are C-contiguous, so ravel() is a view of each
+        self.inside.ravel()[nodes] = True
+        self.no_height.ravel()[nodes] = ~np.isfinite(t)
+        self.w.ravel()[nodes] = w
+
+
+def _check_grid(lattice: Optional[ScanLattice], grid: Grid2) -> None:
+    if lattice is not None and lattice.grid != grid:
+        raise ValueError(f"a lattice of {lattice.grid} given for {grid}")
+
+
 def max_curvature_deviation(patch: GraphPatch, domain: PlanarDomain,
-                            nx: int = 101, ny: int = 101, expect: float = 0.0) -> float:
+                            nx: int = 101, ny: int = 101, expect: float = 0.0,
+                            lattice: Optional[ScanLattice] = None) -> float:
     """max |H - expect| over non-characteristic grid nodes (W > W_MARGIN).
 
     A node whose W is NaN is not skipped, and a node where the height is
@@ -259,12 +293,18 @@ def max_curvature_deviation(patch: GraphPatch, domain: PlanarDomain,
     scan that evaluates no node at all.  The nodes are read by
     ``read_nodes`` one chunk at a time, and every float, and the
     first StencilOutOfDomain, is the one a node-by-node scan gives.
+    ``lattice``, a ``ScanLattice`` of this grid, takes the height and W
+    of every node read; it is whole once the scan returns.
     """
+    grid = Grid2(domain, nx, ny)
+    _check_grid(lattice, grid)
     deviations = [np.empty(0)]
-    for _, x, y, axes in Grid2(domain, nx, ny).node_chunks():
-        _, w, h, error = read_nodes(patch, x, y, axes)
+    for nodes, x, y, axes in grid.node_chunks():
+        t, w, h, error = read_nodes(patch, x, y, axes)
         if error is not None:
             raise error
+        if lattice is not None:
+            lattice.add(nodes, t, w)
         deviations.append(h[~(w <= W_MARGIN)] - expect)
     return worst_abs(np.concatenate(deviations))
 
@@ -355,27 +395,28 @@ class CharacteristicScan:
         return not self.components
 
 
-def characteristic_scan(patch: GraphPatch, grid: Grid2, eps: float) -> CharacteristicScan:
+def characteristic_scan(patch: GraphPatch, grid: Grid2, eps: float,
+                        lattice: Optional[ScanLattice] = None) -> CharacteristicScan:
     """Grid nodes with W < eps, grouped into 8-connected components.
 
-    W and the height are read through the height field's jet, one chunk of
-    nodes at a time; that array code is all the scan compiles.  The height
-    must be finite at every flagged node: where it is not, the surface is
-    undefined there, and FieldUndefined names the first such node in
-    lattice order.
+    W and the height are those of ``lattice`` when it is given: a
+    ``ScanLattice`` of this grid that ``max_curvature_deviation`` filled
+    on the same patch.  Otherwise they are read through the height field's
+    jet, one chunk of nodes at a time; that array code is all the scan
+    compiles.  The height must be finite at every flagged node: where it
+    is not, the surface is undefined there, and FieldUndefined names the
+    first such node in lattice order.
     """
-    xs, ys = grid.lattice()
-    ni, nj = len(xs), len(ys)
-    inside = np.zeros((ni, nj), dtype=bool)
-    no_height = np.zeros((ni, nj), dtype=bool)
-    w = np.full((ni, nj), np.inf)
-    for nodes, x, y, axes in grid.node_chunks():
-        jet = patch.h.jet(x, y, axes=axes)
-        inside.flat[nodes] = True
-        no_height.flat[nodes] = ~np.isfinite(jet[0])
-        w.flat[nodes] = horizontal_data(patch, (x, y), jet=jet).w
+    _check_grid(lattice, grid)
+    if lattice is None:
+        lattice = ScanLattice(grid)
+        for nodes, x, y, axes in grid.node_chunks():
+            jet = patch.h.jet(x, y, axes=axes)
+            lattice.add(nodes, jet[0], horizontal_data(patch, (x, y), jet=jet).w)
+    xs, ys, inside, w = lattice.xs, lattice.ys, lattice.inside, lattice.w
+    ni, nj = w.shape
     flagged = inside & (w < eps)
-    undefined = np.argwhere(flagged & no_height)
+    undefined = np.argwhere(flagged & lattice.no_height)
     if len(undefined):
         i, j = undefined[0]
         raise FieldUndefined(f"height not finite at ({float(xs[i])}, {float(ys[j])})")

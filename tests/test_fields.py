@@ -6,8 +6,8 @@ import pytest
 from hmin import expr as ex
 from hmin import gallery
 from hmin.errors import FieldUndefined, StencilOutOfDomain
-from hmin.fields import (CHUNK, CLOSE_TOL, CLOSED, FD_STEP, RK4_STEP, SIMPSON_TOL, TURN_BACK,
-                         Grid2, PlanarDomain, Profile, ScalarField2, adaptive_simpson,
+from hmin.fields import (CHUNK, CLOSE_TOL, CLOSED, FD_STEP, HESS_STEP, RK4_STEP, SIMPSON_TOL,
+                         TURN_BACK, Grid2, PlanarDomain, Profile, ScalarField2, adaptive_simpson,
                          cumulative_integral, rk4_integrate, square)
 
 
@@ -101,6 +101,59 @@ def test_stencil_fast_path_agrees_with_the_loop(dom):
             assert str(err.value) == want
         seen.add(want is None)
     assert seen == {True, False}
+
+
+def _ulps(v: float, k: int = 2) -> list[float]:
+    """v and its k nearest floats on either side."""
+    lo = hi = v
+    out = [v]
+    for _ in range(k):
+        lo, hi = math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf)
+        out += [lo, hi]
+    return out
+
+
+@pytest.mark.parametrize("h", [FD_STEP, HESS_STEP], ids=["fd", "hessian"])
+@pytest.mark.parametrize("dom", [
+    PlanarDomain(-1.3, 0.7, -0.9, 1.1),
+    PlanarDomain(-1.3, 0.7, -0.9, 1.1, membership=lambda x, y: x + y <= 1.0),
+], ids=["rectangle", "membership"])
+def test_array_stencil_check_is_the_scalar_check_at_the_box_edges(dom, h):
+    field = fd_field("x + y", dom)
+    mid = (-0.3, 0.1)
+    edges = {"xmin": [(x, mid[1]) for x in _ulps(dom.xmin + h)],
+             "xmax": [(x, mid[1]) for x in _ulps(dom.xmax - h)],
+             "ymin": [(mid[0], y) for y in _ulps(dom.ymin + h)],
+             "ymax": [(mid[0], y) for y in _ulps(dom.ymax - h)]}
+
+    def scalar(x, y):
+        try:
+            field._check_stencil(x, y, h)
+        except StencilOutOfDomain as err:
+            return str(err)
+        return None
+
+    for edge, nodes in edges.items():
+        outcomes = set()
+        for node in nodes + [(math.nan, mid[1]), (mid[0], math.nan)]:
+            want = scalar(*node)
+            outcomes.add(want is None)
+            # the node between two that pass, as the second node of a chunk
+            x, y = (np.array(c) for c in zip(mid, node, mid))
+            if want is None:
+                field._check_stencil(x, y, h)
+                continue
+            with pytest.raises(StencilOutOfDomain) as err:
+                field._check_stencil(x, y, h)
+            assert (err.value.node, str(err.value)) == (1, want), edge
+        # the nodes one ulp apart fall on either side of the edge
+        assert outcomes == {True, False}, edge
+        # all of them in one chunk: the first node the scalar check fails
+        x, y = (np.array(c) for c in zip(*nodes))
+        first = next(i for i, node in enumerate(nodes) if scalar(*node) is not None)
+        with pytest.raises(StencilOutOfDomain) as err:
+            field._check_stencil(x, y, h)
+        assert (err.value.node, str(err.value)) == (first, scalar(*nodes[first]))
 
 
 def test_jet_of_a_stencil_field_comes_in_two_steps():

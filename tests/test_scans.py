@@ -6,6 +6,7 @@ the same.
 """
 
 import functools
+import json
 import math
 from dataclasses import replace
 
@@ -13,16 +14,16 @@ import numpy as np
 import pytest
 
 from hmin import expr as ex
-from hmin.cli import ruled_from_spec
+from hmin.cli import main, ruled_from_spec
 from hmin.errors import StencilOutOfDomain
-from hmin.fields import CHUNK, Grid2, PlanarDomain, ScalarField2
-from hmin.gallery import gallery_get, gallery_names, max_curvature_deviation
+from hmin.fields import CHUNK, Grid2, PlanarDomain, ScalarField2, square
+from hmin.gallery import gallery_get, gallery_names, gallery_verify, max_curvature_deviation
 from hmin.heis import HPoint
 from hmin.report import worst_abs
 from hmin.ruled import classify_entire_graph, roundtrip
 from hmin.seed import SeedCurve, curvature, extract_seed
-from hmin.surface import (EPS_CHAR, TOL_H_FD, W_MARGIN, GraphPatch, ScanComponent, _pq,
-                          characteristic_scan, h_mean_curvature, horizontal_data,
+from hmin.surface import (EPS_CHAR, TOL_H_FD, W_MARGIN, GraphPatch, ScanComponent, ScanLattice,
+                          _pq, characteristic_scan, h_mean_curvature, horizontal_data,
                           rotate_graph, translate_graph)
 
 
@@ -211,6 +212,102 @@ def test_characteristic_scan_counts_nodes_where_w_is_not_finite():
     scan = characteristic_scan(patch, Grid2(patch.domain, 101, 101), EPS_CHAR)
     assert len(scan.components) == 1
     assert scan.undefined_w == 51 * 101
+
+
+def _scan_outcome(*args):
+    """repr of ``characteristic_scan(*args)``: its components, their
+    representatives and its undefined W count, or its error."""
+    try:
+        scan = characteristic_scan(*args)
+    except Exception as err:  # noqa: BLE001 -- the error is the outcome
+        return repr(err)
+    return repr(([c.nodes for c in scan.components],
+                 [c.representative for c in scan.components], scan.undefined_w))
+
+
+@pytest.mark.parametrize("src,dom,fd", [
+    ("x*y/2", PlanarDomain(-2, 2, -2, 2), False),
+    ("x*y/2", PlanarDomain(-2, 2, -2, 2), True),
+    # the characteristic point of t = 0 is the middle node
+    ("0", PlanarDomain(-2, 2, -2, 2), True),
+    # W is NaN on 51 columns
+    ("x*y/2 + sqrt(x)", PlanarDomain(-1, 1, -1, 1), False),
+    # the x-axis is characteristic, and at x < 0 the height is not finite there
+    ("x*y/2 + 0*sqrt(x)", PlanarDomain(-1, 1, -1, 1), False),
+])
+def test_scan_of_the_curvature_scans_lattice_is_the_scan_that_reads_the_nodes(src, dom, fd):
+    patch = GraphPatch.from_expr(src, dom)
+    if fd:
+        # the stencils of the grid's nodes stay inside the patch
+        patch, dom = patch.fd_only(), PlanarDomain(-1.9, 1.9, -1.9, 1.9)
+    grid = Grid2(dom, 101, 101)
+    lattice = ScanLattice(grid)
+    max_curvature_deviation(patch, dom, 101, 101, lattice=lattice)
+    assert _scan_outcome(patch, grid, EPS_CHAR, lattice) == _scan_outcome(patch, grid, EPS_CHAR)
+
+
+def test_a_lattice_of_another_grid_is_refused():
+    patch = GraphPatch.from_expr("x*y/2", square(1.0))
+    lattice = ScanLattice(Grid2(square(1.0), 11, 11))
+    with pytest.raises(ValueError):
+        max_curvature_deviation(patch, square(1.0), 11, 12, lattice=lattice)
+    with pytest.raises(ValueError):
+        characteristic_scan(patch, Grid2(square(2.0), 11, 11), EPS_CHAR, lattice)
+
+
+def _lattice_reads(monkeypatch) -> list:
+    """Spies on ScalarField2.jet; returns the list that each read of a
+    chunk's jet (not the completion of a 1-jet) appends (f's text, whether
+    the field is analytic, nodes, whether it came with lattice axes) to."""
+    reads = []
+    jet = ScalarField2.jet
+
+    def spy(self, x, y, first=None, axes=None):
+        if isinstance(x, np.ndarray) and first is None:
+            reads.append((ex.to_str(self.exprs[0]), self.analytic, len(x), axes is not None))
+        return jet(self, x, y, first, axes)
+    monkeypatch.setattr(ScalarField2, "jet", spy)
+    return reads
+
+
+@pytest.mark.parametrize("fd", [False, True])
+def test_graph_verify_reads_each_node_once(monkeypatch, tmp_path, fd):
+    spec = tmp_path / "graph.json"
+    spec.write_text(json.dumps({"kind": "graph", "graph": {
+        "h": "x*y/2", "fd_only": fd, "domain": {"xmin": -2, "xmax": 2, "ymin": -2, "ymax": 2}}}))
+    reads = _lattice_reads(monkeypatch)
+    assert main(["verify", "--spec", str(spec), "--out", str(tmp_path / "out")]) == 0
+    # the curvature scan and the characteristic scan share one read of the
+    # 101 x 101 lattice: 10 chunks, where each scan read them all
+    assert len(reads) == 10 and sum(n for *_, n, _ in reads) == 101 * 101
+
+
+@pytest.mark.parametrize("name", ["char-plane", "general-plane", "hyperbolic", "catenoid",
+                                  "counterexample"])
+def test_gallery_verify_reads_the_verify_lattice_once(monkeypatch, name):
+    entry = gallery_get(name)
+    reads = _lattice_reads(monkeypatch)
+    gallery_verify(name)
+    upper = ex.to_str(entry.graph.h.exprs[0])
+    nodes = [len(Grid2(entry.verify_domain, 101, 101).points()[0])]
+    if entry.scan_domain is not None:
+        # general-plane scans a lattice of its own, centred on its characteristic point
+        nodes.append(len(Grid2(entry.scan_domain, 101, 101).points()[0]))
+    assert sum(n for f, analytic, n, axes in reads if f == upper and analytic and axes) == sum(nodes)
+
+
+def test_counterexample_battery_maps_its_sector_by_no_float_function(monkeypatch):
+    # the sector's atan2 mapped every stencil and lattice point, and the
+    # characteristic scan read the verify lattice again: 450,212 elements
+    mapped = []
+    pointwise = ex.pointwise
+
+    def spy(fn, *args):
+        mapped.append(next((len(a) for a in args if isinstance(a, np.ndarray)), 0))
+        return pointwise(fn, *args)
+    monkeypatch.setattr(ex, "pointwise", spy)
+    assert all(c.passed for c in gallery_verify("counterexample"))
+    assert 0 < sum(mapped) <= 270_000
 
 
 # -- per-element cost --------------------------------------------------------------
