@@ -10,7 +10,9 @@
 Specs are JSON files validated by hmin.schema against the shipped schema
 (src/hmin/spec.schema.json); field-valued entries use the expression
 language of docs/grammar.md.  Outputs (report.json plus seed.csv,
-loci.csv or mesh.obj depending on the command) are deterministic.
+loci.csv or mesh.obj depending on the command) are deterministic.  verify
+reads --grid for graph and implicit specs only: a ruled spec is checked on
+a 9x9 chart and a gallery spec on its battery's own grids.
 
 Exit codes: 0 all checks pass, 1 a check failed (a height that is not
 finite fails the check that reads it), 2 spec or input error (including
@@ -138,7 +140,7 @@ def graph_from_spec(spec: dict) -> GraphPatch:
 def implicit_from_spec(spec: dict) -> ImplicitSurface:
     imp = spec["implicit"]
     try:
-        return ImplicitSurface.from_expr(imp["phi"], imp.get("orientation", 1))
+        return ImplicitSurface.from_expr(imp["phi"])
     except ParseError as err:
         raise SpecError(f"bad level-set expression: {err}") from None
 
@@ -264,7 +266,7 @@ def cmd_verify(args, spec: dict, report: Report) -> None:
         lattice = ScanLattice(Grid2(patch.domain, nx, ny))
         dev = max_curvature_deviation(patch, patch.domain, nx, ny, lattice=lattice)
         report.add(check_leq("max_abs_h_curvature", dev, tol))
-        scan = characteristic_scan(patch, lattice.grid, EPS_CHAR, lattice)
+        scan = characteristic_scan(patch, lattice.grid, lattice)
         note = f"{len(scan.components)} component(s)"
         if scan.undefined_w:
             note += f", {scan.undefined_w} node(s) where W is not finite"

@@ -49,7 +49,7 @@ class ParseError(HminError):
     what was expected there.
     """
 
-    def __init__(self, position: int, expected: str, found: str = ""):
+    def __init__(self, position: int, expected: str, found: str):
         self.position = position
         self.expected = expected
         self.found = found

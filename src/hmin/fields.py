@@ -306,12 +306,8 @@ class ScalarField2:
         return ScalarField2(trees, domain)
 
     def fd_only(self) -> "ScalarField2":
-        """The field of the same height with f alone (pure FD mode); it takes
-        over this field's f if that is compiled already."""
-        out = ScalarField2(self.exprs[:1], self.domain)
-        if "f" in self.__dict__:
-            out.f = self.f
-        return out
+        """The field of the same height with f alone (pure FD mode)."""
+        return ScalarField2(self.exprs[:1], self.domain)
 
 
 @dataclass(frozen=True)

@@ -44,8 +44,8 @@ from .ruled import (GeneralizedSeedCurve, GSCJoin, GSCPiece, RuledPatch, _chart_
                     characteristic_locus, chart_samples, curvature_on_patch, locus_branch_slope,
                     roundtrip, validate_gsc, w_direct)
 from .seed import SeedCurve, curvature, extract_seed
-from .surface import (EPS_CHAR, TOL_H_ANALYTIC, TOL_H_FD, GraphPatch, ImplicitSurface,
-                      ScanLattice, characteristic_scan, max_curvature_deviation)
+from .surface import (TOL_H_ANALYTIC, TOL_H_FD, GraphPatch, ImplicitSurface, ScanLattice,
+                      characteristic_scan, max_curvature_deviation)
 
 
 # ---------------------------------------------------------------------------
@@ -720,7 +720,7 @@ def _check_scan(entry: GalleryEntry, lattice: Optional[ScanLattice] = None) -> C
     it), or else over the entry's scan or verify domain."""
     grid = lattice.grid if lattice is not None else Grid2(entry.scan_domain or entry.verify_domain,
                                                           101, 101)
-    scan = characteristic_scan(entry.graph, grid, EPS_CHAR, lattice)
+    scan = characteristic_scan(entry.graph, grid, lattice)
     kind = entry.expected_scan["kind"]
     if kind == "empty":
         # a node where W is not finite may hide a characteristic point

@@ -458,19 +458,16 @@ class GSCPiece:
     b: float
     name: str = ""
 
-    def endpoint(self, end: str) -> Optional[tuple[float, float]]:
-        s = self.a if end == "a" else self.b
-        if not math.isfinite(s):
-            return None
-        return self.curve.point(s)
+    def endpoint(self, end: str) -> tuple[float, float]:
+        return self.curve.point(self.a if end == "a" else self.b)
 
 
 @dataclass
 class GSCJoin:
     """How consecutive pieces meet: the end ("a" or "b") of each that joins."""
 
-    end_left: str = "b"
-    end_right: str = "a"
+    end_left: str
+    end_right: str
 
 
 @dataclass
@@ -478,16 +475,11 @@ class GeneralizedSeedCurve:
     pieces: list[GSCPiece]
     joins: list[GSCJoin] = field(default_factory=list)
 
-    def __post_init__(self):
-        if not self.joins and len(self.pieces) > 1:
-            self.joins = [GSCJoin() for _ in range(len(self.pieces) - 1)]
-
 
 @dataclass
 class JoinCheck:
-    gap: Optional[float]
+    gap: float
     ok: bool
-    note: str = ""
 
 
 @dataclass
@@ -500,7 +492,7 @@ class GSCValidation:
 
     @property
     def max_gap(self) -> float:
-        return worst_abs(c.gap for c in self.checks if c.gap is not None)
+        return worst_abs(c.gap for c in self.checks)
 
 
 def validate_gsc(gsc: GeneralizedSeedCurve, tol: float) -> GSCValidation:
@@ -514,9 +506,6 @@ def validate_gsc(gsc: GeneralizedSeedCurve, tol: float) -> GSCValidation:
     for i, join in enumerate(gsc.joins):
         left = gsc.pieces[i % n].endpoint(join.end_left)
         right = gsc.pieces[(i + 1) % n].endpoint(join.end_right)
-        if left is None or right is None:
-            checks.append(JoinCheck(None, False, "join at an infinite endpoint"))
-            continue
         gap = math.hypot(left[0] - right[0], left[1] - right[1])
         checks.append(JoinCheck(gap, gap <= tol))
     return GSCValidation(checks)
@@ -532,10 +521,8 @@ def constant_curvature_test(gsc: GeneralizedSeedCurve, tol: float) -> tuple[bool
     summary = []
     ok = True
     for piece in gsc.pieces:
-        lo = piece.a if math.isfinite(piece.a) else piece.curve.s_min
-        hi = piece.b if math.isfinite(piece.b) else piece.curve.s_max
-        lo = max(lo, piece.curve.s_min)
-        hi = min(hi, piece.curve.s_max)
+        lo = max(piece.a, piece.curve.s_min)
+        hi = min(piece.b, piece.curve.s_max)
         kappas = curvature(piece.curve, np.linspace(lo, hi, KAPPA_SAMPLES))
         mean = float(kappas.mean())
         dev = float(np.abs(kappas - mean).max())

@@ -221,8 +221,8 @@ def extract_seed(patch: GraphPatch, z0: tuple[float, float], arc_span: float,
     are read from the height's 2-jet, one chunk of points at a time
     (``_seed_jet``), with d(p, q)/d(x, y) from ``surface.graph_dpq``.  A
     branch is cut before its first point where that jet does not define
-    them; if the RK4 stop reason is not already set, it becomes "trimmed
-    boundary sample".
+    them or the height is not finite; if the RK4 stop reason is not already
+    set, it becomes "trimmed boundary sample".
     """
     if not patch.domain.contains(*z0):
         raise FieldUndefined(f"z0={z0} outside the patch domain")
@@ -253,8 +253,8 @@ def _seed_jet(patch: GraphPatch, pts: np.ndarray) -> tuple[np.ndarray, np.ndarra
     They are read from the height's 2-jet by array code, one chunk of
     ``CHUNK`` points at a time, with the floats the scalar jet gives.  The
     rows stop before the first point that is off the domain, whose
-    difference stencil leaves it, where W is not finite or W <= EPS_CHAR,
-    or where gamma'' is not finite.
+    difference stencil leaves it, where the height or W is not finite, where
+    W <= EPS_CHAR, or where gamma'' is not finite.
     """
     x, y = pts[:, 0], pts[:, 1]
     inside = patch.domain.contains_all(x, y)
@@ -277,7 +277,7 @@ def _seed_jet(patch: GraphPatch, pts: np.ndarray) -> tuple[np.ndarray, np.ndarra
             ax, ay = p_x * nx + p_y * ny, q_x * nx + q_y * ny
             dot = nx * ax + ny * ay
             sx, sy = (ax - dot * nx) / w, (ay - dot * ny) / w
-            ok = np.isfinite(w) & (w > EPS_CHAR) & np.isfinite(sx) & np.isfinite(sy)
+            ok = np.isfinite(jet[0]) & np.isfinite(w) & (w > EPS_CHAR) & np.isfinite(sx) & np.isfinite(sy)
         m = k if ok.all() else int(np.argmin(ok))
         dg.append(np.column_stack((nx, ny))[:m])
         ddg.append(np.column_stack((sx, sy))[:m])

@@ -17,8 +17,8 @@ which differences the unit field.  The convention has its one home here:
 = (p_x, p_y, q_x, q_y) from the Hessian and ``_horizontal`` W and nu from
 (p, q); no other module writes them out.
 
-Implicit surfaces phi(x, y, t) = 0 carry an orientation flag; negating the
-orientation negates the curvature.  They follow the compile rule of
+Implicit surfaces phi(x, y, t) = 0 are oriented by phi, and no check reads
+the sign: negating phi negates H and keeps W.  They follow the compile rule of
 ``fields.ScalarField2``: building a surface checks the variables of phi
 and compiles nothing; phi is compiled on its first call, and phi_t, p, q
 and their partials are derived and compiled on theirs.  All
@@ -26,7 +26,7 @@ of it is array code: phi, ``horizontal_data``, ``h_mean_curvature`` and
 the Newton ``solve_height`` take nodes (x, y, t) as 1-d arrays.
 Curvature at characteristic points is deliberately left undefined: the
 scan reports the locus instead.
-``characteristic_scan`` flags the lattice nodes of a grid where W < eps
+``characteristic_scan`` flags the lattice nodes of a grid where W < EPS_CHAR
 and groups them into 8-connected components.  It reports nodes only; a
 component's representative is the mean of its nodes.
 
@@ -376,7 +376,7 @@ def rotate_graph(patch: GraphPatch, theta: float) -> GraphPatch:
 
 @dataclass
 class ScanComponent:
-    nodes: list[tuple[float, float]]          # grid nodes (x, y) with W < eps
+    nodes: list[tuple[float, float]]          # grid nodes (x, y) with W < EPS_CHAR
 
     @property
     def representative(self) -> tuple[float, float]:
@@ -388,16 +388,16 @@ class ScanComponent:
 @dataclass
 class CharacteristicScan:
     components: list[ScanComponent]
-    undefined_w: int = 0   # nodes where W is not finite: neither flagged nor clear
+    undefined_w: int   # nodes where W is not finite: neither flagged nor clear
 
     @property
     def empty(self) -> bool:
         return not self.components
 
 
-def characteristic_scan(patch: GraphPatch, grid: Grid2, eps: float,
+def characteristic_scan(patch: GraphPatch, grid: Grid2,
                         lattice: Optional[ScanLattice] = None) -> CharacteristicScan:
-    """Grid nodes with W < eps, grouped into 8-connected components.
+    """Grid nodes with W < EPS_CHAR, grouped into 8-connected components.
 
     W and the height are those of ``lattice`` when it is given: a
     ``ScanLattice`` of this grid that ``max_curvature_deviation`` filled
@@ -415,7 +415,7 @@ def characteristic_scan(patch: GraphPatch, grid: Grid2, eps: float,
             lattice.add(nodes, jet[0], horizontal_data(patch, (x, y), jet=jet).w)
     xs, ys, inside, w = lattice.xs, lattice.ys, lattice.inside, lattice.w
     ni, nj = w.shape
-    flagged = inside & (w < eps)
+    flagged = inside & (w < EPS_CHAR)
     undefined = np.argwhere(flagged & lattice.no_height)
     if len(undefined):
         i, j = undefined[0]
@@ -454,7 +454,7 @@ _XYT = ("x", "y", "t")
 
 @dataclass
 class ImplicitSurface:
-    """Level set phi = 0 with an orientation flag (+1 keeps phi, -1 negates it).
+    """Level set phi = 0, oriented by the sign of phi.
 
     ``tree`` is phi; construction checks its variables, which is where an
     unknown variable is reported, and compiles nothing.  phi is compiled
@@ -465,7 +465,6 @@ class ImplicitSurface:
     """
 
     tree: ex.Expr
-    orientation: int
 
     def __post_init__(self):
         ex.check_variables(self.tree, _XYT)
@@ -497,25 +496,21 @@ class ImplicitSurface:
         return ex.compile_fn(self.trees[2:], _XYT, array=True)
 
     @staticmethod
-    def from_expr(src: str, orientation: int = 1) -> "ImplicitSurface":
-        return ImplicitSurface(ex.parse(src), orientation)
+    def from_expr(src: str) -> "ImplicitSurface":
+        return ImplicitSurface(ex.parse(src))
 
     def horizontal_data(self, x, y, t) -> HorizontalData:
-        o = float(self.orientation)
-        p, q = self._pq(x, y, t)
-        return _horizontal(o * p, o * q)
+        return _horizontal(*self._pq(x, y, t))
 
     def h_mean_curvature(self, x, y, t) -> np.ndarray:
         """The p/q-form curvature at non-characteristic nodes; raises
         CharacteristicPoint for the first node where W <= EPS_CHAR."""
-        o = float(self.orientation)
         p, q, p_x, p_y, p_t, q_x, q_y, q_t = self._curv(x, y, t)
         # IEEE results such as inf - inf = NaN are the point, not a warning
         with np.errstate(all="ignore"):
-            p, q = o * p, o * q
             # the derivatives of p and q along X1 and X2
-            x1p, x2p = o * (p_x - 0.5 * y * p_t), o * (p_y + 0.5 * x * p_t)
-            x1q, x2q = o * (q_x - 0.5 * y * q_t), o * (q_y + 0.5 * x * q_t)
+            x1p, x2p = p_x - 0.5 * y * p_t, p_y + 0.5 * x * p_t
+            x1q, x2q = q_x - 0.5 * y * q_t, q_y + 0.5 * x * q_t
             w = ex.pointwise(math.hypot, p, q)
             _refuse_characteristic(w, x, y, t)
             return _pq_form(p, q, w, x1p, x2p, x1q, x2q)

@@ -50,7 +50,7 @@ def specs(tmp_path):
             "kind": "graph", "graph": {"nope": 1}}),
         "implicit": write_spec(tmp_path, "imp.json", {
             "kind": "implicit",
-            "implicit": {"phi": "t - x*y/2", "orientation": 1,
+            "implicit": {"phi": "t - x*y/2",
                          "window": {"xmin": 0.5, "xmax": 2, "ymin": 0.5, "ymax": 2}}}),
     }
 
@@ -553,6 +553,10 @@ ZERO_SQRT = {"kind": "graph",
     ("verify", {"kind": "graph", "graph": {**ZERO_SQRT["graph"], "h": "x*y/2 + 0*sqrt(-x)"}}, []),
     # W0 is NaN for |s| > 1: no characteristic root is solved there
     ("loci", {"kind": "ruled", "ruled": {**NAN_RULED["ruled"], "r_range": [-0.9, 0.9]}}, []),
+    # no height at z0, though its derivatives are finite
+    ("seed", {"kind": "graph", "graph": {"h": "1/0"}}, ["--z0", "0.5", "1"]),
+    # the schema takes no implicit orientation: the sign of phi is the orientation
+    ("verify", {"kind": "implicit", "implicit": {"phi": "t - x*y/2", "orientation": -1}}, []),
 ])
 def test_undefined_input_exit_2(tmp_path, capsys, command, payload, extra):
     spec = write_spec(tmp_path, "in.json", payload)

@@ -11,7 +11,7 @@ from hmin.cli import main
 from hmin.errors import SpecError
 from hmin.fields import Grid2, Profile, ScalarField2, square
 from hmin.gallery import gallery_get
-from hmin.surface import EPS_CHAR, GraphPatch, ImplicitSurface, characteristic_scan
+from hmin.surface import GraphPatch, ImplicitSurface, characteristic_scan
 
 
 @pytest.fixture
@@ -45,22 +45,15 @@ def test_building_compiles_nothing(compiled):
     assert compiled == [(ex.parse(src), False) for src in ("sqrt(1 - s^2)", "s")]
 
 
-def test_fd_only_compiles_nothing_and_shares_f(compiled):
+def test_fd_only_compiles_nothing_until_its_own_f_is_called(compiled):
     field = ScalarField2.from_expr("x*y/2 + sin(x)", square(2.0))
-    fresh = field.fd_only()
-    assert compiled == [] and "f" not in vars(fresh)
-    # once the field's f is compiled, fd_only takes it over
-    field.value(0.5, 0.5)
-    compiled.clear()
     fd = field.fd_only()
-    assert compiled == [] and fd.f is field.f
+    assert compiled == [] and "f" not in vars(fd)
     assert fd.exprs == field.exprs[:1] and fd.domain is field.domain
-    # its gradient differences the shared f
-    assert fd.gradient(0.5, 0.5) == pytest.approx(field.gradient(0.5, 0.5), abs=1e-8)
-    # the one made before compiles its own f on its first call
-    compiled.clear()
-    assert fresh.gradient(0.5, 0.5) == fd.gradient(0.5, 0.5)
-    assert compiled == [(field.exprs[0], False)] and fresh.f is not field.f
+    # it compiles its own f on its first call, and its gradient differences it
+    got = fd.gradient(0.5, 0.5)
+    assert compiled == [(field.exprs[0], False)]
+    assert got == pytest.approx(field.gradient(0.5, 0.5), abs=1e-8)
 
 
 def _compiles_once(compiled, call) -> int:
@@ -100,7 +93,7 @@ def test_first_array_gradient_or_hessian_call_compiles_once(compiled):
 def test_a_characteristic_scan_compiles_only_the_height_array_code(compiled):
     # the jet's array code reads W; no flagged node is lifted by float code
     entry = gallery_get("hyperbolic")
-    scan = characteristic_scan(entry.graph, Grid2(entry.verify_domain, 101, 101), EPS_CHAR)
+    scan = characteristic_scan(entry.graph, Grid2(entry.verify_domain, 101, 101))
     assert len(scan.components) == 1
     assert compiled == [(entry.graph.h.exprs, True)]
 

@@ -396,16 +396,9 @@ def test_validate_catenoid_two_sheet_gsc():
 def test_validate_gsc_detects_gap():
     p1 = GSCPiece(line_seed((0.0, 0.0), (1.0, 0.0), (-1.0, 0.0)), -1.0, 0.0)
     p2 = GSCPiece(line_seed((0.5, 0.0), (1.0, 0.0), (0.0, 1.0)), 0.0, 1.0)
-    out = validate_gsc(GeneralizedSeedCurve([p1, p2]), 1e-6)
+    out = validate_gsc(GeneralizedSeedCurve([p1, p2], [GSCJoin("b", "a")]), 1e-6)
     assert not out.valid
     assert out.checks[0].gap == pytest.approx(0.5)
-
-
-def test_validate_gsc_infinite_end_is_flagged():
-    p1 = GSCPiece(line_seed((0.0, 0.0), (1.0, 0.0), (-2.0, 0.0)), -math.inf, 0.0)
-    p2 = GSCPiece(line_seed((0.0, 0.0), (1.0, 0.0), (0.0, 2.0)), 0.0, 2.0)
-    out = validate_gsc(GeneralizedSeedCurve([p1, p2], [GSCJoin("a", "a")]), 1e-6)
-    assert not out.valid and "infinite" in out.checks[0].note
 
 
 @pytest.mark.parametrize("gaps", [(1e-9, math.nan), (math.nan, 1e-9)])

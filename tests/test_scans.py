@@ -45,7 +45,7 @@ def deviation_by_node(patch, domain, nx=101, ny=101, expect=0.0):
     return worst_abs(deviations) if deviations else math.nan
 
 
-def scan_by_node(patch, grid, eps):
+def scan_by_node(patch, grid):
     """The components of ``characteristic_scan``, one node at a time."""
     def wfun(x, y):
         p, q = _pq(patch, x, y)
@@ -61,7 +61,7 @@ def scan_by_node(patch, grid, eps):
                 continue
             inside[i, j] = True
             w[i, j] = wfun(float(x), float(y))
-    flagged = inside & (w < eps)
+    flagged = inside & (w < EPS_CHAR)
     comp = -np.ones((ni, nj), dtype=int)
     comps = []
     for i in range(ni):
@@ -186,8 +186,7 @@ def test_hessian_first_case_is_the_hessian_stencil():
 def test_characteristic_scan_raises_the_node_loops_stencil_error():
     patch = _fd_patch()
     grid = Grid2(PlanarDomain(0.5, 1 - 5e-6, -0.5, 0.5), 41, 41)
-    assert _message(characteristic_scan, patch, grid, EPS_CHAR) == _message(
-        scan_by_node, patch, grid, EPS_CHAR)
+    assert _message(characteristic_scan, patch, grid) == _message(scan_by_node, patch, grid)
 
 
 # -- characteristic scan ---------------------------------------------------------
@@ -198,8 +197,8 @@ def test_characteristic_scan_raises_the_node_loops_stencil_error():
 def test_characteristic_scan_equals_the_node_loop_on_gallery_scan_domains(name):
     entry = gallery_get(name)
     grid = Grid2(entry.scan_domain or entry.verify_domain, 101, 101)
-    got = characteristic_scan(entry.graph, grid, EPS_CHAR)
-    want = scan_by_node(entry.graph, grid, EPS_CHAR)
+    got = characteristic_scan(entry.graph, grid)
+    want = scan_by_node(entry.graph, grid)
     assert got.undefined_w == 0
     assert repr([c.nodes for c in got.components]) == repr([c.nodes for c in want])
     assert [repr(c.representative) for c in got.components] == [
@@ -209,7 +208,7 @@ def test_characteristic_scan_equals_the_node_loop_on_gallery_scan_domains(name):
 def test_characteristic_scan_counts_nodes_where_w_is_not_finite():
     # sqrt(x) has no derivative for x <= 0, so W is NaN on 51 of 101 columns
     patch = GraphPatch.from_expr("x*y/2 + sqrt(x)", PlanarDomain(-1, 1, -1, 1))
-    scan = characteristic_scan(patch, Grid2(patch.domain, 101, 101), EPS_CHAR)
+    scan = characteristic_scan(patch, Grid2(patch.domain, 101, 101))
     assert len(scan.components) == 1
     assert scan.undefined_w == 51 * 101
 
@@ -243,7 +242,7 @@ def test_scan_of_the_curvature_scans_lattice_is_the_scan_that_reads_the_nodes(sr
     grid = Grid2(dom, 101, 101)
     lattice = ScanLattice(grid)
     max_curvature_deviation(patch, dom, 101, 101, lattice=lattice)
-    assert _scan_outcome(patch, grid, EPS_CHAR, lattice) == _scan_outcome(patch, grid, EPS_CHAR)
+    assert _scan_outcome(patch, grid, lattice) == _scan_outcome(patch, grid)
 
 
 def test_a_lattice_of_another_grid_is_refused():
@@ -252,7 +251,7 @@ def test_a_lattice_of_another_grid_is_refused():
     with pytest.raises(ValueError):
         max_curvature_deviation(patch, square(1.0), 11, 12, lattice=lattice)
     with pytest.raises(ValueError):
-        characteristic_scan(patch, Grid2(square(2.0), 11, 11), EPS_CHAR, lattice)
+        characteristic_scan(patch, Grid2(square(2.0), 11, 11), lattice)
 
 
 def _lattice_reads(monkeypatch) -> list:
@@ -345,7 +344,7 @@ def test_characteristic_scan_calls_no_scalar_gradient(monkeypatch):
     entry = gallery_get("hyperbolic")
     calls = []
     monkeypatch.setattr(ScalarField2, "gradient", _counted(calls, ScalarField2.gradient))
-    scan = characteristic_scan(entry.graph, Grid2(entry.verify_domain, 101, 101), EPS_CHAR)
+    scan = characteristic_scan(entry.graph, Grid2(entry.verify_domain, 101, 101))
     assert calls == []
     assert [len(c.nodes) for c in scan.components] == [101]
 
@@ -394,7 +393,7 @@ def test_evaluators_take_the_nodes_first_and_the_axes_apart(monkeypatch, name, f
         patch = entry.graph.fd_only() if fd else entry.graph
         grid = Grid2(entry.verify_domain, 101, 101)
         return (max_curvature_deviation(patch, entry.verify_domain),
-                characteristic_scan(patch, grid, EPS_CHAR).undefined_w)
+                characteristic_scan(patch, grid).undefined_w)
 
     calls = _evaluator_calls(monkeypatch, drop_axes=False)
     got = scan()

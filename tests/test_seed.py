@@ -35,6 +35,17 @@ def test_a_closed_seed_is_traced_once_each_way(tmp_path):
     assert c.s_min == -c.s_max == -629 * RK4_STEP
 
 
+def test_a_seed_has_no_row_without_a_height(tmp_path):
+    # the forward branch from (0.5, 1) runs into x < 0, where the height is
+    # NaN and its derivatives are not
+    spec = tmp_path / "spec.json"
+    spec.write_text('{"kind": "graph", "graph": {"h": "x*y/2 + 0*sqrt(x)"}}')
+    assert main(["seed", "--spec", str(spec), "--z0", "0.5", "1", "--span", "1",
+                 "--out", str(tmp_path)]) == 0
+    rows = [r.split(",") for r in (tmp_path / "seed.csv").read_text().splitlines()[1:]]
+    assert len(rows) == 150 and all(math.isfinite(float(r[4])) for r in rows)
+
+
 def test_flat_seed_is_the_unit_circle():
     c = extract_seed(FLAT, (1.0, 0.0), math.pi)
     for s in np.linspace(c.s_min, c.s_max, 61):
@@ -326,6 +337,10 @@ EXTRACTED["HYP-fd-edge"] = (
     -298, 299, "FieldUndefined: (2.99499999999998, 0.999999999996394) outside the patch domain",
     EXTRACTED["HYP-fd"][3])
 EXTRACTED["HYP-fd-steps"] = (-298, 299, "trimmed boundary sample", None)
+# 0*sqrt(x) differentiates to 0, so W and gamma'' stay finite where the
+# height is NaN: the forward branch is cut before its first point at x < 0
+ZERO_SQRT = GraphPatch.from_expr("x*y/2 + 0*sqrt(x)", square(3.0))
+EXTRACTED["ZERO-SQRT"] = (-100, 49, None, "trimmed boundary sample")
 
 
 def _extracted_cases():
@@ -335,7 +350,8 @@ def _extracted_cases():
     cases += [("FLAT", FLAT, (1.0, 0.0), math.pi), ("HYP", HYP, (0.0, 1.0), 1.4),
               ("CATENOID", CATENOID, (2.0, 0.0), 1.0), ("PARAB", PARAB, (1.0, 0.0), 3.0),
               ("HYP-fd", HYP.fd_only(), (0.0, 1.0), 4.0),  # both ends at the domain edge
-              ("HYP-fd-edge", EDGE, (0.0, 1.0), 4.0), ("HYP-fd-steps", EDGE, (0.0, 1.0), 2.99)]
+              ("HYP-fd-edge", EDGE, (0.0, 1.0), 4.0), ("HYP-fd-steps", EDGE, (0.0, 1.0), 2.99),
+              ("ZERO-SQRT", ZERO_SQRT, (0.5, 1.0), 1.0)]
     assert sorted(name for name, *_ in cases) == sorted(EXTRACTED)
     return cases
 
@@ -346,12 +362,12 @@ def _scalar_seed_jet(patch, x, y):
     if not patch.domain.contains(x, y):
         return None
     try:
-        _, hx, hy, hxx, hxy, hyy = patch.h.jet(x, y, patch.h.jet(x, y))
+        t, hx, hy, hxx, hxy, hyy = patch.h.jet(x, y, patch.h.jet(x, y))
     except StencilOutOfDomain:
         return None
     p, q = -(hx + 0.5 * y), -(hy - 0.5 * x)
     w = math.hypot(p, q)
-    if not (math.isfinite(w) and w > EPS_CHAR):
+    if not (math.isfinite(t) and math.isfinite(w) and w > EPS_CHAR):
         return None
     nx, ny = p / w, q / w
     ax = -hxx * nx - (hxy + 0.5) * ny

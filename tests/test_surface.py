@@ -226,12 +226,13 @@ def test_rotated_graph_has_the_rotated_derivatives():
         assert moved.h.gradient(x, y) == pytest.approx(r @ WAVY.h.gradient(*at), abs=1e-12)
 
 
-def test_orientation_flip_negates_curvature():
+def test_negating_phi_negates_h_and_keeps_w():
     surf = ImplicitSurface.from_expr("t - (x^2+y^2)/4")
     g = (np.array([1.0]), np.array([0.0]), np.array([0.25]))
     val = surf.h_mean_curvature(*g)[0]
-    flipped = ImplicitSurface.from_expr("t - (x^2+y^2)/4", orientation=-1)
+    flipped = ImplicitSurface.from_expr("-(t - (x^2+y^2)/4)")
     assert flipped.h_mean_curvature(*g)[0] == pytest.approx(-val, abs=1e-12)
+    assert flipped.horizontal_data(*g).w.tolist() == surf.horizontal_data(*g).w.tolist()
     assert val == pytest.approx(-math.sqrt(2) / 2, abs=1e-10)
 
 
@@ -251,16 +252,16 @@ def test_implicit_matches_graph_curvature():
     surf = ImplicitSurface.from_expr("t - x*y/2")
     assert abs(surf.h_mean_curvature(np.array([1.0]), np.array([2.0]), np.array([1.0]))[0]) <= 1e-12
     # each entry's level set against its graph, one independent formula
-    # against the other; orientation -1 negates the value exactly
+    # against the other; negating phi negates the value exactly
     for name, src in LEVEL_SETS.items():
         entry = gallery_get(name)
-        flipped = ImplicitSurface.from_expr(src, orientation=-1)
+        flipped = ImplicitSurface.from_expr(f"-({src})")
         nodes = [z for z in zip(*(a.tolist() for a in Grid2(entry.verify_domain, 11, 11).points()))
                  if not horizontal_data(entry.graph, z).w <= W_MARGIN]
         assert nodes, name
         x, y = (np.array(c) for c in zip(*nodes))
         t = np.array([entry.graph.point(*z).t for z in nodes])
-        assert flipped.phi(x, y, t).tolist() == entry.implicit.phi(x, y, t).tolist()
+        assert flipped.phi(x, y, t).tolist() == (-entry.implicit.phi(x, y, t)).tolist()
         value = entry.implicit.h_mean_curvature(x, y, t)
         want = np.array([h_mean_curvature(entry.graph, z) for z in nodes])
         off = np.flatnonzero(~(abs(value - want) <= 1e-12))
@@ -268,12 +269,11 @@ def test_implicit_matches_graph_curvature():
         assert flipped.h_mean_curvature(x, y, t).tolist() == (-value).tolist()
 
 
-def _node_loop_verify(phi, n, window=(-2.0, 2.0, -2.0, 2.0), t0=0.0, orientation=1):
+def _node_loop_verify(phi, n, window=(-2.0, 2.0, -2.0, 2.0), t0=0.0):
     """Implicit ``verify``'s measured value (its repr) and three counts, one
     node at a time on ``expr.evaluate`` over the surface's trees: the
     oracle of the array route."""
-    trees = ImplicitSurface.from_expr(phi, orientation).trees
-    o = float(orientation)
+    trees = ImplicitSurface.from_expr(phi).trees
 
     def at(k, x, y, t):
         return ex.evaluate(trees[k], {"x": x, "y": y, "t": t})
@@ -297,14 +297,13 @@ def _node_loop_verify(phi, n, window=(-2.0, 2.0, -2.0, 2.0), t0=0.0, orientation
             no_height += 1
             continue
         p, q, p_x, p_y, p_t, q_x, q_y, q_t = (at(k, x, y, t) for k in range(2, 10))
-        p, q = o * p, o * q
         w = math.hypot(p, q)
         if w <= W_MARGIN:
             near += 1
             continue
         # the derivatives of p and q along X1 and X2
-        values.append(_pq_form(p, q, w, o * (p_x - 0.5 * y * p_t), o * (p_y + 0.5 * x * p_t),
-                               o * (q_x - 0.5 * y * q_t), o * (q_y + 0.5 * x * q_t)))
+        values.append(_pq_form(p, q, w, p_x - 0.5 * y * p_t, p_y + 0.5 * x * p_t,
+                               q_x - 0.5 * y * q_t, q_y + 0.5 * x * q_t))
     return repr(worst_abs(values)), len(values), near, no_height
 
 
@@ -326,11 +325,12 @@ EDGE_LEVEL_SETS = {"no-height": "t^2 + 1", "vertical": "x - 2*y",
                    "long-newton": "atan(t) - 1.5707963267948966"}
 
 
-@pytest.mark.parametrize("options", [{}, {"t0": 0.7}, {"orientation": -1}],
+@pytest.mark.parametrize("negate,options", [(False, {}), (False, {"t0": 0.7}), (True, {})],
                          ids=["default", "t0", "flipped"])
 @pytest.mark.parametrize("phi", [*LEVEL_SETS.values(), *EDGE_LEVEL_SETS.values()],
                          ids=[*LEVEL_SETS, *EDGE_LEVEL_SETS])
-def test_implicit_verify_matches_the_node_loop(tmp_path, phi, options):
+def test_implicit_verify_matches_the_node_loop(tmp_path, phi, negate, options):
+    phi = f"-({phi})" if negate else phi
     want = _node_loop_verify(phi, 11, **options)
     assert _verify_implicit(tmp_path, {"phi": phi, **options}, 11) == want
 
@@ -374,13 +374,13 @@ def test_implicit_verify_calls_each_evaluator_once_per_chunk_and_newton_step(tmp
 
 
 def test_scan_hyperbolic_finds_the_x_axis():
-    scan = characteristic_scan(HYP, Grid2(square(2.0), 41, 41), 1e-9)
+    scan = characteristic_scan(HYP, Grid2(square(2.0), 41, 41))
     assert len(scan.components) == 1
     assert all(abs(y) <= 1e-12 for _, y in scan.components[0].nodes)
 
 
 def test_scan_flat_plane_single_point():
-    scan = characteristic_scan(FLAT, Grid2(square(1.0), 41, 41), 1e-9)
+    scan = characteristic_scan(FLAT, Grid2(square(1.0), 41, 41))
     assert len(scan.components) == 1
     assert scan.components[0].representative == pytest.approx((0.0, 0.0), abs=1e-9)
 
@@ -393,14 +393,14 @@ def test_scan_names_the_first_flagged_node_without_a_height(f, at):
     # order is named, wherever it sits in its component
     patch = GraphPatch.from_expr(f"x*y/2 + 0*{f}", square(1.0))
     with pytest.raises(FieldUndefined, match=f"^height not finite at {re.escape(at)}$"):
-        characteristic_scan(patch, Grid2(square(1.0), 101, 101), 1e-9)
+        characteristic_scan(patch, Grid2(square(1.0), 101, 101))
 
 
 def test_scan_counterexample_patch_is_empty():
     dom = PlanarDomain(0.25, 3.0, -3.0, 3.0,
                        lambda x, y: abs(ex.pointwise(math.atan2, y, x)) <= 0.9)
     patch = GraphPatch.from_expr("-atanh(atan(y/x))", dom)
-    scan = characteristic_scan(patch, Grid2(dom, 41, 41), 1e-9)
+    scan = characteristic_scan(patch, Grid2(dom, 41, 41))
     assert scan.empty
 
 

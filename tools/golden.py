@@ -5,9 +5,10 @@ shows whether a change keeps every output byte for byte.
     python3 tools/golden.py --check   # compare with it
 
 The runs are every op of the three workloads of ``bench/workloads.py`` at
-seeds 1 to 3, each seed's warm-up op, ``hmin gallery all``, and
+seeds 1 to 3, each seed's warm-up op, ``hmin gallery all``,
 ``verify``, ``seed``, ``classify``, ``loci`` and ``build`` on the
-counterexample gallery spec.  Each op runs in this process through
+counterexample gallery spec, and ``verify`` of a graph spec, of its
+``fd_only`` form and of an implicit spec.  Each op runs in this process through
 ``hmin.cli.main``, as the benchmark runs it, from the sources of
 ``--src`` (the repository's ``src/`` by default); ``bench/`` is only read.
 
@@ -47,10 +48,13 @@ sys.path.insert(0, str(ROOT / "bench"))
 import workloads  # noqa: E402  (bench/workloads.py, read only)
 
 _COUNTEREXAMPLE = {"kind": "gallery", "gallery": {"name": "counterexample"}}
+_CUBIC = {"h": "x*y/2 + x^3/6", "domain": {"xmin": -2, "xmax": 2, "ymin": -2, "ymax": 2}}
 
 
 def _extra_ops() -> list:
-    """``gallery all`` and the five spec commands on the counterexample."""
+    """``gallery all``, the five spec commands on the counterexample, and
+    ``verify`` of a graph spec, of its ``fd_only`` form and of an implicit
+    spec, which no workload op runs."""
     op = workloads.Op
     return [op("all", "gallery", args=("all",)),
             op("counterexample-verify", "verify", _COUNTEREXAMPLE),
@@ -58,7 +62,11 @@ def _extra_ops() -> list:
                ("--z0", "1.0", "0.0", "--span", "0.85")),
             op("counterexample-classify", "classify", _COUNTEREXAMPLE),
             op("counterexample-loci", "loci", _COUNTEREXAMPLE),
-            op("counterexample-build", "build", _COUNTEREXAMPLE)]
+            op("counterexample-build", "build", _COUNTEREXAMPLE),
+            op("graph-verify", "verify", {"kind": "graph", "graph": _CUBIC}),
+            op("graph-fd-verify", "verify", {"kind": "graph", "graph": {**_CUBIC, "fd_only": True}}),
+            op("implicit-verify", "verify",
+               {"kind": "implicit", "implicit": {"phi": "-(t - x*y/2 - 0.3*x)"}})]
 
 
 def runs() -> list[tuple[str, object]]:
