@@ -22,8 +22,9 @@ window, s_range or r_range that is not finite and ordered, an implicit
 t0 that is not finite, an expression using a variable its field does not
 take, --z0 outside it, a --span that is not positive or is longer than
 MAX_SEED_STEPS RK4 steps (a span of 1000), a --grid value below 2 or a
---grid of more than MAX_GRID_NODES nodes (a 2000x2000 lattice), or seed
-samples whose s is not strictly increasing),
+--grid of more than MAX_GRID_NODES nodes (a 2000x2000 lattice), a spec
+or seed sample file that cannot be decoded, or a seed sample file with
+fewer than two rows or whose s is not strictly increasing),
 3 characteristic start point, 4 unknown gallery name or bad gallery
 parameter (including one that no named entry takes, and a gencurve-<k>
 suffix that differs from --n), a gallery name given twice, or all next
@@ -39,6 +40,7 @@ import math
 import os
 import sys
 import time
+import warnings
 from typing import TYPE_CHECKING, Optional
 
 import numpy as np
@@ -90,7 +92,8 @@ def load_spec(path: str) -> dict:
             spec = json.load(fh)
     except OSError as err:
         raise SpecError(f"cannot read spec file: {err}") from None
-    except json.JSONDecodeError as err:
+    # ValueError covers JSONDecodeError, UnicodeDecodeError and int()'s digit limit
+    except (ValueError, RecursionError) as err:
         raise SpecError(f"invalid JSON in {path}: {err}") from None
     from .schema import spec_error
     message = spec_error(spec)
@@ -174,10 +177,14 @@ def ruled_from_spec(spec: dict) -> RuledPatch:
 def _seed_from_csv(path: str, s_range: tuple[float, float]) -> SeedCurve:
     from .seed import SeedCurve
     try:
-        rows = np.loadtxt(path, delimiter=",", skiprows=1)
-    except OSError as err:
+        with warnings.catch_warnings():   # an empty file is refused below, not warned of
+            warnings.simplefilter("ignore")
+            rows = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    except (OSError, ValueError) as err:
         raise SpecError(f"cannot read seed samples: {err}") from None
-    if rows.ndim != 2 or rows.shape[1] < 5:
+    if len(rows) < 2:
+        raise SpecError("seed sample file needs at least two rows of samples")
+    if rows.shape[1] < 5:
         raise SpecError("seed sample file needs columns s,x,y,dx,dy")
     s = rows[:, 0]
     if not np.all(np.diff(s) > 0):
@@ -373,9 +380,8 @@ def cmd_loci(args, spec: dict, report: Report) -> None:
     if patch is None:
         raise SpecError("loci needs a ruled spec or a gallery entry with a ruled construction")
     rep = characteristic_locus(patch)
-    branches = rep.singular.branches
-    s = np.concatenate([np.empty(0)] + [b for b, _ in branches])
-    r = np.concatenate([np.empty(0)] + [b for _, b in branches])
+    s = np.concatenate([np.empty(0)] + [b for b, _ in rep.singular])
+    r = np.concatenate([np.empty(0)] + [b for _, b in rep.singular])
     singular = (s, r, *patch.embed(s, r), np.full(len(s), math.nan))
     roots = (rep.s, rep.r, rep.x, rep.y, rep.t, rep.w)
     # the rows of the roots, then those of the singular branches

@@ -3,7 +3,9 @@
 A ScalarField2 (fields ``exprs, domain``) evaluates a function given by
 expression trees on a planar domain, with its first and second
 derivatives: exact ones when it has the six trees of an analytic field,
-central finite differences when it has f alone.  Its ``value`` and
+central finite differences when it has f alone.  Every field has a
+domain, which its difference stencils stay in; a field over the whole
+plane has ``PlanarDomain(-inf, inf, -inf, inf)``.  Its ``value`` and
 ``jet`` take one point or a chunk of points (1-d arrays of at most
 ``CHUNK`` nodes, from ``chunks``); the other evaluators take one point.
 A chunk of lattice nodes (``Grid2.node_chunks``) may come with its
@@ -145,7 +147,7 @@ class ScalarField2:
     """
 
     exprs: tuple[ex.Expr, ...]
-    domain: Optional[PlanarDomain] = None
+    domain: PlanarDomain
 
     def __post_init__(self):
         ex.check_variables(self.exprs[0], ("x", "y"))
@@ -183,8 +185,6 @@ class ScalarField2:
 
     def _check_stencil(self, x, y, h: float):
         dom = self.domain
-        if dom is None:
-            return
         if isinstance(x, np.ndarray):
             return self._check_stencils(x, y, h)
         # the bounds of all 8 points at once: rounding is monotone and NaN
@@ -292,12 +292,12 @@ class ScalarField2:
     # -- construction -------------------------------------------------------
 
     @staticmethod
-    def from_expr(src: str, domain: Optional[PlanarDomain] = None) -> "ScalarField2":
+    def from_expr(src: str, domain: PlanarDomain) -> "ScalarField2":
         """Build a field from an expression in x, y with symbolic derivatives."""
         return ScalarField2.from_tree(ex.parse(src), domain)
 
     @staticmethod
-    def from_tree(tree: ex.Expr, domain: Optional[PlanarDomain] = None) -> "ScalarField2":
+    def from_tree(tree: ex.Expr, domain: PlanarDomain) -> "ScalarField2":
         """Build a field from a tree in x, y with symbolic derivatives."""
         dx = ex.differentiate(tree, "x")
         dy = ex.differentiate(tree, "y")

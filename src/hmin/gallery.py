@@ -701,9 +701,8 @@ def gallery_verify(name: str, **params) -> list[Check]:
         checks.append(check_leq("roundtrip", err, 1e-5))
 
     if entry.gsc is not None:
-        validation = validate_gsc(entry.gsc(), 1e-6)
-        checks.append(check_flag("gsc_joins", validation.valid,
-                                 note=f"max gap {validation.max_gap:.2e}"))
+        gap = validate_gsc(entry.gsc())
+        checks.append(check_flag("gsc_joins", gap <= 1e-6, note=f"max gap {gap:.2e}"))
 
     if entry.own_checks is not None:
         checks.extend(entry.own_checks(entry, patch))

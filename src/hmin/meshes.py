@@ -90,20 +90,26 @@ def mesh_ruled(patch: RuledPatch, ns: int, nr: int) -> Mesh:
 
 
 def mesh_graph(patch: GraphPatch, nx: int, ny: int) -> Mesh:
-    """Every lattice node, x-major, at the height ``patch.point`` gives, read
-    a chunk at a time; raises what ``patch.point`` raises at the first node
-    it rejects."""
+    """The lattice nodes inside the patch's domain, x-major, at the height
+    ``patch.point`` gives, read a chunk at a time, and the lattice faces
+    whose three vertices are inside (on a box, every node and face); raises
+    what ``patch.point`` raises at the first node it rejects."""
     xs, ys = Grid2(patch.domain, nx, ny).lattice()
     verts = np.empty((nx, ny, 3))
     verts[:, :, 0], verts[:, :, 1] = xs[:, None], ys
     verts = verts.reshape(-1, 3)
+    faces = _grid_faces(nx, ny)
+    inside = patch.domain.contains_all(verts[:, 0], verts[:, 1])
+    if not inside.all():
+        index = np.cumsum(inside, dtype=np.int32) - 1   # a kept node's row among the kept
+        faces, verts = index[faces[inside[faces].all(axis=1)]], verts[inside]
     for i in range(0, len(verts), CHUNK):
         x, y, t = verts[i:i + CHUNK].T
         t[:] = patch.h.value(x, y)
     bad = np.flatnonzero(~np.isfinite(verts).all(axis=1))
     if bad.size:   # the scalar call raises there, as the per-node loop did
         patch.point(*verts[bad[0], :2].tolist())
-    return Mesh(verts, _grid_faces(nx, ny), comments=[f"graph patch mesh {nx}x{ny}"])
+    return Mesh(verts, faces, comments=[f"graph patch mesh {nx}x{ny}"])
 
 
 def _vertex_text(block: np.ndarray) -> str:

@@ -43,6 +43,8 @@ the compile rule of ``fields.ScalarField2``: the height's gradient, 2-jet
 and array code are compiled the first time they are called.
 ``classify_entire_graph`` tells a straight seed from a circular one by
 ``constant_curvature_test`` on its extracted seed, as a one-piece GSC.
+``validate_gsc`` gives the largest planar gap at a GSC's joins, and
+``LociReport.singular`` the seed's singular branches inside ``s_range``.
 """
 
 from __future__ import annotations
@@ -59,8 +61,7 @@ from .fields import FD_STEP, Grid2, PlanarDomain, Profile
 from .heis import HPoint, dilate, group_mul
 from .report import worst_abs
 from .seed import (SeedCurve, curvature, extract_seed, rule_jacobian,
-                   rule_jacobian_det, rule_point, singular_locus, takes_arrays, SingularLocus,
-                   EPS_KAPPA)
+                   rule_jacobian_det, rule_point, singular_locus, takes_arrays, EPS_KAPPA)
 from .surface import EPS_CHAR, TOL_H_FD, W_MARGIN, GraphPatch, graph_pq, read_nodes
 
 EPS_DELTA = 1e-9
@@ -314,7 +315,7 @@ class LociReport:
     w: np.ndarray
     verified: np.ndarray
     labels: list[tuple[float, str]]           # (s, case label) for every sampled s
-    singular: SingularLocus
+    singular: list[tuple[np.ndarray, np.ndarray]]   # (s, r) of each singular branch
 
     @property
     def empty(self) -> bool:
@@ -387,14 +388,14 @@ def characteristic_locus(patch: RuledPatch, n_s: int = 201) -> LociReport:
                       list(zip(ss.tolist(), labels)), _singular_on(patch))
 
 
-def _singular_on(patch: RuledPatch) -> SingularLocus:
-    """The seed's singular locus, cut to the patch's ``s_range``."""
+def _singular_on(patch: RuledPatch) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The seed's singular branches, cut to the patch's ``s_range``."""
     branches = []
-    for s, r in singular_locus(patch.seed).branches:
+    for s, r in singular_locus(patch.seed):
         keep = ~patch._off_range(s)
         if keep.any():
             branches.append((s[keep], r[keep]))
-    return SingularLocus(branches)
+    return branches
 
 
 def locus_branch_slope(patch: RuledPatch, s: float, side: int) -> float:
@@ -476,39 +477,18 @@ class GeneralizedSeedCurve:
     joins: list[GSCJoin] = field(default_factory=list)
 
 
-@dataclass
-class JoinCheck:
-    gap: float
-    ok: bool
-
-
-@dataclass
-class GSCValidation:
-    checks: list[JoinCheck]
-
-    @property
-    def valid(self) -> bool:
-        return all(c.ok for c in self.checks)
-
-    @property
-    def max_gap(self) -> float:
-        return worst_abs(c.gap for c in self.checks)
-
-
-def validate_gsc(gsc: GeneralizedSeedCurve, tol: float) -> GSCValidation:
-    """Check planar endpoint matching for every adjacent pair of pieces.
-
-    A joins list as long as the pieces list closes the chain (the last
-    join matches the last piece back to the first), as for cylinders.
-    """
-    checks = []
+def validate_gsc(gsc: GeneralizedSeedCurve) -> float:
+    """The largest planar gap at the joins of adjacent pieces, NaN if one is
+    NaN or there is no join (``report.worst_abs``).  A joins list as long as
+    the pieces list closes the chain (the last join matches the last piece
+    back to the first), as for cylinders."""
     n = len(gsc.pieces)
+    gaps = []
     for i, join in enumerate(gsc.joins):
         left = gsc.pieces[i % n].endpoint(join.end_left)
         right = gsc.pieces[(i + 1) % n].endpoint(join.end_right)
-        gap = math.hypot(left[0] - right[0], left[1] - right[1])
-        checks.append(JoinCheck(gap, gap <= tol))
-    return GSCValidation(checks)
+        gaps.append(math.hypot(left[0] - right[0], left[1] - right[1]))
+    return worst_abs(gaps)
 
 
 def constant_curvature_test(gsc: GeneralizedSeedCurve, tol: float) -> tuple[bool, list[dict]]:

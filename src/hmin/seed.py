@@ -13,8 +13,9 @@ curve and the straight rules through it parameterize the plane by
     F(s, r) = gamma(s) + r gamma'(s)_perp
             = (gamma1 + r gamma2', gamma2 - r gamma1'),   det DF = -1 + r kappa(s),
 
-which degenerates exactly on the singular locus {r = 1/kappa(s)}.  The
-tracer reads nu, W and D(p, q) of the graph from ``surface``.
+which degenerates exactly on the singular locus {r = 1/kappa(s)}, whose
+branches ``singular_locus`` lists.  The tracer reads nu, W and D(p, q) of
+the graph from ``surface`` and steps ``fields.RK4_STEP``.
 
 The ``SeedCurve`` lookups (``point``, ``tangent``, ``second``),
 ``curvature``, ``rule_point``, ``rule_jacobian`` and ``rule_jacobian_det``
@@ -31,7 +32,7 @@ from __future__ import annotations
 import functools
 from array import array
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -204,12 +205,11 @@ def curvature(curve: SeedCurve, s):
     return d2[0] * d1[1] - d2[1] * d1[0]
 
 
-def extract_seed(patch: GraphPatch, z0: tuple[float, float], arc_span: float,
-                 step: float = RK4_STEP) -> SeedCurve:
+def extract_seed(patch: GraphPatch, z0: tuple[float, float], arc_span: float) -> SeedCurve:
     """Trace the seed curve of a graph patch through z0, both directions.
 
     Each branch is traced by RK4 on the unit field (the backward one on the
-    reversed field, -nu), so its samples are one step apart in arclength.
+    reversed field, -nu), so its samples are ``RK4_STEP`` apart in arclength.
     It ends where the field is undefined (off the domain, or W <= EPS_CHAR),
     where it turns back, as it does across a characteristic point, or one
     step past z0 once it has closed (the tracer's stop rules, recorded as
@@ -229,10 +229,10 @@ def extract_seed(patch: GraphPatch, z0: tuple[float, float], arc_span: float,
     data = horizontal_data(patch, z0)
     if data.nu is None:
         raise CharacteristicStart(f"W={data.w} <= {EPS_CHAR} at {z0}")
-    n_steps = max(1, int(round(arc_span / step)))
+    n_steps = max(1, int(round(arc_span / RK4_STEP)))
     branches = []
     for reverse in (True, False):
-        trace = rk4_integrate(unit_horizontal_field(patch, reverse), z0, step, n_steps)
+        trace = rk4_integrate(unit_horizontal_field(patch, reverse), z0, RK4_STEP, n_steps)
         dg, ddg = _seed_jet(patch, trace.points)
         if not len(dg):
             raise FieldUndefined(f"gamma'' undefined at z0={z0}")
@@ -242,7 +242,7 @@ def extract_seed(patch: GraphPatch, z0: tuple[float, float], arc_span: float,
         branches.append((trace.points[:len(dg)], dg, ddg, stop))
     (g_b, dg_b, ddg_b, stop_lo), (g_f, dg_f, ddg_f, stop_hi) = branches
     # the backward branch reversed, without its copy of z0
-    s = np.arange(1 - len(g_b), len(g_f)) * step
+    s = np.arange(1 - len(g_b), len(g_f)) * RK4_STEP
     g, dg, ddg = (np.vstack([b[:0:-1], f]) for b, f in ((g_b, g_f), (dg_b, dg_f), (ddg_b, ddg_f)))
     return SeedCurve(s, g, dg, ddg, stop_lo=stop_lo, stop_hi=stop_hi)
 
@@ -326,16 +326,11 @@ def rule_jacobian(curve: SeedCurve, s, r) -> tuple:
             (d1[1] - r * d2[0], -d1[0]))
 
 
-@dataclass
-class SingularLocus:
-    """Branches of {r = 1/kappa(s)} over runs where |kappa| > EPS_KAPPA."""
-
-    branches: list[tuple[np.ndarray, np.ndarray]] = field(default_factory=list)
-
-
-def singular_locus(curve: SeedCurve) -> SingularLocus:
+def singular_locus(curve: SeedCurve) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The branches (s, r) of {r = 1/kappa(s)} at the curve's samples, one
+    per run of samples where |kappa| > EPS_KAPPA."""
     kap = curvature(curve, curve.s)
     # the runs of |kappa| > EPS_KAPPA start and stop at the changes of the mask
     edges = np.flatnonzero(np.diff(np.abs(kap) > EPS_KAPPA, prepend=False, append=False))
-    return SingularLocus([(curve.s[a:b].copy(), 1.0 / kap[a:b])
-                          for a, b in zip(edges[::2].tolist(), edges[1::2].tolist())])
+    return [(curve.s[a:b].copy(), 1.0 / kap[a:b])
+            for a, b in zip(edges[::2].tolist(), edges[1::2].tolist())]

@@ -74,10 +74,6 @@ class GraphPatch:
     domain: PlanarDomain
     h: ScalarField2
 
-    def __post_init__(self):
-        if self.h.domain is None:
-            self.h.domain = self.domain
-
     @staticmethod
     def from_expr(src: str, domain: PlanarDomain) -> "GraphPatch":
         return GraphPatch(domain, ScalarField2.from_expr(src, domain))

@@ -2,6 +2,7 @@ import argparse
 import ast
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -669,10 +670,28 @@ def test_gallery_parameter_beyond_the_float_range_exit_4(tmp_path, capsys, args)
 
 GRAPH = {"kind": "graph", "graph": {"h": "x*y/2"}}
 IMPLICIT = {"kind": "implicit", "implicit": {"phi": "t - x*y/2"}}
+# seed sample files, relative to the test's working directory
+SAMPLE_FILES = {
+    "four.csv": "s,x,y,dx\n0,0,0,1\n1,1,0,1\n",
+    "short-row.csv": "s,x,y,dx,dy\n0,0,0,1,0\n1,1,0,1\n",
+    "text-cell.csv": "s,x,y,dx,dy\n0,0,0,1,0\n1,one,0,1,0\n",
+    "latin-1.csv": b"s,x,y,dx,dy\n0,0,0,1,0\n1,1,0,1,0\xff\n",
+    "header-only.csv": "s,x,y,dx,dy\n",
+    "one-row.csv": "s,x,y,dx,dy\n0,0,0,1,0\n",
+}
+
+
+def _samples(path: str) -> dict:
+    seed = {"kind": "samples", "path": path}
+    return {"kind": "ruled", "ruled": {**CYLINDER["ruled"], "seed": seed}}
 
 
 @pytest.mark.parametrize("command,payload,extra,message", [
-    ("verify", None, [], "invalid JSON in "),
+    ("verify", '{"kind": "graph", ', [], "invalid JSON in "),
+    ("verify", b'{"kind": "graph", "graph": {"h": "x*y/2\xff"}}', [], "invalid JSON in "),
+    ("verify", "[" * 100_000 + "]" * 100_000, [], "invalid JSON in "),
+    ("verify", '{"kind": "graph", "graph": {"h": "x*y/2"}, "n": ' + "1" * 5000 + "}", [],
+     "invalid JSON in "),
     ("verify", {"kind": "implicit", "implicit": {"phi": "t - x*"}}, [],
      "bad level-set expression: syntax error at position 6"),
     ("verify", {"kind": "ruled", "ruled": {**CYLINDER["ruled"], "h0": "sqrt(1 - s^2"}}, [],
@@ -680,11 +699,16 @@ IMPLICIT = {"kind": "implicit", "implicit": {"phi": "t - x*y/2"}}
     ("verify", {"kind": "ruled", "ruled": {**CYLINDER["ruled"], "seed": {
         "kind": "expression", "x": "2*s", "y": "0"}}}, [],
      "seed is not arclength-parameterized: max ||gamma'|-1| = 1.0"),
-    ("verify", {"kind": "ruled", "ruled": {**CYLINDER["ruled"], "seed": {
-        "kind": "samples", "path": "missing.csv"}}}, [], "cannot read seed samples: "),
-    ("verify", {"kind": "ruled", "ruled": {**CYLINDER["ruled"], "seed": {
-        "kind": "samples", "path": "four.csv"}}}, [],
-     "seed sample file needs columns s,x,y,dx,dy"),
+    ("verify", _samples("missing.csv"), [], "cannot read seed samples: "),
+    ("verify", _samples("four.csv"), [], "seed sample file needs columns s,x,y,dx,dy"),
+    ("verify", _samples("short-row.csv"), [],
+     "cannot read seed samples: the number of columns changed from 5 to 4 at row 2"),
+    ("verify", _samples("text-cell.csv"), [],
+     "cannot read seed samples: could not convert string 'one' to float64"),
+    ("verify", _samples("latin-1.csv"), [], "cannot read seed samples: 'utf-8' codec can't decode"),
+    ("verify", _samples("header-only.csv"), [],
+     "seed sample file needs at least two rows of samples"),
+    ("verify", _samples("one-row.csv"), [], "seed sample file needs at least two rows of samples"),
     ("seed", CYLINDER, ["--z0", "0", "1"],
      "seed needs a graph spec or a gallery entry with a graph form"),
     ("build", IMPLICIT, [], "build needs a ruled or graph spec, or a gallery entry with either"),
@@ -712,19 +736,29 @@ IMPLICIT = {"kind": "implicit", "implicit": {"phi": "t - x*y/2"}}
     ("verify", {"kind": "graph", "graph": {"h": "x*y/2", "domain": {
         "xmin": -int(BIG_INT), "xmax": 1, "ymin": -1, "ymax": 1}}}, [],
      f"domain x range [-{BIG_INT}, 1] needs finite bounds and a finite width"),
-], ids=["invalid-json", "implicit-phi", "ruled-h0", "seed-not-arclength", "seed-csv-missing",
-        "seed-csv-four-columns", "seed-of-ruled", "build-of-implicit", "loci-of-graph",
-        "classify-of-implicit", "fd-only-thin-domain", "grid-beyond-numpy", "grid-int64-max",
+], ids=["invalid-json", "spec-not-utf-8", "spec-nested-too-deep", "spec-int-of-5000-digits",
+        "implicit-phi", "ruled-h0", "seed-not-arclength", "seed-csv-missing",
+        "seed-csv-four-columns", "seed-csv-short-row", "seed-csv-text-cell", "seed-csv-not-utf-8",
+        "seed-csv-header-only", "seed-csv-one-row", "seed-of-ruled", "build-of-implicit",
+        "loci-of-graph", "classify-of-implicit", "fd-only-thin-domain", "grid-beyond-numpy", "grid-int64-max",
         "grid-past-the-cap", "implicit-t0-nan", "implicit-t0-inf", "implicit-t0-minus-inf",
         "implicit-t0-beyond-float", "domain-bound-beyond-float"])
 def test_input_error_exit_2(tmp_path, capsys, monkeypatch, command, payload, extra, message):
     monkeypatch.chdir(tmp_path)   # the seed sample paths are relative
-    (tmp_path / "four.csv").write_text("s,x,y,dx\n0,0,0,1\n1,1,0,1\n")
+    for name, text in SAMPLE_FILES.items():
+        path = tmp_path / name
+        path.write_bytes(text) if isinstance(text, bytes) else path.write_text(text)
     spec = tmp_path / "in.json"
-    spec.write_text('{"kind": "graph", ' if payload is None else json.dumps(payload))
-    assert main([command, "--spec", str(spec), *extra, "--out", str(tmp_path / "o")]) == 2
+    if isinstance(payload, bytes):
+        spec.write_bytes(payload)
+    else:
+        spec.write_text(payload if isinstance(payload, str) else json.dumps(payload))
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        assert main([command, "--spec", str(spec), *extra, "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: " + message)
+    assert seen == []
 
 
 @pytest.mark.parametrize("args,message", [

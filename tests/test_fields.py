@@ -11,7 +11,10 @@ from hmin.fields import (CHUNK, CLOSE_TOL, CLOSED, FD_STEP, HESS_STEP, RK4_STEP,
                          cumulative_integral, rk4_integrate, square)
 
 
-def fd_field(src, domain=None):
+PLANE = PlanarDomain(-math.inf, math.inf, -math.inf, math.inf)
+
+
+def fd_field(src, domain=PLANE):
     """The stencil field of the expression ``src``: f alone, no derivative trees."""
     return ScalarField2((ex.parse(src),), domain)
 
@@ -170,7 +173,7 @@ def test_jet_of_a_stencil_field_comes_in_two_steps():
 
 
 def test_expr_backed_field_has_exact_derivatives():
-    f = ScalarField2.from_expr("x^2*y - y^3/3")
+    f = ScalarField2.from_expr("x^2*y - y^3/3", PLANE)
     assert f.gradient(1.5, 2.0) == pytest.approx((6.0, 1.5 ** 2 - 4.0))
     (hxx, hxy), (_, hyy) = f.hessian(1.5, 2.0)
     assert (hxx, hxy, hyy) == pytest.approx((4.0, 3.0, -4.0))
@@ -206,7 +209,7 @@ def test_node_chunks_are_the_points_with_axes_that_read_them(n, m):
     assert k.tolist() == np.flatnonzero(dom.contains_all(gx, gy)).tolist()
     assert [x.tobytes(), y.tobytes()] == [a.tobytes() for a in grid.points()]
     # NaN for x < 0 and a division by zero at x = 0
-    analytic = ScalarField2.from_expr("sqrt(x) + x^2*y - atanh(y/2) + 1/x")
+    analytic = ScalarField2.from_expr("sqrt(x) + x^2*y - atanh(y/2) + 1/x", PLANE)
     for _, cx, cy, axes in chunks:
         assert len(cx) <= CHUNK
         # an axis reads the chunk's coordinates, and is no longer than the chunk

@@ -128,14 +128,32 @@ def gallery_graph_patches():
 
 
 def scalar_graph_mesh(patch, nx, ny):
-    """The vertices of mesh_graph, one patch.point call per node, x-major; or
-    the message of the error the first rejected node raises."""
-    x, y = Grid2(patch.domain, nx, ny).mesh()
+    """The vertices of mesh_graph, one patch.point call per node inside the
+    domain, x-major; or the message of the error the first rejected node raises."""
+    x, y = Grid2(patch.domain, nx, ny).points()
     try:
-        return [list(astuple(patch.point(a, b)))
-                for a, b in zip(x.ravel().tolist(), y.ravel().tolist())]
+        return [list(astuple(patch.point(a, b))) for a, b in zip(x.tolist(), y.tolist())]
     except FieldUndefined as err:
         return str(err)
+
+
+def scalar_graph_faces(patch, nx, ny):
+    """The faces of mesh_graph, one cell at a time: the two triangles of each
+    lattice cell whose three corners ``contains`` accepts, numbered among them."""
+    x, y = Grid2(patch.domain, nx, ny).mesh()
+    number = {}
+    for i in range(nx):
+        for j in range(ny):
+            if patch.domain.contains(float(x[i, j]), float(y[i, j])):
+                number[i, j] = len(number)
+    faces = []
+    for i in range(nx - 1):
+        for j in range(ny - 1):
+            for tri in (((i, j), (i + 1, j), (i, j + 1)),
+                        ((i, j + 1), (i + 1, j), (i + 1, j + 1))):
+                if all(c in number for c in tri):
+                    faces.append([number[c] for c in tri])
+    return faces
 
 
 def test_mesh_graph_matches_the_per_vertex_point():
@@ -148,8 +166,10 @@ def test_mesh_graph_matches_the_per_vertex_point():
             assert str(err) == expected, name
             continue
         assert repr(mesh.vertices.tolist()) == repr(expected), name
+        assert mesh.faces.dtype == np.int32
+        assert mesh.faces.tolist() == scalar_graph_faces(patch, 60, 47), name
         meshed += 1
-    assert meshed == 12   # catenoid's, counterexample's and iso-profile's boxes hold undefined nodes
+    assert meshed == 20   # every gallery graph, its lower sheet and their fd_only forms
 
 
 def test_mesh_graph_reads_heights_a_chunk_at_a_time(monkeypatch):
@@ -167,6 +187,20 @@ def test_build_of_an_undefined_height_names_the_first_node(tmp_path, capsys):
         "h": "sqrt(x)", "domain": {"xmin": -2, "xmax": 2, "ymin": -2, "ymax": 2}}}))
     assert main(["build", "--spec", str(spec), "--grid", "60", "47", "--out", str(tmp_path / "o")]) == 2
     assert capsys.readouterr().err == "error: height not finite at (-2.0, -2.0)\n"
+
+
+def test_build_of_a_graph_over_an_annulus_meshes_the_nodes_inside(tmp_path):
+    # iso-profile's height is defined on its annulus alone, where H = 2/R:
+    # the mesh is written and lints clean, and the minimality check fails
+    spec = tmp_path / "iso.json"
+    spec.write_text(json.dumps({"kind": "gallery", "gallery": {"name": "iso-profile"}}))
+    assert main(["build", "--spec", str(spec), "--out", str(tmp_path / "o")]) == 1
+    report = json.loads((tmp_path / "o" / "report.json").read_text())
+    checks = {c["name"]: c for c in report["checks"]}
+    assert checks["obj_lint"]["pass"] and checks["obj_lint"]["note"] == "clean"
+    assert checks["post_build_minimal"]["measured"] == pytest.approx(2.0)
+    records = [line[0] for line in (tmp_path / "o" / "mesh.obj").read_text().splitlines()]
+    assert (records.count("v"), records.count("f")) == (1840, 3508)   # of 50 x 50 nodes
 
 
 # -- write_obj: formatting each distinct float once gives the per-value text ---

@@ -13,8 +13,7 @@ from hmin.fields import PlanarDomain, Profile, full, square
 from hmin.gallery import (circle_seed, gallery_get, gallery_names, gallery_verify, line_seed,
                           optreg2_seed)
 from hmin.heis import HPoint, group_mul
-from hmin.ruled import (GeneralizedSeedCurve, GSCJoin, GSCPiece, GSCValidation,
-                        JoinCheck, RuledPatch, build_surface,
+from hmin.ruled import (GeneralizedSeedCurve, GSCJoin, GSCPiece, RuledPatch, build_surface,
                         characteristic_locus, chart_samples, classify_entire_graph,
                         constant_curvature_test, curvature_on_patch,
                         invert_chart, roundtrip, rule, validate_gsc, w_direct,
@@ -382,29 +381,45 @@ def test_extend_flat_plane_across_the_fold():
 
 
 def test_validate_gencurve_gsc():
-    gsc = gallery_get("gencurve-3").gsc()
-    out = validate_gsc(gsc, 1e-9)
-    assert out.valid and out.max_gap == 0.0
+    assert validate_gsc(gallery_get("gencurve-3").gsc()) == 0.0
 
 
 def test_validate_catenoid_two_sheet_gsc():
-    gsc = gallery_get("catenoid").gsc()
-    out = validate_gsc(gsc, 1e-9)
-    assert out.valid
+    assert validate_gsc(gallery_get("catenoid").gsc()) <= 1e-9
 
 
 def test_validate_gsc_detects_gap():
     p1 = GSCPiece(line_seed((0.0, 0.0), (1.0, 0.0), (-1.0, 0.0)), -1.0, 0.0)
     p2 = GSCPiece(line_seed((0.5, 0.0), (1.0, 0.0), (0.0, 1.0)), 0.0, 1.0)
-    out = validate_gsc(GeneralizedSeedCurve([p1, p2], [GSCJoin("b", "a")]), 1e-6)
-    assert not out.valid
-    assert out.checks[0].gap == pytest.approx(0.5)
+    assert validate_gsc(GeneralizedSeedCurve([p1, p2], [GSCJoin("b", "a")])) == pytest.approx(0.5)
 
 
-@pytest.mark.parametrize("gaps", [(1e-9, math.nan), (math.nan, 1e-9)])
-def test_max_gap_keeps_a_nan_gap(gaps):
-    out = GSCValidation([JoinCheck(g, g <= 1e-6) for g in gaps])
-    assert not out.valid and math.isnan(out.max_gap)
+def test_validate_gsc_without_joins_measures_nothing():
+    piece = GSCPiece(line_seed((0.0, 0.0), (1.0, 0.0), (-1.0, 1.0)), -1.0, 1.0)
+    assert math.isnan(validate_gsc(GeneralizedSeedCurve([piece])))
+
+
+@pytest.mark.parametrize("gaps", [(0.0, math.nan), (math.nan, 0.0)])
+def test_max_gap_keeps_a_nan_gap(monkeypatch, gaps):
+    # a closed chain of two pieces on the x-axis whose joins have these
+    # gaps: one piece is undefined at its end s = 1
+    def undefined_end(s):
+        return (ex.pointwise(lambda t: math.nan if t >= 1.0 else t, s), full(s, 0.0))
+
+    curve = SeedCurve.from_callables(undefined_end, lambda s: (full(s, 1.0), full(s, 0.0)),
+                                     lambda s: (full(s, 0.0), full(s, 0.0)), (0.0, 1.0))
+    pieces = [GSCPiece(curve, 0.0, 1.0),
+              GSCPiece(line_seed((0.0, 0.0), (1.0, 0.0), (-1.0, 0.0)), -1.0, 0.0)]
+    if math.isnan(gaps[1]):
+        pieces.reverse()
+    gsc = GeneralizedSeedCurve(pieces, [GSCJoin("b", "a")] * 2)
+    assert math.isnan(validate_gsc(gsc))
+    # the battery's join check on it fails
+    get = gallery_module.gallery_get
+    monkeypatch.setattr(gallery_module, "gallery_get",
+                        lambda name, **params: replace(get(name, **params), gsc=lambda: gsc))
+    [check] = [c for c in gallery_verify("gencurve-3") if c.name == "gsc_joins"]
+    assert not check.passed and check.note == "max gap nan"
 
 
 def test_constant_curvature_gencurve_and_flat():
@@ -439,7 +454,7 @@ def test_pieces_may_have_different_constants():
     line = GSCPiece(line_seed((1.0, 0.0), (0.0, 1.0), (0.0, 1.0)), 0.0, 1.0)
     circ = GSCPiece(circle_seed((0.0, 0.0), (1.0, 0.0), (-1.0, 0.0)), -1.0, 0.0, name="arc")
     gsc = GeneralizedSeedCurve([circ, line], [GSCJoin("b", "a")])
-    assert validate_gsc(gsc, 1e-9).valid
+    assert validate_gsc(gsc) <= 1e-9
     ok, summary = constant_curvature_test(gsc, 1e-6)
     assert ok
     assert summary[0]["kappa"] == pytest.approx(-1.0)
@@ -906,7 +921,7 @@ def test_characteristic_locus_matches_the_scalar_loop(name, n_s):
     columns = (rep.s.tolist(), rep.r.tolist(), rep.label, rep.x.tolist(), rep.y.tolist(),
                rep.t.tolist(), rep.w.tolist(), rep.verified.tolist())
     assert [repr(row) for row in zip(*columns)] == [repr(row) for row in roots]
-    assert ([(s.tobytes(), r.tobytes()) for s, r in rep.singular.branches]
+    assert ([(s.tobytes(), r.tobytes()) for s, r in rep.singular]
             == [(s.tobytes(), r.tobytes()) for s, r in branches])
 
 

@@ -124,11 +124,12 @@ def test_optreg_seed_curvature_is_minus_psi():
         assert curvature(c, float(s)) == pytest.approx(-abs(float(s)), abs=1e-9)
 
 
-def test_extraction_order_of_accuracy():
+def test_extraction_order_of_accuracy(monkeypatch):
     # halving the RK4 step cuts the circle-seed endpoint error by >= 8x
     errors = []
     for step in (4e-3, 2e-3, 1e-3):
-        c = extract_seed(FLAT, (1.0, 0.0), 2.0, step=step)
+        monkeypatch.setattr(seed_module, "RK4_STEP", step)
+        c = extract_seed(FLAT, (1.0, 0.0), 2.0)
         g = c.point(2.0)
         errors.append(math.hypot(g[0] - math.cos(2.0), g[1] - math.sin(2.0)))
     assert errors[0] / errors[1] >= 8.0
@@ -181,22 +182,22 @@ def test_jacobian_formula_matches_fd_on_extracted_seeds():
 
 def test_singular_locus_circle_line_and_corner():
     circle = circle_seed((0.0, 0.0), (1.0, 0.0), (-2.0, 2.0))
-    loc = singular_locus(circle)
-    assert len(loc.branches) == 1
-    _, rvals = loc.branches[0]
+    branches = singular_locus(circle)
+    assert len(branches) == 1
+    _, rvals = branches[0]
     assert np.allclose(rvals, -1.0, atol=1e-12)
 
     line = line_seed((0.0, 1.0), (-1.0, 0.0), (-2.0, 2.0))
-    assert singular_locus(line).branches == []
+    assert singular_locus(line) == []
 
     corner = optreg2_seed()
-    loc = singular_locus(corner)
-    assert loc.branches
-    for s_arr, r_arr in loc.branches:
+    branches = singular_locus(corner)
+    assert branches
+    for s_arr, r_arr in branches:
         mask = np.abs(s_arr) > 1e-3
         assert np.allclose(r_arr[mask], -1.0 / np.abs(s_arr[mask]), atol=1e-9)
     # r = -1/|s| diverges toward s = 0 (resolution-limited by the sample grid)
-    assert min(r_arr.min() for _, r_arr in loc.branches) < -100.0
+    assert min(r_arr.min() for _, r_arr in branches) < -100.0
 
 
 # -- field-geometry invariants -----------------------------------------------

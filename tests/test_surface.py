@@ -139,7 +139,7 @@ def test_curvature_reads_the_jet_and_without_one_not_the_height():
     def no_height(x, y):
         raise AssertionError("height read")
 
-    patch = GraphPatch(square(3.0), ScalarField2(PARAB.h.exprs))
+    patch = GraphPatch(square(3.0), ScalarField2(PARAB.h.exprs, square(3.0)))
     patch.h.f = no_height
     z = (1.0, 0.5)
     want = h_mean_curvature(PARAB, z)

@@ -7,8 +7,9 @@ shows whether a change keeps every output byte for byte.
 The runs are every op of the three workloads of ``bench/workloads.py`` at
 seeds 1 to 3, each seed's warm-up op, ``hmin gallery all``,
 ``verify``, ``seed``, ``classify``, ``loci`` and ``build`` on the
-counterexample gallery spec, and ``verify`` of a graph spec, of its
-``fd_only`` form and of an implicit spec.  Each op runs in this process through
+counterexample gallery spec, ``verify`` of a graph spec, of its
+``fd_only`` form and of an implicit spec, ``hmin gallery gencurve-2`` and
+``build`` on the iso-profile gallery spec.  Each op runs in this process through
 ``hmin.cli.main``, as the benchmark runs it, from the sources of
 ``--src`` (the repository's ``src/`` by default); ``bench/`` is only read.
 
@@ -32,7 +33,6 @@ import contextlib
 import hashlib
 import io
 import json
-import os
 import platform
 import shutil
 import sys
@@ -52,9 +52,10 @@ _CUBIC = {"h": "x*y/2 + x^3/6", "domain": {"xmin": -2, "xmax": 2, "ymin": -2, "y
 
 
 def _extra_ops() -> list:
-    """``gallery all``, the five spec commands on the counterexample, and
+    """``gallery all``, the five spec commands on the counterexample,
     ``verify`` of a graph spec, of its ``fd_only`` form and of an implicit
-    spec, which no workload op runs."""
+    spec, the even-n GSC of ``gencurve-2`` and a graph build over a domain
+    that is not a box, which no workload op runs."""
     op = workloads.Op
     return [op("all", "gallery", args=("all",)),
             op("counterexample-verify", "verify", _COUNTEREXAMPLE),
@@ -66,7 +67,10 @@ def _extra_ops() -> list:
             op("graph-verify", "verify", {"kind": "graph", "graph": _CUBIC}),
             op("graph-fd-verify", "verify", {"kind": "graph", "graph": {**_CUBIC, "fd_only": True}}),
             op("implicit-verify", "verify",
-               {"kind": "implicit", "implicit": {"phi": "-(t - x*y/2 - 0.3*x)"}})]
+               {"kind": "implicit", "implicit": {"phi": "-(t - x*y/2 - 0.3*x)"}}),
+            op("gencurve-2", "gallery", args=("gencurve-2",)),
+            op("iso-profile-build", "build",
+               {"kind": "gallery", "gallery": {"name": "iso-profile"}})]
 
 
 def runs() -> list[tuple[str, object]]:
@@ -149,7 +153,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--src", type=Path, default=ROOT / "src")
     parser.add_argument("--only", action="append", default=[])
     args = parser.parse_args(argv)
-    os.environ.pop("HMIN_THREADS", None)
 
     now = digests(args.src, args.only)
     if args.write:
