@@ -27,8 +27,8 @@ _EXPORTS = {
               "ParseError SingularRule SpecError StencilOutOfDomain UnknownName",
     "heis": "HPoint ORIGIN dilate group_mul",
     "fields": "Grid2 PlanarDomain Profile ScalarField2 adaptive_simpson rk4_integrate square",
-    "surface": "GraphPatch HorizontalData ImplicitSurface characteristic_scan h_mean_curvature "
-               "horizontal_data rotate_graph translate_graph",
+    "surface": "GraphPatch ImplicitSurface characteristic_scan h_mean_curvature horizontal_data "
+               "rotate_graph translate_graph",
     "seed": "SeedCurve curvature extract_seed rule_jacobian_det rule_point singular_locus",
     "ruled": "GeneralizedSeedCurve GSCJoin GSCPiece LociReport RuledPatch build_surface "
              "characteristic_locus classify_entire_graph constant_curvature_test roundtrip "

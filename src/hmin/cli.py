@@ -20,15 +20,16 @@ a flagged characteristic-scan node, mesh vertex or loci row whose height
 is not finite, a loci s where W0 or kappa is not finite, a domain,
 window, s_range or r_range that is not finite and ordered, an implicit
 t0 that is not finite, an expression using a variable its field does not
-take, --z0 outside it, a --span that is not positive or is longer than
-MAX_SEED_STEPS RK4 steps (a span of 1000), a --grid value below 2 or a
---grid of more than MAX_GRID_NODES nodes (a 2000x2000 lattice), a spec
-or seed sample file that cannot be decoded, or a seed sample file with
-fewer than two rows or whose s is not strictly increasing),
-3 characteristic start point, 4 unknown gallery name or bad gallery
-parameter (including one that no named entry takes, and a gencurve-<k>
-suffix that differs from --n), a gallery name given twice, or all next
-to another name.
+take or nested too deeply to evaluate, --z0 outside it or where W is NaN,
+a --span that is not positive or is longer than MAX_SEED_STEPS RK4 steps
+(a span of 1000), a --grid value below 2 or a --grid of more than
+MAX_GRID_NODES nodes (a 2000x2000 lattice), a spec or seed sample file
+that cannot be decoded, or a seed sample file with fewer than two rows or
+whose s is not strictly increasing), 3 characteristic start point, 4
+unknown gallery name or bad gallery parameter (including one that no
+named entry takes, and a gencurve-<k> suffix that differs from --n), a
+gallery name given twice, or all next to another name.  A spec
+validation message is cut after 200 characters.
 """
 
 from __future__ import annotations
@@ -98,7 +99,9 @@ def load_spec(path: str) -> dict:
     from .schema import spec_error
     message = spec_error(spec)
     if message is not None:
-        raise SpecError(f"spec validation failed: {message}")
+        # the message quotes the offending value, which may be as long as the spec
+        raise SpecError(f"spec validation failed: {message[:200]}"
+                        + ("..." if len(message) > 200 else ""))
     kind = spec["kind"]
     if kind not in spec:
         raise SpecError(f"spec kind is {kind!r} but no {kind!r} section is present")
@@ -273,7 +276,7 @@ def cmd_verify(args, spec: dict, report: Report) -> None:
         lattice = ScanLattice(Grid2(patch.domain, nx, ny))
         dev = max_curvature_deviation(patch, patch.domain, nx, ny, lattice=lattice)
         report.add(check_leq("max_abs_h_curvature", dev, tol))
-        scan = characteristic_scan(patch, lattice.grid, lattice)
+        scan = characteristic_scan(lattice)
         note = f"{len(scan.components)} component(s)"
         if scan.undefined_w:
             note += f", {scan.undefined_w} node(s) where W is not finite"
@@ -291,7 +294,7 @@ def cmd_verify(args, spec: dict, report: Report) -> None:
             solved = np.isfinite(t)
             no_height += len(t) - int(solved.sum())
             x, y, t = x[solved], y[solved], t[solved]
-            far = ~(surf.horizontal_data(x, y, t).w <= W_MARGIN)
+            far = ~(surf.horizontal_data(x, y, t) <= W_MARGIN)
             near += len(t) - int(far.sum())
             values.append(surf.h_mean_curvature(x[far], y[far], t[far]))
         report.add(check_leq("max_abs_h_curvature", worst_abs(np.concatenate(values)),
@@ -324,7 +327,7 @@ def cmd_seed(args, spec: dict, report: Report) -> None:
     for x, y in chunks(*curve.g.T):
         jet = patch.h.jet(x, y)
         t.append(jet[0])
-        w.append(horizontal_data(patch, (x, y), jet=jet).w)
+        w.append(horizontal_data(patch, (x, y), jet=jet))
     n = len(curve.s)
     _write_csv(_output_path(report, args.out, "seed.csv"), {
         "s": curve.s, "r": np.zeros(n), "x": curve.g[:, 0], "y": curve.g[:, 1],
@@ -537,6 +540,11 @@ def main(argv: Optional[list[str]] = None) -> int:
         return 4
     except HminError as err:
         print(f"error: {err}", file=sys.stderr)
+        return 2
+    except RecursionError:
+        # expression trees are the only unbounded recursion a command runs (the
+        # parser, differentiate and the tree walks); load_spec catches JSON nesting
+        print("error: expression nested too deeply to evaluate", file=sys.stderr)
         return 2
 
 

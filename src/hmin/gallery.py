@@ -715,11 +715,13 @@ def gallery_verify(name: str, **params) -> list[Check]:
 
 def _check_scan(entry: GalleryEntry, lattice: Optional[ScanLattice] = None) -> Check:
     """The characteristic scan of the graph against ``expected_scan``, over
-    ``lattice`` (the verify lattice, as the analytic curvature scan read
-    it), or else over the entry's scan or verify domain."""
-    grid = lattice.grid if lattice is not None else Grid2(entry.scan_domain or entry.verify_domain,
-                                                          101, 101)
-    scan = characteristic_scan(entry.graph, grid, lattice)
+    ``lattice`` (the verify lattice, as the analytic curvature scan read it),
+    or else over the entry's scan or verify domain, read by a curvature scan."""
+    if lattice is None:
+        domain = entry.scan_domain or entry.verify_domain
+        lattice = ScanLattice(Grid2(domain, 101, 101))
+        max_curvature_deviation(entry.graph, domain, lattice=lattice)
+    scan = characteristic_scan(lattice)
     kind = entry.expected_scan["kind"]
     if kind == "empty":
         # a node where W is not finite may hide a characteristic point
@@ -747,7 +749,7 @@ def _counterexample_triple(entry: GalleryEntry,
     y = xt_graph(x, t)
     # empty characteristic locus: W > 0 on the surface sample; np.min keeps
     # a NaN W, so a sample where W is undefined fails the check
-    wmin = float(np.min(entry.implicit.horizontal_data(x, y, t).w))
+    wmin = float(np.min(entry.implicit.horizontal_data(x, y, t)))
     # not a vertical plane: fit a x + b y = c to surface points, residual large
     x, t = Grid2(square(3.0), 13, 13).points()
     arr = np.column_stack((x, xt_graph(x, t)))

@@ -14,8 +14,8 @@ curve and the straight rules through it parameterize the plane by
             = (gamma1 + r gamma2', gamma2 - r gamma1'),   det DF = -1 + r kappa(s),
 
 which degenerates exactly on the singular locus {r = 1/kappa(s)}, whose
-branches ``singular_locus`` lists.  The tracer reads nu, W and D(p, q) of
-the graph from ``surface`` and steps ``fields.RK4_STEP``.
+branches ``singular_locus`` lists.  The tracer reads nu, (p, q), W and D(p, q)
+of the graph from ``surface`` and steps ``fields.RK4_STEP``.
 
 The ``SeedCurve`` lookups (``point``, ``tangent``, ``second``),
 ``curvature``, ``rule_point``, ``rule_jacobian`` and ``rule_jacobian_det``
@@ -39,7 +39,8 @@ import numpy as np
 
 from .errors import CharacteristicStart, FieldUndefined, OutOfRange, StencilOutOfDomain
 from .fields import FD_STEP, RK4_STEP, chunks, rk4_integrate
-from .surface import EPS_CHAR, GraphPatch, graph_dpq, horizontal_data, unit_horizontal_field
+from .surface import (EPS_CHAR, GraphPatch, graph_dpq, graph_pq, horizontal_data,
+                      unit_horizontal_field)
 
 EPS_KAPPA = 1e-8
 _RANGE_SLOP = 1e-9
@@ -219,16 +220,20 @@ def extract_seed(patch: GraphPatch, z0: tuple[float, float], arc_span: float) ->
         gamma'' = (I - nu nu^T) d(p, q)/d(x, y) nu / W
 
     are read from the height's 2-jet, one chunk of points at a time
-    (``_seed_jet``), with d(p, q)/d(x, y) from ``surface.graph_dpq``.  A
-    branch is cut before its first point where that jet does not define
-    them or the height is not finite; if the RK4 stop reason is not already
-    set, it becomes "trimmed boundary sample".
+    (``_seed_jet``), with nu and d(p, q)/d(x, y) from ``surface.graph_pq``
+    and ``graph_dpq``.  A branch is cut before its first point where that
+    jet does not define them or the height is not finite; if the RK4 stop
+    reason is not already set, it becomes "trimmed boundary sample".  A z0
+    where W is NaN raises FieldUndefined; one where W <= EPS_CHAR raises
+    CharacteristicStart.
     """
     if not patch.domain.contains(*z0):
         raise FieldUndefined(f"z0={z0} outside the patch domain")
-    data = horizontal_data(patch, z0)
-    if data.nu is None:
-        raise CharacteristicStart(f"W={data.w} <= {EPS_CHAR} at {z0}")
+    w = horizontal_data(patch, z0)
+    if not w > EPS_CHAR:
+        if np.isnan(w):
+            raise FieldUndefined(f"horizontal Gauss map undefined at z0={z0}, W={w}")
+        raise CharacteristicStart(f"W={w} <= {EPS_CHAR} at {z0}")
     n_steps = max(1, int(round(arc_span / RK4_STEP)))
     branches = []
     for reverse in (True, False):
@@ -270,9 +275,10 @@ def _seed_jet(patch: GraphPatch, pts: np.ndarray) -> tuple[np.ndarray, np.ndarra
                 k = err.node  # the points before it pass the stencil checks
         if not k:
             break
-        _, _, w, (nx, ny) = horizontal_data(patch, (cx[:k], cy[:k]), jet=jet)
+        w = horizontal_data(patch, (cx[:k], cy[:k]), jet=jet)
         p_x, p_y, q_x, q_y = graph_dpq(*jet[3:])
         with np.errstate(all="ignore"):
+            nx, ny = (v / w for v in graph_pq(jet[1], jet[2], cx[:k], cy[:k]))
             # d(p, q)/d(x, y) nu, then its part normal to nu, over W
             ax, ay = p_x * nx + p_y * ny, q_x * nx + q_y * ny
             dot = nx * ax + ny * ay

@@ -14,7 +14,7 @@ of nu, evaluated in the equivalent p/q form
 from the height's 2-jet.  The tests hold it against the divergence form,
 which differences the unit field.  The convention has its one home here:
 ``graph_pq`` gives (p, q) from the gradient, ``graph_dpq`` gives D(p, q)
-= (p_x, p_y, q_x, q_y) from the Hessian and ``_horizontal`` W and nu from
+= (p_x, p_y, q_x, q_y) from the Hessian and ``horizontal_data`` W from
 (p, q); no other module writes them out.
 
 Implicit surfaces phi(x, y, t) = 0 are oriented by phi, and no check reads
@@ -26,9 +26,9 @@ of it is array code: phi, ``horizontal_data``, ``h_mean_curvature`` and
 the Newton ``solve_height`` take nodes (x, y, t) as 1-d arrays.
 Curvature at characteristic points is deliberately left undefined: the
 scan reports the locus instead.
-``characteristic_scan`` flags the lattice nodes of a grid where W < EPS_CHAR
-and groups them into 8-connected components.  It reports nodes only; a
-component's representative is the mean of its nodes.
+``characteristic_scan`` flags the lattice nodes of a ``ScanLattice`` where
+W < EPS_CHAR and groups them into 8-connected components.  It reports nodes
+only; a component's representative is the mean of its nodes.
 
 Those three take floats or equally long arrays.  So do ``horizontal_data``
 and ``h_mean_curvature``, given a chunk of graph nodes as 1-d arrays x
@@ -38,12 +38,12 @@ hypot(p, q) and W^3 are taken per element, as numpy's differ in the last
 bit.  ``read_nodes`` is the one pass over a chunk that the curvature scan
 (``max_curvature_deviation``) and the classifier share: the height's jet,
 then W, then H where W is not <= W_MARGIN, W read once per node.  The
-curvature scan and ``characteristic_scan`` read the chunks of a ``Grid2``
-lattice with their axes (``Grid2.node_chunks``), so the height's
-subexpressions in x alone or y alone are computed once per lattice
-coordinate.  The curvature scan can keep the height and W it reads in a
-``ScanLattice``, and ``characteristic_scan`` clusters that record, so
-checking both halves of a graph over one lattice reads each node once.
+curvature scan reads the chunks of a ``Grid2`` lattice with their axes
+(``Grid2.node_chunks``), so the height's subexpressions in x alone or y
+alone are computed once per lattice coordinate.  It is the one read of a
+lattice: it keeps the height and W it reads in a ``ScanLattice``, and
+``characteristic_scan`` clusters that record, so checking both halves of a
+graph over one lattice reads each node once.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -92,14 +92,6 @@ class GraphPatch:
         return HPoint(x, y, t)
 
 
-class HorizontalData(NamedTuple):
-    p: float
-    q: float
-    w: float
-    # absent exactly at characteristic points; on a chunk, NaN at those nodes
-    nu: Optional[tuple[float, float]]
-
-
 def graph_pq(hx, hy, x, y) -> tuple:
     """(p, q) of a graph from its gradient (hx, hy) at (x, y)."""
     return (-(hx + 0.5 * y), -(hy - 0.5 * x))
@@ -115,21 +107,12 @@ def _pq(patch: GraphPatch, x, y, jet: Optional[tuple] = None) -> tuple:
     return graph_pq(hx, hy, x, y)
 
 
-def _horizontal(p, q) -> HorizontalData:
-    """W and nu from p, q of a graph or a level set; nu on arrays is NaN where floats give None."""
-    w = ex.pointwise(math.hypot, p, q)
-    if not isinstance(w, np.ndarray):
-        return HorizontalData(p, q, w, (p / w, q / w) if w > EPS_CHAR else None)
-    with np.errstate(all="ignore"):
-        return HorizontalData(p, q, w, tuple(np.where(w > EPS_CHAR, v / w, np.nan) for v in (p, q)))
+def horizontal_data(patch: GraphPatch, z: tuple, jet: Optional[tuple] = None):
+    """W = hypot(p, q) at z; ``jet`` is the field's jet at z, if the caller has it.
 
-
-def horizontal_data(patch: GraphPatch, z: tuple, jet: Optional[tuple] = None) -> HorizontalData:
-    """p, q, W and nu at z; ``jet`` is the field's jet at z, if the caller has it.
-
-    z may be a chunk of nodes (x, y), given with its jet.
+    z may be a chunk of nodes (x, y), given with its jet; W is then an array.
     """
-    return _horizontal(*_pq(patch, z[0], z[1], jet))
+    return ex.pointwise(math.hypot, *_pq(patch, z[0], z[1], jet))
 
 
 def unit_horizontal_field(patch: GraphPatch,
@@ -233,7 +216,7 @@ def read_nodes(patch: GraphPatch, x: np.ndarray, y: np.ndarray,
         head = slice(err.node)
         t, w, h, error = read_nodes(patch, x[head], y[head], select_axes(axes, head))
         return t, w, h, error or err
-    w = horizontal_data(patch, (x, y), jet=jet).w
+    w = horizontal_data(patch, (x, y), jet=jet)
     h = np.full(len(x), math.nan)
     keep = ~(w <= W_MARGIN) & np.isfinite(jet[0])
     if keep.any():
@@ -254,8 +237,9 @@ class ScanLattice:
     clusters.  A node outside the domain is not ``inside``, and its W is
     inf.
 
-    ``max_curvature_deviation`` fills one as it reads the nodes, so a scan
-    of the same grid reads no node again.
+    ``max_curvature_deviation`` fills one as it reads the nodes; it is
+    the one read of a lattice, so a scan of the same grid reads no node
+    again.
     """
 
     def __init__(self, grid: Grid2):
@@ -274,11 +258,6 @@ class ScanLattice:
         self.w.ravel()[nodes] = w
 
 
-def _check_grid(lattice: Optional[ScanLattice], grid: Grid2) -> None:
-    if lattice is not None and lattice.grid != grid:
-        raise ValueError(f"a lattice of {lattice.grid} given for {grid}")
-
-
 def max_curvature_deviation(patch: GraphPatch, domain: PlanarDomain,
                             nx: int = 101, ny: int = 101, expect: float = 0.0,
                             lattice: Optional[ScanLattice] = None) -> float:
@@ -293,7 +272,8 @@ def max_curvature_deviation(patch: GraphPatch, domain: PlanarDomain,
     of every node read; it is whole once the scan returns.
     """
     grid = Grid2(domain, nx, ny)
-    _check_grid(lattice, grid)
+    if lattice is not None and lattice.grid != grid:
+        raise ValueError(f"a lattice of {lattice.grid} given for {grid}")
     deviations = [np.empty(0)]
     for nodes, x, y, axes in grid.node_chunks():
         t, w, h, error = read_nodes(patch, x, y, axes)
@@ -391,24 +371,14 @@ class CharacteristicScan:
         return not self.components
 
 
-def characteristic_scan(patch: GraphPatch, grid: Grid2,
-                        lattice: Optional[ScanLattice] = None) -> CharacteristicScan:
-    """Grid nodes with W < EPS_CHAR, grouped into 8-connected components.
+def characteristic_scan(lattice: ScanLattice) -> CharacteristicScan:
+    """Lattice nodes with W < EPS_CHAR, grouped into 8-connected components.
 
-    W and the height are those of ``lattice`` when it is given: a
-    ``ScanLattice`` of this grid that ``max_curvature_deviation`` filled
-    on the same patch.  Otherwise they are read through the height field's
-    jet, one chunk of nodes at a time; that array code is all the scan
-    compiles.  The height must be finite at every flagged node: where it
-    is not, the surface is undefined there, and FieldUndefined names the
-    first such node in lattice order.
+    W and the height are those of ``lattice``, which
+    ``max_curvature_deviation`` filled.  The height must be finite at
+    every flagged node: where it is not, the surface is undefined there,
+    and FieldUndefined names the first such node in lattice order.
     """
-    _check_grid(lattice, grid)
-    if lattice is None:
-        lattice = ScanLattice(grid)
-        for nodes, x, y, axes in grid.node_chunks():
-            jet = patch.h.jet(x, y, axes=axes)
-            lattice.add(nodes, jet[0], horizontal_data(patch, (x, y), jet=jet).w)
     xs, ys, inside, w = lattice.xs, lattice.ys, lattice.inside, lattice.w
     ni, nj = w.shape
     flagged = inside & (w < EPS_CHAR)
@@ -495,8 +465,8 @@ class ImplicitSurface:
     def from_expr(src: str) -> "ImplicitSurface":
         return ImplicitSurface(ex.parse(src))
 
-    def horizontal_data(self, x, y, t) -> HorizontalData:
-        return _horizontal(*self._pq(x, y, t))
+    def horizontal_data(self, x, y, t) -> np.ndarray:
+        return ex.pointwise(math.hypot, *self._pq(x, y, t))
 
     def h_mean_curvature(self, x, y, t) -> np.ndarray:
         """The p/q-form curvature at non-characteristic nodes; raises

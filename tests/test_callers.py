@@ -19,8 +19,6 @@ KEPT = {
     "surface.rotate_graph": "acceptance criterion 11: rotation of a graph about the t-axis",
     "seed.SeedCurve.stop_lo": "why a traced seed's backward branch ended; the seed tests pin it",
     "seed.SeedCurve.stop_hi": "why a traced seed's forward branch ended; the seed tests pin it",
-    "surface.HorizontalData.p": "read by position: callers unpack (p, q, W, nu)",
-    "surface.HorizontalData.q": "read by position: callers unpack (p, q, W, nu)",
 }
 
 

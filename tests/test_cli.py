@@ -669,6 +669,7 @@ def test_gallery_parameter_beyond_the_float_range_exit_4(tmp_path, capsys, args)
 
 
 GRAPH = {"kind": "graph", "graph": {"h": "x*y/2"}}
+UNIT = {"xmin": -1, "xmax": 1, "ymin": -1, "ymax": 1}
 IMPLICIT = {"kind": "implicit", "implicit": {"phi": "t - x*y/2"}}
 # seed sample files, relative to the test's working directory
 SAMPLE_FILES = {
@@ -736,13 +737,29 @@ def _samples(path: str) -> dict:
     ("verify", {"kind": "graph", "graph": {"h": "x*y/2", "domain": {
         "xmin": -int(BIG_INT), "xmax": 1, "ymin": -1, "ymax": 1}}}, [],
      f"domain x range [-{BIG_INT}, 1] needs finite bounds and a finite width"),
+    # the gradient of sqrt(x) is NaN at x < 0: the Gauss map is undefined, not characteristic
+    ("seed", {"kind": "graph", "graph": {"h": "x*y/2 + sqrt(x)", "domain": UNIT}},
+     ["--z0", "-0.5", "1"], "horizontal Gauss map undefined at z0=(-0.5, 1.0), W=nan"),
+    # expressions nested past the interpreter's recursion limit
+    ("verify", {"kind": "graph", "graph": {"h": "+".join(["x"] * 600), "domain": UNIT}}, [],
+     "expression nested too deeply to evaluate"),
+    ("verify", {"kind": "graph", "graph": {"h": "(" * 200 + "x" + ")" * 200, "domain": UNIT}}, [],
+     "expression nested too deeply to evaluate"),
+    ("verify", {"kind": "graph", "graph": {"h": "-" * 3000 + "x", "domain": UNIT}}, [],
+     "expression nested too deeply to evaluate"),
+    ("verify", {"kind": "implicit", "implicit": {"phi": "+".join(["t"] * 600)}}, [],
+     "expression nested too deeply to evaluate"),
+    ("verify", {"kind": "ruled", "ruled": {**CYLINDER["ruled"], "h0": "+".join(["s"] * 600)}}, [],
+     "expression nested too deeply to evaluate"),
 ], ids=["invalid-json", "spec-not-utf-8", "spec-nested-too-deep", "spec-int-of-5000-digits",
         "implicit-phi", "ruled-h0", "seed-not-arclength", "seed-csv-missing",
         "seed-csv-four-columns", "seed-csv-short-row", "seed-csv-text-cell", "seed-csv-not-utf-8",
         "seed-csv-header-only", "seed-csv-one-row", "seed-of-ruled", "build-of-implicit",
         "loci-of-graph", "classify-of-implicit", "fd-only-thin-domain", "grid-beyond-numpy", "grid-int64-max",
         "grid-past-the-cap", "implicit-t0-nan", "implicit-t0-inf", "implicit-t0-minus-inf",
-        "implicit-t0-beyond-float", "domain-bound-beyond-float"])
+        "implicit-t0-beyond-float", "domain-bound-beyond-float", "seed-start-where-w-is-nan",
+        "graph-sum-of-600-terms", "graph-200-parentheses", "graph-3000-minus-signs",
+        "implicit-sum-of-600-terms", "ruled-h0-sum-of-600-terms"])
 def test_input_error_exit_2(tmp_path, capsys, monkeypatch, command, payload, extra, message):
     monkeypatch.chdir(tmp_path)   # the seed sample paths are relative
     for name, text in SAMPLE_FILES.items():
@@ -759,6 +776,21 @@ def test_input_error_exit_2(tmp_path, capsys, monkeypatch, command, payload, ext
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: " + message)
     assert seen == []
+
+
+def _nested(value, depth: int) -> str:
+    return "[" * depth + json.dumps(value) + "]" * depth
+
+
+@pytest.mark.parametrize("domain", [json.dumps({**UNIT, "ymax": "a" * 100_000}),
+                                    _nested(UNIT, 900)], ids=["long-string", "nested-900-deep"])
+def test_a_validation_error_line_is_cut(tmp_path, capsys, domain):
+    spec = tmp_path / "in.json"
+    spec.write_text('{"kind": "graph", "graph": {"h": "x*y/2", "domain": %s}}' % domain)
+    assert main(["verify", "--spec", str(spec), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: spec validation failed: ")
+    assert err[0].endswith("...") and len(err[0]) == len("error: spec validation failed: ") + 203
 
 
 @pytest.mark.parametrize("args,message", [

@@ -96,7 +96,7 @@ def test_the_package_exports_the_names_it_always_has():
     assert hmin.__all__ == [
         "CharacteristicPoint", "CharacteristicStart", "FieldUndefined", "GSCJoin", "GSCPiece",
         "GalleryEntry", "GeneralizedSeedCurve", "GraphPatch", "Grid2", "HPoint", "HminError",
-        "HorizontalData", "ImplicitSurface", "LociReport", "ORIGIN", "OutOfRange", "ParseError",
+        "ImplicitSurface", "LociReport", "ORIGIN", "OutOfRange", "ParseError",
         "PlanarDomain", "Profile", "RuledPatch", "ScalarField2", "SeedCurve", "SingularRule",
         "SpecError", "StencilOutOfDomain", "UnknownName", "adaptive_simpson", "build_surface",
         "characteristic_locus", "characteristic_scan", "classify_entire_graph",

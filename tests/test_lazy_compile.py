@@ -11,7 +11,8 @@ from hmin.cli import main
 from hmin.errors import SpecError
 from hmin.fields import Grid2, Profile, ScalarField2, square
 from hmin.gallery import gallery_get
-from hmin.surface import GraphPatch, ImplicitSurface, characteristic_scan
+from hmin.surface import (GraphPatch, ImplicitSurface, ScanLattice, characteristic_scan,
+                          max_curvature_deviation)
 
 
 @pytest.fixture
@@ -91,9 +92,11 @@ def test_first_array_gradient_or_hessian_call_compiles_once(compiled):
 
 
 def test_a_characteristic_scan_compiles_only_the_height_array_code(compiled):
-    # the jet's array code reads W; no flagged node is lifted by float code
+    # the jet's array code reads W and H; no flagged node is lifted by float code
     entry = gallery_get("hyperbolic")
-    scan = characteristic_scan(entry.graph, Grid2(entry.verify_domain, 101, 101))
+    lattice = ScanLattice(Grid2(entry.verify_domain, 101, 101))
+    max_curvature_deviation(entry.graph, entry.verify_domain, lattice=lattice)
+    scan = characteristic_scan(lattice)
     assert len(scan.components) == 1
     assert compiled == [(entry.graph.h.exprs, True)]
 

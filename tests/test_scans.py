@@ -15,16 +15,16 @@ import pytest
 
 from hmin import expr as ex
 from hmin.cli import main, ruled_from_spec
-from hmin.errors import StencilOutOfDomain
+from hmin.errors import FieldUndefined, StencilOutOfDomain
 from hmin.fields import CHUNK, Grid2, PlanarDomain, ScalarField2, square
 from hmin.gallery import gallery_get, gallery_names, gallery_verify, max_curvature_deviation
 from hmin.heis import HPoint
 from hmin.report import worst_abs
 from hmin.ruled import classify_entire_graph, roundtrip
 from hmin.seed import SeedCurve, curvature, extract_seed
-from hmin.surface import (EPS_CHAR, TOL_H_FD, W_MARGIN, GraphPatch, ScanComponent, ScanLattice,
-                          _pq, characteristic_scan, h_mean_curvature, horizontal_data,
-                          rotate_graph, translate_graph)
+from hmin.surface import (EPS_CHAR, TOL_H_FD, W_MARGIN, CharacteristicScan, GraphPatch,
+                          ScanComponent, ScanLattice, _pq, characteristic_scan, h_mean_curvature,
+                          horizontal_data, rotate_graph, translate_graph)
 
 
 def _nodes(domain, nx, ny):
@@ -38,7 +38,7 @@ def deviation_by_node(patch, domain, nx=101, ny=101, expect=0.0):
     deviations = []
     for x, y in _nodes(domain, nx, ny):
         jet = field.jet(x, y)
-        if horizontal_data(patch, (x, y), jet=jet).w <= W_MARGIN:
+        if horizontal_data(patch, (x, y), jet=jet) <= W_MARGIN:
             continue
         deviations.append(h_mean_curvature(patch, (x, y), jet=jet) - expect
                           if math.isfinite(jet[0]) else math.nan)
@@ -46,22 +46,21 @@ def deviation_by_node(patch, domain, nx=101, ny=101, expect=0.0):
 
 
 def scan_by_node(patch, grid):
-    """The components of ``characteristic_scan``, one node at a time."""
-    def wfun(x, y):
-        p, q = _pq(patch, x, y)
-        return math.hypot(p, q)
-
+    """``characteristic_scan`` of ``grid``, one node at a time."""
     xs, ys = grid.lattice()
     ni, nj = len(xs), len(ys)
     w = np.full((ni, nj), np.inf)
     inside = np.zeros((ni, nj), dtype=bool)
-    for i, x in enumerate(xs):
-        for j, y in enumerate(ys):
-            if not grid.domain.contains(float(x), float(y)):
+    for i, x in enumerate(xs.tolist()):
+        for j, y in enumerate(ys.tolist()):
+            if not grid.domain.contains(x, y):
                 continue
             inside[i, j] = True
-            w[i, j] = wfun(float(x), float(y))
+            w[i, j] = math.hypot(*_pq(patch, x, y))
     flagged = inside & (w < EPS_CHAR)
+    for i, j in np.argwhere(flagged).tolist():
+        if not math.isfinite(patch.h.value(float(xs[i]), float(ys[j]))):
+            raise FieldUndefined(f"height not finite at ({float(xs[i])}, {float(ys[j])})")
     comp = -np.ones((ni, nj), dtype=int)
     comps = []
     for i in range(ni):
@@ -81,7 +80,16 @@ def scan_by_node(patch, grid):
                             comp[ai, aj] = len(comps)
                             stack.append((ai, aj))
             comps.append(members)
-    return [ScanComponent([(float(xs[i]), float(ys[j])) for i, j in members]) for members in comps]
+    return CharacteristicScan([ScanComponent([(float(xs[i]), float(ys[j])) for i, j in members])
+                               for members in comps],
+                              int(np.count_nonzero(inside & ~np.isfinite(w))))
+
+
+def scan_of(patch, grid):
+    """The characteristic scan of the lattice that a curvature scan of ``grid`` fills."""
+    lattice = ScanLattice(grid)
+    max_curvature_deviation(patch, grid.domain, grid.nx, grid.ny, lattice=lattice)
+    return characteristic_scan(lattice)
 
 
 def _gallery_scans():
@@ -183,12 +191,6 @@ def test_hessian_first_case_is_the_hessian_stencil():
         f"stencil point ({x0 + 5e-5}, 0.5) outside domain")
 
 
-def test_characteristic_scan_raises_the_node_loops_stencil_error():
-    patch = _fd_patch()
-    grid = Grid2(PlanarDomain(0.5, 1 - 5e-6, -0.5, 0.5), 41, 41)
-    assert _message(characteristic_scan, patch, grid) == _message(scan_by_node, patch, grid)
-
-
 # -- characteristic scan ---------------------------------------------------------
 
 
@@ -197,27 +199,23 @@ def test_characteristic_scan_raises_the_node_loops_stencil_error():
 def test_characteristic_scan_equals_the_node_loop_on_gallery_scan_domains(name):
     entry = gallery_get(name)
     grid = Grid2(entry.scan_domain or entry.verify_domain, 101, 101)
-    got = characteristic_scan(entry.graph, grid)
-    want = scan_by_node(entry.graph, grid)
-    assert got.undefined_w == 0
-    assert repr([c.nodes for c in got.components]) == repr([c.nodes for c in want])
-    assert [repr(c.representative) for c in got.components] == [
-        repr(c.representative) for c in want]
+    assert scan_of(entry.graph, grid).undefined_w == 0
+    assert _scan_outcome(scan_of, entry.graph, grid) == _scan_outcome(scan_by_node, entry.graph, grid)
 
 
 def test_characteristic_scan_counts_nodes_where_w_is_not_finite():
     # sqrt(x) has no derivative for x <= 0, so W is NaN on 51 of 101 columns
     patch = GraphPatch.from_expr("x*y/2 + sqrt(x)", PlanarDomain(-1, 1, -1, 1))
-    scan = characteristic_scan(patch, Grid2(patch.domain, 101, 101))
+    scan = scan_of(patch, Grid2(patch.domain, 101, 101))
     assert len(scan.components) == 1
     assert scan.undefined_w == 51 * 101
 
 
-def _scan_outcome(*args):
-    """repr of ``characteristic_scan(*args)``: its components, their
-    representatives and its undefined W count, or its error."""
+def _scan_outcome(scan, *args):
+    """repr of ``scan(*args)``: its components, their representatives and
+    its undefined W count, or its error."""
     try:
-        scan = characteristic_scan(*args)
+        scan = scan(*args)
     except Exception as err:  # noqa: BLE001 -- the error is the outcome
         return repr(err)
     return repr(([c.nodes for c in scan.components],
@@ -240,9 +238,7 @@ def test_scan_of_the_curvature_scans_lattice_is_the_scan_that_reads_the_nodes(sr
         # the stencils of the grid's nodes stay inside the patch
         patch, dom = patch.fd_only(), PlanarDomain(-1.9, 1.9, -1.9, 1.9)
     grid = Grid2(dom, 101, 101)
-    lattice = ScanLattice(grid)
-    max_curvature_deviation(patch, dom, 101, 101, lattice=lattice)
-    assert _scan_outcome(patch, grid, lattice) == _scan_outcome(patch, grid)
+    assert _scan_outcome(scan_of, patch, grid) == _scan_outcome(scan_by_node, patch, grid)
 
 
 def test_a_lattice_of_another_grid_is_refused():
@@ -251,7 +247,7 @@ def test_a_lattice_of_another_grid_is_refused():
     with pytest.raises(ValueError):
         max_curvature_deviation(patch, square(1.0), 11, 12, lattice=lattice)
     with pytest.raises(ValueError):
-        characteristic_scan(patch, Grid2(square(2.0), 11, 11), lattice)
+        max_curvature_deviation(patch, square(2.0), 11, 11, lattice=lattice)
 
 
 def _lattice_reads(monkeypatch) -> list:
@@ -344,7 +340,7 @@ def test_characteristic_scan_calls_no_scalar_gradient(monkeypatch):
     entry = gallery_get("hyperbolic")
     calls = []
     monkeypatch.setattr(ScalarField2, "gradient", _counted(calls, ScalarField2.gradient))
-    scan = characteristic_scan(entry.graph, Grid2(entry.verify_domain, 101, 101))
+    scan = scan_of(entry.graph, Grid2(entry.verify_domain, 101, 101))
     assert calls == []
     assert [len(c.nodes) for c in scan.components] == [101]
 
@@ -391,9 +387,9 @@ def test_evaluators_take_the_nodes_first_and_the_axes_apart(monkeypatch, name, f
     def scan():
         entry = gallery_get(name)
         patch = entry.graph.fd_only() if fd else entry.graph
-        grid = Grid2(entry.verify_domain, 101, 101)
-        return (max_curvature_deviation(patch, entry.verify_domain),
-                characteristic_scan(patch, grid).undefined_w)
+        lattice = ScanLattice(Grid2(entry.verify_domain, 101, 101))
+        return (max_curvature_deviation(patch, entry.verify_domain, lattice=lattice),
+                characteristic_scan(lattice).undefined_w)
 
     calls = _evaluator_calls(monkeypatch, drop_axes=False)
     got = scan()
@@ -452,14 +448,14 @@ def classify_by_node(patch):
         if not math.isfinite(v):
             return _not_entire(f"height not finite at ({x}, {y})")
         samples.append((x, y, v))
-        hd = horizontal_data(patch, (x, y), jet=jet)
-        if not math.isfinite(hd.w):
+        w = horizontal_data(patch, (x, y), jet=jet)
+        if not math.isfinite(w):
             return _not_entire(f"angle function W not finite at ({x}, {y})")
         interior = (dom.xmin + margin_x <= x <= dom.xmax - margin_x
                     and dom.ymin + margin_y <= y <= dom.ymax - margin_y)
-        if interior and hd.w > best[0]:
-            best = (hd.w, (x, y))
-        if hd.w > W_MARGIN:
+        if interior and w > best[0]:
+            best = (w, (x, y))
+        if w > W_MARGIN:
             hcur = abs(h_mean_curvature(patch, (x, y), jet=jet))
             if not math.isfinite(hcur):
                 return _not_entire(f"mean curvature not finite at ({x}, {y})")

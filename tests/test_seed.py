@@ -77,6 +77,14 @@ def test_extraction_rejects_characteristic_start():
         extract_seed(HYP, (1.0, 0.0), 1.0)
 
 
+def test_extraction_rejects_a_start_where_w_is_nan():
+    # sqrt(x) has no derivative at x < 0: W is NaN, so the start is not characteristic
+    patch = GraphPatch.from_expr("x*y/2 + sqrt(x)", PlanarDomain(-1, 1, -1, 1))
+    with pytest.raises(FieldUndefined,
+                       match=r"^horizontal Gauss map undefined at z0=\(-0\.5, 1\.0\), W=nan$"):
+        extract_seed(patch, (-0.5, 1.0), 1.0)
+
+
 def test_extraction_rejects_a_start_outside_the_domain():
     with pytest.raises(FieldUndefined, match=r"z0=\(5\.0, 1\.0\)"):
         extract_seed(HYP, (5.0, 1.0), 1.0)

@@ -12,11 +12,11 @@ from hmin.errors import CharacteristicPoint, FieldUndefined
 from hmin.fields import FD_STEP, Grid2, PlanarDomain, ScalarField2, square
 from hmin.gallery import gallery_get
 from hmin.heis import HPoint
-from hmin.surface import (W_MARGIN, GraphPatch, ImplicitSurface, characteristic_scan,
-                          h_mean_curvature, horizontal_data, rotate_graph,
-                          translate_graph, unit_horizontal_field)
+from hmin.surface import (W_MARGIN, GraphPatch, ImplicitSurface, ScanLattice, characteristic_scan,
+                          h_mean_curvature, horizontal_data, max_curvature_deviation,
+                          rotate_graph, translate_graph, unit_horizontal_field)
 from hmin.report import worst_abs
-from hmin.surface import _horizontal, _pq_form, graph_dpq, graph_pq
+from hmin.surface import _pq, _pq_form, graph_dpq, graph_pq
 
 HYP = GraphPatch.from_expr("x*y/2", square(3.0))
 FLAT = GraphPatch.from_expr("0", square(3.0))
@@ -27,38 +27,36 @@ CATENOID = GraphPatch.from_expr(
 
 
 def test_horizontal_data_hyperbolic():
-    hd = horizontal_data(HYP, (1.0, 2.0))
-    assert (hd.p, hd.q, hd.w) == (-2.0, 0.0, 2.0)
-    assert hd.nu == (-1.0, 0.0)
+    assert _pq(HYP, 1.0, 2.0) == (-2.0, 0.0)
+    assert horizontal_data(HYP, (1.0, 2.0)) == 2.0
+    assert unit_horizontal_field(HYP)(1.0, 2.0) == (-1.0, 0.0)
 
 
 def test_horizontal_data_flat_plane():
-    hd = horizontal_data(FLAT, (1.0, 0.0))
-    assert hd.nu == pytest.approx((0.0, 0.5 / 0.5))
-    assert hd.w == 0.5
+    assert unit_horizontal_field(FLAT)(1.0, 0.0) == pytest.approx((0.0, 0.5 / 0.5))
+    assert horizontal_data(FLAT, (1.0, 0.0)) == 0.5
 
 
 def test_characteristic_point_has_no_gauss_map():
-    hd = horizontal_data(HYP, (1.0, 0.0))
-    assert hd.w == 0.0 and hd.nu is None
+    assert horizontal_data(HYP, (1.0, 0.0)) == 0.0
+    with pytest.raises(FieldUndefined, match=r"undefined at \(1.0, 0.0\), W=0.0$"):
+        unit_horizontal_field(HYP)(1.0, 0.0)
 
 
 def test_horizontal_data_and_curvature_of_a_chunk_are_the_scalar_ones():
     x, y = Grid2(square(2.0), 9, 11).points()
     jet = PARAB.h.jet(x, y)
-    hd = horizontal_data(PARAB, (x, y), jet=jet)
-    # (0, 0) is characteristic: no Gauss map there, and no curvature
+    w = horizontal_data(PARAB, (x, y), jet=jet)
+    # (0, 0) is characteristic: W is 0 there, and no curvature
     at = int(np.flatnonzero((x == 0.0) & (y == 0.0))[0])
     keep = np.arange(len(x)) != at
     h = iter(h_mean_curvature(PARAB, (x[keep], y[keep]),
                               jet=tuple(a[keep] for a in jet)).tolist())
     for i, (px, py) in enumerate(zip(x.tolist(), y.tolist())):
-        one = horizontal_data(PARAB, (px, py))
-        assert [repr(float(a[i])) for a in hd[:3]] == [repr(v) for v in one[:3]]
+        assert repr(float(w[i])) == repr(horizontal_data(PARAB, (px, py)))
         if i != at:
-            assert [float(a[i]) for a in hd.nu] == list(one.nu)
             assert repr(next(h)) == repr(h_mean_curvature(PARAB, (px, py)))
-    assert math.isnan(hd.nu[0][at]) and math.isnan(hd.nu[1][at])
+    assert w[at] == 0.0
     with pytest.raises(CharacteristicPoint, match=r"^W=0.0 at \(0.0, 0.0\)$"):
         h_mean_curvature(PARAB, (x, y), jet=jet)
 
@@ -108,7 +106,7 @@ def _assert_forms_agree(patch, z):
     (0.05/W)^3 close to the characteristic set, where the unit field's
     derivatives blow up."""
     base_tol = 1e-8 if patch.analytic else 1e-4
-    tol = base_tol * max(1.0, (0.05 / horizontal_data(patch, z).w) ** 3)
+    tol = base_tol * max(1.0, (0.05 / horizontal_data(patch, z)) ** 3)
     value, other = h_mean_curvature(patch, z), _div_form(patch, z)
     assert abs(value - other) <= tol, (value, other, z)
 
@@ -122,7 +120,7 @@ def test_both_curvature_forms_agree_on_random_smooth_fields():
         patch = GraphPatch.from_expr(src, square(3.0))
         for _ in range(8):
             z = tuple(rng.uniform(-1.5, 1.5, size=2))
-            if horizontal_data(patch, z).w < 0.3:
+            if horizontal_data(patch, z) < 0.3:
                 continue
             _assert_forms_agree(patch, z)
 
@@ -173,7 +171,7 @@ def test_translation_preserves_curvature():
         moved = translate_graph(HYP, g0)
         for _ in range(10):
             z = tuple(rng.uniform(-1.0, 1.0, size=2))
-            if horizontal_data(HYP, z).w < 1e-2:
+            if horizontal_data(HYP, z) < 1e-2:
                 continue
             before = h_mean_curvature(HYP, z)
             after = h_mean_curvature(moved, (z[0] + g0.x, z[1] + g0.y))
@@ -186,11 +184,10 @@ def test_rotation_equivariance_of_gauss_map():
             rot = rotate_graph(patch, theta)
             c, s = math.cos(theta), math.sin(theta)
             for z in [(1.8, 0.3), (-1.7, 0.9)]:
-                hd = horizontal_data(patch, z)
+                nu = unit_horizontal_field(patch)(*z)
                 rz = (c * z[0] - s * z[1], s * z[0] + c * z[1])
-                hd2 = horizontal_data(rot, rz)
-                want = (c * hd.nu[0] - s * hd.nu[1], s * hd.nu[0] + c * hd.nu[1])
-                assert hd2.nu == pytest.approx(want, abs=1e-8)
+                want = (c * nu[0] - s * nu[1], s * nu[0] + c * nu[1])
+                assert unit_horizontal_field(rot)(*rz) == pytest.approx(want, abs=1e-8)
 
 
 WAVY = GraphPatch.from_expr("sin(x)*y^2 + x^3/3", square(2.0))
@@ -232,7 +229,7 @@ def test_negating_phi_negates_h_and_keeps_w():
     val = surf.h_mean_curvature(*g)[0]
     flipped = ImplicitSurface.from_expr("-(t - (x^2+y^2)/4)")
     assert flipped.h_mean_curvature(*g)[0] == pytest.approx(-val, abs=1e-12)
-    assert flipped.horizontal_data(*g).w.tolist() == surf.horizontal_data(*g).w.tolist()
+    assert flipped.horizontal_data(*g).tolist() == surf.horizontal_data(*g).tolist()
     assert val == pytest.approx(-math.sqrt(2) / 2, abs=1e-10)
 
 
@@ -257,7 +254,7 @@ def test_implicit_matches_graph_curvature():
         entry = gallery_get(name)
         flipped = ImplicitSurface.from_expr(f"-({src})")
         nodes = [z for z in zip(*(a.tolist() for a in Grid2(entry.verify_domain, 11, 11).points()))
-                 if not horizontal_data(entry.graph, z).w <= W_MARGIN]
+                 if not horizontal_data(entry.graph, z) <= W_MARGIN]
         assert nodes, name
         x, y = (np.array(c) for c in zip(*nodes))
         t = np.array([entry.graph.point(*z).t for z in nodes])
@@ -373,14 +370,21 @@ def test_implicit_verify_calls_each_evaluator_once_per_chunk_and_newton_step(tmp
 # -- characteristic scan ------------------------------------------------------
 
 
+def _scan(patch, grid):
+    """The characteristic scan of the lattice that a curvature scan of ``grid`` fills."""
+    lattice = ScanLattice(grid)
+    max_curvature_deviation(patch, grid.domain, grid.nx, grid.ny, lattice=lattice)
+    return characteristic_scan(lattice)
+
+
 def test_scan_hyperbolic_finds_the_x_axis():
-    scan = characteristic_scan(HYP, Grid2(square(2.0), 41, 41))
+    scan = _scan(HYP, Grid2(square(2.0), 41, 41))
     assert len(scan.components) == 1
     assert all(abs(y) <= 1e-12 for _, y in scan.components[0].nodes)
 
 
 def test_scan_flat_plane_single_point():
-    scan = characteristic_scan(FLAT, Grid2(square(1.0), 41, 41))
+    scan = _scan(FLAT, Grid2(square(1.0), 41, 41))
     assert len(scan.components) == 1
     assert scan.components[0].representative == pytest.approx((0.0, 0.0), abs=1e-9)
 
@@ -393,14 +397,14 @@ def test_scan_names_the_first_flagged_node_without_a_height(f, at):
     # order is named, wherever it sits in its component
     patch = GraphPatch.from_expr(f"x*y/2 + 0*{f}", square(1.0))
     with pytest.raises(FieldUndefined, match=f"^height not finite at {re.escape(at)}$"):
-        characteristic_scan(patch, Grid2(square(1.0), 101, 101))
+        _scan(patch, Grid2(square(1.0), 101, 101))
 
 
 def test_scan_counterexample_patch_is_empty():
     dom = PlanarDomain(0.25, 3.0, -3.0, 3.0,
                        lambda x, y: abs(ex.pointwise(math.atan2, y, x)) <= 0.9)
     patch = GraphPatch.from_expr("-atanh(atan(y/x))", dom)
-    scan = characteristic_scan(patch, Grid2(dom, 41, 41))
+    scan = _scan(patch, Grid2(dom, 41, 41))
     assert scan.empty
 
 
@@ -411,16 +415,11 @@ _Q = [0.0, 0.0, 0.0, 1.0, math.nan, 2.0, -math.inf, 1.5e308, -4.0, 0.25, 5e-301]
 
 
 def test_horizontal_on_a_chunk_is_the_float_call_at_each_node():
-    p, q = np.array(_P), np.array(_Q)
-    chunk = _horizontal(p, q)
+    # at the origin, a gradient (-p, -q) gives p and q up to the sign of a zero
+    zeros = np.zeros(len(_P))
+    chunk = horizontal_data(HYP, (zeros, zeros), jet=(zeros, -np.array(_P), -np.array(_Q)))
     for i, (pi, qi) in enumerate(zip(_P, _Q)):
-        one = _horizontal(pi, qi)
-        assert repr(one.w) == repr(float(chunk.w[i]))
-        nu = tuple(float(v[i]) for v in chunk.nu)
-        assert (math.isnan(nu[0]) and math.isnan(nu[1])) if one.nu is None else \
-            repr(one.nu) == repr(nu)
-    # at least one node of each kind
-    assert {one is None for one in (_horizontal(a, b).nu for a, b in zip(_P, _Q))} == {True, False}
+        assert repr(horizontal_data(HYP, (0.0, 0.0), jet=(0.0, -pi, -qi))) == repr(float(chunk[i]))
 
 
 def test_graph_pq_and_dpq_on_a_chunk_are_the_float_calls_at_each_node():
@@ -438,9 +437,9 @@ def test_graph_pq_and_dpq_are_the_paper_convention():
     # p = -(h_x + y/2), q = -(h_y - x/2) and their derivatives
     assert graph_pq(1.0, 2.0, 4.0, 6.0) == (-4.0, 0.0)
     assert graph_dpq(1.0, 2.0, 3.0) == (-1.0, -2.5, -1.5, -3.0)
-    hd = horizontal_data(PARAB, (1.0, 2.0))
     hx, hy = PARAB.h.gradient(1.0, 2.0)
-    assert (hd.p, hd.q) == graph_pq(hx, hy, 1.0, 2.0)
+    assert _pq(PARAB, 1.0, 2.0) == graph_pq(hx, hy, 1.0, 2.0)
+    assert horizontal_data(PARAB, (1.0, 2.0)) == math.hypot(*graph_pq(hx, hy, 1.0, 2.0))
 
 
 def test_curvature_on_a_chunk_raises_the_float_call_at_its_first_characteristic_node():

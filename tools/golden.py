@@ -9,7 +9,8 @@ seeds 1 to 3, each seed's warm-up op, ``hmin gallery all``,
 ``verify``, ``seed``, ``classify``, ``loci`` and ``build`` on the
 counterexample gallery spec, ``verify`` of a graph spec, of its
 ``fd_only`` form and of an implicit spec, ``hmin gallery gencurve-2`` and
-``build`` on the iso-profile gallery spec.  Each op runs in this process through
+``build`` on the iso-profile gallery spec, and ``seed`` from a
+characteristic start and from a start where W is NaN.  Each op runs in this process through
 ``hmin.cli.main``, as the benchmark runs it, from the sources of
 ``--src`` (the repository's ``src/`` by default); ``bench/`` is only read.
 
@@ -49,13 +50,15 @@ import workloads  # noqa: E402  (bench/workloads.py, read only)
 
 _COUNTEREXAMPLE = {"kind": "gallery", "gallery": {"name": "counterexample"}}
 _CUBIC = {"h": "x*y/2 + x^3/6", "domain": {"xmin": -2, "xmax": 2, "ymin": -2, "ymax": 2}}
+_ROOT_X = {"h": "x*y/2 + sqrt(x)", "domain": {"xmin": -1, "xmax": 1, "ymin": -1, "ymax": 1}}
 
 
 def _extra_ops() -> list:
     """``gallery all``, the five spec commands on the counterexample,
     ``verify`` of a graph spec, of its ``fd_only`` form and of an implicit
-    spec, the even-n GSC of ``gencurve-2`` and a graph build over a domain
-    that is not a box, which no workload op runs."""
+    spec, the even-n GSC of ``gencurve-2``, a graph build over a domain
+    that is not a box, and ``seed`` from a start where W is 0 and from one
+    where it is NaN, which no workload op runs."""
     op = workloads.Op
     return [op("all", "gallery", args=("all",)),
             op("counterexample-verify", "verify", _COUNTEREXAMPLE),
@@ -70,7 +73,11 @@ def _extra_ops() -> list:
                {"kind": "implicit", "implicit": {"phi": "-(t - x*y/2 - 0.3*x)"}}),
             op("gencurve-2", "gallery", args=("gencurve-2",)),
             op("iso-profile-build", "build",
-               {"kind": "gallery", "gallery": {"name": "iso-profile"}})]
+               {"kind": "gallery", "gallery": {"name": "iso-profile"}}),
+            op("seed-characteristic-start", "seed", {"kind": "graph", "graph": {"h": "x*y/2"}},
+               ("--z0", "1.0", "0.0")),
+            op("seed-undefined-w-start", "seed", {"kind": "graph", "graph": _ROOT_X},
+               ("--z0", "-0.5", "1.0"))]
 
 
 def runs() -> list[tuple[str, object]]:
