@@ -31,10 +31,10 @@ of the chain-rule gradient, as are those of the unit field ``_chart_nu``.
 ``RuledPatch.w0``, ``w``, ``w_ode_residual``, ``height`` and ``embed``,
 ``w_direct``, ``_chart_nu`` and ``curvature_on_patch`` take floats s, r
 or 1-d arrays of them, with the rules of ``seed``: each element is the
-float of the scalar call, h0 is called once with the array and
-math.hypot element by element, and an array call raises what the first
-failing scalar call would.  The chart samples are arrays, and the locus
-is solved and verified over all sampled s at once.
+float of the scalar call, h0 is called once with the array, W is
+``surface.w_from_pq`` of the chart's (p, q), and an array call raises
+what the first failing scalar call would.  The chart samples are arrays,
+and the locus is solved and verified over all sampled s at once.
 ``invert_chart``, ``w_direct_invert`` (``w_direct`` by Newton inversion of
 F) and ``rule`` stay scalar, as the independent oracles.
 
@@ -62,7 +62,7 @@ from .heis import HPoint, dilate, group_mul
 from .report import worst_abs
 from .seed import (SeedCurve, curvature, extract_seed, rule_jacobian,
                    rule_jacobian_det, rule_point, singular_locus, takes_arrays, EPS_KAPPA)
-from .surface import EPS_CHAR, TOL_H_FD, W_MARGIN, GraphPatch, graph_pq, read_nodes
+from .surface import EPS_CHAR, TOL_H_FD, W_MARGIN, GraphPatch, graph_pq, read_nodes, w_from_pq
 
 EPS_DELTA = 1e-9
 DET_GUARD = 0.1
@@ -218,7 +218,7 @@ def w_direct(patch: RuledPatch, s, r):
     principles: the reconstructed height differentiated through the chart
     (exact up to interpolation error)."""
     (x, y), (hx, hy) = _chart_point_gradient(patch, s, r)
-    return ex.pointwise(math.hypot, *graph_pq(hx, hy, x, y))
+    return w_from_pq(*graph_pq(hx, hy, x, y))
 
 
 def w_direct_invert(patch: RuledPatch, s: float, r: float) -> float:
@@ -233,7 +233,7 @@ def w_direct_invert(patch: RuledPatch, s: float, r: float) -> float:
 
     hx = (h_at(x + step, y) - h_at(x - step, y)) / (2.0 * step)
     hy = (h_at(x, y + step) - h_at(x, y - step)) / (2.0 * step)
-    return math.hypot(*graph_pq(hx, hy, x, y))
+    return w_from_pq(*graph_pq(hx, hy, x, y))
 
 
 def chart_samples(patch: RuledPatch, n: int,
@@ -263,7 +263,7 @@ def _chart_nu(patch: RuledPatch, s, r) -> tuple:
     chain-rule gradient; raises CharacteristicPoint where W <= EPS_CHAR."""
     (x, y), (hx, hy) = _chart_point_gradient(patch, s, r)
     p, q = graph_pq(hx, hy, x, y)
-    w = ex.pointwise(math.hypot, p, q)
+    w = w_from_pq(p, q)
     if np.any(w <= EPS_CHAR):
         raise CharacteristicPoint(f"W={w} at ({x}, {y})")
     return (p / w, q / w)

@@ -14,8 +14,8 @@ of nu, evaluated in the equivalent p/q form
 from the height's 2-jet.  The tests hold it against the divergence form,
 which differences the unit field.  The convention has its one home here:
 ``graph_pq`` gives (p, q) from the gradient, ``graph_dpq`` gives D(p, q)
-= (p_x, p_y, q_x, q_y) from the Hessian and ``horizontal_data`` W from
-(p, q); no other module writes them out.
+= (p_x, p_y, q_x, q_y) from the Hessian, ``w_from_pq`` W from (p, q) and
+``horizontal_data`` W at graph nodes; no other module writes them out.
 
 Implicit surfaces phi(x, y, t) = 0 are oriented by phi, and no check reads
 the sign: negating phi negates H and keeps W.  They follow the compile rule of
@@ -33,22 +33,24 @@ only; a component's representative is the mean of its nodes.
 Those three take floats or equally long arrays.  So do ``horizontal_data``
 and ``h_mean_curvature``, given a chunk of graph nodes as 1-d arrays x
 and y together with the height field's jet there (``ScalarField2.jet``);
-every element is the float the same call gives at that node.  W =
-hypot(p, q) and W^3 are taken per element, as numpy's differ in the last
-bit.  ``read_nodes`` is the one pass over a chunk that the curvature scan
-(``max_curvature_deviation``) and the classifier share: the height's jet,
-then W, then H where W is not <= W_MARGIN, W read once per node.  The
-curvature scan reads the chunks of a ``Grid2`` lattice with their axes
-(``Grid2.node_chunks``), so the height's subexpressions in x alone or y
-alone are computed once per lattice coordinate.  It is the one read of a
-lattice: it keeps the height and W it reads in a ``ScanLattice``, and
-``characteristic_scan`` clusters that record, so checking both halves of a
-graph over one lattice reads each node once.
+every element is the float the same call gives at that node.  W is
+``w_from_pq``, sqrt(p*p + q*q) with math.hypot where p*p + q*q is not a
+finite normal float, and W^3 is W*W*W: + * and sqrt round alike in numpy
+and in floats.  ``read_nodes`` is the one pass over a chunk that the
+curvature scan (``max_curvature_deviation``) and the classifier share:
+the height's jet, then W, then H where W is not <= W_MARGIN, W read once
+per node.  The curvature scan reads the chunks of a ``Grid2`` lattice
+with their axes (``Grid2.node_chunks``), so the height's subexpressions
+in x alone or y alone are computed once per lattice coordinate.  It is
+the one read of a lattice: it keeps the height and W it reads in a
+``ScanLattice``, and ``characteristic_scan`` clusters that record, so
+checking both halves of a graph over one lattice reads each node once.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Optional
@@ -63,6 +65,7 @@ from .report import worst_abs
 
 EPS_CHAR = 1e-9
 W_MARGIN = 1e-3  # curvature is read only where W exceeds this
+_NORMAL_MIN = sys.float_info.min  # the smallest normal float
 TOL_H_ANALYTIC = 1e-8   # on |H| of a graph with analytic derivatives
 TOL_H_FD = 1e-4         # on |H| of a graph whose derivatives are difference stencils
 
@@ -107,12 +110,36 @@ def _pq(patch: GraphPatch, x, y, jet: Optional[tuple] = None) -> tuple:
     return graph_pq(hx, hy, x, y)
 
 
+def w_from_pq(p, q):
+    """W = sqrt(p*p + q*q), from floats p and q or equally long arrays.
+
+    Where p*p + q*q is not a finite normal float (|p| or |q| above about
+    1.3e154, both below about 1.5e-154, an inf or a NaN), W is math.hypot(p,
+    q) there instead, so every finite (p, q) has a finite W; at p = q = 0
+    both give 0.  numpy rounds + * and sqrt as floats do, so each element
+    of an array's W is the float W of that element's p and q.
+    """
+    if isinstance(p, np.ndarray) or isinstance(q, np.ndarray):
+        with np.errstate(all="ignore"):
+            s = p * p + q * q
+            w = np.sqrt(s)
+        normal = (s >= _NORMAL_MIN) & (s < math.inf)
+        if not normal.all():
+            odd = np.flatnonzero(~(normal | (p == 0.0) & (q == 0.0)))
+            if odd.size:
+                p, q = np.broadcast_arrays(p, q)
+                w[odd] = ex.pointwise(math.hypot, p[odd], q[odd])
+        return w
+    s = p * p + q * q
+    return math.sqrt(s) if _NORMAL_MIN <= s < math.inf or p == q == 0.0 else math.hypot(p, q)
+
+
 def horizontal_data(patch: GraphPatch, z: tuple, jet: Optional[tuple] = None):
-    """W = hypot(p, q) at z; ``jet`` is the field's jet at z, if the caller has it.
+    """W (``w_from_pq``) at z; ``jet`` is the field's jet at z, if the caller has it.
 
     z may be a chunk of nodes (x, y), given with its jet; W is then an array.
     """
-    return ex.pointwise(math.hypot, *_pq(patch, z[0], z[1], jet))
+    return w_from_pq(*_pq(patch, z[0], z[1], jet))
 
 
 def unit_horizontal_field(patch: GraphPatch,
@@ -132,7 +159,7 @@ def unit_horizontal_field(patch: GraphPatch,
         if reverse:
             # -(a / w) == (-a) / w exactly, so -nu flips the sign of p and q instead
             p, q = -p, -q
-        w = math.hypot(p, q)
+        w = w_from_pq(p, q)
         if not math.isfinite(w) or w <= EPS_CHAR:
             raise FieldUndefined(f"horizontal Gauss map undefined at ({x}, {y}), W={w}")
         return (p / w, q / w)
@@ -141,12 +168,8 @@ def unit_horizontal_field(patch: GraphPatch,
 
 
 def _cube(w):
-    """math.pow(w, 3.0) (the C pow of w ** 3), or inf where it would raise
-    OverflowError; over an array, at each element."""
-    try:
-        return ex.pointwise(math.pow, w, 3.0)
-    except OverflowError:
-        return ex.pointwise(_cube, w) if isinstance(w, np.ndarray) else math.inf
+    """W^3 as w*w*w, on a float or an array: inf where W is above about 5.6e102."""
+    return w * w * w
 
 
 def _refuse_characteristic(w, *z):
@@ -166,7 +189,7 @@ def _curvature_terms(patch: GraphPatch, x, y, jet: Optional[tuple], axes: Option
     W is tested before the Hessian is read (a 1-jet is completed only then).
     """
     p, q = _pq(patch, x, y, jet)
-    w = ex.pointwise(math.hypot, p, q) if w is None else w
+    w = w_from_pq(p, q) if w is None else w
     _refuse_characteristic(w, x, y)
     if jet is None:
         (hxx, hxy), (_, hyy) = patch.h.hessian(x, y)
@@ -466,7 +489,7 @@ class ImplicitSurface:
         return ImplicitSurface(ex.parse(src))
 
     def horizontal_data(self, x, y, t) -> np.ndarray:
-        return ex.pointwise(math.hypot, *self._pq(x, y, t))
+        return w_from_pq(*self._pq(x, y, t))
 
     def h_mean_curvature(self, x, y, t) -> np.ndarray:
         """The p/q-form curvature at non-characteristic nodes; raises
@@ -477,7 +500,7 @@ class ImplicitSurface:
             # the derivatives of p and q along X1 and X2
             x1p, x2p = p_x - 0.5 * y * p_t, p_y + 0.5 * x * p_t
             x1q, x2q = q_x - 0.5 * y * q_t, q_y + 0.5 * x * q_t
-            w = ex.pointwise(math.hypot, p, q)
+            w = w_from_pq(p, q)
             _refuse_characteristic(w, x, y, t)
             return _pq_form(p, q, w, x1p, x2p, x1q, x2q)
 

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hmin import expr as ex
-from hmin import surface
 from hmin.errors import ParseError, SpecError
 
 # (expression, sampling interval for every variable)
@@ -360,8 +359,3 @@ def test_array_entries_give_the_float_functions_on_regular_and_redone_chunks():
                       [(0.5, 2.0), (3.0, -1.5), (10.0, 400.0)]):  # OverflowError last
             a, b = (np.array(column) for column in zip(*pairs))
             assert _reprs(ex._ARRAY_TABLE["pow"](a, b)) == [repr(ex.safe_pow(u, v)) for u, v in pairs]
-
-
-def test_array_cube_gives_the_float_cube():
-    for values in ([0.0, 5e-324, 2.0, 1e103, math.inf, math.nan], [0.0, 5e-324, 2.0, 1.7, 1e102]):
-        assert _reprs(surface._cube(np.array(values))) == _reprs(map(surface._cube, values))

@@ -1,10 +1,13 @@
-"""The digest manifest of tools/golden.py, on one small op: a digest that
-changes is named, and a manifest of another platform is reported as such.
-The committed manifest is not read."""
+"""The digest manifest of tools/golden.py: on one small op, a digest that
+changes is named, and a manifest of another platform is reported as such;
+and every output matches the committed manifest, on the platform it was
+recorded on."""
 
 import importlib.util
 import json
 from pathlib import Path
+
+import pytest
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "golden.py"
 _spec = importlib.util.spec_from_file_location("golden", TOOL)
@@ -41,3 +44,11 @@ def test_check_names_the_run_whose_digest_changed(tmp_path, capsys):
     manifest.write_text(json.dumps(data))
     assert golden.main(["--check", *argv]) == 2
     assert "different platform" in capsys.readouterr().out
+
+
+def test_every_output_matches_the_committed_manifest(capsys):
+    # an output change shows here, and the change that makes it rewrites the manifest
+    recorded = json.loads(golden.MANIFEST.read_text())["platform"]
+    if recorded != golden.platform_header():
+        pytest.skip(f"the manifest is of {recorded}, not of this platform")
+    assert golden.main(["--check"]) == 0, capsys.readouterr().out

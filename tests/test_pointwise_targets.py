@@ -3,8 +3,9 @@
 Every callable the package stores takes arrays (see ``hmin.fields``), so
 ``expr.pointwise`` is left for the float functions of the C library that
 numpy does not reproduce bit for bit: a ``math`` function or the builtin
-``max``.  The two exceptions below are the C-library fallbacks that retry
-an element where the bare function raised.
+``max``.  The two exceptions below are ``expr._mapped``'s C-library map
+and the float fallback that retries a chunk where the bare function
+raised.
 """
 
 import ast
@@ -16,7 +17,6 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "hmin"
 EXCEPTIONS = {
     ("expr", "_mapped", "bare"): "the C-library function of an array operation",
     ("expr", "_mapped", "safe"): "its float fallback where the C-library function raises",
-    ("surface", "_cube", "_cube"): "the overflow branch: inf per element where math.pow raises",
 }
 
 
@@ -72,5 +72,8 @@ def test_the_pattern_sees_each_spelling():
                    "r = ex.pointwise(math.sqrt, ex.pointwise(max, r2 - 4.0 / a, 0.0))",
                    "y = pointwise(math.pow, x, 2.0)"):
         assert not mapped_callables(source), source
-    assert not mapped_callables("def _cube(w):\n    return ex.pointwise(_cube, w)", "surface")
-    assert mapped_callables("def _square(w):\n    return ex.pointwise(_cube, w)", "surface")
+    assert not mapped_callables("def _mapped(bare, safe, *args):\n    return pointwise(safe, *args)",
+                                "expr")
+    assert mapped_callables("def _other(bare, safe, *args):\n    return pointwise(safe, *args)",
+                            "expr")
+    assert mapped_callables("def _cube(w):\n    return ex.pointwise(_cube, w)", "surface")

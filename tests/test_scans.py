@@ -24,7 +24,7 @@ from hmin.ruled import classify_entire_graph, roundtrip
 from hmin.seed import SeedCurve, curvature, extract_seed
 from hmin.surface import (EPS_CHAR, TOL_H_FD, W_MARGIN, CharacteristicScan, GraphPatch,
                           ScanComponent, ScanLattice, _pq, characteristic_scan, h_mean_curvature,
-                          horizontal_data, rotate_graph, translate_graph)
+                          horizontal_data, rotate_graph, translate_graph, w_from_pq)
 
 
 def _nodes(domain, nx, ny):
@@ -56,7 +56,7 @@ def scan_by_node(patch, grid):
             if not grid.domain.contains(x, y):
                 continue
             inside[i, j] = True
-            w[i, j] = math.hypot(*_pq(patch, x, y))
+            w[i, j] = w_from_pq(*_pq(patch, x, y))
     flagged = inside & (w < EPS_CHAR)
     for i, j in np.argwhere(flagged).tolist():
         if not math.isfinite(patch.h.value(float(xs[i]), float(ys[j]))):

@@ -12,7 +12,7 @@ from hmin.fields import (CLOSED, RK4_STEP, TURN_BACK, PlanarDomain, ScalarField2
 from hmin.gallery import circle_seed, gallery_get, gallery_names, line_seed, optreg2_seed
 from hmin.seed import (_RANGE_SLOP, SeedCurve, curvature, extract_seed, rule_jacobian_det,
                        rule_jacobian_det_fd, rule_point, singular_locus)
-from hmin.surface import EPS_CHAR, GraphPatch, unit_horizontal_field
+from hmin.surface import EPS_CHAR, GraphPatch, unit_horizontal_field, w_from_pq
 
 FLAT = GraphPatch.from_expr("0", square(3.0))
 HYP = GraphPatch.from_expr("x*y/2", square(3.0))
@@ -375,7 +375,7 @@ def _scalar_seed_jet(patch, x, y):
     except StencilOutOfDomain:
         return None
     p, q = -(hx + 0.5 * y), -(hy - 0.5 * x)
-    w = math.hypot(p, q)
+    w = w_from_pq(p, q)
     if not (math.isfinite(t) and math.isfinite(w) and w > EPS_CHAR):
         return None
     nx, ny = p / w, q / w
@@ -451,6 +451,29 @@ def test_seed_jet_stops_before_the_first_undefined_point(fd):
         assert dg.shape == ddg.shape == (len(want), 2)
         assert dg.tobytes() == np.array([d for d, _ in want] or np.empty((0, 2))).tobytes()
         assert ddg.tobytes() == np.array([dd for _, dd in want] or np.empty((0, 2))).tobytes()
+
+
+def test_the_tracer_and_the_seed_jet_share_one_w():
+    # RK4's first stage k1 = nu(z) at each traced point of a gallery seed is
+    # the gamma' row the chunked seed jet reads there (negated on the
+    # backward branch), bit for bit, for analytic and difference derivatives
+    names = set()
+    for name in gallery_names():
+        e = gallery_get(name)
+        if e.graph is None or e.seed_base is None:
+            continue
+        names.add(name)
+        for patch in (e.graph, e.graph.fd_only()):
+            for reverse in (True, False):
+                nu = unit_horizontal_field(patch, reverse)
+                steps = max(1, int(round(e.arc_span / RK4_STEP)))
+                trace = rk4_integrate(nu, e.seed_base, RK4_STEP, steps)
+                dg, _ = seed_module._seed_jet(patch, trace.points)
+                assert len(dg) >= 50, name
+                k1 = np.array([nu(x, y) for x, y in trace.points[:len(dg)].tolist()])
+                want = -dg if reverse else dg
+                assert k1.tobytes() == want.tobytes(), (name, patch.analytic, reverse)
+    assert {"char-plane", "general-plane", "counterexample", "hyperbolic"} <= names
 
 
 def test_seconds_match_the_closed_form_seeds():

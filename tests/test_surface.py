@@ -16,7 +16,7 @@ from hmin.surface import (W_MARGIN, GraphPatch, ImplicitSurface, ScanLattice, ch
                           h_mean_curvature, horizontal_data, max_curvature_deviation,
                           rotate_graph, translate_graph, unit_horizontal_field)
 from hmin.report import worst_abs
-from hmin.surface import _pq, _pq_form, graph_dpq, graph_pq
+from hmin.surface import _cube, _pq, _pq_form, graph_dpq, graph_pq, w_from_pq
 
 HYP = GraphPatch.from_expr("x*y/2", square(3.0))
 FLAT = GraphPatch.from_expr("0", square(3.0))
@@ -294,7 +294,7 @@ def _node_loop_verify(phi, n, window=(-2.0, 2.0, -2.0, 2.0), t0=0.0):
             no_height += 1
             continue
         p, q, p_x, p_y, p_t, q_x, q_y, q_t = (at(k, x, y, t) for k in range(2, 10))
-        w = math.hypot(p, q)
+        w = w_from_pq(p, q)
         if w <= W_MARGIN:
             near += 1
             continue
@@ -422,6 +422,75 @@ def test_horizontal_on_a_chunk_is_the_float_call_at_each_node():
         assert repr(horizontal_data(HYP, (0.0, 0.0), jet=(0.0, -pi, -qi))) == repr(float(chunk[i]))
 
 
+def _w_rule_pairs() -> tuple:
+    """(p, q) columns: every pair of ordinary values, signed zeros,
+    infinities and NaN; |p| or |q| from 1e154 to 1e308 (p*p + q*q
+    overflows); both below 1e-154 (it is subnormal or 0); random ordinary
+    pairs."""
+    rng = np.random.default_rng(11)
+    special = [0.0, -0.0, math.inf, -math.inf, math.nan, 1.0, -2.5, 1e-300, 1e300]
+    sign = rng.choice([-1.0, 1.0], (4, 300))
+    huge = sign[0] * 10.0 ** rng.uniform(154, 308, 300)
+    tiny = sign[1] * 10.0 ** rng.uniform(-323.5, -154, 300)
+    ordinary = sign[2] * 10.0 ** rng.uniform(-5, 5, 300)
+    p = np.concatenate([np.repeat(special, len(special)), huge, ordinary, huge, tiny, ordinary])
+    q = np.concatenate([np.tile(special, len(special)), ordinary, huge, huge[::-1],
+                        sign[3] * tiny[::-1], rng.normal(0, 3, 300)])
+    return p, q
+
+
+def test_w_of_a_chunk_is_the_float_w_of_each_pair():
+    p, q = _w_rule_pairs()
+    reprs = lambda w: list(map(repr, w.tolist()))  # noqa: E731
+    assert reprs(w_from_pq(p, q)) == [repr(w_from_pq(a, b)) for a, b in zip(p.tolist(), q.tolist())]
+    # a float on one side is the same at every element
+    assert reprs(w_from_pq(p, 2.5)) == [repr(w_from_pq(a, 2.5)) for a in p.tolist()]
+    assert reprs(w_from_pq(-0.0, q)) == [repr(w_from_pq(-0.0, b)) for b in q.tolist()]
+
+
+def test_w_is_finite_wherever_hypot_is():
+    p, q = _w_rule_pairs()
+    w, hypot = w_from_pq(p, q), ex.pointwise(math.hypot, p, q)
+    assert (np.isfinite(w) == np.isfinite(hypot)).all()
+    # every finite pair with |p|, |q| <= 1e308 has a norm below the largest float
+    finite = np.isfinite(p) & np.isfinite(q)
+    assert finite.sum() > 1500 and np.isfinite(w[finite]).all()
+    assert w_from_pq(1e308, -1e308) == math.hypot(1e308, -1e308) < math.inf
+    assert w_from_pq(-1e-320, 5e-324) == math.hypot(-1e-320, 5e-324) > 0.0
+
+
+def test_w_is_within_one_ulp_of_hypot():
+    # p and q of one scale, from 1e-150 to 1e150
+    rng = np.random.default_rng(3)
+    scale = 10.0 ** rng.uniform(-150, 150, 100_000)
+    p, q = scale * rng.normal(size=100_000), scale * rng.normal(size=100_000)
+    hypot = ex.pointwise(math.hypot, p, q)
+    assert (np.abs(w_from_pq(p, q) - hypot) <= np.spacing(hypot)).all()
+
+
+def test_w_cubed_is_w_times_w_times_w_on_floats_and_arrays():
+    values = [0.0, 5e-324, 1e-110, 0.3, 1.7, 2.0, 1.7e5, 1e102, 5.6e102, 5.7e102, 1e103, 1e200,
+              math.inf, math.nan]
+    # its callers take the cube under np.errstate, where overflow to inf is the point
+    with np.errstate(over="ignore"):
+        cubes = _cube(np.array(values)).tolist()
+    assert list(map(repr, cubes)) == [repr(w * w * w) for w in values]
+    assert list(map(repr, cubes)) == list(map(repr, map(_cube, values)))
+    # the cube of W overflows to inf past the cube root of the largest float, about 5.64e102
+    assert math.isfinite(_cube(5.6e102)) and _cube(5.7e102) == math.inf
+
+
+def test_verify_of_a_steep_plane_sees_no_node_where_w_is_not_finite(tmp_path):
+    # p*p overflows at every node of 1e200*x; W falls back to hypot there and stays 1e200
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"kind": "graph", "graph": {"h": "1e200*x"}}))
+    main(["verify", "--spec", str(spec), "--out", str(tmp_path)])
+    checks = {c["name"]: c for c in json.loads((tmp_path / "report.json").read_text())["checks"]}
+    scan = checks["characteristic_scan"]
+    # a node where W is not finite would be counted in the note and fail the check
+    assert scan["pass"] and scan["note"] == "0 component(s)", scan
+
+
 def test_graph_pq_and_dpq_on_a_chunk_are_the_float_calls_at_each_node():
     rng = np.random.default_rng(7)
     special = [0.0, -0.0, math.nan, math.inf, -math.inf, 1e308, 5e-324]
@@ -439,7 +508,7 @@ def test_graph_pq_and_dpq_are_the_paper_convention():
     assert graph_dpq(1.0, 2.0, 3.0) == (-1.0, -2.5, -1.5, -3.0)
     hx, hy = PARAB.h.gradient(1.0, 2.0)
     assert _pq(PARAB, 1.0, 2.0) == graph_pq(hx, hy, 1.0, 2.0)
-    assert horizontal_data(PARAB, (1.0, 2.0)) == math.hypot(*graph_pq(hx, hy, 1.0, 2.0))
+    assert horizontal_data(PARAB, (1.0, 2.0)) == w_from_pq(*graph_pq(hx, hy, 1.0, 2.0))
 
 
 def test_curvature_on_a_chunk_raises_the_float_call_at_its_first_characteristic_node():
