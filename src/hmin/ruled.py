@@ -579,12 +579,12 @@ def classify_entire_graph(patch: GraphPatch) -> dict:
     if n < x.size:
         return _not_entire(f"window point ({float(x[n])}, {float(y[n])}) outside patch domain")
 
-    # the first node of largest |H| where W > W_MARGIN
+    # the largest |H| where W > W_MARGIN, at the first node within a relative 1e-12 of it
     hcur = np.where(w > W_MARGIN, abs(h), 0.0)
-    i = int(np.argmax(hcur))
-    if hcur[i] > tol_h:
-        return {"kind": "not-minimal", "max_curvature": float(hcur[i]),
-                "at": [float(x[i]), float(y[i])]}
+    peak = float(hcur.max())
+    if peak > tol_h:
+        i = int(np.argmax(hcur >= (1.0 - 1e-12) * peak))
+        return {"kind": "not-minimal", "max_curvature": peak, "at": [float(x[i]), float(y[i])]}
     # the first interior node (the middle half of each axis) of largest W:
     # seed extraction needs room around its base point
     mx, my = 0.25 * (dom.xmax - dom.xmin), 0.25 * (dom.ymax - dom.ymin)

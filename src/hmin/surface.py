@@ -5,17 +5,19 @@ For a graph t = h(x, y) the defining function is phi = t - h, so
     p = X1 phi = -(h_x + y/2),   q = X2 phi = -(h_y - x/2),
     W = sqrt(p^2 + q^2)
 
-and the projected horizontal Gauss map is nu = (p, q)/W, defined off the
-characteristic set {W = 0}.  The H-mean curvature is the planar divergence
-of nu, evaluated in the equivalent p/q form
+and the projected horizontal Gauss map is nu = (a, b) = (p, q)/W, defined
+off the characteristic set {W = 0}.  The H-mean curvature is the planar
+divergence of nu, written out as
 
-    H = (q^2 p_x + p^2 q_y - p q (q_x + p_y)) / W^3
+    H = (b^2 p_x + a^2 q_y - a b (q_x + p_y)) / W
 
-from the height's 2-jet.  The tests hold it against the divergence form,
-which differences the unit field.  The convention has its one home here:
-``graph_pq`` gives (p, q) from the gradient, ``graph_dpq`` gives D(p, q)
-= (p_x, p_y, q_x, q_y) from the Hessian, ``w_from_pq`` W from (p, q) and
-``horizontal_data`` W at graph nodes; no other module writes them out.
+from the height's 2-jet (``nu_divergence``, graphs and level sets alike).
+|a| and |b| are at most about 1 and W enters once, so a large W overflows
+nothing.  The tests hold it against the divergence form, which differences
+the unit field.  The convention has its one home here: ``graph_pq`` gives
+(p, q) from the gradient, ``graph_dpq`` gives D(p, q) = (p_x, p_y, q_x,
+q_y) from the Hessian, ``w_from_pq`` W from (p, q) and ``horizontal_data``
+W at graph nodes; no other module writes them out.
 
 Implicit surfaces phi(x, y, t) = 0 are oriented by phi, and no check reads
 the sign: negating phi negates H and keeps W.  They follow the compile rule of
@@ -35,11 +37,11 @@ and ``h_mean_curvature``, given a chunk of graph nodes as 1-d arrays x
 and y together with the height field's jet there (``ScalarField2.jet``);
 every element is the float the same call gives at that node.  W is
 ``w_from_pq``, sqrt(p*p + q*q) with math.hypot where p*p + q*q is not a
-finite normal float, and W^3 is W*W*W: + * and sqrt round alike in numpy
-and in floats.  ``read_nodes`` is the one pass over a chunk that the
-curvature scan (``max_curvature_deviation``) and the classifier share:
-the height's jet, then W, then H where W is not <= W_MARGIN, W read once
-per node.  The curvature scan reads the chunks of a ``Grid2`` lattice
+finite normal float, and H takes only + - * / of it: those and sqrt round
+alike in numpy and in floats.  ``read_nodes`` is the one pass over a chunk
+that the curvature scan (``max_curvature_deviation``) and the classifier
+share: the height's jet, then W, then H where W is not <= W_MARGIN, W read
+once per node.  The curvature scan reads the chunks of a ``Grid2`` lattice
 with their axes (``Grid2.node_chunks``), so the height's subexpressions
 in x alone or y alone are computed once per lattice coordinate.  It is
 the one read of a lattice: it keeps the height and W it reads in a
@@ -167,11 +169,6 @@ def unit_horizontal_field(patch: GraphPatch,
     return nu
 
 
-def _cube(w):
-    """W^3 as w*w*w, on a float or an array: inf where W is above about 5.6e102."""
-    return w * w * w
-
-
 def _refuse_characteristic(w, *z):
     """Raise CharacteristicPoint at the first of the nodes z where W <= EPS_CHAR."""
     at = np.flatnonzero(np.atleast_1d(w <= EPS_CHAR))
@@ -198,17 +195,18 @@ def _curvature_terms(patch: GraphPatch, x, y, jet: Optional[tuple], axes: Option
     return (p, q, w) + graph_dpq(hxx, hxy, hyy)
 
 
-def _pq_form(p, q, w, p_x, p_y, q_x, q_y):
-    """The p/q-form curvature from the terms of ``_curvature_terms``; a level
-    set gives the derivatives of its p and q along X1 and X2."""
-    return (q * q * p_x + p * p * q_y - p * q * (q_x + p_y)) / _cube(w)
+def nu_divergence(p, q, w, p_x, p_y, q_x, q_y):
+    """H = div nu from the terms of ``_curvature_terms``, nu = (a, b) = (p, q)/W; a
+    level set gives the derivatives of its p and q along X1 and X2."""
+    a, b = p / w, q / w
+    return (b * b * p_x + a * a * q_y - a * b * (q_x + p_y)) / w
 
 
 def h_mean_curvature(patch: GraphPatch, z: tuple, jet: Optional[tuple] = None,
                      axes: Optional[tuple] = None, w=None):
     """H-mean curvature at a non-characteristic point of the patch.
 
-    Returns the p/q-form value, read from ``jet`` (the field's jet at z)
+    Returns div nu (``nu_divergence``), read from ``jet`` (the field's jet at z)
     when given.  z may also be a chunk of nodes (x, y), given with its
     jet, and with its lattice axes (``fields.lattice_axes``) and W
     (``horizontal_data``'s) where the caller has them; the result is then
@@ -216,7 +214,7 @@ def h_mean_curvature(patch: GraphPatch, z: tuple, jet: Optional[tuple] = None,
     """
     # on a chunk, IEEE results such as inf - inf = NaN are the point, not a warning
     with np.errstate(all="ignore"):
-        return _pq_form(*_curvature_terms(patch, *z, jet, axes, w))
+        return nu_divergence(*_curvature_terms(patch, *z, jet, axes, w))
 
 
 def read_nodes(patch: GraphPatch, x: np.ndarray, y: np.ndarray,
@@ -492,7 +490,7 @@ class ImplicitSurface:
         return w_from_pq(*self._pq(x, y, t))
 
     def h_mean_curvature(self, x, y, t) -> np.ndarray:
-        """The p/q-form curvature at non-characteristic nodes; raises
+        """H = div nu (``nu_divergence``) at non-characteristic nodes; raises
         CharacteristicPoint for the first node where W <= EPS_CHAR."""
         p, q, p_x, p_y, p_t, q_x, q_y, q_t = self._curv(x, y, t)
         # IEEE results such as inf - inf = NaN are the point, not a warning
@@ -502,7 +500,7 @@ class ImplicitSurface:
             x1q, x2q = q_x - 0.5 * y * q_t, q_y + 0.5 * x * q_t
             w = w_from_pq(p, q)
             _refuse_characteristic(w, x, y, t)
-            return _pq_form(p, q, w, x1p, x2p, x1q, x2q)
+            return nu_divergence(p, q, w, x1p, x2p, x1q, x2q)
 
     def solve_height(self, x, y, t0) -> np.ndarray:
         """t with phi(x, y, t) = 0 at each node by 1-D Newton from t0, NaN

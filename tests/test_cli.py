@@ -607,7 +607,7 @@ def test_ruled_chart_check_without_samples_fails(tmp_path, command, extra, name)
     assert math.isnan(check["measured"]) and check["pass"] is False
 
 
-# W reaches 1e300 on this domain, where W^3 overflows a float
+# W reaches 1e300 on this domain, where p*p overflows a float
 HUGE_DOMAIN = {"kind": "graph", "graph": {"h": "x*y/2", "domain": {
     "xmin": -1e300, "xmax": 1e300, "ymin": -1e300, "ymax": 1e300}}}
 

@@ -564,6 +564,31 @@ def test_classify_not_minimal():
     assert out["max_curvature"] > 0.5
 
 
+@pytest.mark.parametrize("ulps", [1, 4, 16])
+def test_classify_names_the_first_of_nodes_tied_on_the_largest_curvature(monkeypatch, ulps):
+    # the paraboloid's largest |H| is read at four mirror nodes, equal but for their last bits
+    patch = GraphPatch.from_expr("(x^2+y^2)/4", square(3.0))
+    read_nodes, first = ruled_module.read_nodes, []
+
+    def nudged(patch, x, y, *args):
+        t, w, h, error = read_nodes(patch, x, y, *args)
+        tied = np.flatnonzero(abs(h) >= (1.0 - 1e-12) * np.nanmax(abs(h)))
+        assert len(tied) == 4
+        first.append([float(x[tied[0]]), float(y[tied[0]])])
+        # each tied node a few ulp above the one before it, the first a few ulp down
+        h[tied] *= 1.0 + ulps * np.finfo(float).eps * np.arange(-1, len(tied) - 1)
+        nudged.peak = float(np.nanmax(abs(h)))
+        return t, w, h, error
+
+    monkeypatch.setattr(ruled_module, "read_nodes", nudged)
+    out = classify_entire_graph(patch)
+    assert out["at"] == first[0]
+    # the largest |H| is still the one reported
+    assert out["max_curvature"] == nudged.peak
+    monkeypatch.undo()
+    assert classify_entire_graph(patch)["at"] == first[0]
+
+
 def test_classify_not_entire():
     dom = PlanarDomain(-3, 3, -3, 3, membership=lambda x, y: x > 0)
     patch = GraphPatch.from_expr("x*y/2", dom)

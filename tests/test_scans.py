@@ -436,7 +436,7 @@ def classify_by_node(patch):
     tol_h = tol if patch.analytic else TOL_H_FD
     dom = patch.domain
     best = (0.0, (0.0, 0.0))
-    worst_h = (0.0, (0.0, 0.0))
+    read = []   # (|H|, node) at each node where W > W_MARGIN
     samples = []
     margin_x = 0.25 * (dom.xmax - dom.xmin)
     margin_y = 0.25 * (dom.ymax - dom.ymin)
@@ -459,10 +459,12 @@ def classify_by_node(patch):
             hcur = abs(h_mean_curvature(patch, (x, y), jet=jet))
             if not math.isfinite(hcur):
                 return _not_entire(f"mean curvature not finite at ({x}, {y})")
-            if hcur > worst_h[0]:
-                worst_h = (hcur, (x, y))
-    if worst_h[0] > tol_h:
-        return {"kind": "not-minimal", "max_curvature": worst_h[0], "at": list(worst_h[1])}
+            read.append((hcur, (x, y)))
+    peak = max((hcur for hcur, _ in read), default=0.0)
+    if peak > tol_h:
+        # the first node within a relative 1e-12 of the largest |H|
+        at = next(z for hcur, z in read if hcur >= (1.0 - 1e-12) * peak)
+        return {"kind": "not-minimal", "max_curvature": peak, "at": list(at)}
     if best[0] <= 1e-6:
         return _not_entire("no usable non-characteristic base point in the window")
 

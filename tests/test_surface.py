@@ -5,6 +5,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from hmin import expr as ex
 from hmin.cli import main
@@ -16,7 +18,7 @@ from hmin.surface import (W_MARGIN, GraphPatch, ImplicitSurface, ScanLattice, ch
                           h_mean_curvature, horizontal_data, max_curvature_deviation,
                           rotate_graph, translate_graph, unit_horizontal_field)
 from hmin.report import worst_abs
-from hmin.surface import _cube, _pq, _pq_form, graph_dpq, graph_pq, w_from_pq
+from hmin.surface import _pq, graph_dpq, graph_pq, nu_divergence, w_from_pq
 
 HYP = GraphPatch.from_expr("x*y/2", square(3.0))
 FLAT = GraphPatch.from_expr("0", square(3.0))
@@ -62,12 +64,42 @@ def test_horizontal_data_and_curvature_of_a_chunk_are_the_scalar_ones():
 
 
 def test_curvature_where_w_cubed_overflows_is_the_same_on_floats_and_chunks():
-    # W is about 1e120: W^3 overflows to inf while p^2 stays finite
+    # W is about 1e120, where W^3 would overflow to inf; p ~ -1e120, q_y = -1
+    # and q_x + p_y = 0, so H = p^2 q_y / W^3 ~ -1e-120
     patch = GraphPatch.from_expr("1e120*x + y^2/2", square(2.0))
     x, y = np.array([1.0, -0.5]), np.array([1.0, 0.25])
     chunk = h_mean_curvature(patch, (x, y), jet=patch.h.jet(x, y)).tolist()
     scalar = [h_mean_curvature(patch, z) for z in zip(x.tolist(), y.tolist())]
-    assert list(map(repr, chunk)) == list(map(repr, scalar)) == ["-0.0", "-0.0"]
+    assert list(map(repr, chunk)) == list(map(repr, scalar))
+    assert scalar == [pytest.approx(-1e-120, rel=1e-15, abs=0.0)] * 2
+
+
+def _pq_form(p, q, w, p_x, p_y, q_x, q_y):
+    """H in the p/q form, (q^2 p_x + p^2 q_y - p q (q_x + p_y)) / W^3: the
+    oracle of ``nu_divergence``, which is this form divided through by W^2."""
+    return (q * q * p_x + p * p * q_y - p * q * (q_x + p_y)) / (w * w * w)
+
+
+# the coefficients of the monomials x^i y^j with i + j <= 3
+_MONOMIALS = [(i, d - i) for d in range(4) for i in range(d + 1)]
+_coefficient = st.floats(-3.0, 3.0, allow_nan=False, allow_infinity=False)
+_node = st.floats(-2.0, 2.0, allow_nan=False, allow_infinity=False)
+
+
+@given(st.lists(_coefficient, min_size=len(_MONOMIALS), max_size=len(_MONOMIALS)), _node, _node)
+@settings(max_examples=300, deadline=None)
+def test_the_nu_form_is_the_pq_form_on_random_polynomial_graphs(coefs, x, y):
+    src = " + ".join(f"({c!r})*x^{i}*y^{j}" for c, (i, j) in zip(coefs, _MONOMIALS))
+    patch = GraphPatch.from_expr(src, square(3.0))
+    p, q = _pq(patch, x, y)
+    w = w_from_pq(p, q)
+    assume(w > W_MARGIN)
+    (hxx, hxy), (_, hyy) = patch.h.hessian(x, y)
+    p_x, p_y, q_x, q_y = graph_dpq(hxx, hxy, hyy)
+    want = _pq_form(p, q, w, p_x, p_y, q_x, q_y)
+    # relative to the size of the numerator's terms, which may cancel
+    scale = (abs(q * q * p_x) + abs(p * p * q_y) + abs(p * q * (q_x + p_y))) / (w * w * w)
+    assert abs(h_mean_curvature(patch, (x, y)) - want) <= 1e-12 * scale
 
 
 def test_h_curvature_plane_zero():
@@ -299,8 +331,8 @@ def _node_loop_verify(phi, n, window=(-2.0, 2.0, -2.0, 2.0), t0=0.0):
             near += 1
             continue
         # the derivatives of p and q along X1 and X2
-        values.append(_pq_form(p, q, w, p_x - 0.5 * y * p_t, p_y + 0.5 * x * p_t,
-                               q_x - 0.5 * y * q_t, q_y + 0.5 * x * q_t))
+        values.append(nu_divergence(p, q, w, p_x - 0.5 * y * p_t, p_y + 0.5 * x * p_t,
+                                    q_x - 0.5 * y * q_t, q_y + 0.5 * x * q_t))
     return repr(worst_abs(values)), len(values), near, no_height
 
 
@@ -468,27 +500,21 @@ def test_w_is_within_one_ulp_of_hypot():
     assert (np.abs(w_from_pq(p, q) - hypot) <= np.spacing(hypot)).all()
 
 
-def test_w_cubed_is_w_times_w_times_w_on_floats_and_arrays():
-    values = [0.0, 5e-324, 1e-110, 0.3, 1.7, 2.0, 1.7e5, 1e102, 5.6e102, 5.7e102, 1e103, 1e200,
-              math.inf, math.nan]
-    # its callers take the cube under np.errstate, where overflow to inf is the point
-    with np.errstate(over="ignore"):
-        cubes = _cube(np.array(values)).tolist()
-    assert list(map(repr, cubes)) == [repr(w * w * w) for w in values]
-    assert list(map(repr, cubes)) == list(map(repr, map(_cube, values)))
-    # the cube of W overflows to inf past the cube root of the largest float, about 5.64e102
-    assert math.isfinite(_cube(5.6e102)) and _cube(5.7e102) == math.inf
-
-
 def test_verify_of_a_steep_plane_sees_no_node_where_w_is_not_finite(tmp_path):
     # p*p overflows at every node of 1e200*x; W falls back to hypot there and stays 1e200
-    spec = tmp_path / "spec.json"
-    spec.write_text(json.dumps({"kind": "graph", "graph": {"h": "1e200*x"}}))
-    main(["verify", "--spec", str(spec), "--out", str(tmp_path)])
-    checks = {c["name"]: c for c in json.loads((tmp_path / "report.json").read_text())["checks"]}
-    scan = checks["characteristic_scan"]
-    # a node where W is not finite would be counted in the note and fail the check
-    assert scan["pass"] and scan["note"] == "0 component(s)", scan
+    for kind, spec in (("graph", {"h": "1e200*x"}), ("implicit", {"phi": "t - 1e200*x"})):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({"kind": kind, kind: spec}))
+        assert main(["verify", "--spec", str(path), "--out", str(tmp_path)]) == 0, kind
+        report = json.loads((tmp_path / "report.json").read_text())
+        checks = {c["name"]: c for c in report["checks"]}
+        # the plane has H = 0, and no term of its curvature overflows
+        curvature = checks["max_abs_h_curvature"]
+        assert curvature["pass"] and curvature["measured"] == 0.0, curvature
+        if kind == "graph":
+            scan = checks["characteristic_scan"]
+            # a node where W is not finite would be counted in the note and fail the check
+            assert scan["pass"] and scan["note"] == "0 component(s)", scan
 
 
 def test_graph_pq_and_dpq_on_a_chunk_are_the_float_calls_at_each_node():

@@ -9,8 +9,9 @@ seeds 1 to 3, each seed's warm-up op, ``hmin gallery all``,
 ``verify``, ``seed``, ``classify``, ``loci`` and ``build`` on the
 counterexample gallery spec, ``verify`` of a graph spec, of its
 ``fd_only`` form and of an implicit spec, ``hmin gallery gencurve-2`` and
-``build`` on the iso-profile gallery spec, and ``seed`` from a
-characteristic start and from a start where W is NaN.  Each op runs in this process through
+``build`` on the iso-profile gallery spec, ``seed`` from a
+characteristic start and from a start where W is NaN, and ``verify`` of
+the plane t = 1e200 x as a graph and as a level set.  Each op runs in this process through
 ``hmin.cli.main``, as the benchmark runs it, from the sources of
 ``--src`` (the repository's ``src/`` by default); ``bench/`` is only read.
 
@@ -57,8 +58,9 @@ def _extra_ops() -> list:
     """``gallery all``, the five spec commands on the counterexample,
     ``verify`` of a graph spec, of its ``fd_only`` form and of an implicit
     spec, the even-n GSC of ``gencurve-2``, a graph build over a domain
-    that is not a box, and ``seed`` from a start where W is 0 and from one
-    where it is NaN, which no workload op runs."""
+    that is not a box, ``seed`` from a start where W is 0 and from one
+    where it is NaN, and ``verify`` of a plane so steep that p*p overflows,
+    as a graph and as a level set, which no workload op runs."""
     op = workloads.Op
     return [op("all", "gallery", args=("all",)),
             op("counterexample-verify", "verify", _COUNTEREXAMPLE),
@@ -77,7 +79,10 @@ def _extra_ops() -> list:
             op("seed-characteristic-start", "seed", {"kind": "graph", "graph": {"h": "x*y/2"}},
                ("--z0", "1.0", "0.0")),
             op("seed-undefined-w-start", "seed", {"kind": "graph", "graph": _ROOT_X},
-               ("--z0", "-0.5", "1.0"))]
+               ("--z0", "-0.5", "1.0")),
+            op("steep-plane-verify", "verify", {"kind": "graph", "graph": {"h": "1e200*x"}}),
+            op("steep-implicit-verify", "verify",
+               {"kind": "implicit", "implicit": {"phi": "t - 1e200*x"}})]
 
 
 def runs() -> list[tuple[str, object]]:
