@@ -186,7 +186,6 @@ class GalleryEntry:
     arc_span: float = 1.0
     known_seed: Optional[Callable[[tuple[float, float]], SeedCurve]] = None
     known_kappa: Optional[Callable[[tuple[float, float]], float]] = None
-    scan_domain: Optional[PlanarDomain] = None
     radius_law: Optional[Callable[[tuple[float, float], float], float]] = None
     ruled: Optional[Callable[[], RuledPatch]] = None
     ruled_pair: Optional[Callable[[], tuple[RuledPatch, RuledPatch]]] = None
@@ -235,6 +234,9 @@ def _general_plane(a: float = 1.0, b: float = 2.0, c: float = 2.0,
     center = (-2.0 * b / c, 2.0 * a / c)
     sense = 1.0 if c > 0 else -1.0
     base = (center[0] + 1.0, center[1])
+    # [-3, 3] moved by less than a node step (0.06), so that a node of the
+    # verify lattice lands on each coordinate of the characteristic point
+    lo_x, lo_y = (-3.0 + (v + 3.0) % 0.06 for v in center)
 
     def known_seed(z0):
         return circle_seed(center, z0, (-math.pi, math.pi), sense=sense)
@@ -243,15 +245,12 @@ def _general_plane(a: float = 1.0, b: float = 2.0, c: float = 2.0,
         graph=GraphPatch.from_expr(src, dom),
         implicit=ImplicitSurface.from_expr(
             f"{_num(a)}*x + {_num(b)}*y + {_num(c)}*t - {_num(d)}"),
-        verify_domain=PlanarDomain(-3.0, 3.0, -3.0, 3.0),
+        verify_domain=PlanarDomain(lo_x, lo_x + 6.0, lo_y, lo_y + 6.0),
         seed_base=base,
         arc_span=math.pi / 2,
         known_seed=known_seed,
         known_kappa=lambda z0: -sense / math.hypot(z0[0] - center[0], z0[1] - center[1]),
         expected_scan={"kind": "point", "at": center},
-        # scan lattice centered on the characteristic point so a node hits it
-        scan_domain=PlanarDomain(center[0] - 1.1, center[0] + 1.1,
-                                 center[1] - 1.1, center[1] + 1.1),
     )
 
 
@@ -651,6 +650,10 @@ def gallery_verify(name: str, **params) -> list[Check]:
     if z0 is not None and not (all(map(math.isfinite, z0)) and entry.graph.domain.contains(*z0)):
         raise UnknownName(f"bad parameters for {name!r}: seed base point {z0} is not a "
                           "finite point of the graph's domain")
+    at = (entry.expected_scan or {}).get("at")
+    if at is not None and not entry.verify_domain.contains(*at):
+        raise UnknownName(f"bad parameters for {name!r}: characteristic point {at} is not "
+                          "a point of the verify window")
     checks: list[Check] = []
 
     lattice = None
@@ -659,7 +662,7 @@ def gallery_verify(name: str, **params) -> list[Check]:
         scans = [("analytic", entry.graph, expect, ta), ("fd", entry.graph.fd_only(), expect, TOL_H_FD)]
         if entry.graph_lower is not None:
             scans.append(("lower", entry.graph_lower, -expect, ta))
-        if entry.expected_scan is not None and entry.scan_domain is None:
+        if entry.expected_scan is not None:
             # the characteristic scan clusters what the analytic scan reads
             lattice = ScanLattice(Grid2(entry.verify_domain, 101, 101))
         for label, graph, value, tol in scans:
@@ -693,7 +696,7 @@ def gallery_verify(name: str, **params) -> list[Check]:
         checks.append(check_leq("w_formula_vs_direct",
                                 worst_abs(abs(patch.w(s, r)) - w_direct(patch, s, r)), 1e-6))
 
-    if entry.expected_scan is not None and entry.graph is not None:
+    if lattice is not None:
         checks.append(_check_scan(entry, lattice))
 
     if entry.check_roundtrip:
@@ -713,14 +716,9 @@ def gallery_verify(name: str, **params) -> list[Check]:
     return checks
 
 
-def _check_scan(entry: GalleryEntry, lattice: Optional[ScanLattice] = None) -> Check:
+def _check_scan(entry: GalleryEntry, lattice: ScanLattice) -> Check:
     """The characteristic scan of the graph against ``expected_scan``, over
-    ``lattice`` (the verify lattice, as the analytic curvature scan read it),
-    or else over the entry's scan or verify domain, read by a curvature scan."""
-    if lattice is None:
-        domain = entry.scan_domain or entry.verify_domain
-        lattice = ScanLattice(Grid2(domain, 101, 101))
-        max_curvature_deviation(entry.graph, domain, lattice=lattice)
+    ``lattice``: the verify lattice, as the analytic curvature scan read it."""
     scan = characteristic_scan(lattice)
     kind = entry.expected_scan["kind"]
     if kind == "empty":

@@ -21,12 +21,12 @@ def _entries():
 
 
 def _gallery_domains():
-    """Every gallery domain (graph, lower graph, verify, scan) with a predicate."""
+    """Every gallery domain (graph, lower graph, verify) with a predicate."""
     found = {}
     for name, entry in _entries():
         for dom in (entry.graph and entry.graph.domain,
                     entry.graph_lower and entry.graph_lower.domain,
-                    entry.verify_domain, entry.scan_domain):
+                    entry.verify_domain):
             if dom is not None and dom.membership is not None:
                 found.setdefault(id(dom.membership), (name, dom))
     return list(found.values())

@@ -660,8 +660,11 @@ BIG_INT = "9" * 401   # an int beyond the float range
     ["general-plane", "--a", "1e308", "--c", "1e-10"],
     ["catenoid", "--a", "1e150"],
     ["catenoid", "--a", "1e-320"],     # an infinite base point in an infinite box
+    # the characteristic point (-3.9, 0) is off the verify window
+    ["general-plane", "--a", "0", "--b", "3.9", "--c", "2"],
 ], ids=["n", "gencurve-suffix", "catenoid-a-squared", "iso-profile-R-squared",
-        "general-plane-c-tiny", "general-plane-a-huge", "catenoid-a-huge", "catenoid-a-tiny"])
+        "general-plane-c-tiny", "general-plane-a-huge", "catenoid-a-huge", "catenoid-a-tiny",
+        "general-plane-point-off-window"])
 def test_gallery_parameter_beyond_the_float_range_exit_4(tmp_path, capsys, args):
     assert main(["gallery", *args, "--out", str(tmp_path / "g")]) == 4
     err = capsys.readouterr().err.splitlines()

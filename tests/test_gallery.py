@@ -12,7 +12,7 @@ from hmin.gallery import (_check_scan, _counterexample_triple, gallery_get, gall
 from hmin.report import worst_abs
 from hmin.ruled import chart_samples
 from hmin.seed import curvature
-from hmin.surface import GraphPatch, ImplicitSurface
+from hmin.surface import GraphPatch, ImplicitSurface, ScanLattice
 
 
 def test_catalog_names():
@@ -79,7 +79,7 @@ H_SCANS = {
                        "h_scan_fd": 6.570260119151944e-06},
     "cylinder": {"h_scan_analytic": 0.0, "h_scan_fd": 6.602608598659014e-05, "h_scan_lower": 0.0},
     "gencurve-n": {"h_scan_analytic": 0.0, "h_scan_fd": 1.4696791982641379e-05},
-    "general-plane": {"h_scan_analytic": 0.0, "h_scan_fd": 6.2803698398783024e-06},
+    "general-plane": {"h_scan_analytic": 0.0, "h_scan_fd": 5.921189463374465e-06},
     "hyperbolic": {"h_scan_analytic": 0.0, "h_scan_fd": 8.881684188078268e-08},
     "iso-profile": {"h_scan_analytic": 5.040412531798211e-14,
                     "h_scan_fd": 1.7029496157672241e-06},
@@ -94,6 +94,19 @@ def test_every_entry_passes_its_battery():
         assert not bad, f"{name}: {bad}"
         scans = {c.name: repr(c.measured) for c in checks if c.name.startswith("h_scan_")}
         assert scans == {k: repr(v) for k, v in H_SCANS[name].items()}, name
+
+
+
+@pytest.mark.parametrize("a,b", [(1.0, 2.0), (2.95, -2.0),
+                                 # over [-3, 3]², whose nearest node is 1.5e-3 off this
+                                 # point in y, h_scan_fd reads 1.1e-4 > TOL_H_FD
+                                 (-2.4614796127141205, 1.626322833831383)])
+def test_general_plane_verify_lattice_has_a_node_on_its_characteristic_point(a, b):
+    entry = gallery_get("general-plane", a=a, b=b)
+    xs, ys = Grid2(entry.verify_domain, 101, 101).lattice()
+    cx, cy = entry.expected_scan["at"]
+    assert min(abs(xs - cx)) <= 1e-12 and min(abs(ys - cy)) <= 1e-12
+    assert [c.name for c in gallery_verify("general-plane", a=a, b=b) if not c.passed] == []
 
 
 # the names of each entry's checks, in report order: the standard battery,
@@ -286,13 +299,19 @@ def test_scan_of_a_surface_undefined_on_part_of_its_domain_is_nan():
     assert math.isnan(max_curvature_deviation(patch, patch.domain, 21, 21))
 
 
+def _filled_lattice(patch, domain):
+    """The 101 x 101 ScanLattice of ``domain``, as a curvature scan fills it."""
+    lattice = ScanLattice(Grid2(domain, 101, 101))
+    max_curvature_deviation(patch, domain, lattice=lattice)
+    return lattice
+
+
 def test_scan_empty_check_fails_where_w_is_undefined():
     entry = gallery_get("counterexample")
-    assert _check_scan(entry).passed
-    # a scan domain that reaches x = 0, where y/x and so W are NaN; no node
-    # of it is characteristic
-    entry.scan_domain = PlanarDomain(-1.0, 3.0, -3.0, 3.0)
-    check = _check_scan(entry)
+    assert _check_scan(entry, _filled_lattice(entry.graph, entry.verify_domain)).passed
+    # a lattice that reaches x = 0, where y/x and so W are NaN; no node of
+    # it is characteristic
+    check = _check_scan(entry, _filled_lattice(entry.graph, PlanarDomain(-1.0, 3.0, -3.0, 3.0)))
     assert check.name == "scan_empty" and check.passed is False
     assert check.note == "101 node(s) where W is not finite"
 

@@ -198,7 +198,7 @@ def test_hessian_first_case_is_the_hessian_stencil():
                                   if gallery_get(n).expected_scan is not None])
 def test_characteristic_scan_equals_the_node_loop_on_gallery_scan_domains(name):
     entry = gallery_get(name)
-    grid = Grid2(entry.scan_domain or entry.verify_domain, 101, 101)
+    grid = Grid2(entry.verify_domain, 101, 101)
     assert scan_of(entry.graph, grid).undefined_w == 0
     assert _scan_outcome(scan_of, entry.graph, grid) == _scan_outcome(scan_by_node, entry.graph, grid)
 
@@ -277,18 +277,15 @@ def test_graph_verify_reads_each_node_once(monkeypatch, tmp_path, fd):
     assert len(reads) == 10 and sum(n for *_, n, _ in reads) == 101 * 101
 
 
-@pytest.mark.parametrize("name", ["char-plane", "general-plane", "hyperbolic", "catenoid",
-                                  "counterexample"])
+@pytest.mark.parametrize("name", [n for n in gallery_names()
+                                  if gallery_get(n).expected_scan is not None])
 def test_gallery_verify_reads_the_verify_lattice_once(monkeypatch, name):
     entry = gallery_get(name)
     reads = _lattice_reads(monkeypatch)
     gallery_verify(name)
     upper = ex.to_str(entry.graph.h.exprs[0])
-    nodes = [len(Grid2(entry.verify_domain, 101, 101).points()[0])]
-    if entry.scan_domain is not None:
-        # general-plane scans a lattice of its own, centred on its characteristic point
-        nodes.append(len(Grid2(entry.scan_domain, 101, 101).points()[0]))
-    assert sum(n for f, analytic, n, axes in reads if f == upper and analytic and axes) == sum(nodes)
+    nodes = len(Grid2(entry.verify_domain, 101, 101).points()[0])
+    assert sum(n for f, analytic, n, axes in reads if f == upper and analytic and axes) == nodes
 
 
 def test_counterexample_battery_maps_its_sector_by_no_float_function(monkeypatch):

@@ -10,9 +10,10 @@ seeds 1 to 3, each seed's warm-up op, ``hmin gallery all``,
 counterexample gallery spec, ``verify`` of a graph spec, of its
 ``fd_only`` form and of an implicit spec, ``hmin gallery gencurve-2`` and
 ``build`` on the iso-profile gallery spec, ``seed`` from a
-characteristic start and from a start where W is NaN, and ``verify`` of
-the plane t = 1e200 x as a graph and as a level set.  Each op runs in this process through
-``hmin.cli.main``, as the benchmark runs it, from the sources of
+characteristic start and from a start where W is NaN, ``verify`` of
+the plane t = 1e200 x as a graph and as a level set, and ``hmin gallery
+general-plane`` with its characteristic point off its verify window.
+Each op runs in this process through ``hmin.cli.main``, as the benchmark runs it, from the sources of
 ``--src`` (the repository's ``src/`` by default); ``bench/`` is only read.
 
 One digest per run covers its exit code, its stdout and stderr with the
@@ -59,8 +60,10 @@ def _extra_ops() -> list:
     ``verify`` of a graph spec, of its ``fd_only`` form and of an implicit
     spec, the even-n GSC of ``gencurve-2``, a graph build over a domain
     that is not a box, ``seed`` from a start where W is 0 and from one
-    where it is NaN, and ``verify`` of a plane so steep that p*p overflows,
-    as a graph and as a level set, which no workload op runs."""
+    where it is NaN, ``verify`` of a plane so steep that p*p overflows,
+    as a graph and as a level set, and general-plane with its
+    characteristic point (-3.9, 0) off its verify window (exit 4), which no
+    workload op runs."""
     op = workloads.Op
     return [op("all", "gallery", args=("all",)),
             op("counterexample-verify", "verify", _COUNTEREXAMPLE),
@@ -82,7 +85,9 @@ def _extra_ops() -> list:
                ("--z0", "-0.5", "1.0")),
             op("steep-plane-verify", "verify", {"kind": "graph", "graph": {"h": "1e200*x"}}),
             op("steep-implicit-verify", "verify",
-               {"kind": "implicit", "implicit": {"phi": "t - 1e200*x"}})]
+               {"kind": "implicit", "implicit": {"phi": "t - 1e200*x"}}),
+            op("general-plane-off-window", "gallery",
+               args=("general-plane", "--a", "0", "--b", "3.9", "--c", "2"))]
 
 
 def runs() -> list[tuple[str, object]]:
