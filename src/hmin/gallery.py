@@ -43,7 +43,7 @@ from .report import Check, check_flag, check_leq, worst_abs
 from .ruled import (GeneralizedSeedCurve, GSCJoin, GSCPiece, RuledPatch, _chart_nu,
                     characteristic_locus, chart_samples, curvature_on_patch, locus_branch_slope,
                     roundtrip, validate_gsc, w_direct)
-from .seed import SeedCurve, curvature, extract_seed
+from .seed import SeedCurve, curvature, extract_seed, takes_arrays
 from .surface import (TOL_H_ANALYTIC, TOL_H_FD, GraphPatch, ImplicitSurface, ScanLattice,
                       characteristic_scan, max_curvature_deviation)
 
@@ -52,17 +52,18 @@ from .surface import (TOL_H_ANALYTIC, TOL_H_FD, GraphPatch, ImplicitSurface, Sca
 # Closed-form seed constructors
 # ---------------------------------------------------------------------------
 
-
 def circle_seed(center: tuple[float, float], z0: tuple[float, float],
-                s_range: tuple[float, float], sense: float = 1.0) -> SeedCurve:
-    """Arclength circle through z0 around center; sense=+1 is counterclockwise
-    (signed curvature -sense/radius)."""
+                s_range: tuple[float, float]) -> SeedCurve:
+    """Arclength circle through z0 around center, counterclockwise (signed
+    curvature -1/radius), as is every circle seed: a plane's (p, q) =
+    (-(y - y_c), x - x_c)/2 turns so about its characteristic point whatever
+    the sign of c, as (a, b, c, d) and (-a, -b, -c, -d) give one graph."""
     cx, cy = center
     rho = math.hypot(z0[0] - cx, z0[1] - cy)
     phi0 = math.atan2(z0[1] - cy, z0[0] - cx)
 
     def cos_sin(s):
-        th = phi0 + sense * s / rho
+        th = phi0 + s / rho
         return ex.pointwise(math.cos, th), ex.pointwise(math.sin, th)
 
     def gamma(s):
@@ -71,7 +72,7 @@ def circle_seed(center: tuple[float, float], z0: tuple[float, float],
 
     def dgamma(s):
         c, sn = cos_sin(s)
-        return (-sense * sn, sense * c)
+        return (-sn, c)
 
     def ddgamma(s):
         c, sn = cos_sin(s)
@@ -94,46 +95,44 @@ def line_seed(z0: tuple[float, float], direction: tuple[float, float],
 
 def catenoid_seed(a: float, z0: tuple[float, float], s_range: tuple[float, float],
                   sheet: float = 1.0) -> SeedCurve:
-    """Spiral seed of the catenoid sheet t = u0 + sheet*(2/a) sqrt(a|z|^2/4 - 1).
+    """Spiral seed of the catenoid sheet t = u0 + sheet*(2/a) sqrt(a|z|^2/4 - 1), in closed form.
 
-    The radius obeys |gamma(s)|^2 = |z0|^2 - sheet*(4/sqrt(a)) s and the polar
-    angle rate is theta' = sqrt(rho^2 - 4/a)/rho^2 (integrated by quadrature).
-    The base point z0 sits at s = 0, which must lie inside s_range.
-    """
-    if not (s_range[0] <= 0.0 <= s_range[1]):
-        raise ValueError("catenoid_seed expects s_range to contain the base s = 0")
-    rho0 = math.hypot(*z0)
-    th0 = math.atan2(z0[1], z0[0])
-    rate = 4.0 / math.sqrt(a)
+    With the rim |z|^2 = c = 4/a and k = sheet*4/sqrt(a), the seed through z0 (s = 0) has
+    u = |gamma|^2 = |z0|^2 - k s, r = sqrt(u) and w = sqrt(u - c), 0 past the rim; theta' = w/u
+    gives theta = theta(z0) - (F(u) - F(|z0|^2))/k, F = 2w - 2 sqrt(c) atan(w/sqrt(c)).  In the
+    frame (e_r, e_theta), gamma' = (-k/2, w)/r and, as k^2 = 4c, gamma'' = (r'' - r theta'^2,
+    2 r' theta' + r theta'') = (-1, -k/(2w))/r: kappa = -1/w, not finite at the rim."""
+    c, k = 4.0 / a, sheet * 4.0 / math.sqrt(a)
+    root_c, u0, th0 = math.sqrt(c), math.hypot(*z0) ** 2, math.atan2(z0[1], z0[0])
 
-    def theta_rate(s):
-        r2 = rho0 * rho0 - sheet * rate * s
-        return ex.pointwise(math.sqrt, ex.pointwise(max, r2 - 4.0 / a, 0.0)) / r2
+    def half_f(w):   # F/2
+        return w - root_c * ex.pointwise(math.atan, w / root_c)
 
-    # sample grid containing s = 0 exactly, so theta(0) = th0 needs no offset
-    n = 801
-    n_lo = max(2, int(round(n * (-s_range[0]) / (s_range[1] - s_range[0])))) if s_range[0] < 0 else 0
-    n_hi = max(2, n - n_lo) if s_range[1] > 0 else 0
-    parts = []
-    if n_lo:
-        parts.append(np.linspace(s_range[0], 0.0, n_lo + 1)[:-1])
-    parts.append(np.array([0.0]))
-    if n_hi:
-        parts.append(np.linspace(0.0, s_range[1], n_hi + 1)[1:])
-    s = np.concatenate(parts)
-    i0 = int(np.argmin(np.abs(s)))
-    theta = cumulative_integral(theta_rate, s)
-    theta += th0 - theta[i0]
-    r = ex.pointwise(math.sqrt, rho0 * rho0 - sheet * rate * s)
-    c, sn = ex.pointwise(math.cos, theta), ex.pointwise(math.sin, theta)
-    g = np.column_stack((r * c, r * sn))
-    drho, dth = -sheet * rate / (2.0 * r), theta_rate(s)
-    dg = np.column_stack((drho * c - r * dth * sn, drho * sn + r * dth * c))
-    ddg = np.gradient(dg, s, axis=0)
-    # arclength forces gamma'' _|_ gamma'; drop the differencing error's
-    # tangential component
-    ddg -= np.einsum("ij,ij->i", ddg, dg)[:, None] * dg
-    return SeedCurve(s, g, dg, ddg)
+    f0 = half_f(math.sqrt(max(u0 - c, 0.0)))
+
+    def polar(s):   # r, w, cos theta and sin theta
+        u = u0 - k * s
+        w = ex.pointwise(math.sqrt, ex.pointwise(max, u - c, 0.0))
+        th = th0 - 2.0 * (half_f(w) - f0) / k
+        return ex.pointwise(math.sqrt, u), w, ex.pointwise(math.cos, th), ex.pointwise(math.sin, th)
+
+    def gamma(s):
+        r, _, cs, sn = polar(s)
+        return (r * cs, r * sn)
+
+    def dgamma(s):
+        r, w, cs, sn = polar(s)
+        gr, gt = -0.5 * k / r, w / r
+        return (gr * cs - gt * sn, gr * sn + gt * cs)
+
+    @takes_arrays   # over arrays, the overflow to inf at the rim warns of nothing
+    def ddgamma(s):
+        r, w, cs, sn = polar(s)
+        # w = 0 at the rim: a float division by ulp(0) overflows to inf, one by 0 raises
+        gr, gt = -1.0 / r, -0.5 * k / r / ex.pointwise(max, w, math.ulp(0.0))
+        return (gr * cs - gt * sn, gr * sn + gt * cs)
+
+    return SeedCurve.from_callables(gamma, dgamma, ddgamma, s_range)
 
 
 def optreg2_seed() -> SeedCurve:
@@ -232,14 +231,13 @@ def _general_plane(a: float = 1.0, b: float = 2.0, c: float = 2.0,
     src = f"({_num(d)} - {_num(a)}*x - {_num(b)}*y)/{_num(c)}"
     dom = PlanarDomain(-3.2, 3.2, -3.2, 3.2)
     center = (-2.0 * b / c, 2.0 * a / c)
-    sense = 1.0 if c > 0 else -1.0
     base = (center[0] + 1.0, center[1])
     # [-3, 3] moved by less than a node step (0.06), so that a node of the
     # verify lattice lands on each coordinate of the characteristic point
     lo_x, lo_y = (-3.0 + (v + 3.0) % 0.06 for v in center)
 
     def known_seed(z0):
-        return circle_seed(center, z0, (-math.pi, math.pi), sense=sense)
+        return circle_seed(center, z0, (-math.pi, math.pi))
 
     return GalleryEntry(
         graph=GraphPatch.from_expr(src, dom),
@@ -249,7 +247,7 @@ def _general_plane(a: float = 1.0, b: float = 2.0, c: float = 2.0,
         seed_base=base,
         arc_span=math.pi / 2,
         known_seed=known_seed,
-        known_kappa=lambda z0: -sense / math.hypot(z0[0] - center[0], z0[1] - center[1]),
+        known_kappa=lambda z0: -1.0 / math.hypot(z0[0] - center[0], z0[1] - center[1]),
         expected_scan={"kind": "point", "at": center},
     )
 

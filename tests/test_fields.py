@@ -436,7 +436,8 @@ def test_quadrature_calls_a_marked_integrand_once_per_depth():
 
 def _gallery_integrals(monkeypatch) -> list[tuple]:
     """(f, grid, tol) of every cumulative_integral call made while the
-    catenoid (at two values of a, both sheets) and optreg2 are built."""
+    gallery's spiral seeds (at two values of a, both sheets) and optreg2 are
+    built; only optreg2's seed and profile have no closed form."""
     seen = []
 
     def spy(f, grid, tol=SIMPSON_TOL):
@@ -454,8 +455,8 @@ def _gallery_integrals(monkeypatch) -> list[tuple]:
 
 def test_gallery_integrals_are_the_running_adaptive_simpson_sums(monkeypatch):
     seen = _gallery_integrals(monkeypatch)
-    # six catenoid seeds' theta', optreg2's cos Psi, sin Psi and h0'
-    assert len(seen) == 9
+    # optreg2's cos Psi, sin Psi and h0'
+    assert len(seen) == 3
     for f, grid, tol in seen:
         calls = []
         out = cumulative_integral(_counted(f, calls), grid, tol)

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -97,16 +98,20 @@ def test_every_entry_passes_its_battery():
 
 
 
-@pytest.mark.parametrize("a,b", [(1.0, 2.0), (2.95, -2.0),
-                                 # over [-3, 3]², whose nearest node is 1.5e-3 off this
-                                 # point in y, h_scan_fd reads 1.1e-4 > TOL_H_FD
-                                 (-2.4614796127141205, 1.626322833831383)])
-def test_general_plane_verify_lattice_has_a_node_on_its_characteristic_point(a, b):
-    entry = gallery_get("general-plane", a=a, b=b)
+@pytest.mark.parametrize("a,b,c,d", [(1.0, 2.0, 2.0, 4.0), (2.95, -2.0, 2.0, 4.0),
+                                     # over [-3, 3]², whose nearest node is 1.5e-3 off this
+                                     # point in y, h_scan_fd reads 1.1e-4 > TOL_H_FD
+                                     (-2.4614796127141205, 1.626322833831383, 2.0, 4.0),
+                                     # c < 0: the default plane negated, and another; the
+                                     # seed still turns counterclockwise
+                                     (-1.0, -2.0, -2.0, -4.0), (0.9, -1.2, -1.5, 0.5)])
+def test_general_plane_verify_lattice_has_a_node_on_its_characteristic_point(a, b, c, d):
+    entry = gallery_get("general-plane", a=a, b=b, c=c, d=d)
     xs, ys = Grid2(entry.verify_domain, 101, 101).lattice()
     cx, cy = entry.expected_scan["at"]
     assert min(abs(xs - cx)) <= 1e-12 and min(abs(ys - cy)) <= 1e-12
-    assert [c.name for c in gallery_verify("general-plane", a=a, b=b) if not c.passed] == []
+    checks = gallery_verify("general-plane", a=a, b=b, c=c, d=d)
+    assert [check.name for check in checks if not check.passed] == []
 
 
 # the names of each entry's checks, in report order: the standard battery,
@@ -238,6 +243,19 @@ def test_catenoid_seed_is_arclength():
         assert math.hypot(*c.tangent(float(s))) == pytest.approx(1.0, abs=1e-8)
         k = curvature(c, float(s))
         assert k < 0.0   # spiral bends the same way as the circle seeds
+    # kappa = -1/sqrt(|gamma|^2 - 4/a) diverges like (s_rim - s)^(-1/2)
+    up = gallery_get("catenoid").gsc().pieces[0].curve
+    s_rim = up.s_max
+    ratio = curvature(up, s_rim - 1e-4) / curvature(up, s_rim - 1e-2)
+    assert ratio == pytest.approx(10.0, rel=1e-2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert not all(map(math.isfinite, up.second(s_rim)))
+        assert not np.isfinite(np.column_stack(up.second(np.array([s_rim])))).all()
+    # a range that does not hold the base s = 0
+    s = np.linspace(0.1, 0.5, 41)
+    x, y = catenoid_seed(2.0, (2.0, 0.0), (0.1, 0.5)).point(s)
+    assert worst_abs(x * x + y * y - (4.0 - 2.0 * math.sqrt(2.0) * s)) <= 1e-14
 
 
 def test_optreg2_branch_jump_numbers():
@@ -329,7 +347,9 @@ _CLOSED_FORM_SEEDS = {
     "line-hyperbolic": lambda: gallery.line_seed((0.0, 1.0), (-1.0, 0.0), (-1.5, 1.5)),
     "line-slanted": lambda: gallery.line_seed((0.3, -1.2), (3.0, -4.0), (-2.0, 0.5)),
     "circle-counterexample": lambda: gallery.circle_seed((0.0, 0.0), (1.0, 0.0), (-0.9, 0.9)),
-    "circle-clockwise": lambda: gallery.circle_seed((0.4, -0.2), (1.1, 0.7), (-2.5, 1.0), sense=-1.0),
+    "circle-offset": lambda: gallery.circle_seed((0.4, -0.2), (1.1, 0.7), (-2.5, 1.0)),
+    # its last sample is the rim, where gamma'' is not finite
+    "catenoid-upper": lambda: gallery_get("catenoid").gsc().pieces[0].curve,
 }
 
 

@@ -62,8 +62,9 @@ def _extra_ops() -> list:
     that is not a box, ``seed`` from a start where W is 0 and from one
     where it is NaN, ``verify`` of a plane so steep that p*p overflows,
     as a graph and as a level set, and general-plane with its
-    characteristic point (-3.9, 0) off its verify window (exit 4), which no
-    workload op runs."""
+    characteristic point (-3.9, 0) off its verify window (exit 4) and with
+    its default coefficients negated (the same graph), which no workload op
+    runs."""
     op = workloads.Op
     return [op("all", "gallery", args=("all",)),
             op("counterexample-verify", "verify", _COUNTEREXAMPLE),
@@ -87,7 +88,9 @@ def _extra_ops() -> list:
             op("steep-implicit-verify", "verify",
                {"kind": "implicit", "implicit": {"phi": "t - 1e200*x"}}),
             op("general-plane-off-window", "gallery",
-               args=("general-plane", "--a", "0", "--b", "3.9", "--c", "2"))]
+               args=("general-plane", "--a", "0", "--b", "3.9", "--c", "2")),
+            op("general-plane-negated", "gallery",
+               args=("general-plane", "--a", "-1", "--b", "-2", "--c", "-2", "--d", "-4"))]
 
 
 def runs() -> list[tuple[str, object]]:
