@@ -369,7 +369,14 @@ def _mapped(bare: Callable[..., float], safe: Callable[..., float], *args) -> np
 
 
 def _array_div(a, b):
-    return np.where(b == 0.0, _NAN, a / b)
+    q = a / b
+    if isinstance(b, np.ndarray):
+        zero = b == 0.0
+        if zero.any():
+            q[zero] = _NAN
+    elif b == 0.0:
+        q[:] = _NAN
+    return q
 
 
 def _array_pow(a, b):
@@ -617,6 +624,14 @@ def div(a: Expr, b: Expr) -> Expr:
     return Div(a, b)
 
 
+def _square(u: Expr) -> Expr:
+    # u * u, the one subtree twice: compiled as v * v, the IEEE product in
+    # numpy and in floats alike, where pow(v, 2.0) maps the C library per
+    # element.  Not ``mul``: it folds 0 * 0 to a 0 that ``div`` keeps as a
+    # 0/0, so the derivative of a constant 1/0 would read NaN
+    return Mul(u, u)
+
+
 def pow_(a: Expr, b: Expr) -> Expr:
     if _is_num(b, 1.0):
         return a
@@ -641,7 +656,7 @@ def differentiate(e: Expr, var: str) -> Expr:
     if isinstance(e, Mul):
         return add(mul(d(e.left), e.right), mul(e.left, d(e.right)))
     if isinstance(e, Div):
-        return div(sub(mul(d(e.left), e.right), mul(e.left, d(e.right))), pow_(e.right, Num(2.0)))
+        return div(sub(mul(d(e.left), e.right), mul(e.left, d(e.right))), _square(e.right))
     if isinstance(e, Pow):
         u, v = e.left, e.right
         du, dv = d(u), d(v)
@@ -655,10 +670,10 @@ def differentiate(e: Expr, var: str) -> Expr:
         outer = {
             "sin": lambda: Call("cos", u),
             "cos": lambda: sub(_ZERO, Call("sin", u)),
-            "tan": lambda: add(_ONE, pow_(Call("tan", u), Num(2.0))),
-            "tanh": lambda: sub(_ONE, pow_(Call("tanh", u), Num(2.0))),
-            "atan": lambda: div(_ONE, add(_ONE, pow_(u, Num(2.0)))),
-            "atanh": lambda: div(_ONE, sub(_ONE, pow_(u, Num(2.0)))),
+            "tan": lambda: add(_ONE, _square(Call("tan", u))),
+            "tanh": lambda: sub(_ONE, _square(Call("tanh", u))),
+            "atan": lambda: div(_ONE, add(_ONE, _square(u))),
+            "atanh": lambda: div(_ONE, sub(_ONE, _square(u))),
             "sqrt": lambda: div(_ONE, mul(Num(2.0), Call("sqrt", u))),
             "abs": lambda: Call("sign", u),
             "exp": lambda: Call("exp", u),

@@ -8,7 +8,8 @@ domain, which its difference stencils stay in; a field over the whole
 plane has ``PlanarDomain(-inf, inf, -inf, inf)``.  Its ``value`` and
 ``jet`` take one point or a chunk of points (1-d arrays of at most
 ``CHUNK`` nodes, from ``chunks``); the other evaluators take one point.
-A chunk of lattice nodes (``Grid2.node_chunks``) may come with its
+A chunk of lattice nodes (``Grid2.node_chunks``, or ``Grid2.enumerated``
+for a grid that several scans read) may come with its
 lattice axes (``lattice_axes``), which ``jet`` hands to the array code,
 moved with the nodes for each difference stencil: the work changes, the
 floats do not.
@@ -346,6 +347,22 @@ class Grid2:
         for (k,) in chunks(np.flatnonzero(self.domain.contains_all(x, y))):
             i, j = np.divmod(k, self.ny)
             yield k, x.flat[k], y.flat[k], (lattice_axes(xs, i), lattice_axes(ys, j))
+
+    def enumerated(self) -> "GridNodes":
+        """Every chunk of ``node_chunks`` at once, for a caller that scans
+        this grid more than once; one scan streams ``node_chunks``."""
+        return GridNodes(self, tuple(self.node_chunks()))
+
+
+@dataclass(frozen=True, eq=False)
+class GridNodes:
+    """The node chunks of a ``Grid2``, enumerated once (``Grid2.enumerated``):
+    the inside mask, the chunks and their axes, which every scan of the
+    grid reads alike.  It is held by the caller that made it, so it lives
+    no longer than the scans that share it."""
+
+    grid: Grid2
+    chunks: tuple[tuple[np.ndarray, np.ndarray, np.ndarray, tuple], ...]
 
 
 def lattice_axes(axis: np.ndarray, index: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

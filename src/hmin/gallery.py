@@ -660,13 +660,17 @@ def gallery_verify(name: str, **params) -> list[Check]:
         scans = [("analytic", entry.graph, expect, ta), ("fd", entry.graph.fd_only(), expect, TOL_H_FD)]
         if entry.graph_lower is not None:
             scans.append(("lower", entry.graph_lower, -expect, ta))
+        # every scan reads the one enumeration of the verify lattice
+        grid = Grid2(entry.verify_domain, 101, 101)
+        nodes = grid.enumerated()
         if entry.expected_scan is not None:
             # the characteristic scan clusters what the analytic scan reads
-            lattice = ScanLattice(Grid2(entry.verify_domain, 101, 101))
+            lattice = ScanLattice(grid)
         for label, graph, value, tol in scans:
             try:
                 dev = max_curvature_deviation(graph, entry.verify_domain, expect=value,
-                                              lattice=lattice if label == "analytic" else None)
+                                              lattice=lattice if label == "analytic" else None,
+                                              nodes=nodes)
             except StencilOutOfDomain as err:
                 # the domains come from the parameters alone: too small for the stencils
                 raise UnknownName(f"bad parameters for {name!r}: {err} in h_scan_{label}") from None

@@ -496,7 +496,11 @@ def constant_curvature_test(gsc: GeneralizedSeedCurve, tol: float) -> tuple[bool
 
     The constants may differ from piece to piece.  Each piece is sampled at
     KAPPA_SAMPLES points of its range, cut to its curve's; its summary has
-    the mean kappa, the largest deviation from it and the peak |kappa|.
+    the mean kappa, the largest deviation from it, the peak |kappa| and the
+    count of samples that are not finite (``nonfinite``).  A piece with such
+    a sample is never constant: its ``max_dev`` is inf, as an infinite
+    kappa is unboundedly far from any constant, or NaN where a sample is
+    NaN, so a check on it fails.
     """
     summary = []
     ok = True
@@ -504,10 +508,15 @@ def constant_curvature_test(gsc: GeneralizedSeedCurve, tol: float) -> tuple[bool
         lo = max(piece.a, piece.curve.s_min)
         hi = min(piece.b, piece.curve.s_max)
         kappas = curvature(piece.curve, np.linspace(lo, hi, KAPPA_SAMPLES))
-        mean = float(kappas.mean())
-        dev = float(np.abs(kappas - mean).max())
+        nonfinite = int(np.count_nonzero(~np.isfinite(kappas)))
+        with np.errstate(invalid="ignore"):  # the mean of an inf and a -inf sample is NaN
+            mean = float(kappas.mean())
+        if nonfinite:
+            dev = math.nan if np.isnan(kappas).any() else math.inf
+        else:
+            dev = float(np.abs(kappas - mean).max())
         summary.append({"name": piece.name, "kappa": mean, "max_dev": dev,
-                        "peak": float(np.abs(kappas).max())})
+                        "peak": float(np.abs(kappas).max()), "nonfinite": nonfinite})
         ok = ok and dev <= tol
     return ok, summary
 

@@ -42,7 +42,8 @@ alike in numpy and in floats.  ``read_nodes`` is the one pass over a chunk
 that the curvature scan (``max_curvature_deviation``) and the classifier
 share: the height's jet, then W, then H where W is not <= W_MARGIN, W read
 once per node.  The curvature scan reads the chunks of a ``Grid2`` lattice
-with their axes (``Grid2.node_chunks``), so the height's subexpressions
+with their axes (``Grid2.node_chunks``, or the one ``Grid2.enumerated``
+that several scans of a grid share), so the height's subexpressions
 in x alone or y alone are computed once per lattice coordinate.  It is
 the one read of a lattice: it keeps the height and W it reads in a
 ``ScanLattice``, and ``characteristic_scan`` clusters that record, so
@@ -61,7 +62,7 @@ import numpy as np
 
 from . import expr as ex
 from .errors import CharacteristicPoint, FieldUndefined, StencilOutOfDomain
-from .fields import Grid2, PlanarDomain, ScalarField2, select_axes
+from .fields import Grid2, GridNodes, PlanarDomain, ScalarField2, select_axes
 from .heis import HPoint
 from .report import worst_abs
 
@@ -281,7 +282,8 @@ class ScanLattice:
 
 def max_curvature_deviation(patch: GraphPatch, domain: PlanarDomain,
                             nx: int = 101, ny: int = 101, expect: float = 0.0,
-                            lattice: Optional[ScanLattice] = None) -> float:
+                            lattice: Optional[ScanLattice] = None,
+                            nodes: Optional[GridNodes] = None) -> float:
     """max |H - expect| over non-characteristic grid nodes (W > W_MARGIN).
 
     A node whose W is NaN is not skipped, and a node where the height is
@@ -290,18 +292,21 @@ def max_curvature_deviation(patch: GraphPatch, domain: PlanarDomain,
     ``read_nodes`` one chunk at a time, and every float, and the
     first StencilOutOfDomain, is the one a node-by-node scan gives.
     ``lattice``, a ``ScanLattice`` of this grid, takes the height and W
-    of every node read; it is whole once the scan returns.
+    of every node read; it is whole once the scan returns.  ``nodes``,
+    this grid's ``Grid2.enumerated``, gives the chunks of a grid that
+    several scans read; without it, the scan enumerates the grid itself.
     """
     grid = Grid2(domain, nx, ny)
-    if lattice is not None and lattice.grid != grid:
-        raise ValueError(f"a lattice of {lattice.grid} given for {grid}")
+    for given in (lattice, nodes):
+        if given is not None and given.grid != grid:
+            raise ValueError(f"a lattice of {given.grid} given for {grid}")
     deviations = [np.empty(0)]
-    for nodes, x, y, axes in grid.node_chunks():
+    for k, x, y, axes in grid.node_chunks() if nodes is None else nodes.chunks:
         t, w, h, error = read_nodes(patch, x, y, axes)
         if error is not None:
             raise error
         if lattice is not None:
-            lattice.add(nodes, t, w)
+            lattice.add(k, t, w)
         deviations.append(h[~(w <= W_MARGIN)] - expect)
     return worst_abs(np.concatenate(deviations))
 

@@ -1,5 +1,7 @@
 import math
 import re
+from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -134,7 +136,7 @@ def test_simple_derivatives():
     d = ex.differentiate(ex.parse("x^2 + y"), "x")
     assert ex.evaluate(d, {"x": 3.0, "y": 9.0}) == 6.0
     d = ex.differentiate(ex.parse("tanh(t)"), "t")
-    assert ex.to_str(d) == "1.0 - tanh(t)^2.0"
+    assert ex.to_str(d) == "1.0 - tanh(t) * tanh(t)"
     assert ex.evaluate(d, {"t": 0.0}) == 1.0
 
 
@@ -359,3 +361,149 @@ def test_array_entries_give_the_float_functions_on_regular_and_redone_chunks():
                       [(0.5, 2.0), (3.0, -1.5), (10.0, 400.0)]):  # OverflowError last
             a, b = (np.array(column) for column in zip(*pairs))
             assert _reprs(ex._ARRAY_TABLE["pow"](a, b)) == [repr(ex.safe_pow(u, v)) for u, v in pairs]
+
+
+# -- the derivative rules square by multiplication -----------------------------
+
+# the exponent of the squares of the former rules, told apart from a drawn
+# tree's own Num(2.0) by identity
+_RULE_TWO = ex.Num(2.0)
+
+
+def _pow_rule_derivative(tree, var):
+    """``differentiate`` as it squared before: pow(u, 2.0), the C library's
+    pow, where the rules now write u * u.  The oracle of the square rule."""
+    with mock.patch.object(ex, "_square", lambda u: ex.Pow(u, _RULE_TWO)):
+        return ex.differentiate(tree, var)
+
+
+def _is_square(node) -> bool:
+    """A square of a derivative rule: u * u of one subtree object, or the
+    former rule's pow(u, 2.0).  A drawn tree's own y * y of one leaf object
+    counts too, which only gives up more comparisons."""
+    if isinstance(node, ex.Pow):
+        return node.right is _RULE_TWO
+    return isinstance(node, ex.Mul) and node.left is node.right
+
+
+def _rounded(tree, env):
+    """(c, R, E): the float c of ``tree`` at ``env`` (as ``evaluate`` gives
+    it), the exact value R of the same arithmetic, and a bound E >= |c - R|.
+
+    The inputs are the leaves and every call and power that is not a rule's
+    square, at their floats.  Their arguments hold no square, so they are
+    the same floats in a derivative built by either rule, and the two
+    derivatives are the same rational function of them.  R is None, and E
+    inf, where the arithmetic leaves the finite floats, divides by an exact
+    0, or an input reads a square."""
+    memo = {}
+
+    def go(node):
+        hit = memo.get(id(node))
+        if hit is not None:
+            return hit
+        if isinstance(node, (ex.Num, ex.Var)):
+            c = ex.evaluate(node, env)
+            out = (c, Fraction(c) if math.isfinite(c) else None, 0.0, True)
+        elif isinstance(node, ex.Neg):
+            c, r, e, plain = go(node.arg)
+            out = (-c, None if r is None else -r, e, plain)
+        elif isinstance(node, ex.Call) or (isinstance(node, ex.Pow) and not _is_square(node)):
+            args = [go(a) for a in ((node.arg,) if isinstance(node, ex.Call) else (node.left, node.right))]
+            c = (ex.FUNCTIONS[node.fn] if isinstance(node, ex.Call) else ex.safe_pow)(*(a[0] for a in args))
+            plain = all(a[3] for a in args)
+            exact = plain and math.isfinite(c)
+            out = (c, Fraction(c) if exact else None, 0.0 if exact else math.inf, plain)
+        else:
+            (a, ra, ea, pa), (b, rb, eb, pb) = go(node.left), go(node.right)
+            if isinstance(node, ex.Pow):      # the former rule's square: pow errs by <= 1 ulp
+                c, r, spread = ex.safe_pow(a, 2.0), None if ra is None else ra * ra, 2 * abs(a) * ea + ea * ea
+                e = spread + 2 * math.ulp(c)
+            elif isinstance(node, (ex.Add, ex.Sub)):
+                add = isinstance(node, ex.Add)
+                c = a + b if add else a - b
+                r = None if ra is None or rb is None else (ra + rb if add else ra - rb)
+                e = ea + eb + math.ulp(c)
+            elif isinstance(node, ex.Mul):
+                c, r = a * b, None if ra is None or rb is None else ra * rb
+                e = abs(a) * eb + abs(b) * ea + ea * eb + math.ulp(c)
+            else:
+                c = ex.safe_div(a, b)
+                r = None if ra is None or rb is None or rb == 0 else ra / rb
+                low = abs(b) * (abs(b) - eb)  # at most |b B|, B the exact divisor
+                e = (abs(a) * eb + abs(b) * ea) / low + math.ulp(c) if low > 0 else math.inf
+            if not math.isfinite(c) or not math.isfinite(e):
+                r, e = None, math.inf
+            out = (c, r, e, pa and pb and not _is_square(node))
+        memo[id(node)] = out
+        return out
+
+    c, r, e, _ = go(tree)
+    return c, r, e
+
+
+# one more point, of values whose square math.pow rounds the other way
+_POW_ROUNDS = [2.0799704227, -1.788089578, -2.966031958, 1.392945532, 1.3980967692]
+
+
+@given(_trees)
+@settings(max_examples=200, deadline=None)
+@pytest.mark.filterwarnings("error")
+def test_squares_by_multiplication_give_the_derivatives_of_the_pow_rule(tree):
+    assert all(math.pow(v, 2.0) != v * v for v in _POW_ROUNDS)
+    names = list(_BATCH)
+    columns = [[*values, v] for values, v in zip(_BATCH.values(), _POW_ROUNDS)]
+    points = [dict(zip(names, values)) for values in zip(*columns)]
+    for var in ("x", "t"):
+        new = [ex.differentiate(tree, var)]
+        new.append(ex.differentiate(new[0], var))
+        old = [_pow_rule_derivative(tree, var)]
+        old.append(_pow_rule_derivative(old[0], var))
+        as_float = ex.compile_fn(new, names)
+        as_array = ex.compile_fn(new, names, array=True)(*map(np.array, columns))
+        for k, env in enumerate(points):
+            floats = as_float(*env.values())
+            for got, want, f, column in zip(new, old, floats, as_array):
+                # float code and array code agree bit for bit, NaN included
+                assert repr(f) == repr(float(column[k]))
+                c_new, r_new, e_new = _rounded(got, env)
+                c_old, r_old, e_old = _rounded(want, env)
+                assert repr(c_new) == repr(f)
+                if r_new is not None and r_old is not None:
+                    # the same function of the same inputs
+                    assert r_new == r_old
+                if math.isfinite(c_old) and e_old < math.inf and e_new < math.inf:
+                    # apart by no more than the rounding of each; where no
+                    # difference cancels, that is a few ulp
+                    assert abs(c_new - c_old) <= (e_new + e_old) * (1 + 1e-9)
+
+
+def test_the_rules_square_by_one_multiplication():
+    for src, var, text in [("1/x", "x", "-1.0 / (x * x)"),
+                           ("atan(x)", "x", "1.0 / (1.0 + x * x)"),
+                           ("atanh(x)", "x", "1.0 / (1.0 - x * x)"),
+                           ("tan(t)", "t", "1.0 + tan(t) * tan(t)")]:
+        d = ex.differentiate(ex.parse(src), var)
+        assert ex.to_str(d) == text
+    # a tree's own square and the power rule keep pow
+    assert ex.to_str(ex.differentiate(ex.parse("x^3"), "x")) == "3.0 * x^2.0"
+    assert ex.to_str(ex.differentiate(ex.parse("x^2"), "x")) == "2.0 * x"
+
+
+@pytest.mark.parametrize("src,x,expected", [
+    # the square overflows to inf, the IEEE product, and the true derivative
+    # underflows; pow's overflow gave NaN
+    ("atan(x)", 1e200, "0.0"),
+    ("1/x", 1e200, "-0.0"),
+    # a NaN argument, or one that overflows itself, still gives NaN
+    ("atan(x)", math.nan, "nan"),
+    ("1/exp(x)", 1000.0, "nan"),
+])
+def test_an_overflowing_square_is_inf(src, x, expected):
+    d = ex.differentiate(ex.parse(src), "x")
+    got = [ex.evaluate(d, {"x": x}), ex.compile_fn(d, ("x",))(x),
+           float(ex.compile_fn(d, ("x",), array=True)(np.array([x]))[0])]
+    assert [repr(v) for v in got] == [expected] * 3
+    with mock.patch.object(ex, "_square", lambda u: ex.pow_(u, ex.Num(2.0))):
+        former = ex.differentiate(ex.parse(src), "x")
+    assert math.isnan(ex.evaluate(former, {"x": x}))

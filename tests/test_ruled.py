@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import astuple, replace
 
 import numpy as np
@@ -448,6 +449,16 @@ def test_constant_curvature_nan_sample_fails():
     piece = GSCPiece(curve, -1.0, 1.0)
     ok, summary = constant_curvature_test(GeneralizedSeedCurve([piece]), 1e-6)
     assert ok is False and math.isnan(summary[0]["max_dev"])
+
+
+def test_constant_curvature_of_the_catenoid_gsc_counts_its_infinite_rim_sample():
+    # the closed-form upper piece reads kappa = -inf at the rim
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ok, (upper, lower) = constant_curvature_test(gallery_get("catenoid").gsc(), 1e-6)
+    assert ok is False
+    assert upper["nonfinite"] == 1 and upper["max_dev"] == math.inf and upper["peak"] == math.inf
+    assert lower["nonfinite"] == 0 and math.isfinite(lower["max_dev"])
 
 
 def test_pieces_may_have_different_constants():
