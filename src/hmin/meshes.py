@@ -6,9 +6,13 @@ vertex records ``v x y t`` and 1-based triangular face records
 form) so identical inputs produce byte-identical files.  The writer
 formats the vertices in blocks of rows and, since lattice meshes repeat
 their coordinates, each distinct float of a block's column only once.
+A ruled mesh reads each seed quantity once, as one array lookup over all
+its s values, and embeds a row of r at a time.
 On a file in the writer's layout the linter keeps the vertex column and
-one block of text: it checks each block of face records as it parses it,
-so the file's faces are never held.  Lattice faces are int32.
+one block of text: a block is ``BLOCK`` characters read at once plus the
+rest of the line they end in, so it ends at a line end or at the end of
+the file.  It checks each block of face records as it parses it, so the
+file's faces are never held.  Lattice faces are int32.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ if TYPE_CHECKING:
     from .ruled import RuledPatch
 
 DET_CLAMP = 0.02    # chart samples keep |det DF| at or above this
-BLOCK = 1 << 16     # characters per block of lines that lint_obj parses at once
+BLOCK = 1 << 16     # characters per read of lint_obj; a block runs on to the next line end
 ROWS = 4096         # rows per block that write_obj formats and lint_obj checks
 # face records that numpy's int64 parse reads exactly as int() does
 _DIGIT_FACES = re.compile(r"(?:f [0-9]{1,18} [0-9]{1,18} [0-9]{1,18}\n)*")
@@ -67,21 +71,38 @@ def mesh_ruled(patch: RuledPatch, ns: int, nr: int) -> Mesh:
     Samples with |det DF| < DET_CLAMP slide along their rule to the nearest
     admissible r (the fold r = 1/kappa is a parameterization artifact, not
     a feature of the surface); the number of moved samples is recorded.
-    Each s row is embedded at once, with the arithmetic of ``RuledPatch.embed``.
+    The seed is read once: kappa, gamma, gamma', h0 and <gamma, gamma'> are
+    each one array lookup over the ns values of s.  Each s row is then
+    embedded at once from its values, by ``seed.rule_from`` and
+    ``ruled.rule_height``, the arithmetic of ``RuledPatch.embed``.  If an
+    array lookup raises, each row looks its own s up when it comes, so
+    the error raised is that of the first failing row.
     """
-    from .seed import curvature, rule_point   # a graph build loads no seed code
+    from .ruled import rule_height
+    from .seed import curvature, rule_from   # a graph build loads no seed code
+
+    def terms(s):   # kappa, gamma, gamma', h0 and <gamma, gamma'> at s
+        return (curvature(patch.seed, s), *patch.seed.point(s), *patch.seed.tangent(s),
+                *patch.height_terms(s))
+
     ss, r_lattice = Grid2(PlanarDomain(*patch.s_range, *patch.r_interval()), ns, nr).lattice()
+    try:
+        with np.errstate(all="ignore"):
+            rows = np.column_stack(terms(ss)).tolist()
+    except Exception:
+        rows = map(terms, ss.tolist())
     verts = np.empty((ns, nr, 3))
     clamped = 0
-    for i, s in enumerate(ss.tolist()):
-        rs, kap = r_lattice, curvature(patch.seed, s)
+    for i, (s, (kap, gx, gy, dx, dy, h0, inner)) in enumerate(zip(ss.tolist(), rows)):
+        rs = r_lattice
         if abs(kap) > 1e-12:
             fold = 1.0 / kap
             near = np.abs(-1.0 + rs * kap) < DET_CLAMP
             rs = np.where(near, fold + np.where(rs >= fold, 1.0, -1.0) * DET_CLAMP / abs(kap), rs)
             clamped += int(near.sum())
-        verts[i, :, 0], verts[i, :, 1] = rule_point(patch.seed, s, rs)
-        verts[i, :, 2] = patch.height(s, rs)
+        with np.errstate(all="ignore"):
+            verts[i, :, 0], verts[i, :, 1] = rule_from((gx, gy), (dx, dy), rs)
+            verts[i, :, 2] = rule_height(h0, inner, rs)
         bad = np.flatnonzero(~np.isfinite(verts[i]).all(axis=1))
         if bad.size:
             raise FieldUndefined(f"height not finite at (s={s}, r={float(rs[bad[0]])})")
@@ -202,14 +223,16 @@ def _read_layout(path: str) -> Optional[list[str]]:
     """The face problems of a file in the writer's layout, read a block of
     whole lines at a time; None for any other file, for one with a face
     index that is not 1 to 18 ASCII digits, and for one with a record that
-    ``_read_lines`` would report.  Each block's vertices are checked finite
+    ``_read_lines`` would report.  A block is one read of ``BLOCK``
+    characters and one ``readline`` for the rest of its last line, so no
+    string is made per line.  Each block's vertices are checked finite
     and its faces checked as they are parsed; no face is kept.
     """
     verts, v, problems, first = array("d"), None, [], 0
     section = 0                 # where the last block ended, an index of _SECTIONS
     with open(path) as fh:
-        for lines in iter(lambda: fh.readlines(BLOCK), []):
-            text, pos = "".join(lines), 0
+        for text in iter(lambda: fh.read(BLOCK) + fh.readline(), ""):
+            pos = 0
             for k in range(section, 3):
                 end = _SECTIONS[k].match(text, pos).end()
                 if end > pos:

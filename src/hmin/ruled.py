@@ -60,7 +60,7 @@ from .errors import CharacteristicPoint, FieldUndefined, HminError, OutOfRange, 
 from .fields import FD_STEP, Grid2, PlanarDomain, Profile
 from .heis import HPoint, dilate, group_mul
 from .report import worst_abs
-from .seed import (SeedCurve, curvature, extract_seed, rule_jacobian,
+from .seed import (SeedCurve, curvature, extract_seed, rule_from, rule_jacobian,
                    rule_jacobian_det, rule_point, singular_locus, takes_arrays, EPS_KAPPA)
 from .surface import EPS_CHAR, TOL_H_FD, W_MARGIN, GraphPatch, graph_pq, read_nodes, w_from_pq
 
@@ -100,8 +100,12 @@ class RuledPatch:
 
     @takes_arrays
     def height(self, s, r):
+        return rule_height(*self.height_terms(s), r)
+
+    def height_terms(self, s) -> tuple:
+        """h0(s) and <gamma(s), gamma'(s)>, what ``height`` reads at s."""
         self._check_s(s)
-        return self.h0(s) - 0.5 * r * _inner(self.seed, s)
+        return self.h0(s), _inner(self.seed, s)
 
     @takes_arrays
     def embed(self, s, r):
@@ -142,6 +146,11 @@ class RuledPatch:
     def r_interval(self) -> tuple[float, float]:
         """``r_range``, or (-1, 1) for an extended patch."""
         return (-1.0, 1.0) if self.r_range is None else self.r_range
+
+
+def rule_height(h0, inner, r):
+    """The height h0(s) - (r/2) <gamma(s), gamma'(s)> from ``height_terms`` at s."""
+    return h0 - 0.5 * r * inner
 
 
 def _rule_den(s, r, kap):
@@ -196,7 +205,7 @@ def _chart_point_gradient(patch: RuledPatch, s, r) -> tuple:
     """F(s, r) and the chain-rule gradient of the reconstructed height there,
     ((x, y), (hx, hy)), from one lookup each of gamma, gamma' and gamma''.
 
-    F and DF are formed with the arithmetic of ``rule_point`` and
+    F is ``rule_from``, and DF is formed with the arithmetic of
     ``rule_jacobian``.
     """
     g, d1, d2 = patch.seed.point(s), patch.seed.tangent(s), patch.seed.second(s)
@@ -209,7 +218,7 @@ def _chart_point_gradient(patch: RuledPatch, s, r) -> tuple:
     # grad h = J^{-T} (dh_ds, dh_dr)
     hx = (j[1][1] * dh_ds - j[1][0] * dh_dr) / det
     hy = (-j[0][1] * dh_ds + j[0][0] * dh_dr) / det
-    return (g[0] + r * d1[1], g[1] - r * d1[0]), (hx, hy)
+    return rule_from(g, d1, r), (hx, hy)
 
 
 @takes_arrays

@@ -24,7 +24,9 @@ array).  Over arrays every element is the float of the scalar call there;
 numpy is used only for + - * /, comparisons and ``where``.  An array call
 raises what the scalar calls over its elements, in order, raise first
 (``takes_arrays``).  ``rule_jacobian_det_fd`` stays scalar, as the oracle
-of ``rule_jacobian_det``.
+of ``rule_jacobian_det``.  ``rule_from`` is the arithmetic of
+``rule_point`` on gamma and gamma' already looked up, so a caller that
+looks them up once over many s forms F with the same floats.
 """
 
 from __future__ import annotations
@@ -300,8 +302,11 @@ def _seed_jet(patch: GraphPatch, pts: np.ndarray) -> tuple[np.ndarray, np.ndarra
 @takes_arrays
 def rule_point(curve: SeedCurve, s, r) -> tuple:
     """F(s, r) = gamma(s) + r * gamma'(s)_perp."""
-    g = curve.point(s)
-    d = curve.tangent(s)
+    return rule_from(curve.point(s), curve.tangent(s), r)
+
+
+def rule_from(g: tuple, d: tuple, r) -> tuple:
+    """F(s, r) from gamma(s) = g and gamma'(s) = d: (g1 + r d2, g2 - r d1)."""
     return (g[0] + r * d[1], g[1] - r * d[0])
 
 

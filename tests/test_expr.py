@@ -202,6 +202,13 @@ def _extend(sub):
 
 _trees = st.recursive(_leaf, _extend, max_leaves=64)   # depth <= 6 in practice
 
+# Every warning is an error, but one: to print a falsifying example,
+# hypothesis imports libcst, whose import warns that mypy_extensions'
+# TypedDict is deprecated.  As an error it would end the run in an
+# INTERNALERROR with no example shown.
+_WARNINGS_ARE_ERRORS = pytest.mark.filterwarnings(
+    "error", "ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning")
+
 
 @given(_trees)
 @settings(max_examples=1000, deadline=None)
@@ -233,7 +240,7 @@ _BATCH = {
 
 @given(_trees)
 @settings(max_examples=1000, deadline=None)
-@pytest.mark.filterwarnings("error")
+@_WARNINGS_ARE_ERRORS
 def test_compiled_evaluation_matches_evaluate(tree):
     names = list(_BATCH)
     points = [dict(zip(names, values)) for values in zip(*_BATCH.values())]
@@ -244,7 +251,7 @@ def test_compiled_evaluation_matches_evaluate(tree):
 
 @given(_trees)
 @settings(max_examples=300, deadline=None)
-@pytest.mark.filterwarnings("error")
+@_WARNINGS_ARE_ERRORS
 def test_compiled_array_evaluation_matches_evaluate(tree):
     names = list(_BATCH)
     points = [dict(zip(names, values)) for values in zip(*_BATCH.values())]
@@ -290,7 +297,7 @@ def _same_bits(a, b):
 
 @given(_trees, _lattice())
 @settings(max_examples=200, deadline=None)
-@pytest.mark.filterwarnings("error")
+@_WARNINGS_ARE_ERRORS
 def test_array_code_over_lattice_axes_gives_the_floats_at_the_nodes(tree, axes):
     tree = ex.substitute(tree, _IN_X_AND_Y)
     compiled = ex.compile_fn(tree, ("x", "y"), array=True)
@@ -448,7 +455,7 @@ _POW_ROUNDS = [2.0799704227, -1.788089578, -2.966031958, 1.392945532, 1.39809676
 
 @given(_trees)
 @settings(max_examples=200, deadline=None)
-@pytest.mark.filterwarnings("error")
+@_WARNINGS_ARE_ERRORS
 def test_squares_by_multiplication_give_the_derivatives_of_the_pow_rule(tree):
     assert all(math.pow(v, 2.0) != v * v for v in _POW_ROUNDS)
     names = list(_BATCH)

@@ -11,12 +11,12 @@ import pytest
 
 from hmin import meshes
 from hmin.cli import main
-from hmin.errors import FieldUndefined
+from hmin.errors import FieldUndefined, HminError
 from hmin.fields import CHUNK, Grid2, PlanarDomain, Profile, ScalarField2
 from hmin.gallery import gallery_get, gallery_names, line_seed
 from hmin.meshes import Mesh, lint_obj, mesh_graph, mesh_ruled, write_obj
 from hmin.ruled import RuledPatch
-from hmin.seed import curvature
+from hmin.seed import SeedCurve, curvature
 from hmin.surface import GraphPatch
 
 
@@ -71,6 +71,37 @@ def test_row_embedding_raises_at_the_first_undefined_sample():
     with pytest.raises(FieldUndefined) as rows:
         mesh_ruled(patch, 9, 5)
     assert str(rows.value) == str(scalar.value) == "height not finite at (s=-1.5, r=-1.0)"
+
+
+@pytest.mark.parametrize("h0,error", [
+    # row 0 is not finite, before the rows past the seed's end (s = 1.125, 1.5)
+    ("sqrt(1 - s^2)", "height not finite at (s=-1.5, r=-1.0)"),
+    ("sqrt(4 - s^2)", "s=1.125 outside sampled range [-1.5, 1.0]"),
+])
+def test_row_embedding_raises_what_the_first_failing_row_raises(h0, error):
+    # the array lookups over all s raise, so the rows look their s up alone
+    patch = RuledPatch(line_seed((0.0, 0.0), (1.0, 0.0), (-1.5, 1.0)),
+                       Profile.from_expr(h0), (-1.5, 1.5), (-1.0, 1.0))
+    with pytest.raises(HminError) as scalar:
+        scalar_mesh_vertices(patch, 9, 5, None)
+    with pytest.raises(HminError) as rows:
+        mesh_ruled(patch, 9, 5)
+    assert (type(rows.value), str(rows.value)) == (type(scalar.value), str(scalar.value))
+    assert str(rows.value) == error
+
+
+@pytest.mark.parametrize("grid", [(200, 200), (25, 30)])
+def test_mesh_ruled_looks_each_seed_quantity_up_once(monkeypatch, grid):
+    # one array lookup per quantity, however many rows; one scalar lookup
+    # each per row would make 6 per row, 1,200 at 200 x 200
+    lookups = []
+    for name in ("point", "tangent", "second"):
+        lookup = getattr(SeedCurve, name)
+        monkeypatch.setattr(SeedCurve, name, lambda self, s, lookup=lookup, name=name:
+                            lookups.append(name) or lookup(self, s))
+    mesh = mesh_ruled(gallery_get("cylinder").ruled(), *grid)
+    assert len(mesh.vertices) == grid[0] * grid[1]
+    assert len(lookups) <= 6
 
 
 def test_lint_messages(tmp_path):
@@ -396,6 +427,44 @@ def test_lint_checks_faces_a_block_at_a_time_in_face_order(tmp_path, monkeypatch
     assert lint_obj(path) == ["face 5: repeated vertex index",
                               "face 1500: vertex index out of range",
                               "face 3477: degenerate (area 0.000e+00)"]
+
+
+class _ReadAndReadline:
+    """A text file that offers only ``read`` and ``readline``, and records
+    what each block's ``read`` returned."""
+
+    def __init__(self, path):
+        self._fh, self.reads = open(path), []
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._fh.close()
+
+    def read(self, size):
+        self.reads.append(self._fh.read(size))
+        return self.reads[-1]
+
+    def readline(self):
+        return self._fh.readline()
+
+
+def test_lint_blocks_end_at_line_ends_without_a_string_per_line(tmp_path, monkeypatch):
+    mesh = Mesh(np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 1.0, 0.5]]),
+                np.array([[0, 1, 2], [1, 3, 2], [0, 0, 1], [2, 3, 1]]), comments=["blocks"])
+    path = str(tmp_path / "m.obj")
+    write_obj(mesh, path)
+    files = []
+    monkeypatch.setattr(meshes, "open", lambda path: files.append(_ReadAndReadline(path)) or files[-1],
+                        raising=False)
+    monkeypatch.setattr(meshes, "BLOCK", 7)
+    fast = meshes._read_layout(path)
+    # each read of 7 characters that stops inside a line: a v and an f record straddle
+    cut = {text.rsplit("\n", 1)[-1][:1] for text in files[0].reads if text and text[-1] != "\n"}
+    assert {"v", "f"} <= cut
+    monkeypatch.undo()
+    assert fast == lint_paths(path)[1] == ["face 2: repeated vertex index"]   # the line loop's
 
 
 def test_lint_reads_every_written_layout_a_block_at_a_time(tmp_path, monkeypatch):
