@@ -54,7 +54,7 @@ from .expr import pointwise
 from .fields import FD_STEP, HESS_STEP, RK4_STEP, Grid2, PlanarDomain, Profile, chunks, finite
 from .report import Report, check_flag, check_leq, digest_of, worst_abs
 from .surface import (EPS_CHAR, TOL_H_ANALYTIC, TOL_H_FD, W_MARGIN, GraphPatch, ImplicitSurface,
-                      ScanLattice, characteristic_scan, horizontal_data, max_curvature_deviation)
+                      horizontal_data, max_curvature_deviation, scan_graph)
 
 if TYPE_CHECKING:
     from .gallery import GalleryEntry
@@ -271,35 +271,19 @@ def cmd_verify(args, spec: dict, report: Report) -> None:
             report.add(c)
     elif spec["kind"] == "graph":
         patch = graph_from_spec(spec)
-        tol = TOL_H_ANALYTIC if patch.analytic else TOL_H_FD
-        # one read of the lattice for both checks
-        lattice = ScanLattice(Grid2(patch.domain, nx, ny))
-        dev = max_curvature_deviation(patch, patch.domain, nx, ny, lattice=lattice)
-        report.add(check_leq("max_abs_h_curvature", dev, tol))
-        scan = characteristic_scan(lattice)
-        note = f"{len(scan.components)} component(s)"
-        if scan.undefined_w:
-            note += f", {scan.undefined_w} node(s) where W is not finite"
-        # a node where W is not finite may hide a characteristic point
-        report.add(check_flag("characteristic_scan", not scan.undefined_w, note=note))
+        dev, scan = scan_graph(patch, Grid2(patch.domain, nx, ny))
+        report.add(check_leq("max_abs_h_curvature", dev,
+                             TOL_H_ANALYTIC if patch.analytic else TOL_H_FD))
+        report.add(scan.check("characteristic_scan", True, f"{len(scan.components)} component(s)"))
     elif spec["kind"] == "implicit":
         surf = implicit_from_spec(spec)
         imp = spec["implicit"]
         window, t0 = _domain_of(imp.get("window")), imp.get("t0", 0.0)
         if not finite(t0):
             raise SpecError(f"implicit t0 {t0!r} needs to be finite")
-        values, near, no_height = [], 0, 0
-        for x, y in chunks(*Grid2(window, nx, ny).points()):
-            t = surf.solve_height(x, y, t0)
-            solved = np.isfinite(t)
-            no_height += len(t) - int(solved.sum())
-            x, y, t = x[solved], y[solved], t[solved]
-            far = ~(surf.horizontal_data(x, y, t) <= W_MARGIN)
-            near += len(t) - int(far.sum())
-            values.append(surf.h_mean_curvature(x[far], y[far], t[far]))
-        report.add(check_leq("max_abs_h_curvature", worst_abs(np.concatenate(values)),
-                             TOL_H_ANALYTIC,
-                             note=f"{sum(map(len, values))} nodes evaluated, {near} near the "
+        h, evaluated, near, no_height = surf.sample_curvature(Grid2(window, nx, ny), t0)
+        report.add(check_leq("max_abs_h_curvature", worst_abs(h), TOL_H_ANALYTIC,
+                             note=f"{evaluated} nodes evaluated, {near} near the "
                                   f"characteristic set, {no_height} without a height"))
     else:
         from .ruled import chart_samples, curvature_on_patch

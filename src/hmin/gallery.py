@@ -44,8 +44,8 @@ from .ruled import (GeneralizedSeedCurve, GSCJoin, GSCPiece, RuledPatch, _chart_
                     characteristic_locus, chart_samples, curvature_on_patch, locus_branch_slope,
                     roundtrip, validate_gsc, w_direct)
 from .seed import SeedCurve, curvature, extract_seed, takes_arrays
-from .surface import (TOL_H_ANALYTIC, TOL_H_FD, GraphPatch, ImplicitSurface, ScanLattice,
-                      characteristic_scan, max_curvature_deviation)
+from .surface import (TOL_H_ANALYTIC, TOL_H_FD, CharacteristicScan, GraphPatch, ImplicitSurface,
+                      max_curvature_deviation, scan_graph)
 
 
 # ---------------------------------------------------------------------------
@@ -654,7 +654,7 @@ def gallery_verify(name: str, **params) -> list[Check]:
                           "a point of the verify window")
     checks: list[Check] = []
 
-    lattice = None
+    scan = None
     if entry.graph is not None:
         ta, expect = entry.tol_h_analytic, entry.expected_curvature
         scans = [("analytic", entry.graph, expect, ta), ("fd", entry.graph.fd_only(), expect, TOL_H_FD)]
@@ -663,14 +663,12 @@ def gallery_verify(name: str, **params) -> list[Check]:
         # every scan reads the one enumeration of the verify lattice
         grid = Grid2(entry.verify_domain, 101, 101)
         nodes = grid.enumerated()
-        if entry.expected_scan is not None:
-            # the characteristic scan clusters what the analytic scan reads
-            lattice = ScanLattice(grid)
         for label, graph, value, tol in scans:
             try:
-                dev = max_curvature_deviation(graph, entry.verify_domain, expect=value,
-                                              lattice=lattice if label == "analytic" else None,
-                                              nodes=nodes)
+                if label == "analytic" and entry.expected_scan is not None:
+                    dev, scan = scan_graph(graph, grid, value, nodes)
+                else:
+                    dev = max_curvature_deviation(graph, grid.domain, expect=value, nodes=nodes)
             except StencilOutOfDomain as err:
                 # the domains come from the parameters alone: too small for the stencils
                 raise UnknownName(f"bad parameters for {name!r}: {err} in h_scan_{label}") from None
@@ -698,8 +696,8 @@ def gallery_verify(name: str, **params) -> list[Check]:
         checks.append(check_leq("w_formula_vs_direct",
                                 worst_abs(abs(patch.w(s, r)) - w_direct(patch, s, r)), 1e-6))
 
-    if lattice is not None:
-        checks.append(_check_scan(entry, lattice))
+    if scan is not None:
+        checks.append(_check_scan(entry, scan))
 
     if entry.check_roundtrip:
         err = roundtrip(entry.graph, extracted, entry.arc_span, 0.4)
@@ -718,24 +716,17 @@ def gallery_verify(name: str, **params) -> list[Check]:
     return checks
 
 
-def _check_scan(entry: GalleryEntry, lattice: ScanLattice) -> Check:
-    """The characteristic scan of the graph against ``expected_scan``, over
-    ``lattice``: the verify lattice, as the analytic curvature scan read it."""
-    scan = characteristic_scan(lattice)
+def _check_scan(entry: GalleryEntry, scan: CharacteristicScan) -> Check:
+    """The characteristic scan of the graph against ``expected_scan``: the
+    scan of the verify lattice, as the analytic curvature scan read it."""
     kind = entry.expected_scan["kind"]
     if kind == "empty":
-        # a node where W is not finite may hide a characteristic point
-        undefined = scan.undefined_w
-        return check_flag("scan_empty", scan.empty and not undefined,
-                          note=f"{undefined} node(s) where W is not finite" if undefined else "")
+        return scan.check("scan_empty", scan.empty)
     if kind == "point":
-        ok = len(scan.components) == 1
-        if ok:
-            cx, cy = scan.components[0].representative
-            ax, ay = entry.expected_scan["at"]
-            ok = math.hypot(cx - ax, cy - ay) <= 2e-2
-        return check_flag("scan_point", ok)
-    return check_flag("scan_on_x_axis", bool(scan.components) and all(  # "line-y0"
+        ok = len(scan.components) == 1 and math.dist(
+            scan.components[0].representative, entry.expected_scan["at"]) <= 2e-2
+        return scan.check("scan_point", ok)
+    return scan.check("scan_on_x_axis", bool(scan.components) and all(  # "line-y0"
         abs(y) <= 1e-9 for comp in scan.components for _, y in comp.nodes))
 
 

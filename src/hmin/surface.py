@@ -25,7 +25,8 @@ the sign: negating phi negates H and keeps W.  They follow the compile rule of
 and compiles nothing; phi is compiled on its first call, and phi_t, p, q
 and their partials are derived and compiled on theirs.  All
 of it is array code: phi, ``horizontal_data``, ``h_mean_curvature`` and
-the Newton ``solve_height`` take nodes (x, y, t) as 1-d arrays.
+the Newton ``solve_height`` take nodes (x, y, t) as 1-d arrays, and
+``sample_curvature`` reads H and its counts over a lattice for ``verify``.
 Curvature at characteristic points is deliberately left undefined: the
 scan reports the locus instead.
 ``characteristic_scan`` flags the lattice nodes of a ``ScanLattice`` where
@@ -44,10 +45,11 @@ share: the height's jet, then W, then H where W is not <= W_MARGIN, W read
 once per node.  The curvature scan reads the chunks of a ``Grid2`` lattice
 with their axes (``Grid2.node_chunks``, or the one ``Grid2.enumerated``
 that several scans of a grid share), so the height's subexpressions
-in x alone or y alone are computed once per lattice coordinate.  It is
-the one read of a lattice: it keeps the height and W it reads in a
-``ScanLattice``, and ``characteristic_scan`` clusters that record, so
-checking both halves of a graph over one lattice reads each node once.
+in x alone or y alone are computed once per lattice coordinate.
+``scan_graph`` is the one read of a graph lattice that ``verify`` and the
+gallery check: the curvature scan keeps the height and W it reads in a
+``ScanLattice``, and ``characteristic_scan`` clusters that record.  Every
+scan check fails where W is not finite (``CharacteristicScan.check``).
 """
 
 from __future__ import annotations
@@ -62,9 +64,9 @@ import numpy as np
 
 from . import expr as ex
 from .errors import CharacteristicPoint, FieldUndefined, StencilOutOfDomain
-from .fields import Grid2, GridNodes, PlanarDomain, ScalarField2, select_axes
+from .fields import Grid2, GridNodes, PlanarDomain, ScalarField2, chunks, select_axes
 from .heis import HPoint
-from .report import worst_abs
+from .report import Check, check_flag, worst_abs
 
 EPS_CHAR = 1e-9
 W_MARGIN = 1e-3  # curvature is read only where W exceeds this
@@ -257,11 +259,7 @@ class ScanLattice:
     """W and the height's finiteness at the nodes of a ``Grid2``, as
     (nx, ny) arrays over its lattice: what ``characteristic_scan``
     clusters.  A node outside the domain is not ``inside``, and its W is
-    inf.
-
-    ``max_curvature_deviation`` fills one as it reads the nodes; it is
-    the one read of a lattice, so a scan of the same grid reads no node
-    again.
+    inf.  ``max_curvature_deviation`` fills one as it reads the nodes.
     """
 
     def __init__(self, grid: Grid2):
@@ -396,6 +394,14 @@ class CharacteristicScan:
     def empty(self) -> bool:
         return not self.components
 
+    def check(self, name: str, ok: bool, note: str = "") -> Check:
+        """The scan check ``name``: it fails unless ``ok`` holds and W is finite at
+        every node, as a node where W is not finite may hide a characteristic point."""
+        k = self.undefined_w
+        if k:
+            note = ", ".join(filter(None, (note, f"{k} node(s) where W is not finite")))
+        return check_flag(name, ok and not k, note)
+
 
 def characteristic_scan(lattice: ScanLattice) -> CharacteristicScan:
     """Lattice nodes with W < EPS_CHAR, grouped into 8-connected components.
@@ -434,6 +440,15 @@ def characteristic_scan(lattice: ScanLattice) -> CharacteristicScan:
 
     out = [ScanComponent([(float(xs[i]), float(ys[j])) for i, j in members]) for members in comps]
     return CharacteristicScan(out, int(np.count_nonzero(inside & ~np.isfinite(w))))
+
+
+def scan_graph(patch: GraphPatch, grid: Grid2, expect: float = 0.0,
+               nodes: Optional[GridNodes] = None) -> tuple[float, CharacteristicScan]:
+    """max |H - expect| over ``grid`` (``max_curvature_deviation``, over
+    ``nodes`` if given) and the ``characteristic_scan`` of that one read."""
+    lattice = ScanLattice(grid)
+    dev = max_curvature_deviation(patch, grid.domain, grid.nx, grid.ny, expect, lattice, nodes)
+    return dev, characteristic_scan(lattice)
 
 
 # ---------------------------------------------------------------------------
@@ -533,3 +548,19 @@ class ImplicitSurface:
             if rest.size:
                 t[rest[~(abs(self.phi(x[rest], y[rest], t[rest])) < 1e-9)]] = math.nan
         return t
+
+    def sample_curvature(self, grid: Grid2, t0: float) -> tuple[np.ndarray, int, int, int]:
+        """H at the nodes of ``grid`` with a height (``solve_height`` from t0)
+        and W not <= W_MARGIN, then the counts: evaluated, near the
+        characteristic set (W <= W_MARGIN) and without a height."""
+        values, near, no_height = [], 0, 0
+        for x, y in chunks(*grid.points()):
+            t = self.solve_height(x, y, t0)
+            solved = np.isfinite(t)
+            no_height += len(t) - int(solved.sum())
+            x, y, t = x[solved], y[solved], t[solved]
+            far = ~(self.horizontal_data(x, y, t) <= W_MARGIN)
+            near += len(t) - int(far.sum())
+            values.append(self.h_mean_curvature(x[far], y[far], t[far]))
+        h = np.concatenate(values)
+        return h, len(h), near, no_height

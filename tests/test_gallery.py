@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from hmin import expr as ex, gallery
+from hmin.cli import main
 from hmin.errors import UnknownName
 from hmin.fields import Grid2, PlanarDomain, Profile, square
 from hmin.gallery import (_check_scan, _counterexample_triple, gallery_get, gallery_key,
@@ -13,7 +14,7 @@ from hmin.gallery import (_check_scan, _counterexample_triple, gallery_get, gall
 from hmin.report import worst_abs
 from hmin.ruled import chart_samples
 from hmin.seed import curvature
-from hmin.surface import GraphPatch, ImplicitSurface, ScanLattice
+from hmin.surface import GraphPatch, ImplicitSurface, scan_graph
 
 
 def test_catalog_names():
@@ -317,21 +318,44 @@ def test_scan_of_a_surface_undefined_on_part_of_its_domain_is_nan():
     assert math.isnan(max_curvature_deviation(patch, patch.domain, 21, 21))
 
 
-def _filled_lattice(patch, domain):
-    """The 101 x 101 ScanLattice of ``domain``, as a curvature scan fills it."""
-    lattice = ScanLattice(Grid2(domain, 101, 101))
-    max_curvature_deviation(patch, domain, lattice=lattice)
-    return lattice
+def _scan(patch, domain):
+    """The characteristic scan of the 101 x 101 lattice of ``domain``."""
+    return scan_graph(patch, Grid2(domain, 101, 101))[1]
 
 
 def test_scan_empty_check_fails_where_w_is_undefined():
     entry = gallery_get("counterexample")
-    assert _check_scan(entry, _filled_lattice(entry.graph, entry.verify_domain)).passed
+    assert _check_scan(entry, _scan(entry.graph, entry.verify_domain)).passed
     # a lattice that reaches x = 0, where y/x and so W are NaN; no node of
     # it is characteristic
-    check = _check_scan(entry, _filled_lattice(entry.graph, PlanarDomain(-1.0, 3.0, -3.0, 3.0)))
+    check = _check_scan(entry, _scan(entry.graph, PlanarDomain(-1.0, 3.0, -3.0, 3.0)))
     assert check.name == "scan_empty" and check.passed is False
     assert check.note == "101 node(s) where W is not finite"
+
+
+@pytest.mark.parametrize("name,height,check_name", [
+    ("char-plane", "1e-12*sqrt(x + 1.5)", "scan_point"),
+    ("hyperbolic", "x*y/2 + 1e-12*sqrt(x + 1.5)", "scan_on_x_axis"),
+])
+def test_scan_point_and_line_checks_fail_where_w_is_undefined(name, height, check_name):
+    # W is NaN on the 13 lattice columns with x < -1.5, and the one component
+    # the scan finds is the entry's own; such a node may hide another
+    entry = gallery_get(name)
+    assert _check_scan(entry, _scan(entry.graph, entry.verify_domain)).passed
+    scan = _scan(GraphPatch.from_expr(height, entry.graph.domain), entry.verify_domain)
+    assert len(scan.components) == 1 and scan.undefined_w == 1313
+    check = _check_scan(entry, scan)
+    assert (check.name, check.passed) == (check_name, False)
+    assert check.note == "1313 node(s) where W is not finite"
+
+
+def test_a_characteristic_node_without_a_height_is_reported_before_the_seed_checks(tmp_path,
+                                                                                  capsys):
+    # h = 1e300/1e-10 is inf everywhere and W is 0 at (0, 0), a node of the
+    # verify lattice; the analytic scan that finds it runs before the seed tracer
+    assert main(["gallery", "general-plane", "--a", "0", "--b", "0", "--c", "1e-10",
+                 "--d", "1e300", "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == "error: height not finite at (0.0, 0.0)\n"
 
 
 def test_counterexample_locus_check_fails_where_w_is_undefined():

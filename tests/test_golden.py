@@ -20,8 +20,8 @@ KEY = "cli-mix/seed1/warmup"
 def test_runs_cover_every_op_of_the_workloads_at_three_seeds():
     keys = [key for key, _ in golden.runs()]
     assert len(keys) == len(set(keys))
-    # 9 + 3 + 15 ops and a warm-up per workload and seed, and 17 more
-    assert len(keys) == 3 * (9 + 3 + 15 + 3) + 17
+    # 9 + 3 + 15 ops and a warm-up per workload and seed, and 20 more
+    assert len(keys) == 3 * (9 + 3 + 15 + 3) + 20
     assert "extra/all" in keys and KEY in keys
 
 

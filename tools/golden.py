@@ -11,8 +11,11 @@ counterexample gallery spec, ``verify`` of a graph spec, of its
 ``fd_only`` form and of an implicit spec, ``hmin gallery gencurve-2`` and
 ``build`` on the iso-profile gallery spec, ``seed`` from a
 characteristic start and from a start where W is NaN, ``verify`` of
-the plane t = 1e200 x as a graph and as a level set, and ``hmin gallery
-general-plane`` with its characteristic point off its verify window.
+the plane t = 1e200 x as a graph and as a level set, ``hmin gallery
+general-plane`` with its characteristic point off its verify window, and
+``verify`` of three graph specs that fail before any check runs: a
+height that does not parse, one in a variable a graph does not take, and
+a graph key the schema does not know.
 Each op runs in this process through ``hmin.cli.main``, as the benchmark runs it, from the sources of
 ``--src`` (the repository's ``src/`` by default); ``bench/`` is only read.
 
@@ -63,8 +66,9 @@ def _extra_ops() -> list:
     where it is NaN, ``verify`` of a plane so steep that p*p overflows,
     as a graph and as a level set, and general-plane with its
     characteristic point (-3.9, 0) off its verify window (exit 4) and with
-    its default coefficients negated (the same graph), which no workload op
-    runs."""
+    its default coefficients negated (the same graph), and three graph
+    specs that exit 2 with one ``error:`` line (a parse error, an unknown
+    variable and a schema error), which no workload op runs."""
     op = workloads.Op
     return [op("all", "gallery", args=("all",)),
             op("counterexample-verify", "verify", _COUNTEREXAMPLE),
@@ -90,7 +94,11 @@ def _extra_ops() -> list:
             op("general-plane-off-window", "gallery",
                args=("general-plane", "--a", "0", "--b", "3.9", "--c", "2")),
             op("general-plane-negated", "gallery",
-               args=("general-plane", "--a", "-1", "--b", "-2", "--c", "-2", "--d", "-4"))]
+               args=("general-plane", "--a", "-1", "--b", "-2", "--c", "-2", "--d", "-4")),
+            op("verify-parse-error", "verify", {"kind": "graph", "graph": {"h": "x*"}}),
+            op("verify-unknown-variable", "verify", {"kind": "graph", "graph": {"h": "x*t"}}),
+            op("verify-schema-error", "verify",
+               {"kind": "graph", "graph": {"h": "x*y/2", "orientation": 1}})]
 
 
 def runs() -> list[tuple[str, object]]:
